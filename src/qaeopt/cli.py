@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +28,7 @@ from .exceptions import (
 )
 from .pipeline import generate_instance, build_encoder, theorem1_report, verify_theorem1
 from .qstate import BipartiteDims, eigendecompose, nats_to_bits
-from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize
+from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, worker_count
 from .statefile import file_digest, load_statefile
 from .tableau import count_regular, random_regular
 
@@ -201,8 +202,9 @@ def cmd_experiment(args) -> int:
         repeat(kind), repeat(args.da), repeat(args.db), repeat(args.seed), indices,
         repeat(args.n1), repeat(args.n2), repeat(args.nd), repeat(args.threshold),
     )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = worker_count(args.jobs, args.states, os.cpu_count())
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_experiment_state, *star_args))
     else:
         rows = list(map(_experiment_state, *star_args))

@@ -23,6 +23,7 @@ UNITARITY_TOL = 1e-10
 # tolerance on such an eigenvector makes the divergence infinite.
 SUPPORT_TOL = 1e-12
 SUPPORT_WEIGHT_TOL = 1e-10
+_NON_FINITE = "probabilities hold non-finite values (NaN or infinity)"
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ class HermitianMatrix:
             raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
         if mat.shape[0] < 1:
             raise ValidationError("matrix dimension must be positive")
+        if not np.isfinite(mat).all():
+            raise ValidationError("matrix holds non-finite entries (NaN or infinity)")
         asym = np.abs(mat - mat.conj().T).max()
         if asym > HERMITICITY_TOL:
             raise ValidationError(
@@ -110,6 +113,8 @@ class Spectrum:
             raise ValidationError(
                 f"expected d probabilities and a d x d vector array, got {p.shape}, {v.shape}"
             )
+        if not (np.isfinite(p).all() and np.isfinite(v).all()):
+            raise ValidationError("spectrum holds non-finite values (NaN or infinity)")
         if np.any(np.diff(p) > 0):
             raise ValidationError("probabilities must be sorted non-increasing")
         if p.min() < -PSD_TOL or p.max() > 1.0 + PSD_TOL:
@@ -152,12 +157,21 @@ def shannon_entropy(probs) -> float:
     Entries in [-PSD_TOL, 0) are treated as numerical noise and clamped to 0.
     """
     p = np.asarray(probs, dtype=float).ravel()
-    if p.size and p.min() < -PSD_TOL:
-        raise ValidationError(f"negative probability beyond tolerance: {p.min():.3e}")
+    # This runs per leaf of the exhaustive search, so non-finite input is
+    # caught by checks it already makes: a NaN makes the minimum NaN, and a
+    # +inf entry makes the entropy -inf.
+    lo = p.min() if p.size else 0.0
+    if not lo >= -PSD_TOL:  # also true for NaN
+        if not math.isfinite(lo):
+            raise ValidationError(_NON_FINITE)
+        raise ValidationError(f"negative probability beyond tolerance: {lo:.3e}")
     p = p[p > 0.0]
     if p.size == 0:
         return 0.0
-    return float(-(p * np.log(p)).sum())
+    h = float(-(p * np.log(p)).sum())
+    if math.isinf(h):
+        raise ValidationError(_NON_FINITE)
+    return h
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

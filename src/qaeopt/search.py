@@ -6,14 +6,23 @@ heuristic first samples many random regular tableaux and keeps the best few
 (breadth phase), then repeatedly moves each survivor to its best value-swap
 neighbour while tracking the best tableau ever seen (depth phase).
 
-Everything is deterministic given the config seed: per-draw RNG streams are
-derived as ``SeedSequence((seed, draw_index))``, so parallel and sequential
-execution produce bitwise-identical results.
+Both phases are array code. The breadth phase works through the draws in
+blocks of BREADTH_BLOCK: it places each value in every grid of a block at
+once, scores the block with one mutual-information kernel, and keeps only the
+block's best few grids, which bounds memory for any n1. The depth phase moves
+all seeds together, scoring every candidate swap of every seed per iteration.
+Sums run in the same order as the scalar loops kept in tests/oracles.py, so
+results match them bit for bit.
+
+Everything is deterministic given the config seed: each draw has its own RNG
+stream ``SeedSequence((seed, draw_index))``, so results do not depend on the
+block size or on how draws are split across workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,17 +34,19 @@ from .qstate import BipartiteDims, shannon_entropy
 from .tableau import (
     ProbabilityTableau,
     YoungTableau,
-    arrange,
     candidate_swaps,
-    canonicalize_decreasing,
     count_regular,
     enumerate_regular,
     is_regular,
-    _random_regular_grid,
-    _swap_keeps_regular,
 )
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
+# Draws sampled and scored together. All n1 draws at once would hold every
+# grid and uniform in memory; 2048 keeps a block under 4 MB at (8, 8).
+BREADTH_BLOCK = 2048
+# Depth-phase swaps scored within this of the best rough score get an exact
+# score; the rough and exact scores differ by less than 1e-14.
+SCORE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,8 @@ def _validated_probs(probs, dims: BipartiteDims) -> np.ndarray:
     p = np.array(probs, dtype=float)
     if p.ndim != 1 or p.size != dims.total:
         raise ValidationError(f"expected {dims.total} probabilities, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValidationError("probabilities hold non-finite values (NaN or infinity)")
     if p.min() < -ProbabilityTableau.ENTRY_TOL:
         raise ValidationError(f"negative probability: {p.min():.3e}")
     if abs(p.sum() - 1.0) > ProbabilityTableau.SUM_TOL:
@@ -179,49 +192,145 @@ def exhaustive_search(
     )
 
 
-def _xlogx(x: float) -> float:
-    return x * math.log(x) if x > 0.0 else 0.0
+def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes worth starting for ``tasks`` independent tasks: no
+    more than requested, than tasks, or than ``cpus`` (``os.cpu_count()``,
+    None when unknown, which counts as one), and at least one."""
+    return max(1, min(requested, tasks, cpus or 1))
 
 
-def _grid_mi(pr: list[float], grid: list[list[int]], d_b: int, h_flat: float) -> float:
-    """Mutual information of a value grid over descending probabilities pr."""
-    cols = [0.0] * d_b
-    h_rows = 0.0
-    for row in grid:
-        row_sum = 0.0
-        for j, v in enumerate(row):
-            q = pr[v - 1]
-            row_sum += q
-            cols[j] += q
-        h_rows -= _xlogx(row_sum)
-    h_cols = -sum(map(_xlogx, cols))
+_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """Elementwise x log x with 0 log 0 = 0.
+
+    The logarithm is the C library's, through ``math.log``: numpy's SIMD log
+    can differ from it in the last bit, which would make results depend on
+    the CPU.
+    """
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    xp = x[pos]
+    out[pos] = xp * _log(xp).astype(float)
+    return out
+
+
+def _xlogx_rough(x: np.ndarray) -> np.ndarray:
+    """x log x through numpy's log: fast, but not always bitwise _xlogx."""
+    pos = x > 0.0
+    return np.where(pos, x * np.log(np.where(pos, x, 1.0)), 0.0)
+
+
+def _sum_left(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis strictly left to right (numpy's pairwise
+    reduction rounds differently)."""
+    total = np.zeros(terms.shape[:-1])
+    for k in range(terms.shape[-1]):
+        total += terms[..., k]
+    return total
+
+
+def _marginals(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of grids q[..., d_a, d_b], each summed in cell order."""
+    return _sum_left(q), _sum_left(np.swapaxes(q, -1, -2))
+
+
+def _sample_block(d_a: int, d_b: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Value grids of draws lo..hi-1, shape (hi-lo, d_a, d_b).
+
+    Draw i is exactly ``tableau._random_regular_grid`` fed from the stream
+    ``SeedSequence((seed, i))``: its n uniforms are the ones
+    ``Generator.random`` makes from the same PCG64 words, and value v goes
+    to the k-th admissible row, k = min(floor(u_v * count), count - 1).
+    Arrays are laid out draws-last, so every step works on whole rows.
+    """
+    n, size = d_a * d_b, hi - lo
+    # Looked up here: numpy loads numpy.random on first use, which keeps it
+    # out of `import qaeopt` for runs that never sample.
+    pcg64, seed_seq = np.random.PCG64, np.random.SeedSequence
+    raw = np.array(
+        [pcg64(seed_seq((seed, i))).random_raw(n) for i in range(lo, hi)],
+        dtype=np.uint64,
+    ).reshape(size, n)
+    uniforms = ((raw >> np.uint64(11)) * 2.0**-53).T.copy()
+    draws = np.arange(size)
+    # lengths[i + 1] holds the length of row i; lengths[0] is a full sentinel
+    # row, so row i is admissible exactly when lengths[i] > lengths[i + 1].
+    lengths = np.zeros((d_a + 1, size), dtype=np.intp)
+    lengths[0] = d_b
+    flat_lengths = lengths.reshape(-1)
+    rank = np.empty((d_a, size), dtype=np.intp)
+    cell = np.empty((n, size), dtype=np.intp)
+    for v in range(n):
+        admissible = lengths[:-1] > lengths[1:]
+        # Running count of admissible rows; np.cumsum along axis 0 is far
+        # slower than one add per row.
+        np.copyto(rank[0], admissible[0])
+        for i in range(1, d_a):
+            np.add(rank[i - 1], admissible[i], out=rank[i])
+        count = rank[-1]
+        k = np.minimum((uniforms[v] * count).astype(np.intp), count - 1)
+        row = (rank <= k).sum(axis=0)
+        at = (row + 1) * size + draws
+        col = flat_lengths[at]
+        flat_lengths[at] = col + 1
+        cell[v] = row * d_b + col
+    grids = np.empty((size, n), dtype=np.int32)
+    grids[draws[:, None], cell.T] = np.arange(1, n + 1, dtype=np.int32)
+    return grids.reshape(size, d_a, d_b)
+
+
+def _block_mi(probs: np.ndarray, grids: np.ndarray, h_flat: float) -> np.ndarray:
+    """Mutual information of each value grid, summed in the scalar order:
+    h_rows by subtracting row terms one by one, h_cols as a negated sum."""
+    rows, cols = _marginals(probs[grids - 1])
+    h_rows = np.zeros(len(grids))
+    for term in _xlogx(rows).T:
+        h_rows -= term
+    h_cols = -_sum_left(_xlogx(cols))
     return h_rows + h_cols - h_flat
+
+
+Candidate = tuple[float, int, np.ndarray]  # (mi, draw index, value grid)
+
+
+def _distinct_best(ranked, keep: int) -> list[Candidate]:
+    """The first ``keep`` candidates of ``ranked`` with distinct grids."""
+    out: list[Candidate] = []
+    seen: set[bytes] = set()
+    for mi, idx, grid in ranked:
+        key = grid.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append((mi, idx, grid))
+        if len(out) == keep:
+            break
+    return out
+
+
+def _merge_best(parts, keep: int) -> list[Candidate]:
+    """Best ``keep`` distinct candidates of several lists, by (mi, draw index)."""
+    merged = sorted((c for part in parts for c in part), key=lambda c: (c[0], c[1]))
+    return _distinct_best(merged, keep)
 
 
 def _breadth_chunk(
     probs: np.ndarray, d_a: int, d_b: int, seed: int, lo: int, hi: int, keep: int
-) -> list[tuple[float, int, tuple[tuple[int, ...], ...]]]:
-    """Evaluate draws lo..hi-1 and pre-reduce to the chunk's best ``keep``
-    distinct tableaux, keyed by (mi, draw index)."""
-    pr = [float(x) for x in probs]
+) -> list[Candidate]:
+    """Evaluate draws lo..hi-1 in blocks of BREADTH_BLOCK and reduce them to
+    their best ``keep`` distinct grids, by (mi, draw index)."""
     h_flat = shannon_entropy(probs)
-    entries = []
-    for i in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        grid = _random_regular_grid(d_a, d_b, rng)
-        mi = _grid_mi(pr, grid, d_b, h_flat)
-        entries.append((mi, i, tuple(tuple(row) for row in grid)))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    out: list[tuple[float, int, tuple[tuple[int, ...], ...]]] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for e in entries:
-        if e[2] in seen:
-            continue
-        seen.add(e[2])
-        out.append(e)
-        if len(out) == keep:
-            break
-    return out
+    best: list[Candidate] = []
+    for start in range(lo, hi, BREADTH_BLOCK):
+        stop = min(start + BREADTH_BLOCK, hi)
+        grids = _sample_block(d_a, d_b, seed, start, stop)
+        mi = _block_mi(probs, grids, h_flat)
+        order = np.argsort(mi, kind="stable").tolist()  # ties by draw index
+        block = _distinct_best(((float(mi[k]), start + k, grids[k].copy()) for k in order), keep)
+        best = _merge_best([best, block], keep)
+    return best
 
 
 def breadth_first(
@@ -231,10 +340,10 @@ def breadth_first(
     the smallest mutual information, ascending.
 
     Draw i uses the RNG stream ``SeedSequence((config.seed, i))``, so the
-    result is independent of how draws are split across workers.
+    result is independent of how draws are split into blocks and workers.
     """
     p = _validated_probs(probs, dims)
-    jobs = min(config.parallelism, config.n1)
+    jobs = worker_count(config.parallelism, config.n1, os.cpu_count())
     if jobs == 1:
         parts = [_breadth_chunk(p, dims.d_a, dims.d_b, config.seed, 0, config.n1, config.n2)]
     else:
@@ -252,17 +361,10 @@ def breadth_first(
                     [config.n2] * jobs,
                 )
             )
-    merged = sorted((e for part in parts for e in part), key=lambda e: (e[0], e[1]))
-    out: list[tuple[YoungTableau, float]] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for mi, _idx, cells in merged:
-        if cells in seen:
-            continue
-        seen.add(cells)
-        out.append((YoungTableau(dims, cells), mi))
-        if len(out) == config.n2:
-            break
-    return tuple(out)
+    return tuple(
+        (YoungTableau(dims, grid.tolist()), mi)
+        for mi, _idx, grid in _merge_best(parts, config.n2)
+    )
 
 
 def depth_first(
@@ -278,6 +380,11 @@ def depth_first(
     contains the current tableau), and the globally best tableau seen across
     all trajectories is returned. A trajectory halts early when a tableau has
     no regular neighbour.
+
+    All seeds descend together, one iteration at a time; the best-seen
+    record is then replayed seed by seed, as if each trajectory had run to
+    its end before the next one started. Ties go to the first swap in
+    ``candidate_swaps`` order.
     """
     p = _validated_probs(probs, dims)
     if len(seeds) == 0:
@@ -289,82 +396,104 @@ def depth_first(
             raise ValidationError("depth-first seeds must be regular tableaux")
 
     ev = _MIEvaluator(p)
-    d_a, d_b = dims.d_a, dims.d_b
-    n = dims.total
-    pr = [float(x) for x in p]
     h_flat = ev.h_flat
-    swaps = tuple(candidate_swaps(n))
+    n_seeds, n = len(seeds), dims.total
+    swaps = np.array(list(candidate_swaps(n)), dtype=np.intp).reshape(-1, 2)
+    u, w = swaps[:, 0], swaps[:, 1]
+    delta = p[w - 1] - p[u - 1]
+    # Grids padded by one cell: 0 above and left, n + 1 below and right, so
+    # the four neighbour tests of _swap_keeps_regular pass at the border.
+    cells = np.zeros((n_seeds, dims.d_a + 2, dims.d_b + 2), dtype=np.intp)
+    cells[:, -1, :] = n + 1
+    cells[:, :, -1] = n + 1
+    cells[:, 1:-1, 1:-1] = [s.cells for s in seeds]
+    pos = np.array([s.positions for s in seeds], dtype=np.intp) + 1  # padded (row, col)
+    ix = np.arange(n_seeds)[:, None]
 
-    best_mi = math.inf
-    best_cells: tuple[tuple[int, ...], ...] | None = None
-    best_seed = 0
+    start_mi = [ev.mi(s) for s in seeds]
+    best_mi = np.array(start_mi)  # per seed, updated on strict improvement
+    best_grid = cells[:, 1:-1, 1:-1].copy()
+    step_mi = np.empty((config.n_d, n_seeds))
+    steps = np.zeros(n_seeds, dtype=np.intp)
+    evaluations = n_seeds
+
+    for t in range(config.n_d):
+        # Fresh sums each iteration keep float drift out of the deltas.
+        rows, cols = _marginals(p[cells[:, 1:-1, 1:-1] - 1])
+        x_rows, x_cols = _xlogx(rows), _xlogx(cols)
+        h_rows, h_cols = -_sum_left(x_rows), -_sum_left(x_cols)
+
+        r1, c1 = pos[:, u - 1, 0], pos[:, u - 1, 1]
+        r2, c2 = pos[:, w - 1, 0], pos[:, w - 1, 1]
+        # A seed with no regular neighbour keeps its grid, so it has none in
+        # any later iteration either: its trajectory has halted.
+        valid = (
+            (r1 != r2)
+            & (c1 != c2)
+            & (cells[ix, r1, c1 + 1] >= w)
+            & (cells[ix, r1 + 1, c1] >= w)
+            & (cells[ix, r2, c2 - 1] <= u)
+            & (cells[ix, r2 - 1, c2] <= u)
+        )
+        moved = valid.any(axis=1)
+        if not moved.any():
+            break
+        evaluations += int(valid.sum())
+
+        s, k = np.nonzero(valid)
+        a_r, b_r = r1[s, k] - 1, r2[s, k] - 1
+        a_c, b_c = c1[s, k] - 1, c2[s, k] - 1
+        d = delta[k]
+        base_rows = h_rows[s] + x_rows[s, a_r] + x_rows[s, b_r]
+        base_cols = h_cols[s] + x_cols[s, a_c] + x_cols[s, b_c]
+        new_rows = np.stack([rows[s, a_r] + d, rows[s, b_r] - d])
+        new_cols = np.stack([cols[s, a_c] + d, cols[s, b_c] - d])
+
+        def score(xlogx, sel):
+            tr, tc = xlogx(new_rows[:, sel]), xlogx(new_cols[:, sel])
+            return (base_rows[sel] - tr[0] - tr[1]) + (base_cols[sel] - tc[0] - tc[1]) - h_flat
+
+        # Exact scores cost a math.log call per term, so all swaps are first
+        # scored with numpy's log. The two scores differ by under 1e-14, so
+        # every swap whose exact score is the minimum lies within
+        # SCORE_SLACK of the rough minimum, and only those are rescored.
+        rough = np.full(valid.shape, math.inf)
+        rough[s, k] = score(_xlogx_rough, slice(None))
+        near = rough[s, k] <= rough.min(axis=1)[s] + SCORE_SLACK
+        cand = np.full(valid.shape, math.inf)
+        cand[s[near], k[near]] = score(_xlogx, near)
+
+        ms = np.flatnonzero(moved)
+        choice = cand[ms].argmin(axis=1)
+        chosen = cand[ms, choice]
+        uu, ww = u[choice], w[choice]
+        a, b = pos[ms, uu - 1], pos[ms, ww - 1]
+        cells[ms, a[:, 0], a[:, 1]] = ww
+        cells[ms, b[:, 0], b[:, 1]] = uu
+        pos[ms, uu - 1], pos[ms, ww - 1] = b, a
+        step_mi[t, ms] = chosen
+        steps[ms] += 1
+
+        better = chosen < best_mi[ms]
+        improved = ms[better]
+        best_mi[improved] = chosen[better]
+        best_grid[improved] = cells[improved, 1:-1, 1:-1]
+
+    # Seed-major replay. The seed that sets the overall best last does so
+    # with its own last strict improvement, which best_grid holds.
+    overall, best_seed = math.inf, 0
     trajectory: list[float] = []
-    evaluations = 0
+    for si in range(n_seeds):
+        if start_mi[si] < overall:
+            overall, best_seed = start_mi[si], si
+        for x in step_mi[: steps[si], si].tolist():
+            if x < overall:
+                overall, best_seed = x, si
+            trajectory.append(overall)
 
-    for si, seed_t in enumerate(seeds):
-        cells = [list(row) for row in seed_t.cells]
-        pos: list[tuple[int, int]] = list(seed_t.positions)
-        current_mi = ev.mi(seed_t)
-        evaluations += 1
-        if current_mi < best_mi:
-            best_mi, best_cells, best_seed = current_mi, seed_t.cells, si
-
-        for _ in range(config.n_d):
-            # Fresh sums each iteration keep float drift out of the deltas.
-            rows = [0.0] * d_a
-            cols = [0.0] * d_b
-            for i, row in enumerate(cells):
-                for j, v in enumerate(row):
-                    q = pr[v - 1]
-                    rows[i] += q
-                    cols[j] += q
-            h_rows = -sum(_xlogx(x) for x in rows)
-            h_cols = -sum(_xlogx(x) for x in cols)
-
-            chosen_mi = math.inf
-            chosen: tuple[tuple[int, int], tuple[int, int]] | None = None
-            for u, w in swaps:
-                a, b = pos[u - 1], pos[w - 1]
-                if not _swap_keeps_regular(cells, a, b, u, w, d_a, d_b):
-                    continue
-                delta = pr[w - 1] - pr[u - 1]
-                r1, c1 = a
-                r2, c2 = b
-                nh_rows = (
-                    h_rows
-                    + _xlogx(rows[r1])
-                    + _xlogx(rows[r2])
-                    - _xlogx(rows[r1] + delta)
-                    - _xlogx(rows[r2] - delta)
-                )
-                nh_cols = (
-                    h_cols
-                    + _xlogx(cols[c1])
-                    + _xlogx(cols[c2])
-                    - _xlogx(cols[c1] + delta)
-                    - _xlogx(cols[c2] - delta)
-                )
-                cand = nh_rows + nh_cols - h_flat
-                evaluations += 1
-                if cand < chosen_mi:
-                    chosen_mi = cand
-                    chosen = (a, b)
-            if chosen is None:
-                break
-            (r1, c1), (r2, c2) = chosen
-            u, w = cells[r1][c1], cells[r2][c2]
-            cells[r1][c1], cells[r2][c2] = w, u
-            pos[u - 1], pos[w - 1] = (r2, c2), (r1, c1)
-            if chosen_mi < best_mi:
-                best_mi = chosen_mi
-                best_cells = tuple(tuple(row) for row in cells)
-                best_seed = si
-            trajectory.append(best_mi)
-
-    assert best_cells is not None
     return OptimizationResult(
-        best_tableau=YoungTableau(dims, best_cells),
-        best_mi=best_mi,
+        best_tableau=YoungTableau(dims, best_grid[best_seed].tolist()),
+        best_mi=overall,
         method="heuristic",
         evaluations=evaluations,
         trajectory=tuple(trajectory),
@@ -375,7 +504,7 @@ def depth_first(
 def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> OptimizationResult:
     """Route to exhaustive traversal or the two-phase heuristic by space size.
 
-    The canonicalized starting arrangement (row-major layout of the descending
+    The starting arrangement (row-major layout of the descending
     probabilities, which is already a decreasing matrix) always participates
     as a candidate, so the result is never worse than not encoding at all.
     """
@@ -384,8 +513,6 @@ def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> 
     p = _validated_probs(probs, dims)
     ev = _MIEvaluator(p)
     start = YoungTableau.row_major(dims)
-    canon = canonicalize_decreasing(arrange(p, start))
-    assert canon.row_perm.is_identity() and canon.col_perm.is_identity()
     initial_mi = ev.mi(start)
 
     if count_regular(dims) <= config.exhaustive_threshold:

@@ -57,6 +57,8 @@ def _complex_matrix(raw, n: int) -> np.ndarray:
         raise StateFileError(
             f"matrix must be {n} x {n} with [re, im] entries, got shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise StateFileError("matrix holds non-finite entries (NaN or infinity)")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -64,6 +66,8 @@ def _spectrum(raw, n: int) -> np.ndarray:
     p = np.asarray(raw, dtype=float)
     if p.ndim != 1 or p.size != n:
         raise StateFileError(f"spectrum must hold {n} probabilities, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise StateFileError("spectrum holds non-finite values (NaN or infinity)")
     if p.min() < -1e-12:
         raise StateFileError(f"negative probability in spectrum: {p.min()}")
     total = p.sum()

@@ -280,6 +280,8 @@ class ProbabilityTableau:
             raise ValidationError(
                 f"expected shape {(dims.d_a, dims.d_b)}, got {grid.shape}"
             )
+        if not np.isfinite(grid).all():
+            raise ValidationError("grid holds non-finite entries (NaN or infinity)")
         if grid.min() < -self.ENTRY_TOL:
             raise ValidationError(f"negative entry beyond tolerance: {grid.min():.3e}")
         total = grid.sum()

@@ -1,15 +1,19 @@
 """Independent brute-force oracles used by the tests.
 
-These deliberately avoid the library's enumeration/search code paths: counts
-come from filtering every permutation of 1..n into the grid, and minima from
-evaluating every arrangement. Entropies are recomputed locally.
+The brute-force ones deliberately avoid the library's enumeration/search code
+paths: counts come from filtering every permutation of 1..n into the grid,
+and minima from evaluating every arrangement. Entropies are recomputed
+locally. The scalar search references at the end are the loop forms of the
+breadth and depth phases.
 """
 
+import math
 from itertools import islice, permutations
 
 import numpy as np
 
-from qaeopt import BipartiteDims, YoungTableau, is_regular
+from qaeopt import BipartiteDims, YoungTableau, is_regular, shannon_entropy
+from qaeopt.tableau import _random_regular_grid, _swap_keeps_regular, candidate_swaps
 
 _CHUNK = 200_000
 
@@ -73,3 +77,123 @@ def brute_force_min_mi(probs, d_a: int, d_b: int) -> float:
         - _entropy(grids.reshape(len(grids), -1))
     )
     return float(mis.min())
+
+
+# Scalar references for the array code in qaeopt.search. They keep the
+# per-draw / per-swap loops the search used to run, with every sum taken left
+# to right, so the array versions must reproduce them bit for bit. Sums are
+# explicit loops rather than the builtin sum(), which is compensated from
+# Python 3.12 on.
+
+
+def _xlogx(x: float) -> float:
+    return x * math.log(x) if x > 0.0 else 0.0
+
+
+def _sum_left(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def grid_mi(pr, grid, d_b: int, h_flat: float) -> float:
+    """Mutual information of a value grid over descending probabilities pr."""
+    cols = [0.0] * d_b
+    h_rows = 0.0
+    for row in grid:
+        row_sum = 0.0
+        for j, v in enumerate(row):
+            q = pr[v - 1]
+            row_sum += q
+            cols[j] += q
+        h_rows -= _xlogx(row_sum)
+    h_cols = -_sum_left(map(_xlogx, cols))
+    return h_rows + h_cols - h_flat
+
+
+def scalar_breadth(probs, dims: BipartiteDims, seed: int, n1: int, n2: int):
+    """Draw-by-draw breadth phase: [(cells, mi)] of the n2 best distinct draws,
+    ranked by (mi, draw index)."""
+    p = np.asarray(probs, dtype=float)
+    pr = [float(x) for x in p]
+    h_flat = shannon_entropy(p)
+    entries = []
+    for i in range(n1):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        grid = _random_regular_grid(dims.d_a, dims.d_b, rng)
+        entries.append((grid_mi(pr, grid, dims.d_b, h_flat), i, tuple(map(tuple, grid))))
+    entries.sort(key=lambda e: (e[0], e[1]))
+    out, seen = [], set()
+    for mi, _, cells in entries:
+        if cells not in seen:
+            seen.add(cells)
+            out.append((cells, mi))
+            if len(out) == n2:
+                break
+    return out
+
+
+def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:
+    """Seed-by-seed, swap-by-swap best-neighbour descent with best-seen
+    tracking; the fields of the OptimizationResult it should equal."""
+    p = np.asarray(probs, dtype=float)
+    d_a, d_b, n = dims.d_a, dims.d_b, dims.total
+    pr = [float(x) for x in p]
+    h_flat = shannon_entropy(p)
+    swaps = tuple(candidate_swaps(n))
+    best_mi, best_cells, best_seed = math.inf, None, 0
+    trajectory, evaluations = [], 0
+    for si, seed_t in enumerate(seeds):
+        cells = [list(row) for row in seed_t.cells]
+        pos = list(seed_t.positions)
+        grid = p[seed_t.index_array]
+        current_mi = (
+            shannon_entropy(grid.sum(axis=1)) + shannon_entropy(grid.sum(axis=0)) - h_flat
+        )
+        evaluations += 1
+        if current_mi < best_mi:
+            best_mi, best_cells, best_seed = current_mi, seed_t.cells, si
+        for _ in range(n_d):
+            rows, cols = [0.0] * d_a, [0.0] * d_b
+            for i, row in enumerate(cells):
+                for j, v in enumerate(row):
+                    rows[i] += pr[v - 1]
+                    cols[j] += pr[v - 1]
+            h_rows = -_sum_left(map(_xlogx, rows))
+            h_cols = -_sum_left(map(_xlogx, cols))
+            chosen_mi, chosen = math.inf, None
+            for u, w in swaps:
+                a, b = pos[u - 1], pos[w - 1]
+                if not _swap_keeps_regular(cells, a, b, u, w, d_a, d_b):
+                    continue
+                delta = pr[w - 1] - pr[u - 1]
+                (r1, c1), (r2, c2) = a, b
+                nh_rows = (
+                    h_rows + _xlogx(rows[r1]) + _xlogx(rows[r2])
+                    - _xlogx(rows[r1] + delta) - _xlogx(rows[r2] - delta)
+                )
+                nh_cols = (
+                    h_cols + _xlogx(cols[c1]) + _xlogx(cols[c2])
+                    - _xlogx(cols[c1] + delta) - _xlogx(cols[c2] - delta)
+                )
+                cand = nh_rows + nh_cols - h_flat
+                evaluations += 1
+                if cand < chosen_mi:
+                    chosen_mi, chosen = cand, (a, b)
+            if chosen is None:
+                break
+            (r1, c1), (r2, c2) = chosen
+            u, w = cells[r1][c1], cells[r2][c2]
+            cells[r1][c1], cells[r2][c2] = w, u
+            pos[u - 1], pos[w - 1] = (r2, c2), (r1, c1)
+            if chosen_mi < best_mi:
+                best_mi, best_cells, best_seed = chosen_mi, tuple(map(tuple, cells)), si
+            trajectory.append(best_mi)
+    return {
+        "best_cells": best_cells,
+        "best_mi": best_mi,
+        "evaluations": evaluations,
+        "trajectory": tuple(trajectory),
+        "seed_provenance": best_seed,
+    }

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The two 8x8 batch
-criteria dominate the runtime (minutes; they run the full-size search
-protocol on one hundred random states each).
+criteria dominate the runtime (about a minute together; each searches one
+hundred random states, criterion 6 with the full-size protocol).
 """
 
 import json

@@ -120,6 +120,28 @@ class TestOptimize:
         assert "error" in err
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+class TestNonFiniteInput:
+    def test_spectrum_file_exit_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"d_a": 2, "d_b": 2, "spectrum": [{bad}, 0.5, 0.3, 0.2]}}')
+        code, lines, err = run_cli(capsys, "optimize", str(path))
+        assert code == 2
+        assert not lines
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_matrix_file_exit_2(self, capsys, tmp_path, bad, command):
+        path = tmp_path / "dense.json"
+        path.write_text(
+            f'{{"d_a": 1, "d_b": 2, "matrix": [[[{bad}, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}}'
+        )
+        code, lines, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert not lines
+        assert "non-finite" in err
+
+
 class TestVerify:
     def test_dense_state_passes(self, capsys, dense_state_file):
         code, lines, _ = run_cli(capsys, "verify", dense_state_file, "--seed", "3")

@@ -17,6 +17,7 @@ from qaeopt import (
     mutual_information,
     partial_trace,
     relative_entropy,
+    shannon_entropy,
     von_neumann_entropy,
 )
 
@@ -53,6 +54,26 @@ class TestValidation:
     def test_spectrum_requires_orthonormal_vectors(self):
         with pytest.raises(ValidationError):
             Spectrum([0.6, 0.4], [[1, 0], [1, 0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        for cls in (HermitianMatrix, DensityMatrix):
+            with pytest.raises(ValidationError, match="non-finite"):
+                cls([[0.5, 0.0], [0.0, bad]])
+            with pytest.raises(ValidationError, match="non-finite"):
+                cls([[0.5, complex(0.0, bad)], [complex(0.0, -bad), 0.5]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            Spectrum([bad, 0.5], np.eye(2))
+        with pytest.raises(ValidationError, match="non-finite"):
+            Spectrum([0.6, 0.4], [[1.0, 0.0], [0.0, bad]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entropy_input_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            shannon_entropy([bad, 1.0])
 
     def test_spectrum_requires_descending_probs(self):
         with pytest.raises(ValidationError):

@@ -22,6 +22,7 @@ from qaeopt import (
     random_regular,
     tableau_mutual_information,
 )
+from qaeopt.search import BREADTH_BLOCK
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -91,6 +92,27 @@ class TestExhaustive:
             exhaustive_search([0.2, 0.3, 0.3, 0.2], DIMS22)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+class TestNonFiniteProbabilities:
+    def test_optimize(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            optimize([bad, 0.5, 0.3, 0.2], DIMS22)
+
+    def test_every_search_entry_point(self, bad):
+        probs = [0.5, 0.3, 0.2, bad]
+        cfg = SearchConfig(n1=4, n2=1, n_d=2)
+        for call in (
+            lambda: exhaustive_search(probs, DIMS22),
+            lambda: breadth_first(probs, DIMS22, cfg),
+            lambda: depth_first(probs, DIMS22, [YoungTableau.row_major(DIMS22)], cfg),
+        ):
+            with pytest.raises(ValidationError, match="non-finite"):
+                call()
+
+
 class TestBreadthFirst:
     def test_single_draw(self):
         cfg = SearchConfig(n1=1, n2=1, seed=9)
@@ -121,10 +143,12 @@ class TestBreadthFirst:
     def test_parallel_matches_sequential_bitwise(self):
         probs = descending_probs(12, 6)
         dims = BipartiteDims(3, 4)
-        seq = breadth_first(probs, dims, SearchConfig(n1=200, n2=6, seed=11, parallelism=1))
-        par = breadth_first(probs, dims, SearchConfig(n1=200, n2=6, seed=11, parallelism=3))
-        assert [t.cells for t, _ in seq] == [t.cells for t, _ in par]
-        assert [mi for _, mi in seq] == [mi for _, mi in par]  # exact float equality
+        # The larger n1 spans several sampling blocks in each worker.
+        for n1 in (200, 2 * BREADTH_BLOCK + 37):
+            seq = breadth_first(probs, dims, SearchConfig(n1=n1, n2=6, seed=11, parallelism=1))
+            par = breadth_first(probs, dims, SearchConfig(n1=n1, n2=6, seed=11, parallelism=3))
+            assert [t.cells for t, _ in seq] == [t.cells for t, _ in par]
+            assert [mi for _, mi in seq] == [mi for _, mi in par]  # exact float equality
 
 
 def naive_depth_first(probs, dims, seeds, n_d):

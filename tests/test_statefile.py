@@ -83,6 +83,24 @@ def test_invalid_density_matrix_rejected(tmp_path):
         load_statefile(path)
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_spectrum_rejected(tmp_path, bad):
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"d_a": 2, "d_b": 2, "spectrum": [{bad}, 0.5, 0.3, 0.2]}}')
+    with pytest.raises(StateFileError, match="non-finite"):
+        load_statefile(path)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_matrix_rejected(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        f'{{"d_a": 1, "d_b": 2, "matrix": [[[0.5, 0.0], [0.0, {bad}]], [[0.0, 0.0], [0.5, 0.0]]]}}'
+    )
+    with pytest.raises(StateFileError, match="non-finite"):
+        load_statefile(path)
+
+
 def test_not_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json {")

@@ -246,6 +246,11 @@ class TestTableauMI:
         with pytest.raises(ValidationError):
             ProbabilityTableau(DIMS22, [[1.2, -0.2], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_probability_tableau_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            ProbabilityTableau(DIMS22, [[0.5, 0.5], [bad, 0.0]])
+
 
 class TestPermutation:
     def test_rejects_non_bijection(self):
