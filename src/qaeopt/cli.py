@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +27,7 @@ from .exceptions import (
 )
 from .pipeline import generate_instance, build_encoder, theorem1_report, verify_theorem1
 from .qstate import BipartiteDims, eigendecompose, nats_to_bits
-from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, worker_count
+from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, usable_cpus, worker_count
 from .statefile import file_digest, load_statefile
 from .tableau import count_regular, random_regular
 
@@ -202,7 +201,7 @@ def cmd_experiment(args) -> int:
         repeat(kind), repeat(args.da), repeat(args.db), repeat(args.seed), indices,
         repeat(args.n1), repeat(args.n2), repeat(args.nd), repeat(args.threshold),
     )
-    jobs = worker_count(args.jobs, args.states, os.cpu_count())
+    jobs = worker_count(args.jobs, args.states, usable_cpus())
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_experiment_state, *star_args))

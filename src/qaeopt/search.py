@@ -25,6 +25,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -192,11 +193,33 @@ def exhaustive_search(
     )
 
 
+def usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity set where the platform has
+    one (a cpuset or taskset can make it smaller than ``os.cpu_count()``),
+    else ``os.cpu_count()``, which is None when unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
     """Worker processes worth starting for ``tasks`` independent tasks: no
-    more than requested, than tasks, or than ``cpus`` (``os.cpu_count()``,
+    more than requested, than tasks, or than ``cpus`` (``usable_cpus()``,
     None when unknown, which counts as one), and at least one."""
     return max(1, min(requested, tasks, cpus or 1))
+
+
+def breadth_tasks(n1: int, jobs: int) -> list[tuple[int, int]]:
+    """Draw ranges (lo, hi) for a pool of ``jobs`` workers: at least one per
+    worker, none longer than BREADTH_BLOCK, sizes within one of each other.
+
+    The pool hands them out one at a time, so a worker whose core is slowed
+    by other load takes fewer of them, and the phase waits at most one task
+    for the last worker instead of for a fixed share of the draws.
+    """
+    tasks = min(n1, max(jobs, -(-n1 // BREADTH_BLOCK)))
+    bounds = np.linspace(0, n1, tasks + 1, dtype=int).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 _log = np.frompyfunc(math.log, 1, 1)
@@ -343,22 +366,23 @@ def breadth_first(
     result is independent of how draws are split into blocks and workers.
     """
     p = _validated_probs(probs, dims)
-    jobs = worker_count(config.parallelism, config.n1, os.cpu_count())
+    jobs = worker_count(config.parallelism, config.n1, usable_cpus())
     if jobs == 1:
         parts = [_breadth_chunk(p, dims.d_a, dims.d_b, config.seed, 0, config.n1, config.n2)]
     else:
-        bounds = np.linspace(0, config.n1, jobs + 1, dtype=int)
+        lo, hi = zip(*breadth_tasks(config.n1, jobs))
+        tasks = len(lo)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(
                 pool.map(
                     _breadth_chunk,
-                    [p] * jobs,
-                    [dims.d_a] * jobs,
-                    [dims.d_b] * jobs,
-                    [config.seed] * jobs,
-                    bounds[:-1],
-                    bounds[1:],
-                    [config.n2] * jobs,
+                    repeat(p, tasks),
+                    repeat(dims.d_a, tasks),
+                    repeat(dims.d_b, tasks),
+                    repeat(config.seed, tasks),
+                    lo,
+                    hi,
+                    repeat(config.n2, tasks),
                 )
             )
     return tuple(

@@ -143,7 +143,8 @@ class TestBreadthFirst:
     def test_parallel_matches_sequential_bitwise(self):
         probs = descending_probs(12, 6)
         dims = BipartiteDims(3, 4)
-        # The larger n1 spans several sampling blocks in each worker.
+        # The larger n1 gives more tasks than workers, so workers take
+        # several tasks each.
         for n1 in (200, 2 * BREADTH_BLOCK + 37):
             seq = breadth_first(probs, dims, SearchConfig(n1=n1, n2=6, seed=11, parallelism=1))
             par = breadth_first(probs, dims, SearchConfig(n1=n1, n2=6, seed=11, parallelism=3))

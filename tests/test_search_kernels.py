@@ -17,7 +17,13 @@ from qaeopt import (
     random_regular,
     shannon_entropy,
 )
-from qaeopt.search import BREADTH_BLOCK, _block_mi, _sample_block, worker_count
+from qaeopt.search import (
+    BREADTH_BLOCK,
+    _block_mi,
+    _sample_block,
+    breadth_tasks,
+    worker_count,
+)
 from qaeopt.tableau import _random_regular_grid
 
 SAMPLER_DIMS = [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]
@@ -132,3 +138,16 @@ def test_depth_single_row_seeds_halt_at_once():
 )
 def test_worker_count(requested, tasks, cpus, expected):
     assert worker_count(requested, tasks, cpus) == expected
+
+
+@pytest.mark.parametrize(
+    "n1,jobs",
+    [(2, 2), (200, 2), (20000, 2), (2 * BREADTH_BLOCK, 3), (2 * BREADTH_BLOCK + 37, 2), (10**6, 4)],
+)
+def test_breadth_tasks_cover_draws_in_short_even_ranges(n1, jobs):
+    tasks = breadth_tasks(n1, jobs)
+    assert tasks[0][0] == 0 and tasks[-1][1] == n1
+    assert all(a[1] == b[0] for a, b in zip(tasks, tasks[1:]))
+    sizes = [hi - lo for lo, hi in tasks]
+    assert len(tasks) >= jobs
+    assert 1 <= min(sizes) and max(sizes) <= BREADTH_BLOCK and max(sizes) - min(sizes) <= 1
