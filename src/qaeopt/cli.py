@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from itertools import repeat
 
 import numpy as np
@@ -26,7 +26,7 @@ from .exceptions import (
     ValidationError,
 )
 from .pipeline import generate_instance, build_encoder, theorem1_report, verify_theorem1
-from .qstate import BipartiteDims, eigendecompose, nats_to_bits
+from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, eigendecompose, nats_to_bits
 from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, usable_cpus, worker_count
 from .statefile import file_digest, load_statefile
 from .tableau import count_regular, random_regular
@@ -41,7 +41,7 @@ def _emit(obj: dict) -> None:
 
 def _report_value(x: float, bits: bool) -> float:
     """Clamp round-off negatives to zero and convert the unit for display."""
-    if -1e-9 < x < 0.0:
+    if -MI_ROUNDOFF_TOL < x < 0.0:
         x = 0.0
     return nats_to_bits(x) if bits else x
 
@@ -75,8 +75,10 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(
+def cmd_optimize(args) -> int:
+    started = time.perf_counter()
+    sf = load_statefile(args.statefile)
+    config = SearchConfig(
         n1=args.n1,
         n2=args.n2,
         n_d=args.nd,
@@ -84,23 +86,12 @@ def _search_config(args) -> SearchConfig:
         exhaustive_threshold=args.threshold,
         parallelism=args.jobs,
     )
-
-
-def cmd_optimize(args) -> int:
-    started = time.perf_counter()
-    sf = load_statefile(args.statefile)
-    config = _search_config(args)
+    spectrum = eigendecompose(sf.density_matrix()) if sf.is_dense else None
+    result = optimize(sf.probabilities() if spectrum is None else spectrum.probs, sf.dims, config)
     compression = None
-    if sf.is_dense:
-        rho = sf.density_matrix()
-        spectrum = eigendecompose(rho)
-        probs = spectrum.probs
-    else:
-        probs = sf.probabilities()
-    result = optimize(probs, sf.dims, config)
-    if sf.is_dense:
+    if spectrum is not None:
         plan = build_encoder(spectrum, result.best_tableau, sf.dims)
-        compression = _compression_dict(verify_theorem1(rho, plan), args.bits)
+        compression = _compression_dict(verify_theorem1(sf.density_matrix(), plan), args.bits)
     _emit(
         {
             "command": "optimize",
@@ -108,14 +99,7 @@ def cmd_optimize(args) -> int:
             "input_digest": file_digest(args.statefile),
             "label": sf.label,
             "dims": {"d_a": sf.dims.d_a, "d_b": sf.dims.d_b},
-            "config": {
-                "n1": config.n1,
-                "n2": config.n2,
-                "n_d": config.n_d,
-                "seed": config.seed,
-                "exhaustive_threshold": config.exhaustive_threshold,
-                "parallelism": config.parallelism,
-            },
+            "config": asdict(config),
             "unit": "bits" if args.bits else "nats",
             "result": _result_dict(result, args.bits),
             "compression": compression,
@@ -151,7 +135,6 @@ def cmd_verify(args) -> int:
             "tableau": tableau_cells,
             "unit": "bits" if args.bits else "nats",
             **_compression_dict(report, args.bits),
-            "reconstruction_frobenius": report.reconstruction_frobenius,
             "timings": {"total_s": time.perf_counter() - started},
         }
     )
@@ -249,17 +232,17 @@ def cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bits", action="store_true", help="report entropies in bits instead of nats")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes (results do not depend on this)")
-    common.add_argument(
-        "--threshold",
-        type=int,
-        default=DEFAULT_EXHAUSTIVE_THRESHOLD,
+    bits_flag = argparse.ArgumentParser(add_help=False)
+    bits_flag.add_argument("--bits", action="store_true", help="report entropies in bits instead of nats")
+
+    threshold_flag = argparse.ArgumentParser(add_help=False)
+    threshold_flag.add_argument(
+        "--threshold", type=int, default=DEFAULT_EXHAUSTIVE_THRESHOLD,
         help="largest tableau count for which exhaustive traversal is used",
     )
 
     search_flags = argparse.ArgumentParser(add_help=False)
+    search_flags.add_argument("--jobs", type=int, default=1, help="worker processes (results do not depend on this)")
     search_flags.add_argument("--n1", type=int, default=20000, help="breadth-phase samples")
     search_flags.add_argument("--n2", type=int, default=12, help="seeds kept for the depth phase")
     search_flags.add_argument("--nd", type=int, default=200, help="descent iterations per seed")
@@ -272,19 +255,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qaeopt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", parents=[common], help="count regular Young tableaux of a grid")
+    p_count = sub.add_parser("count", parents=[threshold_flag], help="count regular Young tableaux of a grid")
     p_count.add_argument("d_a", type=int)
     p_count.add_argument("d_b", type=int)
     p_count.set_defaults(func=cmd_count)
 
     p_opt = sub.add_parser(
-        "optimize", parents=[common, search_flags], help="minimize mutual information for a state file"
+        "optimize", parents=[bits_flag, threshold_flag, search_flags],
+        help="minimize mutual information for a state file",
     )
     p_opt.add_argument("statefile")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_ver = sub.add_parser(
-        "verify", parents=[common], help="check the compression identity on a dense state"
+        "verify", parents=[bits_flag], help="check the compression identity on a dense state"
     )
     p_ver.add_argument("statefile")
     p_ver.add_argument("--seed", type=int, default=0, help="seed for the random tableau plan")
@@ -295,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser(
-        "experiment", parents=[common, search_flags], help="batch optimization over random states"
+        "experiment", parents=[bits_flag, threshold_flag, search_flags],
+        help="batch optimization over random states",
     )
     p_exp.add_argument("kind", choices=sorted(_EXPERIMENT_KINDS))
     p_exp.add_argument("--states", type=int, default=100)

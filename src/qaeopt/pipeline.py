@@ -10,13 +10,16 @@ loses exactly the mutual information of the encoded state:
 
 with equality for the re-inserted state rho_A equal to the encoded marginal,
 and a strictly positive gap (Klein's inequality) for any other choice.
+
+All three uses of that chain share one helper, ``_reconstruct``. Its inputs are
+validated once, at the boundary (sigma and rho_A as ``DensityMatrix``, U by
+``is_unitary``); its intermediates are plain arrays and are not validated.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,10 +28,12 @@ from .qstate import (
     BipartiteDims,
     DensityMatrix,
     Spectrum,
-    apply_unitary,
-    mutual_information,
-    partial_trace,
-    relative_entropy,
+    _apply_unitary,
+    _marginals,
+    _mutual_information,
+    _relative_entropy,
+    is_unitary,
+    von_neumann_entropy,
 )
 from .tableau import YoungTableau
 
@@ -59,16 +64,9 @@ class CompressionReport:
     residual: float
     reconstruction_frobenius: float
     support_violation: bool
-    elapsed_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "mi_middle": self.mi_middle,
-            "rel_entropy_out": self.rel_entropy_out,
-            "residual": self.residual,
-            "reconstruction_frobenius": self.reconstruction_frobenius,
-            "support_violation": self.support_violation,
-        }
+        return asdict(self)
 
 
 def build_encoder(spectrum: Spectrum, tableau: YoungTableau, dims: BipartiteDims) -> EncoderPlan:
@@ -89,51 +87,53 @@ def build_encoder(spectrum: Spectrum, tableau: YoungTableau, dims: BipartiteDims
     dest = np.asarray(tableau.cell_permutation().mapping)
     u = np.empty_like(v_d)
     u[dest] = v_d
-    if np.abs(u @ u.conj().T - np.eye(dims.total)).max() > 1e-9:
+    if not is_unitary(u, tol=1e-9):
         raise ValidationError("constructed encoder is not unitary within 1e-9")
     u.setflags(write=False)
     return EncoderPlan(spectrum=spectrum, tableau=tableau, dims=dims, u=u)
 
 
-def compress_reconstruct(
-    sigma: DensityMatrix, plan: EncoderPlan
-) -> tuple[DensityMatrix, DensityMatrix]:
+def _reconstruct(sigma: DensityMatrix, u, dims: BipartiteDims, rho_a: DensityMatrix | None = None):
+    """Encode sigma with ``u``, discard A, re-insert ``rho_a``, decode with U^dag.
+
+    ``rho_a`` defaults to the encoded A marginal, the optimal auxiliary.
+    Returns the arrays ``(encoded_a, encoded_b, sigma_out)``.
+    """
+    dims.check_dim(sigma.dim)
+    if rho_a is not None and rho_a.dim != dims.d_a:
+        raise ValidationError(f"auxiliary state dimension {rho_a.dim} does not match d_a = {dims.d_a}")
+    encoded, u = _apply_unitary(sigma.matrix, u)
+    encoded_a, encoded_b = _marginals(encoded, dims)
+    aux = encoded_a if rho_a is None else rho_a.matrix
+    return encoded_a, encoded_b, u.conj().T @ np.kron(aux, encoded_b) @ u
+
+
+def compress_reconstruct(sigma: DensityMatrix, plan: EncoderPlan) -> tuple[DensityMatrix, DensityMatrix]:
     """Encode, keep subsystem B, and reconstruct with the optimal auxiliary.
 
     Returns ``(sigma_b, sigma_out)``: the compressed payload (reduced state of
     B after encoding) and the decoded state built by re-inserting the encoded
     marginal of A and applying the inverse encoder.
     """
-    plan.dims.check_dim(sigma.dim)
-    sigma_u = apply_unitary(sigma, plan.u)
-    rho_a = partial_trace(sigma_u, plan.dims, "A")
-    sigma_b = partial_trace(sigma_u, plan.dims, "B")
-    middle = np.kron(rho_a.matrix, sigma_b.matrix)
-    sigma_out = DensityMatrix(plan.u.conj().T @ middle @ plan.u)
-    return sigma_b, sigma_out
+    _, sigma_b, sigma_out = _reconstruct(sigma, plan.u, plan.dims)
+    return DensityMatrix(sigma_b), DensityMatrix(sigma_out)
 
 
 def theorem1_report(sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims) -> CompressionReport:
     """Check S(sigma||sigma_out) = S(A:B) of the encoded state for any unitary."""
-    start = time.perf_counter()
-    dims.check_dim(sigma.dim)
-    sigma_u = apply_unitary(sigma, u)
-    mi_middle = mutual_information(sigma_u, dims)
-    rho_a = partial_trace(sigma_u, dims, "A")
-    sigma_b = partial_trace(sigma_u, dims, "B")
-    middle = np.kron(rho_a.matrix, sigma_b.matrix)
-    sigma_out = DensityMatrix(np.asarray(u).conj().T @ middle @ np.asarray(u))
-    rel = relative_entropy(sigma, sigma_out)
+    encoded_a, encoded_b, sigma_out = _reconstruct(sigma, u, dims)
+    s_sigma = von_neumann_entropy(sigma)  # also S(AB) of the encoded state
+    mi_middle = _mutual_information(encoded_a, encoded_b, s_sigma)
+    rel = _relative_entropy(sigma.matrix, s_sigma, sigma_out)
     support_violation = math.isinf(rel)
     residual = math.inf if support_violation else abs(rel - mi_middle)
-    frob = float(np.linalg.norm(sigma.matrix - sigma_out.matrix))
+    frob = float(np.linalg.norm(sigma.matrix - sigma_out))
     return CompressionReport(
         mi_middle=mi_middle,
         rel_entropy_out=rel,
         residual=residual,
         reconstruction_frobenius=frob,
         support_violation=support_violation,
-        elapsed_s=time.perf_counter() - start,
     )
 
 
@@ -142,9 +142,7 @@ def verify_theorem1(sigma: DensityMatrix, plan: EncoderPlan) -> CompressionRepor
     return theorem1_report(sigma, plan.u, plan.dims)
 
 
-def suboptimal_auxiliary_gap(
-    sigma: DensityMatrix, plan: EncoderPlan, rho_a: DensityMatrix
-) -> float:
+def suboptimal_auxiliary_gap(sigma: DensityMatrix, plan: EncoderPlan, rho_a: DensityMatrix) -> float:
     """Excess divergence from reconstructing with an arbitrary auxiliary state.
 
     Returns S(sigma || U^dag (rho_a x sigma_b) U) minus the encoded mutual
@@ -152,20 +150,12 @@ def suboptimal_auxiliary_gap(
     the encoded marginal of A, and infinite when rho_a lacks support the
     encoded state needs.
     """
-    plan.dims.check_dim(sigma.dim)
-    if rho_a.dim != plan.dims.d_a:
-        raise ValidationError(
-            f"auxiliary state dimension {rho_a.dim} does not match d_a = {plan.dims.d_a}"
-        )
-    sigma_u = apply_unitary(sigma, plan.u)
-    sigma_b = partial_trace(sigma_u, plan.dims, "B")
-    candidate = DensityMatrix(
-        plan.u.conj().T @ np.kron(rho_a.matrix, sigma_b.matrix) @ plan.u
-    )
-    rel = relative_entropy(sigma, candidate)
+    encoded_a, encoded_b, candidate = _reconstruct(sigma, plan.u, plan.dims, rho_a)
+    s_sigma = von_neumann_entropy(sigma)  # also S(AB) of the encoded state
+    rel = _relative_entropy(sigma.matrix, s_sigma, candidate)
     if math.isinf(rel):
         return rel
-    return rel - mutual_information(sigma_u, plan.dims)
+    return rel - _mutual_information(encoded_a, encoded_b, s_sigma)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,12 +164,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def generate_instance(kind: str, dims: BipartiteDims, seed) -> DensityMatrix:
@@ -192,7 +176,7 @@ def generate_instance(kind: str, dims: BipartiteDims, seed) -> DensityMatrix:
     random-dense: flat-simplex spectrum conjugated by a Haar unitary.
     pure: a Haar-random pure state.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     n = dims.total
     if kind == "diagonal-mixed":
         diag = np.sort(rng.dirichlet(np.ones(n)))[::-1]

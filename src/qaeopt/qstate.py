@@ -23,6 +23,8 @@ UNITARITY_TOL = 1e-10
 # tolerance on such an eigenvector makes the divergence infinite.
 SUPPORT_TOL = 1e-12
 SUPPORT_WEIGHT_TOL = 1e-10
+# Mutual information or relative entropy in (-MI_ROUNDOFF_TOL, 0) is round-off.
+MI_ROUNDOFF_TOL = 1e-9
 _NON_FINITE = "probabilities hold non-finite values (NaN or infinity)"
 
 
@@ -174,22 +176,46 @@ def shannon_entropy(probs) -> float:
     return h
 
 
+# Each private ``_name`` below is the array body of the public ``name``: it
+# takes and returns plain arrays and builds no ``DensityMatrix``.
+
+
+def _entropy(mat: np.ndarray) -> float:
+    return shannon_entropy(np.linalg.eigvalsh(mat))
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho log rho), in nats."""
-    return shannon_entropy(np.linalg.eigvalsh(rho.matrix))
+    return _entropy(rho.matrix)
+
+
+def _marginals(mat: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced matrices (A, B) of a d_a*d_b square matrix."""
+    blocks = mat.reshape(dims.d_a, dims.d_b, dims.d_a, dims.d_b)
+    return np.trace(blocks, axis1=1, axis2=3), np.trace(blocks, axis1=0, axis2=2)
 
 
 def partial_trace(rho: DensityMatrix, dims: BipartiteDims, keep: str) -> DensityMatrix:
     """Reduced state of subsystem ``keep`` ("A" or "B") of a bipartite density matrix."""
     dims.check_dim(rho.dim)
-    blocks = rho.matrix.reshape(dims.d_a, dims.d_b, dims.d_a, dims.d_b)
-    if keep == "A":
-        reduced = np.trace(blocks, axis1=1, axis2=3)
-    elif keep == "B":
-        reduced = np.trace(blocks, axis1=0, axis2=2)
-    else:
+    if keep not in ("A", "B"):
         raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityMatrix(reduced)
+    rho_a, rho_b = _marginals(rho.matrix, dims)
+    return DensityMatrix(rho_a if keep == "A" else rho_b)
+
+
+def _relative_entropy(rho: np.ndarray, s_rho: float, sigma: np.ndarray) -> float:
+    """S(rho || sigma) of two arrays, given the entropy ``s_rho`` of rho."""
+    q, v = np.linalg.eigh(sigma)
+    q = np.clip(q, 0.0, None)
+    # Weight of rho on each eigenvector of sigma.
+    w = (v.conj() * (rho @ v)).sum(axis=0).real
+    outside = q < SUPPORT_TOL
+    if np.any(w[outside] > SUPPORT_WEIGHT_TOL):
+        return math.inf
+    inside = ~outside
+    cross = float((w[inside] * np.log(q[inside])).sum())
+    return -s_rho - cross
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -197,35 +223,27 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Returns ``math.inf`` when rho has weight above SUPPORT_WEIGHT_TOL on an
     eigenvector of sigma whose eigenvalue is below SUPPORT_TOL (support of rho
-    not contained in support of sigma). Always >= -1e-9 up to round-off
+    not contained in support of sigma). Always >= -MI_ROUNDOFF_TOL
     (Klein's inequality); exactly 0 when rho equals sigma.
     """
     if rho.dim != sigma.dim:
-        raise ValidationError(
-            f"dimension mismatch: rho is {rho.dim}, sigma is {sigma.dim}"
-        )
-    q, v = np.linalg.eigh(sigma.matrix)
-    q = np.clip(q, 0.0, None)
-    # Weight of rho on each eigenvector of sigma.
-    w = np.einsum("ij,jk,ki->i", v.conj().T, rho.matrix, v).real
-    outside = q < SUPPORT_TOL
-    if np.any(w[outside] > SUPPORT_WEIGHT_TOL):
-        return math.inf
-    inside = ~outside
-    cross = float((w[inside] * np.log(q[inside])).sum())
-    return -von_neumann_entropy(rho) - cross
+        raise ValidationError(f"dimension mismatch: rho is {rho.dim}, sigma is {sigma.dim}")
+    return _relative_entropy(rho.matrix, von_neumann_entropy(rho), sigma.matrix)
+
+
+def _mutual_information(rho_a: np.ndarray, rho_b: np.ndarray, s_ab: float) -> float:
+    return _entropy(rho_a) + _entropy(rho_b) - s_ab
 
 
 def mutual_information(rho: DensityMatrix, dims: BipartiteDims) -> float:
     """Quantum mutual information S(A) + S(B) - S(AB) of a bipartite state, in nats.
 
     Can be a tiny negative number (order -1e-15) from round-off; callers that
-    report values should clamp, the raw return never does.
+    report values should clamp values above -MI_ROUNDOFF_TOL to zero, the raw
+    return never does.
     """
     dims.check_dim(rho.dim)
-    s_a = von_neumann_entropy(partial_trace(rho, dims, "A"))
-    s_b = von_neumann_entropy(partial_trace(rho, dims, "B"))
-    return s_a + s_b - von_neumann_entropy(rho)
+    return _mutual_information(*_marginals(rho.matrix, dims), von_neumann_entropy(rho))
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
@@ -235,16 +253,19 @@ def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     return bool(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= tol)
 
 
-def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    """Conjugate a state: rho -> U rho U^dag. Trace and spectrum are preserved."""
+def _apply_unitary(mat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
+    """Check ``u`` against a square array and conjugate it: (U M U^dag, U)."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (rho.dim, rho.dim):
-        raise ValidationError(
-            f"unitary shape {u.shape} does not match state dimension {rho.dim}"
-        )
+    if u.shape != mat.shape:
+        raise ValidationError(f"unitary shape {u.shape} does not match state dimension {mat.shape[0]}")
     if not is_unitary(u):
         raise ValidationError("matrix is not unitary within tolerance")
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+    return u @ mat @ u.conj().T, u
+
+
+def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
+    """Conjugate a state: rho -> U rho U^dag. Trace and spectrum are preserved."""
+    return DensityMatrix(_apply_unitary(rho.matrix, u)[0])
 
 
 def nats_to_bits(x: float) -> float:

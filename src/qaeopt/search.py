@@ -31,8 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import SearchSpaceTooLargeError, ValidationError
-from .qstate import BipartiteDims, shannon_entropy
+from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, shannon_entropy
 from .tableau import (
+    MONOTONE_SLACK,
     ProbabilityTableau,
     YoungTableau,
     candidate_swaps,
@@ -99,7 +100,7 @@ class OptimizationResult:
     def __post_init__(self) -> None:
         if self.method not in ("exhaustive", "heuristic"):
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.best_mi < -1e-9:
+        if self.best_mi < -MI_ROUNDOFF_TOL:
             raise ValidationError(f"negative mutual information: {self.best_mi}")
         if any(b > a for a, b in zip(self.trajectory, self.trajectory[1:])):
             raise ValidationError("best-seen trajectory must be non-increasing")
@@ -129,7 +130,7 @@ def _validated_probs(probs, dims: BipartiteDims) -> np.ndarray:
         raise ValidationError(f"negative probability: {p.min():.3e}")
     if abs(p.sum() - 1.0) > ProbabilityTableau.SUM_TOL:
         raise ValidationError(f"probabilities must sum to 1, got {p.sum()}")
-    if np.any(np.diff(p) > 1e-12):
+    if np.any(np.diff(p) > MONOTONE_SLACK):
         raise ValidationError("probabilities must be sorted non-increasing")
     p.setflags(write=False)
     return p

@@ -21,6 +21,7 @@ import numpy as np
 
 from .exceptions import StateFileError, ValidationError
 from .qstate import BipartiteDims, DensityMatrix
+from .tableau import ProbabilityTableau
 
 FORMAT_VERSION = 1
 SPECTRUM_SUM_TOL = 1e-8
@@ -29,19 +30,25 @@ SPECTRUM_SUM_TOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class StateFile:
     dims: BipartiteDims
-    matrix: np.ndarray | None
+    # The density matrix load_statefile validated, or None for a spectrum file.
+    _density: DensityMatrix | None
     spectrum: np.ndarray | None
     label: str | None
     format_version: int
 
     @property
     def is_dense(self) -> bool:
-        return self.matrix is not None
+        return self._density is not None
+
+    @property
+    def matrix(self) -> np.ndarray | None:
+        """Read-only dense matrix, or None for a spectrum file."""
+        return None if self._density is None else self._density.matrix
 
     def density_matrix(self) -> DensityMatrix:
-        if self.matrix is None:
+        if self._density is None:
             raise StateFileError("state file carries only a spectrum, not a dense matrix")
-        return DensityMatrix(self.matrix)
+        return self._density
 
     def probabilities(self) -> np.ndarray:
         """Descending probability vector (eigenvalues for dense files)."""
@@ -68,7 +75,7 @@ def _spectrum(raw, n: int) -> np.ndarray:
         raise StateFileError(f"spectrum must hold {n} probabilities, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise StateFileError("spectrum holds non-finite values (NaN or infinity)")
-    if p.min() < -1e-12:
+    if p.min() < -ProbabilityTableau.ENTRY_TOL:
         raise StateFileError(f"negative probability in spectrum: {p.min()}")
     total = p.sum()
     if abs(total - 1.0) > SPECTRUM_SUM_TOL:
@@ -102,14 +109,13 @@ def load_statefile(path) -> StateFile:
     if has_matrix == has_spectrum:
         raise StateFileError("state file must carry exactly one of 'matrix' or 'spectrum'")
 
-    matrix = spectrum = None
+    density = spectrum = None
     if has_matrix:
         mat = _complex_matrix(data["matrix"], dims.total)
         try:
-            DensityMatrix(mat)
+            density = DensityMatrix(mat)
         except ValidationError as exc:
             raise StateFileError(f"matrix is not a valid density matrix: {exc}") from exc
-        matrix = mat
     else:
         spectrum = _spectrum(data["spectrum"], dims.total)
 
@@ -117,7 +123,7 @@ def load_statefile(path) -> StateFile:
     if label is not None and not isinstance(label, str):
         raise StateFileError("label must be a string")
     return StateFile(
-        dims=dims, matrix=matrix, spectrum=spectrum, label=label, format_version=version
+        dims=dims, _density=density, spectrum=spectrum, label=label, format_version=version
     )
 
 

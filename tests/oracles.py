@@ -65,6 +65,17 @@ def grid_mutual_information(grid: np.ndarray) -> float:
     return float(_entropy(g.sum(axis=1)) + _entropy(g.sum(axis=0)) - _entropy(g.ravel()))
 
 
+def dense_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """S(rho || sigma) of two full-rank states as Tr rho log rho - Tr rho log sigma,
+    each matrix logarithm built densely as V diag(log q) V^dag."""
+
+    def logm(m: np.ndarray) -> np.ndarray:
+        q, v = np.linalg.eigh(m)
+        return (v * np.log(q)) @ v.conj().T
+
+    return float(np.trace(rho @ logm(rho)).real - np.trace(rho @ logm(sigma)).real)
+
+
 def brute_force_min_mi(probs, d_a: int, d_b: int) -> float:
     """Minimum mutual information over all (d_a*d_b)! grid arrangements."""
     p = np.asarray(probs, dtype=float)

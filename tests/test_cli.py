@@ -1,10 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qaeopt import BipartiteDims, generate_instance, save_statefile
+from qaeopt import BipartiteDims, DensityMatrix, generate_instance, save_statefile
 from qaeopt.cli import main
 
 DIMS22 = BipartiteDims(2, 2)
@@ -58,6 +59,11 @@ class TestCount:
     def test_non_numeric_args_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["count", "two", "2"])
+        assert err.value.code == 2
+
+    def test_jobs_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["count", "2", "2", "--jobs", "2"])
         assert err.value.code == 2
 
 
@@ -166,6 +172,43 @@ class TestVerify:
         path.write_text('{"d_a": 2}')
         code, _, _ = run_cli(capsys, "verify", str(path))
         assert code == 2
+
+    def test_threshold_flag_rejected(self, capsys, dense_state_file):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", dense_state_file, "--threshold", "5"])
+        assert err.value.code == 2
+
+    def test_full_state_validated_and_decomposed_once(self, capsys, tmp_path, monkeypatch):
+        # A (4, 4) file: 16 x 16 full-size arrays, 4 x 4 marginals.
+        dims = BipartiteDims(4, 4)
+        path = tmp_path / "dense44.json"
+        save_statefile(path, dims, matrix=generate_instance("random-dense", dims, 5).matrix)
+        full = (dims.total, dims.total)
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                counts[name] += np.shape(a) == full
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        init = DensityMatrix.__init__
+
+        def counted_init(self, entries):
+            init(self, entries)
+            counts["DensityMatrix"] += self.matrix.shape == full
+
+        monkeypatch.setattr(DensityMatrix, "__init__", counted_init)
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        code, lines, _ = run_cli(capsys, "verify", str(path), "--seed", "2")
+        assert code == 0
+        assert lines[0]["residual"] < 1e-6
+        # Load validation, S(sigma), eigendecompose and sigma_out's spectrum.
+        assert counts["DensityMatrix"] == 1
+        assert counts["eigh"] <= 2
+        assert counts["eigvalsh"] <= 2
 
 
 class TestExperiment:

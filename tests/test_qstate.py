@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import dense_relative_entropy
 from qaeopt import (
     BipartiteDims,
     DensityMatrix,
@@ -177,6 +178,13 @@ class TestRelativeEntropy:
         rho = random_density(4, seed)
         sigma = random_density(4, seed + 1)
         assert relative_entropy(rho, sigma) >= -1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dense_formula_full_rank_16(self, seed):
+        rho = random_density(16, seed)
+        sigma = random_density(16, seed + 100)
+        expected = dense_relative_entropy(rho.matrix, sigma.matrix)
+        assert abs(relative_entropy(rho, sigma) - expected) < 1e-10
 
 
 class TestMutualInformation:
