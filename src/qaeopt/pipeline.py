@@ -32,7 +32,6 @@ from .qstate import (
     _marginals,
     _mutual_information,
     _relative_entropy,
-    is_unitary,
     von_neumann_entropy,
 )
 from .tableau import YoungTableau
@@ -87,8 +86,9 @@ def build_encoder(spectrum: Spectrum, tableau: YoungTableau, dims: BipartiteDims
     dest = np.asarray(tableau.cell_permutation().mapping)
     u = np.empty_like(v_d)
     u[dest] = v_d
-    if not is_unitary(u, tol=1e-9):
-        raise ValidationError("constructed encoder is not unitary within 1e-9")
+    # U's rows are the conjugated eigenvectors, permuted, so it is unitary
+    # within the orthonormality tolerance that Spectrum enforces; _reconstruct
+    # checks U once more, as it checks every unitary it is given.
     u.setflags(write=False)
     return EncoderPlan(spectrum=spectrum, tableau=tableau, dims=dims, u=u)
 

@@ -159,9 +159,8 @@ def shannon_entropy(probs) -> float:
     Entries in [-PSD_TOL, 0) are treated as numerical noise and clamped to 0.
     """
     p = np.asarray(probs, dtype=float).ravel()
-    # This runs per leaf of the exhaustive search, so non-finite input is
-    # caught by checks it already makes: a NaN makes the minimum NaN, and a
-    # +inf entry makes the entropy -inf.
+    # Non-finite input is caught by checks this already makes: a NaN makes
+    # the minimum NaN, and a +inf entry makes the entropy -inf.
     lo = p.min() if p.size else 0.0
     if not lo >= -PSD_TOL:  # also true for NaN
         if not math.isfinite(lo):

@@ -132,41 +132,67 @@ def is_regular(t: YoungTableau) -> bool:
     return True
 
 
+def regular_grid_blocks(
+    dims: BipartiteDims, block: int, exploit_symmetry: bool = False
+) -> Iterator[np.ndarray]:
+    """Value grids of every regular filling, in blocks of shape (k, d_a, d_b).
+
+    Values 1..n are placed in increasing order, each trying the admissible
+    rows top to bottom (a row shorter than the one above, or than d_b for
+    the top row), so only regular fillings are built, depth first. The tree
+    is walked one value at a time over a frontier of partial fillings:
+    ``np.nonzero`` of the admissible-row mask lists the children
+    parent-major and row-minor, which keeps depth-first order. When there
+    would be more than ``block`` children, the frontier is halved and its
+    second half waits on a stack, so k never exceeds max(block, d_a).
+
+    With ``exploit_symmetry`` and a square grid, cell (0, 1) is pinned to
+    value 2, which leaves one representative per transpose pair.
+    """
+    d_a, d_b, n = dims.d_a, dims.d_b, dims.total
+    # lengths[:, i + 1] holds the length of row i; column 0 is a full sentinel
+    # row, so row i is admissible exactly when lengths[:, i] > lengths[:, i + 1].
+    # The smallest dtypes that hold d_b and n: every level copies both arrays.
+    lengths = np.zeros((1, d_a + 1), dtype=np.min_scalar_type(d_b))
+    lengths[0, 0] = d_b
+    grids = np.zeros((1, n), dtype=np.min_scalar_type(n))  # flat row-major cells, 0 = empty
+    v = 1
+    if exploit_symmetry and d_a == d_b and n > 1:
+        grids[0, :2] = 1, 2
+        lengths[0, 1] = 2
+        v = 3
+    stack = [(v, lengths, grids)]
+    while stack:
+        v, lengths, grids = stack.pop()
+        while v <= n:
+            parent, row = np.nonzero(lengths[:, :-1] > lengths[:, 1:])
+            if len(parent) > block and len(grids) > 1:
+                half = len(grids) // 2
+                stack.append((v, lengths[half:], grids[half:]))
+                lengths, grids = lengths[:half], grids[:half]
+                continue
+            child = np.arange(len(parent))
+            lengths, grids = lengths[parent], grids[parent]
+            col = lengths[child, row + 1]
+            lengths[child, row + 1] = col + 1
+            grids[child, row * d_b + col] = v
+            v += 1
+        yield grids.reshape(-1, d_a, d_b)
+
+
 def enumerate_regular(
     dims: BipartiteDims, exploit_symmetry: bool = False
 ) -> Iterator[YoungTableau]:
-    """Stream every regular filling exactly once, in a fixed depth-first order.
-
-    Values 1..n are placed in increasing order; a cell can receive the next
-    value only when its upper and left neighbours are already filled, so only
-    regular fillings are ever produced. With ``exploit_symmetry`` and a square
-    grid, cell (0, 1) is pinned to value 2, which yields exactly one
-    representative per transpose pair (half of all regular fillings).
+    """Stream every regular filling exactly once as a ``YoungTableau``, in the
+    depth-first order of ``regular_grid_blocks``, the traversal that the
+    exhaustive search scores. With ``exploit_symmetry`` a square grid yields
+    one representative per transpose pair: value 2 is pinned to cell (0, 1).
     """
-    d_a, d_b = dims.d_a, dims.d_b
-    n = dims.total
-    grid = [[0] * d_b for _ in range(d_a)]
-    row_len = [0] * d_a
-    start = 1
-    if exploit_symmetry and d_a == d_b and n > 1:
-        grid[0][0], grid[0][1] = 1, 2
-        row_len[0] = 2
-        start = 3
+    from .search import BREADTH_BLOCK  # search imports this module
 
-    def fill(v: int) -> Iterator[YoungTableau]:
-        if v > n:
-            yield YoungTableau(dims, tuple(tuple(r) for r in grid))
-            return
-        for i in range(d_a):
-            length = row_len[i]
-            if length < d_b and (i == 0 or row_len[i - 1] > length):
-                grid[i][length] = v
-                row_len[i] = length + 1
-                yield from fill(v + 1)
-                row_len[i] = length
-                grid[i][length] = 0
-
-    yield from fill(start)
+    for grids in regular_grid_blocks(dims, BREADTH_BLOCK, exploit_symmetry):
+        for grid in grids.tolist():
+            yield YoungTableau(dims, grid)
 
 
 def count_regular(dims: BipartiteDims) -> int:

@@ -4,7 +4,7 @@ The brute-force ones deliberately avoid the library's enumeration/search code
 paths: counts come from filtering every permutation of 1..n into the grid,
 and minima from evaluating every arrangement. Entropies are recomputed
 locally. The scalar search references at the end are the loop forms of the
-breadth and depth phases.
+enumeration, the exhaustive search and the breadth and depth phases.
 """
 
 import math
@@ -123,6 +123,58 @@ def grid_mi(pr, grid, d_b: int, h_flat: float) -> float:
     return h_rows + h_cols - h_flat
 
 
+def scalar_enumerate(dims: BipartiteDims, exploit_symmetry: bool = False):
+    """Recursive depth-first enumeration of regular fillings as cell tuples:
+    value v tries rows top to bottom, and with exploit_symmetry a square grid
+    pins value 2 to cell (0, 1)."""
+    d_a, d_b, n = dims.d_a, dims.d_b, dims.total
+    grid = [[0] * d_b for _ in range(d_a)]
+    row_len = [0] * d_a
+    start = 1
+    if exploit_symmetry and d_a == d_b and n > 1:
+        grid[0][0], grid[0][1] = 1, 2
+        row_len[0] = 2
+        start = 3
+
+    def fill(v):
+        if v > n:
+            yield tuple(tuple(r) for r in grid)
+            return
+        for i in range(d_a):
+            length = row_len[i]
+            if length < d_b and (i == 0 or row_len[i - 1] > length):
+                grid[i][length] = v
+                row_len[i] = length + 1
+                yield from fill(v + 1)
+                row_len[i] = length
+                grid[i][length] = 0
+
+    yield from fill(start)
+
+
+def scalar_exhaustive(probs, dims: BipartiteDims) -> dict:
+    """Leaf-by-leaf exhaustive search over scalar_enumerate (one representative
+    per transpose pair on square grids) keeping the first strict minimum; the
+    fields of the OptimizationResult it should equal."""
+    p = np.asarray(probs, dtype=float)
+    pr = [float(x) for x in p]
+    h_flat = shannon_entropy(p)
+    best_mi, best_cells = math.inf, None
+    trajectory, evaluations = [], 0
+    for cells in scalar_enumerate(dims, exploit_symmetry=dims.d_a == dims.d_b):
+        mi = grid_mi(pr, cells, dims.d_b, h_flat)
+        evaluations += 1
+        if mi < best_mi:
+            best_mi, best_cells = mi, cells
+            trajectory.append(mi)
+    return {
+        "best_cells": best_cells,
+        "best_mi": best_mi,
+        "evaluations": evaluations,
+        "trajectory": tuple(trajectory),
+    }
+
+
 def scalar_breadth(probs, dims: BipartiteDims, seed: int, n1: int, n2: int):
     """Draw-by-draw breadth phase: [(cells, mi)] of the n2 best distinct draws,
     ranked by (mi, draw index)."""
@@ -158,10 +210,7 @@ def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:
     for si, seed_t in enumerate(seeds):
         cells = [list(row) for row in seed_t.cells]
         pos = list(seed_t.positions)
-        grid = p[seed_t.index_array]
-        current_mi = (
-            shannon_entropy(grid.sum(axis=1)) + shannon_entropy(grid.sum(axis=0)) - h_flat
-        )
+        current_mi = grid_mi(pr, seed_t.cells, d_b, h_flat)
         evaluations += 1
         if current_mi < best_mi:
             best_mi, best_cells, best_seed = current_mi, seed_t.cells, si

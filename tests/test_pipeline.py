@@ -26,6 +26,7 @@ from qaeopt import (
     theorem1_report,
     verify_theorem1,
 )
+from qaeopt.qstate import is_unitary
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -79,6 +80,23 @@ class TestBuildEncoder:
         spectrum = eigendecompose(rho)
         with pytest.raises(ValidationError):
             build_encoder(spectrum, YoungTableau.row_major(DIMS23), DIMS23)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6])
+    def test_non_orthonormal_vectors_rejected_when_spectrum_is_built(self, eps):
+        # build_encoder does not test U itself: U is unitary because Spectrum
+        # holds orthonormal vectors, so vectors off by more than its 1e-10
+        # tolerance must not get that far.
+        v = haar_unitary(4, np.random.default_rng(6))
+        v[1, 2] += eps
+        with pytest.raises(ValidationError, match="orthonormal"):
+            Spectrum([0.4, 0.3, 0.2, 0.1], v)
+
+    def test_encoder_of_a_spectrum_at_its_tolerance_is_unitary(self):
+        v = haar_unitary(4, np.random.default_rng(6))
+        v[1, 2] += 2e-11
+        spectrum = Spectrum([0.4, 0.3, 0.2, 0.1], v)
+        plan = build_encoder(spectrum, random_regular(DIMS22, 3), DIMS22)
+        assert is_unitary(plan.u)
 
 
 class TestCompressReconstruct:

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import grid_mi, scalar_breadth, scalar_depth
+import qaeopt.search
+from oracles import grid_mi, scalar_breadth, scalar_depth, scalar_enumerate, scalar_exhaustive
 from qaeopt import (
     BipartiteDims,
     SearchConfig,
+    YoungTableau,
     breadth_first,
     depth_first,
+    exhaustive_search,
+    is_regular,
     random_regular,
     shannon_entropy,
 )
@@ -24,7 +28,7 @@ from qaeopt.search import (
     breadth_tasks,
     worker_count,
 )
-from qaeopt.tableau import _random_regular_grid
+from qaeopt.tableau import _random_regular_grid, regular_grid_blocks
 
 SAMPLER_DIMS = [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]
 
@@ -79,6 +83,85 @@ def test_block_mi_matches_scalar(d_a, d_b, kind):
     got = _block_mi(probs, grids, h_flat)
     pr = [float(x) for x in probs]
     assert got.tolist() == [grid_mi(pr, g.tolist(), d_b, h_flat) for g in grids]
+
+
+EXHAUSTIVE_DIMS = [(1, 1), (1, 5), (5, 1), (2, 2), (3, 3), (2, 8), (3, 4), (4, 4)]
+
+
+def spectrum(kind, n, seed):
+    if kind == "dirichlet":
+        return descending_probs(n, seed)
+    if kind == "uniform":  # every leaf ties, so the first leaf must win
+        return np.full(n, 1.0 / n)
+    weights = np.random.default_rng(seed).integers(1, 4, n)  # ties, then zeros
+    weights[max(1, n - n // 2):] = 0
+    return tied_probs(weights)
+
+
+# Blocks of 1 and 3 leaves split the frontier at nearly every level. At (4, 4)
+# that costs seconds per spectrum, so only the Dirichlet one runs there.
+EXHAUSTIVE_CASES = [
+    (d_a, d_b, kind, block)
+    for d_a, d_b in EXHAUSTIVE_DIMS
+    for kind in ("dirichlet", "uniform", "trailing-zeros")
+    for block in (None, 1, 3)
+    if block is None or kind == "dirichlet" or (d_a, d_b) != (4, 4)
+]
+
+
+@pytest.mark.parametrize("d_a,d_b,kind,block", EXHAUSTIVE_CASES)
+def test_exhaustive_matches_scalar(d_a, d_b, kind, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(qaeopt.search, "BREADTH_BLOCK", block)
+    dims = BipartiteDims(d_a, d_b)
+    probs = spectrum(kind, dims.total, 7 * d_a + d_b)
+    res = exhaustive_search(probs, dims)
+    ref = scalar_exhaustive(probs, dims)
+    assert res.best_tableau.cells == ref["best_cells"]
+    assert res.best_mi == ref["best_mi"]
+    assert res.trajectory == ref["trajectory"]
+    assert res.evaluations == ref["evaluations"]
+    if kind == "uniform":
+        first = next(scalar_enumerate(dims, exploit_symmetry=d_a == d_b))
+        assert res.trajectory == (res.best_mi,) and res.best_tableau.cells == first
+
+
+@pytest.mark.parametrize("d_a,d_b", [(3, 4), (2, 8), (4, 4)])
+@pytest.mark.parametrize("kind", ["dirichlet", "near-ties"])
+def test_exhaustive_rough_scores_only_select_leaves(d_a, d_b, kind, monkeypatch):
+    # Rough scores that stray from the exact ones by up to 1e-12, well within
+    # SCORE_SLACK, must not change the result: only exact scores decide.
+    exact_xlogx = qaeopt.search._xlogx
+    monkeypatch.setattr(
+        qaeopt.search, "_xlogx_rough", lambda x: exact_xlogx(x) + 1e-13 * np.sin(1e6 * x)
+    )
+    dims = BipartiteDims(d_a, d_b)
+    rng = np.random.default_rng(d_a * d_b)
+    if kind == "dirichlet":
+        probs = descending_probs(dims.total, d_a * d_b)
+    else:  # leaves whose scores differ by about as much as the stray
+        probs = tied_probs(rng.integers(1, 4, dims.total) + 1e-12 * rng.random(dims.total))
+    res = exhaustive_search(probs, dims)
+    ref = scalar_exhaustive(probs, dims)
+    assert (res.best_tableau.cells, res.best_mi, res.trajectory) == (
+        ref["best_cells"], ref["best_mi"], ref["trajectory"]
+    )
+
+
+@pytest.mark.parametrize("d_a,d_b", [(1, 300), (300, 1)])
+def test_exhaustive_values_beyond_one_byte(d_a, d_b):
+    dims = BipartiteDims(d_a, d_b)  # one regular filling, row-major
+    res = exhaustive_search(descending_probs(dims.total, 1), dims)
+    assert res.best_tableau == YoungTableau.row_major(dims) and res.evaluations == 1
+
+
+def test_traversal_values_beyond_one_byte():
+    dims = BipartiteDims(2, 130)  # values up to 260, lengths up to 130
+    grids = next(regular_grid_blocks(dims, 4))
+    assert 1 <= len(grids) <= 4
+    for grid in grids.tolist():
+        assert is_regular(YoungTableau(dims, grid))
+    assert grids.max() == dims.total
 
 
 def assert_depth_matches(probs, dims, seeds, n_d):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_min_mi, brute_force_regular_set, grid_mutual_information
+import qaeopt.search
+from oracles import (
+    brute_force_min_mi,
+    brute_force_regular_set,
+    grid_mutual_information,
+    scalar_enumerate,
+)
 from qaeopt import (
     BipartiteDims,
     CanonicalizationResult,
@@ -105,6 +111,18 @@ class TestEnumerate:
     def test_enumeration_yields_no_duplicates(self):
         ts = [t.cells for t in enumerate_regular(BipartiteDims(3, 4))]
         assert len(ts) == len(set(ts))
+
+    @pytest.mark.parametrize("d_a,d_b", [(d_a, d_b) for d_a in range(1, 4) for d_b in range(1, 5)])
+    @pytest.mark.parametrize("exploit_symmetry", [False, True])
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_order_matches_recursive_reference(
+        self, d_a, d_b, exploit_symmetry, block, monkeypatch
+    ):
+        if block is not None:  # small blocks split the array traversal often
+            monkeypatch.setattr(qaeopt.search, "BREADTH_BLOCK", block)
+        dims = BipartiteDims(d_a, d_b)
+        got = [t.cells for t in enumerate_regular(dims, exploit_symmetry)]
+        assert got == list(scalar_enumerate(dims, exploit_symmetry))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetry_halving(self, d):
