@@ -78,16 +78,9 @@ def cmd_count(args) -> int:
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     sf = load_statefile(args.statefile)
-    config = SearchConfig(
-        n1=args.n1,
-        n2=args.n2,
-        n_d=args.nd,
-        seed=args.seed,
-        exhaustive_threshold=args.threshold,
-        parallelism=args.jobs,
-    )
     spectrum = eigendecompose(sf.density_matrix()) if sf.is_dense else None
-    result = optimize(sf.probabilities() if spectrum is None else spectrum.probs, sf.dims, config)
+    probs = sf.probabilities() if spectrum is None else spectrum.probs
+    result = optimize(probs, sf.dims, args.config)
     compression = None
     if spectrum is not None:
         plan = build_encoder(spectrum, result.best_tableau, sf.dims)
@@ -99,7 +92,7 @@ def cmd_optimize(args) -> int:
             "input_digest": file_digest(args.statefile),
             "label": sf.label,
             "dims": {"d_a": sf.dims.d_a, "d_b": sf.dims.d_b},
-            "config": asdict(config),
+            "config": asdict(args.config),
             "unit": "bits" if args.bits else "nats",
             "result": _result_dict(result, args.bits),
             "compression": compression,
@@ -292,7 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "n1"):
+        # Search flags are checked before any work starts; a value that
+        # SearchConfig rejects is a usage error (exit 2).
+        try:
+            args.config = SearchConfig(
+                n1=args.n1,
+                n2=args.n2,
+                n_d=args.nd,
+                seed=args.seed,
+                exhaustive_threshold=args.threshold,
+                parallelism=args.jobs,
+            )
+        except ValidationError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except StateFileError as exc:

@@ -11,16 +11,19 @@ The exhaustive search walks the tableau tree as arrays and scores its leaves
 in blocks of at most BREADTH_BLOCK, building no object per leaf: about 0.7 µs
 per leaf on one x86-64 core, and 9 s for 2x15, the largest grid the default
 threshold routes to it (9,694,845 leaves). The breadth phase works through
-the draws in blocks of BREADTH_BLOCK: it places each value in every grid of a
-block at once, scores the block, and keeps only the block's best few grids,
-which bounds memory for any n1. The depth phase moves all seeds together,
-scoring every candidate swap of every seed per iteration. Sums run in the
-same order as the scalar loops kept in tests/oracles.py, so results match
-them bit for bit.
+the draws in blocks of BREADTH_BLOCK: it computes the random words of every
+draw of a block at once, places each value in every grid of the block at
+once, scores the block, and keeps only the block's best few grids, which
+bounds memory for any n1. The depth phase moves all seeds together, scoring
+every candidate swap of every seed per iteration. Sums run in the same order
+as the scalar loops kept in tests/oracles.py, so results match them bit for
+bit.
 
 Everything is deterministic given the config seed: each draw has its own RNG
-stream ``SeedSequence((seed, draw_index))``, so results do not depend on the
-block size or on how draws are split across workers.
+stream, numpy's ``PCG64(SeedSequence((seed, draw_index)))``, so results do
+not depend on the block size or on how draws are split across workers. The
+streams are computed here as uint32/uint64 array code, word for word those
+numpy makes, so the search never loads ``numpy.random``.
 
 The public entry points validate their arguments; ``optimize`` validates and
 counts once and then calls the private bodies ``_exhaustive``, ``_breadth``
@@ -30,6 +33,7 @@ and ``_depth``.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -54,19 +58,23 @@ DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
 # Draws sampled and scored together. All n1 draws at once would hold every
 # grid and uniform in memory; 2048 keeps a block under 4 MB at (8, 8).
 BREADTH_BLOCK = 2048
-# Depth-phase swaps scored within this of the best rough score get an exact
-# score; the rough and exact scores differ by less than 1e-14.
+# Breadth draws, exhaustive leaves and depth swaps whose rough (numpy log)
+# score is within this of the cut that matters get an exact score; the rough
+# and exact scores differ by less than 1e-14.
 SCORE_SLACK = 1e-9
+# Draw indices run below 2**32, so each is one uint32 word of its stream's seed.
+MAX_DRAWS = 2**32
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the two-phase search and the exhaustive/heuristic routing.
 
-    n1: breadth-phase sample count; n2: seeds retained for the depth phase;
-    n_d: descent iterations per seed. The exhaustive threshold bounds the
-    tableau count up to which full traversal is used. ``parallelism`` workers
-    evaluate breadth-phase samples; results do not depend on it.
+    n1: breadth-phase sample count, at most MAX_DRAWS; n2: seeds retained
+    for the depth phase; n_d: descent iterations per seed. The exhaustive
+    threshold bounds the tableau count up to which full traversal is used.
+    ``parallelism`` workers evaluate breadth-phase samples; results do not
+    depend on it.
     """
 
     n1: int = 20000
@@ -79,6 +87,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if min(self.n1, self.n2, self.n_d, self.parallelism) < 1:
             raise ValidationError("n1, n2, n_d and parallelism must be positive")
+        if self.n1 > MAX_DRAWS:
+            raise ValidationError(f"n1 ({self.n1}) must not exceed 2**32")
         if self.n2 > self.n1:
             raise ValidationError(f"n2 ({self.n2}) must not exceed n1 ({self.n1})")
         if self.exhaustive_threshold < 1:
@@ -210,24 +220,104 @@ def _marginals(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _sum_left(q), _sum_left(np.swapaxes(q, -1, -2))
 
 
+# numpy's SeedSequence entropy-pool hash (pool of four uint32 words) and
+# PCG64, a 128-bit LCG with XSL-RR output. Plain uint32/uint64 arrays wrap
+# modulo 2**32 / 2**64 without a warning, as the C code does.
+_M32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _seed_sequence_state(seed: int, lo: int, hi: int) -> list[np.ndarray]:
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for draws
+    i in lo..hi-1 (all below 2**32), as four uint64 arrays of length hi-lo.
+
+    The entropy is the little-endian uint32 words of ``seed`` followed by
+    the one word of ``i``. The hash multipliers do not depend on the data,
+    so they advance as Python ints while the values are arrays.
+    """
+    seed = operator.index(seed)
+    shifts = range(0, max(seed.bit_length(), 1), 32)
+    words = [np.array([seed >> shift & _M32], dtype=np.uint32) for shift in shifts]
+    words.append(np.arange(lo, hi, dtype=np.uint64).astype(np.uint32))
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _HASH_MULT_A & _M32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(words[k] if k < len(words) else zero) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:  # entropy beyond the pool, from seeds of 4+ words
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, half = _HASH_INIT_B, []
+    for k in range(8):
+        value = pool[k % 4] ^ const
+        const = const * _HASH_MULT_B & _M32
+        value = value * const
+        half.append((value ^ (value >> 16)).astype(np.uint64))
+    return [np.broadcast_to(half[2 * k] | (half[2 * k + 1] << 32), (hi - lo,)) for k in range(4)]
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One LCG step, state * multiplier + increment modulo 2**128, on
+    (high, low) uint64 halves. The high half of lo * _PCG_MULT_LO comes from
+    32-bit pieces, whose products fit in 64 bits."""
+    a0, a1 = lo & _M32, lo >> 32
+    b0, b1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    prod_lo = lo * _PCG_MULT_LO
+    new_lo = prod_lo + inc_lo
+    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + high + inc_hi + (new_lo < prod_lo)
+    return new_hi, new_lo
+
+
+def _draw_words(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """``PCG64(SeedSequence((seed, i))).random_raw(n)`` for draws i in
+    lo..hi-1, bit for bit, laid out draws-last: shape (n, hi - lo), uint64."""
+    s_hi, s_lo, i_hi, i_lo = _seed_sequence_state(seed, lo, hi)
+    # PCG64's set-seed: the increment is 2 * initseq + 1; from state 0 one
+    # step gives the increment, then the seed is added and one more step run.
+    inc_hi, inc_lo = (i_hi << 1) | (i_lo >> 63), (i_lo << 1) | 1
+    lo_ = inc_lo + s_lo
+    hi_ = inc_hi + s_hi + (lo_ < s_lo)
+    hi_, lo_ = _pcg_step(hi_, lo_, inc_hi, inc_lo)
+    out = np.empty((n, hi - lo), dtype=np.uint64)
+    for k in range(n):
+        hi_, lo_ = _pcg_step(hi_, lo_, inc_hi, inc_lo)
+        x, rot = hi_ ^ lo_, hi_ >> 58
+        out[k] = (x >> rot) | (x << ((64 - rot) & 63))
+    return out
+
+
 def _sample_block(d_a: int, d_b: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """Value grids of draws lo..hi-1, shape (hi-lo, d_a, d_b).
 
     Draw i is exactly ``tableau._random_regular_grid`` fed from the stream
-    ``SeedSequence((seed, i))``: its n uniforms are the ones
-    ``Generator.random`` makes from the same PCG64 words, and value v goes
-    to the k-th admissible row, k = min(floor(u_v * count), count - 1).
-    Arrays are laid out draws-last, so every step works on whole rows.
+    ``PCG64(SeedSequence((seed, i)))``, whose words ``_draw_words`` computes
+    for the whole block at once: its n uniforms are the ones
+    ``Generator.random`` makes from those words, and value v goes to the
+    k-th admissible row, k = min(floor(u_v * count), count - 1). Arrays are
+    laid out draws-last, so every step works on whole rows.
     """
     n, size = d_a * d_b, hi - lo
-    # Looked up here: numpy loads numpy.random on first use, which keeps it
-    # out of `import qaeopt` for runs that never sample.
-    pcg64, seed_seq = np.random.PCG64, np.random.SeedSequence
-    raw = np.array(
-        [pcg64(seed_seq((seed, i))).random_raw(n) for i in range(lo, hi)],
-        dtype=np.uint64,
-    ).reshape(size, n)
-    uniforms = ((raw >> np.uint64(11)) * 2.0**-53).T.copy()
+    uniforms = (_draw_words(seed, lo, hi, n) >> np.uint64(11)) * 2.0**-53
     draws = np.arange(size)
     # lengths[i + 1] holds the length of row i; lengths[0] is a full sentinel
     # row, so row i is admissible exactly when lengths[i] > lengths[i + 1].
@@ -368,10 +458,20 @@ def _breadth_chunk(
     for start in range(lo, hi, BREADTH_BLOCK):
         stop = min(start + BREADTH_BLOCK, hi)
         grids = _sample_block(d_a, d_b, seed, start, stop)
-        mi = _block_mi(probs, grids, h_flat)
+        # As in the other phases, numpy's log scores every draw first. Rough
+        # and exact scores differ by under 1e-14 and duplicate grids score
+        # alike, so the rough score of the keep-th distinct grid is within
+        # that of the exact one, and only draws within SCORE_SLACK of it can
+        # hold the block's best keep grids; only those get an exact score.
+        rough = _block_mi(probs, grids, h_flat, _xlogx_rough)
+        ranked = ((float(rough[k]), k, grids[k]) for k in np.argsort(rough).tolist())
+        firsts = _distinct_best(ranked, keep)
+        cut = firsts[-1][0] if len(firsts) == keep else math.inf
+        near = np.flatnonzero(rough <= cut + SCORE_SLACK)
+        mi = _block_mi(probs, grids[near], h_flat)
         order = np.argsort(mi, kind="stable").tolist()  # ties by draw index
-        block = _distinct_best(((float(mi[k]), start + k, grids[k].copy()) for k in order), keep)
-        best = _merge_best([best, block], keep)
+        ranked = ((float(mi[k]), start + int(near[k]), grids[near[k]].copy()) for k in order)
+        best = _merge_best([best, _distinct_best(ranked, keep)], keep)
     return best
 
 
@@ -381,8 +481,8 @@ def breadth_first(
     """Sample n1 random regular tableaux and return the n2 distinct ones with
     the smallest mutual information, ascending.
 
-    Draw i uses the RNG stream ``SeedSequence((config.seed, i))``, so the
-    result is independent of how draws are split into blocks and workers.
+    Draw i uses the RNG stream ``PCG64(SeedSequence((config.seed, i)))``, so
+    the result is independent of how draws are split into blocks and workers.
     """
     p = _validated_probs(probs, dims)
     best = _breadth(p, dims, config)

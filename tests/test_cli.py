@@ -77,6 +77,24 @@ class TestOptimize:
         assert report["compression"]["residual"] < 1e-7
         assert report["unit"] == "nats"
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("optimize", ("--n1", str(2**32 + 1))),
+            ("optimize", ("--n1", "5", "--n2", "6")),
+            ("optimize", ("--jobs", "0")),
+            ("experiment", ("--n1", str(2**32 + 1))),
+        ],
+    )
+    def test_search_flags_rejected_as_usage_errors(self, capsys, product_state_file, command, flags):
+        # Values SearchConfig rejects (n1 above 2**32 among them) exit 2
+        # before any state is loaded or searched.
+        target = product_state_file if command == "optimize" else "fig2a"
+        with pytest.raises(SystemExit) as err:
+            main([command, target, *flags])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_spectrum_only_has_no_compression(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         save_statefile(path, DIMS22, spectrum=[0.4, 0.3, 0.2, 0.1])

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qaeopt
 from oracles import brute_force_min_mi
 from qaeopt import (
     BipartiteDims,
@@ -22,7 +27,7 @@ from qaeopt import (
     random_regular,
     tableau_mutual_information,
 )
-from qaeopt.search import BREADTH_BLOCK
+from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -58,6 +63,12 @@ class TestSearchConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValidationError):
             SearchConfig(**kwargs)
+
+    def test_draw_count_fits_one_uint32_index_word(self):
+        # Draw indices 0 .. n1-1 must each fit in one 32-bit seed word.
+        assert SearchConfig(n1=MAX_DRAWS, n2=1).n1 == 2**32
+        with pytest.raises(ValidationError, match="2\\*\\*32"):
+            SearchConfig(n1=MAX_DRAWS + 1, n2=1)
 
 
 class TestExhaustive:
@@ -276,3 +287,26 @@ class TestOptimize:
         res = optimize(probs, DIMS23, SearchConfig(seed=0))
         assert res.trajectory[0] == res.initial_mi
         assert res.best_mi == res.trajectory[-1]
+
+
+HEURISTIC_WITHOUT_NUMPY_RANDOM = """
+import sys
+from qaeopt import BipartiteDims, SearchConfig, optimize
+probs = [w / 45 for w in range(9, 0, -1)]
+config = SearchConfig(n1=300, n2=4, n_d=10, seed=2**70 + 1, exhaustive_threshold=1)
+result = optimize(probs, BipartiteDims(3, 3), config)
+assert result.method == "heuristic", result.method
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_heuristic_search_does_not_load_numpy_random():
+    # The breadth phase computes numpy's PCG64 / SeedSequence streams itself,
+    # so a search run never needs numpy.random; a fresh interpreter shows it.
+    src = str(Path(qaeopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", HEURISTIC_WITHOUT_NUMPY_RANDOM],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

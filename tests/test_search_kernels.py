@@ -24,6 +24,7 @@ from qaeopt import (
 from qaeopt.search import (
     BREADTH_BLOCK,
     _block_mi,
+    _draw_words,
     _sample_block,
     breadth_tasks,
     worker_count,
@@ -68,6 +69,68 @@ def test_breadth_matches_scalar(d_a, d_b, n1, kind):
     got = breadth_first(probs, dims, SearchConfig(n1=n1, n2=12, seed=5))
     expected = scalar_breadth(probs, dims, 5, n1, 12)
     assert [(t.cells, mi) for t, mi in got] == expected
+
+
+# 1 to 5 uint32 entropy words for the seed; from 4 on, the draw index is
+# entropy beyond SeedSequence's pool and goes through its extra mixing loop.
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**96 + 3, 2**128 + 5]
+STREAM_RANGES = [
+    (0, 2),
+    (2**31, 2**31 + 1),
+    (2**32 - 1, 2**32),
+    (BREADTH_BLOCK - 3, BREADTH_BLOCK + 4),
+    (3 * BREADTH_BLOCK - 1, 3 * BREADTH_BLOCK + 1),
+]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("n", [1, 64, 256])
+def test_draw_words_match_numpy_streams(seed, n):
+    for lo, hi in STREAM_RANGES:
+        expected = [
+            np.random.PCG64(np.random.SeedSequence((seed, i))).random_raw(n) for i in range(lo, hi)
+        ]
+        got = _draw_words(seed, lo, hi, n)
+        assert got.dtype == np.uint64 and got.shape == (n, hi - lo)
+        assert np.array_equal(got.T, np.array(expected, dtype=np.uint64).reshape(hi - lo, n))
+
+
+@pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 3), (8, 8)])
+@pytest.mark.parametrize("kind", ["dirichlet", "ties", "uniform"])
+def test_breadth_rough_scores_only_select_draws(d_a, d_b, kind, monkeypatch):
+    # Rough scores that stray from the exact ones by up to 1e-12, and by a
+    # different amount for every draw, so that neither duplicate grids nor
+    # tied grids tie any more, must not change the result.
+    exact_xlogx = qaeopt.search._xlogx
+    stray = np.random.default_rng(0)
+    monkeypatch.setattr(
+        qaeopt.search,
+        "_xlogx_rough",
+        lambda x: exact_xlogx(x) + 5e-14 * stray.uniform(-1.0, 1.0, x.shape),
+    )
+    dims = BipartiteDims(d_a, d_b)
+    n = dims.total
+    if kind == "dirichlet":
+        probs = descending_probs(n, n)
+    elif kind == "ties":
+        probs = tied_probs(np.random.default_rng(n).integers(1, 4, n))
+    else:
+        probs = np.full(n, 1.0 / n)
+    got = breadth_first(probs, dims, SearchConfig(n1=300, n2=4, seed=3))
+    assert [(t.cells, mi) for t, mi in got] == scalar_breadth(probs, dims, 3, 300, 4)
+
+
+@pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 3), (2, 5)])
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_breadth_uniform_matches_scalar_across_blocks(d_a, d_b, block, monkeypatch):
+    # Every draw ties and duplicate grids are common ((2, 3) has only 5
+    # regular grids, fewer than n2), so the draw index alone ranks them.
+    if block is not None:
+        monkeypatch.setattr(qaeopt.search, "BREADTH_BLOCK", block)
+    dims = BipartiteDims(d_a, d_b)
+    probs = np.full(dims.total, 1.0 / dims.total)
+    got = breadth_first(probs, dims, SearchConfig(n1=200, n2=6, seed=8))
+    assert [(t.cells, mi) for t, mi in got] == scalar_breadth(probs, dims, 8, 200, 6)
 
 
 @pytest.mark.parametrize("d_a,d_b", [(3, 7), (8, 8)])
