@@ -40,7 +40,6 @@ from .tableau import (
     enumerate_regular,
     is_decreasing,
     is_regular,
-    neighbors,
     random_regular,
     sort_within_columns,
     sort_within_rows,
@@ -107,7 +106,6 @@ __all__ = [
     "load_statefile",
     "mutual_information",
     "nats_to_bits",
-    "neighbors",
     "optimize",
     "partial_trace",
     "random_regular",

@@ -61,7 +61,11 @@ def _compression_dict(report, bits: bool) -> dict:
 
 
 def cmd_count(args) -> int:
-    count = count_regular(BipartiteDims(args.d_a, args.d_b))
+    try:
+        count = count_regular(BipartiteDims(args.d_a, args.d_b))
+    except ValidationError as exc:  # the dims are the only input: a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _emit(
         {
             "command": "count",

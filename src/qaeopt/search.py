@@ -15,9 +15,10 @@ the draws in blocks of BREADTH_BLOCK: it computes the random words of every
 draw of a block at once, places each value in every grid of the block at
 once, scores the block, and keeps only the block's best few grids, which
 bounds memory for any n1. The depth phase moves all seeds together, scoring
-every candidate swap of every seed per iteration. Sums run in the same order
-as the scalar loops kept in tests/oracles.py, so results match them bit for
-bit.
+every candidate swap of every seed per iteration, and drops a seed once it
+swaps back and forth between two tableaux, filling in the rest of its
+descent (see ``depth_first``). Sums run in the same order as the scalar
+loops kept in tests/oracles.py, so results match them bit for bit.
 
 Everything is deterministic given the config seed: each draw has its own RNG
 stream, numpy's ``PCG64(SeedSequence((seed, draw_index)))``, so results do
@@ -527,6 +528,16 @@ def depth_first(
     all trajectories is returned. A trajectory halts early when a tableau has
     no regular neighbour.
 
+    A trajectory that makes the same swap twice in a row is back on the
+    tableau it held two iterations before, and stops being computed there.
+    That is exact: a swap undoes itself, and the move chosen from a tableau
+    depends on that tableau alone (marginals are summed afresh, ties go to
+    the first swap), so every later iteration repeats one of the last two,
+    bit for bit. Their mutual information and evaluation counts are filled
+    in from those two, and neither can set a new best. In the paper's 8x8
+    protocol every seed measured entered such a 2-cycle, at iteration 36 to
+    160 of 200.
+
     All seeds descend together, one iteration at a time; the best-seen
     record is then replayed seed by seed, as if each trajectory had run to
     its end before the next one started. Ties go to the first swap in
@@ -555,7 +566,7 @@ def _depth(
     u, w = swaps[:, 0], swaps[:, 1]
     delta = p[w - 1] - p[u - 1]
     # Grids padded by one cell: 0 above and left, n + 1 below and right, so
-    # the four neighbour tests of _swap_keeps_regular pass at the border.
+    # the four neighbour tests below pass at the border.
     cells = np.zeros((n_seeds, dims.d_a + 2, dims.d_b + 2), dtype=np.intp)
     cells[:, -1, :] = n + 1
     cells[:, :, -1] = n + 1
@@ -563,16 +574,22 @@ def _depth(
     # Flat cell of each value (values are 1..n), as padded (row, col).
     at = np.argsort(grids.reshape(n_seeds, n), axis=1)
     pos = np.stack(np.divmod(at, dims.d_b), axis=-1) + 1
-    ix = np.arange(n_seeds)[:, None]
+    # Seed of each row of cells and pos; rows are dropped as seeds finish.
+    active = np.arange(n_seeds)
 
     start_mi = _block_mi(p, grids, h_flat).tolist()
     best_mi = np.array(start_mi)  # per seed, updated on strict improvement
     best_grid = cells[:, 1:-1, 1:-1].copy()
     step_mi = np.empty((config.n_d, n_seeds))
     steps = np.zeros(n_seeds, dtype=np.intp)
+    last_choice = np.full(n_seeds, -1)  # per seed, the swap of the last iteration
+    last_count = np.zeros(n_seeds, dtype=np.intp)  # and its count of valid swaps
     evaluations = n_seeds
 
     for t in range(config.n_d):
+        if not active.size:
+            break
+        ix = np.arange(len(active))[:, None]
         # Fresh sums each iteration keep float drift out of the deltas.
         rows, cols = _marginals(p[cells[:, 1:-1, 1:-1] - 1])
         x_rows, x_cols = _xlogx(rows), _xlogx(cols)
@@ -580,8 +597,6 @@ def _depth(
 
         r1, c1 = pos[:, u - 1, 0], pos[:, u - 1, 1]
         r2, c2 = pos[:, w - 1, 0], pos[:, w - 1, 1]
-        # A seed with no regular neighbour keeps its grid, so it has none in
-        # any later iteration either: its trajectory has halted.
         valid = (
             (r1 != r2)
             & (c1 != c2)
@@ -590,10 +605,9 @@ def _depth(
             & (cells[ix, r2, c2 - 1] <= u)
             & (cells[ix, r2 - 1, c2] <= u)
         )
-        moved = valid.any(axis=1)
-        if not moved.any():
-            break
-        evaluations += int(valid.sum())
+        counts = valid.sum(axis=1)
+        evaluations += int(counts.sum())
+        moved = counts > 0
 
         s, k = np.nonzero(valid)
         a_r, b_r = r1[s, k] - 1, r2[s, k] - 1
@@ -619,6 +633,7 @@ def _depth(
         cand[s[near], k[near]] = score(_xlogx, near)
 
         ms = np.flatnonzero(moved)
+        seed = active[ms]
         choice = cand[ms].argmin(axis=1)
         chosen = cand[ms, choice]
         uu, ww = u[choice], w[choice]
@@ -626,13 +641,33 @@ def _depth(
         cells[ms, a[:, 0], a[:, 1]] = ww
         cells[ms, b[:, 0], b[:, 1]] = uu
         pos[ms, uu - 1], pos[ms, ww - 1] = b, a
-        step_mi[t, ms] = chosen
-        steps[ms] += 1
+        step_mi[t, seed] = chosen
+        steps[seed] += 1
 
-        better = chosen < best_mi[ms]
-        improved = ms[better]
+        better = chosen < best_mi[seed]
+        improved = seed[better]
         best_mi[improved] = chosen[better]
-        best_grid[improved] = cells[improved, 1:-1, 1:-1]
+        best_grid[improved] = cells[ms[better], 1:-1, 1:-1]
+
+        # A seed that makes the swap of its last iteration again is back on
+        # the grid it left two iterations ago. Its next move is a function of
+        # that grid alone, so from here it alternates between the last two
+        # iterations, bit for bit, and can set no new best: fill in its
+        # remaining iterations and drop it.
+        cycled = choice == last_choice[seed]
+        left = config.n_d - 1 - t
+        for si, count in zip(seed[cycled].tolist(), counts[ms[cycled]].tolist()):
+            step_mi[t + 1 :: 2, si] = step_mi[t - 1, si]
+            step_mi[t + 2 :: 2, si] = step_mi[t, si]
+            evaluations += (left + 1) // 2 * int(last_count[si]) + left // 2 * count
+        steps[seed[cycled]] = config.n_d
+        last_choice[seed], last_count[seed] = choice, counts[ms]
+        # A seed with no regular neighbour keeps its grid, so it has none in
+        # any later iteration either: its trajectory has halted.
+        keep = moved
+        keep[ms[cycled]] = False
+        if not keep.all():
+            cells, pos, active = cells[keep], pos[keep], active[keep]
 
     # Seed-major replay. The seed that sets the overall best last does so
     # with its own last strict improvement, which best_grid holds.

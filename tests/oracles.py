@@ -4,7 +4,8 @@ The brute-force ones deliberately avoid the library's enumeration/search code
 paths: counts come from filtering every permutation of 1..n into the grid,
 and minima from evaluating every arrangement. Entropies are recomputed
 locally. The scalar search references at the end are the loop forms of the
-enumeration, the exhaustive search and the breadth and depth phases.
+enumeration, the exhaustive search, the breadth phase, the value-swap
+neighbourhood and the depth phase.
 """
 
 import math
@@ -13,7 +14,7 @@ from itertools import islice, permutations
 import numpy as np
 
 from qaeopt import BipartiteDims, YoungTableau, is_regular, shannon_entropy
-from qaeopt.tableau import _random_regular_grid, _swap_keeps_regular, candidate_swaps
+from qaeopt.tableau import _random_regular_grid, candidate_swaps
 
 _CHUNK = 200_000
 
@@ -197,17 +198,71 @@ def scalar_breadth(probs, dims: BipartiteDims, seed: int, n1: int, n2: int):
     return out
 
 
+# The value-swap neighbourhood as tuples: the reference for the four
+# regularity masks of search._depth, which moves every seed at once.
+
+
+def _swap_keeps_regular(
+    cells: tuple[tuple[int, ...], ...],
+    a: tuple[int, int],
+    b: tuple[int, int],
+    u: int,
+    w: int,
+    d_a: int,
+    d_b: int,
+) -> bool:
+    # Swapping values u < w at cells a and b of a regular filling. Same-row or
+    # same-column swaps always break monotonicity; otherwise only the four
+    # order constraints that involve the new values can fail.
+    r1, c1 = a
+    r2, c2 = b
+    if r1 == r2 or c1 == c2:
+        return False
+    if c1 + 1 < d_b and cells[r1][c1 + 1] < w:
+        return False
+    if r1 + 1 < d_a and cells[r1 + 1][c1] < w:
+        return False
+    if c2 > 0 and cells[r2][c2 - 1] > u:
+        return False
+    if r2 > 0 and cells[r2 - 1][c2] > u:
+        return False
+    return True
+
+
+def neighbors(t: YoungTableau) -> tuple[YoungTableau, ...]:
+    """Regular fillings reachable by one value swap, in deterministic move order."""
+    d_a, d_b = t.dims.d_a, t.dims.d_b
+    pos = t.positions
+    out: list[YoungTableau] = []
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    for u, w in candidate_swaps(t.dims.total):
+        a, b = pos[u - 1], pos[w - 1]
+        if not _swap_keeps_regular(t.cells, a, b, u, w, d_a, d_b):
+            continue
+        grid = [list(row) for row in t.cells]
+        grid[a[0]][a[1]], grid[b[0]][b[1]] = grid[b[0]][b[1]], grid[a[0]][a[1]]
+        cells = tuple(tuple(row) for row in grid)
+        if cells in seen:
+            continue
+        seen.add(cells)
+        out.append(YoungTableau(t.dims, cells))
+    return tuple(out)
+
+
 def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:
     """Seed-by-seed, swap-by-swap best-neighbour descent with best-seen
-    tracking; the fields of the OptimizationResult it should equal."""
+    tracking; the fields of the OptimizationResult it should equal, and
+    under "choices" the (u, w) swap of each iteration, one tuple per seed."""
     p = np.asarray(probs, dtype=float)
     d_a, d_b, n = dims.d_a, dims.d_b, dims.total
     pr = [float(x) for x in p]
     h_flat = shannon_entropy(p)
     swaps = tuple(candidate_swaps(n))
     best_mi, best_cells, best_seed = math.inf, None, 0
-    trajectory, evaluations = [], 0
+    trajectory, evaluations, choices = [], 0, []
     for si, seed_t in enumerate(seeds):
+        taken = []
+        choices.append(taken)
         cells = [list(row) for row in seed_t.cells]
         pos = list(seed_t.positions)
         current_mi = grid_mi(pr, seed_t.cells, d_b, h_flat)
@@ -247,6 +302,7 @@ def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:
             u, w = cells[r1][c1], cells[r2][c2]
             cells[r1][c1], cells[r2][c2] = w, u
             pos[u - 1], pos[w - 1] = (r2, c2), (r1, c1)
+            taken.append((u, w))
             if chosen_mi < best_mi:
                 best_mi, best_cells, best_seed = chosen_mi, tuple(map(tuple, cells)), si
             trajectory.append(best_mi)
@@ -256,4 +312,5 @@ def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:
         "evaluations": evaluations,
         "trajectory": tuple(trajectory),
         "seed_provenance": best_seed,
+        "choices": tuple(map(tuple, choices)),
     }

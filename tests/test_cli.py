@@ -66,6 +66,12 @@ class TestCount:
             main(["count", "2", "2", "--jobs", "2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("d_a,d_b", [(600, 600), (1, 2**14 + 1), (0, 3)])
+    def test_dims_beyond_cap_or_nonpositive_exit_2(self, capsys, d_a, d_b):
+        code, lines, err = run_cli(capsys, "count", str(d_a), str(d_b))
+        assert code == 2 and lines == []
+        assert err.startswith("error:")
+
 
 class TestOptimize:
     def test_product_state(self, capsys, product_state_file):

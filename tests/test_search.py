@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qaeopt
-from oracles import brute_force_min_mi
+from oracles import brute_force_min_mi, neighbors
 from qaeopt import (
     BipartiteDims,
     SearchConfig,
@@ -22,7 +22,6 @@ from qaeopt import (
     enumerate_regular,
     exhaustive_search,
     is_regular,
-    neighbors,
     optimize,
     random_regular,
     tableau_mutual_information,

@@ -9,14 +9,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qaeopt.search
-from oracles import grid_mi, scalar_breadth, scalar_depth, scalar_enumerate, scalar_exhaustive
+from oracles import (
+    brute_force_regular_set,
+    grid_mi,
+    neighbors,
+    scalar_breadth,
+    scalar_depth,
+    scalar_enumerate,
+    scalar_exhaustive,
+)
 from qaeopt import (
     BipartiteDims,
     SearchConfig,
     YoungTableau,
     breadth_first,
     depth_first,
+    eigendecompose,
     exhaustive_search,
+    generate_instance,
     is_regular,
     random_regular,
     shannon_entropy,
@@ -235,6 +245,7 @@ def assert_depth_matches(probs, dims, seeds, n_d):
     assert res.trajectory == ref["trajectory"]
     assert res.evaluations == ref["evaluations"]
     assert res.seed_provenance == ref["seed_provenance"]
+    return ref
 
 
 DEPTH_DIMS = [(1, 4), (4, 1), (2, 2), (2, 3), (3, 3), (3, 4), (2, 5)]
@@ -269,6 +280,94 @@ def test_depth_single_row_seeds_halt_at_once():
     dims = BipartiteDims(1, 6)
     seeds = [random_regular(dims, k) for k in range(3)]
     assert_depth_matches(tied_probs([3, 3, 2, 1, 0, 0]), dims, seeds, 20)
+
+
+# The depth phase stops a seed once it makes the same swap twice running
+# (a 2-cycle) and fills in the rest of its descent. These cases put that
+# stop at the first and the last iteration, next to seeds that never reach it.
+
+
+def cycle_step(choices):
+    """First iteration t whose swap repeats that of iteration t - 1, or None."""
+    return next((t for t in range(1, len(choices)) if choices[t] == choices[t - 1]), None)
+
+
+def cycle_steps(probs, dims, seeds, n_d=200):
+    return [cycle_step(c) for c in scalar_depth(probs, dims, seeds, n_d)["choices"]]
+
+
+@pytest.mark.parametrize("n_d", [1, 2, 3, 10])
+def test_depth_cycle_at_step_one(n_d):
+    # A 2x2 grid has two regular fillings, one swap apart, so both seeds
+    # swap back and forth from the first iteration.
+    dims = BipartiteDims(2, 2)
+    seeds = [YoungTableau(dims, ((1, 2), (3, 4))), YoungTableau(dims, ((1, 3), (2, 4)))]
+    ref = assert_depth_matches(descending_probs(4, 1), dims, seeds, n_d)
+    expected = 1 if n_d >= 2 else None
+    assert [cycle_step(c) for c in ref["choices"]] == [expected, expected]
+
+
+@pytest.mark.parametrize("d_a,d_b", [(3, 4), (4, 5)])
+@pytest.mark.parametrize("n_d", [1, 2])
+def test_depth_one_and_two_iterations(d_a, d_b, n_d):
+    dims = BipartiteDims(d_a, d_b)
+    seeds = [random_regular(dims, k) for k in range(6)]
+    assert_depth_matches(descending_probs(dims.total, 2), dims, seeds, n_d)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_depth_cycle_at_last_iteration_and_just_beyond(k):
+    dims = BipartiteDims(4, 5)
+    probs = descending_probs(dims.total, 5)
+    seeds = [random_regular(dims, k)]
+    (c,) = cycle_steps(probs, dims, seeds)
+    assert c is not None and c >= 2
+    # The cycle shows at the last iteration, with nothing left to fill in.
+    ref = assert_depth_matches(probs, dims, seeds, c + 1)
+    assert cycle_step(ref["choices"][0]) == c
+    # One iteration short of it, the seed never cycles within n_d.
+    ref = assert_depth_matches(probs, dims, seeds, c)
+    assert cycle_step(ref["choices"][0]) is None
+
+
+@pytest.mark.parametrize("d_a,d_b,kind", [(4, 4, "dirichlet"), (4, 5, "dirichlet"), (4, 5, "ties")])
+def test_depth_mixed_batch_of_cycling_and_running_seeds(d_a, d_b, kind):
+    dims = BipartiteDims(d_a, d_b)
+    if kind == "dirichlet":
+        probs = descending_probs(dims.total, 5)
+    else:
+        probs = tied_probs(np.random.default_rng(4).integers(0, 4, dims.total))
+    seeds = [random_regular(dims, k) for k in range(10)]
+    steps = cycle_steps(probs, dims, seeds)
+    assert None not in steps
+    n_d = sorted(steps)[len(steps) // 2]
+    ref = assert_depth_matches(probs, dims, seeds, n_d)
+    halted = [cycle_step(c) is not None for c in ref["choices"]]
+    assert any(halted) and not all(halted)
+
+
+def test_depth_grids_without_neighbours_are_single_rows_or_columns():
+    # A seed with no regular neighbour cannot share a batch with moving
+    # seeds: every regular filling of a grid with two or more rows and
+    # columns has one, and on a single row or column no filling has one.
+    for d_a, d_b in [(2, 2), (2, 3), (3, 2), (2, 4)]:
+        dims = BipartiteDims(d_a, d_b)
+        assert all(neighbors(YoungTableau(dims, cells)) for cells in brute_force_regular_set(d_a, d_b))
+    dims = BipartiteDims(1, 6)
+    assert neighbors(YoungTableau.row_major(dims)) == ()
+
+
+@pytest.mark.parametrize("kind", ["diagonal-mixed", "product-spectrum"])
+def test_depth_matches_scalar_full_protocol_depth(kind):
+    # fig2a and fig2b states at the paper's n_d = 200 and n2 = 12: every
+    # seed enters a 2-cycle well before its last iteration.
+    dims = BipartiteDims(8, 8)
+    probs = eigendecompose(generate_instance(kind, dims, 11)).probs
+    seeds = [t for t, _ in breadth_first(probs, dims, SearchConfig(n1=400, n2=12, seed=3))]
+    assert len(seeds) == 12
+    ref = assert_depth_matches(probs, dims, seeds, 200)
+    steps = [cycle_step(c) for c in ref["choices"]]
+    assert all(s is not None and s < 199 for s in steps)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from oracles import (
     brute_force_min_mi,
     brute_force_regular_set,
     grid_mutual_information,
+    neighbors,
     scalar_enumerate,
 )
 from qaeopt import (
@@ -25,13 +26,12 @@ from qaeopt import (
     enumerate_regular,
     is_decreasing,
     is_regular,
-    neighbors,
     random_regular,
     sort_within_columns,
     sort_within_rows,
     tableau_mutual_information,
 )
-from qaeopt.tableau import candidate_swaps
+from qaeopt.tableau import MAX_COUNT_CELLS, candidate_swaps
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -148,6 +148,16 @@ class TestCount:
 
     def test_transpose_symmetry(self):
         assert count_regular(BipartiteDims(3, 7)) == count_regular(BipartiteDims(7, 3))
+
+    def test_cell_cap(self):
+        # A grid of exactly MAX_COUNT_CELLS cells is counted; one more is not.
+        assert count_regular(BipartiteDims(1, MAX_COUNT_CELLS)) == 1
+        assert count_regular(BipartiteDims(2, MAX_COUNT_CELLS // 2)) == math.comb(
+            MAX_COUNT_CELLS, MAX_COUNT_CELLS // 2
+        ) // (MAX_COUNT_CELLS // 2 + 1)
+        for d_a, d_b in [(1, MAX_COUNT_CELLS + 1), (MAX_COUNT_CELLS + 1, 1), (600, 600)]:
+            with pytest.raises(ValidationError, match="supported maximum"):
+                count_regular(BipartiteDims(d_a, d_b))
 
 
 class TestRandomRegular:
