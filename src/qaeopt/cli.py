@@ -19,12 +19,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .exceptions import (
-    CanonicalizationError,
-    SearchSpaceTooLargeError,
-    StateFileError,
-    ValidationError,
-)
+from .exceptions import StateFileError, ValidationError
 from .pipeline import generate_instance, build_encoder, theorem1_report, verify_theorem1
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, eigendecompose, nats_to_bits
 from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, usable_cpus, worker_count
@@ -175,6 +170,11 @@ def cmd_experiment(args) -> int:
     if args.states < 1:
         print("error: --states must be at least 1", file=sys.stderr)
         return 2
+    try:
+        BipartiteDims(args.da, args.db)
+    except ValidationError as exc:  # checked before any state is built
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     kind = _EXPERIMENT_KINDS[args.kind]
     indices = range(args.states)
     star_args = (
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, SearchSpaceTooLargeError, CanonicalizationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 
+# Tolerances: the one table that every input boundary checks against.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -25,6 +26,17 @@ SUPPORT_TOL = 1e-12
 SUPPORT_WEIGHT_TOL = 1e-10
 # Mutual information or relative entropy in (-MI_ROUNDOFF_TOL, 0) is round-off.
 MI_ROUNDOFF_TOL = 1e-9
+# A probability in [-ENTRY_TOL, 0) is round-off of a zero, as eigh leaves it.
+ENTRY_TOL = 1e-12
+# Probabilities sum to 1 within the trace tolerance of the state they came from.
+SUM_TOL = TRACE_TOL
+# A descending vector may rise this much between neighbours: sorting round-off.
+MONOTONE_SLACK = 1e-12
+# A spectrum file is renormalized within this of 1: decimals written by hand.
+SPECTRUM_SUM_TOL = 1e-8
+# Largest d_a*d_b accepted: count_regular's factorial(n) takes about 0.13 s on
+# one x86-64 core at n = 2**14, and grows faster than n**2 beyond it.
+MAX_COUNT_CELLS = 2**14
 _NON_FINITE = "probabilities hold non-finite values (NaN or infinity)"
 
 
@@ -38,6 +50,10 @@ class BipartiteDims:
     def __post_init__(self) -> None:
         if self.d_a < 1 or self.d_b < 1:
             raise ValidationError(f"subsystem dimensions must be positive, got {self}")
+        if self.total > MAX_COUNT_CELLS:
+            raise ValidationError(
+                f"a grid of {self.total} cells exceeds the supported maximum of {MAX_COUNT_CELLS}"
+            )
 
     @property
     def total(self) -> int:
@@ -101,6 +117,34 @@ class DensityMatrix(HermitianMatrix):
             )
 
 
+def _check_mass(p: np.ndarray) -> None:
+    """Entries of ``p``, of any shape, are finite, at least -ENTRY_TOL, and sum
+    to 1 within SUM_TOL."""
+    if not np.isfinite(p).all():
+        raise ValidationError(_NON_FINITE)
+    if p.min() < -ENTRY_TOL:
+        raise ValidationError(f"negative probability beyond tolerance: {p.min():.3e}")
+    total = p.sum()
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValidationError(f"probabilities must sum to 1 within {SUM_TOL}, got {total}")
+
+
+def _probability_vector(probs, n: int) -> np.ndarray:
+    """The check every probability vector passes where it enters the package.
+
+    Returns a read-only float copy of ``probs`` once it is 1-D of length n,
+    passes ``_check_mass`` and is non-increasing within MONOTONE_SLACK.
+    """
+    p = np.array(probs, dtype=float)
+    if p.ndim != 1 or p.size != n:
+        raise ValidationError(f"expected {n} probabilities, got shape {p.shape}")
+    _check_mass(p)
+    if np.any(np.diff(p) > MONOTONE_SLACK):
+        raise ValidationError("probabilities must be sorted non-increasing")
+    p.setflags(write=False)
+    return p
+
+
 class Spectrum:
     """Eigendecomposition of a density matrix: descending probabilities plus eigenvectors.
 
@@ -109,24 +153,15 @@ class Spectrum:
     """
 
     def __init__(self, probs, vectors) -> None:
-        p = np.array(probs, dtype=float)
         v = np.array(vectors, dtype=complex)
-        if p.ndim != 1 or v.shape != (p.size, p.size):
-            raise ValidationError(
-                f"expected d probabilities and a d x d vector array, got {p.shape}, {v.shape}"
-            )
-        if not (np.isfinite(p).all() and np.isfinite(v).all()):
-            raise ValidationError("spectrum holds non-finite values (NaN or infinity)")
-        if np.any(np.diff(p) > 0):
-            raise ValidationError("probabilities must be sorted non-increasing")
-        if p.min() < -PSD_TOL or p.max() > 1.0 + PSD_TOL:
-            raise ValidationError(f"probabilities outside [0, 1] beyond tolerance: {p}")
-        if abs(p.sum() - 1.0) > TRACE_TOL:
-            raise ValidationError(f"probabilities must sum to 1, got {p.sum()}")
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValidationError(f"expected a d x d vector array, got shape {v.shape}")
+        p = _probability_vector(probs, len(v))
+        if not np.isfinite(v).all():
+            raise ValidationError("eigenvectors hold non-finite values (NaN or infinity)")
         gram = v @ v.conj().T
         if np.abs(gram - np.eye(p.size)).max() > ORTHONORMALITY_TOL:
             raise ValidationError("eigenvectors are not orthonormal within tolerance")
-        p.setflags(write=False)
         v.setflags(write=False)
         self.probs = p
         self.vectors = v

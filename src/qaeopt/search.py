@@ -16,7 +16,7 @@ draw of a block at once, places each value in every grid of the block at
 once, scores the block, and keeps only the block's best few grids, which
 bounds memory for any n1. The depth phase moves all seeds together, scoring
 every candidate swap of every seed per iteration, and drops a seed once it
-swaps back and forth between two tableaux, filling in the rest of its
+swaps back and forth between two tableaux, counting the rest of its
 descent (see ``depth_first``). Sums run in the same order as the scalar
 loops kept in tests/oracles.py, so results match them bit for bit.
 
@@ -44,10 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import SearchSpaceTooLargeError, ValidationError
-from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, shannon_entropy
+from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _probability_vector, shannon_entropy
 from .tableau import (
-    MONOTONE_SLACK,
-    ProbabilityTableau,
     YoungTableau,
     candidate_swaps,
     count_regular,
@@ -137,22 +135,6 @@ class OptimizationResult:
             "trajectory": list(self.trajectory),
             "seed_provenance": self.seed_provenance,
         }
-
-
-def _validated_probs(probs, dims: BipartiteDims) -> np.ndarray:
-    p = np.array(probs, dtype=float)
-    if p.ndim != 1 or p.size != dims.total:
-        raise ValidationError(f"expected {dims.total} probabilities, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValidationError("probabilities hold non-finite values (NaN or infinity)")
-    if p.min() < -ProbabilityTableau.ENTRY_TOL:
-        raise ValidationError(f"negative probability: {p.min():.3e}")
-    if abs(p.sum() - 1.0) > ProbabilityTableau.SUM_TOL:
-        raise ValidationError(f"probabilities must sum to 1, got {p.sum()}")
-    if np.any(np.diff(p) > MONOTONE_SLACK):
-        raise ValidationError("probabilities must be sorted non-increasing")
-    p.setflags(write=False)
-    return p
 
 
 def usable_cpus() -> int | None:
@@ -382,7 +364,7 @@ def exhaustive_search(
     from (4,4) to (3,7) and 0.9 µs at 2x15: 9 s for its 9,694,845 leaves,
     the largest space the default threshold sends here.
     """
-    p = _validated_probs(probs, dims)
+    p = _probability_vector(probs, dims.total)
     total = count_regular(dims)
     if total > exhaustive_threshold:
         raise SearchSpaceTooLargeError(
@@ -485,7 +467,7 @@ def breadth_first(
     Draw i uses the RNG stream ``PCG64(SeedSequence((config.seed, i)))``, so
     the result is independent of how draws are split into blocks and workers.
     """
-    p = _validated_probs(probs, dims)
+    p = _probability_vector(probs, dims.total)
     best = _breadth(p, dims, config)
     return tuple((YoungTableau(dims, grid.tolist()), mi) for mi, _idx, grid in best)
 
@@ -533,17 +515,17 @@ def depth_first(
     That is exact: a swap undoes itself, and the move chosen from a tableau
     depends on that tableau alone (marginals are summed afresh, ties go to
     the first swap), so every later iteration repeats one of the last two,
-    bit for bit. Their mutual information and evaluation counts are filled
-    in from those two, and neither can set a new best. In the paper's 8x8
-    protocol every seed measured entered such a 2-cycle, at iteration 36 to
-    160 of 200.
+    bit for bit. Their evaluations are counted from those two; they can set
+    no new best, so their mutual information is never needed. In the
+    paper's 8x8 protocol every seed measured entered such a 2-cycle, at
+    iteration 36 to 160 of 200.
 
     All seeds descend together, one iteration at a time; the best-seen
     record is then replayed seed by seed, as if each trajectory had run to
     its end before the next one started. Ties go to the first swap in
     ``candidate_swaps`` order.
     """
-    p = _validated_probs(probs, dims)
+    p = _probability_vector(probs, dims.total)
     if len(seeds) == 0:
         raise ValidationError("depth-first search requires at least one seed tableau")
     for s in seeds:
@@ -580,7 +562,7 @@ def _depth(
     start_mi = _block_mi(p, grids, h_flat).tolist()
     best_mi = np.array(start_mi)  # per seed, updated on strict improvement
     best_grid = cells[:, 1:-1, 1:-1].copy()
-    step_mi = np.empty((config.n_d, n_seeds))
+    step_mi = np.full((config.n_d, n_seeds), math.inf)
     steps = np.zeros(n_seeds, dtype=np.intp)
     last_choice = np.full(n_seeds, -1)  # per seed, the swap of the last iteration
     last_count = np.zeros(n_seeds, dtype=np.intp)  # and its count of valid swaps
@@ -652,13 +634,11 @@ def _depth(
         # A seed that makes the swap of its last iteration again is back on
         # the grid it left two iterations ago. Its next move is a function of
         # that grid alone, so from here it alternates between the last two
-        # iterations, bit for bit, and can set no new best: fill in its
-        # remaining iterations and drop it.
+        # iterations, bit for bit, and can set no new best: count its
+        # remaining iterations, whose step_mi stays inf, and drop it.
         cycled = choice == last_choice[seed]
         left = config.n_d - 1 - t
         for si, count in zip(seed[cycled].tolist(), counts[ms[cycled]].tolist()):
-            step_mi[t + 1 :: 2, si] = step_mi[t - 1, si]
-            step_mi[t + 2 :: 2, si] = step_mi[t, si]
             evaluations += (left + 1) // 2 * int(last_count[si]) + left // 2 * count
         steps[seed[cycled]] = config.n_d
         last_choice[seed], last_count[seed] = choice, counts[ms]
@@ -700,7 +680,7 @@ def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> 
     """
     if config is None:
         config = SearchConfig()
-    p = _validated_probs(probs, dims)
+    p = _probability_vector(probs, dims.total)
     start = np.arange(1, dims.total + 1).reshape(1, dims.d_a, dims.d_b)
     initial_mi = float(_block_mi(p, start, shannon_entropy(p))[0])
 

@@ -18,12 +18,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .exceptions import CanonicalizationError, ValidationError
-from .qstate import BipartiteDims, shannon_entropy
-
-MONOTONE_SLACK = 1e-12
-# Largest d_a*d_b that count_regular accepts: factorial(n) takes about 0.13 s
-# on one x86-64 core at n = 2**14, and grows faster than n**2 beyond it.
-MAX_COUNT_CELLS = 2**14
+from .qstate import BipartiteDims, _check_mass, _probability_vector, shannon_entropy
 
 
 @dataclass(frozen=True)
@@ -202,12 +197,8 @@ def count_regular(dims: BipartiteDims) -> int:
     """Number of regular fillings of the d_a x d_b rectangle (hook length formula).
 
     Exact integer arithmetic; the counts overflow doubles already for modest
-    grids. Grids of more than MAX_COUNT_CELLS cells are rejected.
+    grids. ``BipartiteDims`` bounds the grid at MAX_COUNT_CELLS cells.
     """
-    if dims.total > MAX_COUNT_CELLS:
-        raise ValidationError(
-            f"a grid of {dims.total} cells exceeds the supported maximum of {MAX_COUNT_CELLS}"
-        )
     hooks = math.prod(
         (dims.d_a - i) + (dims.d_b - j) - 1
         for i in range(dims.d_a)
@@ -257,22 +248,13 @@ def candidate_swaps(n: int) -> Iterator[tuple[int, int]]:
 class ProbabilityTableau:
     """Nonnegative d_a x d_b grid summing to 1; marginals define the mutual information."""
 
-    ENTRY_TOL = 1e-12
-    SUM_TOL = 1e-10
-
     def __init__(self, dims: BipartiteDims, p) -> None:
         grid = np.array(p, dtype=float)
         if grid.shape != (dims.d_a, dims.d_b):
             raise ValidationError(
                 f"expected shape {(dims.d_a, dims.d_b)}, got {grid.shape}"
             )
-        if not np.isfinite(grid).all():
-            raise ValidationError("grid holds non-finite entries (NaN or infinity)")
-        if grid.min() < -self.ENTRY_TOL:
-            raise ValidationError(f"negative entry beyond tolerance: {grid.min():.3e}")
-        total = grid.sum()
-        if abs(total - 1.0) > self.SUM_TOL:
-            raise ValidationError(f"entries must sum to 1 within {self.SUM_TOL}, got {total}")
+        _check_mass(grid)
         grid.setflags(write=False)
         self.dims = dims
         self.p = grid
@@ -288,13 +270,7 @@ def arrange(probs, t: YoungTableau) -> ProbabilityTableau:
     regular tableau yields a decreasing matrix whenever the probabilities are
     strictly decreasing.
     """
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size != t.dims.total:
-        raise ValidationError(
-            f"expected {t.dims.total} probabilities, got shape {p.shape}"
-        )
-    if np.any(np.diff(p) > MONOTONE_SLACK):
-        raise ValidationError("probabilities must be sorted non-increasing")
+    p = _probability_vector(probs, t.dims.total)
     return ProbabilityTableau(t.dims, p[t.index_array])
 
 

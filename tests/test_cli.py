@@ -141,6 +141,15 @@ class TestOptimize:
         assert lines[0]["unit"] == "bits"
         assert abs(lines[0]["mi_middle"] - 2.0) < 1e-9
 
+    def test_oversize_spectrum_file_exit_2(self, capsys, tmp_path):
+        # The dims are checked when the file is loaded, before any search.
+        path = tmp_path / "wide.json"
+        n = 2**14 + 1
+        path.write_text(json.dumps({"d_a": 1, "d_b": n, "spectrum": [1.0 / n] * n}))
+        code, lines, err = run_cli(capsys, "optimize", str(path))
+        assert code == 2 and lines == []
+        assert "supported maximum" in err
+
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")
@@ -236,6 +245,16 @@ class TestVerify:
 
 
 class TestExperiment:
+    @pytest.mark.parametrize("d_a,d_b", [(0, 3), (1, 2**14 + 1)])
+    def test_dims_beyond_cap_or_nonpositive_exit_2(self, capsys, d_a, d_b):
+        # Rejected before any state is generated: a 1 x 16385 split would
+        # otherwise build a 16385 x 16385 complex matrix first.
+        code, lines, err = run_cli(
+            capsys, "experiment", "fig2a", "--states", "1", "--da", str(d_a), "--db", str(d_b)
+        )
+        assert code == 2 and lines == []
+        assert err.startswith("error:")
+
     def test_fig2b_small(self, capsys):
         code, lines, _ = run_cli(
             capsys, "experiment", "fig2b", "--states", "3", "--da", "2", "--db", "3",

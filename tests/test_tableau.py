@@ -31,7 +31,8 @@ from qaeopt import (
     sort_within_rows,
     tableau_mutual_information,
 )
-from qaeopt.tableau import MAX_COUNT_CELLS, candidate_swaps
+from qaeopt.qstate import MAX_COUNT_CELLS
+from qaeopt.tableau import candidate_swaps
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
