@@ -7,14 +7,15 @@ then repeatedly moves each survivor to its best value-swap neighbour while
 tracking the best tableau ever seen (depth phase).
 
 All three are array code with one mutual-information kernel, ``_block_mi``.
-The exhaustive search walks the tableau tree as arrays and scores its leaves
-in blocks of at most BREADTH_BLOCK, building no object per leaf: about 0.7 µs
-per leaf on one x86-64 core, and 9 s for 2x15, the largest grid the default
-threshold routes to it (9,694,845 leaves). The breadth phase works through
-the draws in blocks of BREADTH_BLOCK: it computes the random words of every
-draw of a block at once, places each value in every grid of the block at
-once, scores the block, and keeps only the block's best few grids, which
-bounds memory for any n1. The depth phase moves all seeds together, scoring
+The exhaustive search takes its leaves from ``tableau.regular_grid_blocks``
+in blocks of BREADTH_BLOCK and scores each block at once, building no object
+per leaf: on one x86-64 core about 0.3 µs per leaf at (3,7), and about 5 s
+for 2x15, the largest grid the default threshold routes to it (9,694,845
+leaves), of which scoring is all but about 0.25 s. The breadth phase works
+through the draws in blocks of BREADTH_BLOCK: it computes the random words
+of every draw of a block at once, places each value in every grid of the
+block at once, scores the block, and keeps only the block's best few grids,
+which bounds memory for any n1. The depth phase moves all seeds together, scoring
 every candidate swap of every seed per iteration, and drops a seed once it
 swaps back and forth between two tableaux, counting the rest of its
 descent (see ``depth_first``). Sums run in the same order as the scalar
@@ -358,11 +359,12 @@ def exhaustive_search(
     unchanged), so ``evaluations`` is half the total count there.
 
     The leaves come from ``tableau.regular_grid_blocks`` as value grids in
-    blocks of at most BREADTH_BLOCK, and each block is scored at once; only
-    the winner becomes a ``YoungTableau``. Memory stays bounded (under 40 MB
-    of process RSS at 2x15). On one x86-64 core this takes 0.7 µs per leaf
-    from (4,4) to (3,7) and 0.9 µs at 2x15: 9 s for its 9,694,845 leaves,
-    the largest space the default threshold sends here.
+    blocks of BREADTH_BLOCK, and each block is scored at once; only the
+    winner becomes a ``YoungTableau``. Memory stays bounded (about 40 MB of
+    process RSS at 2x15). On one x86-64 core this takes 0.3 µs per leaf at
+    (3,7) and 0.55 µs at 2x15: about 5 s for its 9,694,845 leaves, the
+    largest space the default threshold sends here, nearly all of it in
+    scoring.
     """
     p = _probability_vector(probs, dims.total)
     total = count_regular(dims)

@@ -57,8 +57,15 @@ class StateFile:
         return np.clip(np.sort(vals)[::-1], 0.0, None)
 
 
+def _float_array(raw, name: str) -> np.ndarray:
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged nesting or non-numeric entries
+        raise StateFileError(f"{name} is not a numeric array: {exc}") from exc
+
+
 def _complex_matrix(raw, n: int) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    arr = _float_array(raw, "matrix")
     if arr.shape != (n, n, 2):
         raise StateFileError(
             f"matrix must be {n} x {n} with [re, im] entries, got shape {arr.shape}"
@@ -69,7 +76,7 @@ def _complex_matrix(raw, n: int) -> np.ndarray:
 
 
 def _spectrum(raw, n: int) -> np.ndarray:
-    p = np.asarray(raw, dtype=float)
+    p = _float_array(raw, "spectrum")
     total = p.sum()
     # A sum that is not finite comes from an entry that is not, which the
     # probability check names.
@@ -99,9 +106,13 @@ def load_statefile(path) -> StateFile:
     version = data.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise StateFileError(f"unsupported format_version {version}")
+    d_a, d_b = data.get("d_a"), data.get("d_b")
+    # JSON integers only: int() would truncate 2.7 and accept true or "4".
+    if type(d_a) is not int or type(d_b) is not int:
+        raise StateFileError(f"bad or missing d_a/d_b: need JSON integers, got {d_a!r}, {d_b!r}")
     try:
-        dims = BipartiteDims(int(data["d_a"]), int(data["d_b"]))
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        dims = BipartiteDims(d_a, d_b)
+    except ValidationError as exc:
         raise StateFileError(f"bad or missing d_a/d_b: {exc}") from exc
 
     has_matrix = "matrix" in data

@@ -130,41 +130,34 @@ def is_regular(t: YoungTableau) -> bool:
     return True
 
 
-def regular_grid_blocks(
-    dims: BipartiteDims, block: int, exploit_symmetry: bool = False
-) -> Iterator[np.ndarray]:
-    """Value grids of every regular filling, in blocks of shape (k, d_a, d_b).
+# regular_grid_blocks walks the last t values once per shape and keeps them,
+# for the largest t with min(d_a, d_b)**t at or below this; the kept suffixes
+# of all shapes number at most this many grids.
+SUFFIX_CAP = 2**16
 
-    Values 1..n are placed in increasing order, each trying the admissible
-    rows top to bottom (a row shorter than the one above, or than d_b for
-    the top row), so only regular fillings are built, depth first. The tree
-    is walked one value at a time over a frontier of partial fillings:
-    ``np.nonzero`` of the admissible-row mask lists the children
-    parent-major and row-minor, which keeps depth-first order. When there
-    would be more than ``block`` children, the frontier is halved and its
-    second half waits on a stack, so k never exceeds max(block, d_a).
 
-    With ``exploit_symmetry`` and a square grid, cell (0, 1) is pinned to
-    value 2, which leaves one representative per transpose pair.
+def _walk(
+    lengths: np.ndarray, grids: np.ndarray, v: int, stop: int, limit: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Place values v..stop-1 into every partial filling of the frontier,
+    depth first, and yield the completed frontier in pieces.
+
+    ``lengths[:, i + 1]`` is the length of row i and column 0 a full sentinel
+    row of length d_b, so row i is admissible exactly when
+    ``lengths[:, i] > lengths[:, i + 1]``; ``grids`` holds the flat row-major
+    cells, 0 = empty. ``np.nonzero`` of the admissible-row mask lists the
+    children parent-major and row-minor, which keeps depth-first order. When
+    there would be more than ``limit`` children, the frontier is halved and
+    its second half waits on a stack, so a piece never exceeds
+    max(limit, number of admissible rows).
     """
-    d_a, d_b, n = dims.d_a, dims.d_b, dims.total
-    # lengths[:, i + 1] holds the length of row i; column 0 is a full sentinel
-    # row, so row i is admissible exactly when lengths[:, i] > lengths[:, i + 1].
-    # The smallest dtypes that hold d_b and n: every level copies both arrays.
-    lengths = np.zeros((1, d_a + 1), dtype=np.min_scalar_type(d_b))
-    lengths[0, 0] = d_b
-    grids = np.zeros((1, n), dtype=np.min_scalar_type(n))  # flat row-major cells, 0 = empty
-    v = 1
-    if exploit_symmetry and d_a == d_b and n > 1:
-        grids[0, :2] = 1, 2
-        lengths[0, 1] = 2
-        v = 3
+    d_b = int(lengths[0, 0])
     stack = [(v, lengths, grids)]
     while stack:
         v, lengths, grids = stack.pop()
-        while v <= n:
+        while v < stop:
             parent, row = np.nonzero(lengths[:, :-1] > lengths[:, 1:])
-            if len(parent) > block and len(grids) > 1:
+            if len(parent) > limit and len(grids) > 1:
                 half = len(grids) // 2
                 stack.append((v, lengths[half:], grids[half:]))
                 lengths, grids = lengths[:half], grids[:half]
@@ -175,7 +168,84 @@ def regular_grid_blocks(
             lengths[child, row + 1] = col + 1
             grids[child, row * d_b + col] = v
             v += 1
-        yield grids.reshape(-1, d_a, d_b)
+        yield lengths, grids
+
+
+def regular_grid_blocks(
+    dims: BipartiteDims, block: int, exploit_symmetry: bool = False
+) -> Iterator[np.ndarray]:
+    """Value grids of every regular filling, in blocks of shape (k, d_a, d_b).
+
+    Values 1..n are placed in increasing order, each trying the admissible
+    rows top to bottom (a row shorter than the one above, or than d_b for
+    the top row), so only regular fillings are built, depth first. Every
+    block holds exactly ``block`` fillings except the last, which may hold
+    fewer; each is a fresh array.
+
+    The fillings that complete a partial filling depend only on its shape,
+    its row lengths. So the first values, up to ``mid - 1``, are walked as
+    prefixes, and the last ``t = n + 1 - mid`` are walked once per shape and
+    kept; each leaf is a prefix plus one suffix of its shape (their cells
+    are disjoint). A value goes into one of at most m = min(d_a, d_b) rows,
+    and t is the largest count with m**t <= SUFFIX_CAP, so all values when
+    m == 1. The suffixes kept for all shapes together are the ways to place
+    the last t values, which turned by 180 degrees are the ways to place the
+    first t; so the cache holds at most SUFFIX_CAP grids of n cells. Leaves
+    come prefix-major, each prefix's suffixes in depth-first order: the
+    depth-first order of the whole tree.
+
+    With ``exploit_symmetry`` and a square grid, cell (0, 1) is pinned to
+    value 2, which leaves one representative per transpose pair.
+    """
+    d_a, d_b, n = dims.d_a, dims.d_b, dims.total
+    # The smallest dtypes that hold d_b and n: every level copies both arrays.
+    lengths = np.zeros((1, d_a + 1), dtype=np.min_scalar_type(d_b))
+    lengths[0, 0] = d_b
+    grids = np.zeros((1, n), dtype=np.min_scalar_type(n))
+    v = 1
+    if exploit_symmetry and d_a == d_b and n > 1:
+        grids[0, :2] = 1, 2
+        lengths[0, 1] = 2
+        v = 3
+    m, t = min(d_a, d_b), 0
+    while t <= n - v and m ** (t + 1) <= SUFFIX_CAP:
+        t += 1
+    mid = n + 1 - t
+    cached: dict[bytes, tuple[int, int]] = {}  # shape -> (first row, count) in store
+    store, empty = grids[:0], np.zeros_like(grids)
+    out, filled = np.empty((block, n), grids.dtype), 0
+    for lengths, grids in _walk(lengths, grids, v, mid, block):
+        keys = [shape.tobytes() for shape in lengths]
+        for key, shape in zip(keys, lengths):
+            if key not in cached:
+                _, suffixes = next(_walk(shape[None], empty, mid, n + 1, SUFFIX_CAP))
+                cached[key] = len(store), len(suffixes)
+                store = np.concatenate([store, suffixes])
+        first, count = np.array([cached[key] for key in keys]).T
+        ends = np.cumsum(count)
+        starts = ends - count
+        shift = first - starts  # leaf index + shift = the row of its suffix in store
+        j, total = 0, int(ends[-1])
+        while j < total:
+            # Leaves j..j+take-1 fill the rest of the block: prefixes lo..hi-1,
+            # runs[i] leaves from prefix lo+i.
+            take = min(block - filled, total - j)
+            lo = np.searchsorted(ends, j, side="right")
+            hi = np.searchsorted(ends, j + take - 1, side="right") + 1
+            runs = np.minimum(ends[lo:hi], j + take) - np.maximum(starts[lo:hi], j)
+            suffix = np.repeat(shift[lo:hi], runs) + np.arange(j, j + take)
+            np.add(
+                np.repeat(grids[lo:hi], runs, axis=0),
+                np.take(store, suffix, axis=0),
+                out=out[filled : filled + take],
+            )
+            filled += take
+            j += take
+            if filled == block:
+                yield out.reshape(-1, d_a, d_b)
+                out, filled = np.empty((block, n), grids.dtype), 0
+    if filled:
+        yield out[:filled].reshape(-1, d_a, d_b)
 
 
 def enumerate_regular(

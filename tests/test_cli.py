@@ -158,6 +158,31 @@ class TestOptimize:
         assert not lines
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '"spectrum": [[0.5], [0.2, 0.3]]',
+            '"matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]',
+            '"spectrum": [0.4, "half", 0.1, 0.1]',
+        ],
+        ids=["ragged-spectrum", "ragged-matrix", "string-entry"],
+    )
+    def test_malformed_array_exit_2(self, capsys, tmp_path, payload):
+        path = tmp_path / "malformed.json"
+        dims = '"d_a": 1, "d_b": 2' if "matrix" in payload else '"d_a": 2, "d_b": 2'
+        path.write_text(f"{{{dims}, {payload}}}")
+        code, lines, err = run_cli(capsys, "optimize", str(path))
+        assert code == 2 and not lines
+        assert "not a numeric array" in err
+
+    @pytest.mark.parametrize("d_a,d_b", [(2.7, 2), (2.0, 2), (True, 4), (1, "4")])
+    def test_dims_not_json_integers_exit_2(self, capsys, tmp_path, d_a, d_b):
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps({"d_a": d_a, "d_b": d_b, "spectrum": [0.4, 0.3, 0.2, 0.1]}))
+        code, lines, err = run_cli(capsys, "optimize", str(path))
+        assert code == 2 and not lines
+        assert "bad or missing d_a/d_b" in err
+
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 class TestNonFiniteInput:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qaeopt.search
+import qaeopt.tableau
 from oracles import (
     brute_force_regular_set,
     grid_mi,
@@ -171,21 +172,28 @@ def spectrum(kind, n, seed):
     return tied_probs(weights)
 
 
-# Blocks of 1 and 3 leaves split the frontier at nearly every level. At (4, 4)
-# that costs seconds per spectrum, so only the Dirichlet one runs there.
+# Blocks of 1 and 3 leaves split the prefix walk at nearly every level. At
+# (4, 4) that costs seconds per spectrum, so only the Dirichlet one runs there.
+# A suffix cap of 4 joins every grid of more than one row from short suffixes.
 EXHAUSTIVE_CASES = [
-    (d_a, d_b, kind, block)
+    pytest.param(
+        d_a, d_b, kind, block, cap,
+        id=f"{d_a}-{d_b}-{kind}-{block}" + ("" if cap is None else f"-cap{cap}"),
+    )
     for d_a, d_b in EXHAUSTIVE_DIMS
     for kind in ("dirichlet", "uniform", "trailing-zeros")
     for block in (None, 1, 3)
+    for cap in (None, 4)
     if block is None or kind == "dirichlet" or (d_a, d_b) != (4, 4)
 ]
 
 
-@pytest.mark.parametrize("d_a,d_b,kind,block", EXHAUSTIVE_CASES)
-def test_exhaustive_matches_scalar(d_a, d_b, kind, block, monkeypatch):
+@pytest.mark.parametrize("d_a,d_b,kind,block,cap", EXHAUSTIVE_CASES)
+def test_exhaustive_matches_scalar(d_a, d_b, kind, block, cap, monkeypatch):
     if block is not None:
         monkeypatch.setattr(qaeopt.search, "BREADTH_BLOCK", block)
+    if cap is not None:
+        monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
     dims = BipartiteDims(d_a, d_b)
     probs = spectrum(kind, dims.total, 7 * d_a + d_b)
     res = exhaustive_search(probs, dims)
@@ -229,12 +237,13 @@ def test_exhaustive_values_beyond_one_byte(d_a, d_b):
 
 
 def test_traversal_values_beyond_one_byte():
-    dims = BipartiteDims(2, 130)  # values up to 260, lengths up to 130
-    grids = next(regular_grid_blocks(dims, 4))
-    assert 1 <= len(grids) <= 4
-    for grid in grids.tolist():
-        assert is_regular(YoungTableau(dims, grid))
-    assert grids.max() == dims.total
+    # Values up to 260 after a long prefix walk, on a wide and on a tall grid.
+    for dims in (BipartiteDims(2, 130), BipartiteDims(130, 2)):
+        grids = next(regular_grid_blocks(dims, 4))
+        assert 1 <= len(grids) <= 4
+        for grid in grids.tolist():
+            assert is_regular(YoungTableau(dims, grid))
+        assert grids.max() == dims.total
 
 
 def assert_depth_matches(probs, dims, seeds, n_d):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qaeopt.search
+import qaeopt.tableau
 from oracles import (
     brute_force_min_mi,
     brute_force_regular_set,
@@ -32,7 +33,7 @@ from qaeopt import (
     tableau_mutual_information,
 )
 from qaeopt.qstate import MAX_COUNT_CELLS
-from qaeopt.tableau import candidate_swaps
+from qaeopt.tableau import candidate_swaps, regular_grid_blocks
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -113,17 +114,52 @@ class TestEnumerate:
         ts = [t.cells for t in enumerate_regular(BipartiteDims(3, 4))]
         assert len(ts) == len(set(ts))
 
-    @pytest.mark.parametrize("d_a,d_b", [(d_a, d_b) for d_a in range(1, 4) for d_b in range(1, 5)])
+    @pytest.mark.parametrize(
+        "d_a,d_b",
+        [(d_a, d_b) for d_a in range(1, 4) for d_b in range(1, 5)] + [(4, 4), (2, 9), (5, 3)],
+    )
     @pytest.mark.parametrize("exploit_symmetry", [False, True])
-    @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize(
+        "block,cap",
+        [
+            pytest.param(block, cap, id=f"{block}" if cap is None else f"{block}-cap{cap}")
+            for cap in (None, 4, 64)
+            for block in (None, 1, 3)
+        ],
+    )
     def test_order_matches_recursive_reference(
-        self, d_a, d_b, exploit_symmetry, block, monkeypatch
+        self, d_a, d_b, exploit_symmetry, block, cap, monkeypatch
     ):
-        if block is not None:  # small blocks split the array traversal often
-            monkeypatch.setattr(qaeopt.search, "BREADTH_BLOCK", block)
+        if cap is not None:  # a small cap joins every grid from prefixes and suffixes
+            monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
         dims = BipartiteDims(d_a, d_b)
-        got = [t.cells for t in enumerate_regular(dims, exploit_symmetry)]
-        assert got == list(scalar_enumerate(dims, exploit_symmetry))
+        want = list(scalar_enumerate(dims, exploit_symmetry))
+        if block is None:
+            got = [t.cells for t in enumerate_regular(dims, exploit_symmetry)]
+            assert got == want
+            block = qaeopt.search.BREADTH_BLOCK
+        # Small blocks split the prefix walk often; every block but the last is full.
+        blocks = list(regular_grid_blocks(dims, block, exploit_symmetry))
+        assert all(len(b) == block for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= block
+        assert [tuple(map(tuple, grid)) for b in blocks for grid in b.tolist()] == want
+
+    @pytest.mark.parametrize("d_a,d_b,cap", [(2, 15, 2**16), (3, 7, 2**16), (4, 4, 64), (5, 3, 64)])
+    def test_suffix_cache_holds_at_most_cap_grids(self, d_a, d_b, cap, monkeypatch):
+        monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
+        walk, walked = qaeopt.tableau._walk, []
+
+        def spy(lengths, *rest):
+            pieces = list(walk(lengths, *rest))
+            walked.append((lengths.tobytes(), sum(len(grids) for _, grids in pieces)))
+            return iter(pieces)
+
+        monkeypatch.setattr(qaeopt.tableau, "_walk", spy)
+        dims = BipartiteDims(d_a, d_b)
+        leaves = sum(len(b) for b in regular_grid_blocks(dims, 2048, d_a == d_b))
+        assert leaves == count_regular(dims) // (2 if d_a == d_b else 1)
+        shapes = walked[1:]  # the first walk is the prefix walk
+        assert len({key for key, _ in shapes}) == len(shapes) > 1  # each shape once
+        assert sum(k for _, k in shapes) <= cap
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetry_halving(self, d):
