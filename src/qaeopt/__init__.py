@@ -9,16 +9,10 @@ randomized search beyond.
 
 __version__ = "0.1.0"
 
-from .exceptions import (
-    CanonicalizationError,
-    SearchSpaceTooLargeError,
-    StateFileError,
-    ValidationError,
-)
+from .exceptions import StateFileError, ValidationError
 from .qstate import (
     BipartiteDims,
     DensityMatrix,
-    HermitianMatrix,
     Spectrum,
     apply_unitary,
     eigendecompose,
@@ -37,7 +31,6 @@ from .tableau import (
     arrange,
     canonicalize_decreasing,
     count_regular,
-    enumerate_regular,
     is_decreasing,
     is_regular,
     random_regular,
@@ -49,9 +42,6 @@ from .search import (
     DEFAULT_EXHAUSTIVE_THRESHOLD,
     OptimizationResult,
     SearchConfig,
-    breadth_first,
-    depth_first,
-    exhaustive_search,
     optimize,
 )
 from .pipeline import (
@@ -70,18 +60,15 @@ from .statefile import StateFile, file_digest, load_statefile, save_statefile
 __all__ = [
     "__version__",
     "BipartiteDims",
-    "CanonicalizationError",
     "CanonicalizationResult",
     "CompressionReport",
     "DEFAULT_EXHAUSTIVE_THRESHOLD",
     "DensityMatrix",
     "EncoderPlan",
-    "HermitianMatrix",
     "OptimizationResult",
     "Permutation",
     "ProbabilityTableau",
     "SearchConfig",
-    "SearchSpaceTooLargeError",
     "Spectrum",
     "StateFile",
     "StateFileError",
@@ -89,15 +76,11 @@ __all__ = [
     "YoungTableau",
     "apply_unitary",
     "arrange",
-    "breadth_first",
     "build_encoder",
     "canonicalize_decreasing",
     "compress_reconstruct",
     "count_regular",
-    "depth_first",
     "eigendecompose",
-    "enumerate_regular",
-    "exhaustive_search",
     "file_digest",
     "generate_instance",
     "haar_unitary",

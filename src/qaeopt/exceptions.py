@@ -5,16 +5,5 @@ class ValidationError(ValueError):
     """An input violates a documented invariant (shape, hermiticity, normalization, ...)."""
 
 
-class SearchSpaceTooLargeError(RuntimeError):
-    """Exhaustive traversal was requested for a tableau space above the configured threshold.
-
-    Callers should fall back to the two-phase heuristic search.
-    """
-
-
-class CanonicalizationError(RuntimeError):
-    """Row/column sorting failed to reach a decreasing matrix within the pass cap."""
-
-
 class StateFileError(ValueError):
     """A state file is missing, malformed, or fails its format invariants."""

@@ -82,10 +82,8 @@ def build_encoder(spectrum: Spectrum, tableau: YoungTableau, dims: BipartiteDims
         )
     if tableau.dims != dims:
         raise ValidationError(f"tableau dims {tableau.dims} do not match {dims}")
-    v_d = spectrum.vectors.conj()
-    dest = np.asarray(tableau.cell_permutation().mapping)
-    u = np.empty_like(v_d)
-    u[dest] = v_d
+    # Row c of U is the conjugated eigenvector of the value in flat cell c.
+    u = spectrum.vectors.conj()[tableau.index_array.ravel()]
     # U's rows are the conjugated eigenvectors, permuted, so it is unitary
     # within the orthonormality tolerance that Spectrum enforces; _reconstruct
     # checks U once more, as it checks every unitary it is given.

@@ -66,8 +66,9 @@ class BipartiteDims:
             )
 
 
-class HermitianMatrix:
-    """Immutable complex square matrix with conjugate symmetry.
+class DensityMatrix:
+    """Immutable complex square matrix that is Hermitian, with unit trace and
+    nonnegative spectrum (within tolerance).
 
     The backing array is copied at construction and marked read-only, so
     instances are safe to share across threads.
@@ -86,6 +87,14 @@ class HermitianMatrix:
             raise ValidationError(
                 f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e} > {HERMITICITY_TOL}"
             )
+        tr = mat.trace()
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValidationError(f"trace must be 1 within {TRACE_TOL}, got {tr}")
+        lo = np.linalg.eigvalsh(mat).min()
+        if lo < -PSD_TOL:
+            raise ValidationError(
+                f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
+            )
         mat.setflags(write=False)
         self._mat = mat
 
@@ -100,21 +109,6 @@ class HermitianMatrix:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
-
-
-class DensityMatrix(HermitianMatrix):
-    """Hermitian matrix with unit trace and nonnegative spectrum (within tolerance)."""
-
-    def __init__(self, entries) -> None:
-        super().__init__(entries)
-        tr = self._mat.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace must be 1 within {TRACE_TOL}, got {tr}")
-        lo = np.linalg.eigvalsh(self._mat).min()
-        if lo < -PSD_TOL:
-            raise ValidationError(
-                f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
-            )
 
 
 def _check_mass(p: np.ndarray) -> None:

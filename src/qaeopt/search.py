@@ -18,7 +18,7 @@ block at once, scores the block, and keeps only the block's best few grids,
 which bounds memory for any n1. The depth phase moves all seeds together, scoring
 every candidate swap of every seed per iteration, and drops a seed once it
 swaps back and forth between two tableaux, counting the rest of its
-descent (see ``depth_first``). Sums run in the same order as the scalar
+descent (see ``_depth``). Sums run in the same order as the scalar
 loops kept in tests/oracles.py, so results match them bit for bit.
 
 Everything is deterministic given the config seed: each draw has its own RNG
@@ -27,9 +27,10 @@ not depend on the block size or on how draws are split across workers. The
 streams are computed here as uint32/uint64 array code, word for word those
 numpy makes, so the search never loads ``numpy.random``.
 
-The public entry points validate their arguments; ``optimize`` validates and
-counts once and then calls the private bodies ``_exhaustive``, ``_breadth``
-and ``_depth``.
+``optimize`` is the one entry point: it validates the probabilities once,
+routes by ``count_regular``, and builds the one ``OptimizationResult`` from
+what the private phases ``_exhaustive``, ``_breadth`` and ``_depth`` return
+as plain arrays and numbers.
 """
 
 from __future__ import annotations
@@ -40,19 +41,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
-from .exceptions import SearchSpaceTooLargeError, ValidationError
+from .exceptions import ValidationError
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _probability_vector, shannon_entropy
-from .tableau import (
-    YoungTableau,
-    candidate_swaps,
-    count_regular,
-    is_regular,
-    regular_grid_blocks,
-)
+from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_blocks
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
 # Draws sampled and scored together. All n1 draws at once would hold every
@@ -346,38 +340,24 @@ def _min_before(scores: np.ndarray, floor: float) -> np.ndarray:
     return np.minimum.accumulate(np.concatenate(([floor], scores)))[:-1]
 
 
-def exhaustive_search(
-    probs,
-    dims: BipartiteDims,
-    exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
-) -> OptimizationResult:
-    """Globally minimal tableau by full traversal; ties go to the first
-    tableau in enumeration order.
+# What _exhaustive and _depth return: the best value grid, its mutual
+# information, the evaluation count, the best-seen trajectory and the index of
+# the depth seed that found the best grid (None for exhaustive traversal).
+Outcome = tuple[np.ndarray, float, int, list[float], int | None]
+
+
+def _exhaustive(p: np.ndarray, dims: BipartiteDims) -> Outcome:
+    """Globally minimal grid by full traversal; ties go to the first grid in
+    enumeration order.
 
     For square grids only one representative per transpose pair is evaluated
     (transposition swaps the two marginals and leaves the mutual information
-    unchanged), so ``evaluations`` is half the total count there.
+    unchanged), so the evaluation count is half the total count there.
 
     The leaves come from ``tableau.regular_grid_blocks`` as value grids in
-    blocks of BREADTH_BLOCK, and each block is scored at once; only the
-    winner becomes a ``YoungTableau``. Memory stays bounded (about 40 MB of
-    process RSS at 2x15). On one x86-64 core this takes 0.3 µs per leaf at
-    (3,7) and 0.55 µs at 2x15: about 5 s for its 9,694,845 leaves, the
-    largest space the default threshold sends here, nearly all of it in
-    scoring.
+    blocks of BREADTH_BLOCK, and each block is scored at once. Memory stays
+    bounded (about 40 MB of process RSS at 2x15).
     """
-    p = _probability_vector(probs, dims.total)
-    total = count_regular(dims)
-    if total > exhaustive_threshold:
-        raise SearchSpaceTooLargeError(
-            f"{total} regular tableaux exceed the exhaustive threshold "
-            f"{exhaustive_threshold}; use the two-phase heuristic search"
-        )
-    return _exhaustive(p, dims)
-
-
-def _exhaustive(p: np.ndarray, dims: BipartiteDims) -> OptimizationResult:
-    """Body of ``exhaustive_search`` for validated probabilities."""
     h_flat = shannon_entropy(p)
     best_mi = best_rough = math.inf
     best_grid = None
@@ -399,14 +379,7 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims) -> OptimizationResult:
             best_mi = trajectory[-1]
             best_grid = grids[near[records[-1]]]
     assert best_grid is not None
-    return OptimizationResult(
-        best_tableau=YoungTableau(dims, best_grid.tolist()),
-        best_mi=best_mi,
-        method="exhaustive",
-        evaluations=evaluations,
-        trajectory=tuple(trajectory),
-        seed_provenance=None,
-    )
+    return best_grid, best_mi, evaluations, trajectory, None
 
 
 Candidate = tuple[float, int, np.ndarray]  # (mi, draw index, value grid)
@@ -460,22 +433,13 @@ def _breadth_chunk(
     return best
 
 
-def breadth_first(
-    probs, dims: BipartiteDims, config: SearchConfig
-) -> tuple[tuple[YoungTableau, float], ...]:
-    """Sample n1 random regular tableaux and return the n2 distinct ones with
-    the smallest mutual information, ascending.
+def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig) -> list[Candidate]:
+    """Sample n1 random regular grids and return the n2 distinct ones with
+    the smallest mutual information, ascending by (mi, draw index).
 
     Draw i uses the RNG stream ``PCG64(SeedSequence((config.seed, i)))``, so
     the result is independent of how draws are split into blocks and workers.
     """
-    p = _probability_vector(probs, dims.total)
-    best = _breadth(p, dims, config)
-    return tuple((YoungTableau(dims, grid.tolist()), mi) for mi, _idx, grid in best)
-
-
-def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig) -> list[Candidate]:
-    """Body of ``breadth_first`` for validated probabilities."""
     jobs = worker_count(config.parallelism, config.n1, usable_cpus())
     if jobs == 1:
         parts = [_breadth_chunk(p, dims.d_a, dims.d_b, config.seed, 0, config.n1, config.n2)]
@@ -498,52 +462,30 @@ def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig) -> list[C
     return _merge_best(parts, config.n2)
 
 
-def depth_first(
-    probs,
-    dims: BipartiteDims,
-    seeds: Sequence[YoungTableau],
-    config: SearchConfig,
-) -> OptimizationResult:
-    """Iterated best-neighbour descent from each seed.
+def _depth(p: np.ndarray, dims: BipartiteDims, grids: np.ndarray, config: SearchConfig) -> Outcome:
+    """Iterated best-neighbour descent from each regular seed value grid of
+    ``grids``, shape (seeds, d_a, d_b).
 
     Each iteration moves to the neighbour with minimal mutual information,
-    even when that is worse than the current tableau (the move set never
-    contains the current tableau), and the globally best tableau seen across
-    all trajectories is returned. A trajectory halts early when a tableau has
-    no regular neighbour.
+    even when that is worse than the current grid (the move set never
+    contains the current grid), and the globally best grid seen across all
+    trajectories is returned. A trajectory halts early when a grid has no
+    regular neighbour.
 
-    A trajectory that makes the same swap twice in a row is back on the
-    tableau it held two iterations before, and stops being computed there.
-    That is exact: a swap undoes itself, and the move chosen from a tableau
-    depends on that tableau alone (marginals are summed afresh, ties go to
-    the first swap), so every later iteration repeats one of the last two,
-    bit for bit. Their evaluations are counted from those two; they can set
-    no new best, so their mutual information is never needed. In the
-    paper's 8x8 protocol every seed measured entered such a 2-cycle, at
-    iteration 36 to 160 of 200.
+    A trajectory that makes the same swap twice in a row is back on the grid
+    it held two iterations before, and stops being computed there. That is
+    exact: a swap undoes itself, and the move chosen from a grid depends on
+    that grid alone (marginals are summed afresh, ties go to the first swap),
+    so every later iteration repeats one of the last two, bit for bit. Their
+    evaluations are counted from those two; they can set no new best, so
+    their mutual information is never needed. In the paper's 8x8 protocol
+    every seed measured entered such a 2-cycle, at iteration 36 to 160 of 200.
 
     All seeds descend together, one iteration at a time; the best-seen
     record is then replayed seed by seed, as if each trajectory had run to
     its end before the next one started. Ties go to the first swap in
     ``candidate_swaps`` order.
     """
-    p = _probability_vector(probs, dims.total)
-    if len(seeds) == 0:
-        raise ValidationError("depth-first search requires at least one seed tableau")
-    for s in seeds:
-        if s.dims != dims:
-            raise ValidationError(f"seed dims {s.dims} do not match {dims}")
-        if not is_regular(s):
-            raise ValidationError("depth-first seeds must be regular tableaux")
-
-    return _depth(p, dims, np.array([s.cells for s in seeds], dtype=np.intp), config)
-
-
-def _depth(
-    p: np.ndarray, dims: BipartiteDims, grids: np.ndarray, config: SearchConfig
-) -> OptimizationResult:
-    """Body of ``depth_first`` for validated probabilities and regular seed
-    value grids, shape (seeds, d_a, d_b)."""
     h_flat = shannon_entropy(p)
     n_seeds, n = len(grids), dims.total
     swaps = np.array(list(candidate_swaps(n)), dtype=np.intp).reshape(-1, 2)
@@ -663,14 +605,7 @@ def _depth(
                 overall, best_seed = x, si
             trajectory.append(overall)
 
-    return OptimizationResult(
-        best_tableau=YoungTableau(dims, best_grid[best_seed].tolist()),
-        best_mi=overall,
-        method="heuristic",
-        evaluations=evaluations,
-        trajectory=tuple(trajectory),
-        seed_provenance=best_seed,
-    )
+    return best_grid[best_seed], overall, evaluations, trajectory, best_seed
 
 
 def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> OptimizationResult:
@@ -687,25 +622,19 @@ def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> 
     initial_mi = float(_block_mi(p, start, shannon_entropy(p))[0])
 
     if count_regular(dims) <= config.exhaustive_threshold:
-        inner = _exhaustive(p, dims)
+        method, outcome = "exhaustive", _exhaustive(p, dims)
     else:
         seeds = np.array([grid for _mi, _idx, grid in _breadth(p, dims, config)])
-        inner = _depth(p, dims, seeds, config)
+        method, outcome = "heuristic", _depth(p, dims, seeds, config)
+    grid, best_mi, evaluations, trajectory, provenance = outcome
 
-    if inner.best_mi <= initial_mi:
-        best_tableau, best_mi, provenance = (
-            inner.best_tableau,
-            inner.best_mi,
-            inner.seed_provenance,
-        )
-    else:
-        best_tableau, best_mi, provenance = YoungTableau.row_major(dims), initial_mi, None
-    trajectory = (initial_mi,) + tuple(min(x, initial_mi) for x in inner.trajectory)
+    if best_mi > initial_mi:
+        grid, best_mi, provenance = start[0], initial_mi, None
     return OptimizationResult(
-        best_tableau=best_tableau,
+        best_tableau=YoungTableau(dims, grid.tolist()),
         best_mi=best_mi,
-        method=inner.method,
-        evaluations=inner.evaluations + 1,
-        trajectory=trajectory,
+        method=method,
+        evaluations=evaluations + 1,
+        trajectory=(initial_mi,) + tuple(min(x, initial_mi) for x in trajectory),
         seed_provenance=provenance,
     )

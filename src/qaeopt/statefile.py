@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -57,26 +58,39 @@ class StateFile:
         return np.clip(np.sort(vals)[::-1], 0.0, None)
 
 
-def _float_array(raw, name: str) -> np.ndarray:
+def _float_array(raw, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``raw`` as a float array of ``shape``, from nested JSON lists of that
+    shape whose entries are all JSON numbers.
+
+    ``np.asarray(raw, dtype=float)`` would also read the strings "0.5",
+    booleans and null (as NaN), so nesting and entry types are checked here,
+    one level at a time. Converting the flat list once is also faster than
+    numpy's conversion of the nested lists.
+    """
+    level = [raw]
+    for size in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            raise StateFileError(f"{name} is not a numeric array of shape {shape}")
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        raise StateFileError(
+            f"{name} is not a numeric array: it must hold JSON numbers only, "
+            "not strings, booleans or null"
+        )
     try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged nesting or non-numeric entries
+        return np.array(level, dtype=float).reshape(shape)
+    except OverflowError as exc:  # an integer beyond the float range
         raise StateFileError(f"{name} is not a numeric array: {exc}") from exc
 
 
 def _complex_matrix(raw, n: int) -> np.ndarray:
-    arr = _float_array(raw, "matrix")
-    if arr.shape != (n, n, 2):
-        raise StateFileError(
-            f"matrix must be {n} x {n} with [re, im] entries, got shape {arr.shape}"
-        )
     # A view of the [re, im] pairs does no arithmetic, so NaN or infinity
     # reaches DensityMatrix's finiteness check without a numpy warning.
-    return arr.view(complex)[..., 0]
+    return _float_array(raw, "matrix", (n, n, 2)).view(complex)[..., 0]
 
 
 def _spectrum(raw, n: int) -> np.ndarray:
-    p = _float_array(raw, "spectrum")
+    p = _float_array(raw, "spectrum", (n,))
     total = p.sum()
     # A sum that is not finite comes from an entry that is not, which the
     # probability check names.

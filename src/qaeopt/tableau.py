@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .exceptions import CanonicalizationError, ValidationError
+from .exceptions import ValidationError
 from .qstate import BipartiteDims, _check_mass, _probability_vector, shannon_entropy
 
 
@@ -105,11 +105,6 @@ class YoungTableau:
             BipartiteDims(self.dims.d_b, self.dims.d_a),
             tuple(zip(*self.cells)),
         )
-
-    def cell_permutation(self) -> Permutation:
-        """Permutation sending flat source index v-1 to the flat cell holding value v."""
-        d_b = self.dims.d_b
-        return Permutation(tuple(i * d_b + j for i, j in self.positions))
 
     def __str__(self) -> str:
         width = len(str(self.dims.total))
@@ -248,21 +243,6 @@ def regular_grid_blocks(
         yield out[:filled].reshape(-1, d_a, d_b)
 
 
-def enumerate_regular(
-    dims: BipartiteDims, exploit_symmetry: bool = False
-) -> Iterator[YoungTableau]:
-    """Stream every regular filling exactly once as a ``YoungTableau``, in the
-    depth-first order of ``regular_grid_blocks``, the traversal that the
-    exhaustive search scores. With ``exploit_symmetry`` a square grid yields
-    one representative per transpose pair: value 2 is pinned to cell (0, 1).
-    """
-    from .search import BREADTH_BLOCK  # search imports this module
-
-    for grids in regular_grid_blocks(dims, BREADTH_BLOCK, exploit_symmetry):
-        for grid in grids.tolist():
-            yield YoungTableau(dims, grid)
-
-
 def count_regular(dims: BipartiteDims) -> int:
     """Number of regular fillings of the d_a x d_b rectangle (hook length formula).
 
@@ -398,36 +378,20 @@ class CanonicalizationResult(NamedTuple):
 
 
 def canonicalize_decreasing(pt: ProbabilityTableau) -> CanonicalizationResult:
-    """Alternate tau_A / tau_B passes until the grid is a decreasing matrix.
+    """Sort the columns, then the rows, stopping once the grid is a decreasing
+    matrix; sorting columns and then rows always lands on one.
 
-    Returns the composed within-column permutation, the composed within-row
-    permutation, the fixed point, and the pass count: matrix-changing sorting
-    passes plus the final verification pass (an already-decreasing input
-    reports 1). Sorting columns and then rows always lands on a decreasing
-    matrix, so the output equals ``col_perm`` applied after ``row_perm``; the
-    loop still guards against non-termination with a hard cap.
+    Returns the within-column permutation, the within-row permutation, the
+    decreasing matrix (``col_perm`` applied after ``row_perm``), and the pass
+    count: matrix-changing sorting passes plus the final verification pass
+    (an already-decreasing input reports 1), so at most 3.
     """
-    n = pt.dims.total
-    cap = 10 * n
-    row_perm = Permutation.identity(n)
-    col_perm = Permutation.identity(n)
-    current = pt
-    passes = 0
-    attempts = 0
-    sort_columns_next = True
-    while not is_decreasing(current):
-        attempts += 1
-        if attempts > cap:
-            raise CanonicalizationError(
-                f"no decreasing matrix after {cap} passes for dims {pt.dims}"
-            )
-        if sort_columns_next:
-            perm, current = sort_within_columns(current)
-            row_perm = perm.compose_after(row_perm)
-        else:
-            perm, current = sort_within_rows(current)
-            col_perm = perm.compose_after(col_perm)
-        if not perm.is_identity():
-            passes += 1
-        sort_columns_next = not sort_columns_next
-    return CanonicalizationResult(row_perm, col_perm, current, passes + 1)
+    row_perm = col_perm = Permutation.identity(pt.dims.total)
+    passes = 1
+    if not is_decreasing(pt):
+        row_perm, pt = sort_within_columns(pt)
+        passes += not row_perm.is_identity()
+        if not is_decreasing(pt):
+            col_perm, pt = sort_within_rows(pt)
+            passes += not col_perm.is_identity()
+    return CanonicalizationResult(row_perm, col_perm, pt, passes)

@@ -156,7 +156,7 @@ def scalar_enumerate(dims: BipartiteDims, exploit_symmetry: bool = False):
 def scalar_exhaustive(probs, dims: BipartiteDims) -> dict:
     """Leaf-by-leaf exhaustive search over scalar_enumerate (one representative
     per transpose pair on square grids) keeping the first strict minimum; the
-    fields of the OptimizationResult it should equal."""
+    fields of search._exhaustive's outcome it should equal."""
     p = np.asarray(probs, dtype=float)
     pr = [float(x) for x in p]
     h_flat = shannon_entropy(p)
@@ -251,7 +251,7 @@ def neighbors(t: YoungTableau) -> tuple[YoungTableau, ...]:
 
 def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:
     """Seed-by-seed, swap-by-swap best-neighbour descent with best-seen
-    tracking; the fields of the OptimizationResult it should equal, and
+    tracking; the fields of search._depth's outcome it should equal, and
     under "choices" the (u, w) swap of each iteration, one tuple per seed."""
     p = np.asarray(probs, dtype=float)
     d_a, d_b, n = dims.d_a, dims.d_b, dims.total

@@ -18,13 +18,11 @@ from qaeopt import (
     SearchConfig,
     YoungTableau,
     arrange,
-    breadth_first,
     build_encoder,
     canonicalize_decreasing,
     compress_reconstruct,
     count_regular,
     eigendecompose,
-    exhaustive_search,
     generate_instance,
     is_decreasing,
     optimize,
@@ -81,7 +79,7 @@ def test_02_regular_minimum_equals_global_minimum():
         dims = BipartiteDims(d_a, d_b)
         for trial in range(50):
             probs = descending_probs(dims.total, MASTER_SEED + 1000 * d_b + trial)
-            exact = exhaustive_search(probs, dims).best_mi
+            exact = optimize(probs, dims).best_mi
             brute = brute_force_min_mi(probs, d_a, d_b)
             worst = max(worst, abs(exact - brute))
     report(
@@ -110,11 +108,11 @@ def test_03_canonicalization_monotone_and_terminates():
             _, current = sorters[passes % 2](current)
             worst_rise = max(worst_rise, tableau_mutual_information(current) - before)
             passes += 1
-            assert passes <= 10 * dims.total
+            assert passes <= 2
         max_passes = max(max_passes, passes)
         res = canonicalize_decreasing(pt)
         assert is_decreasing(res.tableau)
-        assert res.passes <= 10 * dims.total
+        assert res.passes <= 3
     report(
         "3 canonicalization monotone and terminating",
         worst_rise < 1e-12,
@@ -159,7 +157,7 @@ def test_05_perfect_compression_faithfulness():
     for trial in range(20):
         rho = generate_instance("product-spectrum", dims, MASTER_SEED + 500 + trial)
         spectrum = eigendecompose(rho)
-        result = exhaustive_search(spectrum.probs, dims)
+        result = optimize(spectrum.probs, dims)
         plan = build_encoder(spectrum, result.best_tableau, dims)
         _, sigma_out = compress_reconstruct(rho, plan)
         worst_mi = max(worst_mi, result.best_mi)
@@ -209,7 +207,7 @@ def test_07_mixed_state_batch_8x8_and_heuristic_vs_exact():
         small = BipartiteDims(d, d)
         for trial in range(5):
             probs = descending_probs(small.total, MASTER_SEED + 700 + trial)
-            exact = exhaustive_search(probs, small).best_mi
+            exact = optimize(probs, small).best_mi
             heur = optimize(
                 probs, small,
                 SearchConfig(n1=500, n2=6, n_d=30, seed=trial, exhaustive_threshold=1),
@@ -238,9 +236,9 @@ def test_08_determinism(tmp_path, capsys):
         and a.evaluations == b.evaluations
     )
 
-    seq = breadth_first(probs, dims, SearchConfig(n1=300, n2=8, seed=6, parallelism=1))
-    par = breadth_first(probs, dims, SearchConfig(n1=300, n2=8, seed=6, parallelism=3))
-    same_parallel = [(t.cells, mi) for t, mi in seq] == [(t.cells, mi) for t, mi in par]
+    seq = optimize(probs, dims, SearchConfig(n1=300, n2=8, seed=6, exhaustive_threshold=1))
+    par = optimize(probs, dims, SearchConfig(n1=300, n2=8, seed=6, exhaustive_threshold=1, parallelism=3))
+    same_parallel = seq.to_dict() == par.to_dict()
 
     from qaeopt import save_statefile
 

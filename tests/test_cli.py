@@ -164,8 +164,9 @@ class TestOptimize:
             '"spectrum": [[0.5], [0.2, 0.3]]',
             '"matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]',
             '"spectrum": [0.4, "half", 0.1, 0.1]',
+            '"spectrum": [1' + "0" * 400 + ', 0, 0, 0]',
         ],
-        ids=["ragged-spectrum", "ragged-matrix", "string-entry"],
+        ids=["ragged-spectrum", "ragged-matrix", "string-entry", "integer-beyond-float"],
     )
     def test_malformed_array_exit_2(self, capsys, tmp_path, payload):
         path = tmp_path / "malformed.json"
@@ -174,6 +175,27 @@ class TestOptimize:
         code, lines, err = run_cli(capsys, "optimize", str(path))
         assert code == 2 and not lines
         assert "not a numeric array" in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '"spectrum": ["0.5", 0.5]',
+            '"spectrum": [true, false]',
+            '"spectrum": [null, 1.0]',
+            '"matrix": [[[0.5, 0.0], [0.0, "0"]], [[0.0, 0.0], [0.5, 0.0]]]',
+            '"matrix": [[[0.5, 0.0], [0.0, false]], [[0.0, 0.0], [0.5, 0.0]]]',
+            '"matrix": [[[0.5, 0.0], [0.0, null]], [[0.0, 0.0], [0.5, 0.0]]]',
+        ],
+        ids=["spectrum-string", "spectrum-bool", "spectrum-null", "matrix-string", "matrix-bool", "matrix-null"],
+    )
+    def test_entries_not_json_numbers_exit_2(self, capsys, tmp_path, payload):
+        # numpy would read "0.5" and true as numbers and null as NaN.
+        path = tmp_path / "typed.json"
+        path.write_text(f'{{"d_a": 1, "d_b": 2, {payload}}}')
+        code, lines, err = run_cli(capsys, "optimize", str(path))
+        assert code == 2 and not lines
+        field = "matrix" if "matrix" in payload else "spectrum"
+        assert f"{field} is not a numeric array: it must hold JSON numbers only" in err
 
     @pytest.mark.parametrize("d_a,d_b", [(2.7, 2), (2.0, 2), (True, 4), (1, "4")])
     def test_dims_not_json_integers_exit_2(self, capsys, tmp_path, d_a, d_b):

@@ -15,10 +15,10 @@ from qaeopt import (
     build_encoder,
     compress_reconstruct,
     eigendecompose,
-    exhaustive_search,
     generate_instance,
     haar_unitary,
     mutual_information,
+    optimize,
     partial_trace,
     random_regular,
     suboptimal_auxiliary_gap,
@@ -68,11 +68,11 @@ class TestBuildEncoder:
     def test_eigenvector_mapping(self):
         rho = generate_instance("random-dense", DIMS22, 4)
         spectrum, plan = encoder_for(rho, DIMS22, tableau_seed=1)
-        flat = plan.tableau.cell_permutation().mapping
-        for alpha in range(4):
+        # Eigenvector alpha goes to the basis vector of the cell holding alpha + 1.
+        for alpha, (i, j) in enumerate(plan.tableau.positions):
             image = plan.u @ spectrum.vectors[alpha]
             basis = np.zeros(4)
-            basis[flat[alpha]] = 1.0
+            basis[i * DIMS22.d_b + j] = 1.0
             assert np.abs(image - basis).max() < 1e-9
 
     def test_dims_mismatch(self):
@@ -121,7 +121,7 @@ class TestCompressReconstruct:
     def test_zero_mi_plan_reconstructs_perfectly(self):
         rho = generate_instance("product-spectrum", DIMS22, 5)
         probs = eigendecompose(rho).probs
-        best = exhaustive_search(probs, DIMS22)
+        best = optimize(probs, DIMS22)
         assert best.best_mi < 1e-12
         plan = build_encoder(eigendecompose(rho), best.best_tableau, DIMS22)
         _, sigma_out = compress_reconstruct(rho, plan)
@@ -212,7 +212,7 @@ class TestGenerateInstance:
     def test_product_spectrum_admits_zero_mi(self):
         rho = generate_instance("product-spectrum", DIMS23, 1)
         probs = np.diag(rho.matrix).real
-        assert exhaustive_search(probs, DIMS23).best_mi < 1e-12
+        assert optimize(probs, DIMS23).best_mi < 1e-12
 
     def test_pure_instance_has_unit_purity(self):
         rho = generate_instance("pure", DIMS22, 2)

@@ -14,9 +14,6 @@ from qaeopt import (
     ValidationError,
     YoungTableau,
     arrange,
-    breadth_first,
-    depth_first,
-    exhaustive_search,
     load_statefile,
     optimize,
     save_statefile,
@@ -25,6 +22,8 @@ from qaeopt.qstate import ENTRY_TOL, MONOTONE_SLACK, SPECTRUM_SUM_TOL, SUM_TOL
 
 DIMS = BipartiteDims(2, 2)
 CONFIG = SearchConfig(n1=4, n2=2, n_d=2)
+# 2x2 has two regular tableaux: traversed by default, sampled below a threshold of 2.
+HEURISTIC = SearchConfig(n1=4, n2=2, n_d=2, exhaustive_threshold=1)
 
 
 def _load(p, tmp_path):
@@ -36,9 +35,7 @@ def _load(p, tmp_path):
 ENTRY_POINTS = {
     "Spectrum": lambda p, _: Spectrum(p, np.eye(4)),
     "optimize": lambda p, _: optimize(p, DIMS, CONFIG),
-    "exhaustive_search": lambda p, _: exhaustive_search(p, DIMS),
-    "breadth_first": lambda p, _: breadth_first(p, DIMS, CONFIG),
-    "depth_first": lambda p, _: depth_first(p, DIMS, [YoungTableau.row_major(DIMS)], CONFIG),
+    "optimize-heuristic": lambda p, _: optimize(p, DIMS, HEURISTIC),
     "arrange": lambda p, _: arrange(p, YoungTableau.row_major(DIMS)),
     "load_statefile": _load,
 }

@@ -2,31 +2,30 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qaeopt
 from oracles import brute_force_min_mi, neighbors
 from qaeopt import (
     BipartiteDims,
     SearchConfig,
-    SearchSpaceTooLargeError,
     ValidationError,
     YoungTableau,
     arrange,
-    breadth_first,
     count_regular,
-    depth_first,
-    enumerate_regular,
-    exhaustive_search,
     is_regular,
     optimize,
     random_regular,
     tableau_mutual_information,
 )
-from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS
+from qaeopt.qstate import MI_ROUNDOFF_TOL
+from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS, _breadth, _depth, _exhaustive
+from qaeopt.tableau import regular_grid_blocks
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -70,36 +69,45 @@ class TestSearchConfig:
             SearchConfig(n1=MAX_DRAWS + 1, n2=1)
 
 
+# Small grids route to exhaustive traversal by default. optimize counts the
+# starting arrangement as one evaluation on top of the traversal's.
+
+
 class TestExhaustive:
     def test_product_probs_reach_zero(self):
-        res = exhaustive_search(product_probs(2, 2, 5), DIMS22)
+        res = optimize(product_probs(2, 2, 5), DIMS22)
         assert res.best_mi < 1e-12
         assert res.method == "exhaustive"
 
     def test_pure_state_zero(self):
-        res = exhaustive_search([1.0, 0.0, 0.0, 0.0], DIMS22)
+        res = optimize([1.0, 0.0, 0.0, 0.0], DIMS22)
         assert res.best_mi == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force_2x3(self, seed):
         probs = descending_probs(6, seed)
-        res = exhaustive_search(probs, DIMS23)
+        res = optimize(probs, DIMS23)
+        assert res.method == "exhaustive"
         assert abs(res.best_mi - brute_force_min_mi(probs, 2, 3)) < 1e-12
-        assert res.evaluations == count_regular(DIMS23)
+        assert res.evaluations == count_regular(DIMS23) + 1
 
     def test_square_grid_halves_evaluations(self):
-        res = exhaustive_search(descending_probs(9, 3), BipartiteDims(3, 3))
-        assert res.evaluations == count_regular(BipartiteDims(3, 3)) // 2
+        res = optimize(descending_probs(9, 3), BipartiteDims(3, 3))
+        assert res.method == "exhaustive"
+        assert res.evaluations == count_regular(BipartiteDims(3, 3)) // 2 + 1
 
     def test_threshold_refusal(self):
-        with pytest.raises(SearchSpaceTooLargeError):
-            exhaustive_search(descending_probs(6, 0), DIMS23, exhaustive_threshold=3)
+        # (2, 3) has 5 regular tableaux: traversed up to a threshold of 5, not beyond.
+        probs = descending_probs(6, 0)
+        cfg = SearchConfig(n1=20, n2=2, n_d=5)
+        assert optimize(probs, DIMS23, replace(cfg, exhaustive_threshold=5)).method == "exhaustive"
+        assert optimize(probs, DIMS23, replace(cfg, exhaustive_threshold=4)).method == "heuristic"
 
     def test_invalid_probs(self):
         with pytest.raises(ValidationError):
-            exhaustive_search([0.5, 0.2, 0.2, 0.2], DIMS22)
+            optimize([0.5, 0.2, 0.2, 0.2], DIMS22)
         with pytest.raises(ValidationError):
-            exhaustive_search([0.2, 0.3, 0.3, 0.2], DIMS22)
+            optimize([0.2, 0.3, 0.3, 0.2], DIMS22)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -112,28 +120,34 @@ class TestNonFiniteProbabilities:
             optimize([bad, 0.5, 0.3, 0.2], DIMS22)
 
     def test_every_search_entry_point(self, bad):
+        # optimize is the one entry point; both of its routes reject.
         probs = [0.5, 0.3, 0.2, bad]
-        cfg = SearchConfig(n1=4, n2=1, n_d=2)
-        for call in (
-            lambda: exhaustive_search(probs, DIMS22),
-            lambda: breadth_first(probs, DIMS22, cfg),
-            lambda: depth_first(probs, DIMS22, [YoungTableau.row_major(DIMS22)], cfg),
-        ):
+        for threshold in (1, 10):
+            cfg = SearchConfig(n1=4, n2=1, n_d=2, exhaustive_threshold=threshold)
             with pytest.raises(ValidationError, match="non-finite"):
-                call()
+                optimize(probs, DIMS22, cfg)
+
+
+def cells(grid):
+    return tuple(map(tuple, grid.tolist()))
+
+
+def breadth(probs, dims, config):
+    """The breadth phase alone, as [(YoungTableau, mi)] ascending."""
+    return [(YoungTableau(dims, grid.tolist()), mi) for mi, _idx, grid in _breadth(probs, dims, config)]
 
 
 class TestBreadthFirst:
     def test_single_draw(self):
         cfg = SearchConfig(n1=1, n2=1, seed=9)
-        (pair,) = breadth_first(descending_probs(4, 1), DIMS22, cfg)
+        (pair,) = breadth(descending_probs(4, 1), DIMS22, cfg)
         expected = random_regular(DIMS22, np.random.SeedSequence((9, 0)))
         assert pair[0].cells == expected.cells
 
     def test_keeps_smallest_ascending(self):
         probs = descending_probs(4, 2)
         cfg = SearchConfig(n1=100, n2=2, seed=4)
-        kept = breadth_first(probs, DIMS22, cfg)
+        kept = breadth(probs, DIMS22, cfg)
         mis = [mi for _, mi in kept]
         assert mis == sorted(mis)
         sampled = [random_regular(DIMS22, np.random.SeedSequence((4, i))) for i in range(100)]
@@ -145,7 +159,7 @@ class TestBreadthFirst:
 
     def test_distinct_and_regular(self):
         cfg = SearchConfig(n1=50, n2=12, seed=0)
-        kept = breadth_first(descending_probs(4, 3), DIMS22, cfg)
+        kept = breadth(descending_probs(4, 3), DIMS22, cfg)
         cells = [t.cells for t, _ in kept]
         assert len(cells) == len(set(cells)) <= 12
         assert all(is_regular(t) for t, _ in kept)
@@ -156,8 +170,8 @@ class TestBreadthFirst:
         # The larger n1 gives more tasks than workers, so workers take
         # several tasks each.
         for n1 in (200, 2 * BREADTH_BLOCK + 37):
-            seq = breadth_first(probs, dims, SearchConfig(n1=n1, n2=6, seed=11, parallelism=1))
-            par = breadth_first(probs, dims, SearchConfig(n1=n1, n2=6, seed=11, parallelism=3))
+            seq = breadth(probs, dims, SearchConfig(n1=n1, n2=6, seed=11, parallelism=1))
+            par = breadth(probs, dims, SearchConfig(n1=n1, n2=6, seed=11, parallelism=3))
             assert [t.cells for t, _ in seq] == [t.cells for t, _ in par]
             assert [mi for _, mi in seq] == [mi for _, mi in par]  # exact float equality
 
@@ -178,38 +192,35 @@ def naive_depth_first(probs, dims, seeds, n_d):
     return best
 
 
+def depth(probs, seeds, config):
+    """The depth phase alone from seed tableaux: (best grid, best mi,
+    evaluations, trajectory, seed provenance)."""
+    return _depth(probs, seeds[0].dims, np.array([t.cells for t in seeds]), config)
+
+
 class TestDepthFirst:
     def test_seed_at_optimum_is_retained(self):
         probs = descending_probs(4, 7)
-        opt = exhaustive_search(probs, DIMS22)
+        grid, best_mi, *_ = _exhaustive(probs, DIMS22)
         cfg = SearchConfig(n1=1, n2=1, n_d=5, seed=0)
-        res = depth_first(probs, DIMS22, [opt.best_tableau], cfg)
-        assert res.best_mi <= opt.best_mi + 1e-12
+        _, depth_mi, *_ = _depth(probs, DIMS22, grid[None], cfg)
+        assert depth_mi <= best_mi + 1e-12
 
     def test_all_seeds_find_global_minimum_2x3(self):
         probs = descending_probs(6, 11)
-        seeds = list(enumerate_regular(DIMS23))
+        seeds = np.concatenate(list(regular_grid_blocks(DIMS23, BREADTH_BLOCK)))
         cfg = SearchConfig(n1=5, n2=5, n_d=10, seed=0)
-        res = depth_first(probs, DIMS23, seeds, cfg)
-        assert abs(res.best_mi - exhaustive_search(probs, DIMS23).best_mi) < 1e-12
-        assert res.seed_provenance in range(len(seeds))
+        _, best_mi, _, _, provenance = _depth(probs, DIMS23, seeds, cfg)
+        assert abs(best_mi - _exhaustive(probs, DIMS23)[1]) < 1e-12
+        assert provenance in range(len(seeds))
 
     def test_single_row_halts_immediately(self):
         dims = BipartiteDims(1, 4)
         seed_t = YoungTableau.row_major(dims)
         cfg = SearchConfig(n1=1, n2=1, n_d=50, seed=0)
-        res = depth_first([0.4, 0.3, 0.2, 0.1], dims, [seed_t], cfg)
-        assert res.best_tableau.cells == seed_t.cells
-        assert res.trajectory == ()
-
-    def test_empty_seed_list_rejected(self):
-        with pytest.raises(ValidationError):
-            depth_first(descending_probs(4, 0), DIMS22, [], SearchConfig())
-
-    def test_irregular_seed_rejected(self):
-        t = YoungTableau(DIMS22, ((2, 1), (3, 4)))
-        with pytest.raises(ValidationError):
-            depth_first(descending_probs(4, 0), DIMS22, [t], SearchConfig())
+        grid, _, _, trajectory, _ = depth(np.array([0.4, 0.3, 0.2, 0.1]), [seed_t], cfg)
+        assert cells(grid) == seed_t.cells
+        assert trajectory == []
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_reference(self, seed):
@@ -217,15 +228,15 @@ class TestDepthFirst:
         probs = descending_probs(9, seed + 100)
         seeds = [random_regular(dims, np.random.SeedSequence((seed, k))) for k in range(3)]
         cfg = SearchConfig(n1=3, n2=3, n_d=15, seed=0)
-        res = depth_first(probs, dims, seeds, cfg)
-        assert abs(res.best_mi - naive_depth_first(probs, dims, seeds, 15)) < 1e-12
+        best_mi = depth(probs, seeds, cfg)[1]
+        assert abs(best_mi - naive_depth_first(probs, dims, seeds, 15)) < 1e-12
 
     def test_trajectory_non_increasing(self):
         probs = descending_probs(9, 17)
         dims = BipartiteDims(3, 3)
         seeds = [random_regular(dims, k) for k in range(4)]
-        res = depth_first(probs, dims, seeds, SearchConfig(n1=4, n2=4, n_d=30, seed=0))
-        assert all(a >= b for a, b in zip(res.trajectory, res.trajectory[1:]))
+        trajectory = depth(probs, seeds, SearchConfig(n1=4, n2=4, n_d=30, seed=0))[3]
+        assert all(a >= b for a, b in zip(trajectory, trajectory[1:]))
 
 
 class TestOptimize:
@@ -255,10 +266,9 @@ class TestOptimize:
             dims = BipartiteDims(d_a, d_b)
             for seed in range(4):
                 probs = descending_probs(dims.total, seed + 31)
-                exact = exhaustive_search(probs, dims)
+                exact = optimize(probs, dims)
+                assert exact.method == "exhaustive"
                 forced = SearchConfig(n1=60, n2=6, n_d=20, seed=seed, exhaustive_threshold=1)
-                with pytest.raises(SearchSpaceTooLargeError):
-                    exhaustive_search(probs, dims, exhaustive_threshold=1)
                 heur = optimize(probs, dims, forced)
                 assert heur.method == "heuristic"
                 assert heur.best_mi >= exact.best_mi - 1e-12
@@ -286,6 +296,37 @@ class TestOptimize:
         res = optimize(probs, DIMS23, SearchConfig(seed=0))
         assert res.trajectory[0] == res.initial_mi
         assert res.best_mi == res.trajectory[-1]
+
+
+@st.composite
+def spectra(draw):
+    """Small grids, single rows and columns among them, with descending
+    probabilities that hold exact ties, trailing zeros and entries near 1e-300."""
+    d_a, d_b = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        d_a, d_b = (1, d_a * d_b) if draw(st.booleans()) else (d_a * d_b, 1)
+    n = d_a * d_b
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-300, 3e-300, 1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    weights[0] = draw(st.sampled_from([1.0, 3.0]))  # a spectrum has weight somewhere
+    w = np.sort(np.array(weights))[::-1]
+    return BipartiteDims(d_a, d_b), w / w.sum(), draw(st.integers(0, 2**32 - 1))
+
+
+@given(spectra())
+@settings(max_examples=200, deadline=None)
+def test_optimize_end_to_end_properties(case):
+    dims, probs, seed = case
+    exact = optimize(probs, dims, SearchConfig(n1=30, n2=3, n_d=10, seed=seed))
+    forced = optimize(probs, dims, SearchConfig(n1=30, n2=3, n_d=10, seed=seed, exhaustive_threshold=1))
+    for res in (exact, forced):
+        assert is_regular(res.best_tableau)
+        assert -MI_ROUNDOFF_TOL <= res.best_mi <= res.initial_mi
+        assert all(a >= b for a, b in zip(res.trajectory, res.trajectory[1:]))
+        assert res.best_mi == res.trajectory[-1]
+    if dims.total <= 8:
+        minimum = brute_force_min_mi(probs, dims.d_a, dims.d_b)
+        assert abs(exact.best_mi - minimum) <= 1e-12
+        assert forced.best_mi >= minimum - 1e-12  # the heuristic is never below exact
 
 
 HEURISTIC_WITHOUT_NUMPY_RANDOM = """

@@ -23,10 +23,7 @@ from qaeopt import (
     BipartiteDims,
     SearchConfig,
     YoungTableau,
-    breadth_first,
-    depth_first,
     eigendecompose,
-    exhaustive_search,
     generate_instance,
     is_regular,
     random_regular,
@@ -35,7 +32,10 @@ from qaeopt import (
 from qaeopt.search import (
     BREADTH_BLOCK,
     _block_mi,
+    _breadth,
+    _depth,
     _draw_words,
+    _exhaustive,
     _sample_block,
     breadth_tasks,
     worker_count,
@@ -54,6 +54,26 @@ def tied_probs(weights):
 
 def descending_probs(n, seed):
     return np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
+
+
+def cells(grid):
+    return tuple(map(tuple, grid.tolist()))
+
+
+def breadth(probs, dims, config):
+    """The breadth phase as [(cells, mi)], the form scalar_breadth returns."""
+    return [(cells(grid), mi) for mi, _idx, grid in _breadth(probs, dims, config)]
+
+
+def exhaustive(probs, dims):
+    """The exhaustive phase as the fields scalar_exhaustive returns."""
+    grid, best_mi, evaluations, trajectory, _ = _exhaustive(probs, dims)
+    return {
+        "best_cells": cells(grid),
+        "best_mi": best_mi,
+        "evaluations": evaluations,
+        "trajectory": tuple(trajectory),
+    }
 
 
 @pytest.mark.parametrize("d_a,d_b", SAMPLER_DIMS)
@@ -77,9 +97,8 @@ def test_breadth_matches_scalar(d_a, d_b, n1, kind):
         probs = descending_probs(dims.total, d_a * 10 + d_b)
     else:  # every grid scores the same, so the draw index decides the ranking
         probs = np.full(dims.total, 1.0 / dims.total)
-    got = breadth_first(probs, dims, SearchConfig(n1=n1, n2=12, seed=5))
-    expected = scalar_breadth(probs, dims, 5, n1, 12)
-    assert [(t.cells, mi) for t, mi in got] == expected
+    got = breadth(probs, dims, SearchConfig(n1=n1, n2=12, seed=5))
+    assert got == scalar_breadth(probs, dims, 5, n1, 12)
 
 
 # 1 to 5 uint32 entropy words for the seed; from 4 on, the draw index is
@@ -127,8 +146,8 @@ def test_breadth_rough_scores_only_select_draws(d_a, d_b, kind, monkeypatch):
         probs = tied_probs(np.random.default_rng(n).integers(1, 4, n))
     else:
         probs = np.full(n, 1.0 / n)
-    got = breadth_first(probs, dims, SearchConfig(n1=300, n2=4, seed=3))
-    assert [(t.cells, mi) for t, mi in got] == scalar_breadth(probs, dims, 3, 300, 4)
+    got = breadth(probs, dims, SearchConfig(n1=300, n2=4, seed=3))
+    assert got == scalar_breadth(probs, dims, 3, 300, 4)
 
 
 @pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 3), (2, 5)])
@@ -140,8 +159,8 @@ def test_breadth_uniform_matches_scalar_across_blocks(d_a, d_b, block, monkeypat
         monkeypatch.setattr(qaeopt.search, "BREADTH_BLOCK", block)
     dims = BipartiteDims(d_a, d_b)
     probs = np.full(dims.total, 1.0 / dims.total)
-    got = breadth_first(probs, dims, SearchConfig(n1=200, n2=6, seed=8))
-    assert [(t.cells, mi) for t, mi in got] == scalar_breadth(probs, dims, 8, 200, 6)
+    got = breadth(probs, dims, SearchConfig(n1=200, n2=6, seed=8))
+    assert got == scalar_breadth(probs, dims, 8, 200, 6)
 
 
 @pytest.mark.parametrize("d_a,d_b", [(3, 7), (8, 8)])
@@ -196,15 +215,11 @@ def test_exhaustive_matches_scalar(d_a, d_b, kind, block, cap, monkeypatch):
         monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
     dims = BipartiteDims(d_a, d_b)
     probs = spectrum(kind, dims.total, 7 * d_a + d_b)
-    res = exhaustive_search(probs, dims)
-    ref = scalar_exhaustive(probs, dims)
-    assert res.best_tableau.cells == ref["best_cells"]
-    assert res.best_mi == ref["best_mi"]
-    assert res.trajectory == ref["trajectory"]
-    assert res.evaluations == ref["evaluations"]
+    res = exhaustive(probs, dims)
+    assert res == scalar_exhaustive(probs, dims)
     if kind == "uniform":
         first = next(scalar_enumerate(dims, exploit_symmetry=d_a == d_b))
-        assert res.trajectory == (res.best_mi,) and res.best_tableau.cells == first
+        assert res["trajectory"] == (res["best_mi"],) and res["best_cells"] == first
 
 
 @pytest.mark.parametrize("d_a,d_b", [(3, 4), (2, 8), (4, 4)])
@@ -222,18 +237,14 @@ def test_exhaustive_rough_scores_only_select_leaves(d_a, d_b, kind, monkeypatch)
         probs = descending_probs(dims.total, d_a * d_b)
     else:  # leaves whose scores differ by about as much as the stray
         probs = tied_probs(rng.integers(1, 4, dims.total) + 1e-12 * rng.random(dims.total))
-    res = exhaustive_search(probs, dims)
-    ref = scalar_exhaustive(probs, dims)
-    assert (res.best_tableau.cells, res.best_mi, res.trajectory) == (
-        ref["best_cells"], ref["best_mi"], ref["trajectory"]
-    )
+    assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
 
 
 @pytest.mark.parametrize("d_a,d_b", [(1, 300), (300, 1)])
 def test_exhaustive_values_beyond_one_byte(d_a, d_b):
     dims = BipartiteDims(d_a, d_b)  # one regular filling, row-major
-    res = exhaustive_search(descending_probs(dims.total, 1), dims)
-    assert res.best_tableau == YoungTableau.row_major(dims) and res.evaluations == 1
+    res = exhaustive(descending_probs(dims.total, 1), dims)
+    assert res["best_cells"] == YoungTableau.row_major(dims).cells and res["evaluations"] == 1
 
 
 def test_traversal_values_beyond_one_byte():
@@ -247,13 +258,15 @@ def test_traversal_values_beyond_one_byte():
 
 
 def assert_depth_matches(probs, dims, seeds, n_d):
-    res = depth_first(probs, dims, seeds, SearchConfig(n1=len(seeds), n2=len(seeds), n_d=n_d))
+    grids = np.array([t.cells for t in seeds])
+    config = SearchConfig(n1=len(seeds), n2=len(seeds), n_d=n_d)
+    grid, best_mi, evaluations, trajectory, provenance = _depth(probs, dims, grids, config)
     ref = scalar_depth(probs, dims, seeds, n_d)
-    assert res.best_tableau.cells == ref["best_cells"]
-    assert res.best_mi == ref["best_mi"]
-    assert res.trajectory == ref["trajectory"]
-    assert res.evaluations == ref["evaluations"]
-    assert res.seed_provenance == ref["seed_provenance"]
+    assert cells(grid) == ref["best_cells"]
+    assert best_mi == ref["best_mi"]
+    assert tuple(trajectory) == ref["trajectory"]
+    assert evaluations == ref["evaluations"]
+    assert provenance == ref["seed_provenance"]
     return ref
 
 
@@ -281,7 +294,7 @@ def test_depth_matches_scalar_on_ties_and_zeros(case):
 def test_depth_matches_scalar_full_size():
     dims = BipartiteDims(8, 8)
     probs = descending_probs(64, 3)
-    seeds = [t for t, _ in breadth_first(probs, dims, SearchConfig(n1=400, n2=12, seed=3))]
+    seeds = [YoungTableau(dims, c) for c, _ in breadth(probs, dims, SearchConfig(n1=400, n2=12, seed=3))]
     assert_depth_matches(probs, dims, seeds, 60)
 
 
@@ -372,7 +385,7 @@ def test_depth_matches_scalar_full_protocol_depth(kind):
     # seed enters a 2-cycle well before its last iteration.
     dims = BipartiteDims(8, 8)
     probs = eigendecompose(generate_instance(kind, dims, 11)).probs
-    seeds = [t for t, _ in breadth_first(probs, dims, SearchConfig(n1=400, n2=12, seed=3))]
+    seeds = [YoungTableau(dims, c) for c, _ in breadth(probs, dims, SearchConfig(n1=400, n2=12, seed=3))]
     assert len(seeds) == 12
     ref = assert_depth_matches(probs, dims, seeds, 200)
     steps = [cycle_step(c) for c in ref["choices"]]
