@@ -77,13 +77,13 @@ def cmd_count(args) -> int:
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     sf = load_statefile(args.statefile)
-    spectrum = eigendecompose(sf.density_matrix()) if sf.is_dense else None
-    probs = sf.probabilities() if spectrum is None else spectrum.probs
+    spectrum = None if sf.density is None else eigendecompose(sf.density)
+    probs = sf.spectrum if spectrum is None else spectrum.probs
     result = optimize(probs, sf.dims, args.config)
     compression = None
     if spectrum is not None:
         plan = build_encoder(spectrum, result.best_tableau, sf.dims)
-        compression = _compression_dict(verify_theorem1(sf.density_matrix(), plan), args.bits)
+        compression = _compression_dict(verify_theorem1(sf.density, plan), args.bits)
     _emit(
         {
             "command": "optimize",
@@ -104,10 +104,10 @@ def cmd_optimize(args) -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     sf = load_statefile(args.statefile)
-    if not sf.is_dense:
+    rho = sf.density
+    if rho is None:
         print("verify requires a dense-matrix state file (eigenvectors needed)", file=sys.stderr)
         return 2
-    rho = sf.density_matrix()
     if args.plan == "identity":
         report = theorem1_report(rho, np.eye(sf.dims.total), sf.dims)
         tableau_cells = None
@@ -291,20 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "n1"):
-        # Search flags are checked before any work starts; a value that
-        # SearchConfig rejects is a usage error (exit 2).
-        try:
-            args.config = SearchConfig(
-                n1=args.n1,
-                n2=args.n2,
-                n_d=args.nd,
-                seed=args.seed,
-                exhaustive_threshold=args.threshold,
-                parallelism=args.jobs,
-            )
-        except ValidationError as exc:
-            parser.error(str(exc))
+    # The search flags a command takes (count only --threshold, verify only
+    # --seed) are checked before any work starts; a value that SearchConfig
+    # rejects is a usage error (exit 2).
+    fields = {"n1": "n1", "n2": "n2", "nd": "n_d", "seed": "seed",
+              "threshold": "exhaustive_threshold", "jobs": "parallelism"}
+    try:
+        args.config = SearchConfig(
+            **{field: getattr(args, flag) for flag, field in fields.items() if hasattr(args, flag)}
+        )
+    except ValidationError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
     except StateFileError as exc:

@@ -71,7 +71,10 @@ class DensityMatrix:
     nonnegative spectrum (within tolerance).
 
     The backing array is copied at construction and marked read-only, so
-    instances are safe to share across threads.
+    instances are safe to share across threads. The one ``eigh`` of the
+    positive-semidefinite check is kept: ``eigenvalues`` ascending and
+    ``eigenvectors`` as the matching columns, both read-only, for
+    ``eigendecompose`` and ``von_neumann_entropy``.
     """
 
     def __init__(self, entries) -> None:
@@ -90,13 +93,17 @@ class DensityMatrix:
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace must be 1 within {TRACE_TOL}, got {tr}")
-        lo = np.linalg.eigvalsh(mat).min()
+        vals, vecs = np.linalg.eigh(mat)
+        lo = vals.min()
         if lo < -PSD_TOL:
             raise ValidationError(
                 f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
             )
-        mat.setflags(write=False)
+        for a in (mat, vals, vecs):
+            a.setflags(write=False)
         self._mat = mat
+        self.eigenvalues = vals
+        self.eigenvectors = vecs
 
     @property
     def matrix(self) -> np.ndarray:
@@ -172,14 +179,15 @@ class Spectrum:
 def eigendecompose(rho: DensityMatrix) -> Spectrum:
     """Spectral decomposition with eigenvalues sorted descending.
 
-    Ties between equal eigenvalues keep the eigensolver's output order
-    (stable sort), which makes downstream arrangements deterministic.
+    Reads the pairs ``rho`` computed when it was built. Ties between equal
+    eigenvalues keep the eigensolver's output order (stable sort), which makes
+    downstream arrangements deterministic.
     """
-    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals = rho.eigenvalues
     order = np.argsort(-vals, kind="stable")
     probs = np.clip(vals[order], 0.0, None)
     # eigh guarantees unit trace only up to round-off; Spectrum re-validates.
-    return Spectrum(probs, vecs[:, order].T)
+    return Spectrum(probs, rho.eigenvectors[:, order].T)
 
 
 def shannon_entropy(probs) -> float:
@@ -204,17 +212,18 @@ def shannon_entropy(probs) -> float:
     return h
 
 
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S(rho) = -Tr(rho log rho), in nats, from the eigenvalues ``rho`` keeps."""
+    return shannon_entropy(rho.eigenvalues)
+
+
 # Each private ``_name`` below is the array body of the public ``name``: it
 # takes and returns plain arrays and builds no ``DensityMatrix``.
 
 
 def _entropy(mat: np.ndarray) -> float:
+    """S of a plain array, such as a marginal, that keeps no eigenvalues."""
     return shannon_entropy(np.linalg.eigvalsh(mat))
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -Tr(rho log rho), in nats."""
-    return _entropy(rho.matrix)
 
 
 def _marginals(mat: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray]:

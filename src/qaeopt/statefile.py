@@ -30,32 +30,12 @@ FORMAT_VERSION = 1
 @dataclass(frozen=True, eq=False)
 class StateFile:
     dims: BipartiteDims
-    # The density matrix load_statefile validated, or None for a spectrum file.
-    _density: DensityMatrix | None
+    # Exactly one of the two payloads is set: the validated density matrix of
+    # a dense file, or the descending probabilities of a spectrum file.
+    density: DensityMatrix | None
     spectrum: np.ndarray | None
     label: str | None
     format_version: int
-
-    @property
-    def is_dense(self) -> bool:
-        return self._density is not None
-
-    @property
-    def matrix(self) -> np.ndarray | None:
-        """Read-only dense matrix, or None for a spectrum file."""
-        return None if self._density is None else self._density.matrix
-
-    def density_matrix(self) -> DensityMatrix:
-        if self._density is None:
-            raise StateFileError("state file carries only a spectrum, not a dense matrix")
-        return self._density
-
-    def probabilities(self) -> np.ndarray:
-        """Descending probability vector (eigenvalues for dense files)."""
-        if self.spectrum is not None:
-            return self.spectrum
-        vals = np.linalg.eigvalsh(self.matrix)
-        return np.clip(np.sort(vals)[::-1], 0.0, None)
 
 
 def _float_array(raw, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -90,7 +70,9 @@ def _complex_matrix(raw, n: int) -> np.ndarray:
 
 
 def _spectrum(raw, n: int) -> np.ndarray:
-    p = _float_array(raw, "spectrum", (n,))
+    # Sorted before the sum: a float sum depends on its order, and the same
+    # entries in another file order must load with the same bits.
+    p = np.sort(_float_array(raw, "spectrum", (n,)))[::-1]
     total = p.sum()
     # A sum that is not finite comes from an entry that is not, which the
     # probability check names.
@@ -101,7 +83,7 @@ def _spectrum(raw, n: int) -> np.ndarray:
             )
         p = p / total
     try:
-        p = _probability_vector(np.sort(p)[::-1], n)
+        p = _probability_vector(p, n)
     except ValidationError as exc:
         raise StateFileError(f"bad spectrum: {exc}") from exc
     return np.clip(p, 0.0, None)
@@ -118,8 +100,9 @@ def load_statefile(path) -> StateFile:
         raise StateFileError("state file must be a JSON object")
 
     version = data.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise StateFileError(f"unsupported format_version {version}")
+    # The JSON integer 1 only: true and 1.0 compare equal to it.
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise StateFileError(f"unsupported format_version {version!r}")
     d_a, d_b = data.get("d_a"), data.get("d_b")
     # JSON integers only: int() would truncate 2.7 and accept true or "4".
     if type(d_a) is not int or type(d_b) is not int:
@@ -148,7 +131,7 @@ def load_statefile(path) -> StateFile:
     if label is not None and not isinstance(label, str):
         raise StateFileError("label must be a string")
     return StateFile(
-        dims=dims, _density=density, spectrum=spectrum, label=label, format_version=version
+        dims=dims, density=density, spectrum=spectrum, label=label, format_version=version
     )
 
 

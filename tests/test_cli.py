@@ -44,6 +44,30 @@ def bell_state_file(tmp_path):
     return str(path)
 
 
+def count_full_size_calls(monkeypatch, full):
+    """Count DensityMatrix constructions and np.linalg eigh/eigvalsh calls on
+    ``full``-shaped arrays."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            counts[name] += np.shape(a) == full
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    init = DensityMatrix.__init__
+
+    def counted_init(self, entries):
+        init(self, entries)
+        counts["DensityMatrix"] += self.matrix.shape == full
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counted_init)
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    return counts
+
+
 class TestCount:
     @pytest.mark.parametrize("d_a,d_b,expected", [(2, 2, 2), (1, 5, 1), (2, 18, 477638700)])
     def test_counts(self, capsys, d_a, d_b, expected):
@@ -71,6 +95,14 @@ class TestCount:
         code, lines, err = run_cli(capsys, "count", str(d_a), str(d_b))
         assert code == 2 and lines == []
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("threshold", ["0", "-3"])
+    def test_threshold_below_one_exit_2(self, capsys, threshold):
+        # The same check and exit code as optimize and experiment.
+        with pytest.raises(SystemExit) as err:
+            main(["count", "2", "2", "--threshold", threshold])
+        assert err.value.code == 2
+        assert "exhaustive_threshold must be >= 1" in capsys.readouterr().err
 
 
 class TestOptimize:
@@ -197,6 +229,15 @@ class TestOptimize:
         field = "matrix" if "matrix" in payload else "spectrum"
         assert f"{field} is not a numeric array: it must hold JSON numbers only" in err
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2], ids=["true", "1.0", "string-1", "2"])
+    def test_format_version_not_integer_one_exit_2(self, capsys, tmp_path, version):
+        path = tmp_path / "version.json"
+        doc = {"format_version": version, "d_a": 2, "d_b": 2, "spectrum": [0.4, 0.3, 0.2, 0.1]}
+        path.write_text(json.dumps(doc))
+        code, lines, err = run_cli(capsys, "optimize", str(path))
+        assert code == 2 and not lines
+        assert "unsupported format_version" in err
+
     @pytest.mark.parametrize("d_a,d_b", [(2.7, 2), (2.0, 2), (True, 4), (1, "4")])
     def test_dims_not_json_integers_exit_2(self, capsys, tmp_path, d_a, d_b):
         path = tmp_path / "dims.json"
@@ -258,37 +299,34 @@ class TestVerify:
             main(["verify", dense_state_file, "--threshold", "5"])
         assert err.value.code == 2
 
-    def test_full_state_validated_and_decomposed_once(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("plan", ["random", "identity"])
+    def test_negative_seed_exit_2_before_reading(self, capsys, plan):
+        # Rejected as a usage error before the (missing) file is read.
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "/nonexistent/state.json", "--plan", plan, "--seed", "-1"])
+        assert err.value.code == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--seed", "2"], ["verify", "--plan", "identity"], ["optimize"]],
+        ids=["verify-random", "verify-identity", "optimize"],
+    )
+    def test_full_state_validated_and_decomposed_once(self, capsys, tmp_path, monkeypatch, argv):
         # A (4, 4) file: 16 x 16 full-size arrays, 4 x 4 marginals.
         dims = BipartiteDims(4, 4)
         path = tmp_path / "dense44.json"
         save_statefile(path, dims, matrix=generate_instance("random-dense", dims, 5).matrix)
-        full = (dims.total, dims.total)
-        counts = Counter()
-
-        def counted(name, fn):
-            def wrapper(a, *args, **kwargs):
-                counts[name] += np.shape(a) == full
-                return fn(a, *args, **kwargs)
-
-            return wrapper
-
-        init = DensityMatrix.__init__
-
-        def counted_init(self, entries):
-            init(self, entries)
-            counts["DensityMatrix"] += self.matrix.shape == full
-
-        monkeypatch.setattr(DensityMatrix, "__init__", counted_init)
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        code, lines, _ = run_cli(capsys, "verify", str(path), "--seed", "2")
+        counts = count_full_size_calls(monkeypatch, (dims.total, dims.total))
+        code, lines, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert code == 0
-        assert lines[0]["residual"] < 1e-6
-        # Load validation, S(sigma), eigendecompose and sigma_out's spectrum.
+        report = lines[0] if argv[0] == "verify" else lines[0]["compression"]
+        assert report["residual"] < 1e-6
+        # One eigh validates sigma at load and serves eigendecompose and S(sigma);
+        # the other is sigma_out's spectrum in the relative entropy.
         assert counts["DensityMatrix"] == 1
-        assert counts["eigh"] <= 2
-        assert counts["eigvalsh"] <= 2
+        assert counts["eigh"] == 2
+        assert counts["eigvalsh"] == 0
 
 
 class TestExperiment:
@@ -341,3 +379,15 @@ class TestExperiment:
         _, seq, _ = run_cli(capsys, *base, "--jobs", "1")
         _, par, _ = run_cli(capsys, *base, "--jobs", "3")
         assert [strip_timings(l) for l in seq] == [strip_timings(l) for l in par]
+
+    def test_each_state_decomposed_once(self, capsys, monkeypatch):
+        states = 3
+        counts = count_full_size_calls(monkeypatch, (6, 6))
+        code, lines, _ = run_cli(
+            capsys, "experiment", "fig2b", "--states", str(states), "--da", "2", "--db", "3",
+            "--jobs", "1", "--n1", "20", "--n2", "2", "--nd", "5",
+        )
+        assert code == 0 and len(lines) == states + 1
+        assert counts["DensityMatrix"] == states
+        assert counts["eigh"] == states
+        assert counts["eigvalsh"] == 0

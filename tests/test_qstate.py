@@ -97,6 +97,20 @@ class TestEigendecompose:
         assert np.linalg.norm(spec.reconstruct() - rho.matrix) < 1e-9
         assert np.all(np.diff(spec.probs) <= 0)
 
+    def test_reads_the_decomposition_the_state_keeps(self, monkeypatch):
+        rho = random_density(6, 3)
+        for a in (rho.matrix, rho.eigenvalues, rho.eigenvectors):
+            assert not a.flags.writeable
+
+        def decomposed_again(*args, **kwargs):
+            raise AssertionError("the state was decomposed again")
+
+        monkeypatch.setattr(np.linalg, "eigh", decomposed_again)
+        monkeypatch.setattr(np.linalg, "eigvalsh", decomposed_again)
+        spec = eigendecompose(rho)
+        assert np.linalg.norm(spec.reconstruct() - rho.matrix) < 1e-9
+        assert von_neumann_entropy(rho) == shannon_entropy(rho.eigenvalues)
+
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
