@@ -55,7 +55,7 @@ from .pipeline import (
     theorem1_report,
     verify_theorem1,
 )
-from .statefile import StateFile, file_digest, load_statefile, save_statefile
+from .statefile import StateFile, load_statefile, save_statefile
 
 __all__ = [
     "__version__",
@@ -81,7 +81,6 @@ __all__ = [
     "compress_reconstruct",
     "count_regular",
     "eigendecompose",
-    "file_digest",
     "generate_instance",
     "haar_unitary",
     "is_decreasing",

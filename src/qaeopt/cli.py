@@ -23,7 +23,7 @@ from .exceptions import StateFileError, ValidationError
 from .pipeline import generate_instance, build_encoder, theorem1_report, verify_theorem1
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, eigendecompose, nats_to_bits
 from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, usable_cpus, worker_count
-from .statefile import file_digest, load_statefile
+from .statefile import load_statefile
 from .tableau import count_regular, random_regular
 
 VERIFY_RESIDUAL_LIMIT = 1e-6  # nats
@@ -88,7 +88,7 @@ def cmd_optimize(args) -> int:
         {
             "command": "optimize",
             "version": __version__,
-            "input_digest": file_digest(args.statefile),
+            "input_digest": sf.digest,
             "label": sf.label,
             "dims": {"d_a": sf.dims.d_a, "d_b": sf.dims.d_b},
             "config": asdict(args.config),
@@ -120,7 +120,7 @@ def cmd_verify(args) -> int:
         {
             "command": "verify",
             "version": __version__,
-            "input_digest": file_digest(args.statefile),
+            "input_digest": sf.digest,
             "dims": {"d_a": sf.dims.d_a, "d_b": sf.dims.d_b},
             "plan": args.plan,
             "seed": args.seed,

@@ -36,6 +36,7 @@ class StateFile:
     spectrum: np.ndarray | None
     label: str | None
     format_version: int
+    digest: str  # SHA-256 of the file's bytes, as read for loading
 
 
 def _float_array(raw, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -90,12 +91,27 @@ def _spectrum(raw, n: int) -> np.ndarray:
 
 
 def load_statefile(path) -> StateFile:
+    """Read, parse and validate a state file. Its bytes are read once: the
+    JSON and the digest both come from them."""
     try:
-        data = json.loads(Path(path).read_text())
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
+    digest = hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"state file {path} is not UTF-8 text: {exc}") from exc
+    # A dense file is megabytes: hold neither its bytes nor its text longer
+    # than needed, next to the parsed lists.
+    del raw
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StateFileError(f"state file {path} nests its JSON too deeply") from exc
+    del text
     if not isinstance(data, dict):
         raise StateFileError("state file must be a JSON object")
 
@@ -131,7 +147,8 @@ def load_statefile(path) -> StateFile:
     if label is not None and not isinstance(label, str):
         raise StateFileError("label must be a string")
     return StateFile(
-        dims=dims, density=density, spectrum=spectrum, label=label, format_version=version
+        dims=dims, density=density, spectrum=spectrum, label=label,
+        format_version=version, digest=digest,
     )
 
 
@@ -149,8 +166,3 @@ def save_statefile(path, dims: BipartiteDims, matrix=None, spectrum=None, label=
     else:
         doc["spectrum"] = [float(x) for x in np.asarray(spectrum, dtype=float)]
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-
-
-def file_digest(path) -> str:
-    """SHA-256 of the raw file bytes, for report provenance."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -166,28 +166,47 @@ def _walk(
         yield lengths, grids
 
 
+class LeafBlock(NamedTuple):
+    """Regular fillings in factored form: leaf k is the value grid
+    ``prefixes[prefix[k]] + store[suffix[k]]`` (0 marks an empty cell, and a
+    prefix and its suffix fill disjoint cells). ``prefixes`` are the prefix
+    grids the block draws on, ``store`` every suffix kept so far."""
+
+    prefixes: np.ndarray  # (p, d_a, d_b)
+    store: np.ndarray  # (s, d_a, d_b)
+    prefix: np.ndarray  # (k,) rows of prefixes
+    suffix: np.ndarray  # (k,) rows of store
+
+    def grids(self, leaves=slice(None)) -> np.ndarray:
+        """Value grids of the selected leaves, shape (k, d_a, d_b)."""
+        return self.prefixes[self.prefix[leaves]] + self.store[self.suffix[leaves]]
+
+
 def regular_grid_blocks(
     dims: BipartiteDims, block: int, exploit_symmetry: bool = False
-) -> Iterator[np.ndarray]:
-    """Value grids of every regular filling, in blocks of shape (k, d_a, d_b).
+) -> Iterator[LeafBlock]:
+    """Every regular filling, in blocks of ``block`` leaves (see LeafBlock).
 
     Values 1..n are placed in increasing order, each trying the admissible
     rows top to bottom (a row shorter than the one above, or than d_b for
     the top row), so only regular fillings are built, depth first. Every
-    block holds exactly ``block`` fillings except the last, which may hold
-    fewer; each is a fresh array.
+    block holds exactly ``block`` leaves except the last, which may hold
+    fewer.
 
     The fillings that complete a partial filling depend only on its shape,
     its row lengths. So the first values, up to ``mid - 1``, are walked as
     prefixes, and the last ``t = n + 1 - mid`` are walked once per shape and
-    kept; each leaf is a prefix plus one suffix of its shape (their cells
-    are disjoint). A value goes into one of at most m = min(d_a, d_b) rows,
-    and t is the largest count with m**t <= SUFFIX_CAP, so all values when
-    m == 1. The suffixes kept for all shapes together are the ways to place
-    the last t values, which turned by 180 degrees are the ways to place the
-    first t; so the cache holds at most SUFFIX_CAP grids of n cells. Leaves
-    come prefix-major, each prefix's suffixes in depth-first order: the
-    depth-first order of the whole tree.
+    kept; each leaf is a prefix plus one suffix of its shape, and no leaf
+    grid is built here. A value goes into one of at most m = min(d_a, d_b)
+    rows, and t is the largest count with m**t <= SUFFIX_CAP, so all values
+    when m == 1. The suffixes kept for all shapes together are the ways to
+    place the last t values, which turned by 180 degrees are the ways to
+    place the first t; so the store holds at most SUFFIX_CAP grids of n
+    cells. It only grows: a block's store is a fresh array whose rows are
+    those of every earlier block's store, then the suffixes of new shapes.
+    Leaves come prefix-major, each prefix's suffixes in depth-first order:
+    the depth-first order of the whole tree. Every prefix a block draws on
+    has at least one leaf in it, and the prefixes are in leaf order.
 
     With ``exploit_symmetry`` and a square grid, cell (0, 1) is pinned to
     value 2, which leaves one representative per transpose pair.
@@ -208,14 +227,29 @@ def regular_grid_blocks(
     mid = n + 1 - t
     cached: dict[bytes, tuple[int, int]] = {}  # shape -> (first row, count) in store
     store, empty = grids[:0], np.zeros_like(grids)
-    out, filled = np.empty((block, n), grids.dtype), 0
+    # The block being filled: its prefix grids, their leaf counts and the
+    # store row of each leaf's suffix, in pieces.
+    prefixes: list[np.ndarray] = []
+    runs: list[np.ndarray] = []
+    suffixes: list[np.ndarray] = []
+    filled = 0
+
+    def emit() -> LeafBlock:
+        counts = np.concatenate(runs)
+        return LeafBlock(
+            np.concatenate(prefixes).reshape(-1, d_a, d_b),
+            store.reshape(-1, d_a, d_b),
+            np.repeat(np.arange(len(counts)), counts),
+            np.concatenate(suffixes),
+        )
+
     for lengths, grids in _walk(lengths, grids, v, mid, block):
         keys = [shape.tobytes() for shape in lengths]
         for key, shape in zip(keys, lengths):
             if key not in cached:
-                _, suffixes = next(_walk(shape[None], empty, mid, n + 1, SUFFIX_CAP))
-                cached[key] = len(store), len(suffixes)
-                store = np.concatenate([store, suffixes])
+                _, found = next(_walk(shape[None], empty, mid, n + 1, SUFFIX_CAP))
+                cached[key] = len(store), len(found)
+                store = np.concatenate([store, found])
         first, count = np.array([cached[key] for key in keys]).T
         ends = np.cumsum(count)
         starts = ends - count
@@ -223,24 +257,21 @@ def regular_grid_blocks(
         j, total = 0, int(ends[-1])
         while j < total:
             # Leaves j..j+take-1 fill the rest of the block: prefixes lo..hi-1,
-            # runs[i] leaves from prefix lo+i.
+            # run[i] leaves from prefix lo+i.
             take = min(block - filled, total - j)
             lo = np.searchsorted(ends, j, side="right")
             hi = np.searchsorted(ends, j + take - 1, side="right") + 1
-            runs = np.minimum(ends[lo:hi], j + take) - np.maximum(starts[lo:hi], j)
-            suffix = np.repeat(shift[lo:hi], runs) + np.arange(j, j + take)
-            np.add(
-                np.repeat(grids[lo:hi], runs, axis=0),
-                np.take(store, suffix, axis=0),
-                out=out[filled : filled + take],
-            )
+            run = np.minimum(ends[lo:hi], j + take) - np.maximum(starts[lo:hi], j)
+            prefixes.append(grids[lo:hi])
+            runs.append(run)
+            suffixes.append(np.repeat(shift[lo:hi], run) + np.arange(j, j + take))
             filled += take
             j += take
             if filled == block:
-                yield out.reshape(-1, d_a, d_b)
-                out, filled = np.empty((block, n), grids.dtype), 0
+                yield emit()
+                prefixes, runs, suffixes, filled = [], [], [], 0
     if filled:
-        yield out[:filled].reshape(-1, d_a, d_b)
+        yield emit()
 
 
 def count_regular(dims: BipartiteDims) -> int:

@@ -1,5 +1,9 @@
+import builtins
+import hashlib
+import io
 import json
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -66,6 +70,22 @@ def count_full_size_calls(monkeypatch, full):
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     return counts
+
+
+def count_opens(monkeypatch, path) -> list:
+    """Record each open of ``path`` through open() or io.open, which
+    pathlib's readers call."""
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
 
 
 class TestCount:
@@ -237,6 +257,42 @@ class TestOptimize:
         code, lines, err = run_cli(capsys, "optimize", str(path))
         assert code == 2 and not lines
         assert "unsupported format_version" in err
+
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"d_a":2,"d_b":2,"spectrum":[0.4,0.3,0.2,0.1],"label":"\xff"}',
+            b'{"d_a":1,"d_b":1,"spectrum":' + b"[" * 100_000 + b"1.0" + b"]" * 100_000 + b"}",
+        ],
+        ids=["not-utf8", "nested-100000-deep"],
+    )
+    def test_unparseable_bytes_exit_2(self, capsys, tmp_path, command, content):
+        # Both used to escape load_statefile as UnicodeDecodeError and
+        # RecursionError, with a traceback and exit 1.
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        code, lines, err = run_cli(capsys, command, str(path))
+        assert code == 2 and not lines
+        assert err.startswith("error: state file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,dense",
+        [(["optimize"], False), (["optimize"], True), (["verify"], True)],
+        ids=["optimize-spectrum", "optimize-dense", "verify"],
+    )
+    def test_file_read_once_for_data_and_digest(self, capsys, tmp_path, monkeypatch, argv, dense):
+        path = tmp_path / "state.json"
+        if dense:
+            save_statefile(path, DIMS22, matrix=generate_instance("random-dense", DIMS22, 4).matrix)
+        else:
+            save_statefile(path, DIMS22, spectrum=[0.4, 0.3, 0.2, 0.1])
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+        opened = count_opens(monkeypatch, path)
+        code, lines, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        assert len(opened) == 1
+        assert lines[0]["input_digest"] == want
 
     @pytest.mark.parametrize("d_a,d_b", [(2.7, 2), (2.0, 2), (True, 4), (1, "4")])
     def test_dims_not_json_integers_exit_2(self, capsys, tmp_path, d_a, d_b):

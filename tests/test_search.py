@@ -208,7 +208,7 @@ class TestDepthFirst:
 
     def test_all_seeds_find_global_minimum_2x3(self):
         probs = descending_probs(6, 11)
-        seeds = np.concatenate(list(regular_grid_blocks(DIMS23, BREADTH_BLOCK)))
+        seeds = np.concatenate([b.grids() for b in regular_grid_blocks(DIMS23, BREADTH_BLOCK)])
         cfg = SearchConfig(n1=5, n2=5, n_d=10, seed=0)
         _, best_mi, _, _, provenance = _depth(probs, DIMS23, seeds, cfg)
         assert abs(best_mi - _exhaustive(probs, DIMS23)[1]) < 1e-12

@@ -4,6 +4,8 @@ Every comparison is exact: the array code sums in the scalar order and takes
 its logarithms from the same C library, so results must agree bit for bit.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,7 @@ from qaeopt.search import (
     _depth,
     _draw_words,
     _exhaustive,
+    _rough_blocks,
     _sample_block,
     breadth_tasks,
     worker_count,
@@ -240,6 +243,47 @@ def test_exhaustive_rough_scores_only_select_leaves(d_a, d_b, kind, monkeypatch)
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
 
 
+@st.composite
+def leaf_score_cases(draw):
+    shape = draw(st.sampled_from(["grid", "row", "column"]))
+    if shape == "grid":
+        dims = BipartiteDims(draw(st.integers(2, 3)), draw(st.integers(2, 5)))
+    else:
+        k = draw(st.integers(1, 9))
+        dims = BipartiteDims(1, k) if shape == "row" else BipartiteDims(k, 1)
+    n, rng = dims.total, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dirichlet", "trailing-zeros", "near-ties"]))
+    if kind == "dirichlet":
+        probs = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+    elif kind == "trailing-zeros":
+        weights = rng.integers(1, 4, n)
+        weights[draw(st.integers(1, n)):] = 0
+        probs = tied_probs(weights)
+    else:
+        probs = tied_probs(rng.integers(1, 4, n) + 1e-12 * rng.random(n))
+    # A small cap splits short grids into prefixes and suffixes too; small
+    # blocks draw on prefixes from several walk pieces.
+    return probs, dims, draw(st.sampled_from([1, 4, 16, 2**16])), draw(st.sampled_from([3, 2048]))
+
+
+@given(leaf_score_cases())
+@settings(max_examples=150, deadline=None)
+def test_factored_rough_scores_match_exact(case):
+    # Marginals joined from a leaf's prefix and suffix, scored with numpy's
+    # log, stay within 1e-12 of the cell-order exact score of every leaf.
+    probs, dims, cap, block = case
+    h_flat = shannon_entropy(probs)
+    with mock.patch.object(qaeopt.tableau, "SUFFIX_CAP", cap), mock.patch.object(
+        qaeopt.search, "BREADTH_BLOCK", block
+    ):
+        leaves = 0
+        for leaf_block, rough in _rough_blocks(probs, dims, h_flat):
+            exact = _block_mi(probs, leaf_block.grids(), h_flat)
+            assert np.abs(rough - exact).max() <= 1e-12
+            leaves += len(rough)
+    assert leaves == sum(1 for _ in scalar_enumerate(dims, dims.d_a == dims.d_b))
+
+
 @pytest.mark.parametrize("d_a,d_b", [(1, 300), (300, 1)])
 def test_exhaustive_values_beyond_one_byte(d_a, d_b):
     dims = BipartiteDims(d_a, d_b)  # one regular filling, row-major
@@ -250,7 +294,7 @@ def test_exhaustive_values_beyond_one_byte(d_a, d_b):
 def test_traversal_values_beyond_one_byte():
     # Values up to 260 after a long prefix walk, on a wide and on a tall grid.
     for dims in (BipartiteDims(2, 130), BipartiteDims(130, 2)):
-        grids = next(regular_grid_blocks(dims, 4))
+        grids = next(regular_grid_blocks(dims, 4)).grids()
         assert 1 <= len(grids) <= 4
         for grid in grids.tolist():
             assert is_regular(YoungTableau(dims, grid))

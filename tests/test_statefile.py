@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -7,7 +8,6 @@ import pytest
 from qaeopt import (
     BipartiteDims,
     StateFileError,
-    file_digest,
     generate_instance,
     load_statefile,
     save_statefile,
@@ -147,6 +147,22 @@ def test_digest_depends_on_content(tmp_path):
     b = tmp_path / "b.json"
     save_statefile(a, DIMS22, spectrum=[0.4, 0.3, 0.2, 0.1])
     save_statefile(b, DIMS22, spectrum=[0.4, 0.3, 0.2, 0.1])
-    assert file_digest(a) == file_digest(b)
+    assert load_statefile(a).digest == load_statefile(b).digest
+    assert load_statefile(a).digest == hashlib.sha256(a.read_bytes()).hexdigest()
     save_statefile(b, DIMS22, spectrum=[0.7, 0.1, 0.1, 0.1])
-    assert file_digest(a) != file_digest(b)
+    assert load_statefile(a).digest != load_statefile(b).digest
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"d_a":2,"d_b":2,"spectrum":[0.4,0.3,0.2,0.1],"label":"\xff"}')
+    with pytest.raises(StateFileError, match="not UTF-8"):
+        load_statefile(path)
+
+
+def test_deeply_nested_json_rejected(tmp_path):
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"d_a":1,"d_b":1,"spectrum":' + "[" * depth + "1.0" + "]" * depth + "}")
+    with pytest.raises(StateFileError, match="too deeply"):
+        load_statefile(path)

@@ -46,10 +46,15 @@ def descending_probs(n, seed):
     return np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
 
 
+def leaf_grids(block):
+    """The value grids of a block's leaves, each a prefix plus its suffix."""
+    return block.prefixes[block.prefix] + block.store[block.suffix]
+
+
 def regular_tableaux(dims, exploit_symmetry=False):
     """Every regular filling, in the order the exhaustive search scores them."""
     blocks = regular_grid_blocks(dims, qaeopt.search.BREADTH_BLOCK, exploit_symmetry)
-    return [YoungTableau(dims, grid) for block in blocks for grid in block.tolist()]
+    return [YoungTableau(dims, grid) for block in blocks for grid in leaf_grids(block).tolist()]
 
 
 class TestYoungTableau:
@@ -143,8 +148,32 @@ class TestEnumerate:
         block = block or qaeopt.search.BREADTH_BLOCK
         # Small blocks split the prefix walk often; every block but the last is full.
         blocks = list(regular_grid_blocks(dims, block, exploit_symmetry))
-        assert all(len(b) == block for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= block
-        assert [tuple(map(tuple, grid)) for b in blocks for grid in b.tolist()] == want
+        sizes = [len(b.prefix) for b in blocks]
+        assert all(k == block for k in sizes[:-1]) and 1 <= sizes[-1] <= block
+        assert [tuple(map(tuple, grid)) for b in blocks for grid in leaf_grids(b).tolist()] == want
+
+    @pytest.mark.parametrize("d_a,d_b", [(1, 5), (5, 1), (2, 6), (3, 4), (4, 4), (5, 3)])
+    @pytest.mark.parametrize("block,cap", [(1, 4), (3, 4), (7, 64), (2048, None)])
+    def test_blocks_share_prefixes_and_a_growing_store(self, d_a, d_b, block, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
+        dims = BipartiteDims(d_a, d_b)
+        store = np.zeros((0, d_a, d_b))
+        for b in regular_grid_blocks(dims, block, d_a == d_b):
+            # The store only grows: earlier rows keep their place and value.
+            assert len(b.store) >= len(store)
+            assert np.array_equal(b.store[: len(store)], store)
+            store = b.store
+            # Every prefix drawn on has a leaf, in leaf order.
+            assert b.prefix.tolist() == sorted(b.prefix.tolist())
+            assert set(b.prefix.tolist()) == set(range(len(b.prefixes)))
+            assert len(b.suffix) == len(b.prefix) and b.suffix.max() < len(b.store)
+            # A prefix and its suffix fill disjoint cells, and together all of them.
+            prefixes, suffixes = b.prefixes[b.prefix], b.store[b.suffix]
+            assert not np.any((prefixes > 0) & (suffixes > 0))
+            assert np.all((prefixes > 0) | (suffixes > 0))
+            assert np.array_equal(b.grids(), leaf_grids(b))
+            assert np.array_equal(b.grids([0, -1]), leaf_grids(b)[[0, -1]])
 
     @pytest.mark.parametrize("d_a,d_b,cap", [(2, 15, 2**16), (3, 7, 2**16), (4, 4, 64), (5, 3, 64)])
     def test_suffix_cache_holds_at_most_cap_grids(self, d_a, d_b, cap, monkeypatch):
@@ -158,7 +187,7 @@ class TestEnumerate:
 
         monkeypatch.setattr(qaeopt.tableau, "_walk", spy)
         dims = BipartiteDims(d_a, d_b)
-        leaves = sum(len(b) for b in regular_grid_blocks(dims, 2048, d_a == d_b))
+        leaves = sum(len(b.prefix) for b in regular_grid_blocks(dims, 2048, d_a == d_b))
         assert leaves == count_regular(dims) // (2 if d_a == d_b else 1)
         shapes = walked[1:]  # the first walk is the prefix walk
         assert len({key for key, _ in shapes}) == len(shapes) > 1  # each shape once
