@@ -46,13 +46,11 @@ from .search import (
 )
 from .pipeline import (
     CompressionReport,
-    EncoderPlan,
     build_encoder,
     compress_reconstruct,
     generate_instance,
     haar_unitary,
     suboptimal_auxiliary_gap,
-    theorem1_report,
     verify_theorem1,
 )
 from .statefile import StateFile, load_statefile, save_statefile
@@ -64,7 +62,6 @@ __all__ = [
     "CompressionReport",
     "DEFAULT_EXHAUSTIVE_THRESHOLD",
     "DensityMatrix",
-    "EncoderPlan",
     "OptimizationResult",
     "Permutation",
     "ProbabilityTableau",
@@ -98,7 +95,6 @@ __all__ = [
     "sort_within_rows",
     "suboptimal_auxiliary_gap",
     "tableau_mutual_information",
-    "theorem1_report",
     "verify_theorem1",
     "von_neumann_entropy",
 ]

@@ -13,14 +13,15 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from functools import cache
 from itertools import repeat
 
 import numpy as np
 
 from . import __version__
 from .exceptions import StateFileError, ValidationError
-from .pipeline import generate_instance, build_encoder, theorem1_report, verify_theorem1
+from .pipeline import build_encoder, generate_instance, verify_theorem1
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, eigendecompose, nats_to_bits
 from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, usable_cpus, worker_count
 from .statefile import load_statefile
@@ -61,14 +62,15 @@ def cmd_count(args) -> int:
     except ValidationError as exc:  # the dims are the only input: a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    threshold = args.config.exhaustive_threshold
     _emit(
         {
             "command": "count",
             "d_a": args.d_a,
             "d_b": args.d_b,
             "count": count,
-            "exhaustive_threshold": args.threshold,
-            "within_threshold": count <= args.threshold,
+            "exhaustive_threshold": threshold,
+            "within_threshold": count <= threshold,
         }
     )
     return 0
@@ -82,8 +84,8 @@ def cmd_optimize(args) -> int:
     result = optimize(probs, sf.dims, args.config)
     compression = None
     if spectrum is not None:
-        plan = build_encoder(spectrum, result.best_tableau, sf.dims)
-        compression = _compression_dict(verify_theorem1(sf.density, plan), args.bits)
+        u = build_encoder(spectrum, result.best_tableau)
+        compression = _compression_dict(verify_theorem1(sf.density, u, sf.dims), args.bits)
     _emit(
         {
             "command": "optimize",
@@ -109,13 +111,12 @@ def cmd_verify(args) -> int:
         print("verify requires a dense-matrix state file (eigenvectors needed)", file=sys.stderr)
         return 2
     if args.plan == "identity":
-        report = theorem1_report(rho, np.eye(sf.dims.total), sf.dims)
-        tableau_cells = None
+        u, tableau_cells = np.eye(sf.dims.total), None
     else:
         tableau = random_regular(sf.dims, args.seed)
-        plan = build_encoder(eigendecompose(rho), tableau, sf.dims)
-        report = verify_theorem1(rho, plan)
+        u = build_encoder(eigendecompose(rho), tableau)
         tableau_cells = [list(row) for row in tableau.cells]
+    report = verify_theorem1(rho, u, sf.dims)
     _emit(
         {
             "command": "verify",
@@ -133,26 +134,15 @@ def cmd_verify(args) -> int:
     return 0 if report.residual < VERIFY_RESIDUAL_LIMIT else 1
 
 
-def _experiment_state(
-    kind: str,
-    d_a: int,
-    d_b: int,
-    master_seed: int,
-    index: int,
-    n1: int,
-    n2: int,
-    n_d: int,
-    threshold: int,
-) -> dict:
-    dims = BipartiteDims(d_a, d_b)
+def _experiment_state(kind: str, dims: BipartiteDims, config: SearchConfig, index: int) -> dict:
+    """Generate state ``index`` of a batch and search it. ``config.seed`` is
+    the batch's master seed; the instance and the search each derive their
+    own seed from it and the index, and the search runs in this process."""
+    master_seed = config.seed
     rho = generate_instance(kind, dims, np.random.SeedSequence((master_seed, index, 0)))
     probs = eigendecompose(rho).probs
     search_seed = int(np.random.SeedSequence((master_seed, index, 1)).generate_state(1)[0])
-    config = SearchConfig(
-        n1=n1, n2=n2, n_d=n_d, seed=search_seed,
-        exhaustive_threshold=threshold, parallelism=1,
-    )
-    result = optimize(probs, dims, config)
+    result = optimize(probs, dims, replace(config, seed=search_seed, parallelism=1))
     return {
         "state": index,
         "mi_initial": result.initial_mi,
@@ -171,17 +161,13 @@ def cmd_experiment(args) -> int:
         print("error: --states must be at least 1", file=sys.stderr)
         return 2
     try:
-        BipartiteDims(args.da, args.db)
+        dims = BipartiteDims(args.da, args.db)
     except ValidationError as exc:  # checked before any state is built
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kind = _EXPERIMENT_KINDS[args.kind]
-    indices = range(args.states)
-    star_args = (
-        repeat(kind), repeat(args.da), repeat(args.db), repeat(args.seed), indices,
-        repeat(args.n1), repeat(args.n2), repeat(args.nd), repeat(args.threshold),
-    )
-    jobs = worker_count(args.jobs, args.states, usable_cpus())
+    config = args.config
+    star_args = (repeat(_EXPERIMENT_KINDS[args.kind]), repeat(dims), repeat(config), range(args.states))
+    jobs = worker_count(config.parallelism, args.states, usable_cpus())
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_experiment_state, *star_args))
@@ -214,8 +200,8 @@ def cmd_experiment(args) -> int:
             "kind": args.kind,
             "version": __version__,
             "states": args.states,
-            "dims": {"d_a": args.da, "d_b": args.db},
-            "config": {"n1": args.n1, "n2": args.n2, "n_d": args.nd, "seed": args.seed},
+            "dims": {"d_a": dims.d_a, "d_b": dims.d_b},
+            "config": {"n1": config.n1, "n2": config.n2, "n_d": config.n_d, "seed": config.seed},
             "unit": "bits" if bits else "nats",
             "floor": EXPERIMENT_FLOOR,
             "mean_final_mi": conv(sum(finals) / len(finals)),
@@ -288,8 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse parsers are not changed by parsing, so one serves every call.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     # The search flags a command takes (count only --threshold, verify only
     # --seed) are checked before any work starts; a value that SearchConfig

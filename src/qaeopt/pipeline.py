@@ -39,20 +39,9 @@ from .tableau import YoungTableau
 INSTANCE_KINDS = ("diagonal-mixed", "product-spectrum", "random-dense", "pure")
 
 
-@dataclass(frozen=True, eq=False)
-class EncoderPlan:
-    """A concrete encoder: the spectrum it disentangles, the tableau that
-    placed it, and the resulting unitary."""
-
-    spectrum: Spectrum
-    tableau: YoungTableau
-    dims: BipartiteDims
-    u: np.ndarray
-
-
 @dataclass(frozen=True)
 class CompressionReport:
-    """Numerical check of the compression identity for one (state, plan) pair.
+    """Numerical check of the compression identity for one (state, encoder) pair.
 
     ``residual`` is |S(sigma||sigma_out) - S(A:B)| and should vanish up to
     round-off; ``support_violation`` flags an infinite relative entropy.
@@ -68,27 +57,26 @@ class CompressionReport:
         return asdict(self)
 
 
-def build_encoder(spectrum: Spectrum, tableau: YoungTableau, dims: BipartiteDims) -> EncoderPlan:
-    """Assemble U = V_tau V_D for a spectrum and a tableau filling.
+def build_encoder(spectrum: Spectrum, tableau: YoungTableau) -> np.ndarray:
+    """The read-only encoder U = V_tau V_D for a spectrum and a tableau filling.
 
     Row alpha of V_D is the bra of eigenvector alpha, so V_D maps eigenvector
     alpha to the computational basis vector alpha (row-major). V_tau then
     sends it to the basis vector of the cell holding value alpha + 1. The
-    tableau need not be regular; regularity only matters for optimality.
+    split is the tableau's ``dims``. The tableau need not be regular;
+    regularity only matters for optimality.
     """
-    if spectrum.dim != dims.total:
+    if spectrum.dim != tableau.dims.total:
         raise ValidationError(
-            f"spectrum dimension {spectrum.dim} does not match d_a*d_b = {dims.total}"
+            f"spectrum dimension {spectrum.dim} does not match d_a*d_b = {tableau.dims.total}"
         )
-    if tableau.dims != dims:
-        raise ValidationError(f"tableau dims {tableau.dims} do not match {dims}")
     # Row c of U is the conjugated eigenvector of the value in flat cell c.
     u = spectrum.vectors.conj()[tableau.index_array.ravel()]
     # U's rows are the conjugated eigenvectors, permuted, so it is unitary
     # within the orthonormality tolerance that Spectrum enforces; _reconstruct
     # checks U once more, as it checks every unitary it is given.
     u.setflags(write=False)
-    return EncoderPlan(spectrum=spectrum, tableau=tableau, dims=dims, u=u)
+    return u
 
 
 def _reconstruct(sigma: DensityMatrix, u, dims: BipartiteDims, rho_a: DensityMatrix | None = None):
@@ -106,18 +94,20 @@ def _reconstruct(sigma: DensityMatrix, u, dims: BipartiteDims, rho_a: DensityMat
     return encoded_a, encoded_b, u.conj().T @ np.kron(aux, encoded_b) @ u
 
 
-def compress_reconstruct(sigma: DensityMatrix, plan: EncoderPlan) -> tuple[DensityMatrix, DensityMatrix]:
+def compress_reconstruct(
+    sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims
+) -> tuple[DensityMatrix, DensityMatrix]:
     """Encode, keep subsystem B, and reconstruct with the optimal auxiliary.
 
     Returns ``(sigma_b, sigma_out)``: the compressed payload (reduced state of
     B after encoding) and the decoded state built by re-inserting the encoded
     marginal of A and applying the inverse encoder.
     """
-    _, sigma_b, sigma_out = _reconstruct(sigma, plan.u, plan.dims)
+    _, sigma_b, sigma_out = _reconstruct(sigma, u, dims)
     return DensityMatrix(sigma_b), DensityMatrix(sigma_out)
 
 
-def theorem1_report(sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims) -> CompressionReport:
+def verify_theorem1(sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims) -> CompressionReport:
     """Check S(sigma||sigma_out) = S(A:B) of the encoded state for any unitary."""
     encoded_a, encoded_b, sigma_out = _reconstruct(sigma, u, dims)
     s_sigma = von_neumann_entropy(sigma)  # also S(AB) of the encoded state
@@ -135,12 +125,9 @@ def theorem1_report(sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims) ->
     )
 
 
-def verify_theorem1(sigma: DensityMatrix, plan: EncoderPlan) -> CompressionReport:
-    """Theorem-1 identity check for a concrete encoder plan."""
-    return theorem1_report(sigma, plan.u, plan.dims)
-
-
-def suboptimal_auxiliary_gap(sigma: DensityMatrix, plan: EncoderPlan, rho_a: DensityMatrix) -> float:
+def suboptimal_auxiliary_gap(
+    sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims, rho_a: DensityMatrix
+) -> float:
     """Excess divergence from reconstructing with an arbitrary auxiliary state.
 
     Returns S(sigma || U^dag (rho_a x sigma_b) U) minus the encoded mutual
@@ -148,7 +135,7 @@ def suboptimal_auxiliary_gap(sigma: DensityMatrix, plan: EncoderPlan, rho_a: Den
     the encoded marginal of A, and infinite when rho_a lacks support the
     encoded state needs.
     """
-    encoded_a, encoded_b, candidate = _reconstruct(sigma, plan.u, plan.dims, rho_a)
+    encoded_a, encoded_b, candidate = _reconstruct(sigma, u, dims, rho_a)
     s_sigma = von_neumann_entropy(sigma)  # also S(AB) of the encoded state
     rel = _relative_entropy(sigma.matrix, s_sigma, candidate)
     if math.isinf(rel):

@@ -7,6 +7,7 @@ should divide by ``math.log(2)``; the CLI does this behind its ``--bits`` flag.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,15 @@ MAX_COUNT_CELLS = 2**14
 _NON_FINITE = "probabilities hold non-finite values (NaN or infinity)"
 
 
+def _check_integers(obj, names) -> None:
+    """Each named field of ``obj`` is an integer and not a bool: a float size
+    or seed would otherwise pass the range checks and fail deep in a search."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BipartiteDims:
     """Dimensions (d_a, d_b) of the retained/discarded split of a bipartite space."""
@@ -48,6 +58,7 @@ class BipartiteDims:
     d_b: int
 
     def __post_init__(self) -> None:
+        _check_integers(self, ("d_a", "d_b"))
         if self.d_a < 1 or self.d_b < 1:
             raise ValidationError(f"subsystem dimensions must be positive, got {self}")
         if self.total > MAX_COUNT_CELLS:
@@ -283,11 +294,11 @@ def mutual_information(rho: DensityMatrix, dims: BipartiteDims) -> float:
     return _mutual_information(*_marginals(rho.matrix, dims), von_neumann_entropy(rho))
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return bool(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= tol)
+    return bool(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= UNITARITY_TOL)
 
 
 def _apply_unitary(mat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:

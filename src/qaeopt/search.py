@@ -42,13 +42,13 @@ import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
 
 from .exceptions import ValidationError
-from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _probability_vector, shannon_entropy
+from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _check_integers, _probability_vector, shannon_entropy
 from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_blocks
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
@@ -82,6 +82,7 @@ class SearchConfig:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
+        _check_integers(self, (f.name for f in fields(self)))
         if min(self.n1, self.n2, self.n_d, self.parallelism) < 1:
             raise ValidationError("n1, n2, n_d and parallelism must be positive")
         if self.n1 > MAX_DRAWS:

@@ -35,7 +35,6 @@ class StateFile:
     density: DensityMatrix | None
     spectrum: np.ndarray | None
     label: str | None
-    format_version: int
     digest: str  # SHA-256 of the file's bytes, as read for loading
 
 
@@ -119,12 +118,10 @@ def load_statefile(path) -> StateFile:
     # The JSON integer 1 only: true and 1.0 compare equal to it.
     if type(version) is not int or version != FORMAT_VERSION:
         raise StateFileError(f"unsupported format_version {version!r}")
-    d_a, d_b = data.get("d_a"), data.get("d_b")
-    # JSON integers only: int() would truncate 2.7 and accept true or "4".
-    if type(d_a) is not int or type(d_b) is not int:
-        raise StateFileError(f"bad or missing d_a/d_b: need JSON integers, got {d_a!r}, {d_b!r}")
     try:
-        dims = BipartiteDims(d_a, d_b)
+        # BipartiteDims takes integers only, so 2.7, 2.0, true, "4" and a
+        # missing value all fail here.
+        dims = BipartiteDims(data.get("d_a"), data.get("d_b"))
     except ValidationError as exc:
         raise StateFileError(f"bad or missing d_a/d_b: {exc}") from exc
 
@@ -146,10 +143,7 @@ def load_statefile(path) -> StateFile:
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise StateFileError("label must be a string")
-    return StateFile(
-        dims=dims, density=density, spectrum=spectrum, label=label,
-        format_version=version, digest=digest,
-    )
+    return StateFile(dims=dims, density=density, spectrum=spectrum, label=label, digest=digest)
 
 
 def save_statefile(path, dims: BipartiteDims, matrix=None, spectrum=None, label=None) -> None:

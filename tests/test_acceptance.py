@@ -128,8 +128,8 @@ def test_04_compression_identity_and_klein_gap():
             seed = MASTER_SEED + 40_000 * dims.total + trial
             rho = generate_instance("random-dense", dims, seed)
             tableau = random_regular(dims, seed + 1)
-            plan = build_encoder(eigendecompose(rho), tableau, dims)
-            rep = verify_theorem1(rho, plan)
+            u = build_encoder(eigendecompose(rho), tableau)
+            rep = verify_theorem1(rho, u, dims)
             assert not rep.support_violation
             worst_residual = max(worst_residual, rep.residual)
     worst_gap = math.inf
@@ -137,9 +137,9 @@ def test_04_compression_identity_and_klein_gap():
         dims = shapes[trial % 3]
         seed = MASTER_SEED + 50_000 + trial
         rho = generate_instance("random-dense", dims, seed)
-        plan = build_encoder(eigendecompose(rho), random_regular(dims, seed + 1), dims)
+        u = build_encoder(eigendecompose(rho), random_regular(dims, seed + 1))
         aux = generate_instance("random-dense", BipartiteDims(1, dims.d_a), seed + 2)
-        gap = suboptimal_auxiliary_gap(rho, plan, aux)
+        gap = suboptimal_auxiliary_gap(rho, u, dims, aux)
         worst_gap = min(worst_gap, gap)
     ok = worst_residual < 1e-7 and worst_gap >= -1e-9
     report(
@@ -158,8 +158,8 @@ def test_05_perfect_compression_faithfulness():
         rho = generate_instance("product-spectrum", dims, MASTER_SEED + 500 + trial)
         spectrum = eigendecompose(rho)
         result = optimize(spectrum.probs, dims)
-        plan = build_encoder(spectrum, result.best_tableau, dims)
-        _, sigma_out = compress_reconstruct(rho, plan)
+        u = build_encoder(spectrum, result.best_tableau)
+        _, sigma_out = compress_reconstruct(rho, u, dims)
         worst_mi = max(worst_mi, result.best_mi)
         worst_frob = max(worst_frob, float(np.linalg.norm(sigma_out.matrix - rho.matrix)))
     ok = worst_mi < 1e-10 and worst_frob < 1e-6
@@ -173,9 +173,11 @@ def test_05_perfect_compression_faithfulness():
 def test_06_product_state_batch_8x8():
     # Full-size protocol: 100 random product states, n1=20000, n2=12, n_d=200.
     started = time.perf_counter()
+    dims = BipartiteDims(8, 8)
+    config = SearchConfig(n1=20000, n2=12, n_d=200, seed=MASTER_SEED, exhaustive_threshold=10**7)
     finals = []
     for index in range(100):
-        row = _experiment_state("product-spectrum", 8, 8, MASTER_SEED, index, 20000, 12, 200, 10**7)
+        row = _experiment_state("product-spectrum", dims, config, index)
         finals.append(max(row["mi_final_raw"], 1e-15))
     mean_final = sum(finals) / len(finals)
     elapsed = time.perf_counter() - started

@@ -52,6 +52,15 @@ class TestValidation:
         with pytest.raises(ValidationError):
             BipartiteDims(0, 3)
 
+    @pytest.mark.parametrize(
+        "d_a,d_b,field",
+        [(2.0, 2, "d_a"), (2, 1.5, "d_b"), (True, 2, "d_a"), (2, "4", "d_b"), (None, 2, "d_a")],
+    )
+    def test_dims_must_be_integers(self, d_a, d_b, field):
+        # 2.0 and True pass the range check, so only a type check stops them.
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            BipartiteDims(d_a, d_b)
+
     def test_spectrum_requires_orthonormal_vectors(self):
         with pytest.raises(ValidationError):
             Spectrum([0.6, 0.4], [[1, 0], [1, 0]])

@@ -56,6 +56,12 @@ class TestSearchConfig:
             {"seed": -1},
             {"exhaustive_threshold": 0},
             {"parallelism": 0},
+            {"seed": 1.5},
+            {"n1": 50.0},
+            {"n2": True},
+            {"n_d": "5"},
+            {"parallelism": 1.5},
+            {"exhaustive_threshold": 1.5},
         ],
     )
     def test_invalid_configs(self, kwargs):
