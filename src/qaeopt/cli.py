@@ -12,10 +12,8 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
-from functools import cache
-from itertools import repeat
+from functools import cache, partial
 
 import numpy as np
 
@@ -23,7 +21,7 @@ from . import __version__
 from .exceptions import StateFileError, ValidationError
 from .pipeline import build_encoder, generate_instance, verify_theorem1
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, eigendecompose, nats_to_bits
-from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, usable_cpus, worker_count
+from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, run_tasks, usable_cpus, worker_count
 from .statefile import load_statefile
 from .tableau import count_regular, random_regular
 
@@ -166,13 +164,9 @@ def cmd_experiment(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = args.config
-    star_args = (repeat(_EXPERIMENT_KINDS[args.kind]), repeat(dims), repeat(config), range(args.states))
+    state = partial(_experiment_state, _EXPERIMENT_KINDS[args.kind], dims, config)
     jobs = worker_count(config.parallelism, args.states, usable_cpus())
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_experiment_state, *star_args))
-    else:
-        rows = list(map(_experiment_state, *star_args))
+    rows = list(run_tasks(state, jobs, range(args.states)))
 
     bits = args.bits
     finals = []
@@ -201,7 +195,8 @@ def cmd_experiment(args) -> int:
             "version": __version__,
             "states": args.states,
             "dims": {"d_a": dims.d_a, "d_b": dims.d_b},
-            "config": {"n1": config.n1, "n2": config.n2, "n_d": config.n_d, "seed": config.seed},
+            # Every search knob but parallelism, which does not change results.
+            "config": {k: v for k, v in asdict(config).items() if k != "parallelism"},
             "unit": "bits" if bits else "nats",
             "floor": EXPERIMENT_FLOOR,
             "mean_final_mi": conv(sum(finals) / len(finals)),

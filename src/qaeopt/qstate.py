@@ -18,7 +18,6 @@ from .exceptions import ValidationError
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 # Eigenvalues of the second argument of the relative entropy below this are
 # treated as outside the support; first-argument weight above the weight
@@ -171,8 +170,7 @@ class Spectrum:
         p = _probability_vector(probs, len(v))
         if not np.isfinite(v).all():
             raise ValidationError("eigenvectors hold non-finite values (NaN or infinity)")
-        gram = v @ v.conj().T
-        if np.abs(gram - np.eye(p.size)).max() > ORTHONORMALITY_TOL:
+        if not is_unitary(v):
             raise ValidationError("eigenvectors are not orthonormal within tolerance")
         v.setflags(write=False)
         self.probs = p

@@ -14,11 +14,13 @@ BREADTH_BLOCK, each leaf a prefix and a kept suffix, and scores each block
 at once from their marginals (see ``_rough_blocks``). It builds a grid only
 for the leaves that need an exact score: on one x86-64 core about 0.15 µs
 per leaf at (3,7), and about 2 s for 2x15, the largest grid the default
-threshold routes to it (9,694,845 leaves). The breadth phase works
-through the draws in blocks of BREADTH_BLOCK: it computes the random words
-of every draw of a block at once, places each value in every grid of the
-block at once, scores the block, and keeps only the block's best few grids,
-which bounds memory for any n1. The depth phase moves all seeds together, scoring
+threshold routes to it (9,694,845 leaves). The breadth phase cuts the
+draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded one at
+a time): a task computes the random words of all its draws at once, places
+each value in all its grids at once, scores them, and returns only its best
+few grids, which are merged as they arrive. ``run_tasks`` runs the same
+tasks in this process for one job, with memory bounded for any n1, and on a
+process pool for more. The depth phase moves all seeds together, scoring
 every candidate swap of every seed per iteration, and drops a seed once it
 swaps back and forth between two tableaux, counting the rest of its
 descent (see ``_depth``). Sums run in the same order as the scalar
@@ -26,7 +28,7 @@ loops kept in tests/oracles.py, so results match them bit for bit.
 
 Everything is deterministic given the config seed: each draw has its own RNG
 stream, numpy's ``PCG64(SeedSequence((seed, draw_index)))``, so results do
-not depend on the block size or on how draws are split across workers. The
+not depend on the block size or on how tasks are split across workers. The
 streams are computed here as uint32/uint64 array code, word for word those
 numpy makes, so the search never loads ``numpy.random``.
 
@@ -41,9 +43,10 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import repeat
+from functools import partial
 
 import numpy as np
 
@@ -152,17 +155,27 @@ def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
     return max(1, min(requested, tasks, cpus or 1))
 
 
-def breadth_tasks(n1: int, jobs: int) -> list[tuple[int, int]]:
-    """Draw ranges (lo, hi) for a pool of ``jobs`` workers: at least one per
-    worker, none longer than BREADTH_BLOCK, sizes within one of each other.
+def breadth_tasks(n1: int, jobs: int) -> Iterator[tuple[int, int]]:
+    """Draw ranges (lo, hi), yielded one at a time: at least one per worker
+    of ``jobs``, none longer than BREADTH_BLOCK, sizes within one of each
+    other.
 
-    The pool hands them out one at a time, so a worker whose core is slowed
+    A pool hands them out one at a time, so a worker whose core is slowed
     by other load takes fewer of them, and the phase waits at most one task
     for the last worker instead of for a fixed share of the draws.
     """
     tasks = min(n1, max(jobs, -(-n1 // BREADTH_BLOCK)))
-    bounds = np.linspace(0, n1, tasks + 1, dtype=int).tolist()
-    return list(zip(bounds[:-1], bounds[1:]))
+    return ((k * n1 // tasks, (k + 1) * n1 // tasks) for k in range(tasks))
+
+
+def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
+    """``map(fn, *iterables)``: in this process when ``jobs`` is 1, else on a
+    pool of ``jobs`` worker processes. Results come in task order either way."""
+    if jobs == 1:
+        yield from map(fn, *iterables)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(fn, *iterables)
 
 
 _log = np.frompyfunc(math.log, 1, 1)
@@ -447,60 +460,45 @@ def _merge_best(parts, keep: int) -> list[Candidate]:
     return _distinct_best(merged, keep)
 
 
-def _breadth_chunk(
-    probs: np.ndarray, d_a: int, d_b: int, seed: int, lo: int, hi: int, keep: int
+def _breadth_block(
+    probs: np.ndarray, d_a: int, d_b: int, seed: int, task: tuple[int, int], keep: int
 ) -> list[Candidate]:
-    """Evaluate draws lo..hi-1 in blocks of BREADTH_BLOCK and reduce them to
-    their best ``keep`` distinct grids, by (mi, draw index)."""
+    """Evaluate draws lo..hi-1 of ``task``, at most BREADTH_BLOCK of them,
+    and reduce them to their best ``keep`` distinct grids, by (mi, draw index)."""
+    lo, hi = task
     h_flat = shannon_entropy(probs)
-    best: list[Candidate] = []
-    for start in range(lo, hi, BREADTH_BLOCK):
-        stop = min(start + BREADTH_BLOCK, hi)
-        grids = _sample_block(d_a, d_b, seed, start, stop)
-        # As in the other phases, numpy's log scores every draw first. Rough
-        # and exact scores differ by under 1e-14 and duplicate grids score
-        # alike, so the rough score of the keep-th distinct grid is within
-        # that of the exact one, and only draws within SCORE_SLACK of it can
-        # hold the block's best keep grids; only those get an exact score.
-        rough = _block_mi(probs, grids, h_flat, _xlogx_rough)
-        ranked = ((float(rough[k]), k, grids[k]) for k in np.argsort(rough).tolist())
-        firsts = _distinct_best(ranked, keep)
-        cut = firsts[-1][0] if len(firsts) == keep else math.inf
-        near = np.flatnonzero(rough <= cut + SCORE_SLACK)
-        mi = _block_mi(probs, grids[near], h_flat)
-        order = np.argsort(mi, kind="stable").tolist()  # ties by draw index
-        ranked = ((float(mi[k]), start + int(near[k]), grids[near[k]].copy()) for k in order)
-        best = _merge_best([best, _distinct_best(ranked, keep)], keep)
-    return best
+    grids = _sample_block(d_a, d_b, seed, lo, hi)
+    # As in the other phases, numpy's log scores every draw first. Rough and
+    # exact scores differ by under 1e-14 and duplicate grids score alike, so
+    # the rough score of the keep-th distinct grid is within that of the
+    # exact one, and only draws within SCORE_SLACK of it can hold the block's
+    # best keep grids; only those get an exact score.
+    rough = _block_mi(probs, grids, h_flat, _xlogx_rough)
+    ranked = ((float(rough[k]), k, grids[k]) for k in np.argsort(rough).tolist())
+    firsts = _distinct_best(ranked, keep)
+    cut = firsts[-1][0] if len(firsts) == keep else math.inf
+    near = np.flatnonzero(rough <= cut + SCORE_SLACK)
+    near_grids = grids[near]
+    mi = _block_mi(probs, near_grids, h_flat)
+    return _merge_best([zip(mi.tolist(), (lo + near).tolist(), near_grids)], keep)
 
 
 def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig) -> list[Candidate]:
     """Sample n1 random regular grids and return the n2 distinct ones with
     the smallest mutual information, ascending by (mi, draw index).
 
-    Draw i uses the RNG stream ``PCG64(SeedSequence((config.seed, i)))``, so
-    the result is independent of how draws are split into blocks and workers.
+    The draws are cut into ``breadth_tasks`` of at most one block, which
+    ``run_tasks`` scores in this process or on a pool (the worker count
+    chooses only which), and the parts are merged as they arrive. Draw i
+    uses the RNG stream ``PCG64(SeedSequence((config.seed, i)))``, so the
+    result is independent of how draws are split into tasks and workers.
     """
     jobs = worker_count(config.parallelism, config.n1, usable_cpus())
-    if jobs == 1:
-        parts = [_breadth_chunk(p, dims.d_a, dims.d_b, config.seed, 0, config.n1, config.n2)]
-    else:
-        lo, hi = zip(*breadth_tasks(config.n1, jobs))
-        tasks = len(lo)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(
-                    _breadth_chunk,
-                    repeat(p, tasks),
-                    repeat(dims.d_a, tasks),
-                    repeat(dims.d_b, tasks),
-                    repeat(config.seed, tasks),
-                    lo,
-                    hi,
-                    repeat(config.n2, tasks),
-                )
-            )
-    return _merge_best(parts, config.n2)
+    score = partial(_breadth_block, p, dims.d_a, dims.d_b, config.seed, keep=config.n2)
+    best: list[Candidate] = []
+    for part in run_tasks(score, jobs, breadth_tasks(config.n1, jobs)):
+        best = _merge_best([best, part], config.n2)
+    return best
 
 
 def _depth(p: np.ndarray, dims: BipartiteDims, grids: np.ndarray, config: SearchConfig) -> Outcome:

@@ -371,34 +371,30 @@ def is_decreasing(pt: ProbabilityTableau) -> bool:
     )
 
 
+def _sort_along(pt: ProbabilityTableau, axis: int) -> tuple[Permutation, ProbabilityTableau]:
+    """Stable-sort each column (axis 0) or each row (axis 1) of the grid into
+    non-increasing order; the permutation maps each cell to where its entry
+    goes."""
+    order = np.argsort(-pt.p, axis=axis, kind="stable")
+    cells = np.arange(pt.dims.total).reshape(pt.p.shape)
+    mapping = np.empty(pt.dims.total, dtype=np.intp)
+    mapping[np.take_along_axis(cells, order, axis=axis)] = cells
+    out = np.take_along_axis(pt.p, order, axis=axis)
+    return Permutation(tuple(mapping.tolist())), ProbabilityTableau(pt.dims, out)
+
+
 def sort_within_columns(pt: ProbabilityTableau) -> tuple[Permutation, ProbabilityTableau]:
     """One tau_A pass: stable-sort each column into non-increasing order.
 
     Column sums are untouched and the row-sum vector afterwards majorizes the
     one before, so the mutual information cannot increase.
     """
-    d_a, d_b = pt.dims.d_a, pt.dims.d_b
-    mapping = [0] * (d_a * d_b)
-    out = np.empty_like(pt.p)
-    for j in range(d_b):
-        order = np.argsort(-pt.p[:, j], kind="stable")
-        for rank, src in enumerate(order):
-            out[rank, j] = pt.p[src, j]
-            mapping[int(src) * d_b + j] = rank * d_b + j
-    return Permutation(tuple(mapping)), ProbabilityTableau(pt.dims, out)
+    return _sort_along(pt, 0)
 
 
 def sort_within_rows(pt: ProbabilityTableau) -> tuple[Permutation, ProbabilityTableau]:
     """One tau_B pass: stable-sort each row into non-increasing order."""
-    d_a, d_b = pt.dims.d_a, pt.dims.d_b
-    mapping = [0] * (d_a * d_b)
-    out = np.empty_like(pt.p)
-    for i in range(d_a):
-        order = np.argsort(-pt.p[i, :], kind="stable")
-        for rank, src in enumerate(order):
-            out[i, rank] = pt.p[i, src]
-            mapping[i * d_b + int(src)] = i * d_b + rank
-    return Permutation(tuple(mapping)), ProbabilityTableau(pt.dims, out)
+    return _sort_along(pt, 1)
 
 
 class CanonicalizationResult(NamedTuple):

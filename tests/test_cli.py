@@ -436,6 +436,23 @@ class TestExperiment:
         _, par, _ = run_cli(capsys, *base, "--jobs", "3")
         assert [strip_timings(l) for l in seq] == [strip_timings(l) for l in par]
 
+    def test_aggregate_config_names_the_threshold(self, capsys):
+        # A batch forced onto the heuristic must be told apart from the
+        # exhaustive one, and rerun, from its own aggregate line.
+        base = (
+            "experiment", "fig2a", "--states", "3", "--da", "3", "--db", "4",
+            "--n1", "30", "--n2", "3", "--nd", "5", "--seed", "1",
+        )
+        outputs = [run_cli(capsys, *base), run_cli(capsys, *base, "--threshold", "1")]
+        configs = []
+        for (code, lines, _), method in zip(outputs, ("exhaustive", "heuristic")):
+            assert code == 0
+            assert {l["method"] for l in lines if "state" in l} == {method}
+            configs.append(lines[-1]["config"])
+        exhaustive, heuristic = configs
+        assert exhaustive == {"n1": 30, "n2": 3, "n_d": 5, "seed": 1, "exhaustive_threshold": 10**7}
+        assert heuristic == {**exhaustive, "exhaustive_threshold": 1}
+
     def test_each_state_decomposed_once(self, capsys, monkeypatch):
         states = 3
         counts = count_full_size_calls(monkeypatch, (6, 6))

@@ -4,6 +4,7 @@ Every comparison is exact: the array code sums in the scalar order and takes
 its logarithms from the same C library, so results must agree bit for bit.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,7 @@ from qaeopt import (
 )
 from qaeopt.search import (
     BREADTH_BLOCK,
+    MAX_DRAWS,
     _block_mi,
     _breadth,
     _depth,
@@ -453,12 +455,25 @@ def test_worker_count(requested, tasks, cpus, expected):
 
 @pytest.mark.parametrize(
     "n1,jobs",
-    [(2, 2), (200, 2), (20000, 2), (2 * BREADTH_BLOCK, 3), (2 * BREADTH_BLOCK + 37, 2), (10**6, 4)],
+    [(2, 2), (200, 2), (20000, 2), (2 * BREADTH_BLOCK, 3), (2 * BREADTH_BLOCK + 37, 2), (10**6, 4),
+     (20000, 1), (2 * BREADTH_BLOCK + 37, 1)],
 )
 def test_breadth_tasks_cover_draws_in_short_even_ranges(n1, jobs):
-    tasks = breadth_tasks(n1, jobs)
+    tasks = list(breadth_tasks(n1, jobs))
     assert tasks[0][0] == 0 and tasks[-1][1] == n1
     assert all(a[1] == b[0] for a, b in zip(tasks, tasks[1:]))
     sizes = [hi - lo for lo, hi in tasks]
     assert len(tasks) >= jobs
     assert 1 <= min(sizes) and max(sizes) <= BREADTH_BLOCK and max(sizes) - min(sizes) <= 1
+
+
+def test_breadth_tasks_yield_ranges_without_building_them_all():
+    # MAX_DRAWS draws make 2**21 tasks; the first comes without the rest.
+    tracemalloc.start()
+    try:
+        first = next(iter(breadth_tasks(MAX_DRAWS, 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == (0, BREADTH_BLOCK)
+    assert peak < 2**20
