@@ -10,27 +10,28 @@ All three are array code with one mutual-information kernel: ``_marginals``
 turns grids into row and column sums, ``_marginals_mi`` turns those into
 mutual information, and ``_block_mi`` is the two together. The exhaustive
 search takes its leaves from ``tableau.regular_grid_blocks`` in blocks of
-BREADTH_BLOCK, each leaf a prefix and a kept suffix, and scores each block
+LEAF_BLOCK, each leaf a prefix and a kept suffix, and scores each block
 at once from their marginals (see ``_rough_blocks``). It builds a grid only
 for the leaves that need an exact score: on one x86-64 core about 0.15 µs
 per leaf at (3,7), and about 2 s for 2x15, the largest grid the default
 threshold routes to it (9,694,845 leaves). The breadth phase cuts the
 draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded one at
-a time): a task computes the random words of all its draws at once, places
-each value in all its grids at once, scores them, and returns only its best
-few grids, which are merged as they arrive. ``run_tasks`` runs the same
-tasks in this process for one job, with memory bounded for any n1, and on a
-process pool for more. The depth phase moves all seeds together, scoring
-every candidate swap of every seed per iteration, and drops a seed once it
-swaps back and forth between two tableaux, counting the rest of its
+a time): a task computes the uniforms of all its draws at once, places each
+value in all its grids at once, in small-integer arrays, scores them, and
+returns only its best few grids, which are merged as they arrive.
+``run_tasks`` runs the same tasks in this process for one job, and on a
+process pool holding at most two tasks per worker for more, so memory is
+bounded for any n1 either way. The depth phase moves all seeds together,
+scoring every candidate swap of every seed per iteration, and drops a seed
+once it swaps back and forth between two tableaux, counting the rest of its
 descent (see ``_depth``). Sums run in the same order as the scalar
 loops kept in tests/oracles.py, so results match them bit for bit.
 
 Everything is deterministic given the config seed: each draw has its own RNG
 stream, numpy's ``PCG64(SeedSequence((seed, draw_index)))``, so results do
 not depend on the block size or on how tasks are split across workers. The
-streams are computed here as uint32/uint64 array code, word for word those
-numpy makes, so the search never loads ``numpy.random``.
+streams and their uniforms are computed here as uint32/uint64 array code,
+bit for bit those numpy makes, so the search never loads ``numpy.random``.
 
 ``optimize`` is the one entry point: it validates the probabilities once,
 routes by ``count_regular``, and builds the one ``OptimizationResult`` from
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -56,8 +58,11 @@ from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
 # Draws sampled and scored together. All n1 draws at once would hold every
-# grid and uniform in memory; 2048 keeps a block under 4 MB at (8, 8).
-BREADTH_BLOCK = 2048
+# grid and uniform in memory; one block of 4096 peaks at 3.7 MB of traced
+# memory at (8, 8), under a 4 MB budget.
+BREADTH_BLOCK = 4096
+# Exhaustive leaves scored together; 4096 is no faster there.
+LEAF_BLOCK = 2048
 # Breadth draws, exhaustive leaves and depth swaps whose rough (numpy log)
 # score is within this of the cut that matters get an exact score; the rough
 # and exact scores differ by far less than 1e-12.
@@ -156,26 +161,36 @@ def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
 
 
 def breadth_tasks(n1: int, jobs: int) -> Iterator[tuple[int, int]]:
-    """Draw ranges (lo, hi), yielded one at a time: at least one per worker
-    of ``jobs``, none longer than BREADTH_BLOCK, sizes within one of each
-    other.
+    """Draw ranges (lo, hi), yielded one at a time: none longer than
+    BREADTH_BLOCK, sizes within one of each other, and a multiple of
+    ``jobs`` of them unless that would exceed n1, so every worker gets an
+    equal share.
 
     A pool hands them out one at a time, so a worker whose core is slowed
     by other load takes fewer of them, and the phase waits at most one task
     for the last worker instead of for a fixed share of the draws.
     """
-    tasks = min(n1, max(jobs, -(-n1 // BREADTH_BLOCK)))
+    blocks = -(-n1 // BREADTH_BLOCK)
+    tasks = min(n1, -(-blocks // jobs) * jobs)
     return ((k * n1 // tasks, (k + 1) * n1 // tasks) for k in range(tasks))
 
 
 def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
     """``map(fn, *iterables)``: in this process when ``jobs`` is 1, else on a
-    pool of ``jobs`` worker processes. Results come in task order either way."""
+    pool of ``jobs`` worker processes. Results come in task order either way.
+    The pool holds at most 2 * jobs submitted tasks, so a long or endless
+    task list is read only as results are taken."""
     if jobs == 1:
         yield from map(fn, *iterables)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(fn, *iterables)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending = deque()
+        for args in zip(*iterables):
+            if len(pending) == 2 * jobs:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, *args))
+        while pending:
+            yield pending.popleft().result()
 
 
 _log = np.frompyfunc(math.log, 1, 1)
@@ -270,21 +285,21 @@ def _seed_sequence_state(seed: int, lo: int, hi: int) -> list[np.ndarray]:
 def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
     """One LCG step, state * multiplier + increment modulo 2**128, on
     (high, low) uint64 halves. The high half of lo * _PCG_MULT_LO comes from
-    32-bit pieces, whose products fit in 64 bits."""
+    32-bit pieces, whose products and partial sums fit in 64 bits."""
     a0, a1 = lo & _M32, lo >> 32
     b0, b1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    high = a1 * b1 + (mid >> 32) + ((mid & _M32) + a0 * b1 >> 32)
     prod_lo = lo * _PCG_MULT_LO
     new_lo = prod_lo + inc_lo
     new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + high + inc_hi + (new_lo < prod_lo)
     return new_hi, new_lo
 
 
-def _draw_words(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
-    """``PCG64(SeedSequence((seed, i))).random_raw(n)`` for draws i in
-    lo..hi-1, bit for bit, laid out draws-last: shape (n, hi - lo), uint64."""
+def _draw_uniforms(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """``Generator(PCG64(SeedSequence((seed, i)))).random(n)`` for draws i in
+    lo..hi-1, bit for bit, draws last: shape (n, hi - lo). Each output word w
+    goes straight into the result as (w >> 11) * 2**-53, as numpy makes it."""
     s_hi, s_lo, i_hi, i_lo = _seed_sequence_state(seed, lo, hi)
     # PCG64's set-seed: the increment is 2 * initseq + 1; from state 0 one
     # step gives the increment, then the seed is added and one more step run.
@@ -292,11 +307,11 @@ def _draw_words(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     lo_ = inc_lo + s_lo
     hi_ = inc_hi + s_hi + (lo_ < s_lo)
     hi_, lo_ = _pcg_step(hi_, lo_, inc_hi, inc_lo)
-    out = np.empty((n, hi - lo), dtype=np.uint64)
+    out = np.empty((n, hi - lo))
     for k in range(n):
         hi_, lo_ = _pcg_step(hi_, lo_, inc_hi, inc_lo)
         x, rot = hi_ ^ lo_, hi_ >> 58
-        out[k] = (x >> rot) | (x << ((64 - rot) & 63))
+        np.multiply((x >> rot | x << ((64 - rot) & 63)) >> 11, 2.0**-53, out=out[k])
     return out
 
 
@@ -304,37 +319,47 @@ def _sample_block(d_a: int, d_b: int, seed: int, lo: int, hi: int) -> np.ndarray
     """Value grids of draws lo..hi-1, shape (hi-lo, d_a, d_b).
 
     Draw i is exactly ``tableau._random_regular_grid`` fed from the stream
-    ``PCG64(SeedSequence((seed, i)))``, whose words ``_draw_words`` computes
-    for the whole block at once: its n uniforms are the ones
-    ``Generator.random`` makes from those words, and value v goes to the
-    k-th admissible row, k = min(floor(u_v * count), count - 1). Arrays are
-    laid out draws-last, so every step works on whole rows.
+    ``PCG64(SeedSequence((seed, i)))``, whose n uniforms ``_draw_uniforms``
+    computes for the whole block at once: value v goes to the k-th
+    admissible row, k = min(floor(u_v * count), count - 1). Arrays are laid
+    out draws-last, so every step works on whole rows, and the sampler state
+    is in the smallest signed integer type that holds n.
     """
     n, size = d_a * d_b, hi - lo
-    uniforms = (_draw_words(seed, lo, hi, n) >> np.uint64(11)) * 2.0**-53
-    draws = np.arange(size)
+    uniforms = _draw_uniforms(seed, lo, hi, n)
+    small = np.min_scalar_type(-n - 1)
     # lengths[i + 1] holds the length of row i; lengths[0] is a full sentinel
     # row, so row i is admissible exactly when lengths[i] > lengths[i + 1].
-    lengths = np.zeros((d_a + 1, size), dtype=np.intp)
+    lengths = np.zeros((d_a + 1, size), dtype=small)
     lengths[0] = d_b
-    flat_lengths = lengths.reshape(-1)
-    rank = np.empty((d_a, size), dtype=np.intp)
-    cell = np.empty((n, size), dtype=np.intp)
+    row_start = np.arange(0, n, d_b, dtype=small)[:, None]
+    admissible = np.empty((d_a, size), dtype=bool)
+    # before[i + 1]: row i comes before the chosen row; before[0] is all True.
+    before = np.ones((d_a + 1, size), dtype=bool)
+    chosen = np.empty((d_a, size), dtype=bool)
+    rank = np.empty((d_a, size), dtype=small)
+    at = np.empty((d_a, size), dtype=small)
+    cell = np.empty((n, size), dtype=small)
     for v in range(n):
-        admissible = lengths[:-1] > lengths[1:]
+        np.greater(lengths[:-1], lengths[1:], out=admissible)
         # Running count of admissible rows; np.cumsum along axis 0 is far
         # slower than one add per row.
         np.copyto(rank[0], admissible[0])
         for i in range(1, d_a):
             np.add(rank[i - 1], admissible[i], out=rank[i])
         count = rank[-1]
-        k = np.minimum((uniforms[v] * count).astype(np.intp), count - 1)
-        row = (rank <= k).sum(axis=0)
-        at = (row + 1) * size + draws
-        col = flat_lengths[at]
-        flat_lengths[at] = col + 1
-        cell[v] = row * d_b + col
+        k = np.minimum((uniforms[v] * count).astype(small), count - 1)
+        # The chosen row is the first with rank > k, where before turns
+        # False; a one-hot mask of it replaces a gather and a scatter.
+        np.less_equal(rank, k, out=before[1:])
+        np.not_equal(before[:-1], before[1:], out=chosen)
+        np.add(lengths[1:], row_start, out=at)
+        at *= chosen
+        at.sum(axis=0, out=cell[v])
+        lengths[1:] += chosen
+    del uniforms  # the largest array here, not needed for the grids
     grids = np.empty((size, n), dtype=np.int32)
+    draws = np.arange(size)
     grids[draws[:, None], cell.T] = np.arange(1, n + 1, dtype=np.int32)
     return grids.reshape(size, d_a, d_b)
 
@@ -352,8 +377,9 @@ def _marginals_mi(rows: np.ndarray, cols: np.ndarray, h_flat: float, xlogx=_xlog
 
 def _block_mi(probs: np.ndarray, grids: np.ndarray, h_flat: float, xlogx=_xlogx) -> np.ndarray:
     """Mutual information of each value grid, its marginals summed in cell
-    order. This is the one mutual-information kernel of the search."""
-    return _marginals_mi(*_marginals(probs[grids - 1]), h_flat, xlogx)
+    order. This is the one mutual-information kernel of the search. Values
+    are 1-based, so they index ``[0, probs...]`` directly."""
+    return _marginals_mi(*_marginals(np.concatenate(([0.0], probs))[grids]), h_flat, xlogx)
 
 
 def _min_before(scores: np.ndarray, floor: float) -> np.ndarray:
@@ -383,7 +409,7 @@ def _rough_blocks(p: np.ndarray, dims: BipartiteDims, h_flat: float):
     """
     p_ext = np.concatenate(([0.0], p))
     suffix_rows, suffix_cols = np.zeros((0, dims.d_a)), np.zeros((0, dims.d_b))
-    for block in regular_grid_blocks(dims, BREADTH_BLOCK, exploit_symmetry=dims.d_a == dims.d_b):
+    for block in regular_grid_blocks(dims, LEAF_BLOCK, exploit_symmetry=dims.d_a == dims.d_b):
         if len(block.store) > len(suffix_rows):
             rows, cols = _marginals(p_ext[block.store[len(suffix_rows) :]])
             suffix_rows = np.concatenate([suffix_rows, rows])
@@ -406,7 +432,7 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims) -> Outcome:
     unchanged), so the evaluation count is half the total count there.
 
     The leaves come from ``tableau.regular_grid_blocks`` in blocks of
-    BREADTH_BLOCK, as prefix and suffix indices, and ``_rough_blocks``
+    LEAF_BLOCK, as prefix and suffix indices, and ``_rough_blocks``
     scores each block at once from their marginals. Rough and exact scores
     differ by far less than 1e-12, well under SCORE_SLACK, so a leaf can set
     a new exact minimum only if its rough score is within SCORE_SLACK of the

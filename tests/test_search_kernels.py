@@ -37,12 +37,14 @@ from qaeopt.search import (
     MAX_DRAWS,
     _block_mi,
     _breadth,
+    _breadth_block,
     _depth,
-    _draw_words,
+    _draw_uniforms,
     _exhaustive,
     _rough_blocks,
     _sample_block,
     breadth_tasks,
+    run_tasks,
     worker_count,
 )
 from qaeopt.tableau import _random_regular_grid, regular_grid_blocks
@@ -81,20 +83,42 @@ def exhaustive(probs, dims):
     }
 
 
-@pytest.mark.parametrize("d_a,d_b", SAMPLER_DIMS)
-def test_block_sampler_matches_scalar_draws(d_a, d_b):
-    seed, lo, hi = 31, 17, 17 + 300
-    grids = _sample_block(d_a, d_b, seed, lo, hi)
-    expected = [
+def scalar_grids(d_a, d_b, seed, lo, hi):
+    """Draws lo..hi-1 one at a time, each from numpy's own generator."""
+    return np.array([
         _random_regular_grid(d_a, d_b, np.random.default_rng(np.random.SeedSequence((seed, i))))
         for i in range(lo, hi)
-    ]
-    assert grids.shape == (hi - lo, d_a, d_b)
-    assert np.array_equal(grids, np.array(expected))
+    ])
 
 
 @pytest.mark.parametrize("d_a,d_b", SAMPLER_DIMS)
-@pytest.mark.parametrize("n1", [100, 2 * BREADTH_BLOCK + 37])
+def test_block_sampler_matches_scalar_draws(d_a, d_b):
+    grids = _sample_block(d_a, d_b, 31, 17, 17 + 300)
+    assert grids.shape == (300, d_a, d_b)
+    assert np.array_equal(grids, scalar_grids(d_a, d_b, 31, 17, 17 + 300))
+
+
+def test_block_sampler_at_the_cell_cap():
+    # 2**14 cells: lengths and cells up to 2**14 - 1 in the int16 state.
+    grids = _sample_block(2, 8192, 4, 2**32 - 3, 2**32)
+    assert grids.dtype == np.int32
+    assert np.array_equal(grids, scalar_grids(2, 8192, 4, 2**32 - 3, 2**32))
+
+
+def test_breadth_block_memory():
+    # One full 8x8 block: its uniforms, grids and scores stay under 4 MB.
+    probs = descending_probs(64, 2)
+    tracemalloc.start()
+    try:
+        _breadth_block(probs, 8, 8, 1, (0, BREADTH_BLOCK), 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("d_a,d_b", SAMPLER_DIMS)
+@pytest.mark.parametrize("n1", [100, BREADTH_BLOCK + 37])
 @pytest.mark.parametrize("kind", ["dirichlet", "uniform"])
 def test_breadth_matches_scalar(d_a, d_b, n1, kind):
     dims = BipartiteDims(d_a, d_b)
@@ -121,13 +145,15 @@ STREAM_RANGES = [
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 @pytest.mark.parametrize("n", [1, 64, 256])
 def test_draw_words_match_numpy_streams(seed, n):
+    # The uniforms made from each draw's stream words, bit for bit.
     for lo, hi in STREAM_RANGES:
         expected = [
-            np.random.PCG64(np.random.SeedSequence((seed, i))).random_raw(n) for i in range(lo, hi)
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i)))).random(n)
+            for i in range(lo, hi)
         ]
-        got = _draw_words(seed, lo, hi, n)
-        assert got.dtype == np.uint64 and got.shape == (n, hi - lo)
-        assert np.array_equal(got.T, np.array(expected, dtype=np.uint64).reshape(hi - lo, n))
+        got = _draw_uniforms(seed, lo, hi, n)
+        assert got.dtype == np.float64 and got.shape == (n, hi - lo)
+        assert np.array_equal(got.T.view(np.uint64), np.array(expected).view(np.uint64))
 
 
 @pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 3), (8, 8)])
@@ -215,7 +241,7 @@ EXHAUSTIVE_CASES = [
 @pytest.mark.parametrize("d_a,d_b,kind,block,cap", EXHAUSTIVE_CASES)
 def test_exhaustive_matches_scalar(d_a, d_b, kind, block, cap, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(qaeopt.search, "BREADTH_BLOCK", block)
+        monkeypatch.setattr(qaeopt.search, "LEAF_BLOCK", block)
     if cap is not None:
         monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
     dims = BipartiteDims(d_a, d_b)
@@ -276,7 +302,7 @@ def test_factored_rough_scores_match_exact(case):
     probs, dims, cap, block = case
     h_flat = shannon_entropy(probs)
     with mock.patch.object(qaeopt.tableau, "SUFFIX_CAP", cap), mock.patch.object(
-        qaeopt.search, "BREADTH_BLOCK", block
+        qaeopt.search, "LEAF_BLOCK", block
     ):
         leaves = 0
         for leaf_block, rough in _rough_blocks(probs, dims, h_flat):
@@ -455,15 +481,15 @@ def test_worker_count(requested, tasks, cpus, expected):
 
 @pytest.mark.parametrize(
     "n1,jobs",
-    [(2, 2), (200, 2), (20000, 2), (2 * BREADTH_BLOCK, 3), (2 * BREADTH_BLOCK + 37, 2), (10**6, 4),
-     (20000, 1), (2 * BREADTH_BLOCK + 37, 1)],
+    [(2, 2), (200, 2), (20000, 2), (BREADTH_BLOCK, 3), (BREADTH_BLOCK + 37, 2), (10**6, 4),
+     (20000, 1), (BREADTH_BLOCK + 37, 1)],
 )
 def test_breadth_tasks_cover_draws_in_short_even_ranges(n1, jobs):
     tasks = list(breadth_tasks(n1, jobs))
     assert tasks[0][0] == 0 and tasks[-1][1] == n1
     assert all(a[1] == b[0] for a, b in zip(tasks, tasks[1:]))
     sizes = [hi - lo for lo, hi in tasks]
-    assert len(tasks) >= jobs
+    assert len(tasks) >= jobs and len(tasks) % jobs == 0
     assert 1 <= min(sizes) and max(sizes) <= BREADTH_BLOCK and max(sizes) - min(sizes) <= 1
 
 
@@ -476,4 +502,29 @@ def test_breadth_tasks_yield_ranges_without_building_them_all():
     finally:
         tracemalloc.stop()
     assert first == (0, BREADTH_BLOCK)
+    assert peak < 2**20
+
+
+def test_run_tasks_pool_reads_tasks_as_results_are_taken():
+    # Two workers and a million lazy tasks: the first result comes after a
+    # window of tasks is read, not all of them. Reading far ahead fails at
+    # once instead of submitting a million tasks.
+    read = []
+
+    def tasks():
+        for i in range(10**6):
+            if len(read) == 100:
+                raise RuntimeError("tasks read ahead of their results")
+            read.append(i)
+            yield -i
+
+    tracemalloc.start()
+    try:
+        results = run_tasks(abs, 2, tasks())
+        first = next(results)
+        _, peak = tracemalloc.get_traced_memory()
+        results.close()
+    finally:
+        tracemalloc.stop()
+    assert first == 0 and len(read) <= 5
     assert peak < 2**20

@@ -53,7 +53,7 @@ def leaf_grids(block):
 
 def regular_tableaux(dims, exploit_symmetry=False):
     """Every regular filling, in the order the exhaustive search scores them."""
-    blocks = regular_grid_blocks(dims, qaeopt.search.BREADTH_BLOCK, exploit_symmetry)
+    blocks = regular_grid_blocks(dims, qaeopt.search.LEAF_BLOCK, exploit_symmetry)
     return [YoungTableau(dims, grid) for block in blocks for grid in leaf_grids(block).tolist()]
 
 
@@ -145,7 +145,7 @@ class TestEnumerate:
             monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
         dims = BipartiteDims(d_a, d_b)
         want = list(scalar_enumerate(dims, exploit_symmetry))
-        block = block or qaeopt.search.BREADTH_BLOCK
+        block = block or qaeopt.search.LEAF_BLOCK
         # Small blocks split the prefix walk often; every block but the last is full.
         blocks = list(regular_grid_blocks(dims, block, exploit_symmetry))
         sizes = [len(b.prefix) for b in blocks]
