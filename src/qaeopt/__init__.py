@@ -13,9 +13,7 @@ from .exceptions import StateFileError, ValidationError
 from .qstate import (
     BipartiteDims,
     DensityMatrix,
-    Spectrum,
     apply_unitary,
-    eigendecompose,
     mutual_information,
     nats_to_bits,
     partial_trace,
@@ -66,7 +64,6 @@ __all__ = [
     "Permutation",
     "ProbabilityTableau",
     "SearchConfig",
-    "Spectrum",
     "StateFile",
     "StateFileError",
     "ValidationError",
@@ -77,7 +74,6 @@ __all__ = [
     "canonicalize_decreasing",
     "compress_reconstruct",
     "count_regular",
-    "eigendecompose",
     "generate_instance",
     "haar_unitary",
     "is_decreasing",

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .exceptions import StateFileError, ValidationError
 from .pipeline import build_encoder, generate_instance, verify_theorem1
-from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, eigendecompose, nats_to_bits
+from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, nats_to_bits
 from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, run_tasks, usable_cpus, worker_count
 from .statefile import load_statefile
 from .tableau import count_regular, random_regular
@@ -77,12 +77,10 @@ def cmd_count(args) -> int:
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     sf = load_statefile(args.statefile)
-    spectrum = None if sf.density is None else eigendecompose(sf.density)
-    probs = sf.spectrum if spectrum is None else spectrum.probs
-    result = optimize(probs, sf.dims, args.config)
+    result = optimize(sf.probs, sf.dims, args.config)
     compression = None
-    if spectrum is not None:
-        u = build_encoder(spectrum, result.best_tableau)
+    if sf.density is not None:
+        u = build_encoder(sf.density, result.best_tableau)
         compression = _compression_dict(verify_theorem1(sf.density, u, sf.dims), args.bits)
     _emit(
         {
@@ -112,7 +110,7 @@ def cmd_verify(args) -> int:
         u, tableau_cells = np.eye(sf.dims.total), None
     else:
         tableau = random_regular(sf.dims, args.seed)
-        u = build_encoder(eigendecompose(rho), tableau)
+        u = build_encoder(rho, tableau)
         tableau_cells = [list(row) for row in tableau.cells]
     report = verify_theorem1(rho, u, sf.dims)
     _emit(
@@ -137,8 +135,7 @@ def _experiment_state(kind: str, dims: BipartiteDims, config: SearchConfig, inde
     the batch's master seed; the instance and the search each derive their
     own seed from it and the index, and the search runs in this process."""
     master_seed = config.seed
-    rho = generate_instance(kind, dims, np.random.SeedSequence((master_seed, index, 0)))
-    probs = eigendecompose(rho).probs
+    probs = generate_instance(kind, dims, np.random.SeedSequence((master_seed, index, 0))).probs
     search_seed = int(np.random.SeedSequence((master_seed, index, 1)).generate_state(1)[0])
     result = optimize(probs, dims, replace(config, seed=search_seed, parallelism=1))
     return {

@@ -14,6 +14,8 @@ and a strictly positive gap (Klein's inequality) for any other choice.
 All three uses of that chain share one helper, ``_reconstruct``. Its inputs are
 validated once, at the boundary (sigma and rho_A as ``DensityMatrix``, U by
 ``is_unitary``); its intermediates are plain arrays and are not validated.
+``build_encoder`` reads the sorted eigenpairs the state keeps, so building
+the optimal encoder decomposes nothing again.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .exceptions import ValidationError
 from .qstate import (
     BipartiteDims,
     DensityMatrix,
-    Spectrum,
     _apply_unitary,
     _marginals,
     _mutual_information,
@@ -57,24 +58,20 @@ class CompressionReport:
         return asdict(self)
 
 
-def build_encoder(spectrum: Spectrum, tableau: YoungTableau) -> np.ndarray:
-    """The read-only encoder U = V_tau V_D for a spectrum and a tableau filling.
+def build_encoder(rho: DensityMatrix, tableau: YoungTableau) -> np.ndarray:
+    """The read-only encoder U = V_tau V_D for a state and a tableau filling.
 
-    Row alpha of V_D is the bra of eigenvector alpha, so V_D maps eigenvector
-    alpha to the computational basis vector alpha (row-major). V_tau then
-    sends it to the basis vector of the cell holding value alpha + 1. The
-    split is the tableau's ``dims``. The tableau need not be regular;
-    regularity only matters for optimality.
+    Row alpha of V_D is the bra of eigenvector alpha of ``rho`` (descending
+    eigenvalues), so V_D maps eigenvector alpha to the computational basis
+    vector alpha (row-major). V_tau then sends it to the basis vector of the
+    cell holding value alpha + 1. The split is the tableau's ``dims``. The
+    tableau need not be regular; regularity only matters for optimality.
     """
-    if spectrum.dim != tableau.dims.total:
-        raise ValidationError(
-            f"spectrum dimension {spectrum.dim} does not match d_a*d_b = {tableau.dims.total}"
-        )
+    tableau.dims.check_dim(rho.dim)
     # Row c of U is the conjugated eigenvector of the value in flat cell c.
-    u = spectrum.vectors.conj()[tableau.index_array.ravel()]
-    # U's rows are the conjugated eigenvectors, permuted, so it is unitary
-    # within the orthonormality tolerance that Spectrum enforces; _reconstruct
-    # checks U once more, as it checks every unitary it is given.
+    u = rho.vectors.conj()[tableau.index_array.ravel()]
+    # U's rows are eigh's orthonormal eigenvectors, permuted, so U is unitary;
+    # _reconstruct checks it once, as it checks every unitary it is given.
     u.setflags(write=False)
     return u
 

@@ -82,9 +82,11 @@ class DensityMatrix:
 
     The backing array is copied at construction and marked read-only, so
     instances are safe to share across threads. The one ``eigh`` of the
-    positive-semidefinite check is kept: ``eigenvalues`` ascending and
-    ``eigenvectors`` as the matching columns, both read-only, for
-    ``eigendecompose`` and ``von_neumann_entropy``.
+    positive-semidefinite check is kept, sorted once: ``probs`` holds the
+    eigenvalues descending and clipped at 0, and row alpha of ``vectors`` is
+    the eigenvector of ``probs[alpha]``; both are read-only. Ties keep the
+    eigensolver's order (stable sort), which makes downstream arrangements
+    deterministic.
     """
 
     def __init__(self, entries) -> None:
@@ -109,11 +111,14 @@ class DensityMatrix:
             raise ValidationError(
                 f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
             )
-        for a in (mat, vals, vecs):
+        order = np.argsort(-vals, kind="stable")
+        probs = np.clip(vals[order], 0.0, None)
+        vectors = vecs.T[order]
+        for a in (mat, probs, vectors):
             a.setflags(write=False)
         self._mat = mat
-        self.eigenvalues = vals
-        self.eigenvectors = vecs
+        self.probs = probs
+        self.vectors = vectors
 
     @property
     def matrix(self) -> np.ndarray:
@@ -156,49 +161,6 @@ def _probability_vector(probs, n: int) -> np.ndarray:
     return p
 
 
-class Spectrum:
-    """Eigendecomposition of a density matrix: descending probabilities plus eigenvectors.
-
-    ``vectors[alpha]`` is the (row-indexed) eigenvector paired with
-    ``probs[alpha]``; the state reassembles as sum_a probs[a] |v_a><v_a|.
-    """
-
-    def __init__(self, probs, vectors) -> None:
-        v = np.array(vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValidationError(f"expected a d x d vector array, got shape {v.shape}")
-        p = _probability_vector(probs, len(v))
-        if not np.isfinite(v).all():
-            raise ValidationError("eigenvectors hold non-finite values (NaN or infinity)")
-        if not is_unitary(v):
-            raise ValidationError("eigenvectors are not orthonormal within tolerance")
-        v.setflags(write=False)
-        self.probs = p
-        self.vectors = v
-
-    @property
-    def dim(self) -> int:
-        return self.probs.size
-
-    def reconstruct(self) -> np.ndarray:
-        """Reassemble sum_a probs[a] |v_a><v_a| as a plain array."""
-        return (self.vectors.T * self.probs) @ self.vectors.conj()
-
-
-def eigendecompose(rho: DensityMatrix) -> Spectrum:
-    """Spectral decomposition with eigenvalues sorted descending.
-
-    Reads the pairs ``rho`` computed when it was built. Ties between equal
-    eigenvalues keep the eigensolver's output order (stable sort), which makes
-    downstream arrangements deterministic.
-    """
-    vals = rho.eigenvalues
-    order = np.argsort(-vals, kind="stable")
-    probs = np.clip(vals[order], 0.0, None)
-    # eigh guarantees unit trace only up to round-off; Spectrum re-validates.
-    return Spectrum(probs, rho.eigenvectors[:, order].T)
-
-
 def shannon_entropy(probs) -> float:
     """Shannon entropy in nats with the 0*log(0) = 0 convention.
 
@@ -223,7 +185,7 @@ def shannon_entropy(probs) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho log rho), in nats, from the eigenvalues ``rho`` keeps."""
-    return shannon_entropy(rho.eigenvalues)
+    return shannon_entropy(rho.probs)
 
 
 # Each private ``_name`` below is the array body of the public ``name``: it

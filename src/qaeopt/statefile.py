@@ -30,10 +30,10 @@ FORMAT_VERSION = 1
 @dataclass(frozen=True, eq=False)
 class StateFile:
     dims: BipartiteDims
-    # Exactly one of the two payloads is set: the validated density matrix of
-    # a dense file, or the descending probabilities of a spectrum file.
+    # The descending probabilities of either file kind. A dense file also
+    # keeps its validated density matrix, and these are its ``probs``.
+    probs: np.ndarray
     density: DensityMatrix | None
-    spectrum: np.ndarray | None
     label: str | None
     digest: str  # SHA-256 of the file's bytes, as read for loading
 
@@ -124,26 +124,28 @@ def load_statefile(path) -> StateFile:
         dims = BipartiteDims(data.get("d_a"), data.get("d_b"))
     except ValidationError as exc:
         raise StateFileError(f"bad or missing d_a/d_b: {exc}") from exc
+    label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise StateFileError("label must be a string")
 
     has_matrix = "matrix" in data
     has_spectrum = "spectrum" in data
     if has_matrix == has_spectrum:
         raise StateFileError("state file must carry exactly one of 'matrix' or 'spectrum'")
 
-    density = spectrum = None
+    density = None
     if has_matrix:
-        mat = _complex_matrix(data["matrix"], dims.total)
+        # The parsed lists are megabytes too: free them before the eigh.
+        mat = _complex_matrix(data.pop("matrix"), dims.total)
+        del data
         try:
             density = DensityMatrix(mat)
         except ValidationError as exc:
             raise StateFileError(f"matrix is not a valid density matrix: {exc}") from exc
+        probs = density.probs
     else:
-        spectrum = _spectrum(data["spectrum"], dims.total)
-
-    label = data.get("label")
-    if label is not None and not isinstance(label, str):
-        raise StateFileError("label must be a string")
-    return StateFile(dims=dims, density=density, spectrum=spectrum, label=label, digest=digest)
+        probs = _spectrum(data["spectrum"], dims.total)
+    return StateFile(dims=dims, probs=probs, density=density, label=label, digest=digest)
 
 
 def save_statefile(path, dims: BipartiteDims, matrix=None, spectrum=None, label=None) -> None:

@@ -43,12 +43,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(m == k for k, m in enumerate(self.mapping))
 
-    def compose_after(self, first: "Permutation") -> "Permutation":
-        """Permutation equivalent to applying ``first`` and then ``self``."""
-        if first.size != self.size:
-            raise ValidationError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.mapping[m] for m in first.mapping))
-
     def apply_to_grid(self, grid: np.ndarray) -> np.ndarray:
         """Move the entry at flat (row-major) cell k to flat cell mapping[k]."""
         flat = np.asarray(grid).ravel()

@@ -22,7 +22,6 @@ from qaeopt import (
     canonicalize_decreasing,
     compress_reconstruct,
     count_regular,
-    eigendecompose,
     generate_instance,
     is_decreasing,
     optimize,
@@ -128,7 +127,7 @@ def test_04_compression_identity_and_klein_gap():
             seed = MASTER_SEED + 40_000 * dims.total + trial
             rho = generate_instance("random-dense", dims, seed)
             tableau = random_regular(dims, seed + 1)
-            u = build_encoder(eigendecompose(rho), tableau)
+            u = build_encoder(rho, tableau)
             rep = verify_theorem1(rho, u, dims)
             assert not rep.support_violation
             worst_residual = max(worst_residual, rep.residual)
@@ -137,7 +136,7 @@ def test_04_compression_identity_and_klein_gap():
         dims = shapes[trial % 3]
         seed = MASTER_SEED + 50_000 + trial
         rho = generate_instance("random-dense", dims, seed)
-        u = build_encoder(eigendecompose(rho), random_regular(dims, seed + 1))
+        u = build_encoder(rho, random_regular(dims, seed + 1))
         aux = generate_instance("random-dense", BipartiteDims(1, dims.d_a), seed + 2)
         gap = suboptimal_auxiliary_gap(rho, u, dims, aux)
         worst_gap = min(worst_gap, gap)
@@ -156,9 +155,8 @@ def test_05_perfect_compression_faithfulness():
     worst_frob = 0.0
     for trial in range(20):
         rho = generate_instance("product-spectrum", dims, MASTER_SEED + 500 + trial)
-        spectrum = eigendecompose(rho)
-        result = optimize(spectrum.probs, dims)
-        u = build_encoder(spectrum, result.best_tableau)
+        result = optimize(rho.probs, dims)
+        u = build_encoder(rho, result.best_tableau)
         _, sigma_out = compress_reconstruct(rho, u, dims)
         worst_mi = max(worst_mi, result.best_mi)
         worst_frob = max(worst_frob, float(np.linalg.norm(sigma_out.matrix - rho.matrix)))
@@ -197,7 +195,7 @@ def test_07_mixed_state_batch_8x8_and_heuristic_vs_exact():
     for index in range(100):
         seed = np.random.SeedSequence((MASTER_SEED, 7, index))
         rho = generate_instance("diagonal-mixed", dims, seed)
-        probs = eigendecompose(rho).probs
+        probs = rho.probs
         search_seed = int(np.random.SeedSequence((MASTER_SEED, 70, index)).generate_state(1)[0])
         cfg = SearchConfig(n1=2000, n2=8, n_d=50, seed=search_seed)
         res = optimize(probs, dims, cfg)

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import qaeopt.qstate
 from qaeopt import BipartiteDims, DensityMatrix, generate_instance, save_statefile
 from qaeopt.cli import main
 
@@ -49,8 +50,9 @@ def bell_state_file(tmp_path):
 
 
 def count_full_size_calls(monkeypatch, full):
-    """Count DensityMatrix constructions and np.linalg eigh/eigvalsh calls on
-    ``full``-shaped arrays."""
+    """Count DensityMatrix constructions, np.linalg eigh/eigvalsh calls and
+    orthonormality checks (``qaeopt.qstate.is_unitary``) on ``full``-shaped
+    arrays."""
     counts = Counter()
 
     def counted(name, fn):
@@ -69,6 +71,7 @@ def count_full_size_calls(monkeypatch, full):
     monkeypatch.setattr(DensityMatrix, "__init__", counted_init)
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(qaeopt.qstate, "is_unitary", counted("is_unitary", qaeopt.qstate.is_unitary))
     return counts
 
 
@@ -378,11 +381,13 @@ class TestVerify:
         assert code == 0
         report = lines[0] if argv[0] == "verify" else lines[0]["compression"]
         assert report["residual"] < 1e-6
-        # One eigh validates sigma at load and serves eigendecompose and S(sigma);
-        # the other is sigma_out's spectrum in the relative entropy.
+        # One eigh validates sigma at load and gives the encoder its
+        # eigenvectors and S(sigma); the other is sigma_out's spectrum in the
+        # relative entropy. U is checked for unitarity once, by verify_theorem1.
         assert counts["DensityMatrix"] == 1
         assert counts["eigh"] == 2
         assert counts["eigvalsh"] == 0
+        assert counts["is_unitary"] == 1
 
 
 class TestExperiment:

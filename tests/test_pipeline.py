@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 from qaeopt import (
     BipartiteDims,
     DensityMatrix,
-    Spectrum,
     ValidationError,
     YoungTableau,
     apply_unitary,
     arrange,
     build_encoder,
     compress_reconstruct,
-    eigendecompose,
     generate_instance,
     haar_unitary,
     mutual_information,
@@ -25,24 +23,21 @@ from qaeopt import (
     tableau_mutual_information,
     verify_theorem1,
 )
-from qaeopt.qstate import is_unitary
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
 
 
 def encoder_for(rho, dims, tableau_seed=0):
-    """(spectrum, tableau, U) for rho and a random regular tableau."""
-    spectrum = eigendecompose(rho)
+    """(tableau, U) for rho and a random regular tableau."""
     tableau = random_regular(dims, tableau_seed)
-    return spectrum, tableau, build_encoder(spectrum, tableau)
+    return tableau, build_encoder(rho, tableau)
 
 
 class TestBuildEncoder:
     def test_diagonal_state_identity_tableau_gives_permutation(self):
         rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]))
-        spectrum = eigendecompose(rho)
-        u = np.abs(build_encoder(spectrum, YoungTableau.row_major(DIMS22)))
+        u = np.abs(build_encoder(rho, YoungTableau.row_major(DIMS22)))
         assert np.allclose(u @ u.T, np.eye(4))
         assert np.allclose(np.sort(u.ravel()), [0.0] * 12 + [1.0] * 4)
 
@@ -50,62 +45,45 @@ class TestBuildEncoder:
     @settings(max_examples=30, deadline=None)
     def test_unitarity(self, seed):
         rho = generate_instance("random-dense", DIMS23, seed)
-        _, _, u = encoder_for(rho, DIMS23, tableau_seed=seed)
+        _, u = encoder_for(rho, DIMS23, tableau_seed=seed)
         product = u @ u.conj().T
         assert np.abs(product - np.eye(6)).max() < 1e-9
 
     def test_encoded_state_is_diagonal(self):
         rho = generate_instance("random-dense", DIMS22, 12)
-        spectrum, tableau, u = encoder_for(rho, DIMS22, tableau_seed=3)
+        tableau, u = encoder_for(rho, DIMS22, tableau_seed=3)
         encoded = apply_unitary(rho, u).matrix
         off = encoded - np.diag(np.diag(encoded))
         assert np.linalg.norm(off) < 1e-9
         # Diagonal equals the tableau arrangement of the spectrum.
-        expected = arrange(spectrum.probs, tableau).p.ravel()
+        expected = arrange(rho.probs, tableau).p.ravel()
         assert np.allclose(np.diag(encoded).real, expected)
 
     def test_eigenvector_mapping(self):
         rho = generate_instance("random-dense", DIMS22, 4)
-        spectrum, tableau, u = encoder_for(rho, DIMS22, tableau_seed=1)
+        tableau, u = encoder_for(rho, DIMS22, tableau_seed=1)
         # Eigenvector alpha goes to the basis vector of the cell holding alpha + 1.
         for alpha, (i, j) in enumerate(tableau.positions):
-            image = u @ spectrum.vectors[alpha]
+            image = u @ rho.vectors[alpha]
             basis = np.zeros(4)
             basis[i * DIMS22.d_b + j] = 1.0
             assert np.abs(image - basis).max() < 1e-9
 
     def test_dims_mismatch(self):
         rho = generate_instance("random-dense", DIMS22, 0)
-        spectrum = eigendecompose(rho)
         with pytest.raises(ValidationError):
-            build_encoder(spectrum, YoungTableau.row_major(DIMS23))
-
-    @pytest.mark.parametrize("eps", [1e-9, 1e-6])
-    def test_non_orthonormal_vectors_rejected_when_spectrum_is_built(self, eps):
-        # build_encoder does not test U itself: U is unitary because Spectrum
-        # holds orthonormal vectors, so vectors off by more than its 1e-10
-        # tolerance must not get that far.
-        v = haar_unitary(4, np.random.default_rng(6))
-        v[1, 2] += eps
-        with pytest.raises(ValidationError, match="orthonormal"):
-            Spectrum([0.4, 0.3, 0.2, 0.1], v)
-
-    def test_encoder_of_a_spectrum_at_its_tolerance_is_unitary(self):
-        v = haar_unitary(4, np.random.default_rng(6))
-        v[1, 2] += 2e-11
-        spectrum = Spectrum([0.4, 0.3, 0.2, 0.1], v)
-        assert is_unitary(build_encoder(spectrum, random_regular(DIMS22, 3)))
+            build_encoder(rho, YoungTableau.row_major(DIMS23))
 
     def test_encoder_is_read_only(self):
         rho = generate_instance("random-dense", DIMS22, 5)
-        _, _, u = encoder_for(rho, DIMS22)
+        _, u = encoder_for(rho, DIMS22)
         assert isinstance(u, np.ndarray) and not u.flags.writeable
 
 
 class TestCompressReconstruct:
     def test_shapes_and_validity(self):
         rho = generate_instance("random-dense", DIMS22, 8)
-        _, _, u = encoder_for(rho, DIMS22, 2)
+        _, u = encoder_for(rho, DIMS22, 2)
         sigma_b, sigma_out = compress_reconstruct(rho, u, DIMS22)
         assert sigma_b.dim == 2
         assert sigma_out.dim == 4
@@ -115,18 +93,16 @@ class TestCompressReconstruct:
         # kron of descending factor spectra that is globally descending, so
         # the assembled encoder reduces to the identity permutation.
         rho = DensityMatrix(np.kron(np.diag([0.9, 0.1]), np.diag([0.8, 0.2])))
-        spectrum = eigendecompose(rho)
-        u = build_encoder(spectrum, YoungTableau.row_major(DIMS22))
+        u = build_encoder(rho, YoungTableau.row_major(DIMS22))
         assert np.allclose(np.abs(u), np.eye(4))
         _, sigma_out = compress_reconstruct(rho, u, DIMS22)
         assert np.linalg.norm(sigma_out.matrix - rho.matrix) < 1e-10
 
     def test_zero_mi_plan_reconstructs_perfectly(self):
         rho = generate_instance("product-spectrum", DIMS22, 5)
-        probs = eigendecompose(rho).probs
-        best = optimize(probs, DIMS22)
+        best = optimize(rho.probs, DIMS22)
         assert best.best_mi < 1e-12
-        u = build_encoder(eigendecompose(rho), best.best_tableau)
+        u = build_encoder(rho, best.best_tableau)
         _, sigma_out = compress_reconstruct(rho, u, DIMS22)
         assert np.linalg.norm(sigma_out.matrix - rho.matrix) < 1e-8
 
@@ -136,7 +112,7 @@ class TestTheorem1:
     @settings(max_examples=30, deadline=None)
     def test_identity_holds_for_random_dense(self, seed):
         rho = generate_instance("random-dense", DIMS23, seed)
-        _, _, u = encoder_for(rho, DIMS23, seed + 1)
+        _, u = encoder_for(rho, DIMS23, seed + 1)
         report = verify_theorem1(rho, u, DIMS23)
         assert report.residual < 1e-7
         assert not report.support_violation
@@ -144,7 +120,7 @@ class TestTheorem1:
     def test_identity_holds_for_diagonal_states(self):
         for seed in range(10):
             rho = generate_instance("diagonal-mixed", DIMS23, seed)
-            _, _, u = encoder_for(rho, DIMS23, seed)
+            _, u = encoder_for(rho, DIMS23, seed)
             assert verify_theorem1(rho, u, DIMS23).residual < 1e-7
 
     def test_unencoded_plan_reports_state_mutual_information(self):
@@ -152,6 +128,19 @@ class TestTheorem1:
         report = verify_theorem1(rho, np.eye(4), DIMS22)
         assert abs(report.mi_middle - mutual_information(rho, DIMS22)) < 1e-12
         assert report.residual < 1e-7
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6])
+    def test_non_unitary_u_rejected(self, eps):
+        # u is the caller's argument, so verify_theorem1 checks it; a unitary
+        # off by more than the 1e-10 tolerance is rejected, one within it is not.
+        rho = generate_instance("random-dense", DIMS22, 6)
+        u = np.array(build_encoder(rho, random_regular(DIMS22, 3)))
+        near = u.copy()
+        near[1, 2] += 2e-11
+        assert verify_theorem1(rho, near, DIMS22).residual < 1e-7
+        u[1, 2] += eps
+        with pytest.raises(ValidationError, match="not unitary"):
+            verify_theorem1(rho, u, DIMS22)
 
     def test_pure_product_state_both_zero(self):
         rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
@@ -161,22 +150,22 @@ class TestTheorem1:
 
     def test_consistency_with_tableau_mi(self):
         rho = generate_instance("random-dense", DIMS23, 77)
-        spectrum, tableau, u = encoder_for(rho, DIMS23, 13)
+        tableau, u = encoder_for(rho, DIMS23, 13)
         report = verify_theorem1(rho, u, DIMS23)
-        classical = tableau_mutual_information(arrange(spectrum.probs, tableau))
+        classical = tableau_mutual_information(arrange(rho.probs, tableau))
         assert abs(report.mi_middle - classical) < 1e-9
 
 
 class TestAuxiliaryGap:
     def test_optimal_auxiliary_gives_zero_gap(self):
         rho = generate_instance("random-dense", DIMS23, 2)
-        _, _, u = encoder_for(rho, DIMS23, 4)
+        _, u = encoder_for(rho, DIMS23, 4)
         rho_a = partial_trace(apply_unitary(rho, u), DIMS23, "A")
         assert abs(suboptimal_auxiliary_gap(rho, u, DIMS23, rho_a)) < 1e-7
 
     def test_maximally_mixed_auxiliary_is_worse(self):
         rho = generate_instance("diagonal-mixed", DIMS23, 3)
-        _, _, u = encoder_for(rho, DIMS23, 9)
+        _, u = encoder_for(rho, DIMS23, 9)
         encoded_a = partial_trace(apply_unitary(rho, u), DIMS23, "A")
         assert np.linalg.norm(encoded_a.matrix - np.eye(2) / 2) > 1e-3
         gap = suboptimal_auxiliary_gap(rho, u, DIMS23, DensityMatrix(np.eye(2) / 2))
@@ -186,20 +175,20 @@ class TestAuxiliaryGap:
     @settings(max_examples=30, deadline=None)
     def test_gap_nonnegative(self, seed):
         rho = generate_instance("random-dense", DIMS22, seed)
-        _, _, u = encoder_for(rho, DIMS22, seed + 7)
+        _, u = encoder_for(rho, DIMS22, seed + 7)
         rho_a = generate_instance("random-dense", BipartiteDims(1, 2), seed + 11)
         assert suboptimal_auxiliary_gap(rho, u, DIMS22, rho_a) >= -1e-9
 
     def test_rank_deficient_auxiliary_reports_infinity(self):
         rho = generate_instance("random-dense", DIMS22, 19)
-        _, _, u = encoder_for(rho, DIMS22, 6)
+        _, u = encoder_for(rho, DIMS22, 6)
         pure_aux = DensityMatrix(np.diag([1.0, 0.0]))
         gap = suboptimal_auxiliary_gap(rho, u, DIMS22, pure_aux)
         assert math.isinf(gap)
 
     def test_wrong_auxiliary_dimension(self):
         rho = generate_instance("random-dense", DIMS23, 1)
-        _, _, u = encoder_for(rho, DIMS23, 1)
+        _, u = encoder_for(rho, DIMS23, 1)
         with pytest.raises(ValidationError):
             suboptimal_auxiliary_gap(rho, u, DIMS23, DensityMatrix(np.eye(3) / 3))
 

