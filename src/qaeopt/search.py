@@ -22,10 +22,11 @@ returns only its best few grids, which are merged as they arrive.
 ``run_tasks`` runs the same tasks in this process for one job, and on a
 process pool holding at most two tasks per worker for more, so memory is
 bounded for any n1 either way. The depth phase moves all seeds together,
-scoring every candidate swap of every seed per iteration, and drops a seed
-once it swaps back and forth between two tableaux, counting the rest of its
-descent (see ``_depth``). Sums run in the same order as the scalar
-loops kept in tests/oracles.py, so results match them bit for bit.
+scoring every candidate swap of every seed per iteration from packed row and
+column sums and a move test on value positions alone, and drops a seed once
+it swaps back and forth between two tableaux, counting the rest of its
+descent (see ``_depth``). Sums run in the same order as the scalar loops
+kept in tests/oracles.py, so results match them bit for bit.
 
 Everything is deterministic given the config seed: each draw has its own RNG
 stream, numpy's ``PCG64(SeedSequence((seed, draw_index)))``, so results do
@@ -546,31 +547,36 @@ def _depth(p: np.ndarray, dims: BipartiteDims, grids: np.ndarray, config: Search
     their mutual information is never needed. In the paper's 8x8 protocol
     every seed measured entered such a 2-cycle, at iteration 36 to 160 of 200.
 
-    All seeds descend together, one iteration at a time; the best-seen
-    record is then replayed seed by seed, as if each trajectory had run to
-    its end before the next one started. Ties go to the first swap in
-    ``candidate_swaps`` order.
+    All seeds descend together, one iteration at a time, each scoring every
+    candidate swap at once from one array of its row and column sums; the
+    best-seen record is then replayed seed by seed, as if each trajectory
+    had run to its end before the next one started. Ties go to the first
+    swap in ``candidate_swaps`` order. Whether a swap keeps a grid regular
+    follows from where values sit: v and v + 1 of a regular grid share a
+    row or column only as neighbours, so swapping them is regular exactly
+    when they share neither, and swapping v and v + 2 exactly when no two
+    of v, v + 1 and v + 2 share a row or a column.
     """
     h_flat = shannon_entropy(p)
-    n_seeds, n = len(grids), dims.total
-    swaps = np.array(list(candidate_swaps(n)), dtype=np.intp).reshape(-1, 2)
-    u, w = swaps[:, 0], swaps[:, 1]
-    delta = p[w - 1] - p[u - 1]
-    # Grids padded by one cell: 0 above and left, n + 1 below and right, so
-    # the four neighbour tests below pass at the border.
-    cells = np.zeros((n_seeds, dims.d_a + 2, dims.d_b + 2), dtype=np.intp)
-    cells[:, -1, :] = n + 1
-    cells[:, :, -1] = n + 1
-    cells[:, 1:-1, 1:-1] = grids
-    # Flat cell of each value (values are 1..n), as padded (row, col).
-    at = np.argsort(grids.reshape(n_seeds, n), axis=1)
-    pos = np.stack(np.divmod(at, dims.d_b), axis=-1) + 1
-    # Seed of each row of cells and pos; rows are dropped as seeds finish.
-    active = np.arange(n_seeds)
+    n_seeds, n, d_a = len(grids), dims.total, dims.d_a
+    u, w = np.array(list(candidate_swaps(n)), dtype=np.intp).reshape(-1, 2).T - 1  # 0-based values
+    # place[s, v] is the (row, column) of value v + 1 in seed s. A swap's four
+    # operands, as indices into place[s].ravel(): the rows of u and w, then
+    # their columns. Swap k adds step[k] to the four sums.
+    operands = np.stack([2 * u, 2 * w, 2 * u + 1, 2 * w + 1], axis=1)
+    step = (p[w] - p[u])[:, None] * np.array([1.0, -1.0, 1.0, -1.0])
+    p_ext = np.concatenate(([0.0], p))
+    cells = grids.copy()
+    place = np.stack(np.divmod(np.argsort(grids.reshape(n_seeds, n), axis=1), dims.d_b), axis=-1)
+    # Where seed s's row sums, then its column sums, start in marg.ravel().
+    origin = np.arange(n_seeds)[:, None, None] * (d_a + dims.d_b) + np.array([0, 0, d_a, d_a])
+    # Seed of each row of cells and place; rows are dropped as seeds finish,
+    # and with no candidate swap (n < 3) every seed has finished.
+    active = np.arange(n_seeds if len(u) else 0)
 
     start_mi = _block_mi(p, grids, h_flat).tolist()
     best_mi = np.array(start_mi)  # per seed, updated on strict improvement
-    best_grid = cells[:, 1:-1, 1:-1].copy()
+    best_grid = grids.copy()
     step_mi = np.full((config.n_d, n_seeds), math.inf)
     steps = np.zeros(n_seeds, dtype=np.intp)
     last_choice = np.full(n_seeds, -1)  # per seed, the swap of the last iteration
@@ -580,65 +586,57 @@ def _depth(p: np.ndarray, dims: BipartiteDims, grids: np.ndarray, config: Search
     for t in range(config.n_d):
         if not active.size:
             break
-        ix = np.arange(len(active))[:, None]
-        # Fresh sums each iteration keep float drift out of the deltas.
-        rows, cols = _marginals(p[cells[:, 1:-1, 1:-1] - 1])
-        x_rows, x_cols = _xlogx(rows), _xlogx(cols)
-        h_rows, h_cols = -_sum_left(x_rows), -_sum_left(x_cols)
+        # Fresh sums each iteration keep float drift out of the deltas; an
+        # add.accumulate adds strictly left to right, as _sum_left does.
+        q = p_ext[cells]
+        marg = np.hstack([np.add.accumulate(q, 2)[..., -1], np.add.accumulate(q, 1)[:, -1]])
+        x = _xlogx(marg)
+        h_rows, h_cols = (-np.add.accumulate(part, 1)[:, -1] for part in (x[:, :d_a], x[:, d_a:]))
 
-        r1, c1 = pos[:, u - 1, 0], pos[:, u - 1, 1]
-        r2, c2 = pos[:, w - 1, 0], pos[:, w - 1, 1]
-        valid = (
-            (r1 != r2)
-            & (c1 != c2)
-            & (cells[ix, r1, c1 + 1] >= w)
-            & (cells[ix, r1 + 1, c1] >= w)
-            & (cells[ix, r2, c2 - 1] <= u)
-            & (cells[ix, r2 - 1, c2] <= u)
-        )
+        # The move test of the docstring. apart[:, v]: values v + 1 and v + 2
+        # share no row and no column; apart_2 the same for v + 1 and v + 3.
+        d1, d2 = place[:, 1:] != place[:, :-1], place[:, 2:] != place[:, :-2]
+        apart, apart_2 = d1[..., 0] & d1[..., 1], d2[..., 0] & d2[..., 1]
+        valid = np.concatenate([apart[:, 1:], apart_2[:, 1:] & apart[:, 1:-1] & apart[:, 2:]], axis=1)
         counts = valid.sum(axis=1)
         evaluations += int(counts.sum())
         moved = counts > 0
 
-        s, k = np.nonzero(valid)
-        a_r, b_r = r1[s, k] - 1, r2[s, k] - 1
-        a_c, b_c = c1[s, k] - 1, c2[s, k] - 1
-        d = delta[k]
-        base_rows = h_rows[s] + x_rows[s, a_r] + x_rows[s, b_r]
-        base_cols = h_cols[s] + x_cols[s, a_c] + x_cols[s, b_c]
-        new_rows = np.stack([rows[s, a_r] + d, rows[s, b_r] - d])
-        new_cols = np.stack([cols[s, a_c] + d, cols[s, b_c] - d])
+        at = place.reshape(len(active), 2 * n).take(operands, axis=1) + origin[: len(active)]
+        x_at, new = x.take(at), marg.take(at) + step
+        base_rows = h_rows[:, None] + x_at[..., 0] + x_at[..., 1]
+        base_cols = h_cols[:, None] + x_at[..., 2] + x_at[..., 3]
 
         def score(xlogx, sel):
-            tr, tc = xlogx(new_rows[:, sel]), xlogx(new_cols[:, sel])
-            return (base_rows[sel] - tr[0] - tr[1]) + (base_cols[sel] - tc[0] - tc[1]) - h_flat
+            terms = xlogx(new[sel])
+            rows = base_rows[sel] - terms[..., 0] - terms[..., 1]
+            return rows + (base_cols[sel] - terms[..., 2] - terms[..., 3]) - h_flat
 
         # Exact scores cost a math.log call per term, so all swaps are first
         # scored with numpy's log. The two scores differ by under 1e-14, so
         # every swap whose exact score is the minimum lies within
         # SCORE_SLACK of the rough minimum, and only those are rescored.
-        rough = np.full(valid.shape, math.inf)
-        rough[s, k] = score(_xlogx_rough, slice(None))
-        near = rough[s, k] <= rough.min(axis=1)[s] + SCORE_SLACK
+        rough = np.where(valid, score(_xlogx_rough, ...), math.inf)
+        near = valid & (rough <= rough.min(axis=1, keepdims=True) + SCORE_SLACK)
         cand = np.full(valid.shape, math.inf)
-        cand[s[near], k[near]] = score(_xlogx, near)
+        cand[near] = score(_xlogx, near)
 
         ms = np.flatnonzero(moved)
         seed = active[ms]
         choice = cand[ms].argmin(axis=1)
         chosen = cand[ms, choice]
         uu, ww = u[choice], w[choice]
-        a, b = pos[ms, uu - 1], pos[ms, ww - 1]
-        cells[ms, a[:, 0], a[:, 1]] = ww
-        cells[ms, b[:, 0], b[:, 1]] = uu
-        pos[ms, uu - 1], pos[ms, ww - 1] = b, a
+        a, b = place[ms, uu], place[ms, ww]
+        cells[ms, a[:, 0], a[:, 1]] = ww + 1
+        cells[ms, b[:, 0], b[:, 1]] = uu + 1
+        place[ms, uu], place[ms, ww] = b, a
         step_mi[t, seed] = chosen
         steps[seed] += 1
 
         better = chosen < best_mi[seed]
         improved = seed[better]
         best_mi[improved] = chosen[better]
-        best_grid[improved] = cells[ms[better], 1:-1, 1:-1]
+        best_grid[improved] = cells[ms[better]]
 
         # A seed that makes the swap of its last iteration again is back on
         # the grid it left two iterations ago. Its next move is a function of
@@ -656,7 +654,7 @@ def _depth(p: np.ndarray, dims: BipartiteDims, grids: np.ndarray, config: Search
         keep = moved
         keep[ms[cycled]] = False
         if not keep.all():
-            cells, pos, active = cells[keep], pos[keep], active[keep]
+            cells, place, active = cells[keep], place[keep], active[keep]
 
     # Seed-major replay. The seed that sets the overall best last does so
     # with its own last strict improvement, which best_grid holds.

@@ -140,6 +140,8 @@ def load_statefile(path) -> StateFile:
         del data
         try:
             density = DensityMatrix(mat)
+            # Its clipped eigenvalues pass the check every probability vector passes.
+            _probability_vector(density.probs, dims.total)
         except ValidationError as exc:
             raise StateFileError(f"matrix is not a valid density matrix: {exc}") from exc
         probs = density.probs

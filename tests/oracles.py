@@ -9,7 +9,8 @@ neighbourhood and the depth phase.
 """
 
 import math
-from itertools import islice, permutations
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -29,17 +30,29 @@ def _regular_mask(batch: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return ok
 
 
+@lru_cache(maxsize=1)
+def _all_permutations(n: int) -> np.ndarray:
+    """Every permutation of 1..n once, as rows of a read-only int8 array,
+    built by inserting k at each position of every permutation of 1..k-1.
+    The last one built is kept (36 MB at n = 10) for shapes with the same n."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        longer = np.empty((k, len(perms), k), dtype=np.int8)
+        for j in range(k):
+            longer[j, :, :j] = perms[:, :j]
+            longer[j, :, j] = k
+            longer[j, :, j + 1 :] = perms[:, j:]
+        perms = longer.reshape(-1, k)
+    perms.setflags(write=False)
+    return perms
+
+
 def brute_force_count(d_a: int, d_b: int) -> int:
     """Count regular fillings by testing all (d_a*d_b)! permutations."""
-    n = d_a * d_b
-    perms = permutations(range(1, n + 1))
-    total = 0
-    while True:
-        chunk = list(islice(perms, _CHUNK))
-        if not chunk:
-            return total
-        batch = np.array(chunk, dtype=np.int8)
-        total += int(_regular_mask(batch, d_a, d_b).sum())
+    perms = _all_permutations(d_a * d_b)
+    return sum(
+        int(_regular_mask(perms[k : k + _CHUNK], d_a, d_b).sum()) for k in range(0, len(perms), _CHUNK)
+    )
 
 
 def brute_force_regular_set(d_a: int, d_b: int) -> set:
@@ -198,8 +211,9 @@ def scalar_breadth(probs, dims: BipartiteDims, seed: int, n1: int, n2: int):
     return out
 
 
-# The value-swap neighbourhood as tuples: the reference for the four
-# regularity masks of search._depth, which moves every seed at once.
+# The value-swap neighbourhood as tuples, checking the four order constraints
+# a swap can break: the reference for the move test of search._depth, which
+# reads which swaps keep a grid regular from the positions of values alone.
 
 
 def _swap_keeps_regular(

@@ -328,6 +328,19 @@ class TestNonFiniteInput:
         assert "non-finite" in err
 
 
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_matrix_whose_clipped_probabilities_miss_the_sum_exit_2(capsys, tmp_path, command):
+    # The trace (1 + 9e-11) and the eigenvalue -9e-11 each pass their own
+    # tolerance, but the clipped probabilities sum to 1 + 1.8e-10, more than
+    # SUM_TOL away from 1: the file is rejected at load, before any search.
+    path = tmp_path / "edge.json"
+    save_statefile(path, DIMS22, matrix=np.diag([0.5 + 0.9e-10, 0.3, 0.2 + 0.9e-10, -0.9e-10]))
+    code, lines, err = run_cli(capsys, command, str(path))
+    assert code == 2 and not lines
+    assert err.count("\n") == 1
+    assert "matrix is not a valid density matrix: probabilities must sum to 1" in err
+
+
 class TestVerify:
     def test_dense_state_passes(self, capsys, dense_state_file):
         code, lines, _ = run_cli(capsys, "verify", dense_state_file, "--seed", "3")

@@ -4,6 +4,7 @@ Every comparison is exact: the array code sums in the scalar order and takes
 its logarithms from the same C library, so results must agree bit for bit.
 """
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import qaeopt.search
 import qaeopt.tableau
 from oracles import (
+    _swap_keeps_regular,
     brute_force_regular_set,
     grid_mi,
     neighbors,
@@ -28,6 +30,7 @@ from qaeopt import (
     YoungTableau,
     generate_instance,
     is_regular,
+    optimize,
     random_regular,
     shannon_entropy,
 )
@@ -46,7 +49,7 @@ from qaeopt.search import (
     run_tasks,
     worker_count,
 )
-from qaeopt.tableau import _random_regular_grid, regular_grid_blocks
+from qaeopt.tableau import _random_regular_grid, candidate_swaps, regular_grid_blocks
 
 SAMPLER_DIMS = [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]
 
@@ -373,6 +376,66 @@ def test_depth_single_row_seeds_halt_at_once():
     dims = BipartiteDims(1, 6)
     seeds = [random_regular(dims, k) for k in range(3)]
     assert_depth_matches(tied_probs([3, 3, 2, 1, 0, 0]), dims, seeds, 20)
+
+
+@pytest.mark.parametrize("d_a,d_b", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)])
+def test_depth_with_few_or_no_candidate_swaps(d_a, d_b):
+    # optimize sends these grids to exhaustive traversal (each has one
+    # filling), so _depth is called directly: below 3 cells there is no
+    # candidate swap, and at 3 cells the one swap breaks the row or column.
+    dims = BipartiteDims(d_a, d_b)
+    seeds = [random_regular(dims, k) for k in range(3)]
+    assert_depth_matches(descending_probs(dims.total, 7), dims, seeds, 5)
+
+
+def test_forced_heuristic_2x2_matches_the_scalar_phases():
+    dims = BipartiteDims(2, 2)
+    probs = descending_probs(4, 6)
+    result = optimize(probs, dims, SearchConfig(n1=16, n2=2, n_d=4, seed=5, exhaustive_threshold=1))
+    assert result.method == "heuristic"
+    seeds = [YoungTableau(dims, c) for c, _ in scalar_breadth(probs, dims, 5, 16, 2)]
+    assert len(seeds) == 2  # both regular fillings of a 2x2 grid
+    ref = scalar_depth(probs, dims, seeds, 4)
+    assert result.evaluations == ref["evaluations"] + 1
+    assert result.trajectory[1:] == tuple(min(x, result.initial_mi) for x in ref["trajectory"])
+    assert result.best_tableau.cells == ref["best_cells"]
+    assert result.seed_provenance == ref["seed_provenance"]
+    # The two fillings are transposes, so either one has the minimum.
+    assert result.best_mi == ref["best_mi"] == optimize(probs, dims, SearchConfig()).best_mi
+
+
+# Shapes whose random regular grids check the move test of _depth: single
+# rows and columns, where no swap keeps a grid regular, two-row grids, and
+# the paper's 8x8.
+MOVE_DIMS = [(1, 1), (1, 2), (1, 7), (2, 1), (7, 1), (2, 2), (2, 3), (2, 6), (3, 5), (8, 8)]
+
+
+def position_rule(place, u, w):
+    """The move test of _depth for swapping values u < w (w - u <= 2) at
+    positions place[value - 1]: no two of u..w share a row or a column."""
+    return all(
+        place[a - 1][0] != place[b - 1][0] and place[a - 1][1] != place[b - 1][1]
+        for a, b in itertools.combinations(range(u, w + 1), 2)
+    )
+
+
+@given(st.sampled_from(MOVE_DIMS), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_move_test_from_positions_matches_neighbour_checks(shape, key):
+    d_a, d_b = shape
+    dims = BipartiteDims(d_a, d_b)
+    probs = descending_probs(dims.total, 0)
+    for grid in _sample_block(d_a, d_b, key, 0, 6):
+        tableau = YoungTableau(dims, grid.tolist())
+        place = tableau.positions
+        expected = [
+            _swap_keeps_regular(tableau.cells, place[u - 1], place[w - 1], u, w, d_a, d_b)
+            for u, w in candidate_swaps(dims.total)
+        ]
+        assert [position_rule(place, u, w) for u, w in candidate_swaps(dims.total)] == expected
+        # _depth counts one evaluation per swap its move test lets through.
+        _, _, evaluations, _, _ = _depth(probs, dims, grid[None], SearchConfig(n1=1, n2=1, n_d=1))
+        assert evaluations == 1 + sum(expected)
 
 
 # The depth phase stops a seed once it makes the same swap twice running
