@@ -21,21 +21,7 @@ from .qstate import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from .tableau import (
-    CanonicalizationResult,
-    Permutation,
-    ProbabilityTableau,
-    YoungTableau,
-    arrange,
-    canonicalize_decreasing,
-    count_regular,
-    is_decreasing,
-    is_regular,
-    random_regular,
-    sort_within_columns,
-    sort_within_rows,
-    tableau_mutual_information,
-)
+from .tableau import YoungTableau, count_regular, random_regular
 from .search import (
     DEFAULT_EXHAUSTIVE_THRESHOLD,
     OptimizationResult,
@@ -56,28 +42,21 @@ from .statefile import StateFile, load_statefile, save_statefile
 __all__ = [
     "__version__",
     "BipartiteDims",
-    "CanonicalizationResult",
     "CompressionReport",
     "DEFAULT_EXHAUSTIVE_THRESHOLD",
     "DensityMatrix",
     "OptimizationResult",
-    "Permutation",
-    "ProbabilityTableau",
     "SearchConfig",
     "StateFile",
     "StateFileError",
     "ValidationError",
     "YoungTableau",
     "apply_unitary",
-    "arrange",
     "build_encoder",
-    "canonicalize_decreasing",
     "compress_reconstruct",
     "count_regular",
     "generate_instance",
     "haar_unitary",
-    "is_decreasing",
-    "is_regular",
     "load_statefile",
     "mutual_information",
     "nats_to_bits",
@@ -87,10 +66,7 @@ __all__ = [
     "relative_entropy",
     "save_statefile",
     "shannon_entropy",
-    "sort_within_columns",
-    "sort_within_rows",
     "suboptimal_auxiliary_gap",
-    "tableau_mutual_information",
     "verify_theorem1",
     "von_neumann_entropy",
 ]

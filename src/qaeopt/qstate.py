@@ -133,9 +133,16 @@ class DensityMatrix:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-def _check_mass(p: np.ndarray) -> None:
-    """Entries of ``p``, of any shape, are finite, at least -ENTRY_TOL, and sum
-    to 1 within SUM_TOL."""
+def _probability_vector(probs, n: int) -> np.ndarray:
+    """The check every probability vector passes where it enters the package.
+
+    Returns a read-only float copy of ``probs`` once it is 1-D of length n,
+    finite, at least -ENTRY_TOL, sums to 1 within SUM_TOL and is
+    non-increasing within MONOTONE_SLACK.
+    """
+    p = np.array(probs, dtype=float)
+    if p.ndim != 1 or p.size != n:
+        raise ValidationError(f"expected {n} probabilities, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise ValidationError(_NON_FINITE)
     if p.min() < -ENTRY_TOL:
@@ -143,18 +150,6 @@ def _check_mass(p: np.ndarray) -> None:
     total = p.sum()
     if abs(total - 1.0) > SUM_TOL:
         raise ValidationError(f"probabilities must sum to 1 within {SUM_TOL}, got {total}")
-
-
-def _probability_vector(probs, n: int) -> np.ndarray:
-    """The check every probability vector passes where it enters the package.
-
-    Returns a read-only float copy of ``probs`` once it is 1-D of length n,
-    passes ``_check_mass`` and is non-increasing within MONOTONE_SLACK.
-    """
-    p = np.array(probs, dtype=float)
-    if p.ndim != 1 or p.size != n:
-        raise ValidationError(f"expected {n} probabilities, got shape {p.shape}")
-    _check_mass(p)
     if np.any(np.diff(p) > MONOTONE_SLACK):
         raise ValidationError("probabilities must be sorted non-increasing")
     p.setflags(write=False)

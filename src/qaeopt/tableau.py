@@ -1,10 +1,11 @@
-"""Rectangular Young tableaux over a d_a x d_b grid and probability arrangements.
+"""Rectangular Young tableaux over a d_a x d_b grid.
 
 A tableau filling is "regular" when every row increases left to right and
 every column increases top to bottom. With eigenvalues sorted descending and
 value 1 marking the largest one, regular fillings correspond exactly to
 decreasing probability matrices, which is the reduced search space for the
-encoder permutation.
+encoder permutation. This module enumerates, counts and samples them; the
+search scores them in ``qaeopt.search``.
 """
 
 from __future__ import annotations
@@ -18,39 +19,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .exceptions import ValidationError
-from .qstate import BipartiteDims, _check_mass, _probability_vector, shannon_entropy
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on 0..n-1; ``mapping[k]`` is the destination index of source k."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(int(m) for m in self.mapping))
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ValidationError("mapping is not a bijection on 0..n-1")
-
-    @property
-    def size(self) -> int:
-        return len(self.mapping)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    def is_identity(self) -> bool:
-        return all(m == k for k, m in enumerate(self.mapping))
-
-    def apply_to_grid(self, grid: np.ndarray) -> np.ndarray:
-        """Move the entry at flat (row-major) cell k to flat cell mapping[k]."""
-        flat = np.asarray(grid).ravel()
-        if flat.size != self.size:
-            raise ValidationError("grid size does not match permutation size")
-        out = np.empty_like(flat)
-        out[np.asarray(self.mapping)] = flat
-        return out.reshape(np.asarray(grid).shape)
+from .qstate import BipartiteDims
 
 
 @dataclass(frozen=True)
@@ -71,52 +40,12 @@ class YoungTableau:
         if sorted(chain.from_iterable(cells)) != list(range(1, n + 1)):
             raise ValidationError(f"cells must contain each of 1..{n} exactly once")
 
-    @classmethod
-    def row_major(cls, dims: BipartiteDims) -> "YoungTableau":
-        """The identity filling: 1..n laid out row by row."""
-        it = iter(range(1, dims.total + 1))
-        return cls(dims, tuple(tuple(next(it) for _ in range(dims.d_b)) for _ in range(dims.d_a)))
-
     @cached_property
     def index_array(self) -> np.ndarray:
         """cells - 1 as an integer array; arranges a descending spectrum into the grid."""
         arr = np.array(self.cells, dtype=np.intp) - 1
         arr.setflags(write=False)
         return arr
-
-    @cached_property
-    def positions(self) -> tuple[tuple[int, int], ...]:
-        """positions[v-1] is the (row, col) holding value v."""
-        pos: list[tuple[int, int]] = [(-1, -1)] * self.dims.total
-        for i, row in enumerate(self.cells):
-            for j, v in enumerate(row):
-                pos[v - 1] = (i, j)
-        return tuple(pos)
-
-    def transpose(self) -> "YoungTableau":
-        """Swap the roles of the two subsystems; regularity is preserved."""
-        return YoungTableau(
-            BipartiteDims(self.dims.d_b, self.dims.d_a),
-            tuple(zip(*self.cells)),
-        )
-
-    def __str__(self) -> str:
-        width = len(str(self.dims.total))
-        return "\n".join(" ".join(f"{v:>{width}}" for v in row) for row in self.cells)
-
-
-def is_regular(t: YoungTableau) -> bool:
-    """True iff every row and every column of the filling strictly increases."""
-    cells = t.cells
-    for row in cells:
-        for a, b in zip(row, row[1:]):
-            if a >= b:
-                return False
-    for col in zip(*cells):
-        for a, b in zip(col, col[1:]):
-            if a >= b:
-                return False
-    return True
 
 
 # regular_grid_blocks walks the last t values once per shape and keeps them,
@@ -318,101 +247,3 @@ def candidate_swaps(n: int) -> Iterator[tuple[int, int]]:
     for i in 2..n-2, in that order."""
     yield from ((i, i + 1) for i in range(2, n))
     yield from ((i, i + 2) for i in range(2, n - 1))
-
-
-class ProbabilityTableau:
-    """Nonnegative d_a x d_b grid summing to 1; marginals define the mutual information."""
-
-    def __init__(self, dims: BipartiteDims, p) -> None:
-        grid = np.array(p, dtype=float)
-        if grid.shape != (dims.d_a, dims.d_b):
-            raise ValidationError(
-                f"expected shape {(dims.d_a, dims.d_b)}, got {grid.shape}"
-            )
-        _check_mass(grid)
-        grid.setflags(write=False)
-        self.dims = dims
-        self.p = grid
-
-    def __repr__(self) -> str:
-        return f"ProbabilityTableau(dims={self.dims}, p=\n{self.p})"
-
-
-def arrange(probs, t: YoungTableau) -> ProbabilityTableau:
-    """Lay a descending probability sequence into the grid of a tableau.
-
-    The cell holding value k receives the k-th largest probability, so a
-    regular tableau yields a decreasing matrix whenever the probabilities are
-    strictly decreasing.
-    """
-    p = _probability_vector(probs, t.dims.total)
-    return ProbabilityTableau(t.dims, p[t.index_array])
-
-
-def tableau_mutual_information(pt: ProbabilityTableau) -> float:
-    """H(row sums) + H(column sums) - H(entries), Shannon entropies in nats."""
-    return (
-        shannon_entropy(pt.p.sum(axis=1))
-        + shannon_entropy(pt.p.sum(axis=0))
-        - shannon_entropy(pt.p)
-    )
-
-
-def is_decreasing(pt: ProbabilityTableau) -> bool:
-    """True iff every row and every column is non-increasing."""
-    return bool(
-        np.all(np.diff(pt.p, axis=1) <= 0.0) and np.all(np.diff(pt.p, axis=0) <= 0.0)
-    )
-
-
-def _sort_along(pt: ProbabilityTableau, axis: int) -> tuple[Permutation, ProbabilityTableau]:
-    """Stable-sort each column (axis 0) or each row (axis 1) of the grid into
-    non-increasing order; the permutation maps each cell to where its entry
-    goes."""
-    order = np.argsort(-pt.p, axis=axis, kind="stable")
-    cells = np.arange(pt.dims.total).reshape(pt.p.shape)
-    mapping = np.empty(pt.dims.total, dtype=np.intp)
-    mapping[np.take_along_axis(cells, order, axis=axis)] = cells
-    out = np.take_along_axis(pt.p, order, axis=axis)
-    return Permutation(tuple(mapping.tolist())), ProbabilityTableau(pt.dims, out)
-
-
-def sort_within_columns(pt: ProbabilityTableau) -> tuple[Permutation, ProbabilityTableau]:
-    """One tau_A pass: stable-sort each column into non-increasing order.
-
-    Column sums are untouched and the row-sum vector afterwards majorizes the
-    one before, so the mutual information cannot increase.
-    """
-    return _sort_along(pt, 0)
-
-
-def sort_within_rows(pt: ProbabilityTableau) -> tuple[Permutation, ProbabilityTableau]:
-    """One tau_B pass: stable-sort each row into non-increasing order."""
-    return _sort_along(pt, 1)
-
-
-class CanonicalizationResult(NamedTuple):
-    row_perm: Permutation
-    col_perm: Permutation
-    tableau: ProbabilityTableau
-    passes: int
-
-
-def canonicalize_decreasing(pt: ProbabilityTableau) -> CanonicalizationResult:
-    """Sort the columns, then the rows, stopping once the grid is a decreasing
-    matrix; sorting columns and then rows always lands on one.
-
-    Returns the within-column permutation, the within-row permutation, the
-    decreasing matrix (``col_perm`` applied after ``row_perm``), and the pass
-    count: matrix-changing sorting passes plus the final verification pass
-    (an already-decreasing input reports 1), so at most 3.
-    """
-    row_perm = col_perm = Permutation.identity(pt.dims.total)
-    passes = 1
-    if not is_decreasing(pt):
-        row_perm, pt = sort_within_columns(pt)
-        passes += not row_perm.is_identity()
-        if not is_decreasing(pt):
-            col_perm, pt = sort_within_rows(pt)
-            passes += not col_perm.is_identity()
-    return CanonicalizationResult(row_perm, col_perm, pt, passes)

@@ -3,7 +3,8 @@
 The brute-force ones deliberately avoid the library's enumeration/search code
 paths: counts come from filtering every permutation of 1..n into the grid,
 and minima from evaluating every arrangement. Entropies are recomputed
-locally. The scalar search references at the end are the loop forms of the
+locally. Then come the paper's canonicalization argument, as plain functions
+on grids, and the scalar search references: the loop forms of the
 enumeration, the exhaustive search, the breadth phase, the value-swap
 neighbourhood and the depth phase.
 """
@@ -14,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from qaeopt import BipartiteDims, YoungTableau, is_regular, shannon_entropy
+from qaeopt import BipartiteDims, YoungTableau, shannon_entropy
 from qaeopt.tableau import _random_regular_grid, candidate_swaps
 
 _CHUNK = 200_000
@@ -56,15 +57,29 @@ def brute_force_count(d_a: int, d_b: int) -> int:
 
 
 def brute_force_regular_set(d_a: int, d_b: int) -> set:
-    """All regular fillings as cell tuples, via full filtering with is_regular."""
-    dims = BipartiteDims(d_a, d_b)
-    n = d_a * d_b
-    found = set()
-    for perm in permutations(range(1, n + 1)):
-        cells = tuple(perm[i * d_b : (i + 1) * d_b] for i in range(d_a))
-        if is_regular(YoungTableau(dims, cells)):
-            found.add(cells)
-    return found
+    """All regular fillings as cell tuples, filtered from every permutation."""
+    perms = _all_permutations(d_a * d_b)
+    kept = perms[_regular_mask(perms, d_a, d_b)].reshape(-1, d_a, d_b).tolist()
+    return {tuple(map(tuple, grid)) for grid in kept}
+
+
+def is_regular(cells) -> bool:
+    """True iff every row and every column of a filling strictly increases."""
+    grid = np.asarray(cells)
+    return bool(_regular_mask(grid, *grid.shape)[0])
+
+
+def row_major(dims: BipartiteDims) -> tuple[tuple[int, ...], ...]:
+    """The identity filling: 1..n laid out row by row."""
+    grid = np.arange(1, dims.total + 1).reshape(dims.d_a, dims.d_b)
+    return tuple(map(tuple, grid.tolist()))
+
+
+def positions(cells) -> tuple[tuple[int, int], ...]:
+    """positions(cells)[v - 1] is the (row, column) holding value v."""
+    grid = np.asarray(cells)
+    rows, cols = np.divmod(np.argsort(grid.ravel()), grid.shape[1])
+    return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 def _entropy(v: np.ndarray) -> np.ndarray:
@@ -102,6 +117,49 @@ def brute_force_min_mi(probs, d_a: int, d_b: int) -> float:
         - _entropy(grids.reshape(len(grids), -1))
     )
     return float(mis.min())
+
+
+# The paper's canonicalization argument: sorting every column, then every
+# row, turns any probability grid into a decreasing matrix, and no pass raises
+# the mutual information. A mapping is an int array: mapping[k] is the flat
+# (row-major) cell that the entry of flat cell k moves to.
+
+
+def is_decreasing(grid) -> bool:
+    """True iff every row and every column is non-increasing."""
+    g = np.asarray(grid)
+    return bool(np.all(np.diff(g, axis=1) <= 0.0) and np.all(np.diff(g, axis=0) <= 0.0))
+
+
+def sort_along(grid, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable-sort each column (axis 0) or each row (axis 1) of a grid into
+    non-increasing order: (mapping, sorted grid)."""
+    g = np.asarray(grid, dtype=float)
+    order = np.argsort(-g, axis=axis, kind="stable")
+    cells = np.arange(g.size).reshape(g.shape)
+    mapping = np.empty(g.size, dtype=np.intp)
+    mapping[np.take_along_axis(cells, order, axis=axis)] = cells
+    return mapping, np.take_along_axis(g, order, axis=axis)
+
+
+def canonicalize(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Sort the columns, then the rows, stopping once the grid is decreasing.
+
+    Returns the column-sort mapping, the row-sort mapping (applied after the
+    first), the decreasing grid, and the pass count: sorting passes that
+    changed the grid plus the final check, so 1 for a decreasing input and
+    at most 3.
+    """
+    g = np.asarray(grid, dtype=float)
+    column_map = row_map = identity = np.arange(g.size)
+    passes = 1
+    if not is_decreasing(g):
+        column_map, g = sort_along(g, 0)
+        passes += not np.array_equal(column_map, identity)
+        if not is_decreasing(g):
+            row_map, g = sort_along(g, 1)
+            passes += not np.array_equal(row_map, identity)
+    return column_map, row_map, g, passes
 
 
 # Scalar references for the array code in qaeopt.search. They keep the
@@ -246,7 +304,7 @@ def _swap_keeps_regular(
 def neighbors(t: YoungTableau) -> tuple[YoungTableau, ...]:
     """Regular fillings reachable by one value swap, in deterministic move order."""
     d_a, d_b = t.dims.d_a, t.dims.d_b
-    pos = t.positions
+    pos = positions(t.cells)
     out: list[YoungTableau] = []
     seen: set[tuple[tuple[int, ...], ...]] = set()
     for u, w in candidate_swaps(t.dims.total):
@@ -278,7 +336,7 @@ def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:
         taken = []
         choices.append(taken)
         cells = [list(row) for row in seed_t.cells]
-        pos = list(seed_t.positions)
+        pos = list(positions(seed_t.cells))
         current_mi = grid_mi(pr, seed_t.cells, d_b, h_flat)
         evaluations += 1
         if current_mi < best_mi:

@@ -10,8 +10,6 @@ from qaeopt import (
     SearchConfig,
     StateFileError,
     ValidationError,
-    YoungTableau,
-    arrange,
     load_statefile,
     optimize,
     save_statefile,
@@ -33,7 +31,6 @@ def _load(p, tmp_path):
 ENTRY_POINTS = {
     "optimize": lambda p, _: optimize(p, DIMS, CONFIG),
     "optimize-heuristic": lambda p, _: optimize(p, DIMS, HEURISTIC),
-    "arrange": lambda p, _: arrange(p, YoungTableau.row_major(DIMS)),
     "load_statefile": _load,
 }
 # A file's spectrum is sorted before it is checked, so it has no order to invert.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_relative_entropy
+from oracles import dense_relative_entropy, row_major
 from qaeopt import (
     BipartiteDims,
     DensityMatrix,
@@ -117,7 +117,7 @@ class TestEigendecompose:
         monkeypatch.setattr(np.linalg, "eigh", decomposed_again)
         monkeypatch.setattr(np.linalg, "eigvalsh", decomposed_again)
         assert von_neumann_entropy(rho) == shannon_entropy(rho.probs)
-        u = build_encoder(rho, YoungTableau.row_major(BipartiteDims(2, 3)))
+        u = build_encoder(rho, YoungTableau(BipartiteDims(2, 3), row_major(BipartiteDims(2, 3))))
         assert np.array_equal(u, rho.vectors.conj())
 
     @pytest.mark.parametrize(

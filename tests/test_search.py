@@ -10,18 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qaeopt
-from oracles import brute_force_min_mi, neighbors
+from oracles import brute_force_min_mi, grid_mutual_information, is_regular, neighbors, row_major
 from qaeopt import (
     BipartiteDims,
     SearchConfig,
     ValidationError,
     YoungTableau,
-    arrange,
     count_regular,
-    is_regular,
     optimize,
     random_regular,
-    tableau_mutual_information,
 )
 from qaeopt.qstate import MI_ROUNDOFF_TOL
 from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS, _breadth, _depth, _exhaustive
@@ -157,7 +154,7 @@ class TestBreadthFirst:
         mis = [mi for _, mi in kept]
         assert mis == sorted(mis)
         sampled = [random_regular(DIMS22, np.random.SeedSequence((4, i))) for i in range(100)]
-        sampled_mis = sorted(tableau_mutual_information(arrange(probs, t)) for t in sampled)
+        sampled_mis = sorted(grid_mutual_information(probs[t.index_array]) for t in sampled)
         distinct = sorted({t.cells for t in sampled})
         assert len(kept) == min(2, len(distinct))
         for (t, mi), expected in zip(kept, sampled_mis):
@@ -168,7 +165,7 @@ class TestBreadthFirst:
         kept = breadth(descending_probs(4, 3), DIMS22, cfg)
         cells = [t.cells for t, _ in kept]
         assert len(cells) == len(set(cells)) <= 12
-        assert all(is_regular(t) for t, _ in kept)
+        assert all(is_regular(t.cells) for t, _ in kept)
 
     def test_parallel_matches_sequential_bitwise(self):
         probs = descending_probs(12, 6)
@@ -187,12 +184,12 @@ def naive_depth_first(probs, dims, seeds, n_d):
     best = math.inf
     for seed_t in seeds:
         current = seed_t
-        best = min(best, tableau_mutual_information(arrange(probs, current)))
+        best = min(best, grid_mutual_information(probs[current.index_array]))
         for _ in range(n_d):
             options = neighbors(current)
             if not options:
                 break
-            mis = [tableau_mutual_information(arrange(probs, t)) for t in options]
+            mis = [grid_mutual_information(probs[t.index_array]) for t in options]
             current = options[int(np.argmin(mis))]
             best = min(best, min(mis))
     return best
@@ -222,7 +219,7 @@ class TestDepthFirst:
 
     def test_single_row_halts_immediately(self):
         dims = BipartiteDims(1, 4)
-        seed_t = YoungTableau.row_major(dims)
+        seed_t = YoungTableau(dims, row_major(dims))
         cfg = SearchConfig(n1=1, n2=1, n_d=50, seed=0)
         grid, _, _, trajectory, _ = depth(np.array([0.4, 0.3, 0.2, 0.1]), [seed_t], cfg)
         assert cells(grid) == seed_t.cells
@@ -261,9 +258,7 @@ class TestOptimize:
             probs = descending_probs(64, seed)
             cfg = SearchConfig(n1=30, n2=3, n_d=5, seed=seed)
             res = optimize(probs, BipartiteDims(8, 8), cfg)
-            initial = tableau_mutual_information(
-                arrange(probs, YoungTableau.row_major(BipartiteDims(8, 8)))
-            )
+            initial = grid_mutual_information(probs.reshape(8, 8))
             assert res.best_mi <= initial + 1e-12
             assert abs(res.initial_mi - initial) < 1e-12
 
@@ -325,7 +320,7 @@ def test_optimize_end_to_end_properties(case):
     exact = optimize(probs, dims, SearchConfig(n1=30, n2=3, n_d=10, seed=seed))
     forced = optimize(probs, dims, SearchConfig(n1=30, n2=3, n_d=10, seed=seed, exhaustive_threshold=1))
     for res in (exact, forced):
-        assert is_regular(res.best_tableau)
+        assert is_regular(res.best_tableau.cells)
         assert -MI_ROUNDOFF_TOL <= res.best_mi <= res.initial_mi
         assert all(a >= b for a, b in zip(res.trajectory, res.trajectory[1:]))
         assert res.best_mi == res.trajectory[-1]

@@ -18,7 +18,10 @@ from oracles import (
     _swap_keeps_regular,
     brute_force_regular_set,
     grid_mi,
+    is_regular,
     neighbors,
+    positions,
+    row_major,
     scalar_breadth,
     scalar_depth,
     scalar_enumerate,
@@ -29,7 +32,6 @@ from qaeopt import (
     SearchConfig,
     YoungTableau,
     generate_instance,
-    is_regular,
     optimize,
     random_regular,
     shannon_entropy,
@@ -318,7 +320,7 @@ def test_factored_rough_scores_match_exact(case):
 def test_exhaustive_values_beyond_one_byte(d_a, d_b):
     dims = BipartiteDims(d_a, d_b)  # one regular filling, row-major
     res = exhaustive(descending_probs(dims.total, 1), dims)
-    assert res["best_cells"] == YoungTableau.row_major(dims).cells and res["evaluations"] == 1
+    assert res["best_cells"] == row_major(dims) and res["evaluations"] == 1
 
 
 def test_traversal_values_beyond_one_byte():
@@ -327,7 +329,7 @@ def test_traversal_values_beyond_one_byte():
         grids = next(regular_grid_blocks(dims, 4)).grids()
         assert 1 <= len(grids) <= 4
         for grid in grids.tolist():
-            assert is_regular(YoungTableau(dims, grid))
+            assert is_regular(grid)
         assert grids.max() == dims.total
 
 
@@ -427,7 +429,7 @@ def test_move_test_from_positions_matches_neighbour_checks(shape, key):
     probs = descending_probs(dims.total, 0)
     for grid in _sample_block(d_a, d_b, key, 0, 6):
         tableau = YoungTableau(dims, grid.tolist())
-        place = tableau.positions
+        place = positions(tableau.cells)
         expected = [
             _swap_keeps_regular(tableau.cells, place[u - 1], place[w - 1], u, w, d_a, d_b)
             for u, w in candidate_swaps(dims.total)
@@ -510,7 +512,7 @@ def test_depth_grids_without_neighbours_are_single_rows_or_columns():
         dims = BipartiteDims(d_a, d_b)
         assert all(neighbors(YoungTableau(dims, cells)) for cells in brute_force_regular_set(d_a, d_b))
     dims = BipartiteDims(1, 6)
-    assert neighbors(YoungTableau.row_major(dims)) == ()
+    assert neighbors(YoungTableau(dims, row_major(dims))) == ()
 
 
 @pytest.mark.parametrize("kind", ["diagonal-mixed", "product-spectrum"])

@@ -10,27 +10,17 @@ import qaeopt.tableau
 from oracles import (
     brute_force_min_mi,
     brute_force_regular_set,
+    canonicalize,
     grid_mutual_information,
-    neighbors,
-    scalar_enumerate,
-)
-from qaeopt import (
-    BipartiteDims,
-    CanonicalizationResult,
-    Permutation,
-    ProbabilityTableau,
-    ValidationError,
-    YoungTableau,
-    arrange,
-    canonicalize_decreasing,
-    count_regular,
     is_decreasing,
     is_regular,
-    random_regular,
-    sort_within_columns,
-    sort_within_rows,
-    tableau_mutual_information,
+    neighbors,
+    positions,
+    row_major,
+    scalar_enumerate,
+    sort_along,
 )
+from qaeopt import BipartiteDims, ValidationError, YoungTableau, count_regular, random_regular, shannon_entropy
 from qaeopt.qstate import MAX_COUNT_CELLS
 from qaeopt.tableau import candidate_swaps, regular_grid_blocks
 
@@ -59,7 +49,7 @@ def regular_tableaux(dims, exploit_symmetry=False):
 
 class TestYoungTableau:
     def test_row_major(self):
-        assert YoungTableau.row_major(DIMS23).cells == ((1, 2, 3), (4, 5, 6))
+        assert row_major(DIMS23) == ((1, 2, 3), (4, 5, 6))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValidationError):
@@ -70,13 +60,14 @@ class TestYoungTableau:
             tab(2, 2, [[1, 1], [2, 3]])
 
     def test_transpose(self):
+        # Transposing keeps a filling regular: the exhaustive search's halving.
         t = tab(2, 3, [[1, 2, 4], [3, 5, 6]])
-        assert t.transpose().cells == ((1, 3), (2, 5), (4, 6))
-        assert is_regular(t.transpose())
+        flipped = tuple(zip(*t.cells))
+        assert flipped == ((1, 3), (2, 5), (4, 6))
+        assert is_regular(flipped)
 
     def test_positions(self):
-        t = tab(2, 2, [[1, 3], [2, 4]])
-        assert t.positions == ((0, 0), (1, 0), (0, 1), (1, 1))
+        assert positions(((1, 3), (2, 4))) == ((0, 0), (1, 0), (0, 1), (1, 1))
 
     def test_cell_permutation(self):
         # Flat cell k holds value index_array.ravel()[k] + 1.
@@ -86,16 +77,16 @@ class TestYoungTableau:
 
 class TestIsRegular:
     def test_row_major_is_regular(self):
-        assert is_regular(tab(2, 2, [[1, 2], [3, 4]]))
+        assert is_regular([[1, 2], [3, 4]])
 
     def test_column_filling_is_regular(self):
-        assert is_regular(tab(2, 2, [[1, 3], [2, 4]]))
+        assert is_regular([[1, 3], [2, 4]])
 
     def test_decreasing_row_is_not(self):
-        assert not is_regular(tab(2, 2, [[2, 1], [3, 4]]))
+        assert not is_regular([[2, 1], [3, 4]])
 
     def test_decreasing_column_is_not(self):
-        assert not is_regular(tab(2, 2, [[1, 4], [2, 3]]))  # column 1 holds 4 above 3
+        assert not is_regular([[1, 4], [2, 3]])  # column 1 holds 4 above 3
 
 
 class TestEnumerate:
@@ -119,7 +110,7 @@ class TestEnumerate:
         assert sum(1 for _ in regular_tableaux(dims)) == count_regular(dims)
 
     def test_all_enumerated_are_regular(self):
-        assert all(is_regular(t) for t in regular_tableaux(BipartiteDims(3, 4)))
+        assert all(is_regular(t.cells) for t in regular_tableaux(BipartiteDims(3, 4)))
 
     def test_enumeration_yields_no_duplicates(self):
         ts = [t.cells for t in regular_tableaux(BipartiteDims(3, 4))]
@@ -201,7 +192,7 @@ class TestEnumerate:
         assert len(half) == count_regular(dims) // 2
         assert all(t.cells[0][1] == 2 for t in half)
         reps = {t.cells for t in half}
-        flipped = {t.transpose().cells for t in half}
+        flipped = {tuple(zip(*t.cells)) for t in half}
         assert reps | flipped == full
 
 
@@ -245,7 +236,7 @@ class TestRandomRegular:
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
     def test_draws_are_regular(self, seed):
-        assert is_regular(random_regular(BipartiteDims(4, 4), seed))
+        assert is_regular(random_regular(BipartiteDims(4, 4), seed).cells)
 
     def test_deterministic_given_seed(self):
         a = random_regular(BipartiteDims(4, 4), 42)
@@ -256,14 +247,13 @@ class TestRandomRegular:
 def naive_neighbors(t):
     """Reference neighbourhood: apply every move, keep regular results."""
     out, seen = [], set()
-    pos = t.positions
+    pos = positions(t.cells)
     for u, w in candidate_swaps(t.dims.total):
         grid = [list(r) for r in t.cells]
         (r1, c1), (r2, c2) = pos[u - 1], pos[w - 1]
         grid[r1][c1], grid[r2][c2] = grid[r2][c2], grid[r1][c1]
         cells = tuple(tuple(r) for r in grid)
-        cand = YoungTableau(t.dims, cells)
-        if is_regular(cand) and cells not in seen:
+        if is_regular(cells) and cells not in seen:
             seen.add(cells)
             out.append(cells)
     return out
@@ -275,7 +265,8 @@ class TestNeighbors:
         assert [t.cells for t in result] == [((1, 3), (2, 4))]
 
     def test_single_row_has_none(self):
-        assert neighbors(YoungTableau.row_major(BipartiteDims(1, 5))) == ()
+        dims = BipartiteDims(1, 5)
+        assert neighbors(YoungTableau(dims, row_major(dims))) == ()
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -287,124 +278,98 @@ class TestNeighbors:
     @settings(max_examples=40, deadline=None)
     def test_all_regular(self, seed):
         t = random_regular(BipartiteDims(4, 4), seed)
-        assert all(is_regular(n) for n in neighbors(t))
+        assert all(is_regular(n.cells) for n in neighbors(t))
 
 
 class TestArrange:
+    """``p[t.index_array]`` lays descending probabilities into a tableau's grid:
+    the cell holding value k gets the k-th largest."""
+
     def test_uniform_probs(self):
-        pt = arrange(np.full(4, 0.25), tab(2, 2, [[1, 3], [2, 4]]))
-        assert np.allclose(pt.p, 0.25)
+        assert np.allclose(np.full(4, 0.25)[tab(2, 2, [[1, 3], [2, 4]]).index_array], 0.25)
 
     def test_row_major_placement(self):
-        pt = arrange([0.5, 0.3, 0.15, 0.05], tab(2, 2, [[1, 2], [3, 4]]))
-        assert pt.p.tolist() == [[0.5, 0.3], [0.15, 0.05]]
+        p = np.array([0.5, 0.3, 0.15, 0.05])
+        assert p[tab(2, 2, [[1, 2], [3, 4]]).index_array].tolist() == [[0.5, 0.3], [0.15, 0.05]]
 
     def test_column_major_placement(self):
-        pt = arrange([0.5, 0.3, 0.15, 0.05], tab(2, 2, [[1, 3], [2, 4]]))
-        assert pt.p.tolist() == [[0.5, 0.15], [0.3, 0.05]]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            arrange([0.5, 0.5], tab(2, 2, [[1, 2], [3, 4]]))
-
-    def test_unsorted_probs_rejected(self):
-        with pytest.raises(ValidationError):
-            arrange([0.1, 0.5, 0.3, 0.1], tab(2, 2, [[1, 2], [3, 4]]))
+        p = np.array([0.5, 0.3, 0.15, 0.05])
+        assert p[tab(2, 2, [[1, 3], [2, 4]]).index_array].tolist() == [[0.5, 0.15], [0.3, 0.05]]
 
     def test_decreasing_iff_regular(self):
         probs = np.array([0.4, 0.25, 0.15, 0.1, 0.06, 0.04])
         for perm in permutations(range(1, 7)):
             t = tab(2, 3, [perm[:3], perm[3:]])
-            assert is_decreasing(arrange(probs, t)) == is_regular(t)
+            assert is_decreasing(probs[t.index_array]) == is_regular(t.cells)
 
 
 class TestTableauMI:
     def test_uniform_grid_zero(self):
-        assert abs(tableau_mutual_information(ProbabilityTableau(DIMS22, np.full((2, 2), 0.25)))) < 1e-12
+        assert abs(grid_mutual_information(np.full((2, 2), 0.25))) < 1e-12
 
     def test_single_row_weight_zero(self):
-        pt = ProbabilityTableau(DIMS22, [[0.5, 0.5], [0.0, 0.0]])
-        assert abs(tableau_mutual_information(pt)) < 1e-12
+        assert abs(grid_mutual_information([[0.5, 0.5], [0.0, 0.0]])) < 1e-12
 
     def test_perfectly_correlated(self):
-        pt = ProbabilityTableau(DIMS22, [[0.5, 0.0], [0.0, 0.5]])
-        assert abs(tableau_mutual_information(pt) - math.log(2)) < 1e-12
+        assert abs(grid_mutual_information([[0.5, 0.0], [0.0, 0.5]]) - math.log(2)) < 1e-12
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, seed):
+        # The search's kernel on a grid's descending entries and rank filling.
         grid = np.random.default_rng(seed).dirichlet(np.ones(6)).reshape(2, 3)
-        pt = ProbabilityTableau(DIMS23, grid)
-        assert abs(tableau_mutual_information(pt) - grid_mutual_information(grid)) < 1e-12
-
-    def test_probability_tableau_validation(self):
-        with pytest.raises(ValidationError):
-            ProbabilityTableau(DIMS22, [[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ValidationError):
-            ProbabilityTableau(DIMS22, [[1.2, -0.2], [0.0, 0.0]])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_probability_tableau_rejects_non_finite(self, bad):
-        with pytest.raises(ValidationError, match="non-finite"):
-            ProbabilityTableau(DIMS22, [[0.5, 0.5], [bad, 0.0]])
+        order = np.argsort(-grid.ravel(), kind="stable")
+        ranks = np.empty(6, dtype=np.intp)
+        ranks[order] = np.arange(1, 7)
+        probs = grid.ravel()[order]
+        mi = qaeopt.search._block_mi(probs, ranks.reshape(1, 2, 3), shannon_entropy(probs))[0]
+        assert abs(mi - grid_mutual_information(grid)) < 1e-12
 
 
-class TestPermutation:
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValidationError):
-            Permutation((0, 0, 1))
-
-    def test_compose_and_apply(self):
-        first = Permutation((1, 2, 0, 3))
-        second = Permutation((0, 3, 2, 1))
-        grid = np.arange(4).reshape(2, 2)
-        combined = Permutation(tuple(second.mapping[m] for m in first.mapping))
-        assert np.array_equal(
-            combined.apply_to_grid(grid), second.apply_to_grid(first.apply_to_grid(grid))
-        )
+def moved(mapping, grid):
+    """The grid with the entry of flat cell k moved to flat cell mapping[k]."""
+    out = np.empty(grid.size)
+    out[mapping] = grid.ravel()
+    return out.reshape(grid.shape)
 
 
-def random_tableau_probs(seed, max_side=6):
+def random_grid(seed, max_side=6):
     rng = np.random.default_rng(seed)
     d_a = int(rng.integers(1, max_side + 1))
     d_b = int(rng.integers(1, max_side + 1))
-    grid = rng.dirichlet(np.ones(d_a * d_b)).reshape(d_a, d_b)
-    return ProbabilityTableau(BipartiteDims(d_a, d_b), grid)
+    return rng.dirichlet(np.ones(d_a * d_b)).reshape(d_a, d_b)
 
 
 class TestCanonicalization:
     def test_already_decreasing(self):
-        pt = ProbabilityTableau(DIMS22, [[0.5, 0.2], [0.2, 0.1]])
-        res = canonicalize_decreasing(pt)
-        assert isinstance(res, CanonicalizationResult)
-        assert res.passes == 1
-        assert res.row_perm.is_identity() and res.col_perm.is_identity()
-        assert np.array_equal(res.tableau.p, pt.p)
+        grid = np.array([[0.5, 0.2], [0.2, 0.1]])
+        column_map, row_map, out, passes = canonicalize(grid)
+        assert passes == 1
+        assert column_map.tolist() == row_map.tolist() == [0, 1, 2, 3]
+        assert np.array_equal(out, grid)
 
     def test_2x2_example(self):
-        pt = ProbabilityTableau(DIMS22, [[0.05, 0.3], [0.15, 0.5]])
-        res = canonicalize_decreasing(pt)
-        assert res.tableau.p.tolist() == [[0.5, 0.15], [0.3, 0.05]]
+        *_, out, _ = canonicalize([[0.05, 0.3], [0.15, 0.5]])
+        assert out.tolist() == [[0.5, 0.15], [0.3, 0.05]]
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_reaches_decreasing_and_reconstructs(self, seed):
-        pt = random_tableau_probs(seed)
-        res = canonicalize_decreasing(pt)
-        assert is_decreasing(res.tableau)
-        assert res.passes <= 3
-        rebuilt = res.col_perm.apply_to_grid(res.row_perm.apply_to_grid(pt.p))
-        assert np.array_equal(rebuilt, res.tableau.p)
-        assert sorted(res.tableau.p.ravel()) == sorted(pt.p.ravel())
+        grid = random_grid(seed)
+        column_map, row_map, out, passes = canonicalize(grid)
+        assert is_decreasing(out)
+        assert passes <= 3
+        assert np.array_equal(moved(row_map, moved(column_map, grid)), out)
+        assert sorted(out.ravel()) == sorted(grid.ravel())
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_each_pass_lowers_mi(self, seed):
-        pt = random_tableau_probs(seed)
-        for sort_pass in (sort_within_columns, sort_within_rows, sort_within_columns):
-            before = tableau_mutual_information(pt)
-            _, pt = sort_pass(pt)
-            assert tableau_mutual_information(pt) <= before + 1e-12
+        grid = random_grid(seed)
+        for axis in (0, 1, 0):
+            before = grid_mutual_information(grid)
+            _, grid = sort_along(grid, axis)
+            assert grid_mutual_information(grid) <= before + 1e-12
 
 
 class TestSearchSpaceReduction:
@@ -415,7 +380,5 @@ class TestSearchSpaceReduction:
     def test_regular_minimum_equals_global_minimum(self, d_a, d_b, seed):
         dims = BipartiteDims(d_a, d_b)
         probs = descending_probs(dims.total, seed)
-        regular_min = min(
-            tableau_mutual_information(arrange(probs, t)) for t in regular_tableaux(dims)
-        )
+        regular_min = min(grid_mutual_information(probs[t.index_array]) for t in regular_tableaux(dims))
         assert abs(regular_min - brute_force_min_mi(probs, d_a, d_b)) < 1e-12
