@@ -26,7 +26,9 @@ scoring every candidate swap of every seed per iteration from packed row and
 column sums and a move test on value positions alone, and drops a seed once
 it swaps back and forth between two tableaux, counting the rest of its
 descent (see ``_depth``). Sums run in the same order as the scalar loops
-kept in tests/oracles.py, so results match them bit for bit.
+kept in tests/oracles.py, so results match them bit for bit. ``optimize``
+computes h_flat, the entropy of the probabilities that every score
+subtracts, once and passes it to each phase.
 
 Everything is deterministic given the config seed: each draw has its own RNG
 stream, numpy's ``PCG64(SeedSequence((seed, draw_index)))``, so results do
@@ -54,7 +56,7 @@ from functools import partial
 import numpy as np
 
 from .exceptions import ValidationError
-from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _check_integers, _probability_vector, shannon_entropy
+from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _check_integers, _probability_vector
 from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_blocks
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
@@ -214,6 +216,12 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 def _xlogx_rough(x: np.ndarray) -> np.ndarray:
     """x log x through numpy's log: fast, but not always bitwise _xlogx."""
     return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
+def _flat_entropy(p: np.ndarray) -> float:
+    """H(p) in nats, the h_flat every score subtracts: ``_xlogx`` terms summed
+    strictly left to right, so it does not depend on numpy's log either."""
+    return float(-np.add.accumulate(_xlogx(p))[-1])
 
 
 def _sum_left(terms: np.ndarray) -> np.ndarray:
@@ -424,7 +432,7 @@ def _rough_blocks(p: np.ndarray, dims: BipartiteDims, h_flat: float):
         yield block, _marginals_mi(rows, cols, h_flat, _xlogx_rough)
 
 
-def _exhaustive(p: np.ndarray, dims: BipartiteDims) -> Outcome:
+def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     """Globally minimal grid by full traversal; ties go to the first grid in
     enumeration order.
 
@@ -441,7 +449,6 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims) -> Outcome:
     exactly, with the marginals summed in cell order. Memory stays bounded
     (about 43 MB of process RSS at 2x15).
     """
-    h_flat = shannon_entropy(p)
     best_mi = best_rough = math.inf
     best_grid = None
     trajectory: list[float] = []
@@ -488,12 +495,11 @@ def _merge_best(parts, keep: int) -> list[Candidate]:
 
 
 def _breadth_block(
-    probs: np.ndarray, d_a: int, d_b: int, seed: int, task: tuple[int, int], keep: int
+    probs: np.ndarray, h_flat: float, d_a: int, d_b: int, seed: int, task: tuple[int, int], keep: int
 ) -> list[Candidate]:
     """Evaluate draws lo..hi-1 of ``task``, at most BREADTH_BLOCK of them,
     and reduce them to their best ``keep`` distinct grids, by (mi, draw index)."""
     lo, hi = task
-    h_flat = shannon_entropy(probs)
     grids = _sample_block(d_a, d_b, seed, lo, hi)
     # As in the other phases, numpy's log scores every draw first. Rough and
     # exact scores differ by under 1e-14 and duplicate grids score alike, so
@@ -510,7 +516,7 @@ def _breadth_block(
     return _merge_best([zip(mi.tolist(), (lo + near).tolist(), near_grids)], keep)
 
 
-def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig) -> list[Candidate]:
+def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig, h_flat: float) -> list[Candidate]:
     """Sample n1 random regular grids and return the n2 distinct ones with
     the smallest mutual information, ascending by (mi, draw index).
 
@@ -521,14 +527,16 @@ def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig) -> list[C
     result is independent of how draws are split into tasks and workers.
     """
     jobs = worker_count(config.parallelism, config.n1, usable_cpus())
-    score = partial(_breadth_block, p, dims.d_a, dims.d_b, config.seed, keep=config.n2)
+    score = partial(_breadth_block, p, h_flat, dims.d_a, dims.d_b, config.seed, keep=config.n2)
     best: list[Candidate] = []
     for part in run_tasks(score, jobs, breadth_tasks(config.n1, jobs)):
         best = _merge_best([best, part], config.n2)
     return best
 
 
-def _depth(p: np.ndarray, dims: BipartiteDims, grids: np.ndarray, config: SearchConfig) -> Outcome:
+def _depth(
+    p: np.ndarray, dims: BipartiteDims, grids: np.ndarray, config: SearchConfig, h_flat: float
+) -> Outcome:
     """Iterated best-neighbour descent from each regular seed value grid of
     ``grids``, shape (seeds, d_a, d_b).
 
@@ -557,7 +565,6 @@ def _depth(p: np.ndarray, dims: BipartiteDims, grids: np.ndarray, config: Search
     when they share neither, and swapping v and v + 2 exactly when no two
     of v, v + 1 and v + 2 share a row or a column.
     """
-    h_flat = shannon_entropy(p)
     n_seeds, n, d_a = len(grids), dims.total, dims.d_a
     u, w = np.array(list(candidate_swaps(n)), dtype=np.intp).reshape(-1, 2).T - 1  # 0-based values
     # place[s, v] is the (row, column) of value v + 1 in seed s. A swap's four
@@ -681,14 +688,15 @@ def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> 
     if config is None:
         config = SearchConfig()
     p = _probability_vector(probs, dims.total)
+    h_flat = _flat_entropy(p)
     start = np.arange(1, dims.total + 1).reshape(1, dims.d_a, dims.d_b)
-    initial_mi = float(_block_mi(p, start, shannon_entropy(p))[0])
+    initial_mi = float(_block_mi(p, start, h_flat)[0])
 
     if count_regular(dims) <= config.exhaustive_threshold:
-        method, outcome = "exhaustive", _exhaustive(p, dims)
+        method, outcome = "exhaustive", _exhaustive(p, dims, h_flat)
     else:
-        seeds = np.array([grid for _mi, _idx, grid in _breadth(p, dims, config)])
-        method, outcome = "heuristic", _depth(p, dims, seeds, config)
+        seeds = np.array([grid for _mi, _idx, grid in _breadth(p, dims, config, h_flat)])
+        method, outcome = "heuristic", _depth(p, dims, seeds, config, h_flat)
     grid, best_mi, evaluations, trajectory, provenance = outcome
 
     if best_mi > initial_mi:

@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from qaeopt import BipartiteDims, YoungTableau, shannon_entropy
+from qaeopt import BipartiteDims, YoungTableau
 from qaeopt.tableau import _random_regular_grid, candidate_swaps
 
 _CHUNK = 200_000
@@ -180,6 +180,11 @@ def _sum_left(values) -> float:
     return total
 
 
+def flat_entropy(pr) -> float:
+    """Entropy of the probabilities themselves: the h_flat every score subtracts."""
+    return -_sum_left(map(_xlogx, pr))
+
+
 def grid_mi(pr, grid, d_b: int, h_flat: float) -> float:
     """Mutual information of a value grid over descending probabilities pr."""
     cols = [0.0] * d_b
@@ -230,7 +235,7 @@ def scalar_exhaustive(probs, dims: BipartiteDims) -> dict:
     fields of search._exhaustive's outcome it should equal."""
     p = np.asarray(probs, dtype=float)
     pr = [float(x) for x in p]
-    h_flat = shannon_entropy(p)
+    h_flat = flat_entropy(pr)
     best_mi, best_cells = math.inf, None
     trajectory, evaluations = [], 0
     for cells in scalar_enumerate(dims, exploit_symmetry=dims.d_a == dims.d_b):
@@ -252,7 +257,7 @@ def scalar_breadth(probs, dims: BipartiteDims, seed: int, n1: int, n2: int):
     ranked by (mi, draw index)."""
     p = np.asarray(probs, dtype=float)
     pr = [float(x) for x in p]
-    h_flat = shannon_entropy(p)
+    h_flat = flat_entropy(pr)
     entries = []
     for i in range(n1):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
@@ -328,7 +333,7 @@ def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:
     p = np.asarray(probs, dtype=float)
     d_a, d_b, n = dims.d_a, dims.d_b, dims.total
     pr = [float(x) for x in p]
-    h_flat = shannon_entropy(p)
+    h_flat = flat_entropy(pr)
     swaps = tuple(candidate_swaps(n))
     best_mi, best_cells, best_seed = math.inf, None, 0
     trajectory, evaluations, choices = [], 0, []

@@ -12,6 +12,7 @@ import pytest
 import qaeopt.qstate
 from qaeopt import BipartiteDims, DensityMatrix, generate_instance, save_statefile
 from qaeopt.cli import main
+from qaeopt.tableau import _random_regular_grid
 
 DIMS22 = BipartiteDims(2, 2)
 
@@ -370,6 +371,18 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", dense_state_file, "--threshold", "5"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("d_a,d_b", [(2, 3), (16, 16)])
+    def test_random_plan_is_the_scalar_draw_of_its_seed(self, capsys, tmp_path, d_a, d_b):
+        # --seed s encodes with the tableau numpy's default_rng(s) draws in
+        # the scalar sampler, so a seed always picks the same plan.
+        dims = BipartiteDims(d_a, d_b)
+        path = tmp_path / "dense.json"
+        save_statefile(path, dims, matrix=generate_instance("diagonal-mixed", dims, 3).matrix)
+        for seed in (0, 7, 2**40 + 3):
+            code, lines, _ = run_cli(capsys, "verify", str(path), "--seed", str(seed))
+            assert code == 0
+            assert lines[0]["tableau"] == _random_regular_grid(d_a, d_b, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("plan", ["random", "identity"])
     def test_negative_seed_exit_2_before_reading(self, capsys, plan):

@@ -21,7 +21,7 @@ from qaeopt import (
     random_regular,
 )
 from qaeopt.qstate import MI_ROUNDOFF_TOL
-from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS, _breadth, _depth, _exhaustive
+from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS, _breadth, _depth, _exhaustive, _flat_entropy
 from qaeopt.tableau import regular_grid_blocks
 
 DIMS22 = BipartiteDims(2, 2)
@@ -137,7 +137,7 @@ def cells(grid):
 
 def breadth(probs, dims, config):
     """The breadth phase alone, as [(YoungTableau, mi)] ascending."""
-    return [(YoungTableau(dims, grid.tolist()), mi) for mi, _idx, grid in _breadth(probs, dims, config)]
+    return [(YoungTableau(dims, grid.tolist()), mi) for mi, _idx, grid in _breadth(probs, dims, config, _flat_entropy(probs))]
 
 
 class TestBreadthFirst:
@@ -198,23 +198,25 @@ def naive_depth_first(probs, dims, seeds, n_d):
 def depth(probs, seeds, config):
     """The depth phase alone from seed tableaux: (best grid, best mi,
     evaluations, trajectory, seed provenance)."""
-    return _depth(probs, seeds[0].dims, np.array([t.cells for t in seeds]), config)
+    grids = np.array([t.cells for t in seeds])
+    return _depth(probs, seeds[0].dims, grids, config, _flat_entropy(probs))
 
 
 class TestDepthFirst:
     def test_seed_at_optimum_is_retained(self):
         probs = descending_probs(4, 7)
-        grid, best_mi, *_ = _exhaustive(probs, DIMS22)
+        grid, best_mi, *_ = _exhaustive(probs, DIMS22, _flat_entropy(probs))
         cfg = SearchConfig(n1=1, n2=1, n_d=5, seed=0)
-        _, depth_mi, *_ = _depth(probs, DIMS22, grid[None], cfg)
+        _, depth_mi, *_ = _depth(probs, DIMS22, grid[None], cfg, _flat_entropy(probs))
         assert depth_mi <= best_mi + 1e-12
 
     def test_all_seeds_find_global_minimum_2x3(self):
         probs = descending_probs(6, 11)
         seeds = np.concatenate([b.grids() for b in regular_grid_blocks(DIMS23, BREADTH_BLOCK)])
         cfg = SearchConfig(n1=5, n2=5, n_d=10, seed=0)
-        _, best_mi, _, _, provenance = _depth(probs, DIMS23, seeds, cfg)
-        assert abs(best_mi - _exhaustive(probs, DIMS23)[1]) < 1e-12
+        h_flat = _flat_entropy(probs)
+        _, best_mi, _, _, provenance = _depth(probs, DIMS23, seeds, cfg, h_flat)
+        assert abs(best_mi - _exhaustive(probs, DIMS23, h_flat)[1]) < 1e-12
         assert provenance in range(len(seeds))
 
     def test_single_row_halts_immediately(self):

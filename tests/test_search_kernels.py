@@ -34,7 +34,6 @@ from qaeopt import (
     generate_instance,
     optimize,
     random_regular,
-    shannon_entropy,
 )
 from qaeopt.search import (
     BREADTH_BLOCK,
@@ -45,6 +44,7 @@ from qaeopt.search import (
     _depth,
     _draw_uniforms,
     _exhaustive,
+    _flat_entropy,
     _rough_blocks,
     _sample_block,
     breadth_tasks,
@@ -73,12 +73,12 @@ def cells(grid):
 
 def breadth(probs, dims, config):
     """The breadth phase as [(cells, mi)], the form scalar_breadth returns."""
-    return [(cells(grid), mi) for mi, _idx, grid in _breadth(probs, dims, config)]
+    return [(cells(grid), mi) for mi, _idx, grid in _breadth(probs, dims, config, _flat_entropy(probs))]
 
 
 def exhaustive(probs, dims):
     """The exhaustive phase as the fields scalar_exhaustive returns."""
-    grid, best_mi, evaluations, trajectory, _ = _exhaustive(probs, dims)
+    grid, best_mi, evaluations, trajectory, _ = _exhaustive(probs, dims, _flat_entropy(probs))
     return {
         "best_cells": cells(grid),
         "best_mi": best_mi,
@@ -114,7 +114,7 @@ def test_breadth_block_memory():
     probs = descending_probs(64, 2)
     tracemalloc.start()
     try:
-        _breadth_block(probs, 8, 8, 1, (0, BREADTH_BLOCK), 12)
+        _breadth_block(probs, _flat_entropy(probs), 8, 8, 1, (0, BREADTH_BLOCK), 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -206,7 +206,7 @@ def test_block_mi_matches_scalar(d_a, d_b, kind):
         probs = descending_probs(n, n)
     else:
         probs = tied_probs(np.random.default_rng(n).integers(0, 3, n) + np.eye(1, n)[0])
-    h_flat = shannon_entropy(probs)
+    h_flat = _flat_entropy(probs)
     grids = _sample_block(d_a, d_b, 8, 0, 500)
     got = _block_mi(probs, grids, h_flat)
     pr = [float(x) for x in probs]
@@ -304,7 +304,7 @@ def test_factored_rough_scores_match_exact(case):
     # Marginals joined from a leaf's prefix and suffix, scored with numpy's
     # log, stay within 1e-12 of the cell-order exact score of every leaf.
     probs, dims, cap, block = case
-    h_flat = shannon_entropy(probs)
+    h_flat = _flat_entropy(probs)
     with mock.patch.object(qaeopt.tableau, "SUFFIX_CAP", cap), mock.patch.object(
         qaeopt.search, "LEAF_BLOCK", block
     ):
@@ -336,7 +336,7 @@ def test_traversal_values_beyond_one_byte():
 def assert_depth_matches(probs, dims, seeds, n_d):
     grids = np.array([t.cells for t in seeds])
     config = SearchConfig(n1=len(seeds), n2=len(seeds), n_d=n_d)
-    grid, best_mi, evaluations, trajectory, provenance = _depth(probs, dims, grids, config)
+    grid, best_mi, evaluations, trajectory, provenance = _depth(probs, dims, grids, config, _flat_entropy(probs))
     ref = scalar_depth(probs, dims, seeds, n_d)
     assert cells(grid) == ref["best_cells"]
     assert best_mi == ref["best_mi"]
@@ -436,7 +436,8 @@ def test_move_test_from_positions_matches_neighbour_checks(shape, key):
         ]
         assert [position_rule(place, u, w) for u, w in candidate_swaps(dims.total)] == expected
         # _depth counts one evaluation per swap its move test lets through.
-        _, _, evaluations, _, _ = _depth(probs, dims, grid[None], SearchConfig(n1=1, n2=1, n_d=1))
+        config = SearchConfig(n1=1, n2=1, n_d=1)
+        _, _, evaluations, _, _ = _depth(probs, dims, grid[None], config, _flat_entropy(probs))
         assert evaluations == 1 + sum(expected)
 
 
@@ -592,3 +593,28 @@ def test_run_tasks_pool_reads_tasks_as_results_are_taken():
         tracemalloc.stop()
     assert first == 0 and len(read) <= 5
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "d_a,d_b,config",
+    [(3, 5, SearchConfig()), (4, 4, SearchConfig(n1=300, n2=6, n_d=30, seed=3, exhaustive_threshold=1))],
+    ids=["exhaustive-3x5", "heuristic-4x4"],
+)
+def test_numpy_log_feeds_only_the_rough_filters(d_a, d_b, config, monkeypatch):
+    # numpy's SIMD log may differ from the C library's in the last bit on
+    # some CPUs. Every exact score, h_flat included, takes its logarithms
+    # from the C library, so numpy's log moved one ulp changes no output bit.
+    dims = BipartiteDims(d_a, d_b)
+    probs = descending_probs(dims.total, 5)
+    want = optimize(probs, dims, config)
+    calls, log = [], np.log
+
+    def moved_log(x, *args, **kwargs):
+        calls.append(1)
+        return np.nextafter(log(x, *args, **kwargs), np.inf)
+
+    monkeypatch.setattr(np, "log", moved_log)
+    got = optimize(probs, dims, config)
+    assert calls  # the rough filters did use it
+    assert got.method == want.method == ("exhaustive" if d_a == 3 else "heuristic")
+    assert got.to_dict() == want.to_dict()

@@ -20,7 +20,7 @@ from oracles import (
     scalar_enumerate,
     sort_along,
 )
-from qaeopt import BipartiteDims, ValidationError, YoungTableau, count_regular, random_regular, shannon_entropy
+from qaeopt import BipartiteDims, ValidationError, YoungTableau, count_regular, random_regular
 from qaeopt.qstate import MAX_COUNT_CELLS
 from qaeopt.tableau import candidate_swaps, regular_grid_blocks
 
@@ -322,7 +322,7 @@ class TestTableauMI:
         ranks = np.empty(6, dtype=np.intp)
         ranks[order] = np.arange(1, 7)
         probs = grid.ravel()[order]
-        mi = qaeopt.search._block_mi(probs, ranks.reshape(1, 2, 3), shannon_entropy(probs))[0]
+        mi = qaeopt.search._block_mi(probs, ranks.reshape(1, 2, 3), qaeopt.search._flat_entropy(probs))[0]
         assert abs(mi - grid_mutual_information(grid)) < 1e-12
 
 
