@@ -218,12 +218,6 @@ def _xlogx_rough(x: np.ndarray) -> np.ndarray:
     return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
-def _flat_entropy(p: np.ndarray) -> float:
-    """H(p) in nats, the h_flat every score subtracts: ``_xlogx`` terms summed
-    strictly left to right, so it does not depend on numpy's log either."""
-    return float(-np.add.accumulate(_xlogx(p))[-1])
-
-
 def _sum_left(terms: np.ndarray) -> np.ndarray:
     """Sum over the last axis strictly left to right (numpy's pairwise
     reduction rounds differently)."""
@@ -231,6 +225,12 @@ def _sum_left(terms: np.ndarray) -> np.ndarray:
     for k in range(terms.shape[-1]):
         total += terms[..., k]
     return total
+
+
+def _flat_entropy(p: np.ndarray) -> float:
+    """H(p) in nats from ``_xlogx``, summed left to right: the h_flat every
+    score subtracts, free of numpy's log like the scores themselves."""
+    return float(-_sum_left(_xlogx(p)))
 
 
 def _marginals(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The two 8x8 batch
-criteria dominate the runtime (about a minute together; each searches one
-hundred random states, criterion 6 with the full-size protocol).
+criteria dominate the runtime (about 20 s together on a 2-core x86-64 VM;
+each searches one hundred random states, criterion 6 with the full-size
+protocol).
 """
 
 import json

@@ -316,14 +316,10 @@ class TestTableauMI:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, seed):
-        # The search's kernel on a grid's descending entries and rank filling.
-        grid = np.random.default_rng(seed).dirichlet(np.ones(6)).reshape(2, 3)
-        order = np.argsort(-grid.ravel(), kind="stable")
-        ranks = np.empty(6, dtype=np.intp)
-        ranks[order] = np.arange(1, 7)
-        probs = grid.ravel()[order]
-        mi = qaeopt.search._block_mi(probs, ranks.reshape(1, 2, 3), qaeopt.search._flat_entropy(probs))[0]
-        assert abs(mi - grid_mutual_information(grid)) < 1e-12
+        # The search's kernel against the oracle on an arranged spectrum.
+        probs, t = descending_probs(6, seed), random_regular(DIMS23, seed)
+        mi = qaeopt.search._block_mi(probs, np.array([t.cells]), qaeopt.search._flat_entropy(probs))[0]
+        assert abs(mi - grid_mutual_information(probs[t.index_array])) < 1e-12
 
 
 def moved(mapping, grid):
