@@ -51,7 +51,8 @@ def _check_integers(obj, names) -> None:
 
 @dataclass(frozen=True)
 class BipartiteDims:
-    """Dimensions (d_a, d_b) of the retained/discarded split of a bipartite space."""
+    """Dimensions (d_a, d_b) of a bipartite space: A (d_a) is the discarded
+    subsystem, B (d_b) the retained one."""
 
     d_a: int
     d_b: int

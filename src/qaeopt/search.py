@@ -16,9 +16,10 @@ for the leaves that need an exact score: on one x86-64 core about 0.15 µs
 per leaf at (3,7), and about 2 s for 2x15, the largest grid the default
 threshold routes to it (9,694,845 leaves). The breadth phase cuts the
 draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded one at
-a time): a task computes the uniforms of all its draws at once, places each
-value in all its grids at once, in small-integer arrays, scores them, and
-returns only its best few grids, which are merged as they arrive.
+a time): a task streams its draws' uniforms one value at a time, places each
+value in all its draws at once, in small-integer arrays of cells, scores
+the draws LEAF_BLOCK at a time, and returns only its best few grids, which
+are merged as they arrive.
 ``run_tasks`` runs the same tasks in this process for one job, and on a
 process pool holding at most two tasks per worker for more, so memory is
 bounded for any n1 either way. The depth phase moves all seeds together,
@@ -60,10 +61,11 @@ from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _check_integers, _probabilit
 from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_blocks
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
-# Draws sampled and scored together. All n1 draws at once would hold every
-# grid and uniform in memory; one block of 4096 peaks at 3.7 MB of traced
-# memory at (8, 8), under a 4 MB budget.
-BREADTH_BLOCK = 4096
+# Draws sampled together, their uniforms streamed one value at a time and
+# their grids built LEAF_BLOCK draws at a time. All n1 draws at once would
+# hold every draw's cells in memory; one block of 8192 peaks at about 2.4 MB
+# of traced memory at (8, 8), under a 4 MB budget.
+BREADTH_BLOCK = 8192
 # Exhaustive leaves scored together; 4096 is no faster there.
 LEAF_BLOCK = 2048
 # Breadth draws, exhaustive leaves and depth swaps whose rough (numpy log)
@@ -305,10 +307,11 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi, inc_lo) -> tuple[np.ndarra
     return new_hi, new_lo
 
 
-def _draw_uniforms(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+def _draw_uniforms(seed: int, lo: int, hi: int, n: int) -> Iterator[np.ndarray]:
     """``Generator(PCG64(SeedSequence((seed, i)))).random(n)`` for draws i in
-    lo..hi-1, bit for bit, draws last: shape (n, hi - lo). Each output word w
-    goes straight into the result as (w >> 11) * 2**-53, as numpy makes it."""
+    lo..hi-1, bit for bit, as a stream: step k yields uniform k of every
+    draw, one float64 row of length hi - lo. Each output word w becomes
+    (w >> 11) * 2**-53, as numpy makes it."""
     s_hi, s_lo, i_hi, i_lo = _seed_sequence_state(seed, lo, hi)
     # PCG64's set-seed: the increment is 2 * initseq + 1; from state 0 one
     # step gives the increment, then the seed is added and one more step run.
@@ -316,40 +319,41 @@ def _draw_uniforms(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     lo_ = inc_lo + s_lo
     hi_ = inc_hi + s_hi + (lo_ < s_lo)
     hi_, lo_ = _pcg_step(hi_, lo_, inc_hi, inc_lo)
-    out = np.empty((n, hi - lo))
-    for k in range(n):
+    for _ in range(n):
         hi_, lo_ = _pcg_step(hi_, lo_, inc_hi, inc_lo)
         x, rot = hi_ ^ lo_, hi_ >> 58
-        np.multiply((x >> rot | x << ((64 - rot) & 63)) >> 11, 2.0**-53, out=out[k])
-    return out
+        yield ((x >> rot | x << ((64 - rot) & 63)) >> 11) * 2.0**-53
 
 
 def _sample_block(d_a: int, d_b: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Value grids of draws lo..hi-1, shape (hi-lo, d_a, d_b).
+    """Cells of draws lo..hi-1: cell[v, i - lo] is the flat (row-major)
+    cell of value v + 1 in draw i, shape (d_a * d_b, hi - lo).
 
     Draw i is exactly ``tableau._random_regular_grid`` fed from the stream
-    ``PCG64(SeedSequence((seed, i)))``, whose n uniforms ``_draw_uniforms``
-    computes for the whole block at once: value v goes to the k-th
-    admissible row, k = min(floor(u_v * count), count - 1). Arrays are laid
-    out draws-last, so every step works on whole rows, and the sampler state
-    is in the smallest signed integer type that holds n.
+    ``PCG64(SeedSequence((seed, i)))``, whose uniforms ``_draw_uniforms``
+    streams for the whole block, one row per value, taken just before the
+    value is placed: value v goes to the k-th admissible row,
+    k = min(floor(u_v * count), count - 1). Arrays are laid out draws-last,
+    so every step works on whole rows, and the sampler state and the cells
+    are in the smallest signed integer type that holds n. ``_cell_grids``
+    turns cells into value grids.
     """
     n, size = d_a * d_b, hi - lo
-    uniforms = _draw_uniforms(seed, lo, hi, n)
     small = np.min_scalar_type(-n - 1)
     # lengths[i + 1] holds the length of row i; lengths[0] is a full sentinel
     # row, so row i is admissible exactly when lengths[i] > lengths[i + 1].
     lengths = np.zeros((d_a + 1, size), dtype=small)
     lengths[0] = d_b
     row_start = np.arange(0, n, d_b, dtype=small)[:, None]
-    admissible = np.empty((d_a, size), dtype=bool)
-    # before[i + 1]: row i comes before the chosen row; before[0] is all True.
-    before = np.ones((d_a + 1, size), dtype=bool)
-    chosen = np.empty((d_a, size), dtype=bool)
+    # The 0/1 masks share the state's type, so adding them to it needs no cast.
+    admissible = np.empty((d_a, size), dtype=small)
+    # before[i + 1] is 1 while row i comes before the chosen row; before[0] is 1.
+    before = np.ones((d_a + 1, size), dtype=small)
+    chosen = np.empty((d_a, size), dtype=small)
     rank = np.empty((d_a, size), dtype=small)
     at = np.empty((d_a, size), dtype=small)
     cell = np.empty((n, size), dtype=small)
-    for v in range(n):
+    for v, uniform in enumerate(_draw_uniforms(seed, lo, hi, n)):
         np.greater(lengths[:-1], lengths[1:], out=admissible)
         # Running count of admissible rows; np.cumsum along axis 0 is far
         # slower than one add per row.
@@ -357,19 +361,25 @@ def _sample_block(d_a: int, d_b: int, seed: int, lo: int, hi: int) -> np.ndarray
         for i in range(1, d_a):
             np.add(rank[i - 1], admissible[i], out=rank[i])
         count = rank[-1]
-        k = np.minimum((uniforms[v] * count).astype(small), count - 1)
-        # The chosen row is the first with rank > k, where before turns
-        # False; a one-hot mask of it replaces a gather and a scatter.
+        k = np.minimum((uniform * count).astype(small), count - 1)
+        # The chosen row is the first with rank > k, where before drops to
+        # 0; a one-hot mask of it replaces a gather and a scatter.
         np.less_equal(rank, k, out=before[1:])
-        np.not_equal(before[:-1], before[1:], out=chosen)
+        np.subtract(before[:-1], before[1:], out=chosen)
         np.add(lengths[1:], row_start, out=at)
         at *= chosen
         at.sum(axis=0, out=cell[v])
         lengths[1:] += chosen
-    del uniforms  # the largest array here, not needed for the grids
-    grids = np.empty((size, n), dtype=np.int32)
-    draws = np.arange(size)
-    grids[draws[:, None], cell.T] = np.arange(1, n + 1, dtype=np.int32)
+    return cell
+
+
+def _cell_grids(cell: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """int32 value grids, shape (draws, d_a, d_b), of the draws (columns)
+    of ``cell`` as ``_sample_block`` returns it. A grid and its cell
+    sequence determine each other."""
+    n, size = cell.shape
+    grids = np.empty(size * n, dtype=np.int32)
+    grids[cell.T + np.arange(0, size * n, n)[:, None]] = np.arange(1, n + 1, dtype=np.int32)
     return grids.reshape(size, d_a, d_b)
 
 
@@ -494,26 +504,41 @@ def _merge_best(parts, keep: int) -> list[Candidate]:
     return _distinct_best(merged, keep)
 
 
+def _cell_mi(
+    probs: np.ndarray, cell: np.ndarray, d_a: int, d_b: int, h_flat: float, xlogx=_xlogx
+) -> np.ndarray:
+    """``_block_mi`` of the draws (columns) of ``cell``, scored LEAF_BLOCK
+    draws at a time, so that no more grids than that exist at once."""
+    return np.concatenate([
+        _block_mi(probs, _cell_grids(cell[:, k : k + LEAF_BLOCK], d_a, d_b), h_flat, xlogx)
+        for k in range(0, cell.shape[1], LEAF_BLOCK)
+    ])
+
+
 def _breadth_block(
     probs: np.ndarray, h_flat: float, d_a: int, d_b: int, seed: int, task: tuple[int, int], keep: int
 ) -> list[Candidate]:
     """Evaluate draws lo..hi-1 of ``task``, at most BREADTH_BLOCK of them,
     and reduce them to their best ``keep`` distinct grids, by (mi, draw index)."""
     lo, hi = task
-    grids = _sample_block(d_a, d_b, seed, lo, hi)
+    cell = _sample_block(d_a, d_b, seed, lo, hi)
     # As in the other phases, numpy's log scores every draw first. Rough and
     # exact scores differ by under 1e-14 and duplicate grids score alike, so
     # the rough score of the keep-th distinct grid is within that of the
     # exact one, and only draws within SCORE_SLACK of it can hold the block's
-    # best keep grids; only those get an exact score.
-    rough = _block_mi(probs, grids, h_flat, _xlogx_rough)
-    ranked = ((float(rough[k]), k, grids[k]) for k in np.argsort(rough).tolist())
+    # best keep grids; only those get an exact score. Draws are told apart
+    # by their cell sequences, so grids exist only for one scoring piece at
+    # a time and for the draws returned.
+    rough = _cell_mi(probs, cell, d_a, d_b, h_flat, _xlogx_rough)
+    ranked = ((float(rough[k]), k, cell[:, k]) for k in np.argsort(rough).tolist())
     firsts = _distinct_best(ranked, keep)
     cut = firsts[-1][0] if len(firsts) == keep else math.inf
     near = np.flatnonzero(rough <= cut + SCORE_SLACK)
-    near_grids = grids[near]
-    mi = _block_mi(probs, near_grids, h_flat)
-    return _merge_best([zip(mi.tolist(), (lo + near).tolist(), near_grids)], keep)
+    near_cell = cell[:, near]
+    mi = _cell_mi(probs, near_cell, d_a, d_b, h_flat)
+    best = _merge_best([zip(mi.tolist(), (lo + near).tolist(), near_cell.T)], keep)
+    grids = _cell_grids(np.stack([seq for _mi, _idx, seq in best], axis=1), d_a, d_b)
+    return [(x, idx, grid) for (x, idx, _seq), grid in zip(best, grids)]
 
 
 def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig, h_flat: float) -> list[Candidate]:

@@ -37,10 +37,12 @@ from qaeopt import (
 )
 from qaeopt.search import (
     BREADTH_BLOCK,
+    LEAF_BLOCK,
     MAX_DRAWS,
     _block_mi,
     _breadth,
     _breadth_block,
+    _cell_grids,
     _depth,
     _draw_uniforms,
     _exhaustive,
@@ -87,6 +89,11 @@ def exhaustive(probs, dims):
     }
 
 
+def sample_grids(d_a, d_b, seed, lo, hi):
+    """The value grids of block draws lo..hi-1."""
+    return _cell_grids(_sample_block(d_a, d_b, seed, lo, hi), d_a, d_b)
+
+
 def scalar_grids(d_a, d_b, seed, lo, hi):
     """Draws lo..hi-1 one at a time, each from numpy's own generator."""
     return np.array([
@@ -97,32 +104,46 @@ def scalar_grids(d_a, d_b, seed, lo, hi):
 
 @pytest.mark.parametrize("d_a,d_b", SAMPLER_DIMS)
 def test_block_sampler_matches_scalar_draws(d_a, d_b):
-    grids = _sample_block(d_a, d_b, 31, 17, 17 + 300)
+    cell = _sample_block(d_a, d_b, 31, 17, 17 + 300)
+    assert cell.shape == (d_a * d_b, 300)
+    grids = _cell_grids(cell, d_a, d_b)
     assert grids.shape == (300, d_a, d_b)
     assert np.array_equal(grids, scalar_grids(d_a, d_b, 31, 17, 17 + 300))
 
 
 def test_block_sampler_at_the_cell_cap():
     # 2**14 cells: lengths and cells up to 2**14 - 1 in the int16 state.
-    grids = _sample_block(2, 8192, 4, 2**32 - 3, 2**32)
+    grids = sample_grids(2, 8192, 4, 2**32 - 3, 2**32)
     assert grids.dtype == np.int32
     assert np.array_equal(grids, scalar_grids(2, 8192, 4, 2**32 - 3, 2**32))
 
 
-def test_breadth_block_memory():
-    # One full 8x8 block: its uniforms, grids and scores stay under 4 MB.
-    probs = descending_probs(64, 2)
+def breadth_block_peak(d):
+    """Traced peak of one full d x d block: its uniform stream, cells,
+    grids and scores."""
+    probs = descending_probs(d * d, 2)
     tracemalloc.start()
     try:
-        _breadth_block(probs, _flat_entropy(probs), 8, 8, 1, (0, BREADTH_BLOCK), 12)
+        _breadth_block(probs, _flat_entropy(probs), d, d, 1, (0, BREADTH_BLOCK), 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    return peak
+
+
+def test_breadth_block_memory():
+    assert breadth_block_peak(8) < 4 * 2**20
+
+
+def test_breadth_block_memory_16x16():
+    # Four times the cells of 8x8; a block of 4096 draws that held all its
+    # grids at once peaked at about 13.1 MB.
+    assert breadth_block_peak(16) < 13 * 2**20
 
 
 @pytest.mark.parametrize("d_a,d_b", SAMPLER_DIMS)
-@pytest.mark.parametrize("n1", [100, BREADTH_BLOCK + 37])
+# 2 * LEAF_BLOCK + 37 draws are one task scored in three pieces.
+@pytest.mark.parametrize("n1", [100, 2 * LEAF_BLOCK + 37])
 @pytest.mark.parametrize("kind", ["dirichlet", "uniform"])
 def test_breadth_matches_scalar(d_a, d_b, n1, kind):
     dims = BipartiteDims(d_a, d_b)
@@ -149,14 +170,17 @@ STREAM_RANGES = [
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 @pytest.mark.parametrize("n", [1, 64, 256])
 def test_draw_words_match_numpy_streams(seed, n):
-    # The uniforms made from each draw's stream words, bit for bit.
+    # The uniforms made from each draw's stream words, bit for bit; step k
+    # of the stream is uniform k of every draw.
     for lo, hi in STREAM_RANGES:
         expected = [
             np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i)))).random(n)
             for i in range(lo, hi)
         ]
-        got = _draw_uniforms(seed, lo, hi, n)
-        assert got.dtype == np.float64 and got.shape == (n, hi - lo)
+        rows = list(_draw_uniforms(seed, lo, hi, n))
+        assert len(rows) == n
+        assert all(row.dtype == np.float64 and row.shape == (hi - lo,) for row in rows)
+        got = np.array(rows)
         assert np.array_equal(got.T.view(np.uint64), np.array(expected).view(np.uint64))
 
 
@@ -186,12 +210,23 @@ def test_breadth_rough_scores_only_select_draws(d_a, d_b, kind, monkeypatch):
 
 
 @pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 3), (2, 5)])
-@pytest.mark.parametrize("block", [1, 3, None])
-def test_breadth_uniform_matches_scalar_across_blocks(d_a, d_b, block, monkeypatch):
+@pytest.mark.parametrize(
+    "block,leaf",
+    [
+        pytest.param(1, None, id="1"),
+        pytest.param(3, None, id="3"),
+        pytest.param(None, None, id="None"),
+        # Scoring pieces of 3 draws split each 200-draw block.
+        pytest.param(None, 3, id="pieces-of-3"),
+    ],
+)
+def test_breadth_uniform_matches_scalar_across_blocks(d_a, d_b, block, leaf, monkeypatch):
     # Every draw ties and duplicate grids are common ((2, 3) has only 5
     # regular grids, fewer than n2), so the draw index alone ranks them.
     if block is not None:
         monkeypatch.setattr(qaeopt.search, "BREADTH_BLOCK", block)
+    if leaf is not None:
+        monkeypatch.setattr(qaeopt.search, "LEAF_BLOCK", leaf)
     dims = BipartiteDims(d_a, d_b)
     probs = np.full(dims.total, 1.0 / dims.total)
     got = breadth(probs, dims, SearchConfig(n1=200, n2=6, seed=8))
@@ -207,7 +242,7 @@ def test_block_mi_matches_scalar(d_a, d_b, kind):
     else:
         probs = tied_probs(np.random.default_rng(n).integers(0, 3, n) + np.eye(1, n)[0])
     h_flat = _flat_entropy(probs)
-    grids = _sample_block(d_a, d_b, 8, 0, 500)
+    grids = sample_grids(d_a, d_b, 8, 0, 500)
     got = _block_mi(probs, grids, h_flat)
     pr = [float(x) for x in probs]
     assert got.tolist() == [grid_mi(pr, g.tolist(), d_b, h_flat) for g in grids]
@@ -427,7 +462,7 @@ def test_move_test_from_positions_matches_neighbour_checks(shape, key):
     d_a, d_b = shape
     dims = BipartiteDims(d_a, d_b)
     probs = descending_probs(dims.total, 0)
-    for grid in _sample_block(d_a, d_b, key, 0, 6):
+    for grid in sample_grids(d_a, d_b, key, 0, 6):
         tableau = YoungTableau(dims, grid.tolist())
         place = positions(tableau.cells)
         expected = [
@@ -546,8 +581,8 @@ def test_worker_count(requested, tasks, cpus, expected):
 
 @pytest.mark.parametrize(
     "n1,jobs",
-    [(2, 2), (200, 2), (20000, 2), (BREADTH_BLOCK, 3), (BREADTH_BLOCK + 37, 2), (10**6, 4),
-     (20000, 1), (BREADTH_BLOCK + 37, 1)],
+    [(2, 2), (200, 2), (20000, 2), (4096, 3), (4133, 2), (10**6, 4), (20000, 1), (4133, 1),
+     (BREADTH_BLOCK, 3), (BREADTH_BLOCK + 37, 2), (BREADTH_BLOCK + 37, 1)],
 )
 def test_breadth_tasks_cover_draws_in_short_even_ranges(n1, jobs):
     tasks = list(breadth_tasks(n1, jobs))
@@ -559,7 +594,8 @@ def test_breadth_tasks_cover_draws_in_short_even_ranges(n1, jobs):
 
 
 def test_breadth_tasks_yield_ranges_without_building_them_all():
-    # MAX_DRAWS draws make 2**21 tasks; the first comes without the rest.
+    # MAX_DRAWS draws make 2**32 / BREADTH_BLOCK tasks; the first comes without
+    # the rest.
     tracemalloc.start()
     try:
         first = next(iter(breadth_tasks(MAX_DRAWS, 1)))

@@ -228,9 +228,10 @@ class TestRandomRegular:
 
     def test_2x2_support(self):
         counts = {((1, 2), (3, 4)): 0, ((1, 3), (2, 4)): 0}
-        for i in range(100_000):
+        for i in range(300):
             counts[random_regular(DIMS22, np.random.SeedSequence((0, i))).cells] += 1
-        # Frequencies recorded; per-step-uniform sampling only guarantees support.
+        # Per-step-uniform sampling only guarantees support; value 2 picks its
+        # row by one fair uniform, so 300 fixed seeds show both fillings.
         assert all(c > 0 for c in counts.values())
 
     @given(seed=st.integers(0, 10**9))
