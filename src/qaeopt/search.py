@@ -333,10 +333,11 @@ def _sample_block(d_a: int, d_b: int, seed: int, lo: int, hi: int) -> np.ndarray
     ``PCG64(SeedSequence((seed, i)))``, whose uniforms ``_draw_uniforms``
     streams for the whole block, one row per value, taken just before the
     value is placed: value v goes to the k-th admissible row,
-    k = min(floor(u_v * count), count - 1). Arrays are laid out draws-last,
-    so every step works on whole rows, and the sampler state and the cells
-    are in the smallest signed integer type that holds n. ``_cell_grids``
-    turns cells into value grids.
+    k = floor(u_v * count): the reference's k without its cap, which never
+    binds (see there). Arrays are laid out draws-last, so every step works
+    on whole rows, and the sampler state and the cells are in the smallest
+    signed integer type that holds n. ``_cell_grids`` turns cells into
+    value grids.
     """
     n, size = d_a * d_b, hi - lo
     small = np.min_scalar_type(-n - 1)
@@ -361,7 +362,7 @@ def _sample_block(d_a: int, d_b: int, seed: int, lo: int, hi: int) -> np.ndarray
         for i in range(1, d_a):
             np.add(rank[i - 1], admissible[i], out=rank[i])
         count = rank[-1]
-        k = np.minimum((uniform * count).astype(small), count - 1)
+        k = (uniform * count).astype(small)
         # The chosen row is the first with rank > k, where before drops to
         # 0; a one-hot mask of it replaces a gather and a scatter.
         np.less_equal(rank, k, out=before[1:])

@@ -8,6 +8,12 @@ A file carries the split dimensions plus exactly one of:
 
 Spectra are renormalized when their sum is within 1e-8 of one and rejected
 otherwise; matrices must satisfy the density-matrix invariants as given.
+
+``save_statefile`` writes version 1 exactly as ``json.dumps(doc, indent=1)``
+would, keys in the order ``format_version``, ``d_a``, ``d_b``, ``label``,
+payload, floats as ``repr`` gives them and non-finite ones as ``NaN`` or
+``Infinity``, which the loader rejects. It streams a matrix row by row, so
+its memory does not grow with the matrix.
 """
 
 from __future__ import annotations
@@ -150,17 +156,50 @@ def load_statefile(path) -> StateFile:
     return StateFile(dims=dims, probs=probs, density=density, label=label, digest=digest)
 
 
+# json.dumps(..., indent=1) layout of one matrix row at depth 2 of the
+# document, each entry an [re, im] pair at depth 3; the tokens are filled in.
+_PAIR = "   [\n    %s,\n    %s\n   ]"
+# json's spelling of the float reprs "nan", "inf" and "-inf".
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def save_statefile(path, dims: BipartiteDims, matrix=None, spectrum=None, label=None) -> None:
+    """Write a version-1 state file holding exactly one of a dense ``matrix``
+    (any 2-D array, complex or real) or a ``spectrum`` (a 1-D array).
+
+    The bytes are ``json.dumps(doc, indent=1) + "\n"`` of the document with
+    keys ``format_version``, ``d_a``, ``d_b``, ``label`` (left out when None)
+    and the payload, floats written by ``float.__repr__`` and non-finite
+    values as ``NaN``/``Infinity``/``-Infinity``, which ``load_statefile``
+    rejects. Nothing is checked against ``dims``, so invalid files can be
+    written on purpose. A matrix is written one row at a time, so memory
+    stays flat as it grows. Bad arguments are rejected before the file is
+    opened.
+    """
     if (matrix is None) == (spectrum is None):
         raise StateFileError("provide exactly one of matrix or spectrum")
     doc: dict = {"format_version": FORMAT_VERSION, "d_a": dims.d_a, "d_b": dims.d_b}
     if label is not None:
         doc["label"] = label
-    if matrix is not None:
-        m = np.asarray(matrix, dtype=complex)
-        doc["matrix"] = [
-            [[float(v.real), float(v.imag)] for v in row] for row in m
-        ]
-    else:
+    if spectrum is not None:
         doc["spectrum"] = [float(x) for x in np.asarray(spectrum, dtype=float)]
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+        return
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2:
+        raise StateFileError(f"matrix must be 2-D, not of shape {m.shape}")
+    # Row i of ``values`` is row i of the matrix as re, im, re, im, ...
+    values = np.ascontiguousarray(m).view(float)
+    row = "  [\n" + ",\n".join([_PAIR] * m.shape[1]) + "\n  ]" if m.shape[1] else "  []"
+    # The header ends in "\n}"; the matrix goes in as the last key.
+    head = json.dumps(doc, indent=1)[:-2] + ',\n "matrix": ['
+    with Path(path).open("w") as f:
+        f.write(head)
+        sep = "\n"
+        for entries in values:
+            tokens = list(map(float.__repr__, entries.tolist()))
+            if not np.isfinite(entries).all():
+                tokens = [_NON_FINITE.get(t, t) for t in tokens]
+            f.write(sep + row % tuple(tokens))
+            sep = ",\n"
+        f.write("\n ]\n}\n" if len(values) else "]\n}\n")

@@ -6,9 +6,11 @@ and minima from evaluating every arrangement. Entropies are recomputed
 locally. Then come the paper's canonicalization argument, as plain functions
 on grids, and the scalar search references: the loop forms of the
 enumeration, the exhaustive search, the breadth phase, the value-swap
-neighbourhood and the depth phase.
+neighbourhood and the depth phase. Last, the state-file writer as one
+``json.dumps`` of the whole document.
 """
 
+import json
 import math
 from functools import lru_cache
 from itertools import permutations
@@ -391,3 +393,18 @@ def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:
         "seed_provenance": best_seed,
         "choices": tuple(map(tuple, choices)),
     }
+
+
+def json_statefile_text(dims: BipartiteDims, matrix=None, spectrum=None, label=None) -> str:
+    """The text of a version-1 state file, built as a [re, im] list per
+    matrix entry and encoded by one ``json.dumps(doc, indent=1)``: the slow
+    reference for ``save_statefile``, which streams the matrix by rows."""
+    doc: dict = {"format_version": 1, "d_a": dims.d_a, "d_b": dims.d_b}
+    if label is not None:
+        doc["label"] = label
+    if matrix is not None:
+        m = np.asarray(matrix, dtype=complex)
+        doc["matrix"] = [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    else:
+        doc["spectrum"] = [float(x) for x in np.asarray(spectrum, dtype=float)]
+    return json.dumps(doc, indent=1) + "\n"

@@ -118,6 +118,17 @@ def test_block_sampler_at_the_cell_cap():
     assert np.array_equal(grids, scalar_grids(2, 8192, 4, 2**32 - 3, 2**32))
 
 
+def test_the_largest_uniform_never_reaches_the_count():
+    # _sample_block takes floor(u * count) without the reference's cap:
+    # at the largest uniform, 1 - 2**-53, the product still floors to
+    # count - 1 for every count a row can reach.
+    u = 1 - 2**-53
+    assert u == np.nextafter(1.0, 0.0)
+    assert all(int(u * c) == c - 1 for c in range(1, 2**14 + 1))
+    counts = np.arange(1, 2**14 + 1, dtype=np.int16)
+    assert np.array_equal((u * counts).astype(np.int16), counts - 1)
+
+
 def breadth_block_peak(d):
     """Traced peak of one full d x d block: its uniform stream, cells,
     grids and scores."""

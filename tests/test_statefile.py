@@ -1,10 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from oracles import json_statefile_text
 from qaeopt import (
     BipartiteDims,
     StateFileError,
@@ -15,6 +17,7 @@ from qaeopt import (
 from qaeopt.cli import main
 
 DIMS22 = BipartiteDims(2, 2)
+DIMS1616 = BipartiteDims(16, 16)
 
 
 def test_dense_round_trip(tmp_path):
@@ -25,6 +28,70 @@ def test_dense_round_trip(tmp_path):
     assert sf.density is not None and sf.probs is sf.density.probs
     assert sf.label == "fixture"
     assert np.allclose(sf.density.matrix, rho.matrix)
+
+
+def _dense_matrix(d_a, d_b):
+    return generate_instance("random-dense", BipartiteDims(d_a, d_b), d_a * 10 + d_b).matrix
+
+
+def test_dense_round_trip_16x16_is_bit_exact(tmp_path):
+    matrix = _dense_matrix(16, 16)
+    path = tmp_path / "dense.json"
+    save_statefile(path, DIMS1616, matrix=matrix)
+    assert load_statefile(path).density.matrix.tobytes() == matrix.tobytes()
+
+
+# Every value float.__repr__ and json spell in an unusual way: non-finite,
+# signed zero, the smallest subnormal and a large exponent.
+ODD_VALUES = np.array(
+    [[complex(np.nan, np.inf), complex(-np.inf, -0.0)], [complex(5e-324, 1e300), complex(-0.0, -5e-324)]]
+)
+
+
+@pytest.mark.parametrize(
+    "dims,payload",
+    [
+        ((1, 1), {"matrix": _dense_matrix(1, 1)}),
+        ((2, 3), {"matrix": _dense_matrix(2, 3)}),
+        ((4, 4), {"matrix": _dense_matrix(4, 4)}),
+        ((16, 16), {"matrix": _dense_matrix(16, 16)}),
+        ((1, 2), {"matrix": ODD_VALUES}),
+        ((1, 2), {"matrix": ODD_VALUES.real}),
+        ((1, 2), {"matrix": np.zeros((2, 0))}),
+        ((1, 2), {"matrix": np.zeros((0, 0))}),
+        ((2, 2), {"matrix": np.asfortranarray(_dense_matrix(2, 2))}),
+        ((2, 2), {"spectrum": [0.4, np.nan, -0.0, 5e-324]}),
+        ((1, 1), {"spectrum": []}),
+    ],
+    ids=["1x1", "2x3", "4x4", "16x16", "odd", "odd-real", "2x0", "0x0", "fortran", "nan-spectrum", "empty-spectrum"],
+)
+@pytest.mark.parametrize("label", [None, 'say "h\u00e9llo" \u2713', 5])
+def test_save_matches_json_dumps_byte_for_byte(tmp_path, dims, payload, label):
+    dims = BipartiteDims(*dims)
+    path = tmp_path / "state.json"
+    save_statefile(path, dims, label=label, **payload)
+    assert path.read_bytes() == json_statefile_text(dims, label=label, **payload).encode()
+
+
+@pytest.mark.parametrize("matrix", [np.ones(4), np.complex128(1), np.ones((2, 2, 1)), np.ones((2, 2, 0))])
+def test_save_rejects_a_matrix_that_is_not_2d_before_opening_the_file(tmp_path, matrix):
+    path = tmp_path / "state.json"
+    with pytest.raises(StateFileError, match="2-D"):
+        save_statefile(path, DIMS22, matrix=matrix)
+    assert not path.exists()
+
+
+def test_dense_save_memory(tmp_path):
+    # Built as one list per entry and one json.dumps, this save peaked at
+    # about 28 MB; streamed by rows it holds one row's text at a time.
+    matrix = _dense_matrix(16, 16)
+    tracemalloc.start()
+    try:
+        save_statefile(tmp_path / "dense.json", DIMS1616, matrix=matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_spectrum_round_trip_sorts_descending(tmp_path):
