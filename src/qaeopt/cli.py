@@ -195,7 +195,7 @@ def cmd_experiment(args) -> int:
             # Every search knob but parallelism, which does not change results.
             "config": {k: v for k, v in asdict(config).items() if k != "parallelism"},
             "unit": "bits" if bits else "nats",
-            "floor": EXPERIMENT_FLOOR,
+            "floor": conv(EXPERIMENT_FLOOR),
             "mean_final_mi": conv(sum(finals) / len(finals)),
             "mean_initial_mi": conv(sum(initials) / len(initials)),
             "max_final_mi": conv(max(finals)),

@@ -10,16 +10,16 @@ All three are array code with one mutual-information kernel: ``_marginals``
 turns grids into row and column sums, ``_marginals_mi`` turns those into
 mutual information, and ``_block_mi`` is the two together. The exhaustive
 search takes its leaves from ``tableau.regular_grid_blocks`` in blocks of
-LEAF_BLOCK, each leaf a prefix and a kept suffix, and scores each block
-at once from their marginals (see ``_rough_blocks``). It builds a grid only
-for the leaves that need an exact score: on one x86-64 core about 0.15 µs
-per leaf at (3,7), and about 2 s for 2x15, the largest grid the default
-threshold routes to it (9,694,845 leaves). The breadth phase cuts the
-draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded one at
-a time): a task streams its draws' uniforms one value at a time, places each
-value in all its draws at once, in small-integer arrays of cells, scores
-the draws LEAF_BLOCK at a time, and returns only its best few grids, which
-are merged as they arrive.
+LEAF_BLOCK, each leaf a prefix and a suffix from one store built before the
+first block, and scores each block at once from their marginals (see
+``_rough_blocks``). It builds a grid only for the leaves that need an exact
+score: on one x86-64 core about 0.13 µs per leaf at (3,7), and about 2 s
+for 2x15, the largest grid the default threshold routes to it (9,694,845
+leaves). The breadth phase cuts the draws into tasks of at most
+BREADTH_BLOCK (``breadth_tasks``, yielded one at a time): a task streams
+its draws' uniforms one value at a time, places each value in all its draws
+at once, in small-integer arrays of cells, scores the draws LEAF_BLOCK at a
+time, and returns only its best few grids, which are merged as they arrive.
 ``run_tasks`` runs the same tasks in this process for one job, and on a
 process pool holding at most two tasks per worker for more, so memory is
 bounded for any n1 either way. The depth phase moves all seeds together,
@@ -421,19 +421,20 @@ def _rough_blocks(p: np.ndarray, dims: BipartiteDims, h_flat: float):
     prefix fills the left part of each row and the top of each column. So
     its marginals are the prefix's plus the suffix's, d_a + d_b adds, with
     no leaf grid built. The prefix sums are worked out once per block that
-    draws on the prefix, the suffix sums once, when the store grows. Both
-    are sums of ``p_ext[grid]``, where ``p_ext = [0, p...]``, so an empty
-    cell adds exactly 0. Each factored marginal then differs from its
-    cell-order sum by at most about n * eps, and the rough score from the
-    exact one by far less than 1e-12.
+    draws on the prefix, the suffix sums once, from the shared store, before
+    the first block. Both are sums of ``p_ext[grid]``, where
+    ``p_ext = [0, p...]``, so an empty cell adds exactly 0. Each factored
+    marginal then differs from its cell-order sum by at most about n * eps,
+    and the rough score from the exact one by far less than 1e-12.
     """
     p_ext = np.concatenate(([0.0], p))
-    suffix_rows, suffix_cols = np.zeros((0, dims.d_a)), np.zeros((0, dims.d_b))
+    store = None
     for block in regular_grid_blocks(dims, LEAF_BLOCK, exploit_symmetry=dims.d_a == dims.d_b):
-        if len(block.store) > len(suffix_rows):
-            rows, cols = _marginals(p_ext[block.store[len(suffix_rows) :]])
-            suffix_rows = np.concatenate([suffix_rows, rows])
-            suffix_cols = np.concatenate([suffix_cols, cols])
+        if block.store is not store:  # the first block: one store for all
+            store, k = block.store, LEAF_BLOCK  # summed k grids at a time, as in _cell_mi
+            suffix_rows, suffix_cols = (np.empty((len(store), d)) for d in (dims.d_a, dims.d_b))
+            for i in range(0, len(store), k):
+                suffix_rows[i : i + k], suffix_cols[i : i + k] = _marginals(p_ext[store[i : i + k]])
         prefix_rows, prefix_cols = _marginals(p_ext[block.prefixes])
         # take along axis 0 copies whole rows, faster than fancy indexing.
         rows = prefix_rows.take(block.prefix, axis=0)
@@ -458,7 +459,7 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     a new exact minimum only if its rough score is within SCORE_SLACK of the
     rough minimum before it. Only those leaves are built as grids and scored
     exactly, with the marginals summed in cell order. Memory stays bounded
-    (about 43 MB of process RSS at 2x15).
+    (about 39 MB of process RSS at 2x15).
     """
     best_mi = best_rough = math.inf
     best_grid = None

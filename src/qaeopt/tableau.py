@@ -48,9 +48,9 @@ class YoungTableau:
         return arr
 
 
-# regular_grid_blocks walks the last t values once per shape and keeps them,
-# for the largest t with min(d_a, d_b)**t at or below this; the kept suffixes
-# of all shapes number at most this many grids.
+# regular_grid_blocks walks the last t values of every shape in one walk and
+# keeps them, for the largest t with min(d_a, d_b)**t at or below this; the
+# kept suffixes of all shapes number at most this many grids.
 SUFFIX_CAP = 2**16
 
 
@@ -93,7 +93,7 @@ class LeafBlock(NamedTuple):
     """Regular fillings in factored form: leaf k is the value grid
     ``prefixes[prefix[k]] + store[suffix[k]]`` (0 marks an empty cell, and a
     prefix and its suffix fill disjoint cells). ``prefixes`` are the prefix
-    grids the block draws on, ``store`` every suffix kept so far."""
+    grids the block draws on, ``store`` every suffix: one array for all blocks."""
 
     prefixes: np.ndarray  # (p, d_a, d_b)
     store: np.ndarray  # (s, d_a, d_b)
@@ -118,18 +118,19 @@ def regular_grid_blocks(
 
     The fillings that complete a partial filling depend only on its shape,
     its row lengths. So the first values, up to ``mid - 1``, are walked as
-    prefixes, and the last ``t = n + 1 - mid`` are walked once per shape and
-    kept; each leaf is a prefix plus one suffix of its shape, and no leaf
-    grid is built here. A value goes into one of at most m = min(d_a, d_b)
-    rows, and t is the largest count with m**t <= SUFFIX_CAP, so all values
-    when m == 1. The suffixes kept for all shapes together are the ways to
-    place the last t values, which turned by 180 degrees are the ways to
-    place the first t; so the store holds at most SUFFIX_CAP grids of n
-    cells. It only grows: a block's store is a fresh array whose rows are
-    those of every earlier block's store, then the suffixes of new shapes.
-    Leaves come prefix-major, each prefix's suffixes in depth-first order:
-    the depth-first order of the whole tree. Every prefix a block draws on
-    has at least one leaf in it, and the prefixes are in leaf order.
+    prefixes, and the last ``t = n + 1 - mid`` are kept as suffixes; each
+    leaf is a prefix plus one suffix of its shape, and no leaf grid is built
+    here. A value goes into one of at most m = min(d_a, d_b) rows, and t is
+    the largest count with m**t <= SUFFIX_CAP, so all values when m == 1.
+    The suffixes kept for all shapes together are the ways to place the last
+    t values, which turned by 180 degrees are the ways to place the first t;
+    so the store holds at most SUFFIX_CAP grids of n cells. It is built
+    before the first block: a walk over row lengths alone finds every shape
+    a prefix can leave, and one walk from all of them builds the suffixes.
+    Each prefix finds its shape's run of suffixes by a shape code. Leaves
+    come prefix-major, each prefix's suffixes in depth-first order: the
+    depth-first order of the whole tree. Every prefix a block draws on has
+    at least one leaf in it, and the prefixes are in leaf order.
 
     With ``exploit_symmetry`` and a square grid, cell (0, 1) is pinned to
     value 2, which leaves one representative per transpose pair.
@@ -148,8 +149,29 @@ def regular_grid_blocks(
     while t <= n - v and m ** (t + 1) <= SUFFIX_CAP:
         t += 1
     mid = n + 1 - t
-    cached: dict[bytes, tuple[int, int]] = {}  # shape -> (first row, count) in store
-    store, empty = grids[:0], np.zeros_like(grids)
+    # Every shape a prefix can leave, from a walk over row lengths alone.
+    shapes = lengths
+    for _ in range(v, mid):
+        parent, row = np.nonzero(shapes[:, :-1] > shapes[:, 1:])
+        shapes = shapes[parent]
+        shapes[np.arange(len(parent)), row + 1] += 1
+        # np.unique over rows as bytes, a fraction of the cost of axis=0.
+        shapes = shapes[np.unique(shapes.view(f"V{shapes[0].nbytes}"), return_index=True)[1]]
+    # A prefix leaves t cells empty, so rows above top are full, rows from
+    # bottom on are empty, and each row between has one of the lengths
+    # d_b - r + 1..d_b, r = min(d_b, t) + 1. Those lengths in base r number
+    # the shapes one to one, below 2**40 while SUFFIX_CAP <= 2**16.
+    top, bottom = max(0, d_a - t), min(d_a, mid - 1)
+    weights = (min(d_b, t) + 1) ** np.arange(bottom - top, dtype=np.int64)
+    shapes = shapes[np.argsort(shapes[:, 1 + top : 1 + bottom] @ weights)]
+    # Every partial completion extends to a kept suffix, so no level of this
+    # walk holds more than SUFFIX_CAP grids and it never splits: each shape's
+    # suffixes come out as one run, in depth-first order and shape code order.
+    # A suffix's empty cells are its prefix's, so they give its shape code.
+    [(_, store)] = _walk(shapes, np.zeros((len(shapes), n), grids.dtype), mid, n + 1, SUFFIX_CAP)
+    store = store.reshape(-1, d_a, d_b)
+    store.setflags(write=False)  # every block shares it
+    store_code = np.count_nonzero(store[:, top:bottom] == 0, axis=2) @ weights
     # The block being filled: its prefix grids, their leaf counts and the
     # store row of each leaf's suffix, in pieces.
     prefixes: list[np.ndarray] = []
@@ -161,19 +183,15 @@ def regular_grid_blocks(
         counts = np.concatenate(runs)
         return LeafBlock(
             np.concatenate(prefixes).reshape(-1, d_a, d_b),
-            store.reshape(-1, d_a, d_b),
+            store,
             np.repeat(np.arange(len(counts)), counts),
             np.concatenate(suffixes),
         )
 
     for lengths, grids in _walk(lengths, grids, v, mid, block):
-        keys = [shape.tobytes() for shape in lengths]
-        for key, shape in zip(keys, lengths):
-            if key not in cached:
-                _, found = next(_walk(shape[None], empty, mid, n + 1, SUFFIX_CAP))
-                cached[key] = len(store), len(found)
-                store = np.concatenate([store, found])
-        first, count = np.array([cached[key] for key in keys]).T
+        shape_code = lengths[:, 1 + top : 1 + bottom] @ weights
+        first = np.searchsorted(store_code, shape_code)
+        count = np.searchsorted(store_code, shape_code, side="right") - first
         ends = np.cumsum(count)
         starts = ends - count
         shift = first - starts  # leaf index + shift = the row of its suffix in store

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qaeopt.qstate
-from qaeopt import BipartiteDims, DensityMatrix, generate_instance, save_statefile
+from qaeopt import BipartiteDims, DensityMatrix, generate_instance, nats_to_bits, save_statefile
 from qaeopt.cli import main
 from qaeopt.tableau import _random_regular_grid
 
@@ -439,6 +439,20 @@ class TestExperiment:
         # Product spectra reach zero exactly, so the floor shows up.
         assert all(l["mi_final"] >= 1e-15 for l in per_state)
         assert aggregate["mean_final_mi"] <= aggregate["mean_initial_mi"]
+
+    def test_bits_aggregate_reports_the_floor_in_bits(self, capsys):
+        base = (
+            "experiment", "fig2b", "--states", "2", "--da", "2", "--db", "2",
+            "--n1", "25", "--n2", "2", "--nd", "4",
+        )
+        _, nats, _ = run_cli(capsys, *base)
+        _, bits, _ = run_cli(capsys, *base, "--bits")
+        assert nats[-1]["unit"] == "nats" and nats[-1]["floor"] == 1e-15
+        assert bits[-1]["unit"] == "bits" and bits[-1]["floor"] == nats_to_bits(1e-15)
+        # Product spectra reach zero, so the values sit on the floor in both units.
+        assert [l["mi_final"] for l in nats[:-1]] == [1e-15, 1e-15]
+        assert [l["mi_final"] for l in bits[:-1]] == [bits[-1]["floor"]] * 2
+        assert bits[-1]["final_mi_values"] == [bits[-1]["floor"]] * 2
 
     def test_fig2a_final_never_exceeds_initial(self, capsys):
         code, lines, _ = run_cli(

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import groupby, permutations
 
 import numpy as np
 import pytest
@@ -39,6 +39,11 @@ def descending_probs(n, seed):
 def leaf_grids(block):
     """The value grids of a block's leaves, each a prefix plus its suffix."""
     return block.prefixes[block.prefix] + block.store[block.suffix]
+
+
+def suffix_shapes(store):
+    """Row lengths of the shape each suffix completes: its empty cells per row."""
+    return np.count_nonzero(store == 0, axis=2)
 
 
 def regular_tableaux(dims, exploit_symmetry=False):
@@ -169,20 +174,68 @@ class TestEnumerate:
     @pytest.mark.parametrize("d_a,d_b,cap", [(2, 15, 2**16), (3, 7, 2**16), (4, 4, 64), (5, 3, 64)])
     def test_suffix_cache_holds_at_most_cap_grids(self, d_a, d_b, cap, monkeypatch):
         monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
-        walk, walked = qaeopt.tableau._walk, []
-
-        def spy(lengths, *rest):
-            pieces = list(walk(lengths, *rest))
-            walked.append((lengths.tobytes(), sum(len(grids) for _, grids in pieces)))
-            return iter(pieces)
-
-        monkeypatch.setattr(qaeopt.tableau, "_walk", spy)
         dims = BipartiteDims(d_a, d_b)
-        leaves = sum(len(b.prefix) for b in regular_grid_blocks(dims, 2048, d_a == d_b))
+        leaves, store = 0, None
+        for b in regular_grid_blocks(dims, 2048, d_a == d_b):
+            leaves += len(b.prefix)
+            store = b.store if store is None else store
+            assert b.store is store
         assert leaves == count_regular(dims) // (2 if d_a == d_b else 1)
-        shapes = walked[1:]  # the first walk is the prefix walk
-        assert len({key for key, _ in shapes}) == len(shapes) > 1  # each shape once
-        assert sum(k for _, k in shapes) <= cap
+        assert len(store) <= cap
+        # Each shape stored once: its suffixes are one run, and no grid repeats.
+        runs = [key for key, _ in groupby(row.tobytes() for row in suffix_shapes(store))]
+        assert len(set(runs)) == len(runs) > 1
+        assert len({grid.tobytes() for grid in store}) == len(store)
+
+    @pytest.mark.parametrize(
+        "d_a,d_b", [(1, 5), (5, 1), (2, 2), (3, 3), (4, 4), (3, 5), (5, 3), (2, 9)]
+    )
+    @pytest.mark.parametrize("exploit_symmetry", [False, True])
+    @pytest.mark.parametrize("cap", [4, 64, None])
+    def test_shape_walk_finds_every_prefix_shape(self, d_a, d_b, exploit_symmetry, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
+        dims = BipartiteDims(d_a, d_b)
+        blocks = list(regular_grid_blocks(dims, 3, exploit_symmetry))
+        # Every prefix has a leaf, so the prefixes of all blocks are every
+        # prefix the prefix walk yields; every shape has a suffix.
+        prefix_shapes = {
+            row.tobytes() for b in blocks for row in np.count_nonzero(b.prefixes, axis=2)
+        }
+        store = blocks[0].store
+        assert prefix_shapes == {row.tobytes() for row in suffix_shapes(store)}
+
+    @pytest.mark.parametrize("d_a,d_b", [(1, 5), (5, 1), (3, 3), (4, 4), (3, 5), (5, 3), (2, 9)])
+    @pytest.mark.parametrize("cap", [4, 64, None])
+    def test_store_runs_equal_each_shapes_own_walk(self, d_a, d_b, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
+        dims = BipartiteDims(d_a, d_b)
+        store = next(regular_grid_blocks(dims, 3, d_a == d_b)).store
+        n, limit = dims.total, qaeopt.tableau.SUFFIX_CAP
+        mid = n + 1 - np.count_nonzero(store[0])
+        assert store.dtype == np.min_scalar_type(n)
+        shapes = suffix_shapes(store)
+        start = 0
+        for _, run in groupby(row.tolist() for row in shapes):
+            lengths = np.array([[d_b, *next(run)]], dtype=np.min_scalar_type(d_b))
+            empty = np.zeros((1, n), dtype=store.dtype)
+            own = np.concatenate(
+                [grids for _, grids in qaeopt.tableau._walk(lengths, empty, mid, n + 1, limit)]
+            ).reshape(-1, d_a, d_b)
+            assert own.dtype == store.dtype
+            assert np.array_equal(store[start : start + len(own)], own)
+            start += len(own)
+        assert start == len(store)
+
+    @pytest.mark.parametrize("d_a,d_b", [(2, 6), (3, 4), (4, 4)])
+    def test_blocks_of_one_traversal_share_one_store(self, d_a, d_b):
+        dims = BipartiteDims(d_a, d_b)
+        blocks = list(regular_grid_blocks(dims, 5, d_a == d_b))
+        assert len(blocks) > 1
+        assert all(b.store is blocks[0].store for b in blocks)
+        # Shared by every block, so no consumer may write to it.
+        assert not blocks[0].store.flags.writeable
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetry_halving(self, d):
