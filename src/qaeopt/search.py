@@ -22,14 +22,18 @@ at once, in small-integer arrays of cells, scores the draws LEAF_BLOCK at a
 time, and returns only its best few grids, which are merged as they arrive.
 ``run_tasks`` runs the same tasks in this process for one job, and on a
 process pool holding at most two tasks per worker for more, so memory is
-bounded for any n1 either way. The depth phase moves all seeds together,
-scoring every candidate swap of every seed per iteration from packed row and
-column sums and a move test on value positions alone, and drops a seed once
-it swaps back and forth between two tableaux, counting the rest of its
-descent (see ``_depth``). Sums run in the same order as the scalar loops
-kept in tests/oracles.py, so results match them bit for bit. ``optimize``
-computes h_flat, the entropy of the probabilities that every score
-subtracts, once and passes it to each phase.
+bounded for any n1 either way. There is one pool per process: it starts on
+the first parallel call, is reused while the worker count stays the same,
+and is joined at exit; a forked child starts its own. Its workers are
+forked when it starts, so later changes to module state in the parent (a
+test's monkeypatch, say) do not reach them. The depth phase moves all seeds
+together, scoring every candidate swap of every seed per iteration from
+packed row and column sums and a move test on value positions alone, and
+drops a seed once it swaps back and forth between two tableaux, counting the
+rest of its descent (see ``_depth``). Sums run in the same order as the
+scalar loops kept in tests/oracles.py, so results match them bit for bit.
+``optimize`` computes h_flat, the entropy of the probabilities that every
+score subtracts, once and passes it to each phase.
 
 Everything is deterministic given the config seed: each draw has its own RNG
 stream, numpy's ``PCG64(SeedSequence((seed, draw_index)))``, so results do
@@ -51,8 +55,10 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from functools import partial
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -180,22 +186,69 @@ def breadth_tasks(n1: int, jobs: int) -> Iterator[tuple[int, int]]:
     return ((k * n1 // tasks, (k + 1) * n1 // tasks) for k in range(tasks))
 
 
+# This process's worker pool: (owning pid, worker count, executor, exit
+# finalizer), or None before the first parallel call and after a close.
+_pool: tuple[int, int, ProcessPoolExecutor, Finalize] | None = None
+
+
+def _close_pool() -> None:
+    """Forget the pool and shut it down, unless it was inherited through
+    fork: a forked copy's pipes and workers are the parent's."""
+    global _pool
+    if _pool is not None:
+        pid, _jobs, _executor, close = _pool
+        _pool = None
+        if pid == os.getpid():
+            close()
+
+
+def _shared_pool(jobs: int) -> ProcessPoolExecutor:
+    """The pool of ``jobs`` workers, started on first use. One of another
+    size is shut down first, so at most one is alive at a time."""
+    global _pool
+    if _pool is not None and _pool[:2] == (os.getpid(), jobs):
+        return _pool[2]
+    _close_pool()
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    # concurrent.futures joins the workers at interpreter exit, but a
+    # multiprocessing child exits by running its finalizers and then waiting
+    # for its children, forever on an idle pool. This finalizer shuts the
+    # pool down there, ahead of its call queue's own (priority 10).
+    _pool = (os.getpid(), jobs, pool, Finalize(None, pool.shutdown, exitpriority=20))
+    return pool
+
+
 def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
-    """``map(fn, *iterables)``: in this process when ``jobs`` is 1, else on a
-    pool of ``jobs`` worker processes. Results come in task order either way.
-    The pool holds at most 2 * jobs submitted tasks, so a long or endless
-    task list is read only as results are taken."""
+    """``map(fn, *iterables)``: in this process when ``jobs`` is 1, else on
+    this process's one pool of ``jobs`` workers. Results come in task order
+    either way. At most 2 * jobs tasks are submitted at once, so a long or
+    endless task list is read only as results are taken.
+
+    The pool starts on the first call with ``jobs`` > 1, is reused while
+    ``jobs`` stays the same and is joined at exit; a forked child starts its
+    own. Its workers are forked when it starts, so later changes to module
+    state here do not reach them. Closing the generator, or an error leaving
+    it, cancels the tasks not yet started. A worker that dies raises
+    ``BrokenProcessPool``, and the next call starts a new pool.
+    """
     if jobs == 1:
         yield from map(fn, *iterables)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending = deque()
+    pool = _shared_pool(jobs)
+    pending = deque()
+    try:
         for args in zip(*iterables):
             if len(pending) == 2 * jobs:
                 yield pending.popleft().result()
             pending.append(pool.submit(fn, *args))
         while pending:
             yield pending.popleft().result()
+    except BrokenProcessPool:
+        _close_pool()
+        raise
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 _log = np.frompyfunc(math.log, 1, 1)

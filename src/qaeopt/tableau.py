@@ -105,6 +105,14 @@ class LeafBlock(NamedTuple):
         return self.prefixes[self.prefix[leaves]] + self.store[self.suffix[leaves]]
 
 
+def _suffix_codes(store: np.ndarray, top: int, bottom: int, weights: np.ndarray) -> np.ndarray:
+    """Each suffix's shape code: its empty cells in rows top..bottom-1, its
+    prefix's row lengths there, in the base of ``weights``. One matmul of
+    the flattened 0/1 mask with each weight repeated per column."""
+    empty = (store[:, top:bottom] == 0).reshape(len(store), -1)
+    return empty @ np.repeat(weights, store.shape[2])
+
+
 def regular_grid_blocks(
     dims: BipartiteDims, block: int, exploit_symmetry: bool = False
 ) -> Iterator[LeafBlock]:
@@ -171,7 +179,7 @@ def regular_grid_blocks(
     [(_, store)] = _walk(shapes, np.zeros((len(shapes), n), grids.dtype), mid, n + 1, SUFFIX_CAP)
     store = store.reshape(-1, d_a, d_b)
     store.setflags(write=False)  # every block shares it
-    store_code = np.count_nonzero(store[:, top:bottom] == 0, axis=2) @ weights
+    store_code = _suffix_codes(store, top, bottom, weights)
     # The block being filled: its prefix grids, their leaf counts and the
     # store row of each leaf's suffix, in pieces.
     prefixes: list[np.ndarray] = []

@@ -5,7 +5,17 @@ its logarithms from the same C library, so results must agree bit for bit.
 """
 
 import itertools
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -51,6 +61,7 @@ from qaeopt.search import (
     _sample_block,
     breadth_tasks,
     run_tasks,
+    usable_cpus,
     worker_count,
 )
 from qaeopt.tableau import _random_regular_grid, candidate_swaps, regular_grid_blocks
@@ -301,6 +312,29 @@ def test_exhaustive_matches_scalar(d_a, d_b, kind, block, cap, monkeypatch):
     if kind == "uniform":
         first = next(scalar_enumerate(dims, exploit_symmetry=d_a == d_b))
         assert res["trajectory"] == (res["best_mi"],) and res["best_cells"] == first
+
+
+@pytest.mark.parametrize("d_a,d_b", EXHAUSTIVE_DIMS)
+@pytest.mark.parametrize("cap", [None, 4])
+def test_suffix_codes_match_the_row_count_form(d_a, d_b, cap, monkeypatch):
+    # The store's shape codes, one matmul of the flattened 0/1 mask, equal
+    # each row's count of empty cells weighed in the base, and are sorted.
+    if cap is not None:
+        monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
+    codes, calls = qaeopt.tableau._suffix_codes, []
+
+    def spy(store, top, bottom, weights):
+        calls.append((store, top, bottom, weights, codes(store, top, bottom, weights)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(qaeopt.tableau, "_suffix_codes", spy)
+    for exploit_symmetry in (False, True):
+        next(regular_grid_blocks(BipartiteDims(d_a, d_b), LEAF_BLOCK, exploit_symmetry))
+    assert len(calls) == 2
+    for store, top, bottom, weights, got in calls:
+        want = np.count_nonzero(store[:, top:bottom] == 0, axis=2) @ weights
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert (np.diff(got) >= 0).all()
 
 
 @pytest.mark.parametrize("d_a,d_b", [(3, 4), (2, 8), (4, 4)])
@@ -640,6 +674,136 @@ def test_run_tasks_pool_reads_tasks_as_results_are_taken():
         tracemalloc.stop()
     assert first == 0 and len(read) <= 5
     assert peak < 2**20
+
+
+def _worker_pid(_task):
+    return os.getpid()
+
+
+def _logged_nap(path, task):
+    time.sleep(0.05)
+    with open(path, "a") as log:
+        log.write(f"{task}\n")
+    return task
+
+
+def _exit_worker(_task):
+    os._exit(3)
+
+
+def pool_workers():
+    """Pids of this process's live children: the shared pool's workers."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+POOL_DIMS = BipartiteDims(4, 4)
+POOL_CONFIG = SearchConfig(n1=2000, n2=6, n_d=20, seed=4, exhaustive_threshold=1)
+
+
+@pytest.mark.skipif((usable_cpus() or 1) < 2, reason="one usable CPU runs every search in process")
+def test_parallel_searches_share_one_pool():
+    probs = descending_probs(POOL_DIMS.total, 9)
+    want = optimize(probs, POOL_DIMS, POOL_CONFIG).to_dict()
+    workers, seen = [], set()
+    for _ in range(2):
+        assert optimize(probs, POOL_DIMS, replace(POOL_CONFIG, parallelism=2)).to_dict() == want
+        workers.append(pool_workers())
+        seen |= set(run_tasks(_worker_pid, 2, range(8)))
+    assert workers[0] == workers[1] and len(workers[0]) == 2
+    assert seen <= workers[0] and os.getpid() not in seen
+
+
+def test_forked_child_starts_its_own_pool():
+    # The child inherits the parent's pool object, whose pipes and workers
+    # are the parent's; it must start its own, and exit without waiting on it.
+    probs = descending_probs(POOL_DIMS.total, 9)
+    want = optimize(probs, POOL_DIMS, POOL_CONFIG).to_dict()
+    assert list(run_tasks(abs, 2, range(-4, 0))) == [4, 3, 2, 1]
+    parent_workers = pool_workers()
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+
+    def child():
+        os.setpgid(0, 0)  # its own group, so a hung child goes with its workers
+        got = optimize(probs, POOL_DIMS, replace(POOL_CONFIG, parallelism=2)).to_dict()
+        writer.send((got, set(run_tasks(_worker_pid, 2, range(8)))))
+
+    proc = context.Process(target=child)
+    proc.start()
+    try:
+        assert reader.poll(60), "the forked child's search hung"
+        got, child_workers = reader.recv()
+        proc.join(60)
+        assert proc.exitcode == 0, "the forked child hung or failed at exit"
+    finally:
+        if proc.is_alive():
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.join()
+    assert got == want
+    assert not child_workers & (parent_workers | {os.getpid(), proc.pid})
+    assert list(run_tasks(abs, 2, range(-3, 0))) == [3, 2, 1]
+    assert pool_workers() == parent_workers
+
+
+def test_closed_run_leaves_only_its_window_of_tasks(tmp_path):
+    # Closed after its first result, a run over endless tasks leaves at most
+    # its 2 * jobs submitted tasks in the shared pool, and the next call,
+    # queued behind them, returns promptly.
+    log = tmp_path / "ran.txt"
+    results = run_tasks(partial(_logged_nap, log), 2, itertools.count())
+    assert next(results) == 0
+    results.close()
+    started = time.perf_counter()
+    assert list(run_tasks(abs, 2, range(-6, 0))) == [6, 5, 4, 3, 2, 1]
+    assert time.perf_counter() - started < 10
+    ran = [int(line) for line in log.read_text().split()]
+    assert sorted(ran) == list(range(len(ran))) and len(ran) <= 4
+
+
+def test_dead_worker_breaks_the_call_and_the_next_starts_a_new_pool():
+    assert list(run_tasks(abs, 2, range(-2, 0))) == [2, 1]
+    before = pool_workers()
+    with pytest.raises(BrokenProcessPool):
+        list(run_tasks(_exit_worker, 2, range(4)))
+    assert list(run_tasks(abs, 2, range(-4, 0))) == [4, 3, 2, 1]
+    after = pool_workers()
+    assert len(after) == 2 and not after & before
+
+
+def test_another_worker_count_replaces_the_pool():
+    assert list(run_tasks(abs, 3, range(-3, 0))) == [3, 2, 1]
+    three = pool_workers()
+    assert list(run_tasks(abs, 2, range(-3, 0))) == [3, 2, 1]
+    two = pool_workers()
+    assert len(three) == 3 and len(two) == 2 and not two & three
+
+
+WORKERS_AT_EXIT = """
+import os
+from qaeopt import BipartiteDims, SearchConfig, optimize
+from qaeopt.search import run_tasks
+
+def pid(_task):
+    return os.getpid()
+
+probs = [w / 136 for w in range(16, 0, -1)]
+config = SearchConfig(n1=2000, n2=4, n_d=5, seed=1, exhaustive_threshold=1, parallelism=2)
+optimize(probs, BipartiteDims(4, 4), config)
+print(*sorted(set(run_tasks(pid, 2, range(8)))))
+"""
+
+
+def test_no_worker_outlives_its_process():
+    src = str(Path(qaeopt.search.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", WORKERS_AT_EXIT], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    pids = [int(pid) for pid in out.stdout.split()]
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.parametrize(
