@@ -9,24 +9,25 @@ tracking the best tableau ever seen (depth phase).
 All three are array code with one mutual-information kernel: ``_marginals``
 turns grids into row and column sums, ``_marginals_mi`` turns those into
 mutual information, and ``_block_mi`` is the two together. The exhaustive
-search takes its leaves from ``tableau.regular_grid_blocks`` in blocks of
-LEAF_BLOCK, each leaf a prefix and a suffix from one store built before the
-first block, and scores each block at once from their marginals (see
-``_rough_blocks``). It builds a grid only for the leaves that need an exact
-score: on one x86-64 core about 0.13 µs per leaf at (3,7), and about 2 s
-for 2x15, the largest grid the default threshold routes to it (9,694,845
-leaves). The breadth phase cuts the draws into tasks of at most
-BREADTH_BLOCK (``breadth_tasks``, yielded one at a time): a task streams
-its draws' uniforms one value at a time, places each value in all its draws
-at once, in small-integer arrays of cells, scores the draws LEAF_BLOCK at a
-time, and returns only its best few grids, which are merged as they arrive.
-``run_tasks`` runs the same tasks in this process for one job, and on a
-process pool holding at most two tasks per worker for more, so memory is
-bounded for any n1 either way. There is one pool per process: it starts on
-the first parallel call, is reused while the worker count stays the same,
-and is joined at exit; a forked child starts its own. Its workers are
-forked when it starts, so later changes to module state in the parent (a
-test's monkeypatch, say) do not reach them. The depth phase moves all seeds
+search takes its leaves from ``tableau.regular_grid_blocks`` in blocks of at
+most LEAF_BLOCK, each cut from one piece of the prefix walk, each leaf a
+prefix and a suffix from one store built before the first block, and scores
+each block at once from their marginals (see ``_rough_blocks``). It builds a
+grid only for the leaves that need an exact score: on one x86-64 core about
+0.13 µs per leaf at (3,7), and about 2 s for 2x15, the largest grid the
+default threshold routes to it (9,694,845 leaves). The breadth phase cuts
+the draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded
+one at a time): a task streams its draws' uniforms one value at a time,
+places each value in all its draws at once, in small-integer arrays of
+cells, scores the draws LEAF_BLOCK at a time, and returns only its best few
+grids, which are merged as they arrive. ``run_tasks`` runs the same tasks in
+this process for one job, and on a process pool holding at most two tasks
+per worker for more, so memory is bounded for any n1 either way; a run
+closed early still finishes those. There is one pool per process: it starts
+on the first parallel call, is reused while the worker count stays the same,
+and is joined at exit; a forked child starts its own. Its workers are forked
+when it starts, so later changes to module state in the parent (a test's
+monkeypatch, say) do not reach them. The depth phase moves all seeds
 together, scoring every candidate swap of every seed per iteration from
 packed row and column sums and a move test on value positions alone, and
 drops a seed once it swaps back and forth between two tableaux, counting the
@@ -69,8 +70,9 @@ from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_
 DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
 # Draws sampled together, their uniforms streamed one value at a time and
 # their grids built LEAF_BLOCK draws at a time. All n1 draws at once would
-# hold every draw's cells in memory; one block of 8192 peaks at about 2.4 MB
-# of traced memory at (8, 8), under a 4 MB budget.
+# hold every draw's cells in memory. One block of 8192 peaks at about 2.4 MiB
+# of traced memory at (8, 8), 10.6 MiB at (16, 16) and 41.1 MiB at (32, 32):
+# the peak grows with the cell count.
 BREADTH_BLOCK = 8192
 # Exhaustive leaves scored together; 4096 is no faster there.
 LEAF_BLOCK = 2048
@@ -227,9 +229,11 @@ def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
     The pool starts on the first call with ``jobs`` > 1, is reused while
     ``jobs`` stays the same and is joined at exit; a forked child starts its
     own. Its workers are forked when it starts, so later changes to module
-    state here do not reach them. Closing the generator, or an error leaving
-    it, cancels the tasks not yet started. A worker that dies raises
-    ``BrokenProcessPool``, and the next call starts a new pool.
+    state here do not reach them. A run that is closed, or left by an error,
+    still finishes its window of at most 2 * jobs submitted tasks in the
+    pool: the pool has already queued them all for its workers. A worker
+    that dies raises ``BrokenProcessPool``, and the next call starts a new
+    pool.
     """
     if jobs == 1:
         yield from map(fn, *iterables)
@@ -246,9 +250,6 @@ def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
     except BrokenProcessPool:
         _close_pool()
         raise
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 _log = np.frompyfunc(math.log, 1, 1)
@@ -505,8 +506,8 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     (transposition swaps the two marginals and leaves the mutual information
     unchanged), so the evaluation count is half the total count there.
 
-    The leaves come from ``tableau.regular_grid_blocks`` in blocks of
-    LEAF_BLOCK, as prefix and suffix indices, and ``_rough_blocks``
+    The leaves come from ``tableau.regular_grid_blocks`` in blocks of at
+    most LEAF_BLOCK, as prefix and suffix indices, and ``_rough_blocks``
     scores each block at once from their marginals. Rough and exact scores
     differ by far less than 1e-12, well under SCORE_SLACK, so a leaf can set
     a new exact minimum only if its rough score is within SCORE_SLACK of the

@@ -93,7 +93,8 @@ class LeafBlock(NamedTuple):
     """Regular fillings in factored form: leaf k is the value grid
     ``prefixes[prefix[k]] + store[suffix[k]]`` (0 marks an empty cell, and a
     prefix and its suffix fill disjoint cells). ``prefixes`` are the prefix
-    grids the block draws on, ``store`` every suffix: one array for all blocks."""
+    grids the block draws on, a read-only slice of one walk piece, and
+    ``store`` every suffix: one read-only array for all blocks."""
 
     prefixes: np.ndarray  # (p, d_a, d_b)
     store: np.ndarray  # (s, d_a, d_b)
@@ -120,9 +121,7 @@ def regular_grid_blocks(
 
     Values 1..n are placed in increasing order, each trying the admissible
     rows top to bottom (a row shorter than the one above, or than d_b for
-    the top row), so only regular fillings are built, depth first. Every
-    block holds exactly ``block`` leaves except the last, which may hold
-    fewer.
+    the top row), so only regular fillings are built, depth first.
 
     The fillings that complete a partial filling depend only on its shape,
     its row lengths. So the first values, up to ``mid - 1``, are walked as
@@ -137,8 +136,13 @@ def regular_grid_blocks(
     a prefix can leave, and one walk from all of them builds the suffixes.
     Each prefix finds its shape's run of suffixes by a shape code. Leaves
     come prefix-major, each prefix's suffixes in depth-first order: the
-    depth-first order of the whole tree. Every prefix a block draws on has
-    at least one leaf in it, and the prefixes are in leaf order.
+    depth-first order of the whole tree.
+
+    The prefix walk yields its prefixes in pieces (see ``_walk``), and each
+    piece's leaves are cut into blocks on their own: every block holds
+    ``block`` leaves except the last of its piece, which may hold fewer, and
+    no block draws on two pieces. A block's prefixes are a slice of its
+    piece, in leaf order, and each has at least one leaf in the block.
 
     With ``exploit_symmetry`` and a square grid, cell (0, 1) is pinned to
     value 2, which leaves one representative per transpose pair.
@@ -180,22 +184,6 @@ def regular_grid_blocks(
     store = store.reshape(-1, d_a, d_b)
     store.setflags(write=False)  # every block shares it
     store_code = _suffix_codes(store, top, bottom, weights)
-    # The block being filled: its prefix grids, their leaf counts and the
-    # store row of each leaf's suffix, in pieces.
-    prefixes: list[np.ndarray] = []
-    runs: list[np.ndarray] = []
-    suffixes: list[np.ndarray] = []
-    filled = 0
-
-    def emit() -> LeafBlock:
-        counts = np.concatenate(runs)
-        return LeafBlock(
-            np.concatenate(prefixes).reshape(-1, d_a, d_b),
-            store,
-            np.repeat(np.arange(len(counts)), counts),
-            np.concatenate(suffixes),
-        )
-
     for lengths, grids in _walk(lengths, grids, v, mid, block):
         shape_code = lengths[:, 1 + top : 1 + bottom] @ weights
         first = np.searchsorted(store_code, shape_code)
@@ -203,24 +191,22 @@ def regular_grid_blocks(
         ends = np.cumsum(count)
         starts = ends - count
         shift = first - starts  # leaf index + shift = the row of its suffix in store
-        j, total = 0, int(ends[-1])
-        while j < total:
-            # Leaves j..j+take-1 fill the rest of the block: prefixes lo..hi-1,
-            # run[i] leaves from prefix lo+i.
-            take = min(block - filled, total - j)
+        grids = grids.reshape(-1, d_a, d_b)
+        grids.setflags(write=False)  # the piece's blocks share it
+        total = int(ends[-1])
+        for j in range(0, total, block):
+            # Leaves j..k-1 of the piece: prefixes lo..hi-1, run[i] leaves
+            # from prefix lo+i.
+            k = min(j + block, total)
             lo = np.searchsorted(ends, j, side="right")
-            hi = np.searchsorted(ends, j + take - 1, side="right") + 1
-            run = np.minimum(ends[lo:hi], j + take) - np.maximum(starts[lo:hi], j)
-            prefixes.append(grids[lo:hi])
-            runs.append(run)
-            suffixes.append(np.repeat(shift[lo:hi], run) + np.arange(j, j + take))
-            filled += take
-            j += take
-            if filled == block:
-                yield emit()
-                prefixes, runs, suffixes, filled = [], [], [], 0
-    if filled:
-        yield emit()
+            hi = np.searchsorted(ends, k - 1, side="right") + 1
+            run = np.minimum(ends[lo:hi], k) - np.maximum(starts[lo:hi], j)
+            yield LeafBlock(
+                grids[lo:hi],
+                store,
+                np.repeat(np.arange(hi - lo), run),
+                np.repeat(shift[lo:hi], run) + np.arange(j, k),
+            )
 
 
 def count_regular(dims: BipartiteDims) -> int:
@@ -267,10 +253,10 @@ def random_regular(dims: BipartiteDims, seed) -> YoungTableau:
 
     Per-step uniformity does not make the distribution uniform over fillings;
     that bias is intentional (the sampler mirrors the breadth-phase generator).
-    ``seed`` may be an int, a ``numpy.random.SeedSequence`` or a ``Generator``.
+    ``seed`` may be an int, a ``numpy.random.SeedSequence`` or a ``Generator``,
+    which ``np.random.default_rng`` returns unchanged.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    grid = _random_regular_grid(dims.d_a, dims.d_b, rng)
+    grid = _random_regular_grid(dims.d_a, dims.d_b, np.random.default_rng(seed))
     return YoungTableau(dims, tuple(tuple(r) for r in grid))
 
 

@@ -1,0 +1,190 @@
+"""Golden-output corpus: a fixed list of CLI calls and what they print.
+
+``python tests/golden.py`` (with ``src`` on ``PYTHONPATH``) runs every call in
+CALLS through ``qaeopt.cli.main`` and writes tests/golden_cli.json: the state
+files the calls read, as their exact text, and per call its argv, exit code
+and output lines without ``timings``. ``tests/test_golden.py`` writes the same
+files again and replays the stored calls against the stored outputs.
+
+Comparison policy, fixed before the first run: every field must match
+exactly, except the figures that come from LAPACK or BLAS (the
+``compression`` block of ``optimize`` on a dense file and the figures of
+``verify``, named in LINALG_FIELDS), which must agree within LINALG_TOL
+absolute, because their last bits can move with the BLAS thread count. The
+search fields depend only on the C library's ``log``; on a dense file the
+search also reads the ``eigh`` eigenvalues of a 4x4 or 6x6 matrix, which the
+file header's platform record helps explain if they ever move.
+
+A change that moves an answer on purpose regenerates the file and lists the
+calls whose output moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+CORPUS = Path(__file__).with_name("golden_cli.json")
+LINALG_FIELDS = frozenset({"mi_middle", "rel_entropy_out", "residual", "reconstruction_frobenius"})
+LINALG_TOL = 1e-12
+DIR = "{dir}"  # stands for the directory holding the state files in an argv
+
+
+def _dirichlet(seed: int, n: int) -> np.ndarray:
+    return np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
+
+
+def _product(seed: int, d_a: int, d_b: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.sort(np.outer(rng.dirichlet(np.ones(d_a)), rng.dirichlet(np.ones(d_b))).ravel())[::-1]
+
+
+def state_files() -> dict[str, dict]:
+    """name -> save_statefile keyword arguments."""
+    from qaeopt import BipartiteDims, generate_instance
+
+    def spectrum(d_a, d_b, p, label=None):
+        return {"dims": BipartiteDims(d_a, d_b), "spectrum": p, "label": label}
+
+    def dense(d_a, d_b, matrix):
+        return {"dims": BipartiteDims(d_a, d_b), "matrix": matrix}
+
+    tied = [0.2, 0.2, 0.15, 0.15, 0.1, 0.1, 0.05, 0.05]
+    return {
+        "s22": spectrum(2, 2, [0.4, 0.3, 0.2, 0.1], "two by two"),
+        "s33": spectrum(3, 3, _dirichlet(1, 9)),
+        "s44": spectrum(4, 4, _dirichlet(2, 16)),
+        "s35": spectrum(3, 5, _dirichlet(3, 15)),
+        "s53": spectrum(5, 3, _dirichlet(3, 15)),
+        "s36": spectrum(3, 6, _dirichlet(4, 18)),
+        "s37": spectrum(3, 7, _dirichlet(5, 21)),
+        "s16": spectrum(1, 6, _dirichlet(6, 6)),
+        "s61": spectrum(6, 1, _dirichlet(6, 6)),
+        "tied24": spectrum(2, 4, tied),
+        "tied44": spectrum(4, 4, np.repeat(_dirichlet(7, 4), 4) / 4),
+        "zeros34": spectrum(3, 4, np.concatenate((_dirichlet(8, 7), np.zeros(5)))),
+        "s34": spectrum(3, 4, _dirichlet(9, 12)),
+        "s45": spectrum(4, 5, _dirichlet(10, 20)),
+        "s55": spectrum(5, 5, _dirichlet(11, 25)),
+        "fig2a88": spectrum(8, 8, _dirichlet(1000, 64)),
+        "fig2b88": spectrum(8, 8, _product(1001, 8, 8)),
+        "nan22": spectrum(2, 2, [0.5, float("nan"), 0.3, 0.2]),
+        "dprod22": dense(2, 2, np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))),
+        "dense22": dense(2, 2, generate_instance("random-dense", BipartiteDims(2, 2), 4).matrix),
+        "dense23": dense(2, 3, generate_instance("random-dense", BipartiteDims(2, 3), 21).matrix),
+        "bell22": dense(2, 2, np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0),
+    }
+
+
+def _f(name: str) -> str:
+    return f"{DIR}/{name}.json"
+
+
+SMALL = ("--n1", "300", "--n2", "4", "--nd", "20")
+CALLS: dict[str, list[str]] = {
+    # Exhaustive shapes: squares, 1 x n, n x 1, ties, trailing zeros, --bits.
+    "opt-s22": ["optimize", _f("s22")],
+    "opt-s33": ["optimize", _f("s33")],
+    "opt-s44": ["optimize", _f("s44")],
+    "opt-s44-bits": ["optimize", _f("s44"), "--bits"],
+    "opt-s35": ["optimize", _f("s35")],
+    "opt-s53": ["optimize", _f("s53")],
+    "opt-s36": ["optimize", _f("s36")],
+    # Exhaustive in several walk pieces at the default threshold.
+    "opt-s37": ["optimize", _f("s37")],
+    "opt-s16": ["optimize", _f("s16")],
+    "opt-s61": ["optimize", _f("s61")],
+    "opt-tied24": ["optimize", _f("tied24")],
+    "opt-tied44": ["optimize", _f("tied44")],
+    "opt-zeros34": ["optimize", _f("zeros34")],
+    "opt-zeros34-bits": ["optimize", _f("zeros34"), "--bits"],
+    # Forced heuristic with small budgets, and --jobs 1, 2 and 3.
+    "heur-s34": ["optimize", _f("s34"), "--threshold", "1", *SMALL, "--seed", "1"],
+    "heur-s44": ["optimize", _f("s44"), "--threshold", "1", *SMALL, "--seed", "2"],
+    "heur-s45": ["optimize", _f("s45"), "--threshold", "1", *SMALL, "--seed", "3"],
+    "heur-s55-jobs1": ["optimize", _f("s55"), "--threshold", "1", "--n1", "20000", "--n2", "6", "--nd", "30", "--jobs", "1"],
+    "heur-s55-jobs2": ["optimize", _f("s55"), "--threshold", "1", "--n1", "20000", "--n2", "6", "--nd", "30", "--jobs", "2"],
+    "heur-s55-jobs3": ["optimize", _f("s55"), "--threshold", "1", "--n1", "20000", "--n2", "6", "--nd", "30", "--jobs", "3"],
+    # The paper protocol at 8 x 8.
+    "paper-fig2a88": ["optimize", _f("fig2a88")],
+    "paper-fig2b88": ["optimize", _f("fig2b88"), "--bits"],
+    # Dense files: optimize, and verify with random and identity plans.
+    "opt-dprod22": ["optimize", _f("dprod22")],
+    "opt-dense22": ["optimize", _f("dense22")],
+    "opt-dense23": ["optimize", _f("dense23"), "--bits"],
+    "heur-dense23": ["optimize", _f("dense23"), "--threshold", "1", *SMALL],
+    "verify-dense23": ["verify", _f("dense23")],
+    "verify-dense23-seed3": ["verify", _f("dense23"), "--seed", "3", "--bits"],
+    "verify-dense22-identity": ["verify", _f("dense22"), "--plan", "identity"],
+    "verify-bell22-identity": ["verify", _f("bell22"), "--plan", "identity", "--bits"],
+    # Experiments, exhaustive and heuristic, with --jobs 1 and 2.
+    "exp-fig2a-33-jobs1": ["experiment", "fig2a", "--states", "4", "--da", "3", "--db", "3", "--jobs", "1"],
+    "exp-fig2a-33-jobs2": ["experiment", "fig2a", "--states", "4", "--da", "3", "--db", "3", "--jobs", "2"],
+    "exp-fig2b-44-jobs1": ["experiment", "fig2b", "--states", "3", "--da", "4", "--db", "4", "--threshold", "1", *SMALL, "--seed", "5"],
+    "exp-fig2b-44-jobs2": ["experiment", "fig2b", "--states", "3", "--da", "4", "--db", "4", "--threshold", "1", *SMALL, "--seed", "5", "--jobs", "2"],
+    "exp-fig2a-25-bits": ["experiment", "fig2a", "--states", "2", "--da", "2", "--db", "5", "--bits", "--seed", "7"],
+    # count.
+    "count-22": ["count", "2", "2"],
+    "count-44": ["count", "4", "4"],
+    "count-88": ["count", "8", "8"],
+    "count-2x18-threshold": ["count", "2", "18", "--threshold", "10"],
+    # Boundary rejections.
+    "reject-count-zero": ["count", "0", "2"],
+    "reject-nan-spectrum": ["optimize", _f("nan22")],
+    "reject-missing-file": ["optimize", f"{DIR}/missing.json"],
+    "reject-verify-spectrum": ["verify", _f("s22")],
+    "reject-states-zero": ["experiment", "fig2a", "--states", "0"],
+    "reject-n2-above-n1": ["optimize", _f("s22"), "--n1", "2", "--n2", "3"],
+    "reject-jobs-zero": ["optimize", _f("s22"), "--jobs", "0"],
+}
+
+
+def run_call(argv: list[str], directory: str) -> tuple[int, list[dict]]:
+    """Exit code and output lines, without ``timings``, of one CLI call whose
+    argv names its state files under ``directory``."""
+    from qaeopt.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main([arg.replace(DIR, directory) for arg in argv])
+        except SystemExit as exc:  # argparse rejects usage errors this way
+            code = exc.code
+    lines = [json.loads(line) for line in out.getvalue().splitlines() if line]
+    return code, [{k: v for k, v in line.items() if k != "timings"} for line in lines]
+
+
+def main() -> None:
+    from qaeopt import save_statefile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, kwargs in state_files().items():
+            path = Path(tmp) / f"{name}.json"
+            save_statefile(path, **kwargs)
+            files[name] = path.read_text()
+        calls = []
+        for name, argv in CALLS.items():
+            code, lines = run_call(argv, tmp)
+            calls.append({"id": name, "argv": argv, "exit": code, "lines": lines})
+    corpus = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "files": files,
+        "calls": calls,
+    }
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(calls)} calls and {len(files)} state files to {CORPUS}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

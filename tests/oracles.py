@@ -6,8 +6,9 @@ and minima from evaluating every arrangement. Entropies are recomputed
 locally. Then come the paper's canonicalization argument, as plain functions
 on grids, and the scalar search references: the loop forms of the
 enumeration, the exhaustive search, the breadth phase, the value-swap
-neighbourhood and the depth phase. Last, the state-file writer as one
-``json.dumps`` of the whole document.
+neighbourhood and the depth phase, and the fixed-point certificate (gap and
+map). Last, the state-file writer as one ``json.dumps`` of the whole
+document.
 """
 
 import json
@@ -200,6 +201,59 @@ def grid_mi(pr, grid, d_b: int, h_flat: float) -> float:
         h_rows -= _xlogx(row_sum)
     h_cols = -_sum_left(map(_xlogx, cols))
     return h_rows + h_cols - h_flat
+
+
+def _marginal_sums(pr, grid) -> tuple[list[float], list[float]]:
+    """Row and column sums of pr arranged on a value grid, in grid_mi's order."""
+    rows, cols = [], [0.0] * len(grid[0])
+    for row in grid:
+        row_sum = 0.0
+        for j, v in enumerate(row):
+            row_sum += pr[v - 1]
+            cols[j] += pr[v - 1]
+        rows.append(row_sum)
+    return rows, cols
+
+
+def fixed_point_gap(p, grid) -> float:
+    """gap(T) for the value grid T: G(T; r, c) = -sum_v p_v log(r_row(v) c_col(v)),
+    with r and c the row and column sums of p arranged on T, less the least
+    value of that cost over all arrangements, the sorted pairing of p
+    (descending) with the costs -log r_i - log c_j (ascending).
+
+    G(T; r, c) is MI(T) + H(p), and by Gibbs' inequality MI(T') + H(p) is at
+    most the sorted pairing for T' the rank grid of r (x) c
+    (``marginal_rank_grid``), so MI(T') <= MI(T) - gap(T), and gap(T) >= 0
+    with 0 at every optimum over all arrangements. A zero probability adds 0
+    whatever its cost, so a cell in a zero row or column (cost infinity)
+    adds nothing either."""
+    pr = [float(x) for x in p]
+    rows, cols = _marginal_sums(pr, grid)
+    cost = [
+        [-math.log(r) - math.log(c) if r > 0.0 and c > 0.0 else math.inf for c in cols]
+        for r in rows
+    ]
+    arranged = _sum_left(
+        pr[v - 1] * cost[i][j]
+        for i, row in enumerate(grid)
+        for j, v in enumerate(row)
+        if pr[v - 1] > 0.0
+    )
+    costs = sorted(k for row in cost for k in row)
+    paired = _sum_left(q * k for q, k in zip(sorted(pr, reverse=True), costs) if q > 0.0)
+    return arranged - paired
+
+
+def marginal_rank_grid(p, grid) -> list[list[int]]:
+    """The fixed-point map: the value grid ranking the cells of T by the outer
+    product of its marginals r (x) c, largest first, ties in row-major order."""
+    rows, cols = _marginal_sums([float(x) for x in p], grid)
+    outer = [r * c for r in rows for c in cols]
+    order = sorted(range(len(outer)), key=lambda k: -outer[k])  # sorted is stable
+    ranks = [0] * len(outer)
+    for value, k in enumerate(order, 1):
+        ranks[k] = value
+    return [ranks[i * len(cols) : (i + 1) * len(cols)] for i in range(len(rows))]
 
 
 def scalar_enumerate(dims: BipartiteDims, exploit_symmetry: bool = False):

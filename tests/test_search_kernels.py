@@ -27,8 +27,11 @@ import qaeopt.tableau
 from oracles import (
     _swap_keeps_regular,
     brute_force_regular_set,
+    fixed_point_gap,
+    flat_entropy,
     grid_mi,
     is_regular,
+    marginal_rank_grid,
     neighbors,
     positions,
     row_major,
@@ -312,6 +315,44 @@ def test_exhaustive_matches_scalar(d_a, d_b, kind, block, cap, monkeypatch):
     if kind == "uniform":
         first = next(scalar_enumerate(dims, exploit_symmetry=d_a == d_b))
         assert res["trajectory"] == (res["best_mi"],) and res["best_cells"] == first
+
+
+@pytest.mark.parametrize("d_a,d_b", EXHAUSTIVE_DIMS)
+@pytest.mark.parametrize("kind", ["dirichlet", "uniform", "trailing-zeros"])
+def test_exhaustive_winner_has_no_fixed_point_gap(d_a, d_b, kind):
+    # The winner is optimal over all arrangements, so one fixed-point step
+    # cannot improve it: its gap is 0 up to round-off.
+    dims = BipartiteDims(d_a, d_b)
+    for seed in range(4 if kind == "dirichlet" else 1):
+        probs = spectrum(kind, dims.total, 7 * d_a + d_b + 100 * seed)
+        assert abs(fixed_point_gap(probs, exhaustive(probs, dims)["best_cells"])) <= 1e-12
+
+
+@given(
+    d_a=st.integers(1, 5),
+    d_b=st.integers(1, 5),
+    kind=st.sampled_from(["dirichlet", "tied", "zero-tailed"]),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_fixed_point_step_lowers_mi_by_at_least_the_gap(d_a, d_b, kind, seed):
+    # MI(T') <= MI(T) - gap(T), T' the rank grid of T's marginals' outer product.
+    dims = BipartiteDims(d_a, d_b)
+    n, rng = dims.total, np.random.default_rng(seed)
+    if kind == "dirichlet":
+        probs = descending_probs(n, seed)
+    else:
+        weights = rng.integers(1, 4, n)
+        if kind == "zero-tailed":
+            weights[rng.integers(1, n + 1) :] = 0
+        probs = tied_probs(weights)
+    grid = random_regular(dims, seed).cells
+    pr = [float(x) for x in probs]
+    h_flat = flat_entropy(pr)
+    gap = fixed_point_gap(probs, grid)
+    stepped = grid_mi(pr, marginal_rank_grid(probs, grid), d_b, h_flat)
+    assert gap >= -1e-12
+    assert stepped <= grid_mi(pr, grid, d_b, h_flat) - gap + 1e-12
 
 
 @pytest.mark.parametrize("d_a,d_b", EXHAUSTIVE_DIMS)

@@ -46,6 +46,14 @@ def suffix_shapes(store):
     return np.count_nonzero(store == 0, axis=2)
 
 
+def assert_ends_its_last_run(block):
+    """The block's last leaves are the last suffixes of its last prefix's shape,
+    in store order: that prefix's run of leaves ends in this block."""
+    run = np.flatnonzero(np.all((block.store == 0) == (block.prefixes[-1] > 0), axis=(1, 2)))
+    tail = block.suffix[block.prefix == len(block.prefixes) - 1].tolist()
+    assert tail == run[len(run) - len(tail) :].tolist()
+
+
 def regular_tableaux(dims, exploit_symmetry=False):
     """Every regular filling, in the order the exhaustive search scores them."""
     blocks = regular_grid_blocks(dims, qaeopt.search.LEAF_BLOCK, exploit_symmetry)
@@ -142,11 +150,24 @@ class TestEnumerate:
         dims = BipartiteDims(d_a, d_b)
         want = list(scalar_enumerate(dims, exploit_symmetry))
         block = block or qaeopt.search.LEAF_BLOCK
-        # Small blocks split the prefix walk often; every block but the last is full.
+        # Small caps and blocks split the prefix walk into pieces, each cut
+        # into blocks on its own, so only a piece's last block may be short.
         blocks = list(regular_grid_blocks(dims, block, exploit_symmetry))
-        sizes = [len(b.prefix) for b in blocks]
-        assert all(k == block for k in sizes[:-1]) and 1 <= sizes[-1] <= block
+        assert all(1 <= len(b.prefix) <= block for b in blocks)
+        for b, after in zip(blocks, blocks[1:]):
+            if len(b.prefix) < block:
+                assert_ends_its_last_run(b)
+                assert not np.array_equal(after.prefixes[0], b.prefixes[-1])
         assert [tuple(map(tuple, grid)) for b in blocks for grid in leaf_grids(b).tolist()] == want
+
+    @pytest.mark.parametrize("d_a,d_b,count", [(4, 4, 6), (3, 5, 3), (3, 6, 43)])
+    def test_benchmark_shapes_walk_in_one_piece(self, d_a, d_b, count):
+        # At the default cap and LEAF_BLOCK every block but the last is full.
+        dims = BipartiteDims(d_a, d_b)
+        block = qaeopt.search.LEAF_BLOCK
+        sizes = [len(b.prefix) for b in regular_grid_blocks(dims, block, d_a == d_b)]
+        assert len(sizes) == count
+        assert all(k == block for k in sizes[:-1]) and 1 <= sizes[-1] <= block
 
     @pytest.mark.parametrize("d_a,d_b", [(1, 5), (5, 1), (2, 6), (3, 4), (4, 4), (5, 3)])
     @pytest.mark.parametrize("block,cap", [(1, 4), (3, 4), (7, 64), (2048, None)])
@@ -234,8 +255,10 @@ class TestEnumerate:
         blocks = list(regular_grid_blocks(dims, 5, d_a == d_b))
         assert len(blocks) > 1
         assert all(b.store is blocks[0].store for b in blocks)
-        # Shared by every block, so no consumer may write to it.
+        # Shared by every block, so no consumer may write to it; nor to a
+        # block's prefixes, which the other blocks of its walk piece share.
         assert not blocks[0].store.flags.writeable
+        assert not any(b.prefixes.flags.writeable for b in blocks)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetry_halving(self, d):
@@ -296,6 +319,11 @@ class TestRandomRegular:
         a = random_regular(BipartiteDims(4, 4), 42)
         b = random_regular(BipartiteDims(4, 4), 42)
         assert a.cells == b.cells
+
+    @pytest.mark.parametrize("seed", [0, 42, np.random.SeedSequence((3, 1))])
+    def test_generator_gives_the_tableau_of_its_seed(self, seed):
+        dims = BipartiteDims(4, 4)
+        assert random_regular(dims, np.random.default_rng(seed)).cells == random_regular(dims, seed).cells
 
 
 def naive_neighbors(t):
