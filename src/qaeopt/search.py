@@ -12,9 +12,9 @@ mutual information, and ``_block_mi`` is the two together. The exhaustive
 search takes its leaves from ``tableau.regular_grid_blocks`` in blocks of at
 most LEAF_BLOCK, each cut from one piece of the prefix walk, each leaf a
 prefix and a suffix from one store built before the first block, and scores
-each block at once from their marginals (see ``_rough_blocks``). It builds a
+each block at once from packed marginals (see ``_rough_blocks``). It builds a
 grid only for the leaves that need an exact score: on one x86-64 core about
-0.13 µs per leaf at (3,7), and about 2 s for 2x15, the largest grid the
+0.06-0.08 µs per leaf at (3,7), and about 1 s for 2x15, the largest grid the
 default threshold routes to it (9,694,845 leaves). The breadth phase cuts
 the draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded
 one at a time): a task streams its draws' uniforms one value at a time,
@@ -74,7 +74,8 @@ DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
 # of traced memory at (8, 8), 10.6 MiB at (16, 16) and 41.1 MiB at (32, 32):
 # the peak grows with the cell count.
 BREADTH_BLOCK = 8192
-# Exhaustive leaves scored together; 4096 is no faster there.
+# Exhaustive leaves scored together. 4096 is 7-9% faster at (3,7), (4,5) and
+# (2,15) but 13-44% slower at (4,4), (3,5) and (3,6), and breadth shares it.
 LEAF_BLOCK = 2048
 # Breadth draws, exhaustive leaves and depth swaps whose rough (numpy log)
 # score is within this of the cut that matters get an exact score; the rough
@@ -473,29 +474,32 @@ def _rough_blocks(p: np.ndarray, dims: BipartiteDims, h_flat: float):
 
     A leaf's rows and columns are split by its prefix and its suffix: the
     prefix fills the left part of each row and the top of each column. So
-    its marginals are the prefix's plus the suffix's, d_a + d_b adds, with
-    no leaf grid built. The prefix sums are worked out once per block that
-    draws on the prefix, the suffix sums once, from the shared store, before
-    the first block. Both are sums of ``p_ext[grid]``, where
-    ``p_ext = [0, p...]``, so an empty cell adds exactly 0. Each factored
-    marginal then differs from its cell-order sum by at most about n * eps,
-    and the rough score from the exact one by far less than 1e-12.
+    its marginals are the prefix's plus the suffix's, with no leaf grid
+    built. Both are packed as one row of d_a row sums then d_b column sums:
+    the suffixes' once, from the shared store, before the first block, and
+    the prefixes' once per walk piece, whose blocks share its prefix array.
+    A block then takes two packed rows per leaf and adds them. The sums are
+    of ``p_ext[grid]``, where ``p_ext = [0, p...]``, so an empty cell adds
+    exactly 0. Each factored marginal differs from its cell-order sum by at
+    most about n * eps, and the rough score, summed in any order, from the
+    exact one by far less than 1e-12.
     """
     p_ext = np.concatenate(([0.0], p))
-    store = None
+    ones = np.ones(dims.d_a + dims.d_b)
+    store = prefixes = None
     for block in regular_grid_blocks(dims, LEAF_BLOCK, exploit_symmetry=dims.d_a == dims.d_b):
         if block.store is not store:  # the first block: one store for all
             store, k = block.store, LEAF_BLOCK  # summed k grids at a time, as in _cell_mi
-            suffix_rows, suffix_cols = (np.empty((len(store), d)) for d in (dims.d_a, dims.d_b))
+            suffix_sums = np.empty((len(store), len(ones)))
             for i in range(0, len(store), k):
-                suffix_rows[i : i + k], suffix_cols[i : i + k] = _marginals(p_ext[store[i : i + k]])
-        prefix_rows, prefix_cols = _marginals(p_ext[block.prefixes])
+                suffix_sums[i : i + k] = np.hstack(_marginals(p_ext[store[i : i + k]]))
+        if block.prefixes is not prefixes:  # the first block of a walk piece
+            prefixes = block.prefixes
+            prefix_sums = np.hstack(_marginals(p_ext[prefixes]))
         # take along axis 0 copies whole rows, faster than fancy indexing.
-        rows = prefix_rows.take(block.prefix, axis=0)
-        rows += suffix_rows.take(block.suffix, axis=0)
-        cols = prefix_cols.take(block.prefix, axis=0)
-        cols += suffix_cols.take(block.suffix, axis=0)
-        yield block, _marginals_mi(rows, cols, h_flat, _xlogx_rough)
+        sums = prefix_sums.take(block.prefix, axis=0)
+        sums += suffix_sums.take(block.suffix, axis=0)
+        yield block, -(_xlogx_rough(sums) @ ones) - h_flat
 
 
 def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
@@ -511,9 +515,11 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     scores each block at once from their marginals. Rough and exact scores
     differ by far less than 1e-12, well under SCORE_SLACK, so a leaf can set
     a new exact minimum only if its rough score is within SCORE_SLACK of the
-    rough minimum before it. Only those leaves are built as grids and scored
+    rough minimum before it; a block whose rough minimum is further than that
+    above the rough minimum so far holds none and is passed over after that
+    one reduction. Only the near leaves are built as grids and scored
     exactly, with the marginals summed in cell order. Memory stays bounded
-    (about 39 MB of process RSS at 2x15).
+    (about 41 MB of process RSS at 2x15).
     """
     best_mi = best_rough = math.inf
     best_grid = None
@@ -521,10 +527,11 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     evaluations = 0
     for block, rough in _rough_blocks(p, dims, h_flat):
         evaluations += len(rough)
-        near = np.flatnonzero(rough <= _min_before(rough, best_rough) + SCORE_SLACK)
-        best_rough = min(best_rough, rough.min())
-        if not near.size:  # most blocks, once a low minimum is found
+        low = rough.min()
+        if low > best_rough + SCORE_SLACK:  # most blocks, once a low minimum is found
             continue
+        near = np.flatnonzero(rough <= _min_before(rough, best_rough) + SCORE_SLACK)
+        best_rough = min(best_rough, low)
         grids = block.grids(near)
         exact = _block_mi(p, grids, h_flat)
         records = np.flatnonzero(exact < _min_before(exact, best_mi))

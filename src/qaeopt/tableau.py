@@ -92,9 +92,10 @@ def _walk(
 class LeafBlock(NamedTuple):
     """Regular fillings in factored form: leaf k is the value grid
     ``prefixes[prefix[k]] + store[suffix[k]]`` (0 marks an empty cell, and a
-    prefix and its suffix fill disjoint cells). ``prefixes`` are the prefix
-    grids the block draws on, a read-only slice of one walk piece, and
-    ``store`` every suffix: one read-only array for all blocks."""
+    prefix and its suffix fill disjoint cells). ``prefixes`` are every prefix
+    grid of one walk piece, one read-only array for all blocks of the piece,
+    of which the block draws on a contiguous run; ``store`` is every suffix,
+    one read-only array for all blocks."""
 
     prefixes: np.ndarray  # (p, d_a, d_b)
     store: np.ndarray  # (s, d_a, d_b)
@@ -141,8 +142,10 @@ def regular_grid_blocks(
     The prefix walk yields its prefixes in pieces (see ``_walk``), and each
     piece's leaves are cut into blocks on their own: every block holds
     ``block`` leaves except the last of its piece, which may hold fewer, and
-    no block draws on two pieces. A block's prefixes are a slice of its
-    piece, in leaf order, and each has at least one leaf in the block.
+    no block draws on two pieces. The blocks of a piece share its prefix
+    array, so a consumer can work out what it needs of each prefix once per
+    piece; a block's ``prefix`` is non-decreasing and draws on a contiguous
+    run of that array, and each prefix has a leaf in some block of its piece.
 
     With ``exploit_symmetry`` and a square grid, cell (0, 1) is pinned to
     value 2, which leaves one representative per transpose pair.
@@ -202,9 +205,9 @@ def regular_grid_blocks(
             hi = np.searchsorted(ends, k - 1, side="right") + 1
             run = np.minimum(ends[lo:hi], k) - np.maximum(starts[lo:hi], j)
             yield LeafBlock(
-                grids[lo:hi],
+                grids,
                 store,
-                np.repeat(np.arange(hi - lo), run),
+                np.repeat(np.arange(lo, hi), run),
                 np.repeat(shift[lo:hi], run) + np.arange(j, k),
             )
 

@@ -108,8 +108,10 @@ def dense_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.trace(rho @ logm(rho)).real - np.trace(rho @ logm(sigma)).real)
 
 
-def brute_force_min_mi(probs, d_a: int, d_b: int) -> float:
-    """Minimum mutual information over all (d_a*d_b)! grid arrangements."""
+def brute_force_best(probs, d_a: int, d_b: int) -> tuple[float, list[list[int]]]:
+    """Minimum mutual information over all (d_a*d_b)! grid arrangements of
+    the descending ``probs``, and the value grid of the first arrangement
+    that reaches it (value v holds probs[v - 1])."""
     p = np.asarray(probs, dtype=float)
     n = p.size
     order = np.array(list(permutations(range(n))), dtype=np.intp)
@@ -119,7 +121,13 @@ def brute_force_min_mi(probs, d_a: int, d_b: int) -> float:
         + _entropy(grids.sum(axis=1))
         - _entropy(grids.reshape(len(grids), -1))
     )
-    return float(mis.min())
+    best = int(mis.argmin())
+    return float(mis[best]), (order[best] + 1).reshape(d_a, d_b).tolist()
+
+
+def brute_force_min_mi(probs, d_a: int, d_b: int) -> float:
+    """Minimum mutual information over all (d_a*d_b)! grid arrangements."""
+    return brute_force_best(probs, d_a, d_b)[0]
 
 
 # The paper's canonicalization argument: sorting every column, then every

@@ -26,6 +26,7 @@ import qaeopt.search
 import qaeopt.tableau
 from oracles import (
     _swap_keeps_regular,
+    brute_force_best,
     brute_force_regular_set,
     fixed_point_gap,
     flat_entropy,
@@ -328,6 +329,20 @@ def test_exhaustive_winner_has_no_fixed_point_gap(d_a, d_b, kind):
         assert abs(fixed_point_gap(probs, exhaustive(probs, dims)["best_cells"])) <= 1e-12
 
 
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["dirichlet", "uniform", "trailing-zeros"])
+def test_all_arrangements_minimum_has_no_fixed_point_gap(d_b, kind):
+    # Over all n! arrangements, not only regular tableaux (8! = 40,320 at
+    # 2x4), the minimum sits at a grid with gap 0 up to round-off, and it is
+    # the exhaustive minimum.
+    dims = BipartiteDims(2, d_b)
+    for seed in range(3 if kind == "dirichlet" else 1):
+        probs = spectrum(kind, dims.total, 7 * 2 + d_b + 100 * seed)
+        brute_mi, grid = brute_force_best(probs, 2, d_b)
+        assert abs(fixed_point_gap(probs, grid)) <= 1e-12
+        assert abs(optimize(probs, dims).best_mi - brute_mi) <= 1e-12
+
+
 @given(
     d_a=st.integers(1, 5),
     d_b=st.integers(1, 5),
@@ -394,6 +409,64 @@ def test_exhaustive_rough_scores_only_select_leaves(d_a, d_b, kind, monkeypatch)
     else:  # leaves whose scores differ by about as much as the stray
         probs = tied_probs(rng.integers(1, 4, dims.total) + 1e-12 * rng.random(dims.total))
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
+
+
+# The default blocks, and small caps and blocks that split the walk into many
+# pieces of many blocks; 4x4 takes seconds at the smallest, so it keeps 7.
+SKIP_CASES = [
+    pytest.param(d_a, d_b, block, cap, id=f"{d_a}-{d_b}-{block}-cap{cap}")
+    for d_a, d_b in EXHAUSTIVE_DIMS
+    for block, cap in ((None, None), (3, 4), (7, 64))
+    if (d_a, d_b) != (4, 4) or block != 3
+]
+
+
+@pytest.mark.parametrize("d_a,d_b,block,cap", SKIP_CASES)
+@pytest.mark.parametrize("kind", ["dirichlet", "uniform", "trailing-zeros", "near-ties"])
+@pytest.mark.parametrize("slack", [qaeopt.search.SCORE_SLACK, 0.0])
+def test_exhaustive_skips_only_blocks_with_no_near_leaf(d_a, d_b, block, cap, kind, slack, monkeypatch):
+    # _exhaustive passes over a block after one reduction, its rough minimum;
+    # replayed with the full rule (every leaf against the minimum before it),
+    # exactly the blocks it passed over have no near leaf. A slack of 0 makes
+    # the rough ties of the uniform and tied spectra sit on the boundary.
+    if block is not None:
+        monkeypatch.setattr(qaeopt.search, "LEAF_BLOCK", block)
+    if cap is not None:
+        monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
+    monkeypatch.setattr(qaeopt.search, "SCORE_SLACK", slack)
+    rough_blocks, min_before = qaeopt.search._rough_blocks, qaeopt.search._min_before
+    scored, filtered = [], []  # every block's rough scores; every array _min_before saw
+
+    def spy_blocks(*args):
+        for leaf_block, rough in rough_blocks(*args):
+            scored.append(rough)
+            yield leaf_block, rough
+
+    def spy_min_before(scores, floor):
+        filtered.append(scores)
+        return min_before(scores, floor)
+
+    monkeypatch.setattr(qaeopt.search, "_rough_blocks", spy_blocks)
+    monkeypatch.setattr(qaeopt.search, "_min_before", spy_min_before)
+    dims = BipartiteDims(d_a, d_b)
+    n, rng = dims.total, np.random.default_rng(7 * d_a + d_b)
+    if kind == "near-ties":  # leaves whose scores differ by far less than SCORE_SLACK
+        probs = tied_probs(rng.integers(1, 4, n) + 1e-12 * rng.random(n))
+    else:
+        probs = spectrum(kind, n, 7 * d_a + d_b)
+    exhaustive(probs, dims)
+    best_rough, skipped = np.inf, []
+    for rough in scored:
+        near = np.flatnonzero(rough <= min_before(rough, best_rough) + slack)
+        best_rough = min(best_rough, rough.min())
+        skipped.append(not near.size)
+    # _min_before sees a block's rough scores exactly when it is not passed
+    # over. Both lists hold their arrays, so no id is reused.
+    ids = {id(scores) for scores in filtered}
+    seen = [id(rough) in ids for rough in scored]
+    assert seen == [not s for s in skipped]
+    if kind == "dirichlet" and len(scored) > 5:  # the skip is taken at all
+        assert any(skipped)
 
 
 @st.composite

@@ -49,8 +49,9 @@ def suffix_shapes(store):
 def assert_ends_its_last_run(block):
     """The block's last leaves are the last suffixes of its last prefix's shape,
     in store order: that prefix's run of leaves ends in this block."""
-    run = np.flatnonzero(np.all((block.store == 0) == (block.prefixes[-1] > 0), axis=(1, 2)))
-    tail = block.suffix[block.prefix == len(block.prefixes) - 1].tolist()
+    last = block.prefix[-1]
+    run = np.flatnonzero(np.all((block.store == 0) == (block.prefixes[last] > 0), axis=(1, 2)))
+    tail = block.suffix[block.prefix == last].tolist()
     assert tail == run[len(run) - len(tail) :].tolist()
 
 
@@ -156,8 +157,12 @@ class TestEnumerate:
         assert all(1 <= len(b.prefix) <= block for b in blocks)
         for b, after in zip(blocks, blocks[1:]):
             if len(b.prefix) < block:
+                # A short block ends its piece on the piece's last prefix, and
+                # the next block starts the next piece on another prefix.
                 assert_ends_its_last_run(b)
-                assert not np.array_equal(after.prefixes[0], b.prefixes[-1])
+                assert b.prefix[-1] == len(b.prefixes) - 1 and after.prefix[0] == 0
+                assert after.prefixes is not b.prefixes
+                assert not np.array_equal(after.prefixes[after.prefix[0]], b.prefixes[b.prefix[-1]])
         assert [tuple(map(tuple, grid)) for b in blocks for grid in leaf_grids(b).tolist()] == want
 
     @pytest.mark.parametrize("d_a,d_b,count", [(4, 4, 6), (3, 5, 3), (3, 6, 43)])
@@ -174,16 +179,32 @@ class TestEnumerate:
     def test_blocks_share_prefixes_and_a_growing_store(self, d_a, d_b, block, cap, monkeypatch):
         if cap is not None:
             monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
+        walk, walked = qaeopt.tableau._walk, []
+
+        def counting_walk(*args):  # the store's walk, then the prefix walk
+            for lengths, grids in walk(*args):
+                walked.append(len(grids))
+                yield lengths, grids
+
+        monkeypatch.setattr(qaeopt.tableau, "_walk", counting_walk)
         dims = BipartiteDims(d_a, d_b)
         store = np.zeros((0, d_a, d_b))
+        pieces = []  # each walk piece's prefix array and the prefixes its blocks draw on
         for b in regular_grid_blocks(dims, block, d_a == d_b):
             # The store only grows: earlier rows keep their place and value.
             assert len(b.store) >= len(store)
             assert np.array_equal(b.store[: len(store)], store)
             store = b.store
-            # Every prefix drawn on has a leaf, in leaf order.
-            assert b.prefix.tolist() == sorted(b.prefix.tolist())
-            assert set(b.prefix.tolist()) == set(range(len(b.prefixes)))
+            # A block draws on a contiguous run of its piece's prefixes, in leaf order.
+            assert np.isin(np.diff(b.prefix), (0, 1)).all()
+            assert not b.prefixes.flags.writeable
+            if pieces and b.prefixes is pieces[-1][0]:
+                # The next block of a piece goes on from the prefix the last one ended on.
+                assert b.prefix[0] - pieces[-1][1][-1] in (0, 1)
+                pieces[-1][1].extend(b.prefix.tolist())
+            else:
+                assert b.prefix[0] == 0
+                pieces.append((b.prefixes, b.prefix.tolist()))
             assert len(b.suffix) == len(b.prefix) and b.suffix.max() < len(b.store)
             # A prefix and its suffix fill disjoint cells, and together all of them.
             prefixes, suffixes = b.prefixes[b.prefix], b.store[b.suffix]
@@ -191,6 +212,12 @@ class TestEnumerate:
             assert np.all((prefixes > 0) | (suffixes > 0))
             assert np.array_equal(b.grids(), leaf_grids(b))
             assert np.array_equal(b.grids([0, -1]), leaf_grids(b)[[0, -1]])
+        # All blocks of a piece share its whole prefix array, no other piece
+        # does, and across the piece's blocks every prefix is drawn on.
+        assert [len(prefixes) for prefixes, _ in pieces] == walked[1:]
+        assert len({id(prefixes) for prefixes, _ in pieces}) == len(pieces)
+        for prefixes, drawn in pieces:
+            assert set(drawn) == set(range(len(prefixes)))
 
     @pytest.mark.parametrize("d_a,d_b,cap", [(2, 15, 2**16), (3, 7, 2**16), (4, 4, 64), (5, 3, 64)])
     def test_suffix_cache_holds_at_most_cap_grids(self, d_a, d_b, cap, monkeypatch):
