@@ -8,13 +8,15 @@ tracking the best tableau ever seen (depth phase).
 
 All three are array code with one mutual-information kernel: ``_marginals``
 turns grids into row and column sums, ``_marginals_mi`` turns those into
-mutual information, and ``_block_mi`` is the two together. The exhaustive
+mutual information, and ``_block_mi`` is the two together. Breadth and
+exhaustive traversal first filter with one rough score, ``_rough_mi``, of
+the same sums packed in one row per grid, through numpy's log. The exhaustive
 search takes its leaves from ``tableau.regular_grid_blocks`` in blocks of at
 most LEAF_BLOCK, each cut from one piece of the prefix walk, each leaf a
 prefix and a suffix from one store built before the first block, and scores
 each block at once from packed marginals (see ``_rough_blocks``). It builds a
 grid only for the leaves that need an exact score: on one x86-64 core about
-0.06-0.08 µs per leaf at (3,7), and about 1 s for 2x15, the largest grid the
+0.05 µs per leaf at (3,7), and 0.7-1.0 s for 2x15, the largest grid the
 default threshold routes to it (9,694,845 leaves). The breadth phase cuts
 the draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded
 one at a time): a task streams its draws' uniforms one value at a time,
@@ -74,8 +76,9 @@ DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
 # of traced memory at (8, 8), 10.6 MiB at (16, 16) and 41.1 MiB at (32, 32):
 # the peak grows with the cell count.
 BREADTH_BLOCK = 8192
-# Exhaustive leaves scored together. 4096 is 7-9% faster at (3,7), (4,5) and
-# (2,15) but 13-44% slower at (4,4), (3,5) and (3,6), and breadth shares it.
+# Exhaustive leaves scored together. 4096 is 5-9% faster at (3,7) and (4,5),
+# no faster at (2,15) and 20-58% slower at (4,4), (3,5) and (3,6), and
+# breadth shares it.
 LEAF_BLOCK = 2048
 # Breadth draws, exhaustive leaves and depth swaps whose rough (numpy log)
 # score is within this of the cut that matters get an exact score; the rough
@@ -270,9 +273,26 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
 def _xlogx_rough(x: np.ndarray) -> np.ndarray:
-    """x log x through numpy's log: fast, but not always bitwise _xlogx."""
-    return x * np.log(np.where(x > 0.0, x, 1.0))
+    """x log x through numpy's log, with no mask: fast, but not always
+    bitwise _xlogx. x is first raised to at least _TINY, so from _TINY up
+    it is x * log(x) bit for bit. Below, at 0 and at the sums just below 0
+    that probabilities in [-ENTRY_TOL, 0) can make, it is _TINY * log(_TINY),
+    about -1.6e-305, where _xlogx gives 0 or next to it."""
+    x = np.maximum(x, _TINY)
+    out = np.log(x)
+    out *= x
+    return out
+
+
+def _rough_mi(sums: np.ndarray, h_flat: float) -> np.ndarray:
+    """Rough mutual information from packed marginals sums[k, d_a + d_b],
+    row sums then column sums, with numpy's log and a matmul sum: within
+    far less than 1e-12 of the exact score."""
+    return -(_xlogx_rough(sums) @ np.ones(sums.shape[-1])) - h_flat
 
 
 def _sum_left(terms: np.ndarray) -> np.ndarray:
@@ -439,22 +459,22 @@ def _cell_grids(cell: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return grids.reshape(size, d_a, d_b)
 
 
-def _marginals_mi(rows: np.ndarray, cols: np.ndarray, h_flat: float, xlogx=_xlogx) -> np.ndarray:
+def _marginals_mi(rows: np.ndarray, cols: np.ndarray, h_flat: float) -> np.ndarray:
     """Mutual information from row sums rows[k, d_a] and column sums
     cols[k, d_b], in the scalar order: h_rows by subtracting row terms one
     by one, h_cols as a negated sum."""
     h_rows = np.zeros(len(rows))
-    for term in xlogx(rows).T:
+    for term in _xlogx(rows).T:
         h_rows -= term
-    h_cols = -_sum_left(xlogx(cols))
+    h_cols = -_sum_left(_xlogx(cols))
     return h_rows + h_cols - h_flat
 
 
-def _block_mi(probs: np.ndarray, grids: np.ndarray, h_flat: float, xlogx=_xlogx) -> np.ndarray:
+def _block_mi(probs: np.ndarray, grids: np.ndarray, h_flat: float) -> np.ndarray:
     """Mutual information of each value grid, its marginals summed in cell
     order. This is the one mutual-information kernel of the search. Values
     are 1-based, so they index ``[0, probs...]`` directly."""
-    return _marginals_mi(*_marginals(np.concatenate(([0.0], probs))[grids]), h_flat, xlogx)
+    return _marginals_mi(*_marginals(np.concatenate(([0.0], probs))[grids]), h_flat)
 
 
 def _min_before(scores: np.ndarray, floor: float) -> np.ndarray:
@@ -485,12 +505,11 @@ def _rough_blocks(p: np.ndarray, dims: BipartiteDims, h_flat: float):
     exact one by far less than 1e-12.
     """
     p_ext = np.concatenate(([0.0], p))
-    ones = np.ones(dims.d_a + dims.d_b)
     store = prefixes = None
     for block in regular_grid_blocks(dims, LEAF_BLOCK, exploit_symmetry=dims.d_a == dims.d_b):
         if block.store is not store:  # the first block: one store for all
             store, k = block.store, LEAF_BLOCK  # summed k grids at a time, as in _cell_mi
-            suffix_sums = np.empty((len(store), len(ones)))
+            suffix_sums = np.empty((len(store), dims.d_a + dims.d_b))
             for i in range(0, len(store), k):
                 suffix_sums[i : i + k] = np.hstack(_marginals(p_ext[store[i : i + k]]))
         if block.prefixes is not prefixes:  # the first block of a walk piece
@@ -499,7 +518,7 @@ def _rough_blocks(p: np.ndarray, dims: BipartiteDims, h_flat: float):
         # take along axis 0 copies whole rows, faster than fancy indexing.
         sums = prefix_sums.take(block.prefix, axis=0)
         sums += suffix_sums.take(block.suffix, axis=0)
-        yield block, -(_xlogx_rough(sums) @ ones) - h_flat
+        yield block, _rough_mi(sums, h_flat)
 
 
 def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
@@ -519,7 +538,7 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     above the rough minimum so far holds none and is passed over after that
     one reduction. Only the near leaves are built as grids and scored
     exactly, with the marginals summed in cell order. Memory stays bounded
-    (about 41 MB of process RSS at 2x15).
+    (about 40 MB of process RSS at 2x15).
     """
     best_mi = best_rough = math.inf
     best_grid = None
@@ -567,13 +586,11 @@ def _merge_best(parts, keep: int) -> list[Candidate]:
     return _distinct_best(merged, keep)
 
 
-def _cell_mi(
-    probs: np.ndarray, cell: np.ndarray, d_a: int, d_b: int, h_flat: float, xlogx=_xlogx
-) -> np.ndarray:
+def _cell_mi(probs: np.ndarray, cell: np.ndarray, d_a: int, d_b: int, h_flat: float) -> np.ndarray:
     """``_block_mi`` of the draws (columns) of ``cell``, scored LEAF_BLOCK
     draws at a time, so that no more grids than that exist at once."""
     return np.concatenate([
-        _block_mi(probs, _cell_grids(cell[:, k : k + LEAF_BLOCK], d_a, d_b), h_flat, xlogx)
+        _block_mi(probs, _cell_grids(cell[:, k : k + LEAF_BLOCK], d_a, d_b), h_flat)
         for k in range(0, cell.shape[1], LEAF_BLOCK)
     ])
 
@@ -592,7 +609,15 @@ def _breadth_block(
     # best keep grids; only those get an exact score. Draws are told apart
     # by their cell sequences, so grids exist only for one scoring piece at
     # a time and for the draws returned.
-    rough = _cell_mi(probs, cell, d_a, d_b, h_flat, _xlogx_rough)
+    # No array of a piece is kept past its score: keeping its packed sums
+    # to the next piece made 8x8 tasks 2-4% slower in one process and 6-12%
+    # slower on two workers, as measured.
+    p_ext = np.concatenate(([0.0], probs))
+    pieces = (cell[:, k : k + LEAF_BLOCK] for k in range(0, cell.shape[1], LEAF_BLOCK))
+    rough = np.concatenate([
+        _rough_mi(np.hstack(_marginals(p_ext[_cell_grids(piece, d_a, d_b)])), h_flat)
+        for piece in pieces
+    ])
     ranked = ((float(rough[k]), k, cell[:, k]) for k in np.argsort(rough).tolist())
     firsts = _distinct_best(ranked, keep)
     cut = firsts[-1][0] if len(firsts) == keep else math.inf

@@ -49,8 +49,8 @@ class YoungTableau:
 
 
 # regular_grid_blocks walks the last t values of every shape in one walk and
-# keeps them, for the largest t with min(d_a, d_b)**t at or below this; the
-# kept suffixes of all shapes number at most this many grids.
+# keeps them, for the largest t with min(d_a, d_b)**t at or below this and
+# t <= n // 2; the kept suffixes of all shapes number at most this many grids.
 SUFFIX_CAP = 2**16
 
 
@@ -129,12 +129,17 @@ def regular_grid_blocks(
     prefixes, and the last ``t = n + 1 - mid`` are kept as suffixes; each
     leaf is a prefix plus one suffix of its shape, and no leaf grid is built
     here. A value goes into one of at most m = min(d_a, d_b) rows, and t is
-    the largest count with m**t <= SUFFIX_CAP, so all values when m == 1.
-    The suffixes kept for all shapes together are the ways to place the last
-    t values, which turned by 180 degrees are the ways to place the first t;
-    so the store holds at most SUFFIX_CAP grids of n cells. It is built
-    before the first block: a walk over row lengths alone finds every shape
-    a prefix can leave, and one walk from all of them builds the suffixes.
+    the largest count with m**t <= SUFFIX_CAP and t <= n // 2. The suffixes
+    kept for all shapes together are the ways to place the last t values,
+    which turned by 180 degrees are the ways to place the first t; so the
+    store holds at most SUFFIX_CAP grids of n cells, and no more than there
+    are prefixes: at (3,5) 120 suffixes for 274 prefixes, at (2,12) 924 for
+    924. A single row or column (m == 1) has one filling, kept whole as its
+    one suffix, t = every value not pinned: split, it would be walked value
+    by value in the shape walk and the prefix walk as well. The store is
+    built before the first block: a walk over row lengths alone finds every
+    shape a prefix can leave, and one walk from all of them builds the
+    suffixes.
     Each prefix finds its shape's run of suffixes by a shape code. Leaves
     come prefix-major, each prefix's suffixes in depth-first order: the
     depth-first order of the whole tree.
@@ -161,7 +166,7 @@ def regular_grid_blocks(
         lengths[0, 1] = 2
         v = 3
     m, t = min(d_a, d_b), 0
-    while t <= n - v and m ** (t + 1) <= SUFFIX_CAP:
+    while t <= n - v and m ** (t + 1) <= SUFFIX_CAP and (m == 1 or t < n // 2):
         t += 1
     mid = n + 1 - t
     # Every shape a prefix can leave, from a walk over row lengths alone.

@@ -73,6 +73,9 @@ def state_files() -> dict[str, dict]:
         "s34": spectrum(3, 4, _dirichlet(9, 12)),
         "s45": spectrum(4, 5, _dirichlet(10, 20)),
         "s55": spectrum(5, 5, _dirichlet(11, 25)),
+        "s210": spectrum(2, 10, _dirichlet(12, 20)),
+        "s212": spectrum(2, 12, _dirichlet(13, 24)),
+        "zeros35": spectrum(3, 5, np.concatenate((_dirichlet(14, 9), np.zeros(6)))),
         "fig2a88": spectrum(8, 8, _dirichlet(1000, 64)),
         "fig2b88": spectrum(8, 8, _product(1001, 8, 8)),
         "nan22": spectrum(2, 2, [0.5, float("nan"), 0.3, 0.2]),
@@ -99,6 +102,10 @@ CALLS: dict[str, list[str]] = {
     "opt-s36": ["optimize", _f("s36")],
     # Exhaustive in several walk pieces at the default threshold.
     "opt-s37": ["optimize", _f("s37")],
+    # Two-row grids whose prefix walk and suffix store are both large.
+    "opt-s210": ["optimize", _f("s210")],
+    "opt-s212": ["optimize", _f("s212")],
+    "opt-zeros35": ["optimize", _f("zeros35")],
     "opt-s16": ["optimize", _f("s16")],
     "opt-s61": ["optimize", _f("s61")],
     "opt-tied24": ["optimize", _f("tied24")],

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import partial
@@ -57,10 +58,12 @@ from qaeopt.search import (
     _breadth,
     _breadth_block,
     _cell_grids,
+    _cell_mi,
     _depth,
     _draw_uniforms,
     _exhaustive,
     _flat_entropy,
+    _marginals,
     _rough_blocks,
     _sample_block,
     breadth_tasks,
@@ -68,6 +71,7 @@ from qaeopt.search import (
     usable_cpus,
     worker_count,
 )
+from qaeopt.qstate import ENTRY_TOL
 from qaeopt.tableau import _random_regular_grid, candidate_swaps, regular_grid_blocks
 
 SAMPLER_DIMS = [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]
@@ -318,6 +322,29 @@ def test_exhaustive_matches_scalar(d_a, d_b, kind, block, cap, monkeypatch):
         assert res["trajectory"] == (res["best_mi"],) and res["best_cells"] == first
 
 
+@pytest.mark.parametrize("d_a,d_b", EXHAUSTIVE_DIMS + [(3, 5), (2, 10)])
+@pytest.mark.parametrize("kind", ["dirichlet", "uniform", "trailing-zeros"])
+def test_exhaustive_is_the_same_for_every_suffix_length(d_a, d_b, kind, monkeypatch):
+    # A smaller SUFFIX_CAP keeps fewer values as suffixes, down to none with
+    # a cap of 0, so each leaf's rough marginals are joined from another
+    # prefix and suffix. Only the rough filter sees that: the outcome must
+    # not move by a bit for any suffix length below the default one.
+    dims = BipartiteDims(d_a, d_b)
+    probs = spectrum(kind, dims.total, 7 * d_a + d_b)
+
+    def suffix_length():
+        return np.count_nonzero(next(regular_grid_blocks(dims, LEAF_BLOCK, d_a == d_b)).store[0])
+
+    want, default, m = exhaustive(probs, dims), suffix_length(), min(d_a, d_b)
+    caps = [0] + ([m**t for t in range(1, default)] if m > 1 else [])
+    lengths = []
+    for cap in caps:
+        monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
+        lengths.append(suffix_length())
+        assert exhaustive(probs, dims) == want, f"cap {cap}"
+    assert lengths == (list(range(default)) if m > 1 else [0])
+
+
 @pytest.mark.parametrize("d_a,d_b", EXHAUSTIVE_DIMS)
 @pytest.mark.parametrize("kind", ["dirichlet", "uniform", "trailing-zeros"])
 def test_exhaustive_winner_has_no_fixed_point_gap(d_a, d_b, kind):
@@ -409,6 +436,79 @@ def test_exhaustive_rough_scores_only_select_leaves(d_a, d_b, kind, monkeypatch)
     else:  # leaves whose scores differ by about as much as the stray
         probs = tied_probs(rng.integers(1, 4, dims.total) + 1e-12 * rng.random(dims.total))
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
+
+
+TINY = np.finfo(float).tiny
+
+
+def rough_kernel_inputs(kind):
+    if kind == "dirichlet-sums":  # the marginals of 64 (3, 5) grids, 0 and 1 included
+        p_ext = np.concatenate(([0.0], descending_probs(15, 3)))
+        sums = np.hstack(_marginals(p_ext[sample_grids(3, 5, 2, 0, 64)]))
+        return np.concatenate((sums.ravel(), [0.0, 1.0]))
+    return {
+        "zero": np.zeros(4),
+        "one": np.ones(3),
+        "subnormal": np.array([5e-324, 1e-310, TINY / 2, np.nextafter(TINY, 0.0)]),
+        "smallest-normal": np.array([TINY, np.nextafter(TINY, 1.0), 1e-300]),
+        # Sums of probabilities in [-ENTRY_TOL, 0), which the boundary admits.
+        "negative": -np.array([5e-324, 1e-17, ENTRY_TOL, 20 * ENTRY_TOL]),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["dirichlet-sums", "zero", "one", "subnormal", "smallest-normal", "negative"])
+def test_rough_xlogx_contract(kind):
+    # x * log(x) bit for bit from the smallest normal double up, TINY *
+    # log(TINY), about -1.6e-305, below it, and never a warning or a NaN.
+    x = rough_kernel_inputs(kind)
+    before = x.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = qaeopt.search._xlogx_rough(x)
+    assert np.array_equal(x, before)  # the input is left as it was
+    assert got.shape == x.shape and got.dtype == np.float64 and not np.isnan(got).any()
+    normal = x >= TINY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = x[normal] * np.log(x[normal])
+    assert np.array_equal(got[normal].view(np.uint64), want.view(np.uint64))
+    floor = TINY * np.log(TINY)
+    assert -2e-305 < floor < 0 and (got[~normal] == floor).all()
+    assert np.abs(got - qaeopt.search._xlogx(x)).max() <= 1e-15
+
+
+def negative_tail(n, seed, k):
+    """Descending probabilities whose last k are -ENTRY_TOL, the lowest the
+    boundary admits, with the first raised to keep the sum at 1."""
+    probs = np.concatenate((descending_probs(n - k, seed), np.full(k, -ENTRY_TOL)))
+    probs[0] += k * ENTRY_TOL
+    return probs
+
+
+@pytest.mark.parametrize("d_a,d_b,k", [(1, 8, 5), (3, 4, 6), (3, 5, 7), (4, 4, 8), (2, 10, 10)])
+def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k, monkeypatch):
+    # A row or column of tail values sums below 0, where the exact x log x
+    # is 0. Rough scores must stay within 1e-12 of the exact ones there too:
+    # x * log(TINY) for x = -k * ENTRY_TOL would be off by about
+    # 708 k ENTRY_TOL, beyond SCORE_SLACK. Both phases keep their results.
+    dims = BipartiteDims(d_a, d_b)
+    probs = negative_tail(dims.total, dims.total, k)
+    h_flat = _flat_entropy(probs)
+    p_ext = np.concatenate(([0.0], probs))
+    lowest = 0.0
+    for leaf_block, rough in _rough_blocks(probs, dims, h_flat):
+        grids = leaf_block.grids()
+        assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= 1e-12
+        lowest = min(lowest, np.hstack(_marginals(p_ext[grids])).min())
+    assert lowest < 0.0  # some marginals do sum below 0
+    assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
+
+    rough_mi, scored = qaeopt.search._rough_mi, []
+    monkeypatch.setattr(qaeopt.search, "_rough_mi", lambda sums, h: scored.append(rough_mi(sums, h)) or scored[-1])
+    _breadth_block(probs, h_flat, d_a, d_b, 5, (0, 300), 4)
+    exact = _cell_mi(probs, _sample_block(d_a, d_b, 5, 0, 300), d_a, d_b, h_flat)
+    assert np.abs(np.concatenate(scored) - exact).max() <= 1e-12
+    config = SearchConfig(n1=300, n2=4, seed=5)
+    assert breadth(probs, dims, config) == scalar_breadth(probs, dims, 5, 300, 4)
 
 
 # The default blocks, and small caps and blocks that split the walk into many
@@ -559,6 +659,20 @@ def depth_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_depth_matches_scalar_on_ties_and_zeros(case):
     assert_depth_matches(*case)
+
+
+@pytest.mark.parametrize("d_a,d_b", [(3, 4), (4, 4)])
+def test_depth_with_negative_operands_matches_scalar(d_a, d_b, monkeypatch):
+    # Probabilities in [-ENTRY_TOL, 0) make some swap operands, a marginal
+    # plus a step, negative; exact scores take 0 for them and rough ones
+    # stay within SCORE_SLACK, so the descent is the scalar one.
+    dims = BipartiteDims(d_a, d_b)
+    probs = negative_tail(dims.total, 4, dims.total // 2)
+    rough, lowest = qaeopt.search._xlogx_rough, []
+    monkeypatch.setattr(qaeopt.search, "_xlogx_rough", lambda x: lowest.append(x.min()) or rough(x))
+    seeds = [random_regular(dims, np.random.SeedSequence((9, k))) for k in range(4)]
+    assert_depth_matches(probs, dims, seeds, 30)
+    assert min(lowest) < 0.0
 
 
 def test_depth_matches_scalar_full_size():

@@ -165,14 +165,57 @@ class TestEnumerate:
                 assert not np.array_equal(after.prefixes[after.prefix[0]], b.prefixes[b.prefix[-1]])
         assert [tuple(map(tuple, grid)) for b in blocks for grid in leaf_grids(b).tolist()] == want
 
-    @pytest.mark.parametrize("d_a,d_b,count", [(4, 4, 6), (3, 5, 3), (3, 6, 43)])
-    def test_benchmark_shapes_walk_in_one_piece(self, d_a, d_b, count):
-        # At the default cap and LEAF_BLOCK every block but the last is full.
+    @pytest.mark.parametrize(
+        "d_a,d_b,count,stored,prefixes",
+        [
+            pytest.param(*case, id="-".join(map(str, case[:3])))
+            for case in [(4, 4, 6, 412, 206), (3, 5, 3, 120, 274), (3, 6, 43, 771, 771), (2, 12, 102, 924, 924)]
+        ],
+    )
+    def test_benchmark_shapes_walk_in_one_piece(self, d_a, d_b, count, stored, prefixes):
+        # At the default cap and LEAF_BLOCK every block but the last is full,
+        # and the split keeps the store no larger than the prefix array. The
+        # benchmark runs the first three. At (2,12) the store held 12,310
+        # suffixes for 70 prefixes before it was capped at half the values.
         dims = BipartiteDims(d_a, d_b)
         block = qaeopt.search.LEAF_BLOCK
-        sizes = [len(b.prefix) for b in regular_grid_blocks(dims, block, d_a == d_b)]
+        blocks = list(regular_grid_blocks(dims, block, d_a == d_b))
+        sizes = [len(b.prefix) for b in blocks]
         assert len(sizes) == count
         assert all(k == block for k in sizes[:-1]) and 1 <= sizes[-1] <= block
+        assert all(b.prefixes is blocks[0].prefixes for b in blocks)
+        assert (len(blocks[0].store), len(blocks[0].prefixes)) == (stored, prefixes)
+
+    def test_2x15_walks_in_four_pieces(self):
+        # The largest grid the default threshold routes to exhaustive traversal.
+        pieces, count, leaves = [], 0, 0
+        for b in regular_grid_blocks(BipartiteDims(2, 15), qaeopt.search.LEAF_BLOCK):
+            if not pieces or b.prefixes is not pieces[-1]:
+                pieces.append(b.prefixes)
+            count, leaves = count + 1, leaves + len(b.prefix)
+        assert (len(pieces), count, leaves) == (4, 4737, count_regular(BipartiteDims(2, 15)))
+        assert len(b.store) == sum(map(len, pieces)) == 6435
+
+    @pytest.mark.parametrize(
+        "d_a,d_b",
+        [(1, 1), (1, 2), (1, 7), (1, 300), (6, 1), (2, 2), (2, 3), (3, 3), (2, 8), (2, 15), (2, 20),
+         (3, 5), (3, 7), (4, 4), (4, 5), (5, 5), (8, 8), (3, 20)],
+    )
+    @pytest.mark.parametrize("exploit_symmetry", [False, True])
+    def test_suffix_length_is_balanced(self, d_a, d_b, exploit_symmetry):
+        # t, the values kept as suffixes, is the largest count with
+        # m**t <= SUFFIX_CAP and t <= n // 2 for m = min(d_a, d_b) > 1; a
+        # single row or column keeps every value after the pinned ones.
+        dims = BipartiteDims(d_a, d_b)
+        n, m, cap = dims.total, min(d_a, d_b), qaeopt.tableau.SUFFIX_CAP
+        store = next(regular_grid_blocks(dims, 2048, exploit_symmetry)).store
+        t = np.count_nonzero(store[0])
+        pinned = 2 if exploit_symmetry and d_a == d_b and n > 1 else 0
+        if m == 1:
+            assert t == n - pinned
+        else:
+            assert t <= n // 2 and m**t <= cap
+            assert t == n // 2 or m ** (t + 1) > cap
 
     @pytest.mark.parametrize("d_a,d_b", [(1, 5), (5, 1), (2, 6), (3, 4), (4, 4), (5, 3)])
     @pytest.mark.parametrize("block,cap", [(1, 4), (3, 4), (7, 64), (2048, None)])
