@@ -1,32 +1,39 @@
 """Golden-output corpus: a fixed list of CLI calls and what they print.
 
 ``python tests/golden.py`` (with ``src`` on ``PYTHONPATH``) runs every call in
-CALLS through ``qaeopt.cli.main`` and writes tests/golden_cli.json: the state
+CALLS through ``qaeopt.cli.main`` on freshly written state files and compares
+what it prints with tests/golden_cli.json: it prints the id of every call
+whose output moved (or that is new, or gone) and exits 1 if there is any, 0
+if none. ``python tests/golden.py --write`` writes the file instead: the state
 files the calls read, as their exact text, and per call its argv, exit code
 and output lines without ``timings``. ``tests/test_golden.py`` writes the same
-files again and replays the stored calls against the stored outputs.
+state files again and replays the stored calls against the stored outputs.
 
 Comparison policy, fixed before the first run: every field must match
-exactly, except the figures that come from LAPACK or BLAS (the
-``compression`` block of ``optimize`` on a dense file and the figures of
-``verify``, named in LINALG_FIELDS), which must agree within LINALG_TOL
-absolute, because their last bits can move with the BLAS thread count. The
-search fields depend only on the C library's ``log``; on a dense file the
-search also reads the ``eigh`` eigenvalues of a 4x4 or 6x6 matrix, which the
-file header's platform record helps explain if they ever move.
+exactly, floats bit for bit (by ``float.hex``, so -0.0 is not 0.0), except
+the figures that come from LAPACK or BLAS (the ``compression`` block of
+``optimize`` on a dense file and the figures of ``verify``, named in
+LINALG_FIELDS), which must agree within LINALG_TOL absolute, because their
+last bits can move with the BLAS thread count. The search fields depend only
+on the C library's ``log``; on a dense file the search also reads the
+``eigh`` eigenvalues of a 4x4 or 6x6 matrix, which the file header's
+platform record helps explain if they ever move.
 
-A change that moves an answer on purpose regenerates the file and lists the
-calls whose output moved.
+A change that moves an answer on purpose runs the check first, to list the
+calls whose output moved, then writes the file with ``--write``.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import math
 import platform
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +85,9 @@ def state_files() -> dict[str, dict]:
         "zeros35": spectrum(3, 5, np.concatenate((_dirichlet(14, 9), np.zeros(6)))),
         "fig2a88": spectrum(8, 8, _dirichlet(1000, 64)),
         "fig2b88": spectrum(8, 8, _product(1001, 8, 8)),
+        "pure22": spectrum(2, 2, [1.0, 0.0, 0.0, 0.0]),
+        "pure14": spectrum(1, 4, [1.0, 0.0, 0.0, 0.0]),
+        "pure33": spectrum(3, 3, [1.0] + [0.0] * 8),
         "nan22": spectrum(2, 2, [0.5, float("nan"), 0.3, 0.2]),
         "dprod22": dense(2, 2, np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))),
         "dense22": dense(2, 2, generate_instance("random-dense", BipartiteDims(2, 2), 4).matrix),
@@ -122,6 +132,10 @@ CALLS: dict[str, list[str]] = {
     # The paper protocol at 8 x 8.
     "paper-fig2a88": ["optimize", _f("fig2a88")],
     "paper-fig2b88": ["optimize", _f("fig2b88"), "--bits"],
+    # A pure spectrum [1, 0, ...]: every arrangement has MI 0.
+    "opt-pure22": ["optimize", _f("pure22")],
+    "opt-pure14": ["optimize", _f("pure14")],
+    "heur-pure33": ["optimize", _f("pure33"), "--threshold", "1", *SMALL],
     # Dense files: optimize, and verify with random and identity plans.
     "opt-dprod22": ["optimize", _f("dprod22")],
     "opt-dense22": ["optimize", _f("dense22")],
@@ -168,7 +182,30 @@ def run_call(argv: list[str], directory: str) -> tuple[int, list[dict]]:
     return code, [{k: v for k, v in line.items() if k != "timings"} for line in lines]
 
 
-def main() -> None:
+def differences(got, want, where: str = "", key: str | None = None) -> Iterator[str]:
+    """The paths at which JSON values differ: floats bit for bit, except
+    LINALG_FIELDS, which may differ by LINALG_TOL."""
+    if key in LINALG_FIELDS and isinstance(want, float):
+        if not (isinstance(got, float) and math.isclose(got, want, rel_tol=0, abs_tol=LINALG_TOL)):
+            yield f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        if not (isinstance(got, dict) and got.keys() == want.keys()):
+            yield f"{where}: keys differ"
+            return
+        for k in want:
+            yield from differences(got[k], want[k], f"{where}.{k}", k)
+    elif isinstance(want, list):
+        if not (isinstance(got, list) and len(got) == len(want)):
+            yield f"{where}: lengths differ"
+            return
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from differences(g, w, f"{where}[{i}]")
+    elif type(got) is not type(want) or (got.hex() != want.hex() if isinstance(want, float) else got != want):
+        yield f"{where}: {got!r} != {want!r}"
+
+
+def build() -> dict:
+    """The corpus as the current code prints it."""
     from qaeopt import save_statefile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -181,7 +218,7 @@ def main() -> None:
         for name, argv in CALLS.items():
             code, lines = run_call(argv, tmp)
             calls.append({"id": name, "argv": argv, "exit": code, "lines": lines})
-    corpus = {
+    return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
@@ -189,9 +226,28 @@ def main() -> None:
         "files": files,
         "calls": calls,
     }
-    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(calls)} calls and {len(files)} state files to {CORPUS}", file=sys.stderr)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Check the golden-output corpus, or write it with --write.")
+    parser.add_argument("--write", action="store_true", help=f"overwrite {CORPUS.name} with the current outputs")
+    corpus = build()
+    if parser.parse_args(argv).write:
+        CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(corpus['calls'])} calls and {len(corpus['files'])} state files to {CORPUS}", file=sys.stderr)
+        return 0
+    stored = json.loads(CORPUS.read_text())
+    old = {call["id"]: call for call in stored["calls"]}
+    new = {call["id"]: call for call in corpus["calls"]}
+    moved = [i for i in new if i not in old or next(differences(new[i], old[i]), None)]
+    moved += [i for i in old if i not in new]
+    files = sorted(corpus["files"].keys() | stored["files"].keys())
+    moved += [f"file:{n}" for n in files if corpus["files"].get(n) != stored["files"].get(n)]
+    for name in moved:
+        print(name)
+    print(f"{len(moved)} calls or state files moved", file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from golden import CORPUS, LINALG_FIELDS, LINALG_TOL, run_call
+import golden
+from golden import CORPUS, differences, run_call
 
 corpus = json.loads(CORPUS.read_text())
 
@@ -20,20 +21,11 @@ def state_dir(tmp_path_factory):
     return str(directory)
 
 
-def assert_same(got, want, where="", key=None):
-    """Equal JSON values, with LINALG_FIELDS within LINALG_TOL."""
-    if key in LINALG_FIELDS and isinstance(want, float):
-        assert isinstance(got, float) and math.isclose(got, want, rel_tol=0, abs_tol=LINALG_TOL), where
-    elif isinstance(want, dict):
-        assert isinstance(got, dict) and got.keys() == want.keys(), where
-        for k in want:
-            assert_same(got[k], want[k], f"{where}.{k}", k)
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_same(g, w, f"{where}[{i}]")
-    else:
-        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+def assert_same(got, want, where=""):
+    """Equal JSON values, floats bit for bit, with LINALG_FIELDS within
+    LINALG_TOL (``golden.differences``)."""
+    moved = list(differences(got, want, where))
+    assert not moved, moved[:10]
 
 
 @pytest.mark.parametrize("call", corpus["calls"], ids=[call["id"] for call in corpus["calls"]])
@@ -50,3 +42,27 @@ def test_corpus_covers_every_command_and_a_rejection():
     # A multi-piece exhaustive traversal, checked end to end.
     [s37] = [call for call in corpus["calls"] if call["id"] == "opt-s37"]
     assert s37["lines"][0]["result"]["method"] == "exhaustive"
+
+
+def test_floats_compare_bit_for_bit():
+    assert list(differences(-0.0, 0.0)) and list(differences([0.0], [-0.0]))
+    assert list(differences({"best_mi": 5e-324}, {"best_mi": 0.0}))
+    assert not list(differences({"best_mi": 0.25, "n": 1}, {"best_mi": 0.25, "n": 1}))
+    assert list(differences(1, 1.0))  # an int is not a float
+    # LAPACK/BLAS figures keep their tolerance, and only those.
+    assert not list(differences({"residual": 1e-13}, {"residual": -0.0}))
+    assert list(differences({"residual": 1e-11}, {"residual": 0.0}))
+
+
+def test_check_lists_moved_calls_and_writes_only_when_asked(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(golden, "CALLS", {"count-22": ["count", "2", "2"], "opt-s22": ["optimize", golden._f("s22")]})
+    monkeypatch.setattr(golden, "CORPUS", tmp_path / "corpus.json")
+    assert golden.main(["--write"]) == 0
+    assert golden.main([]) == 0 and capsys.readouterr().out == ""
+    stored = json.loads(golden.CORPUS.read_text())
+    result = stored["calls"][1]["lines"][0]["result"]
+    result["best_mi"] = math.nextafter(result["best_mi"], 1.0)  # one ulp
+    text = json.dumps(stored)
+    golden.CORPUS.write_text(text)
+    assert golden.main([]) == 1 and capsys.readouterr().out == "opt-s22\n"
+    assert golden.CORPUS.read_text() == text  # the check writes nothing
