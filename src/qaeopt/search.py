@@ -6,11 +6,11 @@ samples many random regular tableaux and keeps the best few (breadth phase),
 then repeatedly moves each survivor to its best value-swap neighbour while
 tracking the best tableau ever seen (depth phase).
 
-All three are array code with one mutual-information kernel: ``_marginals``
-turns grids into row and column sums, ``_marginals_mi`` turns those into
-mutual information, and ``_block_mi`` is the two together. Breadth and
-exhaustive traversal first filter with one rough score, ``_rough_mi``, of
-the same sums packed in one row per grid, through numpy's log. The exhaustive
+All three are array code with one marginal format and one exact kernel:
+``_marginals`` packs each grid's row sums, then its column sums, in one row,
+and ``_exact_mi`` turns such rows into mutual information (``_block_mi`` of
+grids). Breadth and exhaustive traversal first filter with one rough score,
+``_rough_mi``, of the same packed sums, through numpy's log. The exhaustive
 search takes its leaves from ``tableau.regular_grid_blocks`` in blocks of at
 most LEAF_BLOCK, each cut from one piece of the prefix walk, each leaf a
 prefix and a suffix from one store built before the first block, and scores
@@ -21,8 +21,8 @@ default threshold routes to it (9,694,845 leaves). The breadth phase cuts
 the draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded
 one at a time): a task streams its draws' uniforms one value at a time,
 places each value in all its draws at once, in small-integer arrays of
-cells, scores the draws LEAF_BLOCK at a time, and returns only its best few
-grids, which are merged as they arrive. ``run_tasks`` runs the same tasks in
+cells, scores them LEAF_BLOCK at a time (``_by_piece``) and returns its best
+few draws, merged as they arrive. ``run_tasks`` runs the same tasks in
 this process for one job, and on a process pool holding at most two tasks
 per worker for more, so memory is bounded for any n1 either way; a run
 closed early still finishes those. There is one pool per process: it starts
@@ -310,9 +310,18 @@ def _flat_entropy(p: np.ndarray) -> float:
     return float(-_sum_left(_xlogx(p)))
 
 
-def _marginals(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of grids q[..., d_a, d_b], each summed in cell order."""
-    return _sum_left(q), _sum_left(np.swapaxes(q, -1, -2))
+def _marginals(q: np.ndarray) -> np.ndarray:
+    """Packed marginals of grids q[..., d_a, d_b], shape (..., d_a + d_b):
+    the row sums, then the column sums, each summed in cell order."""
+    return np.concatenate((_sum_left(q), _sum_left(np.swapaxes(q, -1, -2))), axis=-1)
+
+
+def _exact_mi(sums: np.ndarray, d_a: int, h_flat: float) -> np.ndarray:
+    """Mutual information of packed marginals sums[..., d_a + d_b] by the C
+    library's log. 0.0 minus each left-to-right entropy sum is bit for bit
+    the scalar loops' running subtraction, and never -0.0."""
+    x = _xlogx(sums)
+    return 0.0 - _sum_left(x[..., :d_a]) - _sum_left(x[..., d_a:]) - h_flat
 
 
 # numpy's SeedSequence entropy-pool hash (pool of four uint32 words) and
@@ -459,22 +468,19 @@ def _cell_grids(cell: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return grids.reshape(size, d_a, d_b)
 
 
-def _marginals_mi(rows: np.ndarray, cols: np.ndarray, h_flat: float) -> np.ndarray:
-    """Mutual information from row sums rows[k, d_a] and column sums
-    cols[k, d_b], in the scalar order: h_rows by subtracting row terms one
-    by one, h_cols as a negated sum."""
-    h_rows = np.zeros(len(rows))
-    for term in _xlogx(rows).T:
-        h_rows -= term
-    h_cols = -_sum_left(_xlogx(cols))
-    return h_rows + h_cols - h_flat
-
-
 def _block_mi(probs: np.ndarray, grids: np.ndarray, h_flat: float) -> np.ndarray:
-    """Mutual information of each value grid, its marginals summed in cell
-    order. This is the one mutual-information kernel of the search. Values
-    are 1-based, so they index ``[0, probs...]`` directly."""
-    return _marginals_mi(*_marginals(np.concatenate(([0.0], probs))[grids]), h_flat)
+    """``_exact_mi`` of each value grid. Values are 1-based, so they index
+    ``[0, probs...]`` directly."""
+    return _exact_mi(_marginals(np.concatenate(([0.0], probs))[grids]), grids.shape[-2], h_flat)
+
+
+def _by_piece(score: Callable, p_ext: np.ndarray, cell: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """``score`` of the packed marginals over ``p_ext = [0, p...]`` of the
+    draws (columns) of ``cell``, whose grids are built LEAF_BLOCK at a time."""
+    return np.concatenate([
+        score(_marginals(p_ext[_cell_grids(cell[:, k : k + LEAF_BLOCK], d_a, d_b)]))
+        for k in range(0, cell.shape[1], LEAF_BLOCK)
+    ])
 
 
 def _min_before(scores: np.ndarray, floor: float) -> np.ndarray:
@@ -508,13 +514,13 @@ def _rough_blocks(p: np.ndarray, dims: BipartiteDims, h_flat: float):
     store = prefixes = None
     for block in regular_grid_blocks(dims, LEAF_BLOCK, exploit_symmetry=dims.d_a == dims.d_b):
         if block.store is not store:  # the first block: one store for all
-            store, k = block.store, LEAF_BLOCK  # summed k grids at a time, as in _cell_mi
+            store, k = block.store, LEAF_BLOCK  # summed k grids at a time, as in _by_piece
             suffix_sums = np.empty((len(store), dims.d_a + dims.d_b))
             for i in range(0, len(store), k):
-                suffix_sums[i : i + k] = np.hstack(_marginals(p_ext[store[i : i + k]]))
+                suffix_sums[i : i + k] = _marginals(p_ext[store[i : i + k]])
         if block.prefixes is not prefixes:  # the first block of a walk piece
             prefixes = block.prefixes
-            prefix_sums = np.hstack(_marginals(p_ext[prefixes]))
+            prefix_sums = _marginals(p_ext[prefixes])
         # take along axis 0 copies whole rows, faster than fancy indexing.
         sums = prefix_sums.take(block.prefix, axis=0)
         sums += suffix_sums.take(block.suffix, axis=0)
@@ -562,19 +568,20 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     return best_grid, best_mi, evaluations, trajectory, None
 
 
-Candidate = tuple[float, int, np.ndarray]  # (mi, draw index, value grid)
+# (mi, draw index, draw): a draw is its cell sequence until _breadth returns grids.
+Candidate = tuple[float, int, np.ndarray]
 
 
 def _distinct_best(ranked, keep: int) -> list[Candidate]:
-    """The first ``keep`` candidates of ``ranked`` with distinct grids."""
+    """The first ``keep`` candidates of ``ranked`` with distinct draws."""
     out: list[Candidate] = []
     seen: set[bytes] = set()
-    for mi, idx, grid in ranked:
-        key = grid.tobytes()
+    for mi, idx, draw in ranked:
+        key = draw.tobytes()
         if key in seen:
             continue
         seen.add(key)
-        out.append((mi, idx, grid))
+        out.append((mi, idx, draw))
         if len(out) == keep:
             break
     return out
@@ -586,20 +593,11 @@ def _merge_best(parts, keep: int) -> list[Candidate]:
     return _distinct_best(merged, keep)
 
 
-def _cell_mi(probs: np.ndarray, cell: np.ndarray, d_a: int, d_b: int, h_flat: float) -> np.ndarray:
-    """``_block_mi`` of the draws (columns) of ``cell``, scored LEAF_BLOCK
-    draws at a time, so that no more grids than that exist at once."""
-    return np.concatenate([
-        _block_mi(probs, _cell_grids(cell[:, k : k + LEAF_BLOCK], d_a, d_b), h_flat)
-        for k in range(0, cell.shape[1], LEAF_BLOCK)
-    ])
-
-
 def _breadth_block(
     probs: np.ndarray, h_flat: float, d_a: int, d_b: int, seed: int, task: tuple[int, int], keep: int
 ) -> list[Candidate]:
     """Evaluate draws lo..hi-1 of ``task``, at most BREADTH_BLOCK of them,
-    and reduce them to their best ``keep`` distinct grids, by (mi, draw index)."""
+    and reduce them to their best ``keep`` distinct draws, by (mi, draw index)."""
     lo, hi = task
     cell = _sample_block(d_a, d_b, seed, lo, hi)
     # As in the other phases, numpy's log scores every draw first. Rough and
@@ -607,26 +605,20 @@ def _breadth_block(
     # the rough score of the keep-th distinct grid is within that of the
     # exact one, and only draws within SCORE_SLACK of it can hold the block's
     # best keep grids; only those get an exact score. Draws are told apart
-    # by their cell sequences, so grids exist only for one scoring piece at
-    # a time and for the draws returned.
+    # by their cell sequences, so a task builds grids only inside _by_piece,
+    # one scoring piece at a time, and _breadth builds them for its winners.
     # No array of a piece is kept past its score: keeping its packed sums
     # to the next piece made 8x8 tasks 2-4% slower in one process and 6-12%
     # slower on two workers, as measured.
     p_ext = np.concatenate(([0.0], probs))
-    pieces = (cell[:, k : k + LEAF_BLOCK] for k in range(0, cell.shape[1], LEAF_BLOCK))
-    rough = np.concatenate([
-        _rough_mi(np.hstack(_marginals(p_ext[_cell_grids(piece, d_a, d_b)])), h_flat)
-        for piece in pieces
-    ])
+    rough = _by_piece(lambda sums: _rough_mi(sums, h_flat), p_ext, cell, d_a, d_b)
     ranked = ((float(rough[k]), k, cell[:, k]) for k in np.argsort(rough).tolist())
     firsts = _distinct_best(ranked, keep)
     cut = firsts[-1][0] if len(firsts) == keep else math.inf
     near = np.flatnonzero(rough <= cut + SCORE_SLACK)
     near_cell = cell[:, near]
-    mi = _cell_mi(probs, near_cell, d_a, d_b, h_flat)
-    best = _merge_best([zip(mi.tolist(), (lo + near).tolist(), near_cell.T)], keep)
-    grids = _cell_grids(np.stack([seq for _mi, _idx, seq in best], axis=1), d_a, d_b)
-    return [(x, idx, grid) for (x, idx, _seq), grid in zip(best, grids)]
+    mi = _by_piece(lambda sums: _exact_mi(sums, d_a, h_flat), p_ext, near_cell, d_a, d_b)
+    return _merge_best([zip(mi.tolist(), (lo + near).tolist(), near_cell.T)], keep)
 
 
 def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig, h_flat: float) -> list[Candidate]:
@@ -644,7 +636,8 @@ def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig, h_flat: f
     best: list[Candidate] = []
     for part in run_tasks(score, jobs, breadth_tasks(config.n1, jobs)):
         best = _merge_best([best, part], config.n2)
-    return best
+    grids = _cell_grids(np.stack([seq for _mi, _idx, seq in best], axis=1), dims.d_a, dims.d_b)
+    return [(mi, idx, grid) for (mi, idx, _seq), grid in zip(best, grids)]
 
 
 def _depth(
@@ -706,8 +699,9 @@ def _depth(
     for t in range(config.n_d):
         if not active.size:
             break
-        # Fresh sums each iteration keep float drift out of the deltas; an
-        # add.accumulate adds strictly left to right, as _sum_left does.
+        # Fresh sums each iteration keep float drift out of the deltas. An
+        # add.accumulate adds left to right as _sum_left does, but on these small
+        # arrays _sum_left made _depth 10% slower (median of 48 paired 8x8 runs).
         q = p_ext[cells]
         marg = np.hstack([np.add.accumulate(q, 2)[..., -1], np.add.accumulate(q, 1)[:, -1]])
         x = _xlogx(marg)

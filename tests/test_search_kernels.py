@@ -58,7 +58,6 @@ from qaeopt.search import (
     _breadth,
     _breadth_block,
     _cell_grids,
-    _cell_mi,
     _depth,
     _draw_uniforms,
     _exhaustive,
@@ -444,7 +443,7 @@ TINY = np.finfo(float).tiny
 def rough_kernel_inputs(kind):
     if kind == "dirichlet-sums":  # the marginals of 64 (3, 5) grids, 0 and 1 included
         p_ext = np.concatenate(([0.0], descending_probs(15, 3)))
-        sums = np.hstack(_marginals(p_ext[sample_grids(3, 5, 2, 0, 64)]))
+        sums = _marginals(p_ext[sample_grids(3, 5, 2, 0, 64)])
         return np.concatenate((sums.ravel(), [0.0, 1.0]))
     return {
         "zero": np.zeros(4),
@@ -498,14 +497,14 @@ def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k, monkeypatch):
     for leaf_block, rough in _rough_blocks(probs, dims, h_flat):
         grids = leaf_block.grids()
         assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= 1e-12
-        lowest = min(lowest, np.hstack(_marginals(p_ext[grids])).min())
+        lowest = min(lowest, _marginals(p_ext[grids]).min())
     assert lowest < 0.0  # some marginals do sum below 0
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
 
     rough_mi, scored = qaeopt.search._rough_mi, []
     monkeypatch.setattr(qaeopt.search, "_rough_mi", lambda sums, h: scored.append(rough_mi(sums, h)) or scored[-1])
     _breadth_block(probs, h_flat, d_a, d_b, 5, (0, 300), 4)
-    exact = _cell_mi(probs, _sample_block(d_a, d_b, 5, 0, 300), d_a, d_b, h_flat)
+    exact = _block_mi(probs, sample_grids(d_a, d_b, 5, 0, 300), h_flat)
     assert np.abs(np.concatenate(scored) - exact).max() <= 1e-12
     config = SearchConfig(n1=300, n2=4, seed=5)
     assert breadth(probs, dims, config) == scalar_breadth(probs, dims, 5, 300, 4)
