@@ -1,7 +1,8 @@
 """Golden-output corpus: a fixed list of CLI calls and what they print.
 
 ``python tests/golden.py`` (with ``src`` on ``PYTHONPATH``) runs every call in
-CALLS through ``qaeopt.cli.main`` on freshly written state files and compares
+CALLS through ``qaeopt.cli.main`` on freshly written state files (from
+``state_files`` through ``save_statefile``, and TEXT_FILES as given) and compares
 what it prints with tests/golden_cli.json: it prints the id of every call
 whose output moved (or that is new, or gone) and exits 1 if there is any, 0
 if none. ``python tests/golden.py --write`` writes the file instead: the state
@@ -51,6 +52,17 @@ def _dirichlet(seed: int, n: int) -> np.ndarray:
 def _product(seed: int, d_a: int, d_b: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.sort(np.outer(rng.dirichlet(np.ones(d_a)), rng.dirichlet(np.ones(d_b))).ravel())[::-1]
+
+
+# A hand-laid-out 2x2 dense file, written as this text, not by save_statefile:
+# the whole document on one line, ``matrix`` before ``d_a``/``d_b``, integer
+# 0 entries and a duplicate ``label``, whose last value counts.
+TEXT_FILES = {
+    "hand22": '{"label": "first", "matrix": [[[0.4, 0], [0, 0], [0, 0], [0.1, 0.05]], '
+    '[[0, 0], [0.3, 0], [0.05, 0], [0, 0]], [[0, 0], [0.05, 0], [0.2, 0], [0, 0]], '
+    '[[0.1, -0.05], [0, 0], [0, 0], [0.1, 0]]], "d_a": 2, "d_b": 2, '
+    '"label": "hand-laid", "format_version": 1}\n',
+}
 
 
 def state_files() -> dict[str, dict]:
@@ -145,6 +157,8 @@ CALLS: dict[str, list[str]] = {
     "verify-dense23-seed3": ["verify", _f("dense23"), "--seed", "3", "--bits"],
     "verify-dense22-identity": ["verify", _f("dense22"), "--plan", "identity"],
     "verify-bell22-identity": ["verify", _f("bell22"), "--plan", "identity", "--bits"],
+    "opt-hand22": ["optimize", _f("hand22")],
+    "verify-hand22": ["verify", _f("hand22"), "--bits"],
     # Experiments, exhaustive and heuristic, with --jobs 1 and 2.
     "exp-fig2a-33-jobs1": ["experiment", "fig2a", "--states", "4", "--da", "3", "--db", "3", "--jobs", "1"],
     "exp-fig2a-33-jobs2": ["experiment", "fig2a", "--states", "4", "--da", "3", "--db", "3", "--jobs", "2"],
@@ -214,6 +228,9 @@ def build() -> dict:
             path = Path(tmp) / f"{name}.json"
             save_statefile(path, **kwargs)
             files[name] = path.read_text()
+        for name, text in TEXT_FILES.items():
+            (Path(tmp) / f"{name}.json").write_text(text)
+            files[name] = text
         calls = []
         for name, argv in CALLS.items():
             code, lines = run_call(argv, tmp)
