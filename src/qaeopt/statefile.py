@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -69,10 +70,101 @@ def _float_array(raw, name: str, shape: tuple[int, ...]) -> np.ndarray:
         raise StateFileError(f"{name} is not a numeric array: {exc}") from exc
 
 
-def _complex_matrix(raw, n: int) -> np.ndarray:
+# The top-level punctuation of a state file, with the whitespace JSON allows
+# around it.
+_WS = re.compile(r"[ \t\n\r]*")
+_OPEN = re.compile(r"[ \t\n\r]*\{[ \t\n\r]*")
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
+_AFTER_MEMBER = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*")
+_AFTER_ROW = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
+# json's own scanner for one value; it raises JSONDecodeError, a ValueError.
+_scan = json.JSONDecoder().raw_decode
+
+
+def _expect(pattern: re.Pattern, text: str, i: int) -> re.Match:
+    m = pattern.match(text, i)
+    if m is None:
+        raise ValueError("not a JSON object document")
+    return m
+
+
+def _row(raw):
+    """A scanned matrix row as a float ``(len(raw), 2)`` array when it is a
+    non-empty list of ``[number, number]`` pairs, else as scanned."""
+    if type(raw) is not list:
+        return raw
+    try:
+        return _float_array(raw, "matrix", (len(raw), 2))
+    except StateFileError:
+        return raw
+
+
+def _matrix_rows(text: str, i: int) -> tuple:
+    """The ``matrix`` value at ``text[i]`` and the index after it. An array
+    comes back as the list of its rows, each through ``_row`` as soon as it
+    is scanned, so no list tree of the whole matrix exists; any other value
+    comes back as scanned."""
+    if not text.startswith("[", i):
+        return _scan(text, i)
+    rows = []
+    i = _WS.match(text, i + 1).end()
+    if text.startswith("]", i):
+        return rows, i + 1
+    while True:
+        raw, i = _scan(text, i)
+        rows.append(_row(raw))
+        m = _expect(_AFTER_ROW, text, i)
+        i = m.end()
+        if m.group(1) == "]":
+            return rows, i
+
+
+def _members(text: str) -> dict:
+    """The members of the JSON object document ``text``, the last of
+    duplicate keys winning as in ``json.loads``, with ``matrix`` read by
+    ``_matrix_rows``. Raises ValueError on any other document, valid or not."""
+    i = _expect(_OPEN, text, 0).end()
+    members: dict = {}
+    if text.startswith("}", i):
+        i = _WS.match(text, i + 1).end()
+    else:
+        sep = ","
+        while sep == ",":
+            if not text.startswith('"', i):
+                raise ValueError("not a JSON object document")
+            key, i = _scan(text, i)
+            i = _expect(_COLON, text, i).end()
+            if key == "matrix":
+                # The rows of an earlier matrix go before these are read.
+                members.pop(key, None)
+                value, i = _matrix_rows(text, i)
+            else:
+                value, i = _scan(text, i)
+            members[key] = value
+            m = _expect(_AFTER_MEMBER, text, i)
+            sep, i = m.group(1), m.end()
+    if i != len(text):
+        raise ValueError("not a JSON object document")
+    return members
+
+
+def _complex_matrix(rows, n: int) -> np.ndarray:
+    """The ``n x n`` complex matrix of the rows ``_matrix_rows`` read."""
+    if (
+        type(rows) is list
+        and len(rows) == n
+        and all(type(r) is np.ndarray and r.shape == (n, 2) for r in rows)
+    ):
+        pairs = np.stack(rows)
+    else:
+        # Some row is not n [re, im] pairs: the whole-matrix rules name the
+        # first fault, shape before entry type before integer overflow.
+        if type(rows) is list:
+            rows = [r.tolist() if type(r) is np.ndarray else r for r in rows]
+        pairs = _float_array(rows, "matrix", (n, n, 2))
     # A view of the [re, im] pairs does no arithmetic, so NaN or infinity
     # reaches DensityMatrix's finiteness check without a numpy warning.
-    return _float_array(raw, "matrix", (n, n, 2)).view(complex)[..., 0]
+    return pairs.view(complex)[..., 0]
 
 
 def _spectrum(raw, n: int) -> np.ndarray:
@@ -97,7 +189,9 @@ def _spectrum(raw, n: int) -> np.ndarray:
 
 def load_statefile(path) -> StateFile:
     """Read, parse and validate a state file. Its bytes are read once: the
-    JSON and the digest both come from them."""
+    JSON and the digest both come from them. The ``matrix`` member is read
+    one row at a time, each row converted to floats as soon as it is
+    scanned."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -107,18 +201,21 @@ def load_statefile(path) -> StateFile:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise StateFileError(f"state file {path} is not UTF-8 text: {exc}") from exc
-    # A dense file is megabytes: hold neither its bytes nor its text longer
-    # than needed, next to the parsed lists.
+    # A dense file is megabytes: hold its bytes no longer than needed.
     del raw
     try:
-        data = json.loads(text)
+        try:
+            data = _members(text)
+        except ValueError:
+            # Invalid JSON or not an object: json names the fault in its own
+            # words, which differ between Python versions.
+            json.loads(text)
+            raise StateFileError("state file must be a JSON object") from None
     except json.JSONDecodeError as exc:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise StateFileError(f"state file {path} nests its JSON too deeply") from exc
     del text
-    if not isinstance(data, dict):
-        raise StateFileError("state file must be a JSON object")
 
     version = data.get("format_version", FORMAT_VERSION)
     # The JSON integer 1 only: true and 1.0 compare equal to it.
@@ -141,9 +238,8 @@ def load_statefile(path) -> StateFile:
 
     density = None
     if has_matrix:
-        # The parsed lists are megabytes too: free them before the eigh.
+        # The row arrays are as large as the matrix: free them before the eigh.
         mat = _complex_matrix(data.pop("matrix"), dims.total)
-        del data
         try:
             density = DensityMatrix(mat)
             # Its clipped eigenvalues pass the check every probability vector passes.

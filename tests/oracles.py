@@ -8,17 +8,21 @@ on grids, and the scalar search references: the loop forms of the
 enumeration, the exhaustive search, the breadth phase, the value-swap
 neighbourhood and the depth phase, and the fixed-point certificate (gap and
 map). Last, the state-file writer as one ``json.dumps`` of the whole
-document.
+document, and the reader as one ``json.loads`` of it.
 """
 
+import hashlib
 import json
 import math
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 
-from qaeopt import BipartiteDims, YoungTableau
+from qaeopt import BipartiteDims, DensityMatrix, StateFileError, ValidationError, YoungTableau
+from qaeopt.qstate import _probability_vector
+from qaeopt.statefile import FORMAT_VERSION, StateFile, _float_array, _spectrum
 from qaeopt.tableau import _random_regular_grid, candidate_swaps
 
 _CHUNK = 200_000
@@ -470,3 +474,52 @@ def json_statefile_text(dims: BipartiteDims, matrix=None, spectrum=None, label=N
     else:
         doc["spectrum"] = [float(x) for x in np.asarray(spectrum, dtype=float)]
     return json.dumps(doc, indent=1) + "\n"
+
+
+def json_load_statefile(path) -> StateFile:
+    """``load_statefile`` as one ``json.loads`` of the whole document and one
+    ``_float_array`` over the whole nested matrix: the slow reference for the
+    loader, which reads the matrix row by row. Same checks in the same order,
+    same messages."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise StateFileError(f"cannot read state file {path}: {exc}") from exc
+    digest = hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"state file {path} is not UTF-8 text: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StateFileError(f"state file {path} nests its JSON too deeply") from exc
+    if not isinstance(data, dict):
+        raise StateFileError("state file must be a JSON object")
+    version = data.get("format_version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise StateFileError(f"unsupported format_version {version!r}")
+    try:
+        dims = BipartiteDims(data.get("d_a"), data.get("d_b"))
+    except ValidationError as exc:
+        raise StateFileError(f"bad or missing d_a/d_b: {exc}") from exc
+    label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise StateFileError("label must be a string")
+    if ("matrix" in data) == ("spectrum" in data):
+        raise StateFileError("state file must carry exactly one of 'matrix' or 'spectrum'")
+    density = None
+    if "matrix" in data:
+        n = dims.total
+        mat = _float_array(data["matrix"], "matrix", (n, n, 2)).view(complex)[..., 0]
+        try:
+            density = DensityMatrix(mat)
+            _probability_vector(density.probs, n)
+        except ValidationError as exc:
+            raise StateFileError(f"matrix is not a valid density matrix: {exc}") from exc
+        probs = density.probs
+    else:
+        probs = _spectrum(data["spectrum"], dims.total)
+    return StateFile(dims=dims, probs=probs, density=density, label=label, digest=digest)

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import random
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import json_statefile_text
+from oracles import json_load_statefile, json_statefile_text
 from qaeopt import (
     BipartiteDims,
     StateFileError,
@@ -92,6 +94,22 @@ def test_dense_save_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_dense_load_memory(tmp_path):
+    # Parsed as one json.loads of the whole document, this load peaked at
+    # 3.2 times the file: the bytes, the text and a list tree of 65,536
+    # [re, im] pairs. Read row by row, its peak is the bytes and the text
+    # during the UTF-8 decode, 2.0 times the file.
+    path = tmp_path / "dense.json"
+    save_statefile(path, DIMS1616, matrix=_dense_matrix(16, 16))
+    tracemalloc.start()
+    try:
+        load_statefile(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path.stat().st_size
 
 
 def test_spectrum_round_trip_sorts_descending(tmp_path):
@@ -249,3 +267,154 @@ def test_deeply_nested_json_rejected(tmp_path):
     path.write_text('{"d_a":1,"d_b":1,"spectrum":' + "[" * depth + "1.0" + "]" * depth + "}")
     with pytest.raises(StateFileError, match="too deeply"):
         load_statefile(path)
+
+
+class _Obj(list):
+    """A JSON object as its (key, value) members in order, duplicates kept."""
+
+
+def _dump(value, gap, depth=0) -> str:
+    """JSON text of ``value`` with ``gap(kind, depth)`` where json's indented
+    layout breaks a line ("\\n") and around each colon (":" before, ": " after)."""
+    if not isinstance(value, list):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, _Obj) else "[]"
+    if isinstance(value, _Obj):
+        ends = "{}"
+        parts = [json.dumps(k) + gap(":", depth) + ":" + gap(": ", depth) + _dump(v, gap, depth + 1) for k, v in value]
+    else:
+        ends = "[]"
+        parts = [_dump(v, gap, depth + 1) for v in value]
+    inner = ",".join(gap("\n", depth + 1) + part for part in parts)
+    return ends[0] + inner + gap("\n", depth) + ends[1]
+
+
+_GAPS = ["", " ", "\t", "\n", "\r", "\r\n", " \t\n  "]
+_LAYOUTS = {
+    "compact": lambda rng: lambda kind, depth: "",
+    "indent1": lambda rng: lambda kind, depth: "\n" + " " * depth if kind == "\n" else " " * (kind == ": "),
+    "whitespace": lambda rng: lambda kind, depth: rng.choice(_GAPS),
+}
+
+
+def _pairs(matrix, rng) -> list:
+    """The [re, im] lists of a matrix, with integral entries sometimes as JSON
+    integers, zeros sometimes as -0.0 and zero off-diagonal pairs sometimes
+    as 5e-324 (a Hermitian change far below every tolerance)."""
+    n = len(matrix)
+    rows = [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j and rows[i][j] == [0.0, 0.0] and rng.random() < 0.5:
+                rows[i][j][0] = rows[j][i][0] = 5e-324
+            for pair in {id(rows[i][j]): rows[i][j], id(rows[j][i]): rows[j][i]}.values():
+                for k, x in enumerate(pair):
+                    if x == 0.0 and rng.random() < 0.3:
+                        pair[k] = -0.0
+                    elif x == int(x) and rng.random() < 0.5:
+                        pair[k] = int(x)
+    return rows
+
+
+# One fault each in a matrix's rows, pairs or entries.
+_ENTRY_FAULTS = ["0.5", True, None, 10**400, float("nan"), float("inf"), float("-inf")]
+
+
+def _corrupt(rows, fault: str, rng) -> None:
+    if not rows:
+        return
+    i = rng.randrange(len(rows))
+    if fault == "row-number":
+        rows[i] = 0.5
+    elif fault == "missing-row":
+        del rows[i]
+    elif isinstance(rows[i], list) and rows[i]:
+        pair = rows[i][rng.randrange(len(rows[i]))]
+        if fault == "ragged":
+            rows[i] = rows[i][:-1]
+        elif fault == "pair3":
+            pair.append(0.0)
+        else:
+            pair[rng.randrange(2)] = _ENTRY_FAULTS[int(fault)]
+
+
+_STATES = [
+    ((1, 1), np.array([[1]])),
+    ((1, 2), np.diag([1, 0])),
+    ((1, 2), generate_instance("random-dense", BipartiteDims(1, 2), 1).matrix),
+    ((2, 2), generate_instance("random-dense", BipartiteDims(2, 2), 2).matrix),
+    ((2, 2), generate_instance("diagonal-mixed", BipartiteDims(2, 2), 3).matrix),
+    ((1, 3), generate_instance("pure", BipartiteDims(1, 3), 4).matrix),
+]
+_FAULTS = ["ragged", "row-number", "missing-row", "pair3", *map(str, range(len(_ENTRY_FAULTS)))]
+
+
+@st.composite
+def state_file_texts(draw) -> str:
+    """State-file texts, valid and not: members in any order and layout,
+    duplicate keys, faults in the header, the matrix and the text itself.
+    The rarer faults are drawn from a seeded ``random.Random``, so that about
+    one text in six loads."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    (d_a, d_b), matrix = draw(st.sampled_from(_STATES))
+    members = _Obj([("format_version", 1), ("d_a", d_a), ("d_b", d_b)])
+    members.append(("label", rng.choice(["a", "h\u00e9llo \u2713", None] * 3 + [5])))
+    payload = rng.choice(["matrix"] * 5 + ["spectrum", "both", "neither"])
+    if payload in ("spectrum", "both"):
+        members.append(("spectrum", [float(p) for p in np.linalg.eigvalsh(matrix)]))
+    if payload in ("matrix", "both"):
+        rows = _pairs(matrix, rng)
+        for fault in rng.choices(_FAULTS, k=rng.choice([0, 0, 0, 1, 1, 2])):
+            _corrupt(rows, fault, rng)
+        members.append(("matrix", rows))
+    # Earlier duplicates of a key, whose values the later one replaces.
+    for key in rng.choices(["matrix", "label", "d_a"], k=rng.choice([0, 0, 0, 1, 2])):
+        members.insert(0, (key, rng.choice([[[[1, 0]]], "x", 7, [[0.5, "x"]], [0.5]])))
+    if rng.random() < 0.1:
+        members.append(("format_version", rng.choice([2, 1.0, True])))
+    if rng.random() < 0.1:
+        members.pop(rng.randrange(len(members)))
+    rng.shuffle(members)
+    text = _dump(members, _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](rng)) + "\n"
+    fault = rng.choice(["none"] * 10 + ["cut", "cut", "garbage", "bom", "array", "deep"])
+    if fault == "cut":
+        text = text[: rng.randrange(len(text))]
+    elif fault == "garbage":
+        text += rng.choice(["x", "{}", ",", "]", "\u00e9"])
+    elif fault == "bom":
+        text = "\ufeff" + text
+    elif fault == "array":
+        text = "[" + text + "]"
+    elif fault == "deep":
+        deep = "[" * 100_000 + "1" + "]" * 100_000
+        key = rng.choice(["matrix", "label", "spectrum"])
+        text = text.replace(f'"{key}"', f'"{key}": {deep}, "{key}"', 1)
+    return text
+
+
+def _outcome(load, path):
+    """What a reader makes of a file: the exception's type and message, or
+    the loaded state with its arrays as bytes."""
+    try:
+        sf = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    matrix = None if sf.density is None else sf.density.matrix.tobytes()
+    return matrix, sf.probs.tobytes(), sf.digest, sf.label, sf.dims
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=state_file_texts())
+def test_reader_matches_the_whole_document_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("oracle") / "state.json"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(load_statefile, path) == _outcome(json_load_statefile, path)
+
+
+def test_oracle_layouts_match_json_dumps():
+    doc = {"format_version": 1, "d_a": 1, "d_b": 2, "matrix": [[[0.5, -0.0], [1, 5e-324]], []]}
+    assert _dump(_Obj(doc.items()), _LAYOUTS["indent1"](None)) == json.dumps(doc, indent=1)
+    assert _dump(_Obj(doc.items()), _LAYOUTS["compact"](None)) == json.dumps(doc, separators=(",", ":"))
