@@ -14,6 +14,12 @@ would, keys in the order ``format_version``, ``d_a``, ``d_b``, ``label``,
 payload, floats as ``repr`` gives them and non-finite ones as ``NaN`` or
 ``Infinity``, which the loader rejects. It streams a matrix row by row, so
 its memory does not grow with the matrix.
+
+``load_statefile`` reads a matrix row by row as well: json's scanner parses
+one row's ``[re, im]`` lists at a time, and each row becomes a float array
+at once. While the bytes are decoded, a load holds the bytes and the text;
+after that, the text, the float matrix and one row of lists. A version-1
+dense file so needs about twice its size to load.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 import warnings
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -299,21 +300,19 @@ _LAYOUTS = {
 
 
 def _pairs(matrix, rng) -> list:
-    """The [re, im] lists of a matrix, with integral entries sometimes as JSON
-    integers, zeros sometimes as -0.0 and zero off-diagonal pairs sometimes
-    as 5e-324 (a Hermitian change far below every tolerance)."""
-    n = len(matrix)
+    """The [re, im] lists of a matrix, with zero off-diagonal pairs sometimes
+    as 5e-324 (a Hermitian change far below every tolerance), zeros sometimes
+    as -0.0 and integral entries sometimes as JSON integers."""
     rows = [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
-    for i in range(n):
-        for j in range(i, n):
-            if i != j and rows[i][j] == [0.0, 0.0] and rng.random() < 0.5:
-                rows[i][j][0] = rows[j][i][0] = 5e-324
-            for pair in {id(rows[i][j]): rows[i][j], id(rows[j][i]): rows[j][i]}.values():
-                for k, x in enumerate(pair):
-                    if x == 0.0 and rng.random() < 0.3:
-                        pair[k] = -0.0
-                    elif x == int(x) and rng.random() < 0.5:
-                        pair[k] = int(x)
+    for i, j in combinations(range(len(rows)), 2):
+        if rows[i][j] == [0.0, 0.0] and rng.random() < 0.5:
+            rows[i][j][0] = rows[j][i][0] = 5e-324
+    for pair in chain.from_iterable(rows):
+        for k, x in enumerate(pair):
+            if x == 0.0 and rng.random() < 0.3:
+                pair[k] = -0.0
+            elif x == int(x) and rng.random() < 0.5:
+                pair[k] = int(x)
     return rows
 
 
