@@ -216,12 +216,18 @@ def load_statefile(path) -> StateFile:
             # Invalid JSON or not an object: json names the fault in its own
             # words, which differ between Python versions.
             json.loads(text)
-            raise StateFileError("state file must be a JSON object") from None
+            data = None
     except json.JSONDecodeError as exc:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise StateFileError(f"state file {path} nests its JSON too deeply") from exc
+    except ValueError as exc:
+        # json's scanner reads an integer literal with int(), which refuses
+        # more than sys.get_int_max_str_digits() digits and names the limit.
+        raise StateFileError(f"state file {path} holds an integer too long to read: {exc}") from exc
     del text
+    if data is None:
+        raise StateFileError("state file must be a JSON object")
 
     version = data.get("format_version", FORMAT_VERSION)
     # The JSON integer 1 only: true and 1.0 compare equal to it.

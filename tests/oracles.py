@@ -496,6 +496,8 @@ def json_load_statefile(path) -> StateFile:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise StateFileError(f"state file {path} nests its JSON too deeply") from exc
+    except ValueError as exc:
+        raise StateFileError(f"state file {path} holds an integer too long to read: {exc}") from exc
     if not isinstance(data, dict):
         raise StateFileError("state file must be a JSON object")
     version = data.get("format_version", FORMAT_VERSION)

@@ -5,6 +5,7 @@ its logarithms from the same C library, so results must agree bit for bit.
 """
 
 import itertools
+import json
 import multiprocessing
 import os
 import signal
@@ -49,6 +50,7 @@ from qaeopt import (
     generate_instance,
     optimize,
     random_regular,
+    save_statefile,
 )
 from qaeopt.search import (
     BREADTH_BLOCK,
@@ -1031,6 +1033,59 @@ def test_no_worker_outlives_its_process():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+POOL_STACK = """
+import sys
+if sys.argv[1:]:
+    from qaeopt.cli import main
+    main(sys.argv[1:])
+else:
+    import qaeopt
+print(sorted({"multiprocessing", "concurrent.futures.process"} & set(sys.modules)))
+"""
+
+
+def _fresh_run(*argv):
+    """The JSON lines of ``qaeopt.cli.main(argv)`` in a fresh interpreter (a
+    plain ``import qaeopt`` when argv is empty), and which modules of the
+    process-pool stack it loaded."""
+    src = str(Path(qaeopt.search.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", POOL_STACK, *argv], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    *lines, loaded = out.stdout.splitlines()
+    return [json.loads(line) for line in lines], loaded
+
+
+@pytest.fixture
+def heuristic_args(tmp_path):
+    # --threshold 1 sends the 3x3 spectrum through the breadth tasks.
+    path = tmp_path / "spectrum33.json"
+    save_statefile(path, BipartiteDims(3, 3), spectrum=descending_probs(9, 3))
+    return ["optimize", str(path), "--threshold", "1", "--n1", "200", "--n2", "3", "--nd", "10", "--seed", "2"]
+
+
+def test_one_job_never_loads_the_pool_stack(heuristic_args):
+    assert _fresh_run() == ([], "[]")
+    lines, loaded = _fresh_run(*heuristic_args, "--jobs", "1")
+    assert len(lines) == 1 and lines[0]["result"]["method"] == "heuristic"
+    assert loaded == "[]"
+
+
+@pytest.mark.skipif((usable_cpus() or 1) < 2, reason="one usable CPU runs every search in process")
+def test_two_jobs_load_the_pool_stack_and_change_no_result(heuristic_args):
+    def report(lines):
+        # Only the timings and the echoed worker count may differ.
+        (line,) = lines
+        del line["timings"], line["config"]["parallelism"]
+        return line
+
+    one, _ = _fresh_run(*heuristic_args, "--jobs", "1")
+    two, loaded = _fresh_run(*heuristic_args, "--jobs", "2")
+    assert loaded == "['concurrent.futures.process', 'multiprocessing']"
+    assert report(two) == report(one)
 
 
 @pytest.mark.parametrize(

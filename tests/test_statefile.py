@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 import warnings
 from itertools import chain, combinations
@@ -268,6 +269,35 @@ def test_deeply_nested_json_rejected(tmp_path):
     path.write_text('{"d_a":1,"d_b":1,"spectrum":' + "[" * depth + "1.0" + "]" * depth + "}")
     with pytest.raises(StateFileError, match="too deeply"):
         load_statefile(path)
+
+
+LONG = "1" * 5000
+_PAIRS = "[[" + LONG + ", 0], [0, 0]], [[0, 0], [0.5, 0]]"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"d_a": 1, "d_b": 1, "spectrum": [' + LONG + "]}",
+        '{"d_a": 1' + "0" * 4399 + ', "d_b": 1, "spectrum": [1.0]}',
+        '{"d_a": 1, "d_b": 2, "matrix": [' + _PAIRS + "]}",
+        "[" + LONG + "]",
+    ],
+    ids=["spectrum-5000-digits", "d_a-4400-digits", "matrix-5000-digits", "not-an-object"],
+)
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit before 3.10.7")
+def test_integer_over_the_digit_limit_exits_2(tmp_path, capsys, text):
+    # json's scanner raises a plain ValueError for an integer literal beyond
+    # Python's int-string limit; it is a file-format error like any other.
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    with pytest.raises(StateFileError, match="integer too long to read") as caught:
+        load_statefile(path)
+    assert f"({sys.get_int_max_str_digits()} digits)" in str(caught.value)
+    assert _outcome(json_load_statefile, path) == (StateFileError, str(caught.value))
+    assert main(["optimize", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {caught.value}\n"
 
 
 class _Obj(list):
