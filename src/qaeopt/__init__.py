@@ -34,7 +34,6 @@ from .pipeline import (
     compress_reconstruct,
     generate_instance,
     haar_unitary,
-    suboptimal_auxiliary_gap,
     verify_theorem1,
 )
 from .statefile import StateFile, load_statefile, save_statefile
@@ -66,7 +65,6 @@ __all__ = [
     "relative_entropy",
     "save_statefile",
     "shannon_entropy",
-    "suboptimal_auxiliary_gap",
     "verify_theorem1",
     "von_neumann_entropy",
 ]

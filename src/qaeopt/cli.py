@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from functools import cache, partial
 
 import numpy as np
@@ -29,8 +29,13 @@ VERIFY_RESIDUAL_LIMIT = 1e-6  # nats
 EXPERIMENT_FLOOR = 1e-15  # nats, applied to reported per-instance values only
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
+def _emit(command: str, body: dict, started: float | None = None) -> None:
+    """Print one report line: ``command`` and ``body``, plus ``timings``
+    (seconds since ``started``) for a timed report."""
+    report = {"command": command, **body}
+    if started is not None:
+        report["timings"] = {"total_s": time.perf_counter() - started}
+    print(json.dumps(report, sort_keys=True))
 
 
 def _report_value(x: float, bits: bool) -> float:
@@ -40,11 +45,14 @@ def _report_value(x: float, bits: bool) -> float:
     return nats_to_bits(x) if bits else x
 
 
-def _result_dict(result, bits: bool) -> dict:
-    d = result.to_dict()
-    d["best_mi"] = _report_value(d["best_mi"], bits)
-    d["trajectory"] = [_report_value(x, bits) for x in d["trajectory"]]
-    return d
+def _file_fields(sf, bits: bool) -> dict:
+    """The fields every report on a state file carries."""
+    return {
+        "version": __version__,
+        "input_digest": sf.digest,
+        "dims": {"d_a": sf.dims.d_a, "d_b": sf.dims.d_b},
+        "unit": "bits" if bits else "nats",
+    }
 
 
 def _compression_dict(report, bits: bool) -> dict:
@@ -55,21 +63,17 @@ def _compression_dict(report, bits: bool) -> dict:
 
 
 def cmd_count(args) -> int:
-    try:
-        count = count_regular(BipartiteDims(args.d_a, args.d_b))
-    except ValidationError as exc:  # the dims are the only input: a usage error
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    count = count_regular(args.dims)
     threshold = args.config.exhaustive_threshold
     _emit(
+        "count",
         {
-            "command": "count",
-            "d_a": args.d_a,
-            "d_b": args.d_b,
+            "d_a": args.dims.d_a,
+            "d_b": args.dims.d_b,
             "count": count,
             "exhaustive_threshold": threshold,
             "within_threshold": count <= threshold,
-        }
+        },
     )
     return 0
 
@@ -82,19 +86,19 @@ def cmd_optimize(args) -> int:
     if sf.density is not None:
         u = build_encoder(sf.density, result.best_tableau)
         compression = _compression_dict(verify_theorem1(sf.density, u, sf.dims), args.bits)
+    found = result.to_dict()
+    found["best_mi"] = _report_value(found["best_mi"], args.bits)
+    found["trajectory"] = [_report_value(x, args.bits) for x in found["trajectory"]]
     _emit(
+        "optimize",
         {
-            "command": "optimize",
-            "version": __version__,
-            "input_digest": sf.digest,
+            **_file_fields(sf, args.bits),
             "label": sf.label,
-            "dims": {"d_a": sf.dims.d_a, "d_b": sf.dims.d_b},
             "config": asdict(args.config),
-            "unit": "bits" if args.bits else "nats",
-            "result": _result_dict(result, args.bits),
+            "result": found,
             "compression": compression,
-            "timings": {"total_s": time.perf_counter() - started},
-        }
+        },
+        started,
     )
     return 0
 
@@ -104,8 +108,7 @@ def cmd_verify(args) -> int:
     sf = load_statefile(args.statefile)
     rho = sf.density
     if rho is None:
-        print("verify requires a dense-matrix state file (eigenvectors needed)", file=sys.stderr)
-        return 2
+        raise StateFileError("verify requires a dense-matrix state file (eigenvectors needed)")
     if args.plan == "identity":
         u, tableau_cells = np.eye(sf.dims.total), None
     else:
@@ -114,18 +117,15 @@ def cmd_verify(args) -> int:
         tableau_cells = [list(row) for row in tableau.cells]
     report = verify_theorem1(rho, u, sf.dims)
     _emit(
+        "verify",
         {
-            "command": "verify",
-            "version": __version__,
-            "input_digest": sf.digest,
-            "dims": {"d_a": sf.dims.d_a, "d_b": sf.dims.d_b},
+            **_file_fields(sf, args.bits),
             "plan": args.plan,
             "seed": args.seed,
             "tableau": tableau_cells,
-            "unit": "bits" if args.bits else "nats",
             **_compression_dict(report, args.bits),
-            "timings": {"total_s": time.perf_counter() - started},
-        }
+        },
+        started,
     )
     return 0 if report.residual < VERIFY_RESIDUAL_LIMIT else 1
 
@@ -152,15 +152,7 @@ _EXPERIMENT_KINDS = {"fig2a": "diagonal-mixed", "fig2b": "product-spectrum"}
 
 def cmd_experiment(args) -> int:
     started = time.perf_counter()
-    if args.states < 1:
-        print("error: --states must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        dims = BipartiteDims(args.da, args.db)
-    except ValidationError as exc:  # checked before any state is built
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = args.config
+    dims, config = args.dims, args.config
     state = partial(_experiment_state, _EXPERIMENT_KINDS[args.kind], dims, config)
     jobs = worker_count(config.parallelism, args.states, usable_cpus())
     rows = list(run_tasks(state, jobs, range(args.states)))
@@ -169,24 +161,23 @@ def cmd_experiment(args) -> int:
     finals = []
     initials = []
     for row in rows:
-        floored = max(row["mi_final_raw"], EXPERIMENT_FLOOR)
-        finals.append(floored)
-        initials.append(row["mi_initial"])
+        # Both kept in nats as reported, so each mean is that of the lines.
+        finals.append(max(row["mi_final_raw"], EXPERIMENT_FLOOR))
+        initials.append(_report_value(row["mi_initial"], False))
         _emit(
+            "experiment",
             {
-                "command": "experiment",
                 "kind": args.kind,
                 "state": row["state"],
-                "mi_initial": _report_value(row["mi_initial"], bits),
-                "mi_final": nats_to_bits(floored) if bits else floored,
+                "mi_initial": _report_value(initials[-1], bits),
+                "mi_final": _report_value(finals[-1], bits),
                 "method": row["method"],
                 "evaluations": row["evaluations"],
-            }
+            },
         )
-    conv = (lambda x: nats_to_bits(x)) if bits else (lambda x: x)
     _emit(
+        "experiment",
         {
-            "command": "experiment",
             "aggregate": True,
             "kind": args.kind,
             "version": __version__,
@@ -195,13 +186,13 @@ def cmd_experiment(args) -> int:
             # Every search knob but parallelism, which does not change results.
             "config": {k: v for k, v in asdict(config).items() if k != "parallelism"},
             "unit": "bits" if bits else "nats",
-            "floor": conv(EXPERIMENT_FLOOR),
-            "mean_final_mi": conv(sum(finals) / len(finals)),
-            "mean_initial_mi": conv(sum(initials) / len(initials)),
-            "max_final_mi": conv(max(finals)),
-            "final_mi_values": [conv(x) for x in sorted(finals)],
-            "timings": {"total_s": time.perf_counter() - started},
-        }
+            "floor": _report_value(EXPERIMENT_FLOOR, bits),
+            "mean_final_mi": _report_value(sum(finals) / len(finals), bits),
+            "mean_initial_mi": _report_value(sum(initials) / len(initials), bits),
+            "max_final_mi": _report_value(max(finals), bits),
+            "final_mi_values": [_report_value(x, bits) for x in sorted(finals)],
+        },
+        started,
     )
     return 0
 
@@ -213,14 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
     threshold_flag = argparse.ArgumentParser(add_help=False)
     threshold_flag.add_argument(
         "--threshold", type=int, default=DEFAULT_EXHAUSTIVE_THRESHOLD,
+        dest="exhaustive_threshold", metavar="THRESHOLD",
         help="largest tableau count for which exhaustive traversal is used",
     )
 
     search_flags = argparse.ArgumentParser(add_help=False)
-    search_flags.add_argument("--jobs", type=int, default=1, help="worker processes (results do not depend on this)")
+    search_flags.add_argument("--jobs", type=int, default=1, dest="parallelism", metavar="JOBS",
+                              help="worker processes (results do not depend on this)")
     search_flags.add_argument("--n1", type=int, default=20000, help="breadth-phase samples")
     search_flags.add_argument("--n2", type=int, default=12, help="seeds kept for the depth phase")
-    search_flags.add_argument("--nd", type=int, default=200, help="descent iterations per seed")
+    search_flags.add_argument("--nd", type=int, default=200, dest="n_d", metavar="ND",
+                              help="descent iterations per seed")
     search_flags.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
     parser = argparse.ArgumentParser(
@@ -259,8 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("kind", choices=sorted(_EXPERIMENT_KINDS))
     p_exp.add_argument("--states", type=int, default=100)
-    p_exp.add_argument("--da", type=int, default=8, help="dimension of the discarded subsystem")
-    p_exp.add_argument("--db", type=int, default=8, help="dimension of the retained subsystem")
+    p_exp.add_argument("--da", type=int, default=8, dest="d_a", metavar="DA",
+                       help="dimension of the discarded subsystem")
+    p_exp.add_argument("--db", type=int, default=8, dest="d_b", metavar="DB",
+                       help="dimension of the retained subsystem")
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser
@@ -276,22 +272,24 @@ def main(argv=None) -> int:
     # The search flags a command takes (count only --threshold, verify only
     # --seed) are checked before any work starts; a value that SearchConfig
     # rejects is a usage error (exit 2).
-    fields = {"n1": "n1", "n2": "n2", "nd": "n_d", "seed": "seed",
-              "threshold": "exhaustive_threshold", "jobs": "parallelism"}
     try:
-        args.config = SearchConfig(
-            **{field: getattr(args, flag) for flag, field in fields.items() if hasattr(args, flag)}
-        )
+        args.config = SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)
+                                      if hasattr(args, f.name)})
     except ValidationError as exc:
         parser.error(str(exc))
+    # Any other bad input is one error line and exit 2: --states and the dims
+    # here, before any work starts, and a state file where a command reads it.
+    status = 2
     try:
+        if getattr(args, "states", 1) < 1:
+            raise ValidationError("--states must be at least 1")
+        if hasattr(args, "d_a"):
+            args.dims = BipartiteDims(args.d_a, args.d_b)
+        status = 1  # a ValidationError from a command is a numerical failure
         return args.func(args)
-    except StateFileError as exc:
+    except (StateFileError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, StateFileError) else status
 
 
 if __name__ == "__main__":

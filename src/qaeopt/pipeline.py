@@ -11,8 +11,8 @@ loses exactly the mutual information of the encoded state:
 with equality for the re-inserted state rho_A equal to the encoded marginal,
 and a strictly positive gap (Klein's inequality) for any other choice.
 
-All three uses of that chain share one helper, ``_reconstruct``. Its inputs are
-validated once, at the boundary (sigma and rho_A as ``DensityMatrix``, U by
+Both uses of that chain share one helper, ``_reconstruct``. Its inputs are
+validated once, at the boundary (sigma as a ``DensityMatrix``, U by
 ``is_unitary``); its intermediates are plain arrays and are not validated.
 ``build_encoder`` reads the sorted eigenpairs the state keeps, so building
 the optimal encoder decomposes nothing again.
@@ -76,19 +76,16 @@ def build_encoder(rho: DensityMatrix, tableau: YoungTableau) -> np.ndarray:
     return u
 
 
-def _reconstruct(sigma: DensityMatrix, u, dims: BipartiteDims, rho_a: DensityMatrix | None = None):
-    """Encode sigma with ``u``, discard A, re-insert ``rho_a``, decode with U^dag.
+def _reconstruct(sigma: DensityMatrix, u, dims: BipartiteDims):
+    """Encode sigma with ``u``, discard A, re-insert the encoded A marginal
+    (the optimal auxiliary), decode with U^dag.
 
-    ``rho_a`` defaults to the encoded A marginal, the optimal auxiliary.
     Returns the arrays ``(encoded_a, encoded_b, sigma_out)``.
     """
     dims.check_dim(sigma.dim)
-    if rho_a is not None and rho_a.dim != dims.d_a:
-        raise ValidationError(f"auxiliary state dimension {rho_a.dim} does not match d_a = {dims.d_a}")
     encoded, u = _apply_unitary(sigma.matrix, u)
     encoded_a, encoded_b = _marginals(encoded, dims)
-    aux = encoded_a if rho_a is None else rho_a.matrix
-    return encoded_a, encoded_b, u.conj().T @ np.kron(aux, encoded_b) @ u
+    return encoded_a, encoded_b, u.conj().T @ np.kron(encoded_a, encoded_b) @ u
 
 
 def compress_reconstruct(
@@ -120,24 +117,6 @@ def verify_theorem1(sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims) ->
         reconstruction_frobenius=frob,
         support_violation=support_violation,
     )
-
-
-def suboptimal_auxiliary_gap(
-    sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims, rho_a: DensityMatrix
-) -> float:
-    """Excess divergence from reconstructing with an arbitrary auxiliary state.
-
-    Returns S(sigma || U^dag (rho_a x sigma_b) U) minus the encoded mutual
-    information. Nonnegative up to round-off, zero exactly when rho_a equals
-    the encoded marginal of A, and infinite when rho_a lacks support the
-    encoded state needs.
-    """
-    encoded_a, encoded_b, candidate = _reconstruct(sigma, u, dims, rho_a)
-    s_sigma = von_neumann_entropy(sigma)  # also S(AB) of the encoded state
-    rel = _relative_entropy(sigma.matrix, s_sigma, candidate)
-    if math.isinf(rel):
-        return rel
-    return rel - _mutual_information(encoded_a, encoded_b, s_sigma)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,12 +3,14 @@
 The brute-force ones deliberately avoid the library's enumeration/search code
 paths: counts come from filtering every permutation of 1..n into the grid,
 and minima from evaluating every arrangement. Entropies are recomputed
-locally. Then come the paper's canonicalization argument, as plain functions
-on grids, and the scalar search references: the loop forms of the
-enumeration, the exhaustive search, the breadth phase, the value-swap
-neighbourhood and the depth phase, and the fixed-point certificate (gap and
-map). Last, the state-file writer as one ``json.dumps`` of the whole
-document, and the reader as one ``json.loads`` of it.
+locally, and the gap of a suboptimal auxiliary state in the reconstruction
+is composed from the library's public state functions. Then come the
+paper's canonicalization argument, as plain functions on grids, and the
+scalar search references: the loop forms of the enumeration, the
+exhaustive search, the breadth phase, the value-swap neighbourhood and the
+depth phase, and the fixed-point certificate (gap and map). Last, the
+state-file writer as one ``json.dumps`` of the whole document, and the
+reader as one ``json.loads`` of it.
 """
 
 import hashlib
@@ -20,7 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from qaeopt import BipartiteDims, DensityMatrix, StateFileError, ValidationError, YoungTableau
+from qaeopt import (
+    BipartiteDims,
+    DensityMatrix,
+    StateFileError,
+    ValidationError,
+    YoungTableau,
+    apply_unitary,
+    mutual_information,
+    partial_trace,
+    relative_entropy,
+)
 from qaeopt.qstate import _probability_vector
 from qaeopt.statefile import FORMAT_VERSION, StateFile, _float_array, _spectrum
 from qaeopt.tableau import _random_regular_grid, candidate_swaps
@@ -110,6 +122,24 @@ def dense_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
         return (v * np.log(q)) @ v.conj().T
 
     return float(np.trace(rho @ logm(rho)).real - np.trace(rho @ logm(sigma)).real)
+
+
+def suboptimal_auxiliary_gap(sigma: DensityMatrix, u, dims: BipartiteDims, rho_a: DensityMatrix) -> float:
+    """Excess divergence from reconstructing with an arbitrary auxiliary state.
+
+    Returns S(sigma || U^dag (rho_a x sigma_b) U) minus the mutual information
+    of the encoded state. Nonnegative up to round-off (Klein's inequality),
+    zero exactly when rho_a is the encoded marginal of A, and infinite when
+    rho_a lacks support the encoded state needs.
+    """
+    if rho_a.dim != dims.d_a:
+        raise ValidationError(f"auxiliary state dimension {rho_a.dim} does not match d_a = {dims.d_a}")
+    encoded = apply_unitary(sigma, u)
+    sigma_b = partial_trace(encoded, dims, "B")
+    u = np.asarray(u)
+    candidate = DensityMatrix(u.conj().T @ np.kron(rho_a.matrix, sigma_b.matrix) @ u)
+    rel = relative_entropy(sigma, candidate)
+    return rel if math.isinf(rel) else rel - mutual_information(encoded, dims)
 
 
 def brute_force_best(probs, d_a: int, d_b: int) -> tuple[float, list[list[int]]]:

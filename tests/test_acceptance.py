@@ -20,6 +20,7 @@ from oracles import (
     grid_mutual_information,
     is_decreasing,
     sort_along,
+    suboptimal_auxiliary_gap,
 )
 from qaeopt import (
     BipartiteDims,
@@ -32,7 +33,6 @@ from qaeopt import (
     partial_trace,
     apply_unitary,
     random_regular,
-    suboptimal_auxiliary_gap,
     verify_theorem1,
 )
 from qaeopt.cli import _experiment_state, main

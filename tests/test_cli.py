@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import qaeopt.cli
 import qaeopt.qstate
 from qaeopt import BipartiteDims, DensityMatrix, generate_instance, nats_to_bits, save_statefile
 from qaeopt.cli import main
@@ -454,6 +455,19 @@ class TestExperiment:
         assert [l["mi_final"] for l in bits[:-1]] == [bits[-1]["floor"]] * 2
         assert bits[-1]["final_mi_values"] == [bits[-1]["floor"]] * 2
 
+    def test_aggregate_means_are_the_means_of_the_printed_values(self, capsys):
+        # Some of these initial MIs are round-off negatives, printed as 0.0;
+        # the aggregate averages the values the state lines print.
+        code, lines, _ = run_cli(
+            capsys, "experiment", "fig2a", "--states", "7", "--da", "1", "--db", "7", "--seed", "1"
+        )
+        assert code == 0
+        per_state, aggregate = lines[:-1], lines[-1]
+        assert min(l["mi_initial"] for l in per_state) == 0.0
+        for key, mean_key in (("mi_initial", "mean_initial_mi"), ("mi_final", "mean_final_mi")):
+            printed = [l[key] for l in per_state]
+            assert aggregate[mean_key] == sum(printed) / len(printed)
+
     def test_fig2a_final_never_exceeds_initial(self, capsys):
         code, lines, _ = run_cli(
             capsys, "experiment", "fig2a", "--states", "5", "--da", "3", "--db", "3",
@@ -509,3 +523,54 @@ class TestExperiment:
         assert counts["DensityMatrix"] == states
         assert counts["eigh"] == states
         assert counts["eigvalsh"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "0", "2"],
+        ["count", "1", "16385"],
+        ["experiment", "fig2a", "--da", "0"],
+        ["experiment", "fig2a", "--states", "0"],
+        ["verify", "{dir}/spectrum.json"],
+        ["optimize", "{dir}/broken.json"],
+        ["optimize", "{dir}/missing.json"],
+    ],
+    ids=["count-zero-dim", "count-oversize", "experiment-zero-dim", "experiment-no-states",
+         "verify-spectrum-file", "optimize-malformed-file", "optimize-missing-file"],
+)
+def test_every_input_error_is_one_error_line_and_exit_2(capsys, tmp_path, argv):
+    save_statefile(tmp_path / "spectrum.json", DIMS22, spectrum=[0.4, 0.3, 0.2, 0.1])
+    (tmp_path / "broken.json").write_text("{]")
+    code = main([arg.format(dir=tmp_path) for arg in argv])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1 and out.err.endswith("\n")
+
+
+def test_wrapped_names_are_looked_up_at_call_time(capsys, monkeypatch, tmp_path):
+    # The benchmark times these layers by patching the module globals of
+    # qaeopt.cli, so every command must call them through those names.
+    path = tmp_path / "dense22.json"
+    save_statefile(path, DIMS22, matrix=generate_instance("random-dense", DIMS22, 4).matrix)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("load_statefile", "optimize", "random_regular", "build_encoder", "verify_theorem1"):
+        monkeypatch.setattr(qaeopt.cli, name, counted(name, getattr(qaeopt.cli, name)))
+    assert main(["optimize", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == {
+        "load_statefile": 2,
+        "optimize": 1,
+        "random_regular": 1,
+        "build_encoder": 2,
+        "verify_theorem1": 2,
+    }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import grid_mutual_information, positions, row_major
+from oracles import grid_mutual_information, positions, row_major, suboptimal_auxiliary_gap
 from qaeopt import (
     BipartiteDims,
     DensityMatrix,
@@ -19,7 +19,6 @@ from qaeopt import (
     optimize,
     partial_trace,
     random_regular,
-    suboptimal_auxiliary_gap,
     verify_theorem1,
 )
 
