@@ -32,14 +32,17 @@ and ``multiprocessing`` are imported by that first call too, so a run with
 one job never loads them: about 2 MB and 15-18 ms per process on a 2-vCPU
 x86-64 VM. The workers are forked when the pool starts, so later changes
 to module state in the parent (a test's monkeypatch, say) do not reach
-them. The depth phase moves all seeds together, scoring every candidate
-swap of every seed per iteration from packed row and column sums and a move
-test on value positions alone, and drops a seed once it swaps back and
-forth between two tableaux, counting the rest of its descent (see
-``_depth``). Sums run in the same order as the scalar loops kept in
-tests/oracles.py, so results match them bit for bit. ``optimize`` computes
-h_flat, the entropy of the probabilities that every score subtracts, once
-and passes it to each phase.
+them. Each is pinned to its own CPU of the parent's affinity set: a cpuset
+with ``sched_load_balance`` 0 never moves a running task to another CPU,
+so forked workers left alone can share the parent's CPU for the pool's
+life (see ``_shared_pool``). The depth phase moves all seeds together,
+scoring every candidate swap of every seed per iteration from packed row
+and column sums and a move test on value positions alone, and drops a seed
+once it swaps back and forth between two tableaux, counting the rest of
+its descent (see ``_depth``). Sums run in the same order as the scalar
+loops kept in tests/oracles.py, so results match them bit for bit.
+``optimize`` computes h_flat, the entropy of the probabilities that every
+score subtracts, once and passes it to each phase.
 
 Everything is deterministic given the config seed: each draw has its own RNG
 stream, numpy's ``PCG64(SeedSequence((seed, draw_index)))``, so results do
@@ -60,6 +63,7 @@ import operator
 import os
 from collections import deque
 from collections.abc import Callable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import TYPE_CHECKING
@@ -166,13 +170,20 @@ class OptimizationResult:
         }
 
 
-def usable_cpus() -> int | None:
-    """CPUs this process may run on: its affinity set where the platform has
-    one (a cpuset or taskset can make it smaller than ``os.cpu_count()``),
-    else ``os.cpu_count()``, which is None when unknown."""
+def _cpu_set() -> list[int] | None:
+    """The sorted CPUs this process may run on, or None where the platform
+    has no affinity set. A cpuset or taskset can make it smaller than
+    ``os.cpu_count()``."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
+        return sorted(os.sched_getaffinity(0))
+    return None
+
+
+def usable_cpus() -> int | None:
+    """How many CPUs ``_cpu_set`` holds, else ``os.cpu_count()``, which is
+    None when unknown."""
+    cpus = _cpu_set()
+    return os.cpu_count() if cpus is None else len(cpus)
 
 
 def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
@@ -213,18 +224,42 @@ def _close_pool() -> None:
             close()
 
 
+def _pin_worker(slots) -> None:
+    """Pool initializer: run this worker on the next CPU in ``slots`` only.
+    A CPU taken away since the pool started leaves the worker unpinned: an
+    initializer that raises would break the pool."""
+    with suppress(OSError):
+        os.sched_setaffinity(0, {slots.get()})
+
+
 def _shared_pool(jobs: int) -> ProcessPoolExecutor:
     """The pool of ``jobs`` workers, started on first use. One of another
-    size is shut down first, so at most one is alive at a time."""
+    size is shut down first, so at most one is alive at a time.
+
+    Worker k runs only on CPU ``cpus[k % len(cpus)]`` of this process's
+    ``_cpu_set``, taken from a queue filled before the workers fork. Left
+    to the kernel, forked workers can stay on the parent's CPU for the
+    pool's life: a cpuset with ``sched_load_balance`` 0 never moves a
+    running task to another CPU, and two workers then run at half speed
+    each. Where the platform cannot set affinity, they are not pinned.
+    """
     global _pool
     if _pool is not None and _pool[:2] == (os.getpid(), jobs):
         return _pool[2]
     # Imported on first use: a run with one job never loads them.
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import SimpleQueue
     from multiprocessing.util import Finalize
 
     _close_pool()
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    cpus = _cpu_set() if hasattr(os, "sched_setaffinity") else None
+    if cpus:
+        slots = SimpleQueue()
+        for k in range(jobs):
+            slots.put(cpus[k % len(cpus)])
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_pin_worker, initargs=(slots,))
+    else:
+        pool = ProcessPoolExecutor(max_workers=jobs)
     # concurrent.futures joins the workers at interpreter exit, but a
     # multiprocessing child exits by running its finalizers and then waiting
     # for its children, forever on an idle pool. This finalizer shuts the
@@ -244,7 +279,8 @@ def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
     own. That first call also imports ``concurrent.futures`` and
     ``multiprocessing``: a ``jobs`` of 1 never loads them. Its workers are
     forked when it starts, so later changes to module state here do not
-    reach them. A run that is closed, or left by an error, still finishes
+    reach them, and each is pinned to its own CPU (``_shared_pool`` says
+    why). A run that is closed, or left by an error, still finishes
     its window of at most 2 * jobs submitted tasks in the pool: the pool has
     already queued them all for its workers. A worker that dies raises
     ``BrokenProcessPool``, and the next call starts a new pool.

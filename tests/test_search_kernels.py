@@ -60,6 +60,7 @@ from qaeopt.search import (
     _breadth,
     _breadth_block,
     _cell_grids,
+    _close_pool,
     _depth,
     _draw_uniforms,
     _exhaustive,
@@ -1005,6 +1006,60 @@ def test_another_worker_count_replaces_the_pool():
     assert list(run_tasks(abs, 2, range(-3, 0))) == [3, 2, 1]
     two = pool_workers()
     assert len(three) == 3 and len(two) == 2 and not two & three
+
+
+def _worker_placement(_task):
+    # Long enough that one worker cannot take every task before the other
+    # starts.
+    time.sleep(0.05)
+    return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(
+    (usable_cpus() or 1) < 2 or not hasattr(os, "sched_setaffinity"), reason="needs two CPUs it can pin workers to"
+)
+def test_pool_pins_each_worker_to_its_own_cpu():
+    # In a cpuset with sched_load_balance 0 the kernel never moves a running
+    # worker off the parent's CPU; pinned, two workers run on two CPUs.
+    parent = os.sched_getaffinity(0)
+    _close_pool()
+    placed = dict(run_tasks(_worker_placement, 2, range(8)))
+    assert set(placed) == pool_workers()
+    first, second = placed.values()
+    assert len(first) == len(second) == 1 and first != second
+    assert first | second <= parent
+    assert os.sched_getaffinity(0) == parent
+
+
+def _refuse_affinity(_pid, _cpus):
+    raise OSError(22, "Invalid argument")
+
+
+@pytest.mark.parametrize("setaffinity", [None, _refuse_affinity], ids=["missing", "refused"])
+def test_pool_without_affinity_calls_runs_unpinned(setaffinity, monkeypatch):
+    # Where os.sched_setaffinity is missing, or refuses the CPU, the workers
+    # are not pinned, and the breadth tasks give what they give in process,
+    # bit for bit.
+    probs = descending_probs(16, 9)
+    score = partial(_breadth_block, probs, _flat_entropy(probs), 4, 4, 3, keep=6)
+    tasks = list(breadth_tasks(3000, 2))
+
+    def results(jobs):
+        return [[(mi.hex(), idx, seq.tolist()) for mi, idx, seq in part] for part in run_tasks(score, jobs, tasks)]
+
+    want = results(1)
+    _close_pool()
+    if setaffinity is None:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
+    try:
+        assert results(2) == want
+        if hasattr(os, "sched_getaffinity"):
+            placed = dict(run_tasks(_worker_placement, 2, range(8)))
+            assert set(placed.values()) == {frozenset(os.sched_getaffinity(0))}
+    finally:
+        _close_pool()
 
 
 WORKERS_AT_EXIT = """
