@@ -2,9 +2,9 @@
 
 Two routes: exact exhaustive traversal of the tableau space when its size is
 under a threshold, and a two-phase heuristic otherwise. The heuristic first
-samples many random regular tableaux and keeps the best few (breadth phase),
-then repeatedly moves each survivor to its best value-swap neighbour while
-tracking the best tableau ever seen (depth phase).
+samples many random regular tableaux and keeps the best few, with their exact
+scores (breadth phase), then repeatedly moves each survivor to its best
+value-swap neighbour and names the winner from each one's best (depth phase).
 
 All three are array code with one marginal format and one exact kernel:
 ``_marginals`` packs each grid's row sums, then its column sums, in one row,
@@ -133,11 +133,14 @@ class SearchConfig:
 class OptimizationResult:
     """Outcome of a search run.
 
-    ``trajectory`` is the best-seen mutual information over time (always
-    non-increasing); ``seed_provenance`` is the index of the depth-phase seed
-    that produced the winner, or None when the winner came from exhaustive
-    traversal or the starting arrangement. ``evaluations`` counts mutual
-    information evaluations.
+    ``trajectory`` is the best-seen mutual information (non-increasing):
+    the start's, then each strict record of exhaustive traversal (the first
+    leaf is the start), or the best after each depth iteration, seed after
+    seed. ``evaluations`` is 1 for the start plus the leaves scored (one per
+    transpose pair on a square grid), or plus the n2 seeds and every valid
+    depth swap, a cycled seed's rest counted from its 2-cycle; never the n1
+    breadth draws. ``seed_provenance`` is the winning seed's rank among
+    breadth's winners, None on the exhaustive route or when the start wins.
     """
 
     best_tableau: YoungTableau
@@ -561,7 +564,7 @@ def _rough_blocks(p: np.ndarray, dims: BipartiteDims, h_flat: float):
     """
     p_ext = np.concatenate(([0.0], p))
     store = prefixes = None
-    for block in regular_grid_blocks(dims, LEAF_BLOCK, exploit_symmetry=dims.d_a == dims.d_b):
+    for block in regular_grid_blocks(dims, LEAF_BLOCK):
         if block.store is not store:  # the first block: one store for all
             store, k = block.store, LEAF_BLOCK  # summed k grids at a time, as in _by_piece
             suffix_sums = np.empty((len(store), dims.d_a + dims.d_b))
@@ -617,7 +620,7 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     return best_grid, best_mi, evaluations, trajectory, None
 
 
-# (mi, draw index, draw): a draw is its cell sequence until _breadth returns grids.
+# (mi, draw index, draw), a draw being its cell sequence.
 Candidate = tuple[float, int, np.ndarray]
 
 
@@ -670,9 +673,12 @@ def _breadth_block(
     return _merge_best([zip(mi.tolist(), (lo + near).tolist(), near_cell.T)], keep)
 
 
-def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig, h_flat: float) -> list[Candidate]:
-    """Sample n1 random regular grids and return the n2 distinct ones with
-    the smallest mutual information, ascending by (mi, draw index).
+def _breadth(
+    p: np.ndarray, dims: BipartiteDims, config: SearchConfig, h_flat: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample n1 random regular grids and keep the n2 distinct ones with the
+    smallest mutual information, ascending by (mi, draw index): their exact
+    scores, which ``_depth`` starts from, and their value grids.
 
     The draws are cut into ``breadth_tasks`` of at most one block, which
     ``run_tasks`` scores in this process or on a pool (the worker count
@@ -685,15 +691,16 @@ def _breadth(p: np.ndarray, dims: BipartiteDims, config: SearchConfig, h_flat: f
     best: list[Candidate] = []
     for part in run_tasks(score, jobs, breadth_tasks(config.n1, jobs)):
         best = _merge_best([best, part], config.n2)
-    grids = _cell_grids(np.stack([seq for _mi, _idx, seq in best], axis=1), dims.d_a, dims.d_b)
-    return [(mi, idx, grid) for (mi, idx, _seq), grid in zip(best, grids)]
+    mi, _idx, seqs = zip(*best)
+    return np.array(mi), _cell_grids(np.stack(seqs, axis=1), dims.d_a, dims.d_b)
 
 
 def _depth(
-    p: np.ndarray, dims: BipartiteDims, grids: np.ndarray, config: SearchConfig, h_flat: float
+    p: np.ndarray, dims: BipartiteDims, scores: np.ndarray, grids: np.ndarray, config: SearchConfig,
+    h_flat: float,
 ) -> Outcome:
     """Iterated best-neighbour descent from each regular seed value grid of
-    ``grids``, shape (seeds, d_a, d_b).
+    ``grids``, shape (seeds, d_a, d_b), whose exact scores are ``scores``.
 
     Each iteration moves to the neighbour with minimal mutual information,
     even when that is worse than the current grid (the move set never
@@ -711,8 +718,10 @@ def _depth(
     every seed measured entered such a 2-cycle, at iteration 36 to 160 of 200.
 
     All seeds descend together, one iteration at a time, each scoring every
-    candidate swap at once from one array of its row and column sums; the
-    best-seen record is then replayed seed by seed, as if each trajectory
+    candidate swap at once from one array of its row and column sums. Each
+    seed keeps its own record of scores and its best grid; the winner is the
+    seed with the smallest best, the first on ties, and the trajectory one
+    running minimum over the records seed after seed, as if each trajectory
     had run to its end before the next one started. Ties go to the first
     swap in ``candidate_swaps`` order. Whether a swap keeps a grid regular
     follows from where values sit: v and v + 1 of a regular grid share a
@@ -736,11 +745,11 @@ def _depth(
     # and with no candidate swap (n < 3) every seed has finished.
     active = np.arange(n_seeds if len(u) else 0)
 
-    start_mi = _block_mi(p, grids, h_flat).tolist()
-    best_mi = np.array(start_mi)  # per seed, updated on strict improvement
+    best_mi = np.array(scores)  # per seed, updated on strict improvement
     best_grid = grids.copy()
-    step_mi = np.full((config.n_d, n_seeds), math.inf)
-    steps = np.zeros(n_seeds, dtype=np.intp)
+    # Per seed, its start's score, then each step's; NaN for steps not taken.
+    record = np.full((n_seeds, config.n_d + 1), math.nan)
+    record[:, 0] = scores
     last_choice = np.full(n_seeds, -1)  # per seed, the swap of the last iteration
     last_count = np.zeros(n_seeds, dtype=np.intp)  # and its count of valid swaps
     evaluations = n_seeds
@@ -793,8 +802,7 @@ def _depth(
         cells[ms, a[:, 0], a[:, 1]] = ww + 1
         cells[ms, b[:, 0], b[:, 1]] = uu + 1
         place[ms, uu], place[ms, ww] = b, a
-        step_mi[t, seed] = chosen
-        steps[seed] += 1
+        record[seed, t + 1] = chosen
 
         better = chosen < best_mi[seed]
         improved = seed[better]
@@ -805,12 +813,12 @@ def _depth(
         # the grid it left two iterations ago. Its next move is a function of
         # that grid alone, so from here it alternates between the last two
         # iterations, bit for bit, and can set no new best: count its
-        # remaining iterations, whose step_mi stays inf, and drop it.
+        # remaining iterations, recorded as inf, and drop it.
         cycled = choice == last_choice[seed]
         left = config.n_d - 1 - t
         for si, count in zip(seed[cycled].tolist(), counts[ms[cycled]].tolist()):
             evaluations += (left + 1) // 2 * int(last_count[si]) + left // 2 * count
-        steps[seed[cycled]] = config.n_d
+        record[seed[cycled], t + 2 :] = math.inf
         last_choice[seed], last_count[seed] = choice, counts[ms]
         # A seed with no regular neighbour keeps its grid, so it has none in
         # any later iteration either: its trajectory has halted.
@@ -819,19 +827,12 @@ def _depth(
         if not keep.all():
             cells, place, active = cells[keep], place[keep], active[keep]
 
-    # Seed-major replay. The seed that sets the overall best last does so
-    # with its own last strict improvement, which best_grid holds.
-    overall, best_seed = math.inf, 0
-    trajectory: list[float] = []
-    for si in range(n_seeds):
-        if start_mi[si] < overall:
-            overall, best_seed = start_mi[si], si
-        for x in step_mi[: steps[si], si].tolist():
-            if x < overall:
-                overall, best_seed = x, si
-            trajectory.append(overall)
-
-    return best_grid[best_seed], overall, evaluations, trajectory, best_seed
+    # Seed-major, as a strict < would see it seed by seed: no score is -0.0,
+    # so ties have equal bits. Start positions leave the trajectory.
+    seed_of, col = np.nonzero(~np.isnan(record))
+    trajectory = np.minimum.accumulate(record[seed_of, col])[col > 0].tolist()
+    best_seed = int(best_mi.argmin())
+    return best_grid[best_seed], float(best_mi[best_seed]), evaluations, trajectory, best_seed
 
 
 def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> OptimizationResult:
@@ -851,8 +852,7 @@ def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> 
     if count_regular(dims) <= config.exhaustive_threshold:
         method, outcome = "exhaustive", _exhaustive(p, dims, h_flat)
     else:
-        seeds = np.array([grid for _mi, _idx, grid in _breadth(p, dims, config, h_flat)])
-        method, outcome = "heuristic", _depth(p, dims, seeds, config, h_flat)
+        method, outcome = "heuristic", _depth(p, dims, *_breadth(p, dims, config, h_flat), config, h_flat)
     grid, best_mi, evaluations, trajectory, provenance = outcome
 
     if best_mi > initial_mi:

@@ -115,9 +115,7 @@ def _suffix_codes(store: np.ndarray, top: int, bottom: int, weights: np.ndarray)
     return empty @ np.repeat(weights, store.shape[2])
 
 
-def regular_grid_blocks(
-    dims: BipartiteDims, block: int, exploit_symmetry: bool = False
-) -> Iterator[LeafBlock]:
+def regular_grid_blocks(dims: BipartiteDims, block: int) -> Iterator[LeafBlock]:
     """Every regular filling, in blocks of ``block`` leaves (see LeafBlock).
 
     Values 1..n are placed in increasing order, each trying the admissible
@@ -152,8 +150,8 @@ def regular_grid_blocks(
     piece; a block's ``prefix`` is non-decreasing and draws on a contiguous
     run of that array, and each prefix has a leaf in some block of its piece.
 
-    With ``exploit_symmetry`` and a square grid, cell (0, 1) is pinned to
-    value 2, which leaves one representative per transpose pair.
+    On a square grid of n > 1 cells, cell (0, 1) is pinned to value 2, which
+    no filling shares with its transpose: one filling per transpose pair.
     """
     d_a, d_b, n = dims.d_a, dims.d_b, dims.total
     # The smallest dtypes that hold d_b and n: every level copies both arrays.
@@ -161,7 +159,7 @@ def regular_grid_blocks(
     lengths[0, 0] = d_b
     grids = np.zeros((1, n), dtype=np.min_scalar_type(n))
     v = 1
-    if exploit_symmetry and d_a == d_b and n > 1:
+    if d_a == d_b and n > 1:
         grids[0, :2] = 1, 2
         lengths[0, 1] = 2
         v = 3

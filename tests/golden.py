@@ -97,6 +97,7 @@ def state_files() -> dict[str, dict]:
         "zeros35": spectrum(3, 5, np.concatenate((_dirichlet(14, 9), np.zeros(6)))),
         "fig2a88": spectrum(8, 8, _dirichlet(1000, 64)),
         "fig2b88": spectrum(8, 8, _product(1001, 8, 8)),
+        "fig2a1616": spectrum(16, 16, _dirichlet(1016, 256)),
         "pure22": spectrum(2, 2, [1.0, 0.0, 0.0, 0.0]),
         "pure14": spectrum(1, 4, [1.0, 0.0, 0.0, 0.0]),
         "pure33": spectrum(3, 3, [1.0] + [0.0] * 8),
@@ -144,6 +145,9 @@ CALLS: dict[str, list[str]] = {
     # The paper protocol at 8 x 8.
     "paper-fig2a88": ["optimize", _f("fig2a88")],
     "paper-fig2b88": ["optimize", _f("fig2b88"), "--bits"],
+    # Twelve breadth seeds handed to depth at 16 x 16, with short budgets;
+    # the second seed wins, and beats the start.
+    "heur-fig2a1616": ["optimize", _f("fig2a1616"), "--n1", "1000", "--n2", "12", "--nd", "40", "--seed", "1"],
     # A pure spectrum [1, 0, ...]: every arrangement has MI 0.
     "opt-pure22": ["optimize", _f("pure22")],
     "opt-pure14": ["optimize", _f("pure14")],

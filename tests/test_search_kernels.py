@@ -96,7 +96,19 @@ def cells(grid):
 
 def breadth(probs, dims, config):
     """The breadth phase as [(cells, mi)], the form scalar_breadth returns."""
-    return [(cells(grid), mi) for mi, _idx, grid in _breadth(probs, dims, config, _flat_entropy(probs))]
+    return [(cells(grid), mi) for mi, grid in zip(*_breadth(probs, dims, config, _flat_entropy(probs)))]
+
+
+@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_breadth_scores_are_its_grids_exact_scores(d, jobs):
+    # _depth starts from these scores instead of scoring its seeds again.
+    dims = BipartiteDims(d, d)
+    probs = descending_probs(dims.total, d)
+    h_flat = _flat_entropy(probs)
+    scores, grids = _breadth(probs, dims, SearchConfig(n1=500, n2=12, seed=4, parallelism=jobs), h_flat)
+    assert grids.shape == (12, d, d)
+    assert list(map(float.hex, scores.tolist())) == list(map(float.hex, _block_mi(probs, grids, h_flat).tolist()))
 
 
 def exhaustive(probs, dims):
@@ -335,7 +347,7 @@ def test_exhaustive_is_the_same_for_every_suffix_length(d_a, d_b, kind, monkeypa
     probs = spectrum(kind, dims.total, 7 * d_a + d_b)
 
     def suffix_length():
-        return np.count_nonzero(next(regular_grid_blocks(dims, LEAF_BLOCK, d_a == d_b)).store[0])
+        return np.count_nonzero(next(regular_grid_blocks(dims, LEAF_BLOCK)).store[0])
 
     want, default, m = exhaustive(probs, dims), suffix_length(), min(d_a, d_b)
     caps = [0] + ([m**t for t in range(1, default)] if m > 1 else [])
@@ -413,8 +425,8 @@ def test_suffix_codes_match_the_row_count_form(d_a, d_b, cap, monkeypatch):
         return calls[-1][-1]
 
     monkeypatch.setattr(qaeopt.tableau, "_suffix_codes", spy)
-    for exploit_symmetry in (False, True):
-        next(regular_grid_blocks(BipartiteDims(d_a, d_b), LEAF_BLOCK, exploit_symmetry))
+    for dims in (BipartiteDims(d_a, d_b), BipartiteDims(d_b, d_a)):
+        next(regular_grid_blocks(dims, LEAF_BLOCK))
     assert len(calls) == 2
     for store, top, bottom, weights, got in calls:
         want = np.count_nonzero(store[:, top:bottom] == 0, axis=2) @ weights
@@ -630,9 +642,10 @@ def test_traversal_values_beyond_one_byte():
 
 
 def assert_depth_matches(probs, dims, seeds, n_d):
-    grids = np.array([t.cells for t in seeds])
+    grids, h_flat = np.array([t.cells for t in seeds]), _flat_entropy(probs)
     config = SearchConfig(n1=len(seeds), n2=len(seeds), n_d=n_d)
-    grid, best_mi, evaluations, trajectory, provenance = _depth(probs, dims, grids, config, _flat_entropy(probs))
+    scores = _block_mi(probs, grids, h_flat)
+    grid, best_mi, evaluations, trajectory, provenance = _depth(probs, dims, scores, grids, config, h_flat)
     ref = scalar_depth(probs, dims, seeds, n_d)
     assert cells(grid) == ref["best_cells"]
     assert best_mi == ref["best_mi"]
@@ -677,11 +690,25 @@ def test_depth_with_negative_operands_matches_scalar(d_a, d_b, monkeypatch):
     assert min(lowest) < 0.0
 
 
-def test_depth_matches_scalar_full_size():
-    dims = BipartiteDims(8, 8)
-    probs = descending_probs(64, 3)
+@pytest.mark.parametrize("d,n_d", [(8, 60), (16, 20)])
+def test_depth_matches_scalar_full_size(d, n_d):
+    dims = BipartiteDims(d, d)
+    probs = descending_probs(dims.total, 3)
     seeds = [YoungTableau(dims, c) for c, _ in breadth(probs, dims, SearchConfig(n1=400, n2=12, seed=3))]
-    assert_depth_matches(probs, dims, seeds, 60)
+    assert len(seeds) == 12
+    assert_depth_matches(probs, dims, seeds, n_d)
+
+
+def test_depth_duplicate_seed_first_copy_wins():
+    # The winner is the first seed whose best is the smallest: a copy of the
+    # winning seed, right after it or last, never takes its place.
+    dims = BipartiteDims(4, 5)
+    probs = descending_probs(dims.total, 6)
+    seeds = [random_regular(dims, k) for k in range(4)]
+    win = scalar_depth(probs, dims, seeds, 30)["seed_provenance"]
+    assert win == 2
+    for batch in (seeds + [seeds[win]], seeds[: win + 1] + [seeds[win]] + seeds[win + 1 :]):
+        assert assert_depth_matches(probs, dims, batch, 30)["seed_provenance"] == win
 
 
 def test_depth_single_row_seeds_halt_at_once():
@@ -747,7 +774,8 @@ def test_move_test_from_positions_matches_neighbour_checks(shape, key):
         assert [position_rule(place, u, w) for u, w in candidate_swaps(dims.total)] == expected
         # _depth counts one evaluation per swap its move test lets through.
         config = SearchConfig(n1=1, n2=1, n_d=1)
-        _, _, evaluations, _, _ = _depth(probs, dims, grid[None], config, _flat_entropy(probs))
+        h_flat = _flat_entropy(probs)
+        _, _, evaluations, _, _ = _depth(probs, dims, _block_mi(probs, grid[None], h_flat), grid[None], config, h_flat)
         assert evaluations == 1 + sum(expected)
 
 

@@ -55,9 +55,10 @@ def assert_ends_its_last_run(block):
     assert tail == run[len(run) - len(tail) :].tolist()
 
 
-def regular_tableaux(dims, exploit_symmetry=False):
-    """Every regular filling, in the order the exhaustive search scores them."""
-    blocks = regular_grid_blocks(dims, qaeopt.search.LEAF_BLOCK, exploit_symmetry)
+def regular_tableaux(dims):
+    """Every regular filling the exhaustive search scores, in its order: on a
+    square grid, one of each transpose pair."""
+    blocks = regular_grid_blocks(dims, qaeopt.search.LEAF_BLOCK)
     return [YoungTableau(dims, grid) for block in blocks for grid in leaf_grids(block).tolist()]
 
 
@@ -108,8 +109,9 @@ class TestEnumerate:
         assert [t.cells for t in regular_tableaux(BipartiteDims(1, 1))] == [((1,),)]
 
     def test_2x2_full(self):
-        cells = {t.cells for t in regular_tableaux(DIMS22)}
-        assert cells == {((1, 2), (3, 4)), ((1, 3), (2, 4))}
+        # A square grid walks one filling per transpose pair.
+        [walked] = [t.cells for t in regular_tableaux(DIMS22)]
+        assert {walked, tuple(zip(*walked))} == {((1, 2), (3, 4)), ((1, 3), (2, 4))}
 
     def test_2x3_matches_brute_force(self):
         assert {t.cells for t in regular_tableaux(DIMS23)} == brute_force_regular_set(2, 3)
@@ -121,7 +123,8 @@ class TestEnumerate:
     def test_stream_length_equals_hook_count(self, d_a, d_b):
         dims = BipartiteDims(d_a, d_b)
         assert count_regular(dims) <= 10**5
-        assert sum(1 for _ in regular_tableaux(dims)) == count_regular(dims)
+        pairs = 2 if d_a == d_b and dims.total > 1 else 1  # a square walks one per transpose pair
+        assert sum(1 for _ in regular_tableaux(dims)) * pairs == count_regular(dims)
 
     def test_all_enumerated_are_regular(self):
         assert all(is_regular(t.cells) for t in regular_tableaux(BipartiteDims(3, 4)))
@@ -134,7 +137,7 @@ class TestEnumerate:
         "d_a,d_b",
         [(d_a, d_b) for d_a in range(1, 4) for d_b in range(1, 5)] + [(4, 4), (2, 9), (5, 3)],
     )
-    @pytest.mark.parametrize("exploit_symmetry", [False, True])
+    @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize(
         "block,cap",
         [
@@ -144,16 +147,16 @@ class TestEnumerate:
         ],
     )
     def test_order_matches_recursive_reference(
-        self, d_a, d_b, exploit_symmetry, block, cap, monkeypatch
+        self, d_a, d_b, transposed, block, cap, monkeypatch
     ):
         if cap is not None:  # a small cap joins every grid from prefixes and suffixes
             monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
-        dims = BipartiteDims(d_a, d_b)
-        want = list(scalar_enumerate(dims, exploit_symmetry))
+        dims = BipartiteDims(d_b, d_a) if transposed else BipartiteDims(d_a, d_b)
+        want = list(scalar_enumerate(dims, d_a == d_b))
         block = block or qaeopt.search.LEAF_BLOCK
         # Small caps and blocks split the prefix walk into pieces, each cut
         # into blocks on its own, so only a piece's last block may be short.
-        blocks = list(regular_grid_blocks(dims, block, exploit_symmetry))
+        blocks = list(regular_grid_blocks(dims, block))
         assert all(1 <= len(b.prefix) <= block for b in blocks)
         for b, after in zip(blocks, blocks[1:]):
             if len(b.prefix) < block:
@@ -179,7 +182,7 @@ class TestEnumerate:
         # suffixes for 70 prefixes before it was capped at half the values.
         dims = BipartiteDims(d_a, d_b)
         block = qaeopt.search.LEAF_BLOCK
-        blocks = list(regular_grid_blocks(dims, block, d_a == d_b))
+        blocks = list(regular_grid_blocks(dims, block))
         sizes = [len(b.prefix) for b in blocks]
         assert len(sizes) == count
         assert all(k == block for k in sizes[:-1]) and 1 <= sizes[-1] <= block
@@ -201,16 +204,16 @@ class TestEnumerate:
         [(1, 1), (1, 2), (1, 7), (1, 300), (6, 1), (2, 2), (2, 3), (3, 3), (2, 8), (2, 15), (2, 20),
          (3, 5), (3, 7), (4, 4), (4, 5), (5, 5), (8, 8), (3, 20)],
     )
-    @pytest.mark.parametrize("exploit_symmetry", [False, True])
-    def test_suffix_length_is_balanced(self, d_a, d_b, exploit_symmetry):
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_suffix_length_is_balanced(self, d_a, d_b, transposed):
         # t, the values kept as suffixes, is the largest count with
         # m**t <= SUFFIX_CAP and t <= n // 2 for m = min(d_a, d_b) > 1; a
         # single row or column keeps every value after the pinned ones.
-        dims = BipartiteDims(d_a, d_b)
+        dims = BipartiteDims(d_b, d_a) if transposed else BipartiteDims(d_a, d_b)
         n, m, cap = dims.total, min(d_a, d_b), qaeopt.tableau.SUFFIX_CAP
-        store = next(regular_grid_blocks(dims, 2048, exploit_symmetry)).store
+        store = next(regular_grid_blocks(dims, 2048)).store
         t = np.count_nonzero(store[0])
-        pinned = 2 if exploit_symmetry and d_a == d_b and n > 1 else 0
+        pinned = 2 if d_a == d_b and n > 1 else 0
         if m == 1:
             assert t == n - pinned
         else:
@@ -233,7 +236,7 @@ class TestEnumerate:
         dims = BipartiteDims(d_a, d_b)
         store = np.zeros((0, d_a, d_b))
         pieces = []  # each walk piece's prefix array and the prefixes its blocks draw on
-        for b in regular_grid_blocks(dims, block, d_a == d_b):
+        for b in regular_grid_blocks(dims, block):
             # The store only grows: earlier rows keep their place and value.
             assert len(b.store) >= len(store)
             assert np.array_equal(b.store[: len(store)], store)
@@ -267,7 +270,7 @@ class TestEnumerate:
         monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
         dims = BipartiteDims(d_a, d_b)
         leaves, store = 0, None
-        for b in regular_grid_blocks(dims, 2048, d_a == d_b):
+        for b in regular_grid_blocks(dims, 2048):
             leaves += len(b.prefix)
             store = b.store if store is None else store
             assert b.store is store
@@ -281,13 +284,13 @@ class TestEnumerate:
     @pytest.mark.parametrize(
         "d_a,d_b", [(1, 5), (5, 1), (2, 2), (3, 3), (4, 4), (3, 5), (5, 3), (2, 9)]
     )
-    @pytest.mark.parametrize("exploit_symmetry", [False, True])
+    @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("cap", [4, 64, None])
-    def test_shape_walk_finds_every_prefix_shape(self, d_a, d_b, exploit_symmetry, cap, monkeypatch):
+    def test_shape_walk_finds_every_prefix_shape(self, d_a, d_b, transposed, cap, monkeypatch):
         if cap is not None:
             monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
-        dims = BipartiteDims(d_a, d_b)
-        blocks = list(regular_grid_blocks(dims, 3, exploit_symmetry))
+        dims = BipartiteDims(d_b, d_a) if transposed else BipartiteDims(d_a, d_b)
+        blocks = list(regular_grid_blocks(dims, 3))
         # Every prefix has a leaf, so the prefixes of all blocks are every
         # prefix the prefix walk yields; every shape has a suffix.
         prefix_shapes = {
@@ -302,7 +305,7 @@ class TestEnumerate:
         if cap is not None:
             monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
         dims = BipartiteDims(d_a, d_b)
-        store = next(regular_grid_blocks(dims, 3, d_a == d_b)).store
+        store = next(regular_grid_blocks(dims, 3)).store
         n, limit = dims.total, qaeopt.tableau.SUFFIX_CAP
         mid = n + 1 - np.count_nonzero(store[0])
         assert store.dtype == np.min_scalar_type(n)
@@ -322,7 +325,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("d_a,d_b", [(2, 6), (3, 4), (4, 4)])
     def test_blocks_of_one_traversal_share_one_store(self, d_a, d_b):
         dims = BipartiteDims(d_a, d_b)
-        blocks = list(regular_grid_blocks(dims, 5, d_a == d_b))
+        blocks = list(regular_grid_blocks(dims, 5))
         assert len(blocks) > 1
         assert all(b.store is blocks[0].store for b in blocks)
         # Shared by every block, so no consumer may write to it; nor to a
@@ -333,13 +336,13 @@ class TestEnumerate:
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetry_halving(self, d):
         dims = BipartiteDims(d, d)
-        full = {t.cells for t in regular_tableaux(dims)}
-        half = [t for t in regular_tableaux(dims, exploit_symmetry=True)]
+        full = set(scalar_enumerate(dims))
+        half = regular_tableaux(dims)
         assert len(half) == count_regular(dims) // 2
         assert all(t.cells[0][1] == 2 for t in half)
         reps = {t.cells for t in half}
         flipped = {tuple(zip(*t.cells)) for t in half}
-        assert reps | flipped == full
+        assert reps | flipped == full and not reps & flipped
 
 
 class TestCount:
