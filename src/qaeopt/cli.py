@@ -21,7 +21,7 @@ from . import __version__
 from .exceptions import StateFileError, ValidationError
 from .pipeline import build_encoder, generate_instance, verify_theorem1
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, nats_to_bits
-from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, run_tasks, usable_cpus, worker_count
+from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, run_tasks, worker_count
 from .statefile import load_statefile
 from .tableau import count_regular, random_regular
 
@@ -154,7 +154,7 @@ def cmd_experiment(args) -> int:
     started = time.perf_counter()
     dims, config = args.dims, args.config
     state = partial(_experiment_state, _EXPERIMENT_KINDS[args.kind], dims, config)
-    jobs = worker_count(config.parallelism, args.states, usable_cpus())
+    jobs = worker_count(config.parallelism, args.states)
     rows = list(run_tasks(state, jobs, range(args.states)))
 
     bits = args.bits

@@ -11,13 +11,13 @@ All three are array code with one marginal format and one exact kernel:
 and ``_exact_mi`` turns such rows into mutual information (``_block_mi`` of
 grids). Breadth and exhaustive traversal first filter with one rough score,
 ``_rough_mi``, of the same packed sums, through numpy's log. The exhaustive
-search takes its leaves from ``tableau.regular_grid_blocks`` in blocks of at
-most LEAF_BLOCK, each cut from one piece of the prefix walk, each leaf a
-prefix and a suffix from one store built before the first block, and scores
-each block at once from packed marginals (see ``_rough_blocks``). It builds a
-grid only for the leaves that need an exact score: on one x86-64 core about
-0.05 µs per leaf at (3,7), and 0.7-1.0 s for 2x15, the largest grid the
-default threshold routes to it (9,694,845 leaves). The breadth phase cuts
+search reads ``tableau.regular_grid_walk``: one suffix store, and the pieces
+of the prefix walk, each its prefix array and its leaves in blocks of at most
+LEAF_BLOCK, each leaf a prefix and a suffix. It scores each block at once
+from packed marginals (see ``_exhaustive``) and builds a grid only for the
+leaves that need an exact score: on one x86-64 core about 0.05 µs per
+leaf at (3,7), and 0.7-1.0 s for 2x15, the largest grid the default
+threshold routes to it (9,694,845 leaves). The breadth phase cuts
 the draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded
 one at a time): a task streams its draws' uniforms one value at a time,
 places each value in all its draws at once, in small-integer arrays of
@@ -72,7 +72,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _check_integers, _probability_vector
-from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_blocks
+from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_walk
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -189,11 +189,11 @@ def usable_cpus() -> int | None:
     return os.cpu_count() if cpus is None else len(cpus)
 
 
-def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
+def worker_count(requested: int, tasks: int) -> int:
     """Worker processes worth starting for ``tasks`` independent tasks: no
-    more than requested, than tasks, or than ``cpus`` (``usable_cpus()``,
-    None when unknown, which counts as one), and at least one."""
-    return max(1, min(requested, tasks, cpus or 1))
+    more than requested, than tasks, or than ``usable_cpus()`` (an unknown
+    count counts as one), and at least one."""
+    return max(1, min(requested, tasks, usable_cpus() or 1))
 
 
 def breadth_tasks(n1: int, jobs: int) -> Iterator[tuple[int, int]]:
@@ -546,39 +546,6 @@ def _min_before(scores: np.ndarray, floor: float) -> np.ndarray:
 Outcome = tuple[np.ndarray, float, int, list[float], int | None]
 
 
-def _rough_blocks(p: np.ndarray, dims: BipartiteDims, h_flat: float):
-    """Every leaf block of the exhaustive traversal with a rough score for
-    each of its leaves, from factored marginals and numpy's log.
-
-    A leaf's rows and columns are split by its prefix and its suffix: the
-    prefix fills the left part of each row and the top of each column. So
-    its marginals are the prefix's plus the suffix's, with no leaf grid
-    built. Both are packed as one row of d_a row sums then d_b column sums:
-    the suffixes' once, from the shared store, before the first block, and
-    the prefixes' once per walk piece, whose blocks share its prefix array.
-    A block then takes two packed rows per leaf and adds them. The sums are
-    of ``p_ext[grid]``, where ``p_ext = [0, p...]``, so an empty cell adds
-    exactly 0. Each factored marginal differs from its cell-order sum by at
-    most about n * eps, and the rough score, summed in any order, from the
-    exact one by far less than 1e-12.
-    """
-    p_ext = np.concatenate(([0.0], p))
-    store = prefixes = None
-    for block in regular_grid_blocks(dims, LEAF_BLOCK):
-        if block.store is not store:  # the first block: one store for all
-            store, k = block.store, LEAF_BLOCK  # summed k grids at a time, as in _by_piece
-            suffix_sums = np.empty((len(store), dims.d_a + dims.d_b))
-            for i in range(0, len(store), k):
-                suffix_sums[i : i + k] = _marginals(p_ext[store[i : i + k]])
-        if block.prefixes is not prefixes:  # the first block of a walk piece
-            prefixes = block.prefixes
-            prefix_sums = _marginals(p_ext[prefixes])
-        # take along axis 0 copies whole rows, faster than fancy indexing.
-        sums = prefix_sums.take(block.prefix, axis=0)
-        sums += suffix_sums.take(block.suffix, axis=0)
-        yield block, _rough_mi(sums, h_flat)
-
-
 def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     """Globally minimal grid by full traversal; ties go to the first grid in
     enumeration order.
@@ -587,35 +554,53 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     (transposition swaps the two marginals and leaves the mutual information
     unchanged), so the evaluation count is half the total count there.
 
-    The leaves come from ``tableau.regular_grid_blocks`` in blocks of at
-    most LEAF_BLOCK, as prefix and suffix indices, and ``_rough_blocks``
-    scores each block at once from their marginals. Rough and exact scores
-    differ by far less than 1e-12, well under SCORE_SLACK, so a leaf can set
-    a new exact minimum only if its rough score is within SCORE_SLACK of the
-    rough minimum before it; a block whose rough minimum is further than that
+    The leaves come from ``tableau.regular_grid_walk`` as a prefix and a
+    suffix each, in blocks of at most LEAF_BLOCK, and each block is scored at
+    once from factored marginals with numpy's log. The prefix fills the left
+    part of each row and the top of each column, so a leaf's marginals are
+    its prefix's plus its suffix's, with no leaf grid built. Both are packed
+    as one row of d_a row sums then d_b column sums: the suffixes' once, from
+    the store, and the prefixes' once per walk piece. A block then takes two
+    packed rows per leaf and adds them. The sums are of ``p_ext[grid]``,
+    where ``p_ext = [0, p...]``, so an empty cell adds exactly 0. Each
+    factored marginal differs from its cell-order sum by at most about
+    n * eps, and the rough score, summed in any order, from the exact one by
+    far less than 1e-12, well under SCORE_SLACK. So a leaf can set a new
+    exact minimum only if its rough score is within SCORE_SLACK of the rough
+    minimum before it; a block whose rough minimum is further than that
     above the rough minimum so far holds none and is passed over after that
     one reduction. Only the near leaves are built as grids and scored
     exactly, with the marginals summed in cell order. Memory stays bounded
     (about 40 MB of process RSS at 2x15).
     """
+    p_ext = np.concatenate(([0.0], p))
+    store, pieces = regular_grid_walk(dims, LEAF_BLOCK)
+    k = LEAF_BLOCK  # summed k grids at a time, as in _by_piece
+    suffix_sums = np.concatenate([_marginals(p_ext[store[i : i + k]]) for i in range(0, len(store), k)])
     best_mi = best_rough = math.inf
     best_grid = None
     trajectory: list[float] = []
     evaluations = 0
-    for block, rough in _rough_blocks(p, dims, h_flat):
-        evaluations += len(rough)
-        low = rough.min()
-        if low > best_rough + SCORE_SLACK:  # most blocks, once a low minimum is found
-            continue
-        near = np.flatnonzero(rough <= _min_before(rough, best_rough) + SCORE_SLACK)
-        best_rough = min(best_rough, low)
-        grids = block.grids(near)
-        exact = _block_mi(p, grids, h_flat)
-        records = np.flatnonzero(exact < _min_before(exact, best_mi))
-        if records.size:
-            trajectory += exact[records].tolist()
-            best_mi = trajectory[-1]
-            best_grid = grids[records[-1]]
+    for prefixes, blocks in pieces:
+        prefix_sums = _marginals(p_ext[prefixes])
+        for prefix, suffix in blocks:
+            # take along axis 0 copies whole rows, faster than fancy indexing.
+            sums = prefix_sums.take(prefix, axis=0)
+            sums += suffix_sums.take(suffix, axis=0)
+            rough = _rough_mi(sums, h_flat)
+            evaluations += len(rough)
+            low = rough.min()
+            if low > best_rough + SCORE_SLACK:  # most blocks, once a low minimum is found
+                continue
+            near = np.flatnonzero(rough <= _min_before(rough, best_rough) + SCORE_SLACK)
+            best_rough = min(best_rough, low)
+            grids = prefixes[prefix[near]] + store[suffix[near]]
+            exact = _block_mi(p, grids, h_flat)
+            records = np.flatnonzero(exact < _min_before(exact, best_mi))
+            if records.size:
+                trajectory += exact[records].tolist()
+                best_mi = trajectory[-1]
+                best_grid = grids[records[-1]]
     assert best_grid is not None
     return best_grid, best_mi, evaluations, trajectory, None
 
@@ -686,7 +671,7 @@ def _breadth(
     uses the RNG stream ``PCG64(SeedSequence((config.seed, i)))``, so the
     result is independent of how draws are split into tasks and workers.
     """
-    jobs = worker_count(config.parallelism, config.n1, usable_cpus())
+    jobs = worker_count(config.parallelism, config.n1)
     score = partial(_breadth_block, p, h_flat, dims.d_a, dims.d_b, config.seed, keep=config.n2)
     best: list[Candidate] = []
     for part in run_tasks(score, jobs, breadth_tasks(config.n1, jobs)):

@@ -190,7 +190,9 @@ def _spectrum(raw, n: int) -> np.ndarray:
         p = _probability_vector(p, n)
     except ValidationError as exc:
         raise StateFileError(f"bad spectrum: {exc}") from exc
-    return np.clip(p, 0.0, None)
+    p = np.clip(p, 0.0, None)
+    p.setflags(write=False)  # read-only, as a dense file's probs are
+    return p
 
 
 def load_statefile(path) -> StateFile:

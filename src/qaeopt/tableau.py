@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class YoungTableau:
         return arr
 
 
-# regular_grid_blocks walks the last t values of every shape in one walk and
+# regular_grid_walk walks the last t values of every shape in one walk and
 # keeps them, for the largest t with min(d_a, d_b)**t at or below this and
 # t <= n // 2; the kept suffixes of all shapes number at most this many grids.
 SUFFIX_CAP = 2**16
@@ -89,24 +89,6 @@ def _walk(
         yield lengths, grids
 
 
-class LeafBlock(NamedTuple):
-    """Regular fillings in factored form: leaf k is the value grid
-    ``prefixes[prefix[k]] + store[suffix[k]]`` (0 marks an empty cell, and a
-    prefix and its suffix fill disjoint cells). ``prefixes`` are every prefix
-    grid of one walk piece, one read-only array for all blocks of the piece,
-    of which the block draws on a contiguous run; ``store`` is every suffix,
-    one read-only array for all blocks."""
-
-    prefixes: np.ndarray  # (p, d_a, d_b)
-    store: np.ndarray  # (s, d_a, d_b)
-    prefix: np.ndarray  # (k,) rows of prefixes
-    suffix: np.ndarray  # (k,) rows of store
-
-    def grids(self, leaves=slice(None)) -> np.ndarray:
-        """Value grids of the selected leaves, shape (k, d_a, d_b)."""
-        return self.prefixes[self.prefix[leaves]] + self.store[self.suffix[leaves]]
-
-
 def _suffix_codes(store: np.ndarray, top: int, bottom: int, weights: np.ndarray) -> np.ndarray:
     """Each suffix's shape code: its empty cells in rows top..bottom-1, its
     prefix's row lengths there, in the base of ``weights``. One matmul of
@@ -115,8 +97,37 @@ def _suffix_codes(store: np.ndarray, top: int, bottom: int, weights: np.ndarray)
     return empty @ np.repeat(weights, store.shape[2])
 
 
-def regular_grid_blocks(dims: BipartiteDims, block: int) -> Iterator[LeafBlock]:
-    """Every regular filling, in blocks of ``block`` leaves (see LeafBlock).
+# A leaf block (prefix, suffix) and a walk piece (prefixes, blocks): see
+# regular_grid_walk.
+Block = tuple[np.ndarray, np.ndarray]
+Piece = tuple[np.ndarray, Iterator[Block]]
+
+
+def _leaf_blocks(first: np.ndarray, count: np.ndarray, block: int) -> Iterator[Block]:
+    """One piece's leaf blocks: prefix i has the ``count[i]`` suffixes from
+    row ``first[i]`` of the store."""
+    ends = np.cumsum(count)
+    starts = ends - count
+    shift = first - starts  # leaf index + shift = the row of its suffix in store
+    total = int(ends[-1])
+    for j in range(0, total, block):
+        # Leaves j..k-1 of the piece: prefixes lo..hi-1, run[i] leaves
+        # from prefix lo+i.
+        k = min(j + block, total)
+        lo = np.searchsorted(ends, j, side="right")
+        hi = np.searchsorted(ends, k - 1, side="right") + 1
+        run = np.minimum(ends[lo:hi], k) - np.maximum(starts[lo:hi], j)
+        yield np.repeat(np.arange(lo, hi), run), np.repeat(shift[lo:hi], run) + np.arange(j, k)
+
+
+def regular_grid_walk(dims: BipartiteDims, block: int) -> tuple[np.ndarray, Iterator[Piece]]:
+    """Every regular filling in factored form: the suffix store, shape
+    (s, d_a, d_b), and an iterator of walk pieces. A piece is its prefix
+    grids, shape (p, d_a, d_b), and an iterator of its leaf blocks, each a
+    pair of row indices ``(prefix, suffix)``: leaf k is the value grid
+    ``prefixes[prefix[k]] + store[suffix[k]]``, 0 marking an empty cell, and
+    a prefix and its suffix fill disjoint cells. The store and every prefix
+    array are read-only.
 
     Values 1..n are placed in increasing order, each trying the admissible
     rows top to bottom (a row shorter than the one above, or than d_b for
@@ -124,31 +135,28 @@ def regular_grid_blocks(dims: BipartiteDims, block: int) -> Iterator[LeafBlock]:
 
     The fillings that complete a partial filling depend only on its shape,
     its row lengths. So the first values, up to ``mid - 1``, are walked as
-    prefixes, and the last ``t = n + 1 - mid`` are kept as suffixes; each
-    leaf is a prefix plus one suffix of its shape, and no leaf grid is built
-    here. A value goes into one of at most m = min(d_a, d_b) rows, and t is
-    the largest count with m**t <= SUFFIX_CAP and t <= n // 2. The suffixes
-    kept for all shapes together are the ways to place the last t values,
-    which turned by 180 degrees are the ways to place the first t; so the
-    store holds at most SUFFIX_CAP grids of n cells, and no more than there
-    are prefixes: at (3,5) 120 suffixes for 274 prefixes, at (2,12) 924 for
-    924. A single row or column (m == 1) has one filling, kept whole as its
-    one suffix, t = every value not pinned: split, it would be walked value
-    by value in the shape walk and the prefix walk as well. The store is
-    built before the first block: a walk over row lengths alone finds every
-    shape a prefix can leave, and one walk from all of them builds the
-    suffixes.
-    Each prefix finds its shape's run of suffixes by a shape code. Leaves
-    come prefix-major, each prefix's suffixes in depth-first order: the
-    depth-first order of the whole tree.
+    prefixes, and the last ``t = n + 1 - mid`` are kept as suffixes; no
+    leaf grid is built here. A value goes into one of at most
+    m = min(d_a, d_b) rows, and t is the largest count with
+    m**t <= SUFFIX_CAP and t <= n // 2. The suffixes kept for all shapes
+    together are the ways to place the last t values, which turned by 180
+    degrees are the ways to place the first t; so the store holds at most
+    SUFFIX_CAP grids of n cells, and no more than there are prefixes: at
+    (3,5) 120 suffixes for 274 prefixes, at (2,12) 924 for 924. A single
+    row or column (m == 1) has one filling, kept whole as its one suffix,
+    t = every value not pinned: split, it would be walked value by value in
+    the shape walk and the prefix walk as well. This call builds the store:
+    a walk over row lengths alone finds every shape a prefix can leave, and
+    one walk from all of them builds the suffixes. Each prefix finds its
+    shape's run of suffixes by a shape code. Leaves come prefix-major, each
+    prefix's suffixes in depth-first order: the depth-first order of the
+    whole tree.
 
-    The prefix walk yields its prefixes in pieces (see ``_walk``), and each
-    piece's leaves are cut into blocks on their own: every block holds
-    ``block`` leaves except the last of its piece, which may hold fewer, and
-    no block draws on two pieces. The blocks of a piece share its prefix
-    array, so a consumer can work out what it needs of each prefix once per
-    piece; a block's ``prefix`` is non-decreasing and draws on a contiguous
-    run of that array, and each prefix has a leaf in some block of its piece.
+    The prefix walk runs as the pieces are taken, in pieces (see ``_walk``),
+    so a consumer can work out what it needs of each prefix once per piece.
+    A piece's blocks hold ``block`` leaves each, the last maybe fewer, and
+    cover its prefixes in order: a block's ``prefix`` is non-decreasing,
+    and each prefix has a leaf.
 
     On a square grid of n > 1 cells, cell (0, 1) is pinned to value 2, which
     no filling shares with its transpose: one filling per transpose pair.
@@ -188,31 +196,20 @@ def regular_grid_blocks(dims: BipartiteDims, block: int) -> Iterator[LeafBlock]:
     # A suffix's empty cells are its prefix's, so they give its shape code.
     [(_, store)] = _walk(shapes, np.zeros((len(shapes), n), grids.dtype), mid, n + 1, SUFFIX_CAP)
     store = store.reshape(-1, d_a, d_b)
-    store.setflags(write=False)  # every block shares it
+    store.setflags(write=False)  # every leaf shares it
     store_code = _suffix_codes(store, top, bottom, weights)
-    for lengths, grids in _walk(lengths, grids, v, mid, block):
-        shape_code = lengths[:, 1 + top : 1 + bottom] @ weights
-        first = np.searchsorted(store_code, shape_code)
-        count = np.searchsorted(store_code, shape_code, side="right") - first
-        ends = np.cumsum(count)
-        starts = ends - count
-        shift = first - starts  # leaf index + shift = the row of its suffix in store
-        grids = grids.reshape(-1, d_a, d_b)
-        grids.setflags(write=False)  # the piece's blocks share it
-        total = int(ends[-1])
-        for j in range(0, total, block):
-            # Leaves j..k-1 of the piece: prefixes lo..hi-1, run[i] leaves
-            # from prefix lo+i.
-            k = min(j + block, total)
-            lo = np.searchsorted(ends, j, side="right")
-            hi = np.searchsorted(ends, k - 1, side="right") + 1
-            run = np.minimum(ends[lo:hi], k) - np.maximum(starts[lo:hi], j)
-            yield LeafBlock(
-                grids,
-                store,
-                np.repeat(np.arange(lo, hi), run),
-                np.repeat(shift[lo:hi], run) + np.arange(j, k),
-            )
+    walk = _walk(lengths, grids, v, mid, block)
+
+    def pieces() -> Iterator[Piece]:
+        for lengths, grids in walk:
+            shape_code = lengths[:, 1 + top : 1 + bottom] @ weights
+            first = np.searchsorted(store_code, shape_code)
+            count = np.searchsorted(store_code, shape_code, side="right") - first
+            grids = grids.reshape(-1, d_a, d_b)
+            grids.setflags(write=False)  # the piece's blocks share it
+            yield grids, _leaf_blocks(first, count, block)
+
+    return store, pieces()
 
 
 def count_regular(dims: BipartiteDims) -> int:

@@ -6,7 +6,8 @@ and minima from evaluating every arrangement. Entropies are recomputed
 locally, and the gap of a suboptimal auxiliary state in the reconstruction
 is composed from the library's public state functions. Then come the
 paper's canonicalization argument, as plain functions on grids, and the
-scalar search references: the loop forms of the enumeration, the
+scalar search references: the loop forms of the enumeration (and the
+library walk's leaves joined into grids, to compare with it), the
 exhaustive search, the breadth phase, the value-swap neighbourhood and the
 depth phase, and the fixed-point certificate (gap and map). Last, the
 state-file writer as one ``json.dumps`` of the whole document, and the
@@ -35,7 +36,7 @@ from qaeopt import (
 )
 from qaeopt.qstate import _probability_vector
 from qaeopt.statefile import FORMAT_VERSION, StateFile, _float_array, _spectrum
-from qaeopt.tableau import _random_regular_grid, candidate_swaps
+from qaeopt.tableau import _random_regular_grid, candidate_swaps, regular_grid_walk
 
 _CHUNK = 200_000
 
@@ -325,6 +326,15 @@ def scalar_enumerate(dims: BipartiteDims, exploit_symmetry: bool = False):
                 grid[i][length] = 0
 
     yield from fill(start)
+
+
+def walk_grids(dims: BipartiteDims, block: int):
+    """The value grids of ``regular_grid_walk``'s leaves, one array per
+    block: each leaf its prefix plus its suffix."""
+    store, pieces = regular_grid_walk(dims, block)
+    for prefixes, blocks in pieces:
+        for prefix, suffix in blocks:
+            yield prefixes[prefix] + store[suffix]
 
 
 def scalar_exhaustive(probs, dims: BipartiteDims) -> dict:

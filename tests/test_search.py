@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qaeopt
-from oracles import brute_force_min_mi, grid_mutual_information, is_regular, neighbors, row_major
+from oracles import brute_force_min_mi, grid_mutual_information, is_regular, neighbors, row_major, walk_grids
 from qaeopt import (
     BipartiteDims,
     SearchConfig,
@@ -22,7 +22,6 @@ from qaeopt import (
 )
 from qaeopt.qstate import MI_ROUNDOFF_TOL
 from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS, _block_mi, _breadth, _depth, _exhaustive, _flat_entropy
-from qaeopt.tableau import regular_grid_blocks
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -214,7 +213,7 @@ class TestDepthFirst:
 
     def test_all_seeds_find_global_minimum_2x3(self):
         probs = descending_probs(6, 11)
-        seeds = np.concatenate([b.grids() for b in regular_grid_blocks(DIMS23, BREADTH_BLOCK)])
+        seeds = np.concatenate(list(walk_grids(DIMS23, BREADTH_BLOCK)))
         cfg = SearchConfig(n1=5, n2=5, n_d=10, seed=0)
         h_flat = _flat_entropy(probs)
         _, best_mi, _, _, provenance = _depth(probs, DIMS23, _block_mi(probs, seeds, h_flat), seeds, cfg, h_flat)

@@ -42,6 +42,7 @@ from oracles import (
     scalar_depth,
     scalar_enumerate,
     scalar_exhaustive,
+    walk_grids,
 )
 from qaeopt import (
     BipartiteDims,
@@ -66,7 +67,6 @@ from qaeopt.search import (
     _exhaustive,
     _flat_entropy,
     _marginals,
-    _rough_blocks,
     _sample_block,
     breadth_tasks,
     run_tasks,
@@ -74,7 +74,7 @@ from qaeopt.search import (
     worker_count,
 )
 from qaeopt.qstate import ENTRY_TOL
-from qaeopt.tableau import _random_regular_grid, candidate_swaps, regular_grid_blocks
+from qaeopt.tableau import _random_regular_grid, candidate_swaps, regular_grid_walk
 
 SAMPLER_DIMS = [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]
 
@@ -109,6 +109,18 @@ def test_breadth_scores_are_its_grids_exact_scores(d, jobs):
     scores, grids = _breadth(probs, dims, SearchConfig(n1=500, n2=12, seed=4, parallelism=jobs), h_flat)
     assert grids.shape == (12, d, d)
     assert list(map(float.hex, scores.tolist())) == list(map(float.hex, _block_mi(probs, grids, h_flat).tolist()))
+
+
+def rough_mi_spy(scored):
+    """A stand-in for ``search._rough_mi`` that appends each call's scores
+    to ``scored``; ``_exhaustive`` calls it once per block."""
+    rough_mi = qaeopt.search._rough_mi
+
+    def spy(sums, h_flat):
+        scored.append(rough_mi(sums, h_flat))
+        return scored[-1]
+
+    return spy
 
 
 def exhaustive(probs, dims):
@@ -347,7 +359,8 @@ def test_exhaustive_is_the_same_for_every_suffix_length(d_a, d_b, kind, monkeypa
     probs = spectrum(kind, dims.total, 7 * d_a + d_b)
 
     def suffix_length():
-        return np.count_nonzero(next(regular_grid_blocks(dims, LEAF_BLOCK)).store[0])
+        store, _ = regular_grid_walk(dims, LEAF_BLOCK)
+        return np.count_nonzero(store[0])
 
     want, default, m = exhaustive(probs, dims), suffix_length(), min(d_a, d_b)
     caps = [0] + ([m**t for t in range(1, default)] if m > 1 else [])
@@ -426,7 +439,7 @@ def test_suffix_codes_match_the_row_count_form(d_a, d_b, cap, monkeypatch):
 
     monkeypatch.setattr(qaeopt.tableau, "_suffix_codes", spy)
     for dims in (BipartiteDims(d_a, d_b), BipartiteDims(d_b, d_a)):
-        next(regular_grid_blocks(dims, LEAF_BLOCK))
+        regular_grid_walk(dims, LEAF_BLOCK)  # builds the store
     assert len(calls) == 2
     for store, top, bottom, weights, got in calls:
         want = np.count_nonzero(store[:, top:bottom] == 0, axis=2) @ weights
@@ -507,17 +520,14 @@ def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k, monkeypatch):
     dims = BipartiteDims(d_a, d_b)
     probs = negative_tail(dims.total, dims.total, k)
     h_flat = _flat_entropy(probs)
-    p_ext = np.concatenate(([0.0], probs))
-    lowest = 0.0
-    for leaf_block, rough in _rough_blocks(probs, dims, h_flat):
-        grids = leaf_block.grids()
-        assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= 1e-12
-        lowest = min(lowest, _marginals(p_ext[grids]).min())
-    assert lowest < 0.0  # some marginals do sum below 0
+    scored = []
+    monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored))
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
+    grids = np.concatenate(list(walk_grids(dims, LEAF_BLOCK)))
+    assert np.abs(np.concatenate(scored) - _block_mi(probs, grids, h_flat)).max() <= 1e-12
+    assert _marginals(np.concatenate(([0.0], probs))[grids]).min() < 0.0  # some marginals do sum below 0
 
-    rough_mi, scored = qaeopt.search._rough_mi, []
-    monkeypatch.setattr(qaeopt.search, "_rough_mi", lambda sums, h: scored.append(rough_mi(sums, h)) or scored[-1])
+    scored.clear()
     _breadth_block(probs, h_flat, d_a, d_b, 5, (0, 300), 4)
     exact = _block_mi(probs, sample_grids(d_a, d_b, 5, 0, 300), h_flat)
     assert np.abs(np.concatenate(scored) - exact).max() <= 1e-12
@@ -548,19 +558,14 @@ def test_exhaustive_skips_only_blocks_with_no_near_leaf(d_a, d_b, block, cap, ki
     if cap is not None:
         monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
     monkeypatch.setattr(qaeopt.search, "SCORE_SLACK", slack)
-    rough_blocks, min_before = qaeopt.search._rough_blocks, qaeopt.search._min_before
+    min_before = qaeopt.search._min_before
     scored, filtered = [], []  # every block's rough scores; every array _min_before saw
-
-    def spy_blocks(*args):
-        for leaf_block, rough in rough_blocks(*args):
-            scored.append(rough)
-            yield leaf_block, rough
 
     def spy_min_before(scores, floor):
         filtered.append(scores)
         return min_before(scores, floor)
 
-    monkeypatch.setattr(qaeopt.search, "_rough_blocks", spy_blocks)
+    monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored))
     monkeypatch.setattr(qaeopt.search, "_min_before", spy_min_before)
     dims = BipartiteDims(d_a, d_b)
     n, rng = dims.total, np.random.default_rng(7 * d_a + d_b)
@@ -612,16 +617,16 @@ def test_factored_rough_scores_match_exact(case):
     # Marginals joined from a leaf's prefix and suffix, scored with numpy's
     # log, stay within 1e-12 of the cell-order exact score of every leaf.
     probs, dims, cap, block = case
-    h_flat = _flat_entropy(probs)
+    h_flat, scored = _flat_entropy(probs), []
     with mock.patch.object(qaeopt.tableau, "SUFFIX_CAP", cap), mock.patch.object(
         qaeopt.search, "LEAF_BLOCK", block
-    ):
-        leaves = 0
-        for leaf_block, rough in _rough_blocks(probs, dims, h_flat):
-            exact = _block_mi(probs, leaf_block.grids(), h_flat)
-            assert np.abs(rough - exact).max() <= 1e-12
-            leaves += len(rough)
-    assert leaves == sum(1 for _ in scalar_enumerate(dims, dims.d_a == dims.d_b))
+    ), mock.patch.object(qaeopt.search, "_rough_mi", rough_mi_spy(scored)):
+        _exhaustive(probs, dims, h_flat)
+        blocks = list(walk_grids(dims, block))
+    assert [len(rough) for rough in scored] == [len(grids) for grids in blocks]
+    for rough, grids in zip(scored, blocks):
+        assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= 1e-12
+    assert sum(map(len, blocks)) == sum(1 for _ in scalar_enumerate(dims, dims.d_a == dims.d_b))
 
 
 @pytest.mark.parametrize("d_a,d_b", [(1, 300), (300, 1)])
@@ -634,7 +639,7 @@ def test_exhaustive_values_beyond_one_byte(d_a, d_b):
 def test_traversal_values_beyond_one_byte():
     # Values up to 260 after a long prefix walk, on a wide and on a tall grid.
     for dims in (BipartiteDims(2, 130), BipartiteDims(130, 2)):
-        grids = next(regular_grid_blocks(dims, 4)).grids()
+        grids = next(walk_grids(dims, 4))
         assert 1 <= len(grids) <= 4
         for grid in grids.tolist():
             assert is_regular(grid)
@@ -878,8 +883,9 @@ def test_depth_matches_scalar_full_protocol_depth(kind):
         (10**6, 10**6, 4, 4),
     ],
 )
-def test_worker_count(requested, tasks, cpus, expected):
-    assert worker_count(requested, tasks, cpus) == expected
+def test_worker_count(requested, tasks, cpus, expected, monkeypatch):
+    monkeypatch.setattr(qaeopt.search, "usable_cpus", lambda: cpus)
+    assert worker_count(requested, tasks) == expected
 
 
 @pytest.mark.parametrize(

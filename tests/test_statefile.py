@@ -123,6 +123,17 @@ def test_spectrum_round_trip_sorts_descending(tmp_path):
     assert np.all(np.diff(sf.probs) <= 0)
 
 
+@pytest.mark.parametrize("kind", ["matrix", "spectrum"])
+def test_probs_refuse_writes(tmp_path, kind):
+    path = tmp_path / "state.json"
+    payload = {"matrix": _dense_matrix(2, 2)} if kind == "matrix" else {"spectrum": [0.1, 0.5, 0.3, 0.1]}
+    save_statefile(path, DIMS22, **payload)
+    probs = load_statefile(path).probs
+    assert not probs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        probs[0] = 0.0
+
+
 def test_spectrum_renormalized_within_tolerance(tmp_path):
     path = tmp_path / "spec.json"
     save_statefile(path, DIMS22, spectrum=[0.4, 0.3, 0.2, 0.1 + 5e-9])

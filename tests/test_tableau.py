@@ -19,10 +19,11 @@ from oracles import (
     row_major,
     scalar_enumerate,
     sort_along,
+    walk_grids,
 )
 from qaeopt import BipartiteDims, ValidationError, YoungTableau, count_regular, random_regular
 from qaeopt.qstate import MAX_COUNT_CELLS
-from qaeopt.tableau import candidate_swaps, regular_grid_blocks
+from qaeopt.tableau import candidate_swaps, regular_grid_walk
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -36,30 +37,34 @@ def descending_probs(n, seed):
     return np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
 
 
-def leaf_grids(block):
-    """The value grids of a block's leaves, each a prefix plus its suffix."""
-    return block.prefixes[block.prefix] + block.store[block.suffix]
-
-
 def suffix_shapes(store):
     """Row lengths of the shape each suffix completes: its empty cells per row."""
     return np.count_nonzero(store == 0, axis=2)
 
 
-def assert_ends_its_last_run(block):
-    """The block's last leaves are the last suffixes of its last prefix's shape,
-    in store order: that prefix's run of leaves ends in this block."""
-    last = block.prefix[-1]
-    run = np.flatnonzero(np.all((block.store == 0) == (block.prefixes[last] > 0), axis=(1, 2)))
-    tail = block.suffix[block.prefix == last].tolist()
-    assert tail == run[len(run) - len(tail) :].tolist()
+def assert_piece(store, prefixes, blocks, block):
+    """One walk piece's structure: its prefixes are read-only; its blocks,
+    all full but the last, cover them in order, each block a contiguous
+    run going on from the prefix the last one ended on; and its last
+    leaves are the suffixes of its last prefix's shape, in store order."""
+    assert not prefixes.flags.writeable
+    sizes = [len(prefix) for prefix, _ in blocks]
+    assert all(k == block for k in sizes[:-1]) and 1 <= sizes[-1] <= block
+    drawn = np.concatenate([prefix for prefix, _ in blocks])
+    assert drawn[0] == 0 and drawn[-1] == len(prefixes) - 1
+    assert np.isin(np.diff(drawn), (0, 1)).all()
+    suffix = np.concatenate([suffix for _, suffix in blocks])
+    assert len(suffix) == len(drawn) and suffix.max() < len(store)
+    last = len(prefixes) - 1
+    run = np.flatnonzero(np.all((store == 0) == (prefixes[last] > 0), axis=(1, 2)))
+    assert suffix[drawn == last].tolist() == run.tolist()
 
 
 def regular_tableaux(dims):
     """Every regular filling the exhaustive search scores, in its order: on a
     square grid, one of each transpose pair."""
-    blocks = regular_grid_blocks(dims, qaeopt.search.LEAF_BLOCK)
-    return [YoungTableau(dims, grid) for block in blocks for grid in leaf_grids(block).tolist()]
+    blocks = walk_grids(dims, qaeopt.search.LEAF_BLOCK)
+    return [YoungTableau(dims, grid) for grids in blocks for grid in grids.tolist()]
 
 
 class TestYoungTableau:
@@ -156,17 +161,20 @@ class TestEnumerate:
         block = block or qaeopt.search.LEAF_BLOCK
         # Small caps and blocks split the prefix walk into pieces, each cut
         # into blocks on its own, so only a piece's last block may be short.
-        blocks = list(regular_grid_blocks(dims, block))
-        assert all(1 <= len(b.prefix) <= block for b in blocks)
-        for b, after in zip(blocks, blocks[1:]):
-            if len(b.prefix) < block:
-                # A short block ends its piece on the piece's last prefix, and
-                # the next block starts the next piece on another prefix.
-                assert_ends_its_last_run(b)
-                assert b.prefix[-1] == len(b.prefixes) - 1 and after.prefix[0] == 0
-                assert after.prefixes is not b.prefixes
-                assert not np.array_equal(after.prefixes[after.prefix[0]], b.prefixes[b.prefix[-1]])
-        assert [tuple(map(tuple, grid)) for b in blocks for grid in leaf_grids(b).tolist()] == want
+        store, pieces = regular_grid_walk(dims, block)
+        pieces = [(prefixes, list(blocks)) for prefixes, blocks in pieces]
+        for prefixes, blocks in pieces:
+            assert_piece(store, prefixes, blocks, block)
+        # The next piece starts on another prefix than the last one ended on.
+        for (before, _), (after, _) in zip(pieces, pieces[1:]):
+            assert not np.array_equal(after[0], before[-1])
+        got = [
+            tuple(map(tuple, grid))
+            for prefixes, blocks in pieces
+            for prefix, suffix in blocks
+            for grid in (prefixes[prefix] + store[suffix]).tolist()
+        ]
+        assert got == want
 
     @pytest.mark.parametrize(
         "d_a,d_b,count,stored,prefixes",
@@ -182,22 +190,34 @@ class TestEnumerate:
         # suffixes for 70 prefixes before it was capped at half the values.
         dims = BipartiteDims(d_a, d_b)
         block = qaeopt.search.LEAF_BLOCK
-        blocks = list(regular_grid_blocks(dims, block))
-        sizes = [len(b.prefix) for b in blocks]
-        assert len(sizes) == count
-        assert all(k == block for k in sizes[:-1]) and 1 <= sizes[-1] <= block
-        assert all(b.prefixes is blocks[0].prefixes for b in blocks)
-        assert (len(blocks[0].store), len(blocks[0].prefixes)) == (stored, prefixes)
+        store, pieces = regular_grid_walk(dims, block)
+        [(piece, blocks)] = [(piece, list(blocks)) for piece, blocks in pieces]
+        assert len(blocks) == count
+        assert_piece(store, piece, blocks, block)
+        assert (len(store), len(piece)) == (stored, prefixes)
 
-    def test_2x15_walks_in_four_pieces(self):
-        # The largest grid the default threshold routes to exhaustive traversal.
-        pieces, count, leaves = [], 0, 0
-        for b in regular_grid_blocks(BipartiteDims(2, 15), qaeopt.search.LEAF_BLOCK):
-            if not pieces or b.prefixes is not pieces[-1]:
-                pieces.append(b.prefixes)
-            count, leaves = count + 1, leaves + len(b.prefix)
-        assert (len(pieces), count, leaves) == (4, 4737, count_regular(BipartiteDims(2, 15)))
-        assert len(b.store) == sum(map(len, pieces)) == 6435
+    @pytest.mark.parametrize(
+        "d_a,d_b,pieces,blocks,leaves,stored",
+        [
+            pytest.param(*case, id="-".join(map(str, case[:2])))
+            for case in [(3, 7, 4, 679, 1_385_670, 2_107), (4, 5, 16, 821, 1_662_804, 539),
+                         (2, 15, 4, 4_737, 9_694_845, 6_435)]
+        ],
+    )
+    def test_readme_shapes_walk_in_several_pieces(self, d_a, d_b, pieces, blocks, leaves, stored):
+        # The counts the README gives; (2,15) is the largest grid the default
+        # threshold routes to exhaustive traversal. Blocks are counted as they
+        # come: 2x15's index arrays all at once would take 155 MB.
+        dims = BipartiteDims(d_a, d_b)
+        store, walk = regular_grid_walk(dims, qaeopt.search.LEAF_BLOCK)
+        counts = [0, 0, 0]
+        for _, piece_blocks in walk:
+            counts[0] += 1
+            for prefix, _ in piece_blocks:
+                counts[1] += 1
+                counts[2] += len(prefix)
+        assert counts == [pieces, blocks, leaves] and leaves == count_regular(dims)
+        assert len(store) == stored
 
     @pytest.mark.parametrize(
         "d_a,d_b",
@@ -211,7 +231,7 @@ class TestEnumerate:
         # single row or column keeps every value after the pinned ones.
         dims = BipartiteDims(d_b, d_a) if transposed else BipartiteDims(d_a, d_b)
         n, m, cap = dims.total, min(d_a, d_b), qaeopt.tableau.SUFFIX_CAP
-        store = next(regular_grid_blocks(dims, 2048)).store
+        store, _ = regular_grid_walk(dims, 2048)
         t = np.count_nonzero(store[0])
         pinned = 2 if d_a == d_b and n > 1 else 0
         if m == 1:
@@ -222,7 +242,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("d_a,d_b", [(1, 5), (5, 1), (2, 6), (3, 4), (4, 4), (5, 3)])
     @pytest.mark.parametrize("block,cap", [(1, 4), (3, 4), (7, 64), (2048, None)])
-    def test_blocks_share_prefixes_and_a_growing_store(self, d_a, d_b, block, cap, monkeypatch):
+    def test_pieces_cover_their_prefixes_from_one_store(self, d_a, d_b, block, cap, monkeypatch):
         if cap is not None:
             monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
         walk, walked = qaeopt.tableau._walk, []
@@ -233,47 +253,26 @@ class TestEnumerate:
                 yield lengths, grids
 
         monkeypatch.setattr(qaeopt.tableau, "_walk", counting_walk)
-        dims = BipartiteDims(d_a, d_b)
-        store = np.zeros((0, d_a, d_b))
-        pieces = []  # each walk piece's prefix array and the prefixes its blocks draw on
-        for b in regular_grid_blocks(dims, block):
-            # The store only grows: earlier rows keep their place and value.
-            assert len(b.store) >= len(store)
-            assert np.array_equal(b.store[: len(store)], store)
-            store = b.store
-            # A block draws on a contiguous run of its piece's prefixes, in leaf order.
-            assert np.isin(np.diff(b.prefix), (0, 1)).all()
-            assert not b.prefixes.flags.writeable
-            if pieces and b.prefixes is pieces[-1][0]:
-                # The next block of a piece goes on from the prefix the last one ended on.
-                assert b.prefix[0] - pieces[-1][1][-1] in (0, 1)
-                pieces[-1][1].extend(b.prefix.tolist())
-            else:
-                assert b.prefix[0] == 0
-                pieces.append((b.prefixes, b.prefix.tolist()))
-            assert len(b.suffix) == len(b.prefix) and b.suffix.max() < len(b.store)
-            # A prefix and its suffix fill disjoint cells, and together all of them.
-            prefixes, suffixes = b.prefixes[b.prefix], b.store[b.suffix]
-            assert not np.any((prefixes > 0) & (suffixes > 0))
-            assert np.all((prefixes > 0) | (suffixes > 0))
-            assert np.array_equal(b.grids(), leaf_grids(b))
-            assert np.array_equal(b.grids([0, -1]), leaf_grids(b)[[0, -1]])
-        # All blocks of a piece share its whole prefix array, no other piece
-        # does, and across the piece's blocks every prefix is drawn on.
-        assert [len(prefixes) for prefixes, _ in pieces] == walked[1:]
-        assert len({id(prefixes) for prefixes, _ in pieces}) == len(pieces)
-        for prefixes, drawn in pieces:
-            assert set(drawn) == set(range(len(prefixes)))
+        store, pieces = regular_grid_walk(BipartiteDims(d_a, d_b), block)
+        assert not store.flags.writeable
+        sizes = []  # each piece's prefix count
+        for prefixes, blocks in pieces:
+            blocks = list(blocks)
+            assert_piece(store, prefixes, blocks, block)
+            sizes.append(len(prefixes))
+            for prefix, suffix in blocks:
+                # A prefix and its suffix fill disjoint cells, and together all of them.
+                assert not np.any((prefixes[prefix] > 0) & (store[suffix] > 0))
+                assert np.all((prefixes[prefix] > 0) | (store[suffix] > 0))
+        # Each piece holds the prefixes of one piece of the prefix walk.
+        assert sizes == walked[1:]
 
     @pytest.mark.parametrize("d_a,d_b,cap", [(2, 15, 2**16), (3, 7, 2**16), (4, 4, 64), (5, 3, 64)])
     def test_suffix_cache_holds_at_most_cap_grids(self, d_a, d_b, cap, monkeypatch):
         monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
         dims = BipartiteDims(d_a, d_b)
-        leaves, store = 0, None
-        for b in regular_grid_blocks(dims, 2048):
-            leaves += len(b.prefix)
-            store = b.store if store is None else store
-            assert b.store is store
+        store, pieces = regular_grid_walk(dims, 2048)
+        leaves = sum(len(prefix) for _, blocks in pieces for prefix, _ in blocks)
         assert leaves == count_regular(dims) // (2 if d_a == d_b else 1)
         assert len(store) <= cap
         # Each shape stored once: its suffixes are one run, and no grid repeats.
@@ -290,13 +289,11 @@ class TestEnumerate:
         if cap is not None:
             monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
         dims = BipartiteDims(d_b, d_a) if transposed else BipartiteDims(d_a, d_b)
-        blocks = list(regular_grid_blocks(dims, 3))
-        # Every prefix has a leaf, so the prefixes of all blocks are every
-        # prefix the prefix walk yields; every shape has a suffix.
+        store, pieces = regular_grid_walk(dims, 3)
+        # The pieces hold every prefix the prefix walk yields; every shape has a suffix.
         prefix_shapes = {
-            row.tobytes() for b in blocks for row in np.count_nonzero(b.prefixes, axis=2)
+            row.tobytes() for prefixes, _ in pieces for row in np.count_nonzero(prefixes, axis=2)
         }
-        store = blocks[0].store
         assert prefix_shapes == {row.tobytes() for row in suffix_shapes(store)}
 
     @pytest.mark.parametrize("d_a,d_b", [(1, 5), (5, 1), (3, 3), (4, 4), (3, 5), (5, 3), (2, 9)])
@@ -305,7 +302,7 @@ class TestEnumerate:
         if cap is not None:
             monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
         dims = BipartiteDims(d_a, d_b)
-        store = next(regular_grid_blocks(dims, 3)).store
+        store, _ = regular_grid_walk(dims, 3)
         n, limit = dims.total, qaeopt.tableau.SUFFIX_CAP
         mid = n + 1 - np.count_nonzero(store[0])
         assert store.dtype == np.min_scalar_type(n)
@@ -323,15 +320,14 @@ class TestEnumerate:
         assert start == len(store)
 
     @pytest.mark.parametrize("d_a,d_b", [(2, 6), (3, 4), (4, 4)])
-    def test_blocks_of_one_traversal_share_one_store(self, d_a, d_b):
-        dims = BipartiteDims(d_a, d_b)
-        blocks = list(regular_grid_blocks(dims, 5))
-        assert len(blocks) > 1
-        assert all(b.store is blocks[0].store for b in blocks)
-        # Shared by every block, so no consumer may write to it; nor to a
-        # block's prefixes, which the other blocks of its walk piece share.
-        assert not blocks[0].store.flags.writeable
-        assert not any(b.prefixes.flags.writeable for b in blocks)
+    def test_store_and_prefixes_are_read_only(self, d_a, d_b):
+        store, pieces = regular_grid_walk(BipartiteDims(d_a, d_b), 5)
+        pieces = [(prefixes, list(blocks)) for prefixes, blocks in pieces]
+        assert len(pieces) > 1
+        # Every leaf shares the store, so no consumer may write to it; nor to
+        # a piece's prefixes, which the piece's blocks share.
+        assert not store.flags.writeable
+        assert not any(prefixes.flags.writeable for prefixes, _ in pieces)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetry_halving(self, d):
