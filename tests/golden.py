@@ -148,6 +148,9 @@ CALLS: dict[str, list[str]] = {
     # Twelve breadth seeds handed to depth at 16 x 16, with short budgets;
     # the second seed wins, and beats the start.
     "heur-fig2a1616": ["optimize", _f("fig2a1616"), "--n1", "1000", "--n2", "12", "--nd", "40", "--seed", "1"],
+    # The two above with --jobs 2, at the sizes the benchmark runs.
+    "paper-fig2a88-jobs2": ["optimize", _f("fig2a88"), "--jobs", "2"],
+    "heur-fig2a1616-jobs2": ["optimize", _f("fig2a1616"), "--n1", "1000", "--n2", "12", "--nd", "40", "--seed", "1", "--jobs", "2"],
     # A pure spectrum [1, 0, ...]: every arrangement has MI 0.
     "opt-pure22": ["optimize", _f("pure22")],
     "opt-pure14": ["optimize", _f("pure14")],

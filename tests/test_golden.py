@@ -44,6 +44,37 @@ def test_corpus_covers_every_command_and_a_rejection():
     assert s37["lines"][0]["result"]["method"] == "exhaustive"
 
 
+def _without_jobs(argv):
+    """argv without its ``--jobs k`` pair, and k (1 if absent)."""
+    if "--jobs" not in argv:
+        return argv, 1
+    i = argv.index("--jobs")
+    return argv[:i] + argv[i + 2 :], int(argv[i + 1])
+
+
+def _without_parallelism(lines):
+    lines = json.loads(json.dumps(lines))
+    for line in lines:
+        line.get("config", {}).pop("parallelism", None)
+    return lines
+
+
+def test_parallel_calls_print_their_one_job_outputs():
+    """Every corpus call with ``--jobs k``, k > 1, prints what the same argv
+    prints with no ``--jobs`` or ``--jobs 1``, apart from ``config.parallelism``."""
+    serial = {}
+    for call in corpus["calls"]:
+        argv, jobs = _without_jobs(call["argv"])
+        if jobs == 1:
+            serial[tuple(argv)] = call
+    parallel = [call for call in corpus["calls"] if _without_jobs(call["argv"])[1] > 1]
+    assert {"paper-fig2a88-jobs2", "heur-fig2a1616-jobs2", "heur-s55-jobs3"} <= {c["id"] for c in parallel}
+    for call in parallel:
+        twin = serial[tuple(_without_jobs(call["argv"])[0])]
+        assert call["exit"] == twin["exit"] == 0
+        assert_same(_without_parallelism(call["lines"]), _without_parallelism(twin["lines"]), call["id"])
+
+
 def test_floats_compare_bit_for_bit():
     assert list(differences(-0.0, 0.0)) and list(differences([0.0], [-0.0]))
     assert list(differences({"best_mi": 5e-324}, {"best_mi": 0.0}))
