@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .exceptions import StateFileError, ValidationError
-from .pipeline import build_encoder, generate_instance, verify_theorem1
+from .pipeline import _diagonal_spectrum, build_encoder, verify_theorem1
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, nats_to_bits
 from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, run_tasks, worker_count
 from .statefile import load_statefile
@@ -131,11 +131,12 @@ def cmd_verify(args) -> int:
 
 
 def _experiment_state(kind: str, dims: BipartiteDims, config: SearchConfig, index: int) -> dict:
-    """Generate state ``index`` of a batch and search it. ``config.seed`` is
-    the batch's master seed; the instance and the search each derive their
-    own seed from it and the index, and the search runs in this process."""
+    """Draw the spectrum (no matrix) of state ``index`` of a batch and search
+    it. ``config.seed`` is the batch's master seed; the instance and the
+    search each derive their own seed from it and the index, and the search
+    runs in this process."""
     master_seed = config.seed
-    probs = generate_instance(kind, dims, np.random.SeedSequence((master_seed, index, 0))).probs
+    probs = _diagonal_spectrum(kind, dims, np.random.SeedSequence((master_seed, index, 0)))
     search_seed = int(np.random.SeedSequence((master_seed, index, 1)).generate_state(1)[0])
     result = optimize(probs, dims, replace(config, seed=search_seed, parallelism=1))
     return {

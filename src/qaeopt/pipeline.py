@@ -30,8 +30,8 @@ from .qstate import (
     BipartiteDims,
     DensityMatrix,
     _apply_unitary,
-    _marginals,
     _mutual_information,
+    _partial_traces,
     _relative_entropy,
     von_neumann_entropy,
 )
@@ -84,7 +84,7 @@ def _reconstruct(sigma: DensityMatrix, u, dims: BipartiteDims):
     """
     dims.check_dim(sigma.dim)
     encoded, u = _apply_unitary(sigma.matrix, u)
-    encoded_a, encoded_b = _marginals(encoded, dims)
+    encoded_a, encoded_b = _partial_traces(encoded, dims)
     return encoded_a, encoded_b, u.conj().T @ np.kron(encoded_a, encoded_b) @ u
 
 
@@ -127,6 +127,16 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _diagonal_spectrum(kind: str, dims: BipartiteDims, seed) -> np.ndarray:
+    """The descending diagonal of a diagonal-mixed or product-spectrum
+    instance, drawn as ``generate_instance`` draws it, without its matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal-mixed":
+        return np.sort(rng.dirichlet(np.ones(dims.total)))[::-1]
+    p_a, p_b = (rng.dirichlet(np.ones(d)) for d in (dims.d_a, dims.d_b))
+    return np.sort(np.outer(p_a, p_b).ravel())[::-1]
+
+
 def generate_instance(kind: str, dims: BipartiteDims, seed) -> DensityMatrix:
     """Deterministic random test states.
 
@@ -137,16 +147,10 @@ def generate_instance(kind: str, dims: BipartiteDims, seed) -> DensityMatrix:
     random-dense: flat-simplex spectrum conjugated by a Haar unitary.
     pure: a Haar-random pure state.
     """
+    if kind in ("diagonal-mixed", "product-spectrum"):
+        return DensityMatrix(np.diag(_diagonal_spectrum(kind, dims, seed).astype(complex)))
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     n = dims.total
-    if kind == "diagonal-mixed":
-        diag = np.sort(rng.dirichlet(np.ones(n)))[::-1]
-        return DensityMatrix(np.diag(diag.astype(complex)))
-    if kind == "product-spectrum":
-        p_a = rng.dirichlet(np.ones(dims.d_a))
-        p_b = rng.dirichlet(np.ones(dims.d_b))
-        diag = np.sort(np.outer(p_a, p_b).ravel())[::-1]
-        return DensityMatrix(np.diag(diag.astype(complex)))
     if kind == "random-dense":
         diag = rng.dirichlet(np.ones(n))
         u = haar_unitary(n, rng)

@@ -2,6 +2,10 @@
 
 All entropies are returned in nats (natural logarithm). Callers that want bits
 should divide by ``math.log(2)``; the CLI does this behind its ``--bits`` flag.
+
+Every exact entropy here and in the search sums ``_xlogx`` terms (x log x by
+the C library's log) left to right; with the relative entropy's cross term on
+that log too, nothing depends on numpy's SIMD log, whose last bit varies by CPU.
 """
 
 from __future__ import annotations
@@ -157,10 +161,47 @@ def _probability_vector(probs, n: int) -> np.ndarray:
     return p
 
 
+_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """Elementwise x log x with 0 log 0 = 0.
+
+    The logarithm is the C library's, through ``math.log``: numpy's SIMD log
+    can differ from it in the last bit, which would make results depend on
+    the CPU.
+    """
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    xp = x[pos]
+    out[pos] = xp * _log(xp).astype(float)
+    return out
+
+
+def _sum_left(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis strictly left to right (numpy's pairwise
+    reduction rounds differently)."""
+    total = np.zeros(terms.shape[:-1])
+    for k in range(terms.shape[-1]):
+        total += terms[..., k]
+    return total
+
+
+def _exact_mi(sums: np.ndarray, d_a: int, h_flat: float) -> np.ndarray:
+    """Mutual information of packed marginals sums[..., d_a + d_b] by the C
+    library's log. 0.0 minus each left-to-right entropy sum is bit for bit
+    the scalar loops' running subtraction, and never -0.0."""
+    x = _xlogx(sums)
+    return 0.0 - _sum_left(x[..., :d_a]) - _sum_left(x[..., d_a:]) - h_flat
+
+
 def shannon_entropy(probs) -> float:
     """Shannon entropy in nats with the 0*log(0) = 0 convention.
 
     Entries in [-PSD_TOL, 0) are treated as numerical noise and clamped to 0.
+    The terms are ``_xlogx``'s, summed left to right in one C loop: bit for
+    bit ``-_sum_left(_xlogx(p))``, since no term is -0.0. A pure spectrum
+    gives -0.0, and an empty or all-zero vector 0.0.
     """
     p = np.asarray(probs, dtype=float).ravel()
     # Non-finite input is caught by checks this already makes: a NaN makes
@@ -170,10 +211,8 @@ def shannon_entropy(probs) -> float:
         if not math.isfinite(lo):
             raise ValidationError(_NON_FINITE)
         raise ValidationError(f"negative probability beyond tolerance: {lo:.3e}")
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
-    h = float(-(p * np.log(p)).sum())
+    terms = _xlogx(p[p > 0.0])
+    h = float(-np.add.accumulate(terms)[-1]) if terms.size else 0.0
     if math.isinf(h):
         raise ValidationError(_NON_FINITE)
     return h
@@ -188,12 +227,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 # takes and returns plain arrays and builds no ``DensityMatrix``.
 
 
-def _entropy(mat: np.ndarray) -> float:
-    """S of a plain array, such as a marginal, that keeps no eigenvalues."""
-    return shannon_entropy(np.linalg.eigvalsh(mat))
-
-
-def _marginals(mat: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray]:
+def _partial_traces(mat: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray]:
     """Reduced matrices (A, B) of a d_a*d_b square matrix."""
     blocks = mat.reshape(dims.d_a, dims.d_b, dims.d_a, dims.d_b)
     return np.trace(blocks, axis1=1, axis2=3), np.trace(blocks, axis1=0, axis2=2)
@@ -204,22 +238,19 @@ def partial_trace(rho: DensityMatrix, dims: BipartiteDims, keep: str) -> Density
     dims.check_dim(rho.dim)
     if keep not in ("A", "B"):
         raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-    rho_a, rho_b = _marginals(rho.matrix, dims)
+    rho_a, rho_b = _partial_traces(rho.matrix, dims)
     return DensityMatrix(rho_a if keep == "A" else rho_b)
 
 
 def _relative_entropy(rho: np.ndarray, s_rho: float, sigma: np.ndarray) -> float:
     """S(rho || sigma) of two arrays, given the entropy ``s_rho`` of rho."""
     q, v = np.linalg.eigh(sigma)
-    q = np.clip(q, 0.0, None)
     # Weight of rho on each eigenvector of sigma.
     w = (v.conj() * (rho @ v)).sum(axis=0).real
     outside = q < SUPPORT_TOL
     if np.any(w[outside] > SUPPORT_WEIGHT_TOL):
         return math.inf
-    inside = ~outside
-    cross = float((w[inside] * np.log(q[inside])).sum())
-    return -s_rho - cross
+    return -s_rho - float((w[~outside] * _log(q[~outside]).astype(float)).sum())
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -236,7 +267,10 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def _mutual_information(rho_a: np.ndarray, rho_b: np.ndarray, s_ab: float) -> float:
-    return _entropy(rho_a) + _entropy(rho_b) - s_ab
+    """S(A) + S(B) - S(AB): ``_exact_mi`` of the spectra of two partial traces,
+    packed A then B, where a slightly negative eigenvalue counts as 0."""
+    spectra = np.concatenate((np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)))
+    return float(_exact_mi(spectra, len(rho_a), s_ab))
 
 
 def mutual_information(rho: DensityMatrix, dims: BipartiteDims) -> float:
@@ -247,7 +281,7 @@ def mutual_information(rho: DensityMatrix, dims: BipartiteDims) -> float:
     return never does.
     """
     dims.check_dim(rho.dim)
-    return _mutual_information(*_marginals(rho.matrix, dims), von_neumann_entropy(rho))
+    return _mutual_information(*_partial_traces(rho.matrix, dims), von_neumann_entropy(rho))
 
 
 def is_unitary(u: np.ndarray) -> bool:
@@ -274,6 +308,4 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
 
 def nats_to_bits(x: float) -> float:
     """Convert an entropy-like value from nats to bits (infinity passes through)."""
-    if math.isinf(x):
-        return x
-    return x / math.log(2.0)
+    return x if math.isinf(x) else x / math.log(2.0)

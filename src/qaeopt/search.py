@@ -6,11 +6,12 @@ samples many random regular tableaux and keeps the best few, with their exact
 scores (breadth phase), then repeatedly moves each survivor to its best
 value-swap neighbour and names the winner from each one's best (depth phase).
 
-All three are array code with one marginal format and one exact kernel:
-``_marginals`` packs each grid's row sums, then its column sums, in one row,
-and ``_exact_mi`` turns such rows into mutual information (``_block_mi`` of
-grids). Breadth and exhaustive traversal first filter with one rough score,
-``_rough_mi``, of the same packed sums, through numpy's log. The exhaustive
+All three are array code with one marginal format and the package's one
+exact kernel: ``_marginals`` packs each grid's row sums, then its column
+sums, in one row, and ``qstate._exact_mi`` turns such rows into mutual
+information (``_block_mi`` of grids). Breadth and exhaustive traversal first
+filter with one rough score, ``_rough_mi``, of the same packed sums, through
+numpy's log: the one use of numpy's log in the package. The exhaustive
 search reads ``tableau.regular_grid_walk``: one suffix store, and the pieces
 of the prefix walk, each its prefix array and its leaves in blocks of at most
 LEAF_BLOCK, each leaf a prefix and a suffix. It scores each block at once
@@ -42,7 +43,7 @@ once it swaps back and forth between two tableaux, counting the rest of
 its descent (see ``_depth``). Sums run in the same order as the scalar
 loops kept in tests/oracles.py, so results match them bit for bit.
 ``optimize`` computes h_flat, the entropy of the probabilities that every
-score subtracts, once and passes it to each phase.
+score subtracts, once by ``shannon_entropy`` and passes it to each phase.
 
 Everything is deterministic given the config seed: each draw has its own RNG
 stream, numpy's ``PCG64(SeedSequence((seed, draw_index)))``, so results do
@@ -71,7 +72,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import ValidationError
-from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _check_integers, _probability_vector
+from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _check_integers, _probability_vector, shannon_entropy
+from .qstate import _exact_mi, _sum_left, _xlogx  # the package's one exact entropy kernel
 from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_walk
 
 if TYPE_CHECKING:
@@ -308,23 +310,6 @@ def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
         raise
 
 
-_log = np.frompyfunc(math.log, 1, 1)
-
-
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """Elementwise x log x with 0 log 0 = 0.
-
-    The logarithm is the C library's, through ``math.log``: numpy's SIMD log
-    can differ from it in the last bit, which would make results depend on
-    the CPU.
-    """
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = xp * _log(xp).astype(float)
-    return out
-
-
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
@@ -347,33 +332,10 @@ def _rough_mi(sums: np.ndarray, h_flat: float) -> np.ndarray:
     return -(_xlogx_rough(sums) @ np.ones(sums.shape[-1])) - h_flat
 
 
-def _sum_left(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis strictly left to right (numpy's pairwise
-    reduction rounds differently)."""
-    total = np.zeros(terms.shape[:-1])
-    for k in range(terms.shape[-1]):
-        total += terms[..., k]
-    return total
-
-
-def _flat_entropy(p: np.ndarray) -> float:
-    """H(p) in nats from ``_xlogx``, summed left to right: the h_flat every
-    score subtracts, free of numpy's log like the scores themselves."""
-    return float(-_sum_left(_xlogx(p)))
-
-
 def _marginals(q: np.ndarray) -> np.ndarray:
     """Packed marginals of grids q[..., d_a, d_b], shape (..., d_a + d_b):
     the row sums, then the column sums, each summed in cell order."""
     return np.concatenate((_sum_left(q), _sum_left(np.swapaxes(q, -1, -2))), axis=-1)
-
-
-def _exact_mi(sums: np.ndarray, d_a: int, h_flat: float) -> np.ndarray:
-    """Mutual information of packed marginals sums[..., d_a + d_b] by the C
-    library's log. 0.0 minus each left-to-right entropy sum is bit for bit
-    the scalar loops' running subtraction, and never -0.0."""
-    x = _xlogx(sums)
-    return 0.0 - _sum_left(x[..., :d_a]) - _sum_left(x[..., d_a:]) - h_flat
 
 
 # numpy's SeedSequence entropy-pool hash (pool of four uint32 words) and
@@ -830,7 +792,7 @@ def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> 
     if config is None:
         config = SearchConfig()
     p = _probability_vector(probs, dims.total)
-    h_flat = _flat_entropy(p)
+    h_flat = shannon_entropy(p)
     start = np.arange(1, dims.total + 1).reshape(1, dims.d_a, dims.d_b)
     initial_mi = float(_block_mi(p, start, h_flat)[0])
 

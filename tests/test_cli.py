@@ -4,7 +4,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +78,14 @@ def count_full_size_calls(monkeypatch, full):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(qaeopt.qstate, "is_unitary", counted("is_unitary", qaeopt.qstate.is_unitary))
     return counts
+
+
+PEAK_RSS_OF_MAIN = """
+import resource, sys
+from qaeopt.cli import main
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
 
 
 def count_opens(monkeypatch, path) -> list:
@@ -512,7 +523,8 @@ class TestExperiment:
         assert exhaustive == {"n1": 30, "n2": 3, "n_d": 5, "seed": 1, "exhaustive_threshold": 10**7}
         assert heuristic == {**exhaustive, "exhaustive_threshold": 1}
 
-    def test_each_state_decomposed_once(self, capsys, monkeypatch):
+    def test_no_state_is_built_or_decomposed(self, capsys, monkeypatch):
+        # Each state's spectrum is drawn as it is; no matrix is built.
         states = 3
         counts = count_full_size_calls(monkeypatch, (6, 6))
         code, lines, _ = run_cli(
@@ -520,9 +532,20 @@ class TestExperiment:
             "--jobs", "1", "--n1", "20", "--n2", "2", "--nd", "5",
         )
         assert code == 0 and len(lines) == states + 1
-        assert counts["DensityMatrix"] == states
-        assert counts["eigh"] == states
-        assert counts["eigvalsh"] == 0
+        assert counts["DensityMatrix"] == counts["eigh"] == counts["eigvalsh"] == 0
+
+    def test_64x64_batch_stays_small_in_a_fresh_process(self):
+        # A 64x64 state as a dense complex matrix alone is 256 MiB, and its
+        # eigh needs several times that; the drawn spectrum is 32 KiB.
+        src = str(Path(qaeopt.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["experiment", "fig2a", "--states", "1", "--da", "64", "--db", "64", "--n1", "64", "--n2", "2", "--nd", "2"]
+        out = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_OF_MAIN, *argv], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        *lines, peak_mb = out.stdout.splitlines()
+        assert [json.loads(line)["command"] for line in lines] == ["experiment", "experiment"]
+        assert float(peak_mb) < 200.0
 
 
 @pytest.mark.parametrize(

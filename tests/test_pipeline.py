@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from qaeopt import (
     random_regular,
     verify_theorem1,
 )
+from qaeopt.pipeline import _diagonal_spectrum
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -216,6 +218,25 @@ class TestGenerateInstance:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             generate_instance("thermal", DIMS22, 0)
+
+    @pytest.mark.parametrize("kind", ["diagonal-mixed", "product-spectrum"])
+    def test_drawn_spectrum_is_the_instance_spectrum(self, kind):
+        shapes = [(d, d) for d in range(1, 17)] + [(1, 5), (5, 1), (3, 7), (12, 20)]
+        for d_a, d_b in shapes:
+            dims = BipartiteDims(d_a, d_b)
+            for seed in (0, 7, np.random.SeedSequence((3, d_a, 0))):
+                drawn = _diagonal_spectrum(kind, dims, seed)
+                assert drawn.tobytes() == generate_instance(kind, dims, seed).probs.tobytes()
+
+    def test_diagonal_instances_keep_their_matrices(self):
+        # The digest of these matrices before their draws moved into
+        # _diagonal_spectrum; the benchmark writes its spectrum files from them.
+        digest = hashlib.sha256()
+        for kind in ("diagonal-mixed", "product-spectrum"):
+            for d_a, d_b in [(1, 1), (1, 5), (5, 1), (2, 3), (4, 4), (3, 7), (8, 8), (16, 16), (12, 20)]:
+                for seed in (0, 7, np.random.SeedSequence((3, 1, 0))):
+                    digest.update(generate_instance(kind, BipartiteDims(d_a, d_b), seed).matrix.tobytes())
+        assert digest.hexdigest() == "35244e8320cd4a50a1e8f4aa2da5637075cace50241689d36c3f83d4fff26922"
 
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(5, np.random.default_rng(0))

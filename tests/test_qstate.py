@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_relative_entropy, row_major
+from oracles import _entropy, dense_relative_entropy, flat_entropy, row_major
 from qaeopt import (
     BipartiteDims,
     DensityMatrix,
@@ -18,6 +18,7 @@ from qaeopt import (
     partial_trace,
     relative_entropy,
     shannon_entropy,
+    verify_theorem1,
     von_neumann_entropy,
 )
 from qaeopt.qstate import _probability_vector
@@ -258,6 +259,57 @@ class TestMutualInformation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             mutual_information(DensityMatrix(np.eye(4) / 4), BipartiteDims(3, 2))
+
+
+def kernel_vectors():
+    """Probability vectors from length 1 to beyond 16,384, with zeros, ties
+    (every value twice) and pure spectra."""
+    rng = np.random.default_rng(20)
+    vectors = [np.array([1.0]), np.array([1.0, 0.0, 0.0, 0.0]), np.full(7, 1 / 7), np.repeat([0.3, 0.2], [2, 2])]
+    for n in (1, 2, 5, 64, 256, 1000, 16384):
+        for alpha in (0.05, 1.0, 100.0):
+            p = np.sort(rng.dirichlet(np.full(n, alpha)))[::-1]
+            vectors += [p, np.concatenate((p / 2, p / 2)), np.concatenate((p, np.zeros(n % 7 + 1)))]
+    return vectors
+
+
+class TestOneEntropyKernel:
+    def test_shannon_entropy_is_the_scalar_left_sum_bit_for_bit(self):
+        for p in kernel_vectors():
+            assert shannon_entropy(p).hex() == flat_entropy(p.tolist()).hex()
+
+    def test_pure_and_empty_spectra(self):
+        assert shannon_entropy([1.0, 0.0, 0.0]).hex() == (-0.0).hex()
+        assert shannon_entropy([]).hex() == shannon_entropy([0.0, 0.0]).hex() == (0.0).hex()
+
+    def test_entropies_never_call_numpy_log(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.log called")
+
+        rho = random_density(12, 3)
+        sigma = random_density(12, 4)
+        dims = BipartiteDims(3, 4)
+        u = haar_unitary(12, np.random.default_rng(5))
+        monkeypatch.setattr(np, "log", refuse)
+        with pytest.raises(AssertionError):
+            np.log(2.0)
+        values = [
+            shannon_entropy(rho.probs),
+            von_neumann_entropy(rho),
+            mutual_information(rho, dims),
+            relative_entropy(rho, sigma),
+            verify_theorem1(rho, u, dims).residual,
+        ]
+        assert all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutual_information_matches_numpy_log_oracle(self, seed):
+        rho = random_density(12, seed)
+        rho_a = partial_trace(rho, BipartiteDims(3, 4), "A").matrix
+        rho_b = partial_trace(rho, BipartiteDims(3, 4), "B").matrix
+        spectra = [np.linalg.eigvalsh(m) for m in (rho_a, rho_b, rho.matrix)]
+        expected = _entropy(spectra[0]) + _entropy(spectra[1]) - _entropy(spectra[2])
+        assert abs(mutual_information(rho, BipartiteDims(3, 4)) - expected) < 1e-13
 
 
 class TestApplyUnitary:

@@ -20,8 +20,8 @@ from qaeopt import (
     optimize,
     random_regular,
 )
-from qaeopt.qstate import MI_ROUNDOFF_TOL
-from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS, _block_mi, _breadth, _depth, _exhaustive, _flat_entropy
+from qaeopt.qstate import MI_ROUNDOFF_TOL, shannon_entropy
+from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS, _block_mi, _breadth, _depth, _exhaustive
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -136,7 +136,7 @@ def cells(grid):
 
 def breadth(probs, dims, config):
     """The breadth phase alone, as [(YoungTableau, mi)] ascending."""
-    scores, grids = _breadth(probs, dims, config, _flat_entropy(probs))
+    scores, grids = _breadth(probs, dims, config, shannon_entropy(probs))
     return [(YoungTableau(dims, grid.tolist()), mi) for mi, grid in zip(scores, grids)]
 
 
@@ -198,16 +198,16 @@ def naive_depth_first(probs, dims, seeds, n_d):
 def depth(probs, seeds, config):
     """The depth phase alone from seed tableaux: (best grid, best mi,
     evaluations, trajectory, seed provenance)."""
-    grids, h_flat = np.array([t.cells for t in seeds]), _flat_entropy(probs)
+    grids, h_flat = np.array([t.cells for t in seeds]), shannon_entropy(probs)
     return _depth(probs, seeds[0].dims, _block_mi(probs, grids, h_flat), grids, config, h_flat)
 
 
 class TestDepthFirst:
     def test_seed_at_optimum_is_retained(self):
         probs = descending_probs(4, 7)
-        grid, best_mi, *_ = _exhaustive(probs, DIMS22, _flat_entropy(probs))
+        grid, best_mi, *_ = _exhaustive(probs, DIMS22, shannon_entropy(probs))
         cfg = SearchConfig(n1=1, n2=1, n_d=5, seed=0)
-        h_flat = _flat_entropy(probs)
+        h_flat = shannon_entropy(probs)
         _, depth_mi, *_ = _depth(probs, DIMS22, _block_mi(probs, grid[None], h_flat), grid[None], cfg, h_flat)
         assert depth_mi <= best_mi + 1e-12
 
@@ -215,7 +215,7 @@ class TestDepthFirst:
         probs = descending_probs(6, 11)
         seeds = np.concatenate(list(walk_grids(DIMS23, BREADTH_BLOCK)))
         cfg = SearchConfig(n1=5, n2=5, n_d=10, seed=0)
-        h_flat = _flat_entropy(probs)
+        h_flat = shannon_entropy(probs)
         _, best_mi, _, _, provenance = _depth(probs, DIMS23, _block_mi(probs, seeds, h_flat), seeds, cfg, h_flat)
         assert abs(best_mi - _exhaustive(probs, DIMS23, h_flat)[1]) < 1e-12
         assert provenance in range(len(seeds))

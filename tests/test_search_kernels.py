@@ -65,7 +65,6 @@ from qaeopt.search import (
     _depth,
     _draw_uniforms,
     _exhaustive,
-    _flat_entropy,
     _marginals,
     _sample_block,
     breadth_tasks,
@@ -73,7 +72,7 @@ from qaeopt.search import (
     usable_cpus,
     worker_count,
 )
-from qaeopt.qstate import ENTRY_TOL
+from qaeopt.qstate import ENTRY_TOL, shannon_entropy
 from qaeopt.tableau import _random_regular_grid, candidate_swaps, regular_grid_walk
 
 SAMPLER_DIMS = [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]
@@ -96,7 +95,7 @@ def cells(grid):
 
 def breadth(probs, dims, config):
     """The breadth phase as [(cells, mi)], the form scalar_breadth returns."""
-    return [(cells(grid), mi) for mi, grid in zip(*_breadth(probs, dims, config, _flat_entropy(probs)))]
+    return [(cells(grid), mi) for mi, grid in zip(*_breadth(probs, dims, config, shannon_entropy(probs)))]
 
 
 @pytest.mark.parametrize("d", [8, 16])
@@ -105,7 +104,7 @@ def test_breadth_scores_are_its_grids_exact_scores(d, jobs):
     # _depth starts from these scores instead of scoring its seeds again.
     dims = BipartiteDims(d, d)
     probs = descending_probs(dims.total, d)
-    h_flat = _flat_entropy(probs)
+    h_flat = shannon_entropy(probs)
     scores, grids = _breadth(probs, dims, SearchConfig(n1=500, n2=12, seed=4, parallelism=jobs), h_flat)
     assert grids.shape == (12, d, d)
     assert list(map(float.hex, scores.tolist())) == list(map(float.hex, _block_mi(probs, grids, h_flat).tolist()))
@@ -125,7 +124,7 @@ def rough_mi_spy(scored):
 
 def exhaustive(probs, dims):
     """The exhaustive phase as the fields scalar_exhaustive returns."""
-    grid, best_mi, evaluations, trajectory, _ = _exhaustive(probs, dims, _flat_entropy(probs))
+    grid, best_mi, evaluations, trajectory, _ = _exhaustive(probs, dims, shannon_entropy(probs))
     return {
         "best_cells": cells(grid),
         "best_mi": best_mi,
@@ -180,7 +179,7 @@ def breadth_block_peak(d):
     probs = descending_probs(d * d, 2)
     tracemalloc.start()
     try:
-        _breadth_block(probs, _flat_entropy(probs), d, d, 1, (0, BREADTH_BLOCK), 12)
+        _breadth_block(probs, shannon_entropy(probs), d, d, 1, (0, BREADTH_BLOCK), 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -297,7 +296,7 @@ def test_block_mi_matches_scalar(d_a, d_b, kind):
         probs = descending_probs(n, n)
     else:
         probs = tied_probs(np.random.default_rng(n).integers(0, 3, n) + np.eye(1, n)[0])
-    h_flat = _flat_entropy(probs)
+    h_flat = shannon_entropy(probs)
     grids = sample_grids(d_a, d_b, 8, 0, 500)
     got = _block_mi(probs, grids, h_flat)
     pr = [float(x) for x in probs]
@@ -519,7 +518,7 @@ def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k, monkeypatch):
     # 708 k ENTRY_TOL, beyond SCORE_SLACK. Both phases keep their results.
     dims = BipartiteDims(d_a, d_b)
     probs = negative_tail(dims.total, dims.total, k)
-    h_flat = _flat_entropy(probs)
+    h_flat = shannon_entropy(probs)
     scored = []
     monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored))
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
@@ -617,7 +616,7 @@ def test_factored_rough_scores_match_exact(case):
     # Marginals joined from a leaf's prefix and suffix, scored with numpy's
     # log, stay within 1e-12 of the cell-order exact score of every leaf.
     probs, dims, cap, block = case
-    h_flat, scored = _flat_entropy(probs), []
+    h_flat, scored = shannon_entropy(probs), []
     with mock.patch.object(qaeopt.tableau, "SUFFIX_CAP", cap), mock.patch.object(
         qaeopt.search, "LEAF_BLOCK", block
     ), mock.patch.object(qaeopt.search, "_rough_mi", rough_mi_spy(scored)):
@@ -647,7 +646,7 @@ def test_traversal_values_beyond_one_byte():
 
 
 def assert_depth_matches(probs, dims, seeds, n_d):
-    grids, h_flat = np.array([t.cells for t in seeds]), _flat_entropy(probs)
+    grids, h_flat = np.array([t.cells for t in seeds]), shannon_entropy(probs)
     config = SearchConfig(n1=len(seeds), n2=len(seeds), n_d=n_d)
     scores = _block_mi(probs, grids, h_flat)
     grid, best_mi, evaluations, trajectory, provenance = _depth(probs, dims, scores, grids, config, h_flat)
@@ -695,7 +694,7 @@ def test_depth_with_negative_operands_matches_scalar(d_a, d_b, monkeypatch):
     assert min(lowest) < 0.0
 
 
-@pytest.mark.parametrize("d,n_d", [(8, 60), (16, 20)])
+@pytest.mark.parametrize("d,n_d", [(8, 60), (16, 20), (32, 10)])
 def test_depth_matches_scalar_full_size(d, n_d):
     dims = BipartiteDims(d, d)
     probs = descending_probs(dims.total, 3)
@@ -779,7 +778,7 @@ def test_move_test_from_positions_matches_neighbour_checks(shape, key):
         assert [position_rule(place, u, w) for u, w in candidate_swaps(dims.total)] == expected
         # _depth counts one evaluation per swap its move test lets through.
         config = SearchConfig(n1=1, n2=1, n_d=1)
-        h_flat = _flat_entropy(probs)
+        h_flat = shannon_entropy(probs)
         _, _, evaluations, _, _ = _depth(probs, dims, _block_mi(probs, grid[None], h_flat), grid[None], config, h_flat)
         assert evaluations == 1 + sum(expected)
 
@@ -846,6 +845,35 @@ def test_depth_mixed_batch_of_cycling_and_running_seeds(d_a, d_b, kind):
     ref = assert_depth_matches(probs, dims, seeds, n_d)
     halted = [cycle_step(c) is not None for c in ref["choices"]]
     assert any(halted) and not all(halted)
+
+
+def end_grid(seed, choices):
+    """The tableau a descent from ``seed`` ends on: its cells after each
+    swap (u, w) of values in ``choices``, in turn."""
+    grid = np.array(seed.cells)
+    for u, w in choices:
+        at_u, at_w = grid == u, grid == w
+        grid[at_u], grid[at_w] = w, u
+    return YoungTableau(seed.dims, cells(grid))
+
+
+@pytest.mark.parametrize("kind", ["diagonal-mixed", "product-spectrum"])
+def test_depth_mixed_batch_of_fresh_and_descended_seeds(kind):
+    # The end grids of earlier descents, each inside its 2-cycle, between
+    # fresh breadth seeds: the descended seeds swap back and forth within
+    # their first three iterations and drop out while the fresh ones run.
+    dims = BipartiteDims(8, 8)
+    probs = generate_instance(kind, dims, 12).probs
+    fresh = [YoungTableau(dims, c) for c, _ in breadth(probs, dims, SearchConfig(n1=400, n2=8, seed=4))]
+    earlier = scalar_depth(probs, dims, fresh[:4], 200)["choices"]
+    assert all(cycle_step(c) is not None and cycle_step(c) < 199 for c in earlier)
+    ended = [end_grid(seed, c) for seed, c in zip(fresh, earlier)]
+    batch = [fresh[4], ended[0], ended[1], fresh[5], fresh[6], ended[2], fresh[7], ended[3]]
+    descended = [False, True, True, False, False, True, False, True]
+    ref = assert_depth_matches(probs, dims, batch, 20)
+    steps = [cycle_step(c) for c in ref["choices"]]
+    assert all(step is not None and step <= 2 for step, was in zip(steps, descended) if was)
+    assert all(step is None or step > 2 for step, was in zip(steps, descended) if not was)
 
 
 def test_depth_grids_without_neighbours_are_single_rows_or_columns():
@@ -1075,7 +1103,7 @@ def test_pool_without_affinity_calls_runs_unpinned(setaffinity, monkeypatch):
     # are not pinned, and the breadth tasks give what they give in process,
     # bit for bit.
     probs = descending_probs(16, 9)
-    score = partial(_breadth_block, probs, _flat_entropy(probs), 4, 4, 3, keep=6)
+    score = partial(_breadth_block, probs, shannon_entropy(probs), 4, 4, 3, keep=6)
     tasks = list(breadth_tasks(3000, 2))
 
     def results(jobs):

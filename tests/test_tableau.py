@@ -22,7 +22,7 @@ from oracles import (
     walk_grids,
 )
 from qaeopt import BipartiteDims, ValidationError, YoungTableau, count_regular, random_regular
-from qaeopt.qstate import MAX_COUNT_CELLS
+from qaeopt.qstate import MAX_COUNT_CELLS, shannon_entropy
 from qaeopt.tableau import candidate_swaps, regular_grid_walk
 
 DIMS22 = BipartiteDims(2, 2)
@@ -469,7 +469,7 @@ class TestTableauMI:
     def test_matches_oracle(self, seed):
         # The search's kernel against the oracle on an arranged spectrum.
         probs, t = descending_probs(6, seed), random_regular(DIMS23, seed)
-        mi = qaeopt.search._block_mi(probs, np.array([t.cells]), qaeopt.search._flat_entropy(probs))[0]
+        mi = qaeopt.search._block_mi(probs, np.array([t.cells]), shannon_entropy(probs))[0]
         assert abs(mi - grid_mutual_information(probs[t.index_array])) < 1e-12
 
 
