@@ -9,16 +9,19 @@ value-swap neighbour and names the winner from each one's best (depth phase).
 All three are array code with one marginal format and the package's one
 exact kernel: ``_marginals`` packs each grid's row sums, then its column
 sums, in one row, and ``qstate._exact_mi`` turns such rows into mutual
-information (``_block_mi`` of grids). Breadth and exhaustive traversal first
-filter with one rough score, ``_rough_mi``, of the same packed sums, through
-numpy's log: the one use of numpy's log in the package. The exhaustive
-search reads ``tableau.regular_grid_walk``: one suffix store, and the pieces
-of the prefix walk, each its prefix array and its leaves in blocks of at most
-LEAF_BLOCK, each leaf a prefix and a suffix. It scores each block at once
-from packed marginals (see ``_exhaustive``) and builds a grid only for the
-leaves that need an exact score: on one x86-64 core about 0.05 µs per
-leaf at (3,7), and 0.7-1.0 s for 2x15, the largest grid the default
-threshold routes to it (9,694,845 leaves). The breadth phase cuts
+information (``_block_mi`` of grids). Breadth first filters with one rough
+score, ``_rough_mi``, of the same packed sums, through numpy's log: with
+``_rough_mi32``, its float32 twin, the one use of numpy's log in the
+package. The exhaustive search reads ``tableau.regular_grid_walk``: one
+suffix store, and the pieces of the prefix walk, each its prefix array and
+its leaves in blocks of at most LEAF_BLOCK, each leaf a prefix and a suffix.
+It scores each block at once from packed marginals in float32, under a
+derived error bound, falls back to ``_rough_mi`` for the rest of a
+traversal once a block has too many near leaves (flat spectra; see
+``_exhaustive``), and builds a grid only for the leaves that need an exact
+score: on one x86-64 core about 0.06 µs per leaf at (3,7), and 0.7 s for
+2x15, the largest grid the default threshold routes to it (9,694,845
+leaves). The breadth phase cuts
 the draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded
 one at a time): a task streams its draws' uniforms one value at a time,
 places each value in all its draws at once, in small-integer arrays of
@@ -91,9 +94,10 @@ BREADTH_BLOCK = 8192
 # no faster at (2,15) and 20-58% slower at (4,4), (3,5) and (3,6), and
 # breadth shares it.
 LEAF_BLOCK = 2048
-# Breadth draws, exhaustive leaves and depth swaps whose rough (numpy log)
-# score is within this of the cut that matters get an exact score; the rough
-# and exact scores differ by far less than 1e-12.
+# Breadth draws, depth swaps and, on the float64 fallback, exhaustive leaves
+# whose rough (numpy log, float64) score is within this of the cut that
+# matters get an exact score; the rough and exact scores differ by far less
+# than 1e-12. The exhaustive float32 filter uses twice _rough32_error instead.
 SCORE_SLACK = 1e-9
 # Draw indices run below 2**32, so each is one uint32 word of its stream's seed.
 MAX_DRAWS = 2**32
@@ -332,6 +336,43 @@ def _rough_mi(sums: np.ndarray, h_flat: float) -> np.ndarray:
     return -(_xlogx_rough(sums) @ np.ones(sums.shape[-1])) - h_flat
 
 
+_TINY32 = np.finfo(np.float32).tiny  # the smallest normal float
+
+
+def _rough_mi32(sums: np.ndarray, h_flat: float) -> np.ndarray:
+    """``_rough_mi`` in float32: float32 packed marginals sums[k, d_a + d_b]
+    raised to at least _TINY32, overwriting ``sums``, x log x through
+    numpy's log, the terms summed by one matmul, and the result in float64
+    less h_flat. Within ``_rough32_error`` of the exact score."""
+    x = np.maximum(sums, _TINY32, out=sums)
+    out = np.log(x)
+    out *= x
+    return -(out @ np.ones(sums.shape[-1], dtype=np.float32)).astype(np.float64) - h_flat
+
+
+def _rough32_error(k: int, n: int) -> float:
+    """A bound on |_rough_mi32 - exact| for k = d_a + d_b packed sums of
+    n probabilities: u ((k + 11) ln n + 6), u = 2**-24 the float32 unit
+    roundoff.
+
+    Each sum s is a float64 prefix sum plus a float64 suffix sum. Casting
+    both to float32 and adding them moves s by at most 3u s. numpy's
+    float32 log is within 4 ULP (the ``ulperrortol`` of its own float32
+    log tests), at most 8u |ln s|, and the moved argument adds 3u. Rounding
+    the product adds u |s ln s|. So each term is off by at most
+    12u s |ln s| + 3u s. Over the k terms, sum s |ln s| = H(r) + H(c) <= ln n
+    and sum s = 2. The float32 sum of k terms, in any order, adds at most
+    (k - 1) u times the sum of their magnitudes, (k - 1) u ln n (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
+    The float64 steps (the exact score, h_flat, the casts) add under 1e-14.
+    Probabilities in [-ENTRY_TOL, 0) and sums below _TINY32 move a term by
+    under 1e-11, the clamp's -1e-36 included. Measured on every leaf of 36
+    spectra at (3,5), (3,6), (4,4) and (2,12), the largest error was 12.5%
+    of this bound.
+    """
+    return 2.0**-24 * ((k + 11) * math.log(n) + 6)
+
+
 def _marginals(q: np.ndarray) -> np.ndarray:
     """Packed marginals of grids q[..., d_a, d_b], shape (..., d_a + d_b):
     the row sums, then the column sums, each summed in cell order."""
@@ -502,6 +543,28 @@ def _min_before(scores: np.ndarray, floor: float) -> np.ndarray:
     return np.minimum.accumulate(np.concatenate(([floor], scores)))[:-1]
 
 
+_NO_LEAVES = np.empty(0, dtype=np.intp)
+
+
+def _near_leaves(rough: np.ndarray, best: float, slack: float) -> np.ndarray:
+    """Indices of the leaves of a block whose rough score is within
+    ``slack`` of the minimum of ``best`` and the rough scores before it.
+    Empty, after one reduction, when the block's rough minimum is more than
+    ``slack`` above ``best``: most blocks, once a low minimum is found."""
+    if rough.min() > best + slack:
+        return _NO_LEAVES
+    return np.flatnonzero(rough <= _min_before(rough, best) + slack)
+
+
+def _joined(prefix_sums: np.ndarray, suffix_sums: np.ndarray, prefix, suffix) -> np.ndarray:
+    """Packed marginals of a block's leaves: their prefixes' plus their
+    suffixes'. take along axis 0 copies whole rows, faster than fancy
+    indexing."""
+    sums = prefix_sums.take(prefix, axis=0)
+    sums += suffix_sums.take(suffix, axis=0)
+    return sums
+
+
 # What _exhaustive and _depth return: the best value grid, its mutual
 # information, the evaluation count, the best-seen trajectory and the index of
 # the depth seed that found the best grid (None for exhaustive traversal).
@@ -522,40 +585,50 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     part of each row and the top of each column, so a leaf's marginals are
     its prefix's plus its suffix's, with no leaf grid built. Both are packed
     as one row of d_a row sums then d_b column sums: the suffixes' once, from
-    the store, and the prefixes' once per walk piece. A block then takes two
-    packed rows per leaf and adds them. The sums are of ``p_ext[grid]``,
-    where ``p_ext = [0, p...]``, so an empty cell adds exactly 0. Each
-    factored marginal differs from its cell-order sum by at most about
-    n * eps, and the rough score, summed in any order, from the exact one by
-    far less than 1e-12, well under SCORE_SLACK. So a leaf can set a new
-    exact minimum only if its rough score is within SCORE_SLACK of the rough
-    minimum before it; a block whose rough minimum is further than that
-    above the rough minimum so far holds none and is passed over after that
-    one reduction. Only the near leaves are built as grids and scored
-    exactly, with the marginals summed in cell order. Memory stays bounded
-    (about 40 MB of process RSS at 2x15).
+    the store, and the prefixes' once per walk piece, each in float64 and in
+    a float32 copy. A block then takes two packed rows per leaf and adds
+    them. The sums are of ``p_ext[grid]``, where ``p_ext = [0, p...]``, so
+    an empty cell adds exactly 0.
+
+    Each block is first scored in float32 (``_rough_mi32``), within delta
+    = ``_rough32_error`` of the exact score. A leaf can set a new exact
+    minimum only if its exact score is below the exact minimum so far and
+    below the exact score of every leaf before it in its block, so only if
+    its rough score is within 2 delta of the minimum of the exact minimum so
+    far and the rough scores before it. A block with no such near leaf is
+    passed over after one reduction. On a flat spectrum most leaves are
+    near, so the first block whose float32 filter passes more than
+    LEAF_BLOCK // 8 leaves is scored again with the float64 ``_rough_mi``,
+    within far less than 1e-12 of the exact score, under the same rule with
+    SCORE_SLACK, and so is every later block. Only the near leaves are built
+    as grids and scored exactly, with the marginals summed in cell order.
+    Memory stays bounded (about 40 MB of process RSS at 2x15).
     """
     p_ext = np.concatenate(([0.0], p))
     store, pieces = regular_grid_walk(dims, LEAF_BLOCK)
     k = LEAF_BLOCK  # summed k grids at a time, as in _by_piece
     suffix_sums = np.concatenate([_marginals(p_ext[store[i : i + k]]) for i in range(0, len(store), k)])
-    best_mi = best_rough = math.inf
+    suffix32 = suffix_sums.astype(np.float32)
+    slack32 = 2 * _rough32_error(dims.d_a + dims.d_b, dims.total)
+    rough32 = True  # until a block's float32 filter passes more than k // 8 leaves
+    best_mi = math.inf
     best_grid = None
     trajectory: list[float] = []
     evaluations = 0
     for prefixes, blocks in pieces:
         prefix_sums = _marginals(p_ext[prefixes])
+        prefix32 = prefix_sums.astype(np.float32) if rough32 else None
         for prefix, suffix in blocks:
-            # take along axis 0 copies whole rows, faster than fancy indexing.
-            sums = prefix_sums.take(prefix, axis=0)
-            sums += suffix_sums.take(suffix, axis=0)
-            rough = _rough_mi(sums, h_flat)
-            evaluations += len(rough)
-            low = rough.min()
-            if low > best_rough + SCORE_SLACK:  # most blocks, once a low minimum is found
+            evaluations += len(prefix)
+            if rough32:
+                rough = _rough_mi32(_joined(prefix32, suffix32, prefix, suffix), h_flat)
+                near = _near_leaves(rough, best_mi, slack32)
+                rough32 = near.size <= k // 8
+            if not rough32:
+                rough = _rough_mi(_joined(prefix_sums, suffix_sums, prefix, suffix), h_flat)
+                near = _near_leaves(rough, best_mi, SCORE_SLACK)
+            if not near.size:
                 continue
-            near = np.flatnonzero(rough <= _min_before(rough, best_rough) + SCORE_SLACK)
-            best_rough = min(best_rough, low)
             grids = prefixes[prefix[near]] + store[suffix[near]]
             exact = _block_mi(p, grids, h_flat)
             records = np.flatnonzero(exact < _min_before(exact, best_mi))

@@ -65,7 +65,10 @@ from qaeopt.search import (
     _depth,
     _draw_uniforms,
     _exhaustive,
+    _joined,
     _marginals,
+    _rough32_error,
+    _rough_mi32,
     _sample_block,
     breadth_tasks,
     run_tasks,
@@ -110,16 +113,35 @@ def test_breadth_scores_are_its_grids_exact_scores(d, jobs):
     assert list(map(float.hex, scores.tolist())) == list(map(float.hex, _block_mi(probs, grids, h_flat).tolist()))
 
 
-def rough_mi_spy(scored):
-    """A stand-in for ``search._rough_mi`` that appends each call's scores
-    to ``scored``; ``_exhaustive`` calls it once per block."""
-    rough_mi = qaeopt.search._rough_mi
+def rough_mi_spy(scored, name="_rough_mi32"):
+    """A stand-in for ``search.<name>`` that appends each call's scores to
+    ``scored``. ``_exhaustive`` calls ``_rough_mi32`` once per block until
+    its float64 fallback, and ``_rough_mi`` once per block from there;
+    breadth calls ``_rough_mi``."""
+    rough_mi = getattr(qaeopt.search, name)
 
     def spy(sums, h_flat):
         scored.append(rough_mi(sums, h_flat))
         return scored[-1]
 
     return spy
+
+
+def rough32_blocks(probs, dims, block):
+    """The float32 rough score of every leaf of the walk, one array per
+    block, joined from packed prefix and suffix sums as ``_exhaustive``
+    joins them before its float64 fallback."""
+    p_ext, h_flat = np.concatenate(([0.0], probs)), shannon_entropy(probs)
+    store, pieces = regular_grid_walk(dims, block)
+    suffix32 = _marginals(p_ext[store]).astype(np.float32)
+    for prefixes, blocks in pieces:
+        prefix32 = _marginals(p_ext[prefixes]).astype(np.float32)
+        for prefix, suffix in blocks:
+            yield _rough_mi32(_joined(prefix32, suffix32, prefix, suffix), h_flat)
+
+
+def rough32_bound(dims):
+    return _rough32_error(dims.d_a + dims.d_b, dims.total)
 
 
 def exhaustive(probs, dims):
@@ -513,25 +535,64 @@ def negative_tail(n, seed, k):
 @pytest.mark.parametrize("d_a,d_b,k", [(1, 8, 5), (3, 4, 6), (3, 5, 7), (4, 4, 8), (2, 10, 10)])
 def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k, monkeypatch):
     # A row or column of tail values sums below 0, where the exact x log x
-    # is 0. Rough scores must stay within 1e-12 of the exact ones there too:
-    # x * log(TINY) for x = -k * ENTRY_TOL would be off by about
-    # 708 k ENTRY_TOL, beyond SCORE_SLACK. Both phases keep their results.
+    # is 0. Float32 rough scores must stay within half their bound of the
+    # exact ones there too, and float64 ones (breadth) within 1e-12: x *
+    # log(TINY) for x = -k * ENTRY_TOL would be off by about 708 k ENTRY_TOL,
+    # beyond SCORE_SLACK. Both phases keep their results.
     dims = BipartiteDims(d_a, d_b)
     probs = negative_tail(dims.total, dims.total, k)
     h_flat = shannon_entropy(probs)
     scored = []
-    monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored))
+    monkeypatch.setattr(qaeopt.search, "_rough_mi32", rough_mi_spy(scored))
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
     grids = np.concatenate(list(walk_grids(dims, LEAF_BLOCK)))
-    assert np.abs(np.concatenate(scored) - _block_mi(probs, grids, h_flat)).max() <= 1e-12
+    rough = np.concatenate(list(rough32_blocks(probs, dims, LEAF_BLOCK)))
+    assert scored and np.array_equal(np.concatenate(scored), rough[: sum(map(len, scored))])
+    assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= rough32_bound(dims) / 2
     assert _marginals(np.concatenate(([0.0], probs))[grids]).min() < 0.0  # some marginals do sum below 0
 
     scored.clear()
+    monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored, "_rough_mi"))
     _breadth_block(probs, h_flat, d_a, d_b, 5, (0, 300), 4)
     exact = _block_mi(probs, sample_grids(d_a, d_b, 5, 0, 300), h_flat)
     assert np.abs(np.concatenate(scored) - exact).max() <= 1e-12
     config = SearchConfig(n1=300, n2=4, seed=5)
     assert breadth(probs, dims, config) == scalar_breadth(probs, dims, 5, 300, 4)
+
+
+@pytest.mark.parametrize("d_a,d_b", [(3, 5), (3, 6), (4, 4), (2, 12)])
+@pytest.mark.parametrize("kind", ["dirichlet", "peaked", "flat", "tiny-tail"])
+def test_rough32_error_stays_within_half_its_bound(d_a, d_b, kind):
+    # The bound is derived for numpy's float32 log within 4 ULP. A platform
+    # whose log is worse fails here, loudly, instead of passing leaves that
+    # the filter should not drop. Measured, the error is at most 12.5% of it.
+    dims = BipartiteDims(d_a, d_b)
+    n, rng = dims.total, np.random.default_rng(d_a * d_b)
+    alpha = {"dirichlet": 1.0, "peaked": 0.02, "flat": 1e6, "tiny-tail": 1.0}[kind]
+    probs = np.sort(rng.dirichlet(np.full(n, alpha)))[::-1]
+    if kind == "tiny-tail":
+        probs[-3:] = 1e-30
+    h_flat = shannon_entropy(probs)
+    for rough, grids in zip(rough32_blocks(probs, dims, LEAF_BLOCK), walk_grids(dims, LEAF_BLOCK)):
+        assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= rough32_bound(dims) / 2
+
+
+@pytest.mark.parametrize("d_a,d_b", [(4, 4), (3, 5), (3, 6)])
+def test_float64_fallback_fires_on_flat_spectra_only(d_a, d_b, monkeypatch):
+    # On a flat spectrum most leaves lie within the float32 slack of the
+    # minimum, so _exhaustive goes back to the float64 filter; on Dirichlet(1)
+    # spectra, the exhaustive-small workload's kind, it never does.
+    dims = BipartiteDims(d_a, d_b)
+    scored64 = []
+    monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored64, "_rough_mi"))
+    rng = np.random.default_rng(d_a * d_b)
+    for kind, probs in [
+        ("uniform", np.full(dims.total, 1.0 / dims.total)),
+        ("concentration-1e4", np.sort(rng.dirichlet(np.full(dims.total, 1e4)))[::-1]),
+    ] + [("dirichlet", descending_probs(dims.total, seed)) for seed in range(5)]:
+        scored64.clear()
+        exhaustive(probs, dims)
+        assert bool(scored64) == (kind != "dirichlet"), kind
 
 
 # The default blocks, and small caps and blocks that split the walk into many
@@ -549,22 +610,28 @@ SKIP_CASES = [
 @pytest.mark.parametrize("slack", [qaeopt.search.SCORE_SLACK, 0.0])
 def test_exhaustive_skips_only_blocks_with_no_near_leaf(d_a, d_b, block, cap, kind, slack, monkeypatch):
     # _exhaustive passes over a block after one reduction, its rough minimum;
-    # replayed with the full rule (every leaf against the minimum before it),
-    # exactly the blocks it passed over have no near leaf. A slack of 0 makes
-    # the rough ties of the uniform and tied spectra sit on the boundary.
+    # replayed with the full rule (every leaf against the minimum of the exact
+    # best so far and the rough scores before it), exactly the blocks it
+    # passed over have no near leaf. The slack is twice the float32 bound
+    # until a block passes more than LEAF_BLOCK // 8 leaves; that block and
+    # every later one are scored in float64 with SCORE_SLACK. A SCORE_SLACK
+    # of 0 makes the float64 ties of the uniform and tied spectra sit on the
+    # boundary.
     if block is not None:
         monkeypatch.setattr(qaeopt.search, "LEAF_BLOCK", block)
     if cap is not None:
         monkeypatch.setattr(qaeopt.tableau, "SUFFIX_CAP", cap)
     monkeypatch.setattr(qaeopt.search, "SCORE_SLACK", slack)
+    block = qaeopt.search.LEAF_BLOCK
     min_before = qaeopt.search._min_before
-    scored, filtered = [], []  # every block's rough scores; every array _min_before saw
+    scored32, scored64, filtered = [], [], []  # each kernel's block scores; every array _min_before saw
 
     def spy_min_before(scores, floor):
         filtered.append(scores)
         return min_before(scores, floor)
 
-    monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored))
+    monkeypatch.setattr(qaeopt.search, "_rough_mi32", rough_mi_spy(scored32))
+    monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored64, "_rough_mi"))
     monkeypatch.setattr(qaeopt.search, "_min_before", spy_min_before)
     dims = BipartiteDims(d_a, d_b)
     n, rng = dims.total, np.random.default_rng(7 * d_a + d_b)
@@ -573,17 +640,32 @@ def test_exhaustive_skips_only_blocks_with_no_near_leaf(d_a, d_b, block, cap, ki
     else:
         probs = spectrum(kind, n, 7 * d_a + d_b)
     exhaustive(probs, dims)
-    best_rough, skipped = np.inf, []
-    for rough in scored:
-        near = np.flatnonzero(rough <= min_before(rough, best_rough) + slack)
-        best_rough = min(best_rough, rough.min())
+    h_flat = shannon_entropy(probs)
+    exact = [_block_mi(probs, grids, h_flat) for grids in walk_grids(dims, block)]
+    slack32 = 2 * rough32_bound(dims)
+    best_mi, replayed, skipped, fell_back = np.inf, [], [], None
+    for i, (rough, ex) in enumerate(zip(scored32, exact)):
+        near = np.flatnonzero(rough <= min_before(rough, best_mi) + slack32)
+        if near.size > block // 8:
+            fell_back = i
+            break
+        replayed.append(rough)
         skipped.append(not near.size)
+        best_mi = min(best_mi, ex.min())
+    if fell_back is None:
+        assert len(scored32) == len(exact) and not scored64
+    else:
+        assert len(scored32) == fell_back + 1 and len(scored64) == len(exact) - fell_back
+        for rough, ex in zip(scored64, exact[fell_back:]):
+            near = np.flatnonzero(rough <= min_before(rough, best_mi) + slack)
+            replayed.append(rough)
+            skipped.append(not near.size)
+            best_mi = min(best_mi, ex.min())
     # _min_before sees a block's rough scores exactly when it is not passed
-    # over. Both lists hold their arrays, so no id is reused.
+    # over. The lists hold their arrays, so no id is reused.
     ids = {id(scores) for scores in filtered}
-    seen = [id(rough) in ids for rough in scored]
-    assert seen == [not s for s in skipped]
-    if kind == "dirichlet" and len(scored) > 5:  # the skip is taken at all
+    assert [id(rough) in ids for rough in replayed] == [not s for s in skipped]
+    if kind == "dirichlet" and len(exact) > 5:  # the skip is taken at all
         assert any(skipped)
 
 
@@ -596,9 +678,11 @@ def leaf_score_cases(draw):
         k = draw(st.integers(1, 9))
         dims = BipartiteDims(1, k) if shape == "row" else BipartiteDims(k, 1)
     n, rng = dims.total, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["dirichlet", "trailing-zeros", "near-ties"]))
+    kind = draw(st.sampled_from(["dirichlet", "flat", "trailing-zeros", "near-ties"]))
     if kind == "dirichlet":
         probs = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+    elif kind == "flat":  # most leaves within the float32 slack: the float64 fallback
+        probs = np.sort(rng.dirichlet(np.full(n, 1e4)))[::-1]
     elif kind == "trailing-zeros":
         weights = rng.integers(1, 4, n)
         weights[draw(st.integers(1, n)):] = 0
@@ -613,19 +697,31 @@ def leaf_score_cases(draw):
 @given(leaf_score_cases())
 @settings(max_examples=150, deadline=None)
 def test_factored_rough_scores_match_exact(case):
-    # Marginals joined from a leaf's prefix and suffix, scored with numpy's
-    # log, stay within 1e-12 of the cell-order exact score of every leaf.
+    # Marginals joined from a leaf's prefix and suffix, scored in float32,
+    # stay within half the float32 bound of the cell-order exact score of
+    # every leaf, and in float64, after a fallback, within 1e-12. The
+    # traversal scores its first blocks in float32 and, from the block that
+    # falls back on, the rest in float64, and its outcome is the scalar one.
     probs, dims, cap, block = case
-    h_flat, scored = shannon_entropy(probs), []
+    h_flat, scored32, scored64 = shannon_entropy(probs), [], []
     with mock.patch.object(qaeopt.tableau, "SUFFIX_CAP", cap), mock.patch.object(
         qaeopt.search, "LEAF_BLOCK", block
-    ), mock.patch.object(qaeopt.search, "_rough_mi", rough_mi_spy(scored)):
-        _exhaustive(probs, dims, h_flat)
+    ), mock.patch.object(qaeopt.search, "_rough_mi32", rough_mi_spy(scored32)), mock.patch.object(
+        qaeopt.search, "_rough_mi", rough_mi_spy(scored64, "_rough_mi")
+    ):
+        got = exhaustive(probs, dims)
         blocks = list(walk_grids(dims, block))
-    assert [len(rough) for rough in scored] == [len(grids) for grids in blocks]
-    for rough, grids in zip(scored, blocks):
-        assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= 1e-12
+        rough32 = list(rough32_blocks(probs, dims, block))
+    exact = [_block_mi(probs, grids, h_flat) for grids in blocks]
+    assert [len(rough) for rough in rough32] == [len(grids) for grids in blocks]
+    for rough, ex in zip(rough32, exact):
+        assert np.abs(rough - ex).max() <= rough32_bound(dims) / 2
+    assert all(np.array_equal(a, b) for a, b in zip(scored32, rough32))
+    assert len(scored64) in (0, len(blocks) - len(scored32) + 1)
+    for rough, ex in zip(scored64, exact[len(blocks) - len(scored64):]):
+        assert np.abs(rough - ex).max() <= 1e-12
     assert sum(map(len, blocks)) == sum(1 for _ in scalar_enumerate(dims, dims.d_a == dims.d_b))
+    assert got == scalar_exhaustive(probs, dims)
 
 
 @pytest.mark.parametrize("d_a,d_b", [(1, 300), (300, 1)])
