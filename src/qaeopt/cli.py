@@ -21,7 +21,7 @@ from . import __version__
 from .exceptions import StateFileError, ValidationError
 from .pipeline import _diagonal_spectrum, build_encoder, verify_theorem1
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, nats_to_bits
-from .search import DEFAULT_EXHAUSTIVE_THRESHOLD, SearchConfig, optimize, run_tasks, worker_count
+from .search import SearchConfig, optimize, run_tasks, worker_count
 from .statefile import load_statefile
 from .tableau import count_regular, random_regular
 
@@ -112,7 +112,7 @@ def cmd_verify(args) -> int:
     if args.plan == "identity":
         u, tableau_cells = np.eye(sf.dims.total), None
     else:
-        tableau = random_regular(sf.dims, args.seed)
+        tableau = random_regular(sf.dims, args.config.seed)
         u = build_encoder(rho, tableau)
         tableau_cells = [list(row) for row in tableau.cells]
     report = verify_theorem1(rho, u, sf.dims)
@@ -121,7 +121,7 @@ def cmd_verify(args) -> int:
         {
             **_file_fields(sf, args.bits),
             "plan": args.plan,
-            "seed": args.seed,
+            "seed": args.config.seed,
             "tableau": tableau_cells,
             **_compression_dict(report, args.bits),
         },
@@ -202,21 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
     bits_flag = argparse.ArgumentParser(add_help=False)
     bits_flag.add_argument("--bits", action="store_true", help="report entropies in bits instead of nats")
 
-    threshold_flag = argparse.ArgumentParser(add_help=False)
+    # A search flag sets its attribute only when given; see main.
+    threshold_flag = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     threshold_flag.add_argument(
-        "--threshold", type=int, default=DEFAULT_EXHAUSTIVE_THRESHOLD,
-        dest="exhaustive_threshold", metavar="THRESHOLD",
+        "--threshold", type=int, dest="exhaustive_threshold", metavar="THRESHOLD",
         help="largest tableau count for which exhaustive traversal is used",
     )
 
-    search_flags = argparse.ArgumentParser(add_help=False)
-    search_flags.add_argument("--jobs", type=int, default=1, dest="parallelism", metavar="JOBS",
+    search_flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    search_flags.add_argument("--jobs", type=int, dest="parallelism", metavar="JOBS",
                               help="worker processes (results do not depend on this)")
-    search_flags.add_argument("--n1", type=int, default=20000, help="breadth-phase samples")
-    search_flags.add_argument("--n2", type=int, default=12, help="seeds kept for the depth phase")
-    search_flags.add_argument("--nd", type=int, default=200, dest="n_d", metavar="ND",
-                              help="descent iterations per seed")
-    search_flags.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    search_flags.add_argument("--n1", type=int, help="breadth-phase samples")
+    search_flags.add_argument("--n2", type=int, help="seeds kept for the depth phase")
+    search_flags.add_argument("--nd", type=int, dest="n_d", metavar="ND", help="descent iterations per seed")
+    search_flags.add_argument("--seed", type=int, help="master RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="qaeopt",
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[bits_flag], help="check the compression identity on a dense state"
     )
     p_ver.add_argument("statefile")
-    p_ver.add_argument("--seed", type=int, default=0, help="seed for the random tableau plan")
+    p_ver.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for the random tableau plan")
     p_ver.add_argument(
         "--plan", choices=("random", "identity"), default="random",
         help="encode with a random regular tableau or skip encoding (U = identity)",
@@ -270,9 +269,10 @@ _parser = cache(build_parser)
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    # The search flags a command takes (count only --threshold, verify only
-    # --seed) are checked before any work starts; a value that SearchConfig
-    # rejects is a usage error (exit 2).
+    # The search flags given (count takes only --threshold, verify only
+    # --seed) go into SearchConfig, whose own defaults fill the rest; they are
+    # checked before any work starts, and a value that SearchConfig rejects
+    # is a usage error (exit 2).
     try:
         args.config = SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)
                                       if hasattr(args, f.name)})

@@ -10,18 +10,18 @@ All three are array code with one marginal format and the package's one
 exact kernel: ``_marginals`` packs each grid's row sums, then its column
 sums, in one row, and ``qstate._exact_mi`` turns such rows into mutual
 information (``_block_mi`` of grids). Breadth first filters with one rough
-score, ``_rough_mi``, of the same packed sums, through numpy's log: with
-``_rough_mi32``, its float32 twin, the one use of numpy's log in the
-package. The exhaustive search reads ``tableau.regular_grid_walk``: one
-suffix store, and the pieces of the prefix walk, each its prefix array and
-its leaves in blocks of at most LEAF_BLOCK, each leaf a prefix and a suffix.
-It scores each block at once from packed marginals in float32, under a
-derived error bound, falls back to ``_rough_mi`` for the rest of a
-traversal once a block has too many near leaves (flat spectra; see
-``_exhaustive``), and builds a grid only for the leaves that need an exact
-score: on one x86-64 core about 0.06 µs per leaf at (3,7), and 0.7 s for
-2x15, the largest grid the default threshold routes to it (9,694,845
-leaves). The breadth phase cuts
+score, ``_rough_mi``, of the same packed sums, through numpy's log in
+``_xlogx_rough``, the one use of numpy's log in the package; depth calls
+that for its swap sums. The exhaustive search reads
+``tableau.regular_grid_walk``: one suffix store, and the pieces of the
+prefix walk, each its prefix array and its leaves in blocks of at most
+LEAF_BLOCK, each leaf a prefix and a suffix. It scores each block at once
+with ``_rough_mi`` from packed marginals in float32, under a derived error
+bound, goes over to float64 sums for the rest of a traversal once a block
+has too many near leaves (flat spectra; see ``_exhaustive``), and builds a
+grid only for the leaves that need an exact score: on one x86-64 core
+about 0.06 µs per leaf at (3,7), and 0.7 s for 2x15, the largest grid the
+default threshold routes to it (9,694,845 leaves). The breadth phase cuts
 the draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded
 one at a time): a task streams its draws' uniforms one value at a time,
 places each value in all its draws at once, in small-integer arrays of
@@ -95,9 +95,10 @@ BREADTH_BLOCK = 8192
 # breadth shares it.
 LEAF_BLOCK = 2048
 # Breadth draws, depth swaps and, on the float64 fallback, exhaustive leaves
-# whose rough (numpy log, float64) score is within this of the cut that
-# matters get an exact score; the rough and exact scores differ by far less
-# than 1e-12. The exhaustive float32 filter uses twice _rough32_error instead.
+# whose rough (_xlogx_rough on float64 sums) score is within this of the cut
+# that matters get an exact score; the rough and exact scores differ by far
+# less than 1e-12. The exhaustive filter on float32 sums uses twice
+# _rough32_error instead.
 SCORE_SLACK = 1e-9
 # Draw indices run below 2**32, so each is one uint32 word of its stream's seed.
 MAX_DRAWS = 2**32
@@ -314,16 +315,15 @@ def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
         raise
 
 
-_TINY = np.finfo(float).tiny  # the smallest normal double
-
-
 def _xlogx_rough(x: np.ndarray) -> np.ndarray:
-    """x log x through numpy's log, with no mask: fast, but not always
-    bitwise _xlogx. x is first raised to at least _TINY, so from _TINY up
-    it is x * log(x) bit for bit. Below, at 0 and at the sums just below 0
-    that probabilities in [-ENTRY_TOL, 0) can make, it is _TINY * log(_TINY),
-    about -1.6e-305, where _xlogx gives 0 or next to it."""
-    x = np.maximum(x, _TINY)
+    """x log x through numpy's log in x's precision, with no mask: fast, but
+    not always bitwise _xlogx. x is first raised to at least tiny, the
+    smallest normal number of its dtype, so from tiny up it is x * log(x)
+    bit for bit. Below, at 0 and at the sums just below 0 that probabilities
+    in [-ENTRY_TOL, 0) can make, it is tiny * log(tiny), about -1.6e-305 in
+    float64 and -1.0e-36 in float32, where _xlogx gives 0 or next to it.
+    The one use of numpy's log in the package."""
+    x = np.maximum(x, np.finfo(x.dtype).tiny)
     out = np.log(x)
     out *= x
     return out
@@ -331,29 +331,18 @@ def _xlogx_rough(x: np.ndarray) -> np.ndarray:
 
 def _rough_mi(sums: np.ndarray, h_flat: float) -> np.ndarray:
     """Rough mutual information from packed marginals sums[k, d_a + d_b],
-    row sums then column sums, with numpy's log and a matmul sum: within
-    far less than 1e-12 of the exact score."""
-    return -(_xlogx_rough(sums) @ np.ones(sums.shape[-1])) - h_flat
-
-
-_TINY32 = np.finfo(np.float32).tiny  # the smallest normal float
-
-
-def _rough_mi32(sums: np.ndarray, h_flat: float) -> np.ndarray:
-    """``_rough_mi`` in float32: float32 packed marginals sums[k, d_a + d_b]
-    raised to at least _TINY32, overwriting ``sums``, x log x through
-    numpy's log, the terms summed by one matmul, and the result in float64
-    less h_flat. Within ``_rough32_error`` of the exact score."""
-    x = np.maximum(sums, _TINY32, out=sums)
-    out = np.log(x)
-    out *= x
-    return -(out @ np.ones(sums.shape[-1], dtype=np.float32)).astype(np.float64) - h_flat
+    row sums then column sums, in their precision: x log x by
+    ``_xlogx_rough``, the terms summed by one matmul, and the result in
+    float64 less h_flat. From float64 sums it is within far less than 1e-12
+    of the exact score, from float32 sums within ``_rough32_error``."""
+    terms = _xlogx_rough(sums)
+    return -(terms @ np.ones(sums.shape[-1], terms.dtype)).astype(np.float64, copy=False) - h_flat
 
 
 def _rough32_error(k: int, n: int) -> float:
-    """A bound on |_rough_mi32 - exact| for k = d_a + d_b packed sums of
-    n probabilities: u ((k + 11) ln n + 6), u = 2**-24 the float32 unit
-    roundoff.
+    """A bound on |_rough_mi - exact| on float32 sums, for k = d_a + d_b
+    packed sums of n probabilities: u ((k + 11) ln n + 6), u = 2**-24 the
+    float32 unit roundoff.
 
     Each sum s is a float64 prefix sum plus a float64 suffix sum. Casting
     both to float32 and adding them moves s by at most 3u s. numpy's
@@ -365,10 +354,10 @@ def _rough32_error(k: int, n: int) -> float:
     (k - 1) u times the sum of their magnitudes, (k - 1) u ln n (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
     The float64 steps (the exact score, h_flat, the casts) add under 1e-14.
-    Probabilities in [-ENTRY_TOL, 0) and sums below _TINY32 move a term by
-    under 1e-11, the clamp's -1e-36 included. Measured on every leaf of 36
-    spectra at (3,5), (3,6), (4,4) and (2,12), the largest error was 12.5%
-    of this bound.
+    Probabilities in [-ENTRY_TOL, 0) and sums below the float32 tiny move a
+    term by under 1e-11, the clamp's -1e-36 included. Measured on every
+    leaf of 36 spectra at (3,5), (3,6), (4,4) and (2,12), the largest error
+    was 12.5% of this bound.
     """
     return 2.0**-24 * ((k + 11) * math.log(n) + 6)
 
@@ -590,19 +579,19 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     them. The sums are of ``p_ext[grid]``, where ``p_ext = [0, p...]``, so
     an empty cell adds exactly 0.
 
-    Each block is first scored in float32 (``_rough_mi32``), within delta
-    = ``_rough32_error`` of the exact score. A leaf can set a new exact
-    minimum only if its exact score is below the exact minimum so far and
-    below the exact score of every leaf before it in its block, so only if
-    its rough score is within 2 delta of the minimum of the exact minimum so
-    far and the rough scores before it. A block with no such near leaf is
+    Each block is first scored by ``_rough_mi`` on float32 sums, within
+    delta = ``_rough32_error`` of the exact score. A leaf can set a new
+    exact minimum only if its exact score is below the exact minimum so far
+    and below the exact score of every leaf before it in its block, so only
+    if its rough score is within 2 delta of the minimum of the exact minimum
+    so far and the rough scores before it. A block with no such near leaf is
     passed over after one reduction. On a flat spectrum most leaves are
     near, so the first block whose float32 filter passes more than
-    LEAF_BLOCK // 8 leaves is scored again with the float64 ``_rough_mi``,
-    within far less than 1e-12 of the exact score, under the same rule with
-    SCORE_SLACK, and so is every later block. Only the near leaves are built
-    as grids and scored exactly, with the marginals summed in cell order.
-    Memory stays bounded (about 40 MB of process RSS at 2x15).
+    LEAF_BLOCK // 8 leaves is scored again by ``_rough_mi`` on the float64
+    sums, within far less than 1e-12 of the exact score, under the same rule
+    with SCORE_SLACK, and so is every later block. Only the near leaves are
+    built as grids and scored exactly, with the marginals summed in cell
+    order. Memory stays bounded (about 40 MB of process RSS at 2x15).
     """
     p_ext = np.concatenate(([0.0], p))
     store, pieces = regular_grid_walk(dims, LEAF_BLOCK)
@@ -621,7 +610,7 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
         for prefix, suffix in blocks:
             evaluations += len(prefix)
             if rough32:
-                rough = _rough_mi32(_joined(prefix32, suffix32, prefix, suffix), h_flat)
+                rough = _rough_mi(_joined(prefix32, suffix32, prefix, suffix), h_flat)
                 near = _near_leaves(rough, best_mi, slack32)
                 rough32 = near.size <= k // 8
             if not rough32:

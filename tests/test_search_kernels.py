@@ -68,7 +68,7 @@ from qaeopt.search import (
     _joined,
     _marginals,
     _rough32_error,
-    _rough_mi32,
+    _rough_mi,
     _sample_block,
     breadth_tasks,
     run_tasks,
@@ -113,18 +113,19 @@ def test_breadth_scores_are_its_grids_exact_scores(d, jobs):
     assert list(map(float.hex, scores.tolist())) == list(map(float.hex, _block_mi(probs, grids, h_flat).tolist()))
 
 
-def rough_mi_spy(scored, name="_rough_mi32"):
-    """A stand-in for ``search.<name>`` that appends each call's scores to
-    ``scored``. ``_exhaustive`` calls ``_rough_mi32`` once per block until
-    its float64 fallback, and ``_rough_mi`` once per block from there;
-    breadth calls ``_rough_mi``."""
-    rough_mi = getattr(qaeopt.search, name)
+def rough_mi_spy():
+    """A stand-in for ``search._rough_mi``, and the scores of its calls by
+    the type of their sums: ``scored[np.float32]`` and ``scored[np.float64]``,
+    one array per call. ``_exhaustive`` scores float32 sums once per block
+    until its float64 fallback, and float64 sums once per block from there;
+    breadth scores float64 sums."""
+    scored = {np.float32: [], np.float64: []}
 
     def spy(sums, h_flat):
-        scored.append(rough_mi(sums, h_flat))
-        return scored[-1]
+        scored[sums.dtype.type].append(_rough_mi(sums, h_flat))
+        return scored[sums.dtype.type][-1]
 
-    return spy
+    return spy, scored
 
 
 def rough32_blocks(probs, dims, block):
@@ -137,7 +138,7 @@ def rough32_blocks(probs, dims, block):
     for prefixes, blocks in pieces:
         prefix32 = _marginals(p_ext[prefixes]).astype(np.float32)
         for prefix, suffix in blocks:
-            yield _rough_mi32(_joined(prefix32, suffix32, prefix, suffix), h_flat)
+            yield _rough_mi(_joined(prefix32, suffix32, prefix, suffix), h_flat)
 
 
 def rough32_bound(dims):
@@ -471,57 +472,107 @@ def test_suffix_codes_match_the_row_count_form(d_a, d_b, cap, monkeypatch):
 @pytest.mark.parametrize("d_a,d_b", [(3, 4), (2, 8), (4, 4)])
 @pytest.mark.parametrize("kind", ["dirichlet", "near-ties"])
 def test_exhaustive_rough_scores_only_select_leaves(d_a, d_b, kind, monkeypatch):
-    # Rough scores that stray from the exact ones by up to 1e-12, well within
-    # SCORE_SLACK, must not change the result: only exact scores decide.
-    exact_xlogx = qaeopt.search._xlogx
-    monkeypatch.setattr(
-        qaeopt.search, "_xlogx_rough", lambda x: exact_xlogx(x) + 1e-13 * np.sin(1e6 * x)
-    )
+    # Rough scores that stray from the exact ones by a different amount for
+    # every leaf must not change the result: only exact scores decide. The
+    # stray is one the perturbed precision can hold and its filter allows:
+    # up to a quarter of the float32 bound per leaf in float32, and 1e-13 per
+    # term, well within SCORE_SLACK, in float64 (the fallback).
     dims = BipartiteDims(d_a, d_b)
+    amplitude = {np.float32: rough32_bound(dims) / (4 * (d_a + d_b)), np.float64: 1e-13}
+    exact_xlogx, seen = qaeopt.search._xlogx, set()
+
+    def stray_xlogx(x):
+        seen.add(x.dtype.type)
+        stray = amplitude[x.dtype.type] * np.sin(1e6 * x.astype(np.float64))
+        return (exact_xlogx(x) + stray).astype(x.dtype)
+
+    monkeypatch.setattr(qaeopt.search, "_xlogx_rough", stray_xlogx)
     rng = np.random.default_rng(d_a * d_b)
     if kind == "dirichlet":
         probs = descending_probs(dims.total, d_a * d_b)
-    else:  # leaves whose scores differ by about as much as the stray
+    else:  # leaves whose scores differ by about as much as the float64 stray
         probs = tied_probs(rng.integers(1, 4, dims.total) + 1e-12 * rng.random(dims.total))
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
+    # The stand-in reached the float32 filter, and the float64 one where the
+    # traversal falls back: on (4, 4) near-ties alone.
+    fallback = (d_a, d_b, kind) == (4, 4, "near-ties")
+    assert seen == ({np.float32, np.float64} if fallback else {np.float32})
 
 
-TINY = np.finfo(float).tiny
-
-
-def rough_kernel_inputs(kind):
+def rough_kernel_inputs(kind, dtype):
+    tiny, zero = np.finfo(dtype).tiny, dtype(0.0)
     if kind == "dirichlet-sums":  # the marginals of 64 (3, 5) grids, 0 and 1 included
         p_ext = np.concatenate(([0.0], descending_probs(15, 3)))
         sums = _marginals(p_ext[sample_grids(3, 5, 2, 0, 64)])
-        return np.concatenate((sums.ravel(), [0.0, 1.0]))
-    return {
-        "zero": np.zeros(4),
-        "one": np.ones(3),
-        "subnormal": np.array([5e-324, 1e-310, TINY / 2, np.nextafter(TINY, 0.0)]),
-        "smallest-normal": np.array([TINY, np.nextafter(TINY, 1.0), 1e-300]),
+        return np.concatenate((sums.ravel(), [0.0, 1.0])).astype(dtype)
+    return np.array({
+        "zero": [zero] * 4,
+        "one": [1.0] * 3,
+        "subnormal": [np.nextafter(zero, 1.0), tiny / 2**10, tiny / 2, np.nextafter(tiny, zero)],
+        "smallest-normal": [tiny, np.nextafter(tiny, 1.0), tiny * 2**20],
         # Sums of probabilities in [-ENTRY_TOL, 0), which the boundary admits.
-        "negative": -np.array([5e-324, 1e-17, ENTRY_TOL, 20 * ENTRY_TOL]),
-    }[kind]
+        "negative": [-np.nextafter(zero, 1.0), -1e-17, -ENTRY_TOL, -20 * ENTRY_TOL],
+    }[kind], dtype)
 
 
-@pytest.mark.parametrize("kind", ["dirichlet-sums", "zero", "one", "subnormal", "smallest-normal", "negative"])
-def test_rough_xlogx_contract(kind):
-    # x * log(x) bit for bit from the smallest normal double up, TINY *
-    # log(TINY), about -1.6e-305, below it, and never a warning or a NaN.
-    x = rough_kernel_inputs(kind)
+@pytest.mark.parametrize(
+    "kind,dtype",
+    [
+        pytest.param(kind, dtype, id=kind + suffix)
+        for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))
+        for kind in ["dirichlet-sums", "zero", "one", "subnormal", "smallest-normal", "negative"]
+    ],
+)
+def test_rough_xlogx_contract(kind, dtype):
+    # x * log(x) in x's precision, bit for bit, from the smallest normal
+    # number of that precision, tiny, up; tiny * log(tiny) below it (about
+    # -1.6e-305 in float64, -1.0e-36 in float32); never a warning or a NaN.
+    x = rough_kernel_inputs(kind, dtype)
     before = x.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = qaeopt.search._xlogx_rough(x)
     assert np.array_equal(x, before)  # the input is left as it was
-    assert got.shape == x.shape and got.dtype == np.float64 and not np.isnan(got).any()
-    normal = x >= TINY
+    assert got.shape == x.shape and got.dtype == dtype and not np.isnan(got).any()
+    tiny = np.finfo(dtype).tiny
+    normal = x >= tiny
     with np.errstate(divide="ignore", invalid="ignore"):
         want = x[normal] * np.log(x[normal])
-    assert np.array_equal(got[normal].view(np.uint64), want.view(np.uint64))
-    floor = TINY * np.log(TINY)
-    assert -2e-305 < floor < 0 and (got[~normal] == floor).all()
-    assert np.abs(got - qaeopt.search._xlogx(x)).max() <= 1e-15
+    assert got[normal].tobytes() == want.tobytes()
+    floor = tiny * np.log(tiny)
+    assert -709 * tiny < floor < 0 and (got[~normal] == floor).all()
+    tol = {np.float64: 1e-15, np.float32: 1e-7}[dtype]
+    assert np.abs(got - qaeopt.search._xlogx(x)).max() <= tol
+
+
+@pytest.mark.parametrize(
+    "d_a,d_b,alpha,threshold,kernels",
+    [
+        pytest.param(3, 6, 1.0, 10**7, {np.float32}, id="float32-filter"),
+        pytest.param(3, 6, 1e4, 10**7, {np.float32, np.float64}, id="float64-fallback"),
+        pytest.param(4, 4, 1.0, 1, {np.float64}, id="breadth-and-depth"),
+    ],
+)
+def test_numpy_log_has_one_call_site(d_a, d_b, alpha, threshold, kernels, monkeypatch):
+    # With _xlogx_rough exact, every search route gives its result without
+    # calling numpy's log anywhere else.
+    dims = BipartiteDims(d_a, d_b)
+    probs = np.sort(np.random.default_rng(d_a * d_b).dirichlet(np.full(dims.total, alpha)))[::-1]
+    config = SearchConfig(n1=300, n2=4, n_d=20, seed=2, exhaustive_threshold=threshold)
+    want = optimize(probs, dims, config)
+    exact_xlogx, seen = qaeopt.search._xlogx, set()
+
+    def exact_rough(x):
+        seen.add(x.dtype.type)
+        return exact_xlogx(x).astype(x.dtype)
+
+    def no_log(*args, **kwargs):
+        raise AssertionError("numpy.log called outside _xlogx_rough")
+
+    monkeypatch.setattr(qaeopt.search, "_xlogx_rough", exact_rough)
+    monkeypatch.setattr(np, "log", no_log)
+    assert optimize(probs, dims, config) == want
+    assert seen == kernels
 
 
 def negative_tail(n, seed, k):
@@ -537,25 +588,27 @@ def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k, monkeypatch):
     # A row or column of tail values sums below 0, where the exact x log x
     # is 0. Float32 rough scores must stay within half their bound of the
     # exact ones there too, and float64 ones (breadth) within 1e-12: x *
-    # log(TINY) for x = -k * ENTRY_TOL would be off by about 708 k ENTRY_TOL,
+    # log(tiny) for x = -k * ENTRY_TOL would be off by about 708 k ENTRY_TOL,
     # beyond SCORE_SLACK. Both phases keep their results.
     dims = BipartiteDims(d_a, d_b)
     probs = negative_tail(dims.total, dims.total, k)
     h_flat = shannon_entropy(probs)
-    scored = []
-    monkeypatch.setattr(qaeopt.search, "_rough_mi32", rough_mi_spy(scored))
+    spy, scored = rough_mi_spy()
+    monkeypatch.setattr(qaeopt.search, "_rough_mi", spy)
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
     grids = np.concatenate(list(walk_grids(dims, LEAF_BLOCK)))
     rough = np.concatenate(list(rough32_blocks(probs, dims, LEAF_BLOCK)))
-    assert scored and np.array_equal(np.concatenate(scored), rough[: sum(map(len, scored))])
+    scored32 = scored[np.float32]
+    assert scored32 and np.array_equal(np.concatenate(scored32), rough[: sum(map(len, scored32))])
     assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= rough32_bound(dims) / 2
     assert _marginals(np.concatenate(([0.0], probs))[grids]).min() < 0.0  # some marginals do sum below 0
 
-    scored.clear()
-    monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored, "_rough_mi"))
+    spy, scored = rough_mi_spy()
+    monkeypatch.setattr(qaeopt.search, "_rough_mi", spy)
     _breadth_block(probs, h_flat, d_a, d_b, 5, (0, 300), 4)
     exact = _block_mi(probs, sample_grids(d_a, d_b, 5, 0, 300), h_flat)
-    assert np.abs(np.concatenate(scored) - exact).max() <= 1e-12
+    assert not scored[np.float32]
+    assert np.abs(np.concatenate(scored[np.float64]) - exact).max() <= 1e-12
     config = SearchConfig(n1=300, n2=4, seed=5)
     assert breadth(probs, dims, config) == scalar_breadth(probs, dims, 5, 300, 4)
 
@@ -583,16 +636,16 @@ def test_float64_fallback_fires_on_flat_spectra_only(d_a, d_b, monkeypatch):
     # minimum, so _exhaustive goes back to the float64 filter; on Dirichlet(1)
     # spectra, the exhaustive-small workload's kind, it never does.
     dims = BipartiteDims(d_a, d_b)
-    scored64 = []
-    monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored64, "_rough_mi"))
     rng = np.random.default_rng(d_a * d_b)
     for kind, probs in [
         ("uniform", np.full(dims.total, 1.0 / dims.total)),
         ("concentration-1e4", np.sort(rng.dirichlet(np.full(dims.total, 1e4)))[::-1]),
     ] + [("dirichlet", descending_probs(dims.total, seed)) for seed in range(5)]:
-        scored64.clear()
+        spy, scored = rough_mi_spy()
+        monkeypatch.setattr(qaeopt.search, "_rough_mi", spy)
         exhaustive(probs, dims)
-        assert bool(scored64) == (kind != "dirichlet"), kind
+        assert scored[np.float32], kind
+        assert bool(scored[np.float64]) == (kind != "dirichlet"), kind
 
 
 # The default blocks, and small caps and blocks that split the walk into many
@@ -624,14 +677,15 @@ def test_exhaustive_skips_only_blocks_with_no_near_leaf(d_a, d_b, block, cap, ki
     monkeypatch.setattr(qaeopt.search, "SCORE_SLACK", slack)
     block = qaeopt.search.LEAF_BLOCK
     min_before = qaeopt.search._min_before
-    scored32, scored64, filtered = [], [], []  # each kernel's block scores; every array _min_before saw
+    spy, scored = rough_mi_spy()
+    scored32, scored64 = scored[np.float32], scored[np.float64]
+    filtered = []  # every array _min_before saw
 
     def spy_min_before(scores, floor):
         filtered.append(scores)
         return min_before(scores, floor)
 
-    monkeypatch.setattr(qaeopt.search, "_rough_mi32", rough_mi_spy(scored32))
-    monkeypatch.setattr(qaeopt.search, "_rough_mi", rough_mi_spy(scored64, "_rough_mi"))
+    monkeypatch.setattr(qaeopt.search, "_rough_mi", spy)
     monkeypatch.setattr(qaeopt.search, "_min_before", spy_min_before)
     dims = BipartiteDims(d_a, d_b)
     n, rng = dims.total, np.random.default_rng(7 * d_a + d_b)
@@ -703,12 +757,11 @@ def test_factored_rough_scores_match_exact(case):
     # traversal scores its first blocks in float32 and, from the block that
     # falls back on, the rest in float64, and its outcome is the scalar one.
     probs, dims, cap, block = case
-    h_flat, scored32, scored64 = shannon_entropy(probs), [], []
+    h_flat, (spy, scored) = shannon_entropy(probs), rough_mi_spy()
+    scored32, scored64 = scored[np.float32], scored[np.float64]
     with mock.patch.object(qaeopt.tableau, "SUFFIX_CAP", cap), mock.patch.object(
         qaeopt.search, "LEAF_BLOCK", block
-    ), mock.patch.object(qaeopt.search, "_rough_mi32", rough_mi_spy(scored32)), mock.patch.object(
-        qaeopt.search, "_rough_mi", rough_mi_spy(scored64, "_rough_mi")
-    ):
+    ), mock.patch.object(qaeopt.search, "_rough_mi", spy):
         got = exhaustive(probs, dims)
         blocks = list(walk_grids(dims, block))
         rough32 = list(rough32_blocks(probs, dims, block))
