@@ -88,10 +88,10 @@ class DensityMatrix:
     The backing array is copied at construction and marked read-only, so
     instances are safe to share across threads. The one ``eigh`` of the
     positive-semidefinite check is kept, sorted once: ``probs`` holds the
-    eigenvalues descending and clipped at 0, and row alpha of ``vectors`` is
-    the eigenvector of ``probs[alpha]``; both are read-only. Ties keep the
-    eigensolver's order (stable sort), which makes downstream arrangements
-    deterministic.
+    eigenvalues descending, clipped at 0 and through ``_probability_vector``,
+    which rejects a sum off 1 by more than SUM_TOL; row alpha of ``vectors``
+    is the eigenvector of ``probs[alpha]``. Both are read-only. Ties keep the
+    eigensolver's order (stable sort), so arrangements are deterministic.
     """
 
     def __init__(self, entries) -> None:
@@ -117,12 +117,11 @@ class DensityMatrix:
                 f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
             )
         order = np.argsort(-vals, kind="stable")
-        probs = np.clip(vals[order], 0.0, None)
         vectors = vecs.T[order]
-        for a in (mat, probs, vectors):
+        for a in (mat, vectors):
             a.setflags(write=False)
         self._mat = mat
-        self.probs = probs
+        self.probs = _probability_vector(np.clip(vals[order], 0.0, None), len(vals))
         self.vectors = vectors
 
     @property
@@ -139,22 +138,27 @@ class DensityMatrix:
 
 
 def _probability_vector(probs, n: int) -> np.ndarray:
-    """The check every probability vector passes where it enters the package.
-
-    Returns a read-only float copy of ``probs`` once it is 1-D of length n,
-    finite, at least -ENTRY_TOL, sums to 1 within SUM_TOL and is
-    non-increasing within MONOTONE_SLACK.
-    """
+    """The check every probability vector passes where it enters the package,
+    and the one place one is clipped. ``probs`` must be 1-D of length n,
+    finite, at least -ENTRY_TOL and sum to 1 within SUM_TOL. Entries in
+    [-ENTRY_TOL, 0) are round-off of a zero: they become 0, and the vector is
+    divided by its new sum. The result, non-increasing within MONOTONE_SLACK,
+    comes back as a read-only float copy that passes this check again with
+    the same bytes; so does a vector with no negative entry (-0.0 is none)."""
     p = np.array(probs, dtype=float)
     if p.ndim != 1 or p.size != n:
         raise ValidationError(f"expected {n} probabilities, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise ValidationError(_NON_FINITE)
-    if p.min() < -ENTRY_TOL:
-        raise ValidationError(f"negative probability beyond tolerance: {p.min():.3e}")
+    lo = p.min()
+    if lo < -ENTRY_TOL:
+        raise ValidationError(f"negative probability beyond tolerance: {lo:.3e}")
     total = p.sum()
     if abs(total - 1.0) > SUM_TOL:
         raise ValidationError(f"probabilities must sum to 1 within {SUM_TOL}, got {total}")
+    if lo < 0.0:
+        np.maximum(p, 0.0, out=p)
+        p /= p.sum()
     if np.any(np.diff(p) > MONOTONE_SLACK):
         raise ValidationError("probabilities must be sorted non-increasing")
     p.setflags(write=False)

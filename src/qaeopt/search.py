@@ -318,11 +318,11 @@ def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
 def _xlogx_rough(x: np.ndarray) -> np.ndarray:
     """x log x through numpy's log in x's precision, with no mask: fast, but
     not always bitwise _xlogx. x is first raised to at least tiny, the
-    smallest normal number of its dtype, so from tiny up it is x * log(x)
-    bit for bit. Below, at 0 and at the sums just below 0 that probabilities
-    in [-ENTRY_TOL, 0) can make, it is tiny * log(tiny), about -1.6e-305 in
-    float64 and -1.0e-36 in float32, where _xlogx gives 0 or next to it.
-    The one use of numpy's log in the package."""
+    smallest normal of its dtype, so from tiny up it is x * log(x) bit for
+    bit, and below it is tiny * log(tiny): -1.6e-305 in float64, -1.0e-36 in
+    float32, where _xlogx gives 0 or next to it. That covers the sums below 0
+    of probabilities in [-ENTRY_TOL, 0), which the public entry points never
+    hand the search but this still takes. The one numpy log in the package."""
     x = np.maximum(x, np.finfo(x.dtype).tiny)
     out = np.log(x)
     out *= x
@@ -354,11 +354,11 @@ def _rough32_error(k: int, n: int) -> float:
     (k - 1) u times the sum of their magnitudes, (k - 1) u ln n (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
     The float64 steps (the exact score, h_flat, the casts) add under 1e-14.
-    Probabilities in [-ENTRY_TOL, 0) and sums below the float32 tiny move a
-    term by under 1e-11, the clamp's -1e-36 included. Measured on every
-    leaf of 36 spectra at (3,5), (3,6), (4,4) and (2,12), the largest error
-    was 12.5% of this bound.
-    """
+    Probabilities in [-ENTRY_TOL, 0), never passed by the public entry
+    points but covered, and sums below the float32 tiny move a term by under
+    1e-11, the clamp's -1e-36 included. Measured on every leaf of 36 spectra
+    at (3,5), (3,6), (4,4) and (2,12), the largest error was 12.5% of this
+    bound."""
     return 2.0**-24 * ((k + 11) * math.log(n) + 6)
 
 
@@ -461,8 +461,8 @@ def _sample_block(d_a: int, d_b: int, seed: int, lo: int, hi: int) -> np.ndarray
     ``PCG64(SeedSequence((seed, i)))``, whose uniforms ``_draw_uniforms``
     streams for the whole block, one row per value, taken just before the
     value is placed: value v goes to the k-th admissible row,
-    k = floor(u_v * count): the reference's k without its cap, which never
-    binds (see there). Arrays are laid out draws-last, so every step works
+    k = floor(u_v * count), which is below count (the proof is in the
+    reference). Arrays are laid out draws-last, so every step works
     on whole rows, and the sampler state and the cells are in the smallest
     signed integer type that holds n. ``_cell_grids`` turns cells into
     value grids.

@@ -174,6 +174,7 @@ def _complex_matrix(rows, n: int) -> np.ndarray:
 
 
 def _spectrum(raw, n: int) -> np.ndarray:
+    """A file's spectrum, descending, renormalized, through ``_probability_vector``."""
     # Sorted before the sum: a float sum depends on its order, and the same
     # entries in another file order must load with the same bits.
     p = np.sort(_float_array(raw, "spectrum", (n,)))[::-1]
@@ -187,19 +188,17 @@ def _spectrum(raw, n: int) -> np.ndarray:
             )
         p = p / total
     try:
-        p = _probability_vector(p, n)
+        return _probability_vector(p, n)
     except ValidationError as exc:
         raise StateFileError(f"bad spectrum: {exc}") from exc
-    p = np.clip(p, 0.0, None)
-    p.setflags(write=False)  # read-only, as a dense file's probs are
-    return p
 
 
 def load_statefile(path) -> StateFile:
     """Read, parse and validate a state file. Its bytes are read once: the
     JSON and the digest both come from them. The ``matrix`` member is read
     one row at a time, each row converted to floats as soon as it is
-    scanned."""
+    scanned. Either kind's ``probs`` come from ``_probability_vector``, so
+    ``optimize`` takes them with their bytes unchanged."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -256,8 +255,6 @@ def load_statefile(path) -> StateFile:
         mat = _complex_matrix(data.pop("matrix"), dims.total)
         try:
             density = DensityMatrix(mat)
-            # Its clipped eigenvalues pass the check every probability vector passes.
-            _probability_vector(density.probs, dims.total)
         except ValidationError as exc:
             raise StateFileError(f"matrix is not a valid density matrix: {exc}") from exc
         probs = density.probs

@@ -238,13 +238,12 @@ def _random_regular_grid(d_a: int, d_b: int, rng: np.random.Generator) -> list[l
             for i in range(d_a)
             if row_len[i] < d_b and (i == 0 or row_len[i - 1] > row_len[i])
         ]
-        # The cap never binds, so search._sample_block leaves it out. A
-        # uniform u is at most 1 - 2**-53, so for an integer count c >= 1 the
-        # exact product u * c lies at least c * 2**-53 below c. That is more
-        # than half the float spacing at c unless c is a power of two, and
-        # then c - c * 2**-53 is the float just below c. Either way u * c
-        # rounds to a float below c, and its floor is at most c - 1.
-        i = candidates[min(int(draws[v - 1] * len(candidates)), len(candidates) - 1)]
+        # k = floor(u * c) is in range for c candidates, as in
+        # search._sample_block: a uniform u is at most 1 - 2**-53, so the
+        # exact u * c is at least c * 2**-53 below c, more than half the float
+        # spacing at c unless c is a power of two, and then c - c * 2**-53 is
+        # the float just below c. Either way u * c rounds below c: k <= c - 1.
+        i = candidates[int(draws[v - 1] * len(candidates))]
         grid[i][row_len[i]] = v
         row_len[i] += 1
     return grid

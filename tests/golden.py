@@ -76,6 +76,9 @@ def state_files() -> dict[str, dict]:
         return {"dims": BipartiteDims(d_a, d_b), "matrix": matrix}
 
     tied = [0.2, 0.2, 0.15, 0.15, 0.1, 0.1, 0.05, 0.05]
+    # 124 round-off negatives of -0.9 * ENTRY_TOL: the vector sums to 1, but
+    # with the negatives read as 0 it sums to 1 + 1.1e-10, past SUM_TOL.
+    roundoff = [0.4, 0.3, 0.2, 0.1 + 124 * 0.9e-12] + [-0.9e-12] * 124
     return {
         "s22": spectrum(2, 2, [0.4, 0.3, 0.2, 0.1], "two by two"),
         "s33": spectrum(3, 3, _dirichlet(1, 9)),
@@ -102,10 +105,14 @@ def state_files() -> dict[str, dict]:
         "pure14": spectrum(1, 4, [1.0, 0.0, 0.0, 0.0]),
         "pure33": spectrum(3, 3, [1.0] + [0.0] * 8),
         "nan22": spectrum(2, 2, [0.5, float("nan"), 0.3, 0.2]),
+        "roundoff128": spectrum(1, 128, roundoff),
         "dprod22": dense(2, 2, np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))),
         "dense22": dense(2, 2, generate_instance("random-dense", BipartiteDims(2, 2), 4).matrix),
         "dense23": dense(2, 3, generate_instance("random-dense", BipartiteDims(2, 3), 21).matrix),
         "bell22": dense(2, 2, np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0),
+        # Trace and eigenvalues within tolerance, but the eigenvalues clipped
+        # at 0 sum to 1 + 1.4e-10, past SUM_TOL.
+        "dsum22": dense(2, 2, np.diag([0.5, 0.3, 0.2 + 1.4e-10, -0.5e-10])),
     }
 
 
@@ -154,6 +161,8 @@ CALLS: dict[str, list[str]] = {
     # A pure spectrum [1, 0, ...]: every arrangement has MI 0.
     "opt-pure22": ["optimize", _f("pure22")],
     "opt-pure14": ["optimize", _f("pure14")],
+    # Round-off negatives are read as 0 and the vector rescaled: one leaf.
+    "opt-roundoff128": ["optimize", _f("roundoff128")],
     "heur-pure33": ["optimize", _f("pure33"), "--threshold", "1", *SMALL],
     # Dense files: optimize, and verify with random and identity plans.
     "opt-dprod22": ["optimize", _f("dprod22")],
@@ -180,6 +189,7 @@ CALLS: dict[str, list[str]] = {
     # Boundary rejections.
     "reject-count-zero": ["count", "0", "2"],
     "reject-nan-spectrum": ["optimize", _f("nan22")],
+    "reject-dense-clipped-sum": ["optimize", _f("dsum22")],
     "reject-missing-file": ["optimize", f"{DIR}/missing.json"],
     "reject-verify-spectrum": ["verify", _f("s22")],
     "reject-states-zero": ["experiment", "fig2a", "--states", "0"],

@@ -4,14 +4,15 @@ The brute-force ones deliberately avoid the library's enumeration/search code
 paths: counts come from filtering every permutation of 1..n into the grid,
 and minima from evaluating every arrangement. Entropies are recomputed
 locally, and the gap of a suboptimal auxiliary state in the reconstruction
-is composed from the library's public state functions. Then come the
-paper's canonicalization argument, as plain functions on grids, and the
-scalar search references: the loop forms of the enumeration (and the
-library walk's leaves joined into grids, to compare with it), the
-exhaustive search, the breadth phase, the value-swap neighbourhood and the
-depth phase, and the fixed-point certificate (gap and map). Last, the
-state-file writer as one ``json.dumps`` of the whole document, and the
-reader as one ``json.loads`` of it.
+is composed from the library's public state functions. A steepest descent
+of the mutual information over all unitaries checks that none beats the
+best tableau encoder. Then come the paper's canonicalization argument, as
+plain functions on grids, and the scalar search references: the loop forms
+of the enumeration (and the library walk's leaves joined into grids, to
+compare with it), the exhaustive search, the breadth phase, the value-swap
+neighbourhood and the depth phase, and the fixed-point certificate (gap and
+map). Last, the state-file writer as one ``json.dumps`` of the whole
+document, and the reader as one ``json.loads`` of it.
 """
 
 import hashlib
@@ -141,6 +142,35 @@ def suboptimal_auxiliary_gap(sigma: DensityMatrix, u, dims: BipartiteDims, rho_a
     candidate = DensityMatrix(u.conj().T @ np.kron(rho_a.matrix, sigma_b.matrix) @ u)
     rel = relative_entropy(sigma, candidate)
     return rel if math.isinf(rel) else rel - mutual_information(encoded, dims)
+
+
+def _logm(h: np.ndarray) -> np.ndarray:
+    """Matrix log of a positive definite Hermitian matrix."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.log(w)) @ v.conj().T
+
+
+def unitary_descent(sigma: DensityMatrix, dims: BipartiteDims, u, steps: int, eta: float = 0.3) -> np.ndarray:
+    """Riemannian steepest descent of S(A:B) of U sigma U^dag over all
+    unitaries U, from ``u``, in numpy only: each of ``steps`` steps is
+    U <- exp(-eta [rho, L]) U, with rho = U sigma U^dag and
+    L = log rho_A (x) I + I (x) log rho_B, the gradient of S(A) + S(B) at
+    rho (S(AB) does not move). [rho, L] is anti-Hermitian, so the step's
+    exponential is exp(i eta H) of the Hermitian H = i[rho, L], taken from
+    its ``eigh``. Returns the last U. The marginals must stay full rank,
+    as they do for a full-rank sigma."""
+    mat = sigma.matrix
+    u = np.array(u, dtype=complex)
+    eye_a, eye_b = np.eye(dims.d_a), np.eye(dims.d_b)
+    for _ in range(steps):
+        rho = u @ mat @ u.conj().T
+        blocks = rho.reshape(dims.d_a, dims.d_b, dims.d_a, dims.d_b)
+        rho_a = np.trace(blocks, axis1=1, axis2=3)
+        rho_b = np.trace(blocks, axis1=0, axis2=2)
+        log = np.kron(_logm(rho_a), eye_b) + np.kron(eye_a, _logm(rho_b))
+        w, v = np.linalg.eigh(1j * (rho @ log - log @ rho))
+        u = (v * np.exp(1j * eta * w)) @ v.conj().T @ u
+    return u
 
 
 def brute_force_best(probs, d_a: int, d_b: int) -> tuple[float, list[list[int]]]:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import grid_mutual_information, positions, row_major, suboptimal_auxiliary_gap
+from oracles import (
+    grid_mutual_information,
+    positions,
+    row_major,
+    suboptimal_auxiliary_gap,
+    unitary_descent,
+)
 from qaeopt import (
     BipartiteDims,
     DensityMatrix,
@@ -154,6 +160,34 @@ class TestTheorem1:
         report = verify_theorem1(rho, u, DIMS23)
         classical = grid_mutual_information(rho.probs[tableau.index_array])
         assert abs(report.mi_middle - classical) < 1e-9
+
+
+class TestOptimalOverAllUnitaries:
+    """The abstract's claim that the optimum over all unitaries is a
+    disentangler times a regular-tableau permutation: steepest descent over
+    U(n) never ends below ``optimize``'s exhaustive minimum."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 3), (2, 4)])
+    def test_descent_never_beats_the_tableau_optimum(self, d_a, d_b, seed):
+        dims = BipartiteDims(d_a, d_b)
+        rho = generate_instance("random-dense", dims, seed)
+        result = optimize(rho.probs, dims)
+        assert result.method == "exhaustive"
+
+        def mi(u):
+            return mutual_information(apply_unitary(rho, u), dims)
+
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            u = unitary_descent(rho, dims, haar_unitary(dims.total, rng), 1500)
+            assert mi(u) >= result.best_mi - 1e-10
+        # The optimal encoder, turned a little off the optimum, descends back.
+        g = rng.standard_normal((dims.total, dims.total)) + 1j * rng.standard_normal((dims.total, dims.total))
+        w, v = np.linalg.eigh((g + g.conj().T) / 2)
+        start = (v * np.exp(0.05j * w)) @ v.conj().T @ build_encoder(rho, result.best_tableau)
+        u = unitary_descent(rho, dims, start, 300)
+        assert result.best_mi - 1e-10 <= mi(u) < mi(start)
 
 
 class TestAuxiliaryGap:
