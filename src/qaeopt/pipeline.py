@@ -30,9 +30,11 @@ from .qstate import (
     BipartiteDims,
     DensityMatrix,
     _apply_unitary,
+    _check_integers,
     _mutual_information,
     _partial_traces,
     _relative_entropy,
+    _rng,
     von_neumann_entropy,
 )
 from .tableau import YoungTableau
@@ -121,6 +123,9 @@ def verify_theorem1(sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims) ->
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian with phase fixing."""
+    _check_integers(dim=dim)
+    if dim < 1:
+        raise ValidationError(f"dim must be positive, got {dim}")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -130,7 +135,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _diagonal_spectrum(kind: str, dims: BipartiteDims, seed) -> np.ndarray:
     """The descending diagonal of a diagonal-mixed or product-spectrum
     instance, drawn as ``generate_instance`` draws it, without its matrix."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if kind == "diagonal-mixed":
         return np.sort(rng.dirichlet(np.ones(dims.total)))[::-1]
     p_a, p_b = (rng.dirichlet(np.ones(d)) for d in (dims.d_a, dims.d_b))
@@ -149,7 +154,7 @@ def generate_instance(kind: str, dims: BipartiteDims, seed) -> DensityMatrix:
     """
     if kind in ("diagonal-mixed", "product-spectrum"):
         return DensityMatrix(np.diag(_diagonal_spectrum(kind, dims, seed).astype(complex)))
-    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
+    rng = _rng(seed)
     n = dims.total
     if kind == "random-dense":
         diag = rng.dirichlet(np.ones(n))

@@ -41,16 +41,28 @@ SPECTRUM_SUM_TOL = 1e-8
 # Largest d_a*d_b accepted: count_regular's factorial(n) takes about 0.13 s on
 # one x86-64 core at n = 2**14, and grows faster than n**2 beyond it.
 MAX_COUNT_CELLS = 2**14
-_NON_FINITE = "probabilities hold non-finite values (NaN or infinity)"
 
 
-def _check_integers(obj, names) -> None:
-    """Each named field of ``obj`` is an integer and not a bool: a float size
-    or seed would otherwise pass the range checks and fail deep in a search."""
-    for name in names:
-        value = getattr(obj, name)
+def _check_integers(**values) -> None:
+    """Each value is an integer and not a bool: a float size or seed would
+    otherwise pass the range checks and fail deep in a search."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """An int seed is an integer, not a bool, and nonnegative."""
+    _check_integers(seed=seed)
+    if seed < 0:
+        raise ValidationError("seed must be a nonnegative integer")
+
+
+def _rng(seed):
+    """``default_rng(seed)``; a seed that is no numpy SeedSequence or Generator is checked."""
+    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        _check_seed(seed)
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -62,7 +74,7 @@ class BipartiteDims:
     d_b: int
 
     def __post_init__(self) -> None:
-        _check_integers(self, ("d_a", "d_b"))
+        _check_integers(d_a=self.d_a, d_b=self.d_b)
         if self.d_a < 1 or self.d_b < 1:
             raise ValidationError(f"subsystem dimensions must be positive, got {self}")
         if self.total > MAX_COUNT_CELLS:
@@ -149,8 +161,8 @@ def _probability_vector(probs, n: int) -> np.ndarray:
     if p.ndim != 1 or p.size != n:
         raise ValidationError(f"expected {n} probabilities, got shape {p.shape}")
     if not np.isfinite(p).all():
-        raise ValidationError(_NON_FINITE)
-    lo = p.min()
+        raise ValidationError("probabilities hold non-finite values (NaN or infinity)")
+    lo = p.min(initial=0.0)  # an empty vector fails the sum test below
     if lo < -ENTRY_TOL:
         raise ValidationError(f"negative probability beyond tolerance: {lo:.3e}")
     total = p.sum()
@@ -169,12 +181,7 @@ _log = np.frompyfunc(math.log, 1, 1)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    """Elementwise x log x with 0 log 0 = 0.
-
-    The logarithm is the C library's, through ``math.log``: numpy's SIMD log
-    can differ from it in the last bit, which would make results depend on
-    the CPU.
-    """
+    """Elementwise x log x with 0 log 0 = 0, by the C library's log."""
     out = np.zeros_like(x)
     pos = x > 0.0
     xp = x[pos]
@@ -199,32 +206,25 @@ def _exact_mi(sums: np.ndarray, d_a: int, h_flat: float) -> np.ndarray:
     return 0.0 - _sum_left(x[..., :d_a]) - _sum_left(x[..., d_a:]) - h_flat
 
 
-def shannon_entropy(probs) -> float:
-    """Shannon entropy in nats with the 0*log(0) = 0 convention.
+def _entropy(p: np.ndarray) -> float:
+    """The exact entropy kernel, in nats, of a vector ``_probability_vector``
+    returned, so one with a positive entry and no infinity: ``_xlogx`` of its
+    positive entries summed left to right in one C loop, bit for bit
+    ``-_sum_left(_xlogx(p))`` (no term is -0.0). A pure spectrum gives -0.0."""
+    return float(-np.add.accumulate(_xlogx(p[p > 0.0]))[-1])
 
-    Entries in [-PSD_TOL, 0) are treated as numerical noise and clamped to 0.
-    The terms are ``_xlogx``'s, summed left to right in one C loop: bit for
-    bit ``-_sum_left(_xlogx(p))``, since no term is -0.0. A pure spectrum
-    gives -0.0, and an empty or all-zero vector 0.0.
-    """
-    p = np.asarray(probs, dtype=float).ravel()
-    # Non-finite input is caught by checks this already makes: a NaN makes
-    # the minimum NaN, and a +inf entry makes the entropy -inf.
-    lo = p.min() if p.size else 0.0
-    if not lo >= -PSD_TOL:  # also true for NaN
-        if not math.isfinite(lo):
-            raise ValidationError(_NON_FINITE)
-        raise ValidationError(f"negative probability beyond tolerance: {lo:.3e}")
-    terms = _xlogx(p[p > 0.0])
-    h = float(-np.add.accumulate(terms)[-1]) if terms.size else 0.0
-    if math.isinf(h):
-        raise ValidationError(_NON_FINITE)
-    return h
+
+def shannon_entropy(probs) -> float:
+    """Shannon entropy in nats, 0 log 0 = 0. ``probs``, raveled and sorted
+    descending, passes ``_probability_vector``: this accepts and rejects
+    exactly what ``optimize`` does, in any order and with its messages."""
+    p = np.sort(np.asarray(probs, dtype=float).ravel())[::-1]
+    return _entropy(_probability_vector(p, p.size))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho log rho), in nats, from the eigenvalues ``rho`` keeps."""
-    return shannon_entropy(rho.probs)
+    return _entropy(rho.probs)
 
 
 # Each private ``_name`` below is the array body of the public ``name``: it

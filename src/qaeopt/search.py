@@ -45,8 +45,8 @@ and column sums and a move test on value positions alone, and drops a seed
 once it swaps back and forth between two tableaux, counting the rest of
 its descent (see ``_depth``). Sums run in the same order as the scalar
 loops kept in tests/oracles.py, so results match them bit for bit.
-``optimize`` computes h_flat, the entropy of the probabilities that every
-score subtracts, once by ``shannon_entropy`` and passes it to each phase.
+``optimize`` computes h_flat, the entropy every score subtracts, once by
+``qstate._entropy`` of the checked probabilities, and passes it to each phase.
 
 Everything is deterministic given the config seed: each draw has its own RNG
 stream, numpy's ``PCG64(SeedSequence((seed, draw_index)))``, so results do
@@ -68,15 +68,15 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exceptions import ValidationError
-from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _check_integers, _probability_vector, shannon_entropy
-from .qstate import _exact_mi, _sum_left, _xlogx  # the package's one exact entropy kernel
+from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _check_integers, _check_seed, _probability_vector
+from .qstate import _entropy, _exact_mi, _sum_left, _xlogx  # the package's one exact entropy kernel
 from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_walk
 
 if TYPE_CHECKING:
@@ -123,7 +123,7 @@ class SearchConfig:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        _check_integers(self, (f.name for f in fields(self)))
+        _check_integers(**vars(self))
         if min(self.n1, self.n2, self.n_d, self.parallelism) < 1:
             raise ValidationError("n1, n2, n_d and parallelism must be positive")
         if self.n1 > MAX_DRAWS:
@@ -132,8 +132,7 @@ class SearchConfig:
             raise ValidationError(f"n2 ({self.n2}) must not exceed n1 ({self.n1})")
         if self.exhaustive_threshold < 1:
             raise ValidationError("exhaustive_threshold must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -854,7 +853,7 @@ def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> 
     if config is None:
         config = SearchConfig()
     p = _probability_vector(probs, dims.total)
-    h_flat = shannon_entropy(p)
+    h_flat = _entropy(p)
     start = np.arange(1, dims.total + 1).reshape(1, dims.d_a, dims.d_b)
     initial_mi = float(_block_mi(p, start, h_flat)[0])
 

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .exceptions import ValidationError
-from .qstate import BipartiteDims
+from .qstate import BipartiteDims, _rng
 
 
 @dataclass(frozen=True)
@@ -255,10 +255,10 @@ def random_regular(dims: BipartiteDims, seed) -> YoungTableau:
 
     Per-step uniformity does not make the distribution uniform over fillings;
     that bias is intentional (the sampler mirrors the breadth-phase generator).
-    ``seed`` may be an int, a ``numpy.random.SeedSequence`` or a ``Generator``,
-    which ``np.random.default_rng`` returns unchanged.
+    ``seed`` may be a nonnegative int, a ``numpy.random.SeedSequence`` or a
+    ``Generator``, which is used unchanged.
     """
-    grid = _random_regular_grid(dims.d_a, dims.d_b, np.random.default_rng(seed))
+    grid = _random_regular_grid(dims.d_a, dims.d_b, _rng(seed))
     return YoungTableau(dims, tuple(tuple(r) for r in grid))
 
 

@@ -6,8 +6,10 @@ and minima from evaluating every arrangement. Entropies are recomputed
 locally, and the gap of a suboptimal auxiliary state in the reconstruction
 is composed from the library's public state functions. A steepest descent
 of the mutual information over all unitaries checks that none beats the
-best tableau encoder. Then come the paper's canonicalization argument, as
-plain functions on grids, and the scalar search references: the loop forms
+best tableau encoder, and the paper's variational QAE baseline, a layered
+circuit fitted on the exact gradient, makes the same check for a circuit
+family. Then come the paper's canonicalization argument, as plain
+functions on grids, and the scalar search references: the loop forms
 of the enumeration (and the library walk's leaves joined into grids, to
 compare with it), the exhaustive search, the breadth phase, the value-swap
 neighbourhood and the depth phase, and the fixed-point certificate (gap and
@@ -18,7 +20,7 @@ document, and the reader as one ``json.loads`` of it.
 import hashlib
 import json
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from pathlib import Path
 
@@ -172,6 +174,109 @@ def unitary_descent(sigma: DensityMatrix, dims: BipartiteDims, u, steps: int, et
         u = (v * np.exp(1j * eta * w)) @ v.conj().T @ u
     return u
 
+
+
+# The variational quantum autoencoder the paper compares against: a
+# hardware-efficient circuit on the qubits of both subsystems (qubit 0 the
+# most significant bit of the row-major index), each layer Rz(a) Ry(b) Rz(c)
+# on every qubit and then a CZ chain over neighbouring qubits.
+_PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
+_PAULI_Z = np.diag([1.0 + 0j, -1.0])
+
+
+def _rz(t: np.ndarray) -> np.ndarray:
+    out = np.zeros(t.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.exp(-0.5j * t)
+    out[..., 1, 1] = np.exp(0.5j * t)
+    return out
+
+
+def _ry(t: np.ndarray) -> np.ndarray:
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
+
+
+def _dag(m: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two stacks of matrices, one pair per row."""
+    return np.einsum("sij,skl->sikjl", a, b).reshape(len(a), a.shape[1] * b.shape[1], -1)
+
+
+def circuit_mi(sigma: DensityMatrix, dims: BipartiteDims, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(A:B) of U sigma U^dag for each circuit U of ``theta``, shape
+    (circuits, layers, qubits, 3), and its exact gradient in theta. d_a and
+    d_b are powers of two, d_a * d_b = 2**qubits.
+
+    A rotation exp(-i t P / 2) moves U by dU/dt = X U, X = -i/2 W P W^dag
+    for the gates W after it, and the MI by -Tr(dρ L) with
+    L = log ρ_A (x) I + I (x) log ρ_B, so dMI/dt = -Tr(X [ρ, L]) =
+    (i/2) Tr(P W^dag [ρ, L] W). Carried back one layer at a time, that is
+    (i/2) Tr(G m_q) for the rotation's generator G carried to the end of
+    its qubit's three rotations, and m_q the trace of the carried [ρ, L]
+    onto that qubit. The marginals must be full rank.
+    """
+    circuits, layers, qubits, _ = theta.shape
+    n = 2**qubits
+    bits = (np.arange(n)[:, None] >> np.arange(qubits - 1, -1, -1)) & 1
+    cz = np.prod(np.where(bits[:, :-1] & bits[:, 1:], -1.0, 1.0), axis=1)
+    rz_c, ry_b = _rz(theta[..., 2]), _ry(theta[..., 1])
+    single = rz_c @ ry_b @ _rz(theta[..., 0])
+    u = np.broadcast_to(np.eye(n, dtype=complex), (circuits, n, n))
+    layer_u = []
+    for layer in range(layers):
+        layer_u.append(reduce(_kron, [single[:, layer, q] for q in range(qubits)]))
+        u = cz[:, None] * (layer_u[-1] @ u)
+    rho = u @ sigma.matrix @ _dag(u)
+    d_a, d_b = dims.d_a, dims.d_b
+    blocks = rho.reshape(circuits, d_a, d_b, d_a, d_b)
+    mi = -_entropy(sigma.probs)
+    logs = []
+    for marginal in (np.einsum("sabcb->sac", blocks), np.einsum("sabad->sbd", blocks)):
+        w, v = np.linalg.eigh(marginal)
+        mi = mi - (w * np.log(w)).sum(axis=-1)
+        logs.append((v * np.log(w)[:, None, :]) @ _dag(v))
+    eye_a, eye_b = (np.broadcast_to(np.eye(d), (circuits, d, d)) for d in (d_a, d_b))
+    log = _kron(logs[0], eye_b) + _kron(eye_a, logs[1])
+    m = rho @ log - log @ rho
+    turn_b = rz_c @ ry_b
+    generators = np.stack(
+        [turn_b @ _PAULI_Z @ _dag(turn_b), rz_c @ _PAULI_Y @ _dag(rz_c), np.broadcast_to(_PAULI_Z, rz_c.shape)],
+        axis=-3,
+    )
+    grad = np.empty(theta.shape)
+    for layer in reversed(range(layers)):
+        m = cz[:, None] * m * cz
+        for q in range(qubits):
+            split = m.reshape(circuits, 2**q, 2, n >> (q + 1), 2**q, 2, n >> (q + 1))
+            m_q = np.einsum("sxayxby->sab", split)
+            grad[:, layer, q] = (0.5j * np.einsum("skab,sba->sk", generators[:, layer, q], m_q)).real
+        m = _dag(layer_u[layer]) @ m @ layer_u[layer]
+    return mi, grad
+
+
+def variational_qae(sigma: DensityMatrix, dims: BipartiteDims, layers: int, starts: int, seed: int,
+                    steps: int = 150, rate: float = 0.1) -> float:
+    """The lowest S(A:B) that the variational QAE circuit of ``layers``
+    layers reaches from ``starts`` uniform random angle sets: Adam on the
+    exact gradient of ``circuit_mi``, all starts at once, the best value
+    seen over ``steps`` steps. Against scipy's L-BFGS run to convergence
+    from the same starts, 150 steps ended at most 0.007 nats above it, and
+    below it once, on random-dense and fig2a states of seeds 1000-1002 at
+    (4,4) with 1, 2 and 4 layers."""
+    qubits = round(math.log2(dims.total))
+    theta = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, (starts, layers, qubits, 3))
+    first, second = np.zeros_like(theta), np.zeros_like(theta)
+    best = math.inf
+    for t in range(1, steps + 1):
+        mi, grad = circuit_mi(sigma, dims, theta)
+        best = min(best, float(mi.min()))
+        first = 0.9 * first + 0.1 * grad
+        second = 0.999 * second + 0.001 * grad**2
+        theta = theta - rate * (first / (1 - 0.9**t)) / (np.sqrt(second / (1 - 0.999**t)) + 1e-8)
+    return min(best, float(circuit_mi(sigma, dims, theta)[0].min()))
 
 def brute_force_best(probs, d_a: int, d_b: int) -> tuple[float, list[list[int]]]:
     """Minimum mutual information over all (d_a*d_b)! grid arrangements of

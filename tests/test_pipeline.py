@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    circuit_mi,
     grid_mutual_information,
     positions,
     row_major,
@@ -188,6 +189,25 @@ class TestOptimalOverAllUnitaries:
         start = (v * np.exp(0.05j * w)) @ v.conj().T @ build_encoder(rho, result.best_tableau)
         u = unitary_descent(rho, dims, start, 300)
         assert result.best_mi - 1e-10 <= mi(u) < mi(start)
+
+    @pytest.mark.parametrize("d_a,d_b,layers", [(2, 2, 2), (2, 4, 1), (4, 4, 2)])
+    def test_variational_circuit_gradient_is_exact(self, d_a, d_b, layers):
+        # The variational baseline's exact gradient against central
+        # differences, and its MI at zero angles, where each layer is a CZ
+        # chain and an even number of them is the identity.
+        dims = BipartiteDims(d_a, d_b)
+        rho = generate_instance("random-dense", dims, layers)
+        qubits = dims.total.bit_length() - 1
+        assert circuit_mi(rho, dims, np.zeros((1, 2, qubits, 3)))[0][0] == pytest.approx(
+            mutual_information(rho, dims), abs=1e-12
+        )
+        theta = np.random.default_rng(layers).uniform(0.0, 2 * math.pi, (2, layers, qubits, 3))
+        mi, grad = circuit_mi(rho, dims, theta)
+        for index in np.ndindex(theta.shape[1:]):
+            step = np.zeros(theta.shape[1:])
+            step[index] = 1e-6
+            diff = (circuit_mi(rho, dims, theta + step)[0] - circuit_mi(rho, dims, theta - step)[0]) / 2e-6
+            assert np.abs(diff - grad[(slice(None),) + index]).max() < 1e-7
 
 
 class TestAuxiliaryGap:

@@ -1,6 +1,8 @@
 """Every entry point that takes a probability vector accepts and rejects the
 same vectors, against the one tolerance table in ``qaeopt.qstate``, and
-``optimize`` accepts every vector any of them accepts."""
+``optimize`` accepts every vector any of them accepts. Seeds and sizes meet
+one rule each, and every public callable is either in one of these tables
+or named as taking no outside numbers."""
 
 import math
 
@@ -8,15 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qaeopt
+from oracles import flat_entropy
 from qaeopt import (
     BipartiteDims,
     DensityMatrix,
     SearchConfig,
     StateFileError,
     ValidationError,
+    generate_instance,
+    haar_unitary,
     load_statefile,
     optimize,
+    random_regular,
     save_statefile,
+    shannon_entropy,
 )
 from qaeopt.qstate import (
     ENTRY_TOL,
@@ -51,12 +59,13 @@ ENTRY_POINTS = {
     "load_statefile": _load,
     "load_statefile-dense": _load_dense,
     "DensityMatrix": lambda p, _: DensityMatrix(np.diag(p)),
+    "shannon_entropy": lambda p, _: shannon_entropy(p),
 }
 # A matrix's own checks come first: eigenvalues down to -PSD_TOL, and a trace
 # within TRACE_TOL (which is SUM_TOL).
 MATRICES = ("load_statefile-dense", "DensityMatrix")
-# A file's spectrum and a matrix's eigenvalues are sorted before they are
-# checked, so they have no order to invert.
+# A file's spectrum, a matrix's eigenvalues and shannon_entropy's input are
+# sorted before they are checked, so they have no order to invert.
 IN_ORDER = ["optimize", "optimize-heuristic"]
 
 
@@ -92,6 +101,8 @@ def test_negative_entry(name, tmp_path):
         rejects(name, negative_entry(2 * PSD_TOL), tmp_path, "positive semidefinite")
     else:
         rejects(name, negative_entry(2 * ENTRY_TOL), tmp_path, "negative")
+        # PSD_TOL is a matrix's tolerance, not a probability's.
+        rejects(name, negative_entry(0.5 * PSD_TOL), tmp_path, "negative")
 
 
 @pytest.mark.parametrize("name", IN_ORDER)
@@ -194,3 +205,131 @@ def test_the_check_is_idempotent_and_optimize_searches_the_clipped_vector(case, 
         clipped /= clipped.sum()
     config = SearchConfig(n1=20, n2=3, n_d=5, seed=1, exhaustive_threshold=1) if heuristic else None
     assert _fields(optimize(p, dims, config)) == _fields(optimize(clipped, dims, config))
+
+
+def _message(entry_point, p):
+    with pytest.raises(ValidationError) as caught:
+        entry_point(p)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [0.9, 0.9],
+        [0.5 + 5e-11, 0.3, 0.2, -5e-11],
+        [0.5, 0.3, 0.2, 0.1],
+        [0.2, 0.3, 0.5 + 2e-12, -2e-12],
+        [0.5, math.nan, 0.5],
+        [0.5, 0.5, -math.inf],
+        [0.0, 0.0, 0.0, 0.0],
+    ],
+)
+def test_shannon_entropy_rejects_what_optimize_rejects_with_its_message(p):
+    def search(p):
+        return optimize(sorted(p, reverse=True), BipartiteDims(1, len(p)))
+
+    assert _message(shannon_entropy, p) == _message(search, p)
+
+
+@given(round_off_vectors(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_shannon_entropy_is_the_scalar_sum_of_the_sorted_clipped_vector_in_any_order(case, random):
+    # Sorted first, then clipped and rescaled: a vector with inversions
+    # within the slack can differ in the last bit from optimize's h_flat,
+    # which keeps the order it is given.
+    dims, p = case
+    shuffled = p.tolist()
+    random.shuffle(shuffled)
+    q = np.sort(p)[::-1]
+    if (q < 0.0).any():
+        q = np.maximum(q, 0.0)
+        q /= q.sum()
+    expected = flat_entropy(q.tolist()).hex()
+    assert shannon_entropy(shuffled).hex() == shannon_entropy(p).hex() == expected
+
+
+SEEDS = {
+    "SearchConfig": lambda seed: SearchConfig(seed=seed),
+    "random_regular": lambda seed: random_regular(DIMS, seed).cells,
+    "generate_instance": lambda seed: generate_instance("random-dense", DIMS, seed).matrix,
+    "generate_instance-diagonal": lambda seed: generate_instance("diagonal-mixed", DIMS, seed).matrix,
+}
+# A numpy SeedSequence or Generator is used as it is, and an int seed as
+# numpy's default_rng reads it.
+NUMPY_SEEDS = ["random_regular", "generate_instance", "generate_instance-diagonal"]
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1", None])
+@pytest.mark.parametrize("name", SEEDS)
+def test_seed_must_be_an_integer(name, bad):
+    with pytest.raises(ValidationError, match=f"seed must be an integer, got {bad!r}"):
+        SEEDS[name](bad)
+
+
+@pytest.mark.parametrize("name", SEEDS)
+def test_seed_must_be_nonnegative(name):
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        SEEDS[name](-1)
+    SEEDS[name](0)
+
+
+@pytest.mark.parametrize("name", NUMPY_SEEDS)
+def test_seed_sequence_and_generator_pass_unchanged(name):
+    drawn = SEEDS[name](5)
+    for seed in (np.random.SeedSequence(5), np.random.default_rng(5), np.int64(5)):
+        assert np.array_equal(SEEDS[name](seed), drawn)
+
+
+SIZES = {
+    "BipartiteDims": lambda n: BipartiteDims(n, 2),
+    "haar_unitary": lambda n: haar_unitary(n, np.random.default_rng(0)),
+    "SearchConfig": lambda n: SearchConfig(n1=n, n2=1),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -2])
+@pytest.mark.parametrize("name", SIZES)
+def test_size_must_be_positive(name, bad):
+    with pytest.raises(ValidationError, match="must be positive"):
+        SIZES[name](bad)
+    SIZES[name](1)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5])
+@pytest.mark.parametrize("name", SIZES)
+def test_size_must_be_an_integer(name, bad):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        SIZES[name](bad)
+
+
+# The public callables whose arguments hold no outside probabilities, state,
+# seed or size: each takes objects the package checked when they were built,
+# or other numbers with a check of their own, or is a type.
+NO_OUTSIDE_NUMBERS = {
+    "CompressionReport": "the record verify_theorem1 returns",
+    "OptimizationResult": "the record optimize returns",
+    "StateFile": "the record load_statefile returns; optimize checks its probs",
+    "StateFileError": "an exception type",
+    "ValidationError": "an exception type",
+    "YoungTableau": "a BipartiteDims and cells, checked to hold 1..n once",
+    "apply_unitary": "a DensityMatrix and a unitary, checked by is_unitary",
+    "build_encoder": "a DensityMatrix and a YoungTableau",
+    "compress_reconstruct": "a DensityMatrix, a unitary and a BipartiteDims",
+    "count_regular": "a BipartiteDims",
+    "mutual_information": "a DensityMatrix and a BipartiteDims",
+    "nats_to_bits": "a value in nats",
+    "partial_trace": "a DensityMatrix, a BipartiteDims and 'A' or 'B'",
+    "relative_entropy": "two DensityMatrix",
+    "save_statefile": "writes unchecked files on purpose; load_statefile checks them",
+    "verify_theorem1": "a DensityMatrix, a unitary and a BipartiteDims",
+    "von_neumann_entropy": "a DensityMatrix",
+}
+
+
+def test_every_public_callable_meets_a_boundary_or_takes_no_outside_numbers():
+    tabled = {name.split("-")[0] for table in (ENTRY_POINTS, SEEDS, SIZES) for name in table}
+    public = {name for name in qaeopt.__all__ if callable(getattr(qaeopt, name))}
+    assert public - tabled - NO_OUTSIDE_NUMBERS.keys() == set(), "add a new entry point to a table"
+    assert tabled | NO_OUTSIDE_NUMBERS.keys() <= public
+    assert not tabled & NO_OUTSIDE_NUMBERS.keys()

@@ -275,12 +275,17 @@ def kernel_vectors():
 
 class TestOneEntropyKernel:
     def test_shannon_entropy_is_the_scalar_left_sum_bit_for_bit(self):
+        # The terms are summed in descending order, whatever the input's order.
         for p in kernel_vectors():
-            assert shannon_entropy(p).hex() == flat_entropy(p.tolist()).hex()
+            expected = flat_entropy(sorted(p.tolist(), reverse=True)).hex()
+            assert shannon_entropy(p).hex() == shannon_entropy(p[::-1]).hex() == expected
 
     def test_pure_and_empty_spectra(self):
-        assert shannon_entropy([1.0, 0.0, 0.0]).hex() == (-0.0).hex()
-        assert shannon_entropy([]).hex() == shannon_entropy([0.0, 0.0]).hex() == (0.0).hex()
+        assert shannon_entropy([1.0, 0.0, 0.0]).hex() == shannon_entropy([0.0, 1.0]).hex() == (-0.0).hex()
+        # An empty or all-zero vector misses the sum, as it would in optimize.
+        for p in ([], [0.0, 0.0]):
+            with pytest.raises(ValidationError, match="must sum to 1 within 1e-10, got 0.0"):
+                shannon_entropy(p)
 
     def test_entropies_never_call_numpy_log(self, monkeypatch):
         def refuse(*args, **kwargs):

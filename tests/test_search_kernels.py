@@ -75,7 +75,7 @@ from qaeopt.search import (
     usable_cpus,
     worker_count,
 )
-from qaeopt.qstate import ENTRY_TOL, shannon_entropy
+from qaeopt.qstate import ENTRY_TOL, _entropy  # the kernel of optimize's h_flat; it checks nothing
 from qaeopt.tableau import _random_regular_grid, candidate_swaps, regular_grid_walk
 
 SAMPLER_DIMS = [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]
@@ -98,7 +98,7 @@ def cells(grid):
 
 def breadth(probs, dims, config):
     """The breadth phase as [(cells, mi)], the form scalar_breadth returns."""
-    return [(cells(grid), mi) for mi, grid in zip(*_breadth(probs, dims, config, shannon_entropy(probs)))]
+    return [(cells(grid), mi) for mi, grid in zip(*_breadth(probs, dims, config, _entropy(probs)))]
 
 
 @pytest.mark.parametrize("d", [8, 16])
@@ -107,7 +107,7 @@ def test_breadth_scores_are_its_grids_exact_scores(d, jobs):
     # _depth starts from these scores instead of scoring its seeds again.
     dims = BipartiteDims(d, d)
     probs = descending_probs(dims.total, d)
-    h_flat = shannon_entropy(probs)
+    h_flat = _entropy(probs)
     scores, grids = _breadth(probs, dims, SearchConfig(n1=500, n2=12, seed=4, parallelism=jobs), h_flat)
     assert grids.shape == (12, d, d)
     assert list(map(float.hex, scores.tolist())) == list(map(float.hex, _block_mi(probs, grids, h_flat).tolist()))
@@ -132,7 +132,7 @@ def rough32_blocks(probs, dims, block):
     """The float32 rough score of every leaf of the walk, one array per
     block, joined from packed prefix and suffix sums as ``_exhaustive``
     joins them before its float64 fallback."""
-    p_ext, h_flat = np.concatenate(([0.0], probs)), shannon_entropy(probs)
+    p_ext, h_flat = np.concatenate(([0.0], probs)), _entropy(probs)
     store, pieces = regular_grid_walk(dims, block)
     suffix32 = _marginals(p_ext[store]).astype(np.float32)
     for prefixes, blocks in pieces:
@@ -147,7 +147,7 @@ def rough32_bound(dims):
 
 def exhaustive(probs, dims):
     """The exhaustive phase as the fields scalar_exhaustive returns."""
-    grid, best_mi, evaluations, trajectory, _ = _exhaustive(probs, dims, shannon_entropy(probs))
+    grid, best_mi, evaluations, trajectory, _ = _exhaustive(probs, dims, _entropy(probs))
     return {
         "best_cells": cells(grid),
         "best_mi": best_mi,
@@ -202,7 +202,7 @@ def breadth_block_peak(d):
     probs = descending_probs(d * d, 2)
     tracemalloc.start()
     try:
-        _breadth_block(probs, shannon_entropy(probs), d, d, 1, (0, BREADTH_BLOCK), 12)
+        _breadth_block(probs, _entropy(probs), d, d, 1, (0, BREADTH_BLOCK), 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -319,7 +319,7 @@ def test_block_mi_matches_scalar(d_a, d_b, kind):
         probs = descending_probs(n, n)
     else:
         probs = tied_probs(np.random.default_rng(n).integers(0, 3, n) + np.eye(1, n)[0])
-    h_flat = shannon_entropy(probs)
+    h_flat = _entropy(probs)
     grids = sample_grids(d_a, d_b, 8, 0, 500)
     got = _block_mi(probs, grids, h_flat)
     pr = [float(x) for x in probs]
@@ -592,7 +592,7 @@ def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k, monkeypatch):
     # beyond SCORE_SLACK. Both phases keep their results.
     dims = BipartiteDims(d_a, d_b)
     probs = negative_tail(dims.total, dims.total, k)
-    h_flat = shannon_entropy(probs)
+    h_flat = _entropy(probs)
     spy, scored = rough_mi_spy()
     monkeypatch.setattr(qaeopt.search, "_rough_mi", spy)
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
@@ -625,7 +625,7 @@ def test_rough32_error_stays_within_half_its_bound(d_a, d_b, kind):
     probs = np.sort(rng.dirichlet(np.full(n, alpha)))[::-1]
     if kind == "tiny-tail":
         probs[-3:] = 1e-30
-    h_flat = shannon_entropy(probs)
+    h_flat = _entropy(probs)
     for rough, grids in zip(rough32_blocks(probs, dims, LEAF_BLOCK), walk_grids(dims, LEAF_BLOCK)):
         assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= rough32_bound(dims) / 2
 
@@ -694,7 +694,7 @@ def test_exhaustive_skips_only_blocks_with_no_near_leaf(d_a, d_b, block, cap, ki
     else:
         probs = spectrum(kind, n, 7 * d_a + d_b)
     exhaustive(probs, dims)
-    h_flat = shannon_entropy(probs)
+    h_flat = _entropy(probs)
     exact = [_block_mi(probs, grids, h_flat) for grids in walk_grids(dims, block)]
     slack32 = 2 * rough32_bound(dims)
     best_mi, replayed, skipped, fell_back = np.inf, [], [], None
@@ -757,7 +757,7 @@ def test_factored_rough_scores_match_exact(case):
     # traversal scores its first blocks in float32 and, from the block that
     # falls back on, the rest in float64, and its outcome is the scalar one.
     probs, dims, cap, block = case
-    h_flat, (spy, scored) = shannon_entropy(probs), rough_mi_spy()
+    h_flat, (spy, scored) = _entropy(probs), rough_mi_spy()
     scored32, scored64 = scored[np.float32], scored[np.float64]
     with mock.patch.object(qaeopt.tableau, "SUFFIX_CAP", cap), mock.patch.object(
         qaeopt.search, "LEAF_BLOCK", block
@@ -795,7 +795,7 @@ def test_traversal_values_beyond_one_byte():
 
 
 def assert_depth_matches(probs, dims, seeds, n_d):
-    grids, h_flat = np.array([t.cells for t in seeds]), shannon_entropy(probs)
+    grids, h_flat = np.array([t.cells for t in seeds]), _entropy(probs)
     config = SearchConfig(n1=len(seeds), n2=len(seeds), n_d=n_d)
     scores = _block_mi(probs, grids, h_flat)
     grid, best_mi, evaluations, trajectory, provenance = _depth(probs, dims, scores, grids, config, h_flat)
@@ -927,7 +927,7 @@ def test_move_test_from_positions_matches_neighbour_checks(shape, key):
         assert [position_rule(place, u, w) for u, w in candidate_swaps(dims.total)] == expected
         # _depth counts one evaluation per swap its move test lets through.
         config = SearchConfig(n1=1, n2=1, n_d=1)
-        h_flat = shannon_entropy(probs)
+        h_flat = _entropy(probs)
         _, _, evaluations, _, _ = _depth(probs, dims, _block_mi(probs, grid[None], h_flat), grid[None], config, h_flat)
         assert evaluations == 1 + sum(expected)
 
@@ -1252,7 +1252,7 @@ def test_pool_without_affinity_calls_runs_unpinned(setaffinity, monkeypatch):
     # are not pinned, and the breadth tasks give what they give in process,
     # bit for bit.
     probs = descending_probs(16, 9)
-    score = partial(_breadth_block, probs, shannon_entropy(probs), 4, 4, 3, keep=6)
+    score = partial(_breadth_block, probs, _entropy(probs), 4, 4, 3, keep=6)
     tasks = list(breadth_tasks(3000, 2))
 
     def results(jobs):
