@@ -121,11 +121,13 @@ def verify_theorem1(sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims) ->
     )
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with phase fixing."""
+def haar_unitary(dim: int, rng) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian with phase fixing.
+    ``rng`` is a seed as ``random_regular`` takes one; a ``Generator`` is used unchanged."""
     _check_integers(dim=dim)
     if dim < 1:
         raise ValidationError(f"dim must be positive, got {dim}")
+    rng = _rng(rng)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

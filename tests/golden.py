@@ -1,14 +1,23 @@
-"""Golden-output corpus: a fixed list of CLI calls and what they print.
+"""Golden-output corpus: a fixed list of CLI calls and what they print, and
+of library ``optimize`` calls and what they return.
 
 ``python tests/golden.py`` (with ``src`` on ``PYTHONPATH``) runs every call in
 CALLS through ``qaeopt.cli.main`` on freshly written state files (from
 ``state_files`` through ``save_statefile``, and TEXT_FILES as given) and compares
-what it prints with tests/golden_cli.json: it prints the id of every call
-whose output moved (or that is new, or gone) and exits 1 if there is any, 0
-if none. ``python tests/golden.py --write`` writes the file instead: the state
-files the calls read, as their exact text, and per call its argv, exit code
-and output lines without ``timings``. ``tests/test_golden.py`` writes the same
-state files again and replays the stored calls against the stored outputs.
+what it prints with tests/golden_cli.json. It also runs every call in
+``library_calls`` through ``qaeopt.optimize``, with ``search.LEAF_BLOCK`` and
+``tableau.SUFFIX_CAP`` set as the call says (``constants``), and compares
+each call's inputs and ``OptimizationResult.to_dict()`` with
+tests/golden_results.json. It prints the id of every call whose output or
+inputs moved (or that is new, or gone) and exits 1 if there is any, 0 if
+none. ``python tests/golden.py --write`` writes both files instead: the state
+files the CLI calls read, as their exact text, and per call its argv, exit
+code and output lines without ``timings``; per library call its dims, its
+probability vector itself, its ``SearchConfig`` fields, its two constants
+and its result. ``tests/test_golden.py`` writes the same state files again
+and replays the stored calls against the stored outputs, the library calls
+from their stored inputs, so a numpy that draws other spectra moves no
+replay; this check lists every library call whose drawn input moved.
 
 Comparison policy, fixed before the first run: every field must match
 exactly, floats bit for bit (by ``float.hex``, so -0.0 is not 0.0), except
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -40,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
+RESULTS = Path(__file__).with_name("golden_results.json")
 LINALG_FIELDS = frozenset({"mi_middle", "rel_entropy_out", "residual", "reconstruction_frobenius"})
 LINALG_TOL = 1e-12
 DIR = "{dir}"  # stands for the directory holding the state files in an argv
@@ -198,6 +209,120 @@ CALLS: dict[str, list[str]] = {
 }
 
 
+@contextlib.contextmanager
+def constants(leaf_block: int, suffix_cap: int) -> Iterator[None]:
+    """Run with ``search.LEAF_BLOCK`` and ``tableau.SUFFIX_CAP`` set, and put
+    back the values found, however the block is left. Pool workers forked
+    before the call do not see them."""
+    import qaeopt.search
+    import qaeopt.tableau
+
+    saved = qaeopt.search.LEAF_BLOCK, qaeopt.tableau.SUFFIX_CAP
+    qaeopt.search.LEAF_BLOCK, qaeopt.tableau.SUFFIX_CAP = leaf_block, suffix_cap
+    try:
+        yield
+    finally:
+        qaeopt.search.LEAF_BLOCK, qaeopt.tableau.SUFFIX_CAP = saved
+
+
+def spectra(d_a: int, d_b: int) -> dict[str, np.ndarray]:
+    """Up to six descending spectra of d_a * d_b entries, none the same bytes
+    as one before it: Dirichlet with concentration 0.02 (a few large
+    entries), 1 (the flat simplex) and 1e6 (near-uniform, no ties); uniform;
+    pairs of ties with trailing zeros; and a tail of entries 1e-30."""
+    n = d_a * d_b
+    rng = np.random.default_rng([d_a, d_b])
+    alphas = {"a0.02": 0.02, "a1": 1.0, "a1e6": 1e6}
+    out = {name: np.sort(rng.dirichlet(np.full(n, alpha)))[::-1] for name, alpha in alphas.items()}
+    out["uniform"] = np.full(n, 1.0 / n)
+    if n >= 3:
+        pairs = np.repeat(np.sort(rng.dirichlet(np.ones(n // 3)))[::-1] / 2, 2)
+        out["ties"] = np.concatenate((pairs, np.zeros(n - len(pairs))))
+    if n >= 2:
+        out["tail"] = np.concatenate((np.sort(rng.dirichlet(np.ones(n - n // 2)))[::-1], np.full(n // 2, 1e-30)))
+    distinct: dict[str, np.ndarray] = {}
+    for name, p in out.items():
+        if all(p.tobytes() != q.tobytes() for q in distinct.values()):
+            distinct[name] = p
+    return distinct
+
+
+def library_call(d_a: int, d_b: int, probs, config=None, blocks: tuple[int, int] | None = None) -> dict:
+    """The stored inputs of one ``optimize`` call; ``blocks`` is
+    (LEAF_BLOCK, SUFFIX_CAP), by default the package's."""
+    import qaeopt.search
+    import qaeopt.tableau
+    from qaeopt import SearchConfig
+
+    leaf_block, suffix_cap = blocks or (qaeopt.search.LEAF_BLOCK, qaeopt.tableau.SUFFIX_CAP)
+    return {
+        "dims": [d_a, d_b],
+        "probs": [float(x) for x in probs],
+        "config": dataclasses.asdict(config or SearchConfig()),
+        "leaf_block": leaf_block,
+        "suffix_cap": suffix_cap,
+    }
+
+
+# Exhaustive shapes at the default blocks: a single cell, row and column,
+# squares, two- and three-row grids up to several walk pieces.
+SHAPES = [(1, 1), (1, 6), (6, 1), (2, 2), (2, 3), (3, 3), (2, 8), (3, 4), (4, 3), (4, 4), (3, 5), (2, 10), (3, 7), (4, 5)]
+# A uniform spectrum exact-scores every leaf: only up to this many tableaux.
+UNIFORM_MAX = 2 * 10**5
+# Small LEAF_BLOCK / SUFFIX_CAP pairs: blocks cut mid-prefix, many walk
+# pieces, and short suffixes.
+SMALL_BLOCKS = [(7, 64), (3, 4)]
+SMALL_BLOCK_SHAPES = [(3, 3), (3, 4), (2, 8)]
+# Larger shapes with small blocks, one spectrum each: uniform (4,4) at 7/64
+# is a walk of 1340 pieces whose every leaf is exact-scored.
+SMALL_BLOCK_EXTRA = [((4, 4), "uniform", (7, 64)), ((3, 5), "a1e6", (3, 4)), ((2, 10), "tail", (7, 64))]
+# Forced heuristic (threshold 1): shape, spectrum, search seed.
+HEURISTIC = [
+    ((2, 3), "a1", 0), ((3, 3), "ties", 1), ((3, 4), "a0.02", 2), ((4, 3), "a1e6", 3),
+    ((4, 4), "uniform", 4), ((3, 5), "tail", 5), ((2, 8), "a1", 6), ((4, 5), "a1", 7),
+    ((5, 5), "a0.02", 8), ((5, 6), "tail", 9), ((6, 6), "a1", 10), ((6, 7), "ties", 11),
+    ((7, 7), "a1e6", 12), ((8, 3), "a1", 13), ((7, 8), "a1", 14), ((8, 8), "a1", 15),
+]
+HEURISTIC_CONFIG = {"n1": 2000, "n2": 6, "n_d": 40, "exhaustive_threshold": 1}
+# Run again with parallelism 2, at the default blocks; breadth_tasks cuts
+# 20000 draws into three tasks on one job and four on two.
+PARALLEL = [((8, 8), "a1", 15), ((5, 5), "a0.02", 8)]
+
+
+def library_calls() -> dict[str, dict]:
+    """id -> the inputs of one library ``optimize`` call (``library_call``)."""
+    from qaeopt import BipartiteDims, SearchConfig, count_regular
+
+    calls = {}
+    for d_a, d_b in SHAPES:
+        tableaux = count_regular(BipartiteDims(d_a, d_b))
+        for name, p in spectra(d_a, d_b).items():
+            if name != "uniform" or tableaux <= UNIFORM_MAX:
+                calls[f"lib-{d_a}x{d_b}-{name}"] = library_call(d_a, d_b, p)
+    small = [(shape, name, blocks) for blocks in SMALL_BLOCKS for shape in SMALL_BLOCK_SHAPES for name in spectra(*shape)]
+    for (d_a, d_b), name, blocks in small + SMALL_BLOCK_EXTRA:
+        p = spectra(d_a, d_b)[name]
+        calls[f"lib-{d_a}x{d_b}-{name}-b{blocks[0]}c{blocks[1]}"] = library_call(d_a, d_b, p, None, blocks)
+    for (d_a, d_b), name, seed in HEURISTIC:
+        config = SearchConfig(seed=seed, **HEURISTIC_CONFIG)
+        calls[f"lib-heur-{d_a}x{d_b}-{name}"] = library_call(d_a, d_b, spectra(d_a, d_b)[name], config)
+    for (d_a, d_b), name, seed in PARALLEL:
+        for jobs in (1, 2):
+            config = SearchConfig(**{**HEURISTIC_CONFIG, "n1": 20000}, seed=seed, parallelism=jobs)
+            calls[f"lib-heur-{d_a}x{d_b}-{name}-n20000-jobs{jobs}"] = library_call(d_a, d_b, spectra(d_a, d_b)[name], config)
+    return calls
+
+
+def run_library(call: dict) -> dict:
+    """``optimize(...).to_dict()`` of one library call's stored inputs, as
+    JSON reads it back."""
+    from qaeopt import BipartiteDims, SearchConfig, optimize
+
+    with constants(call["leaf_block"], call["suffix_cap"]):
+        result = optimize(np.array(call["probs"]), BipartiteDims(*call["dims"]), SearchConfig(**call["config"]))
+    return json.loads(json.dumps(result.to_dict()))
+
+
 def run_call(argv: list[str], directory: str) -> tuple[int, list[dict]]:
     """Exit code and output lines, without ``timings``, of one CLI call whose
     argv names its state files under ``directory``."""
@@ -252,29 +377,52 @@ def build() -> dict:
         for name, argv in CALLS.items():
             code, lines = run_call(argv, tmp)
             calls.append({"id": name, "argv": argv, "exit": code, "lines": lines})
+    return {**_platform(), "files": files, "calls": calls}
+
+
+def build_results() -> dict:
+    """The library corpus as the current code returns it."""
+    calls = [{"id": name, **call, "result": run_library(call)} for name, call in library_calls().items()]
+    return {**_platform(), "calls": calls}
+
+
+def _platform() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "files": files,
-        "calls": calls,
     }
+
+
+def _moved(new: list[dict], old: list[dict]) -> list[str]:
+    """The ids of the calls that differ, are new or are gone."""
+    old_by_id = {call["id"]: call for call in old}
+    new_by_id = {call["id"]: call for call in new}
+    moved = [i for i in new_by_id if i not in old_by_id or next(differences(new_by_id[i], old_by_id[i]), None)]
+    return moved + [i for i in old_by_id if i not in new_by_id]
+
+
+def _write(path: Path, corpus: dict) -> None:
+    path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Check the golden-output corpus, or write it with --write.")
-    parser.add_argument("--write", action="store_true", help=f"overwrite {CORPUS.name} with the current outputs")
-    corpus = build()
-    if parser.parse_args(argv).write:
-        CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    parser.add_argument(
+        "--write", action="store_true", help=f"overwrite {CORPUS.name} and {RESULTS.name} with the current outputs"
+    )
+    write = parser.parse_args(argv).write
+    corpus, results = build(), build_results()
+    if write:
+        _write(CORPUS, corpus)
+        _write(RESULTS, results)
         print(f"wrote {len(corpus['calls'])} calls and {len(corpus['files'])} state files to {CORPUS}", file=sys.stderr)
+        print(f"wrote {len(results['calls'])} library calls to {RESULTS}", file=sys.stderr)
         return 0
     stored = json.loads(CORPUS.read_text())
-    old = {call["id"]: call for call in stored["calls"]}
-    new = {call["id"]: call for call in corpus["calls"]}
-    moved = [i for i in new if i not in old or next(differences(new[i], old[i]), None)]
-    moved += [i for i in old if i not in new]
+    moved = _moved(corpus["calls"], stored["calls"])
+    moved += _moved(results["calls"], json.loads(RESULTS.read_text())["calls"])
     files = sorted(corpus["files"].keys() | stored["files"].keys())
     moved += [f"file:{n}" for n in files if corpus["files"].get(n) != stored["files"].get(n)]
     for name in moved:

@@ -1,6 +1,8 @@
-"""Replay the golden-output corpus (tests/golden_cli.json, written by
-tests/golden.py) through ``qaeopt.cli.main``: the same calls on the same
-state files must print the same outputs."""
+"""Replay the golden-output corpus (tests/golden_cli.json and
+tests/golden_results.json, written by tests/golden.py) through
+``qaeopt.cli.main`` and ``qaeopt.optimize``: the same calls on the same
+state files must print the same outputs, and the same library calls on the
+same stored inputs must return the same results."""
 
 import json
 import math
@@ -8,9 +10,14 @@ import math
 import pytest
 
 import golden
-from golden import CORPUS, differences, run_call
+import qaeopt.search
+import qaeopt.tableau
+from golden import CORPUS, RESULTS, differences, run_call, run_library
+from qaeopt import BipartiteDims
+from qaeopt.tableau import regular_grid_walk
 
 corpus = json.loads(CORPUS.read_text())
+results = json.loads(RESULTS.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +94,87 @@ def test_floats_compare_bit_for_bit():
 
 def test_check_lists_moved_calls_and_writes_only_when_asked(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(golden, "CALLS", {"count-22": ["count", "2", "2"], "opt-s22": ["optimize", golden._f("s22")]})
+    library = {
+        "lib-2x2": golden.library_call(2, 2, [0.4, 0.3, 0.2, 0.1]),
+        "lib-3x3-b3c4": golden.library_call(3, 3, golden.spectra(3, 3)["a1"], None, (3, 4)),
+    }
+    monkeypatch.setattr(golden, "library_calls", lambda: library)
     monkeypatch.setattr(golden, "CORPUS", tmp_path / "corpus.json")
+    monkeypatch.setattr(golden, "RESULTS", tmp_path / "results.json")
     assert golden.main(["--write"]) == 0
     assert golden.main([]) == 0 and capsys.readouterr().out == ""
-    stored = json.loads(golden.CORPUS.read_text())
-    result = stored["calls"][1]["lines"][0]["result"]
-    result["best_mi"] = math.nextafter(result["best_mi"], 1.0)  # one ulp
-    text = json.dumps(stored)
-    golden.CORPUS.write_text(text)
-    assert golden.main([]) == 1 and capsys.readouterr().out == "opt-s22\n"
-    assert golden.CORPUS.read_text() == text  # the check writes nothing
+    written = golden.RESULTS.read_text()
+
+    def moved(path, edit):
+        stored = json.loads(path.read_text())
+        edit(stored["calls"])
+        text = json.dumps(stored)
+        path.write_text(text)
+        code = golden.main([])
+        assert path.read_text() == text  # the check writes nothing
+        return code, capsys.readouterr().out
+
+    def cli_best_mi(calls):
+        result = calls[1]["lines"][0]["result"]
+        result["best_mi"] = math.nextafter(result["best_mi"], 1.0)  # one ulp
+
+    def library_best_mi(calls):
+        calls[1]["result"]["best_mi"] = math.nextafter(calls[1]["result"]["best_mi"], 1.0)
+
+    def library_input(calls):
+        calls[0]["probs"][3] = math.nextafter(calls[0]["probs"][3], 1.0)
+
+    assert moved(golden.CORPUS, cli_best_mi) == (1, "opt-s22\n")
+    golden.main(["--write"])
+    assert golden.RESULTS.read_text() == written
+    assert moved(golden.RESULTS, library_best_mi) == (1, "lib-3x3-b3c4\n")
+    golden.RESULTS.write_text(written)
+    assert moved(golden.RESULTS, library_input) == (1, "lib-2x2\n")
+
+
+@pytest.mark.parametrize("call", results["calls"], ids=[call["id"] for call in results["calls"]])
+def test_library_result_matches_corpus(call):
+    assert_same(run_library(call), call["result"], call["id"])
+
+
+def test_library_corpus_covers_both_routes_and_small_blocks():
+    calls = results["calls"]
+    assert len(calls) >= 130
+    assert {call["result"]["method"] for call in calls} == {"exhaustive", "heuristic"}
+    blocks = {(call["leaf_block"], call["suffix_cap"]) for call in calls}
+    assert blocks == {(qaeopt.search.LEAF_BLOCK, qaeopt.tableau.SUFFIX_CAP), (7, 64), (3, 4)}
+    # A uniform spectrum traversed in many walk pieces at small blocks.
+    [call] = [call for call in calls if call["id"] == "lib-4x4-uniform-b7c64"]
+    assert len(set(call["probs"])) == 1 and call["result"]["method"] == "exhaustive"
+    with golden.constants(7, 64):
+        _store, pieces = regular_grid_walk(BipartiteDims(4, 4), 7)
+        assert sum(1 for _ in pieces) > 1
+
+
+def test_constants_are_restored_when_the_call_raises():
+    defaults = qaeopt.search.LEAF_BLOCK, qaeopt.tableau.SUFFIX_CAP
+    with pytest.raises(ValueError), golden.constants(3, 4):
+        assert (qaeopt.search.LEAF_BLOCK, qaeopt.tableau.SUFFIX_CAP) == (3, 4)
+        raise ValueError
+    assert (qaeopt.search.LEAF_BLOCK, qaeopt.tableau.SUFFIX_CAP) == defaults
+
+
+def _one_job_key(call):
+    inputs = {k: v for k, v in call.items() if k not in ("id", "result")}
+    inputs["config"] = {**inputs["config"], "parallelism": 1}
+    return json.dumps(inputs, sort_keys=True)
+
+
+def test_parallel_library_calls_return_their_one_job_results():
+    """Every library call with parallelism > 1 runs at the default blocks
+    (forked workers do not see ``golden.constants``) and returns what the
+    same inputs return with parallelism 1."""
+    serial = {_one_job_key(call): call for call in results["calls"] if call["config"]["parallelism"] == 1}
+    parallel = [call for call in results["calls"] if call["config"]["parallelism"] > 1]
+    assert {"lib-heur-8x8-a1-n20000-jobs2", "lib-heur-5x5-a0.02-n20000-jobs2"} <= {c["id"] for c in parallel}
+    for call in parallel:
+        assert (call["leaf_block"], call["suffix_cap"]) == (qaeopt.search.LEAF_BLOCK, qaeopt.tableau.SUFFIX_CAP)
+        twin = serial[_one_job_key(call)]
+        assert twin["result"]["method"] == "heuristic"
+        assert_same(call["result"], twin["result"], call["id"])
+

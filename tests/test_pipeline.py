@@ -292,6 +292,15 @@ class TestGenerateInstance:
                     digest.update(generate_instance(kind, BipartiteDims(d_a, d_b), seed).matrix.tobytes())
         assert digest.hexdigest() == "35244e8320cd4a50a1e8f4aa2da5637075cace50241689d36c3f83d4fff26922"
 
+    def test_dense_instances_keep_their_matrices(self):
+        # The digest of these matrices before haar_unitary took its rng
+        # through _rng, which hands a Generator back unchanged.
+        digest = hashlib.sha256()
+        for d_a, d_b in [(1, 1), (1, 3), (2, 2), (2, 3), (4, 4), (3, 7)]:
+            for seed in (0, 7, np.random.SeedSequence((3, 1, 0)), np.random.default_rng(5)):
+                digest.update(generate_instance("random-dense", BipartiteDims(d_a, d_b), seed).matrix.tobytes())
+        assert digest.hexdigest() == "f90f0fb3d44315a1890e796f42cc654a039f4f0656fdea67803887e6934455f6"
+
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(5, np.random.default_rng(0))
         assert np.abs(u @ u.conj().T - np.eye(5)).max() < 1e-12

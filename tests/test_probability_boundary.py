@@ -124,6 +124,26 @@ def test_sum(name, tmp_path):
         rejects(name, off_sum(2 * SUM_TOL), tmp_path, "sum to 1")
 
 
+@pytest.mark.parametrize("p", [[0.5, 0.3, 0.2], [[0.4, 0.3], [0.2, 0.1]]])
+@pytest.mark.parametrize("name", IN_ORDER)
+def test_shape(name, p, tmp_path):
+    # A wrong length, and the right entries as a 2-D array.
+    rejects(name, p, tmp_path, r"^expected 4 probabilities, got shape \(")
+
+
+def test_an_empty_matrix_is_rejected():
+    with pytest.raises(ValidationError, match="^matrix dimension must be positive$"):
+        DensityMatrix(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("payload", [{}, {"matrix": np.diag(negative_entry(0.0)), "spectrum": negative_entry(0.0)}])
+def test_a_state_file_takes_exactly_one_payload(payload, tmp_path):
+    path = tmp_path / "state.json"
+    with pytest.raises(StateFileError, match="^provide exactly one of matrix or spectrum$"):
+        save_statefile(path, DIMS, **payload)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_non_finite(name, bad, tmp_path):
@@ -254,10 +274,11 @@ SEEDS = {
     "random_regular": lambda seed: random_regular(DIMS, seed).cells,
     "generate_instance": lambda seed: generate_instance("random-dense", DIMS, seed).matrix,
     "generate_instance-diagonal": lambda seed: generate_instance("diagonal-mixed", DIMS, seed).matrix,
+    "haar_unitary": lambda seed: haar_unitary(2, seed),
 }
 # A numpy SeedSequence or Generator is used as it is, and an int seed as
 # numpy's default_rng reads it.
-NUMPY_SEEDS = ["random_regular", "generate_instance", "generate_instance-diagonal"]
+NUMPY_SEEDS = ["random_regular", "generate_instance", "generate_instance-diagonal", "haar_unitary"]
 
 
 @pytest.mark.parametrize("bad", [True, 1.5, "1", None])
