@@ -51,6 +51,25 @@ def _check_integers(**values) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _numbers(values, dtype: type, what: str) -> np.ndarray:
+    """A ``dtype`` copy of ``values`` once numpy reads them as numbers, the
+    rule a state file's entries meet: strings, bools, None and other objects
+    are rejected, and so is a complex value where ``dtype`` is float, whose
+    imaginary part the cast would drop. A mix of numbers and bools still
+    reads as numbers: numpy upcasts the bools, which a state file rejects."""
+    if dtype is complex:
+        kinds, names = "iufc", "numbers (integers, floats or complex)"
+    else:
+        kinds, names = "iuf", "real numbers (integers or floats)"
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(f"{what} must form a rectangular array: {exc}") from exc
+    if a.dtype.kind not in kinds:
+        raise ValidationError(f"{what} must be {names}, got {a.dtype} entries")
+    return np.array(a, dtype=dtype)
+
+
 def _check_seed(seed) -> None:
     """An int seed is an integer, not a bool, and nonnegative."""
     _check_integers(seed=seed)
@@ -107,7 +126,7 @@ class DensityMatrix:
     """
 
     def __init__(self, entries) -> None:
-        mat = np.array(entries, dtype=complex)
+        mat = _numbers(entries, complex, "matrix entries")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
         if mat.shape[0] < 1:
@@ -151,13 +170,14 @@ class DensityMatrix:
 
 def _probability_vector(probs, n: int) -> np.ndarray:
     """The check every probability vector passes where it enters the package,
-    and the one place one is clipped. ``probs`` must be 1-D of length n,
-    finite, at least -ENTRY_TOL and sum to 1 within SUM_TOL. Entries in
-    [-ENTRY_TOL, 0) are round-off of a zero: they become 0, and the vector is
-    divided by its new sum. The result, non-increasing within MONOTONE_SLACK,
-    comes back as a read-only float copy that passes this check again with
-    the same bytes; so does a vector with no negative entry (-0.0 is none)."""
-    p = np.array(probs, dtype=float)
+    and the one place one is clipped and rescaled. ``probs`` must be real
+    numbers (``_numbers``), 1-D of length n, finite, at least -ENTRY_TOL and
+    sum to 1 within SUM_TOL. Entries in [-ENTRY_TOL, 0) are round-off of a
+    zero: they become 0, and the vector is divided by its new sum. The
+    result, non-increasing within MONOTONE_SLACK, comes back as a read-only
+    float copy that passes this check again with the same bytes; so does a
+    vector with no negative entry (-0.0 is none)."""
+    p = _numbers(probs, float, "probabilities")
     if p.ndim != 1 or p.size != n:
         raise ValidationError(f"expected {n} probabilities, got shape {p.shape}")
     if not np.isfinite(p).all():
@@ -218,7 +238,7 @@ def shannon_entropy(probs) -> float:
     """Shannon entropy in nats, 0 log 0 = 0. ``probs``, raveled and sorted
     descending, passes ``_probability_vector``: this accepts and rejects
     exactly what ``optimize`` does, in any order and with its messages."""
-    p = np.sort(np.asarray(probs, dtype=float).ravel())[::-1]
+    p = np.sort(_numbers(probs, float, "probabilities").ravel())[::-1]
     return _entropy(_probability_vector(p, p.size))
 
 
@@ -297,7 +317,7 @@ def is_unitary(u: np.ndarray) -> bool:
 
 def _apply_unitary(mat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
     """Check ``u`` against a square array and conjugate it: (U M U^dag, U)."""
-    u = np.asarray(u, dtype=complex)
+    u = _numbers(u, complex, "unitary entries")
     if u.shape != mat.shape:
         raise ValidationError(f"unitary shape {u.shape} does not match state dimension {mat.shape[0]}")
     if not is_unitary(u):

@@ -713,8 +713,11 @@ def _depth(
     Each iteration moves to the neighbour with minimal mutual information,
     even when that is worse than the current grid (the move set never
     contains the current grid), and the globally best grid seen across all
-    trajectories is returned. A trajectory halts early when a grid has no
-    regular neighbour.
+    trajectories is returned. A single row or column has one regular
+    filling, so its seeds return at once. On any other grid every regular
+    filling T has a regular swap, (m-1, m) with m = max(T[0][1], T[1][0]):
+    values 1..m-1 all lie in T's first row or all in its first column, so
+    m-1 >= 2 and m share neither. So every seed moves until its 2-cycle.
 
     A trajectory that makes the same swap twice in a row is back on the grid
     it held two iterations before, and stops being computed there. That is
@@ -738,6 +741,9 @@ def _depth(
     of v, v + 1 and v + 2 share a row or a column.
     """
     n_seeds, n, d_a = len(grids), dims.total, dims.d_a
+    if d_a == 1 or dims.d_b == 1:
+        best_seed = int(np.argmin(scores))
+        return grids[best_seed].copy(), float(scores[best_seed]), n_seeds, [], best_seed
     u, w = np.array(list(candidate_swaps(n)), dtype=np.intp).reshape(-1, 2).T - 1  # 0-based values
     # place[s, v] is the (row, column) of value v + 1 in seed s. A swap's four
     # operands, as indices into place[s].ravel(): the rows of u and w, then
@@ -749,14 +755,12 @@ def _depth(
     place = np.stack(np.divmod(np.argsort(grids.reshape(n_seeds, n), axis=1), dims.d_b), axis=-1)
     # Where seed s's row sums, then its column sums, start in marg.ravel().
     origin = np.arange(n_seeds)[:, None, None] * (d_a + dims.d_b) + np.array([0, 0, d_a, d_a])
-    # Seed of each row of cells and place; rows are dropped as seeds finish,
-    # and with no candidate swap (n < 3) every seed has finished.
-    active = np.arange(n_seeds if len(u) else 0)
+    active = np.arange(n_seeds)  # seed of each row of cells and place; cycled seeds leave
 
     best_mi = np.array(scores)  # per seed, updated on strict improvement
     best_grid = grids.copy()
-    # Per seed, its start's score, then each step's; NaN for steps not taken.
-    record = np.full((n_seeds, config.n_d + 1), math.nan)
+    # Per seed, its start's score, then each step's; inf once it has cycled.
+    record = np.full((n_seeds, config.n_d + 1), math.inf)
     record[:, 0] = scores
     last_choice = np.full(n_seeds, -1)  # per seed, the swap of the last iteration
     last_count = np.zeros(n_seeds, dtype=np.intp)  # and its count of valid swaps
@@ -780,7 +784,6 @@ def _depth(
         valid = np.concatenate([apart[:, 1:], apart_2[:, 1:] & apart[:, 1:-1] & apart[:, 2:]], axis=1)
         counts = valid.sum(axis=1)
         evaluations += int(counts.sum())
-        moved = counts > 0
 
         at = place.reshape(len(active), 2 * n).take(operands, axis=1) + origin[: len(active)]
         x_at, new = x.take(at), marg.take(at) + step
@@ -801,44 +804,35 @@ def _depth(
         cand = np.full(valid.shape, math.inf)
         cand[near] = score(_xlogx, near)
 
-        ms = np.flatnonzero(moved)
-        seed = active[ms]
-        choice = cand[ms].argmin(axis=1)
-        chosen = cand[ms, choice]
+        rows = np.arange(len(active))
+        choice = cand.argmin(axis=1)
+        chosen = cand[rows, choice]
         uu, ww = u[choice], w[choice]
-        a, b = place[ms, uu], place[ms, ww]
-        cells[ms, a[:, 0], a[:, 1]] = ww + 1
-        cells[ms, b[:, 0], b[:, 1]] = uu + 1
-        place[ms, uu], place[ms, ww] = b, a
-        record[seed, t + 1] = chosen
+        a, b = place[rows, uu], place[rows, ww]
+        cells[rows, a[:, 0], a[:, 1]] = ww + 1
+        cells[rows, b[:, 0], b[:, 1]] = uu + 1
+        place[rows, uu], place[rows, ww] = b, a
+        record[active, t + 1] = chosen
 
-        better = chosen < best_mi[seed]
-        improved = seed[better]
-        best_mi[improved] = chosen[better]
-        best_grid[improved] = cells[ms[better]]
+        better = chosen < best_mi[active]
+        best_mi[active[better]] = chosen[better]
+        best_grid[active[better]] = cells[better]
 
         # A seed that makes the swap of its last iteration again is back on
         # the grid it left two iterations ago. Its next move is a function of
         # that grid alone, so from here it alternates between the last two
         # iterations, bit for bit, and can set no new best: count its
-        # remaining iterations, recorded as inf, and drop it.
-        cycled = choice == last_choice[seed]
+        # remaining iterations, left at inf in its record, and drop it.
+        cycled = choice == last_choice[active]
         left = config.n_d - 1 - t
-        for si, count in zip(seed[cycled].tolist(), counts[ms[cycled]].tolist()):
-            evaluations += (left + 1) // 2 * int(last_count[si]) + left // 2 * count
-        record[seed[cycled], t + 2 :] = math.inf
-        last_choice[seed], last_count[seed] = choice, counts[ms]
-        # A seed with no regular neighbour keeps its grid, so it has none in
-        # any later iteration either: its trajectory has halted.
-        keep = moved
-        keep[ms[cycled]] = False
-        if not keep.all():
-            cells, place, active = cells[keep], place[keep], active[keep]
+        evaluations += int(((left + 1) // 2 * last_count[active[cycled]] + left // 2 * counts[cycled]).sum())
+        last_choice[active], last_count[active] = choice, counts
+        if cycled.any():
+            cells, place, active = cells[~cycled], place[~cycled], active[~cycled]
 
     # Seed-major, as a strict < would see it seed by seed: no score is -0.0,
     # so ties have equal bits. Start positions leave the trajectory.
-    seed_of, col = np.nonzero(~np.isnan(record))
-    trajectory = np.minimum.accumulate(record[seed_of, col])[col > 0].tolist()
+    trajectory = np.minimum.accumulate(record.ravel()).reshape(record.shape)[:, 1:].ravel().tolist()
     best_seed = int(best_mi.argmin())
     return best_grid[best_seed], float(best_mi[best_seed]), evaluations, trajectory, best_seed
 

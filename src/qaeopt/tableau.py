@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .exceptions import ValidationError
-from .qstate import BipartiteDims, _rng
+from .qstate import BipartiteDims, _check_integers, _rng
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,10 @@ class YoungTableau:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(tuple(int(v) for v in row) for row in self.cells)
+        cells = tuple(tuple(row) for row in self.cells)
+        for value in chain.from_iterable(cells):
+            _check_integers(cell=value)  # 2.9, True or "1" would read as a cell
+        cells = tuple(tuple(map(int, row)) for row in cells)
         object.__setattr__(self, "cells", cells)
         if len(cells) != self.dims.d_a or any(len(r) != self.dims.d_b for r in cells):
             raise ValidationError(

@@ -12,8 +12,10 @@ family. Then come the paper's canonicalization argument, as plain
 functions on grids, and the scalar search references: the loop forms
 of the enumeration (and the library walk's leaves joined into grids, to
 compare with it), the exhaustive search, the breadth phase, the value-swap
-neighbourhood and the depth phase, and the fixed-point certificate (gap and
-map). Last, the state-file writer as one ``json.dumps`` of the whole
+neighbourhood (with the one swap every filling of two or more rows and
+columns has) and the depth phase, and the fixed-point certificate (gap and
+map). A grid as cell tuples and sorted Dirichlet probabilities are shared
+helpers. Last, the state-file writer as one ``json.dumps`` of the whole
 document, and the reader as one ``json.loads`` of it.
 """
 
@@ -96,6 +98,16 @@ def row_major(dims: BipartiteDims) -> tuple[tuple[int, ...], ...]:
     """The identity filling: 1..n laid out row by row."""
     grid = np.arange(1, dims.total + 1).reshape(dims.d_a, dims.d_b)
     return tuple(map(tuple, grid.tolist()))
+
+
+def cells(grid: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """A value grid array as the tuples of ``YoungTableau.cells``."""
+    return tuple(map(tuple, grid.tolist()))
+
+
+def descending_probs(n: int, seed: int) -> np.ndarray:
+    """n probabilities drawn from a flat Dirichlet with ``seed``, sorted descending."""
+    return np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
 
 
 def positions(cells) -> tuple[tuple[int, int], ...]:
@@ -567,6 +579,14 @@ def neighbors(t: YoungTableau) -> tuple[YoungTableau, ...]:
         seen.add(cells)
         out.append(YoungTableau(t.dims, cells))
     return tuple(out)
+
+
+def witness_swap(cells) -> tuple[int, int]:
+    """The swap (m - 1, m), m = max(cells[0][1], cells[1][0]), that keeps a
+    regular filling of two or more rows and columns regular: values
+    1..m - 1 all lie in its first row or all in its first column."""
+    m = max(cells[0][1], cells[1][0])
+    return m - 1, m
 
 
 def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:

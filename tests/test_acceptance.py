@@ -17,6 +17,7 @@ from oracles import (
     brute_force_count,
     brute_force_min_mi,
     canonicalize,
+    descending_probs,
     grid_mutual_information,
     is_decreasing,
     sort_along,
@@ -45,10 +46,6 @@ MASTER_SEED = 20260809
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"\n[acceptance] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
-
-
-def descending_probs(n, seed):
-    return np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
 
 
 def test_01_tableau_counting():

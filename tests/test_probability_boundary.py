@@ -1,10 +1,11 @@
 """Every entry point that takes a probability vector accepts and rejects the
 same vectors, against the one tolerance table in ``qaeopt.qstate``, and
 ``optimize`` accepts every vector any of them accepts. Seeds and sizes meet
-one rule each, and every public callable is either in one of these tables
+one rule each, outside numbers are numbers, and every public callable is either in one of these tables
 or named as taking no outside numbers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from qaeopt import (
     SearchConfig,
     StateFileError,
     ValidationError,
+    YoungTableau,
+    apply_unitary,
+    compress_reconstruct,
     generate_instance,
     haar_unitary,
     load_statefile,
@@ -25,6 +29,7 @@ from qaeopt import (
     random_regular,
     save_statefile,
     shannon_entropy,
+    verify_theorem1,
 )
 from qaeopt.qstate import (
     ENTRY_TOL,
@@ -324,8 +329,93 @@ def test_size_must_be_an_integer(name, bad):
         SIZES[name](bad)
 
 
+# Outside numbers meet a state file's rule: numpy reads them as integers or
+# floats, and as complex numbers too where a matrix may be complex. Strings,
+# bools, None and other objects are rejected whatever they would cast to, and
+# so are complex probabilities. A state file's own entries are checked as it
+# is read (tests/test_cli.py); save_statefile writes numpy's casts.
+NOT_NUMBERS = {
+    "strings": ["0.5", "0.3", "0.2", "0.0"],
+    "bools": [True, False, False, False],
+    "None": [0.5, 0.3, 0.2, None],
+    "objects": np.array([0.5, 0.3, 0.2, 0.0], dtype=object),
+    "complex": [0.5 + 0j, 0.3, 0.2, 0.0],
+}
+LIBRARY = [name for name in ENTRY_POINTS if not name.startswith("load_statefile")]
+
+
+@pytest.mark.parametrize("kind", NOT_NUMBERS)
+@pytest.mark.parametrize("name", LIBRARY)
+def test_probabilities_must_be_real_numbers(name, kind, tmp_path):
+    p = NOT_NUMBERS[kind]
+    if name in MATRICES:
+        # np.diag of the probabilities: a complex diagonal is a state.
+        if kind == "complex":
+            accepts(name, p, tmp_path)
+        else:
+            rejects(name, p, tmp_path, r"^matrix entries must be numbers \(integers, floats or complex\), got ")
+    else:
+        rejects(name, p, tmp_path, r"^probabilities must be real numbers \(integers or floats\), got ")
+    accepts(name, [1, 0, 0, 0], tmp_path)  # integers are numbers
+
+
+@pytest.mark.parametrize("name", [name for name in LIBRARY if name not in MATRICES])
+def test_ragged_probabilities_are_rejected(name, tmp_path):
+    rejects(name, [[0.5, 0.3], [0.2]], tmp_path, "^probabilities must form a rectangular array: ")
+
+
+STATE = DensityMatrix([[0.6, 0.0], [0.0, 0.4]])
+PAIR = BipartiteDims(1, 2)
+# Matrices from outside, each with a value that numpy would cast to a valid
+# one: a pure state, and the identity for a unitary.
+MATRIX_INPUTS = {
+    "DensityMatrix": ([[1, 0], [0, 0]], DensityMatrix),
+    "apply_unitary": ([[1, 0], [0, 1]], lambda u: apply_unitary(STATE, u)),
+    "compress_reconstruct": ([[1, 0], [0, 1]], lambda u: compress_reconstruct(STATE, u, PAIR)),
+    "verify_theorem1": ([[1, 0], [0, 1]], lambda u: verify_theorem1(STATE, u, PAIR)),
+}
+SPELLINGS = {
+    "strings": lambda m: [[str(x) for x in row] for row in m],
+    "bools": lambda m: [[bool(x) for x in row] for row in m],
+    "None": lambda m: [[x or None for x in row] for row in m],
+    "objects": lambda m: np.array(m, dtype=object),
+}
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("name", MATRIX_INPUTS)
+def test_matrix_entries_must_be_numbers(name, spelling):
+    m, call = MATRIX_INPUTS[name]
+    what = "matrix" if name == "DensityMatrix" else "unitary"
+    with pytest.raises(ValidationError, match=rf"^{what} entries must be numbers \(integers, floats or complex\), got "):
+        call(SPELLINGS[spelling](m))
+    for entries in (m, np.array(m, dtype=float), np.array(m, dtype=complex)):
+        call(entries)
+
+
+@pytest.mark.parametrize("name", MATRIX_INPUTS)
+def test_ragged_matrices_are_rejected(name):
+    m, call = MATRIX_INPUTS[name]
+    what = "matrix" if name == "DensityMatrix" else "unitary"
+    with pytest.raises(ValidationError, match=f"^{what} entries must form a rectangular array: "):
+        call([m[0], m[1][:1]])
+
+
+# A tableau's cells meet the rule of seeds and sizes: integers, not bools.
+CELLS = {"YoungTableau": lambda v: YoungTableau(DIMS, [[v, 2], [3, 4]])}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 0.9, 1.9, "1", None, np.float64(1.0), np.True_])
+@pytest.mark.parametrize("name", CELLS)
+def test_cells_must_be_integers(name, bad):
+    with pytest.raises(ValidationError, match=rf"^cell must be an integer, got {re.escape(repr(bad))}$"):
+        CELLS[name](bad)
+    for good in (1, np.int64(1), np.uint8(1)):
+        assert CELLS[name](good).cells == ((1, 2), (3, 4))
+
+
 # The public callables whose arguments hold no outside probabilities, state,
-# seed or size: each takes objects the package checked when they were built,
+# seed, size, matrix or cells: each takes objects the package checked when they were built,
 # or other numbers with a check of their own, or is a type.
 NO_OUTSIDE_NUMBERS = {
     "CompressionReport": "the record verify_theorem1 returns",
@@ -333,23 +423,20 @@ NO_OUTSIDE_NUMBERS = {
     "StateFile": "the record load_statefile returns; optimize checks its probs",
     "StateFileError": "an exception type",
     "ValidationError": "an exception type",
-    "YoungTableau": "a BipartiteDims and cells, checked to hold 1..n once",
-    "apply_unitary": "a DensityMatrix and a unitary, checked by is_unitary",
     "build_encoder": "a DensityMatrix and a YoungTableau",
-    "compress_reconstruct": "a DensityMatrix, a unitary and a BipartiteDims",
     "count_regular": "a BipartiteDims",
     "mutual_information": "a DensityMatrix and a BipartiteDims",
     "nats_to_bits": "a value in nats",
     "partial_trace": "a DensityMatrix, a BipartiteDims and 'A' or 'B'",
     "relative_entropy": "two DensityMatrix",
     "save_statefile": "writes unchecked files on purpose; load_statefile checks them",
-    "verify_theorem1": "a DensityMatrix, a unitary and a BipartiteDims",
     "von_neumann_entropy": "a DensityMatrix",
 }
 
 
 def test_every_public_callable_meets_a_boundary_or_takes_no_outside_numbers():
-    tabled = {name.split("-")[0] for table in (ENTRY_POINTS, SEEDS, SIZES) for name in table}
+    tables = (ENTRY_POINTS, SEEDS, SIZES, MATRIX_INPUTS, CELLS)
+    tabled = {name.split("-")[0] for table in tables for name in table}
     public = {name for name in qaeopt.__all__ if callable(getattr(qaeopt, name))}
     assert public - tabled - NO_OUTSIDE_NUMBERS.keys() == set(), "add a new entry point to a table"
     assert tabled | NO_OUTSIDE_NUMBERS.keys() <= public

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qaeopt
-from oracles import brute_force_min_mi, grid_mutual_information, is_regular, neighbors, row_major, walk_grids
+from oracles import (
+    brute_force_min_mi,
+    cells,
+    descending_probs,
+    grid_mutual_information,
+    is_regular,
+    neighbors,
+    row_major,
+    walk_grids,
+)
 from qaeopt import (
     BipartiteDims,
     SearchConfig,
@@ -26,10 +35,6 @@ from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS, _block_mi, _breadth, _depth,
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
-
-
-def descending_probs(n, seed):
-    return np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
 
 
 def product_probs(d_a, d_b, seed):
@@ -129,10 +134,6 @@ class TestNonFiniteProbabilities:
             cfg = SearchConfig(n1=4, n2=1, n_d=2, exhaustive_threshold=threshold)
             with pytest.raises(ValidationError, match="non-finite"):
                 optimize(probs, DIMS22, cfg)
-
-
-def cells(grid):
-    return tuple(map(tuple, grid.tolist()))
 
 
 def breadth(probs, dims, config):

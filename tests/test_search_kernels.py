@@ -30,6 +30,8 @@ from oracles import (
     _swap_keeps_regular,
     brute_force_best,
     brute_force_regular_set,
+    cells,
+    descending_probs,
     fixed_point_gap,
     flat_entropy,
     grid_mi,
@@ -43,6 +45,7 @@ from oracles import (
     scalar_enumerate,
     scalar_exhaustive,
     walk_grids,
+    witness_swap,
 )
 from qaeopt import (
     BipartiteDims,
@@ -86,14 +89,6 @@ def tied_probs(weights):
     exactly equal probabilities, zero weights exact zeros."""
     w = np.sort(np.asarray(weights, dtype=float))[::-1]
     return w / w.sum()
-
-
-def descending_probs(n, seed):
-    return np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
-
-
-def cells(grid):
-    return tuple(map(tuple, grid.tolist()))
 
 
 def breadth(probs, dims, config):
@@ -1034,6 +1029,16 @@ def test_depth_grids_without_neighbours_are_single_rows_or_columns():
         assert all(neighbors(YoungTableau(dims, cells)) for cells in brute_force_regular_set(d_a, d_b))
     dims = BipartiteDims(1, 6)
     assert neighbors(YoungTableau(dims, row_major(dims))) == ()
+    # The lemma _depth rests on, with its witness: (m - 1, m) is a candidate
+    # swap that keeps the filling regular, for every filling of the walk and
+    # for random ones at the paper's sizes, and for their transposes.
+    walks = [walk_grids(BipartiteDims(*d), 4096) for d in [(3, 3), (3, 4), (2, 6), (4, 4)]]
+    grids = [grid for walk in walks for block in walk for grid in block]
+    grids += [np.array(random_regular(BipartiteDims(d, d), k).cells) for d in (8, 16) for k in range(300)]
+    for grid in grids + [grid.T for grid in grids]:
+        filling, (u, w) = cells(grid), witness_swap(grid)
+        pos = positions(filling)
+        assert u >= 2 and _swap_keeps_regular(filling, pos[u - 1], pos[w - 1], u, w, *grid.shape)
 
 
 @pytest.mark.parametrize("kind", ["diagonal-mixed", "product-spectrum"])
