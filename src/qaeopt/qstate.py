@@ -51,8 +51,9 @@ def _check_integers(**values) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
-def _numbers(values, dtype: type, what: str) -> np.ndarray:
-    """A ``dtype`` copy of ``values`` once numpy reads them as numbers, the
+def _numbers(values, dtype: type, what: str, copy: bool = True) -> np.ndarray:
+    """A ``dtype`` copy of ``values`` (unless ``copy`` is false, for a reader
+    that leaves them as they are) once numpy reads them as numbers, the
     rule a state file's entries meet: strings, bools, None and other objects
     are rejected, and so is a complex value where ``dtype`` is float, whose
     imaginary part the cast would drop. A mix of numbers and bools still
@@ -67,7 +68,7 @@ def _numbers(values, dtype: type, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must form a rectangular array: {exc}") from exc
     if a.dtype.kind not in kinds:
         raise ValidationError(f"{what} must be {names}, got {a.dtype} entries")
-    return np.array(a, dtype=dtype)
+    return np.array(a, dtype=dtype) if copy else np.asarray(a, dtype=dtype)
 
 
 def _check_seed(seed) -> None:

@@ -16,10 +16,14 @@ payload, floats as ``repr`` gives them and non-finite ones as ``NaN`` or
 its memory does not grow with the matrix.
 
 ``load_statefile`` reads a matrix row by row as well: json's scanner parses
-one row's ``[re, im]`` lists at a time, and each row becomes a float array
-at once. While the bytes are decoded, a load holds the bytes and the text;
-after that, the text, the float matrix and one row of lists. A version-1
-dense file so needs about twice its size to load.
+one row's ``[re, im]`` lists at a time, and each row is checked and becomes
+a float array at once. While the bytes are decoded, a load holds the bytes
+and the text; after that, the text, the float matrix and one row of lists.
+A version-1 dense file so needs about twice its size to load, and no more
+to be rejected: the text is parsed once, valid or not, and a matrix with
+several faults names a wrong number of rows first, else its first faulty
+row's fault. Only a fault in the object's own punctuation is worded by
+``json.loads`` of the whole text, at that parse's cost.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import StateFileError, ValidationError
-from .qstate import SPECTRUM_SUM_TOL, BipartiteDims, DensityMatrix, _probability_vector
+from .qstate import SPECTRUM_SUM_TOL, BipartiteDims, DensityMatrix, _numbers, _probability_vector
 
 FORMAT_VERSION = 1
 
@@ -51,19 +55,15 @@ class StateFile:
     digest: str  # SHA-256 of the file's bytes, as read for loading
 
 
-def _float_array(raw, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _float_array(raw, name: str, shape: tuple[int, ...], outer: tuple[int, ...] = ()) -> np.ndarray:
     """``raw`` as a float array of ``shape``, from nested JSON lists of that
-    shape whose entries are all JSON numbers.
-
-    ``np.asarray(raw, dtype=float)`` would also read the strings "0.5",
-    booleans and null (as NaN), so nesting and entry types are checked here,
-    one level at a time. Converting the flat list once is also faster than
-    numpy's conversion of the nested lists.
-    """
+    shape whose entries are all JSON numbers; a fault of nesting names the
+    shape ``outer + shape``. ``np.asarray`` would also read the strings
+    "0.5", booleans and null, and is slower on nested lists."""
     level = [raw]
     for size in shape:
         if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
-            raise StateFileError(f"{name} is not a numeric array of shape {shape}")
+            raise StateFileError(f"{name} is not a numeric array of shape {outer + shape}")
         level = list(chain.from_iterable(level))
     if not set(map(type, level)) <= {int, float}:
         raise StateFileError(
@@ -77,39 +77,35 @@ def _float_array(raw, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # The top-level punctuation of a state file, with the whitespace JSON allows
-# around it.
+# around it; a comma before a matrix's "]" is no row separator.
 _WS = re.compile(r"[ \t\n\r]*")
 _OPEN = re.compile(r"[ \t\n\r]*\{[ \t\n\r]*")
 _COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
 _AFTER_MEMBER = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*")
-_AFTER_ROW = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
-# json's own scanner for one value; it raises JSONDecodeError, a ValueError.
+_AFTER_ROW = re.compile(r"[ \t\n\r]*(\]|,(?![ \t\n\r]*\]))[ \t\n\r]*")
+# json's own scanner for one value: the text before it has parsed, so its
+# errors are the ones json.loads gives there.
 _scan = json.JSONDecoder().raw_decode
+
+
+class _Punctuation(ValueError):
+    """Not a JSON object document, for a fault outside every scanned value:
+    json's words for it differ between Python versions."""
 
 
 def _expect(pattern: re.Pattern, text: str, i: int) -> re.Match:
     m = pattern.match(text, i)
     if m is None:
-        raise ValueError("not a JSON object document")
+        raise _Punctuation
     return m
-
-
-def _row(raw):
-    """A scanned matrix row as a float ``(len(raw), 2)`` array when it is a
-    non-empty list of ``[number, number]`` pairs, else as scanned."""
-    if type(raw) is not list:
-        return raw
-    try:
-        return _float_array(raw, "matrix", (len(raw), 2))
-    except StateFileError:
-        return raw
 
 
 def _matrix_rows(text: str, i: int) -> tuple:
     """The ``matrix`` value at ``text[i]`` and the index after it. An array
-    comes back as the list of its rows, each through ``_row`` as soon as it
-    is scanned, so no list tree of the whole matrix exists; any other value
-    comes back as scanned."""
+    comes back as the list of its rows, each a float ``(k, 2)`` array as soon
+    as it is scanned, up to the first that is not a list of ``[number,
+    number]`` pairs. That one stays as scanned, and the rows after it are
+    only counted, as None. Any other value comes back as scanned."""
     if not text.startswith("[", i):
         return _scan(text, i)
     rows = []
@@ -118,7 +114,14 @@ def _matrix_rows(text: str, i: int) -> tuple:
         return rows, i + 1
     while True:
         raw, i = _scan(text, i)
-        rows.append(_row(raw))
+        if rows and type(rows[-1]) is not np.ndarray:
+            raw = None
+        elif type(raw) is list:
+            try:
+                raw = _float_array(raw, "matrix", (len(raw), 2))
+            except StateFileError:
+                pass
+        rows.append(raw)
         m = _expect(_AFTER_ROW, text, i)
         i = m.end()
         if m.group(1) == "]":
@@ -128,49 +131,43 @@ def _matrix_rows(text: str, i: int) -> tuple:
 def _members(text: str) -> dict:
     """The members of the JSON object document ``text``, the last of
     duplicate keys winning as in ``json.loads``, with ``matrix`` read by
-    ``_matrix_rows``. Raises ValueError on any other document, valid or not."""
+    ``_matrix_rows``. Raises json's error for a fault inside a value, and
+    ``_Punctuation`` for any other text, and for an empty object."""
     i = _expect(_OPEN, text, 0).end()
     members: dict = {}
-    if text.startswith("}", i):
-        i = _WS.match(text, i + 1).end()
-    else:
-        sep = ","
-        while sep == ",":
-            if not text.startswith('"', i):
-                raise ValueError("not a JSON object document")
-            key, i = _scan(text, i)
-            i = _expect(_COLON, text, i).end()
-            if key == "matrix":
-                # The rows of an earlier matrix go before these are read.
-                members.pop(key, None)
-                value, i = _matrix_rows(text, i)
-            else:
-                value, i = _scan(text, i)
-            members[key] = value
-            m = _expect(_AFTER_MEMBER, text, i)
-            sep, i = m.group(1), m.end()
+    sep = ","
+    while sep == ",":
+        if not text.startswith('"', i):
+            raise _Punctuation
+        key, i = _scan(text, i)
+        i = _expect(_COLON, text, i).end()
+        if key == "matrix":
+            # The rows of an earlier matrix go before these are read.
+            members.pop(key, None)
+            value, i = _matrix_rows(text, i)
+        else:
+            value, i = _scan(text, i)
+        members[key] = value
+        m = _expect(_AFTER_MEMBER, text, i)
+        sep, i = m.group(1), m.end()
     if i != len(text):
-        raise ValueError("not a JSON object document")
+        raise _Punctuation
     return members
 
 
 def _complex_matrix(rows, n: int) -> np.ndarray:
-    """The ``n x n`` complex matrix of the rows ``_matrix_rows`` read."""
-    if (
-        type(rows) is list
-        and len(rows) == n
-        and all(type(r) is np.ndarray and r.shape == (n, 2) for r in rows)
-    ):
-        pairs = np.stack(rows)
-    else:
-        # Some row is not n [re, im] pairs: the whole-matrix rules name the
-        # first fault, shape before entry type before integer overflow.
-        if type(rows) is list:
-            rows = [r.tolist() if type(r) is np.ndarray else r for r in rows]
-        pairs = _float_array(rows, "matrix", (n, n, 2))
+    """The ``n x n`` complex matrix of the rows ``_matrix_rows`` read. A
+    wrong number of rows is the fault, else the first row that is not n
+    ``[number, number]`` pairs."""
+    if type(rows) is not list or len(rows) != n:
+        raise StateFileError(f"matrix is not a numeric array of shape {(n, n, 2)}")
+    for r in rows:
+        if type(r) is not np.ndarray or r.shape != (n, 2):
+            # Raises: a float array of another length is no list either.
+            _float_array(r, "matrix", (n, 2), (n,))
     # A view of the [re, im] pairs does no arithmetic, so NaN or infinity
     # reaches DensityMatrix's finiteness check without a numpy warning.
-    return pairs.view(complex)[..., 0]
+    return np.stack(rows).view(complex)[..., 0]
 
 
 def _spectrum(raw, n: int) -> np.ndarray:
@@ -194,11 +191,10 @@ def _spectrum(raw, n: int) -> np.ndarray:
 
 
 def load_statefile(path) -> StateFile:
-    """Read, parse and validate a state file. Its bytes are read once: the
-    JSON and the digest both come from them. The ``matrix`` member is read
-    one row at a time, each row converted to floats as soon as it is
-    scanned. Either kind's ``probs`` come from ``_probability_vector``, so
-    ``optimize`` takes them with their bytes unchanged."""
+    """Read, parse and validate a state file. Its bytes are read once and
+    parsed once: the JSON and the digest both come from them. Either kind's
+    ``probs`` come from ``_probability_vector``, so ``optimize`` takes them
+    with their bytes unchanged."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -213,11 +209,10 @@ def load_statefile(path) -> StateFile:
     try:
         try:
             data = _members(text)
-        except ValueError:
-            # Invalid JSON or not an object: json names the fault in its own
-            # words, which differ between Python versions.
-            json.loads(text)
-            data = None
+        except _Punctuation:
+            # json names the fault in its own words, or reads a document
+            # that is no object or an empty one.
+            data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -227,7 +222,7 @@ def load_statefile(path) -> StateFile:
         # more than sys.get_int_max_str_digits() digits and names the limit.
         raise StateFileError(f"state file {path} holds an integer too long to read: {exc}") from exc
     del text
-    if data is None:
+    if type(data) is not dict:
         raise StateFileError("state file must be a JSON object")
 
     version = data.get("format_version", FORMAT_VERSION)
@@ -244,13 +239,11 @@ def load_statefile(path) -> StateFile:
     if label is not None and not isinstance(label, str):
         raise StateFileError("label must be a string")
 
-    has_matrix = "matrix" in data
-    has_spectrum = "spectrum" in data
-    if has_matrix == has_spectrum:
+    if ("matrix" in data) == ("spectrum" in data):
         raise StateFileError("state file must carry exactly one of 'matrix' or 'spectrum'")
 
     density = None
-    if has_matrix:
+    if "matrix" in data:
         # The row arrays are as large as the matrix: free them before the eigh.
         mat = _complex_matrix(data.pop("matrix"), dims.total)
         try:
@@ -280,24 +273,29 @@ def save_statefile(path, dims: BipartiteDims, matrix=None, spectrum=None, label=
     values as ``NaN``/``Infinity``/``-Infinity``, which ``load_statefile``
     rejects. Nothing is checked against ``dims``, so invalid files can be
     written on purpose. A matrix is written one row at a time, so memory
-    stays flat as it grows. Bad arguments are rejected before the file is
-    opened.
+    stays flat as it grows. Bad arguments, entries that are not numbers
+    (``qstate._numbers``) among them, are rejected before the file is opened.
     """
     if (matrix is None) == (spectrum is None):
         raise StateFileError("provide exactly one of matrix or spectrum")
+    kind, dtype = ("spectrum", float) if matrix is None else ("matrix", complex)
+    try:
+        # Not copied when already numeric: a large matrix is not held twice.
+        payload = _numbers(spectrum if matrix is None else matrix, dtype, f"{kind} entries", copy=False)
+    except ValidationError as exc:
+        raise StateFileError(str(exc)) from exc
     doc: dict = {"format_version": FORMAT_VERSION, "d_a": dims.d_a, "d_b": dims.d_b}
     if label is not None:
         doc["label"] = label
-    if spectrum is not None:
-        doc["spectrum"] = [float(x) for x in np.asarray(spectrum, dtype=float)]
+    if matrix is None:
+        doc["spectrum"] = [float(x) for x in payload]
         Path(path).write_text(json.dumps(doc, indent=1) + "\n")
         return
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2:
-        raise StateFileError(f"matrix must be 2-D, not of shape {m.shape}")
+    if payload.ndim != 2:
+        raise StateFileError(f"matrix must be 2-D, not of shape {payload.shape}")
     # Row i of ``values`` is row i of the matrix as re, im, re, im, ...
-    values = np.ascontiguousarray(m).view(float)
-    row = "  [\n" + ",\n".join([_PAIR] * m.shape[1]) + "\n  ]" if m.shape[1] else "  []"
+    values = np.ascontiguousarray(payload).view(float)
+    row = "  [\n" + ",\n".join([_PAIR] * payload.shape[1]) + "\n  ]" if payload.shape[1] else "  []"
     # The header ends in "\n}"; the matrix goes in as the last key.
     head = json.dumps(doc, indent=1)[:-2] + ',\n "matrix": ['
     with Path(path).open("w") as f:

@@ -673,9 +673,9 @@ def json_statefile_text(dims: BipartiteDims, matrix=None, spectrum=None, label=N
 
 def json_load_statefile(path) -> StateFile:
     """``load_statefile`` as one ``json.loads`` of the whole document and one
-    ``_float_array`` over the whole nested matrix: the slow reference for the
-    loader, which reads the matrix row by row. Same checks in the same order,
-    same messages."""
+    ``_float_array`` per row of the nested matrix: the slow reference for the
+    loader, which reads the file once and the matrix row by row. Same checks
+    in the same order, same messages."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -710,7 +710,12 @@ def json_load_statefile(path) -> StateFile:
     density = None
     if "matrix" in data:
         n = dims.total
-        mat = _float_array(data["matrix"], "matrix", (n, n, 2)).view(complex)[..., 0]
+        rows = data["matrix"]
+        # A wrong number of rows is the fault; else the first row that is
+        # not n [number, number] pairs is.
+        if type(rows) is not list or len(rows) != n:
+            raise StateFileError(f"matrix is not a numeric array of shape {(n, n, 2)}")
+        mat = np.stack([_float_array(row, "matrix", (n, 2), (n,)) for row in rows]).view(complex)[..., 0]
         try:
             density = DensityMatrix(mat)
             _probability_vector(density.probs, n)

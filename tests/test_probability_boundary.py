@@ -333,7 +333,7 @@ def test_size_must_be_an_integer(name, bad):
 # floats, and as complex numbers too where a matrix may be complex. Strings,
 # bools, None and other objects are rejected whatever they would cast to, and
 # so are complex probabilities. A state file's own entries are checked as it
-# is read (tests/test_cli.py); save_statefile writes numpy's casts.
+# is read (tests/test_cli.py), and save_statefile's before it writes them.
 NOT_NUMBERS = {
     "strings": ["0.5", "0.3", "0.2", "0.0"],
     "bools": [True, False, False, False],
@@ -401,6 +401,45 @@ def test_ragged_matrices_are_rejected(name):
         call([m[0], m[1][:1]])
 
 
+# save_statefile's entries meet the rule before the file is opened. Numbers
+# that load_statefile rejects (NaN, infinities, states that are not valid)
+# are still written, on purpose.
+WRITERS = {
+    "save_statefile-spectrum": lambda path, v: save_statefile(path, PAIR, spectrum=v),
+    "save_statefile-matrix": lambda path, v: save_statefile(path, PAIR, matrix=v),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_NUMBERS)
+@pytest.mark.parametrize("name", WRITERS)
+def test_save_statefile_takes_numbers_only(name, kind, tmp_path):
+    path = tmp_path / "state.json"
+    p = NOT_NUMBERS[kind]
+    if name == "save_statefile-spectrum":
+        words = r"^spectrum entries must be real numbers \(integers or floats\), got "
+    else:
+        p = [p[:2], p[2:]]
+        words = r"^matrix entries must be numbers \(integers, floats or complex\), got "
+        if kind == "complex":
+            WRITERS[name](path, p)
+            return
+    with pytest.raises(StateFileError, match=words):
+        WRITERS[name](path, p)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("p", [[math.nan, 1.0], [-math.inf, 1.0], [0.9, 0.9], [1, 0]])
+@pytest.mark.parametrize("name", WRITERS)
+def test_save_statefile_writes_numbers_load_statefile_rejects(name, p, tmp_path):
+    path = tmp_path / "state.json"
+    WRITERS[name](path, p if name == "save_statefile-spectrum" else np.diag(p))
+    if p == [1, 0]:
+        assert load_statefile(path).probs.tolist() == [1.0, 0.0]
+    else:
+        with pytest.raises(StateFileError):
+            load_statefile(path)
+
+
 # A tableau's cells meet the rule of seeds and sizes: integers, not bools.
 CELLS = {"YoungTableau": lambda v: YoungTableau(DIMS, [[v, 2], [3, 4]])}
 
@@ -429,13 +468,12 @@ NO_OUTSIDE_NUMBERS = {
     "nats_to_bits": "a value in nats",
     "partial_trace": "a DensityMatrix, a BipartiteDims and 'A' or 'B'",
     "relative_entropy": "two DensityMatrix",
-    "save_statefile": "writes unchecked files on purpose; load_statefile checks them",
     "von_neumann_entropy": "a DensityMatrix",
 }
 
 
 def test_every_public_callable_meets_a_boundary_or_takes_no_outside_numbers():
-    tables = (ENTRY_POINTS, SEEDS, SIZES, MATRIX_INPUTS, CELLS)
+    tables = (ENTRY_POINTS, SEEDS, SIZES, MATRIX_INPUTS, WRITERS, CELLS)
     tabled = {name.split("-")[0] for table in tables for name in table}
     public = {name for name in qaeopt.__all__ if callable(getattr(qaeopt, name))}
     assert public - tabled - NO_OUTSIDE_NUMBERS.keys() == set(), "add a new entry point to a table"

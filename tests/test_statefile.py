@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 import tracemalloc
 import warnings
@@ -98,6 +99,18 @@ def test_dense_save_memory(tmp_path):
     assert peak < 2 * 2**20
 
 
+def _traced_load_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        try:
+            load_statefile(path)
+        except StateFileError:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_dense_load_memory(tmp_path):
     # Parsed as one json.loads of the whole document, this load peaked at
     # 3.2 times the file: the bytes, the text and a list tree of 65,536
@@ -105,13 +118,25 @@ def test_dense_load_memory(tmp_path):
     # during the UTF-8 decode, 2.0 times the file.
     path = tmp_path / "dense.json"
     save_statefile(path, DIMS1616, matrix=_dense_matrix(16, 16))
-    tracemalloc.start()
-    try:
-        load_statefile(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_load_peak(path)
     assert peak < 2.5 * path.stat().st_size
+    # A file is parsed once to be rejected too. Parsed again to word the
+    # error, these peaked at 2.34 and 2.12 times the valid file.
+    text = path.read_text()
+    head, last, tail = re.match(r"(.*\n    )(\S+)(\n.*)", text, re.DOTALL).groups()
+    faulty = {
+        # The last entry as a string of its length: "0" for 0.0.
+        "string": (head + '"' + "0" * (len(last) - 2) + '"' + tail, "it must hold JSON numbers only"),
+        "cut": (text[: int(0.61 * len(text))], "is not valid JSON"),
+    }
+    for kind, (faulty_text, words) in faulty.items():
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(faulty_text)
+        with pytest.raises(StateFileError, match=words) as caught:
+            load_statefile(bad)
+        assert _outcome(json_load_statefile, bad) == (StateFileError, str(caught.value))
+        # Within 64 KiB of the valid load: the path and the error are small.
+        assert _traced_load_peak(bad) < peak + 2**16, kind
 
 
 def test_spectrum_round_trip_sorts_descending(tmp_path):
@@ -242,6 +267,28 @@ def test_not_json(tmp_path):
     path.write_text("not json {")
     with pytest.raises(StateFileError):
         load_statefile(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        " {\n} ",
+        '{"d_a": 1, "d_b": 1, "spectrum": [1.0],}',
+        '{"d_a": 1 "d_b": 1, "spectrum": [1.0]}',
+        '{"d_a": 1, "d_b": 1, "matrix": [[[1, 0]],\n]}',
+        '{"d_a": 1, "d_b": 1, "matrix": [[[1, 0]]]',
+        '[{"d_a": 1, "d_b": 1, "spectrum": [1.0]}]',
+    ],
+)
+def test_json_words_faults_outside_every_value(tmp_path, text):
+    # An empty object, the object's own punctuation and a document that is no
+    # object are read again by json.loads, as the oracle reads every file.
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    outcome = _outcome(load_statefile, path)
+    assert outcome[0] is StateFileError
+    assert outcome == _outcome(json_load_statefile, path)
 
 
 def test_missing_file():
@@ -417,9 +464,13 @@ def state_file_texts(draw) -> str:
         members.pop(rng.randrange(len(members)))
     rng.shuffle(members)
     text = _dump(members, _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](rng)) + "\n"
-    fault = rng.choice(["none"] * 10 + ["cut", "cut", "garbage", "bom", "array", "deep"])
+    fault = rng.choice(["none"] * 10 + ["cut", "cut", "garbage", "bom", "array", "deep", "comma"])
     if fault == "cut":
         text = text[: rng.randrange(len(text))]
+    elif fault == "comma":
+        # A trailing comma, which json words differently from Python 3.13 on.
+        k = rng.choice([k for k, c in enumerate(text) if c in "]}"])
+        text = text[:k] + "," + text[k:]
     elif fault == "garbage":
         text += rng.choice(["x", "{}", ",", "]", "\u00e9"])
     elif fault == "bom":
