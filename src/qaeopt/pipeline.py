@@ -162,7 +162,15 @@ def generate_instance(kind: str, dims: BipartiteDims, seed) -> DensityMatrix:
         diag = rng.dirichlet(np.ones(n))
         u = haar_unitary(n, rng)
         mat = (u * diag) @ u.conj().T
-        return DensityMatrix((mat + mat.conj().T) / 2)
+        del u
+        # (mat + mat^dag) / 2 in place: the same elementwise sum, as IEEE
+        # addition commutes, with no full-size temporaries. Row-major like
+        # the sum, so the state's matrix keeps its layout for later products.
+        h = np.conjugate(mat.T, order="C")
+        h += mat
+        h /= 2
+        del mat
+        return DensityMatrix(h)
     if kind == "pure":
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)

@@ -22,8 +22,10 @@ and the text; after that, the text, the float matrix and one row of lists.
 A version-1 dense file so needs about twice its size to load, and no more
 to be rejected: the text is parsed once, valid or not, and a matrix with
 several faults names a wrong number of rows first, else its first faulty
-row's fault. Only a fault in the object's own punctuation is worded by
-``json.loads`` of the whole text, at that parse's cost.
+row's fault. A fault in the object's own punctuation is worded by
+``json.loads``, with the matrix rows already read standing as one ``0``:
+that parse builds no list tree of them, and its error keeps the whole
+text's words, line and column.
 """
 
 from __future__ import annotations
@@ -90,13 +92,20 @@ _scan = json.JSONDecoder().raw_decode
 
 class _Punctuation(ValueError):
     """Not a JSON object document, for a fault outside every scanned value:
-    json's words for it differ between Python versions."""
+    json's words for it differ between Python versions. ``span`` is the
+    ``(start, end)`` of the matrix text read before the fault, the last
+    matrix value or the rows of one cut short, or None: that text parsed,
+    and json reads it as it reads one ``0``."""
+
+    def __init__(self, span: tuple[int, int] | None = None) -> None:
+        super().__init__()
+        self.span = span
 
 
-def _expect(pattern: re.Pattern, text: str, i: int) -> re.Match:
+def _expect(pattern: re.Pattern, text: str, i: int, span: tuple[int, int] | None = None) -> re.Match:
     m = pattern.match(text, i)
     if m is None:
-        raise _Punctuation
+        raise _Punctuation(span)
     return m
 
 
@@ -109,7 +118,7 @@ def _matrix_rows(text: str, i: int) -> tuple:
     if not text.startswith("[", i):
         return _scan(text, i)
     rows = []
-    i = _WS.match(text, i + 1).end()
+    i = start = _WS.match(text, i + 1).end()
     if text.startswith("]", i):
         return rows, i + 1
     while True:
@@ -122,7 +131,7 @@ def _matrix_rows(text: str, i: int) -> tuple:
             except StateFileError:
                 pass
         rows.append(raw)
-        m = _expect(_AFTER_ROW, text, i)
+        m = _expect(_AFTER_ROW, text, i, (start, i))
         i = m.end()
         if m.group(1) == "]":
             return rows, i
@@ -136,23 +145,42 @@ def _members(text: str) -> dict:
     i = _expect(_OPEN, text, 0).end()
     members: dict = {}
     sep = ","
+    span = None  # of the last matrix value read
     while sep == ",":
         if not text.startswith('"', i):
-            raise _Punctuation
+            raise _Punctuation(span)
         key, i = _scan(text, i)
-        i = _expect(_COLON, text, i).end()
+        i = _expect(_COLON, text, i, span).end()
         if key == "matrix":
             # The rows of an earlier matrix go before these are read.
             members.pop(key, None)
+            start = i
             value, i = _matrix_rows(text, i)
+            span = (start, i)
         else:
             value, i = _scan(text, i)
         members[key] = value
-        m = _expect(_AFTER_MEMBER, text, i)
+        m = _expect(_AFTER_MEMBER, text, i, span)
         sep, i = m.group(1), m.end()
     if i != len(text):
-        raise _Punctuation
+        raise _Punctuation(span)
     return members
+
+
+def _whole_document(text: str, span: tuple[int, int] | None):
+    """``json.loads(text)``, for a text ``_members`` found a punctuation
+    fault in. When matrix text was read, json parses the text with it
+    replaced by one ``0``, which builds no list tree of its rows, and its error
+    is raised with its position moved back: json's words, line and column
+    are those of the whole text."""
+    if span is not None:
+        start, end = span
+        try:
+            json.loads(text[:start] + "0" + text[end:])
+        except json.JSONDecodeError as exc:
+            pos = exc.pos if exc.pos <= start else exc.pos + end - start - 1
+            raise json.JSONDecodeError(exc.msg, text, pos) from None
+    return json.loads(text)
 
 
 def _complex_matrix(rows, n: int) -> np.ndarray:
@@ -209,10 +237,10 @@ def load_statefile(path) -> StateFile:
     try:
         try:
             data = _members(text)
-        except _Punctuation:
+        except _Punctuation as exc:
             # json names the fault in its own words, or reads a document
             # that is no object or an empty one.
-            data = json.loads(text)
+            data = _whole_document(text, exc.span)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -15,7 +15,8 @@ compare with it), the exhaustive search, the breadth phase, the value-swap
 neighbourhood (with the one swap every filling of two or more rows and
 columns has) and the depth phase, and the fixed-point certificate (gap and
 map). A grid as cell tuples and sorted Dirichlet probabilities are shared
-helpers. Last, the state-file writer as one ``json.dumps`` of the whole
+helpers. Then a ``random-dense`` instance as two whole-array expressions,
+and last the state-file writer as one ``json.dumps`` of the whole
 document, and the reader as one ``json.loads`` of it.
 """
 
@@ -35,6 +36,7 @@ from qaeopt import (
     ValidationError,
     YoungTableau,
     apply_unitary,
+    haar_unitary,
     mutual_information,
     partial_trace,
     relative_entropy,
@@ -654,6 +656,18 @@ def scalar_depth(probs, dims: BipartiteDims, seeds, n_d: int) -> dict:
         "seed_provenance": best_seed,
         "choices": tuple(map(tuple, choices)),
     }
+
+
+def dense_instance(dims: BipartiteDims, seed) -> DensityMatrix:
+    """``generate_instance("random-dense", dims, seed)`` as two expressions
+    that keep every full-size temporary alive: the reference for the
+    builder, which symmetrizes in place. ``seed`` is an int, a
+    ``SeedSequence`` or a ``Generator``, which is used unchanged."""
+    rng = np.random.default_rng(seed)
+    diag = rng.dirichlet(np.ones(dims.total))
+    u = haar_unitary(dims.total, rng)
+    mat = (u * diag) @ u.conj().T
+    return DensityMatrix((mat + mat.conj().T) / 2)
 
 
 def json_statefile_text(dims: BipartiteDims, matrix=None, spectrum=None, label=None) -> str:

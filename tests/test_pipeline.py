@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     circuit_mi,
+    dense_instance,
     grid_mutual_information,
     positions,
     row_major,
@@ -33,6 +35,12 @@ from qaeopt.pipeline import _diagonal_spectrum
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
+# Each kind of seed generate_instance takes, made fresh for each call.
+DENSE_SEEDS = {
+    "int": lambda: 7,
+    "seed-sequence": lambda: np.random.SeedSequence((3, 1, 0)),
+    "generator": lambda: np.random.default_rng(5),
+}
 
 
 def encoder_for(rho, dims, tableau_seed=0):
@@ -300,6 +308,37 @@ class TestGenerateInstance:
             for seed in (0, 7, np.random.SeedSequence((3, 1, 0)), np.random.default_rng(5)):
                 digest.update(generate_instance("random-dense", BipartiteDims(d_a, d_b), seed).matrix.tobytes())
         assert digest.hexdigest() == "f90f0fb3d44315a1890e796f42cc654a039f4f0656fdea67803887e6934455f6"
+
+    @pytest.mark.parametrize(
+        "shape,seed",
+        [(shape, seed) for shape in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 7), (5, 5), (8, 8), (16, 16)]
+         for seed in DENSE_SEEDS]
+        # One seed at 32x32, where each build takes about a second.
+        + [((32, 32), "generator")],
+    )
+    def test_dense_instances_match_the_reference(self, shape, seed):
+        # Bit for bit on any LAPACK, unlike the pinned digest above: the
+        # builder and its reference draw from one numpy and one QR.
+        dims = BipartiteDims(*shape)
+        got = generate_instance("random-dense", dims, DENSE_SEEDS[seed]())
+        want = dense_instance(dims, DENSE_SEEDS[seed]())
+        for name in ("matrix", "probs", "vectors"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.tobytes() == b.tobytes() and a.flags.c_contiguous == b.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_dense_instance_memory(self, d):
+        # The peak is the Haar unitary's QR, about 4 matrices, numpy's floor.
+        # Built with the unitary, both products, the sum and its half alive
+        # around the DensityMatrix copy, it was 6.13 matrices at 16x16.
+        dims = BipartiteDims(d, d)
+        tracemalloc.start()
+        try:
+            generate_instance("random-dense", dims, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 16 * dims.total**2
 
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(5, np.random.default_rng(0))
