@@ -87,6 +87,7 @@ def _reconstruct(sigma: DensityMatrix, u, dims: BipartiteDims):
     dims.check_dim(sigma.dim)
     encoded, u = _apply_unitary(sigma.matrix, u)
     encoded_a, encoded_b = _partial_traces(encoded, dims)
+    del encoded  # a full-size matrix the decode does not read
     return encoded_a, encoded_b, u.conj().T @ np.kron(encoded_a, encoded_b) @ u
 
 

@@ -318,7 +318,7 @@ def is_unitary(u: np.ndarray) -> bool:
 
 def _apply_unitary(mat: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
     """Check ``u`` against a square array and conjugate it: (U M U^dag, U)."""
-    u = _numbers(u, complex, "unitary entries")
+    u = _numbers(u, complex, "unitary entries", copy=False)  # read, never written
     if u.shape != mat.shape:
         raise ValidationError(f"unitary shape {u.shape} does not match state dimension {mat.shape[0]}")
     if not is_unitary(u):

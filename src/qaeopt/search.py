@@ -77,7 +77,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, _check_integers, _check_seed, _probability_vector
 from .qstate import _entropy, _exact_mi, _sum_left, _xlogx  # the package's one exact entropy kernel
-from .tableau import YoungTableau, candidate_swaps, count_regular, regular_grid_walk
+from .tableau import YoungTableau, count_regular, regular_grid_walk
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -703,6 +703,11 @@ def _breadth(
     return np.array(mi), _cell_grids(np.stack(seqs, axis=1), dims.d_a, dims.d_b)
 
 
+def _move_set(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based values u < w of the swaps ``_depth`` tries, in its move order."""
+    return np.r_[1 : n - 1, 1 : n - 2], np.r_[2:n, 3:n]
+
+
 def _depth(
     p: np.ndarray, dims: BipartiteDims, scores: np.ndarray, grids: np.ndarray, config: SearchConfig,
     h_flat: float,
@@ -734,17 +739,17 @@ def _depth(
     seed with the smallest best, the first on ties, and the trajectory one
     running minimum over the records seed after seed, as if each trajectory
     had run to its end before the next one started. Ties go to the first
-    swap in ``candidate_swaps`` order. Whether a swap keeps a grid regular
-    follows from where values sit: v and v + 1 of a regular grid share a
-    row or column only as neighbours, so swapping them is regular exactly
-    when they share neither, and swapping v and v + 2 exactly when no two
-    of v, v + 1 and v + 2 share a row or a column.
+    swap in move order: (v, v + 1) for v = 2..n-1, then (v, v + 2) for
+    v = 2..n-2. A swap keeps a grid regular by where values sit: v and
+    v + 1 of a regular grid share a row or column only as neighbours, so
+    swapping them is regular exactly when they share neither, and v and
+    v + 2 exactly when no two of v, v + 1 and v + 2 share a row or column.
     """
     n_seeds, n, d_a = len(grids), dims.total, dims.d_a
     if d_a == 1 or dims.d_b == 1:
         best_seed = int(np.argmin(scores))
         return grids[best_seed].copy(), float(scores[best_seed]), n_seeds, [], best_seed
-    u, w = np.array(list(candidate_swaps(n)), dtype=np.intp).reshape(-1, 2).T - 1  # 0-based values
+    u, w = _move_set(n)  # swap k exchanges values u[k] + 1 and w[k] + 1
     # place[s, v] is the (row, column) of value v + 1 in seed s. A swap's four
     # operands, as indices into place[s].ravel(): the rows of u and w, then
     # their columns. Swap k adds step[k] to the four sums.

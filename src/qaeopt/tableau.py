@@ -263,10 +263,3 @@ def random_regular(dims: BipartiteDims, seed) -> YoungTableau:
     """
     grid = _random_regular_grid(dims.d_a, dims.d_b, _rng(seed))
     return YoungTableau(dims, tuple(tuple(r) for r in grid))
-
-
-def candidate_swaps(n: int) -> Iterator[tuple[int, int]]:
-    """Move set for the neighbourhood: (i, i+1) for i in 2..n-1, then (i, i+2)
-    for i in 2..n-2, in that order."""
-    yield from ((i, i + 1) for i in range(2, n))
-    yield from ((i, i + 2) for i in range(2, n - 1))

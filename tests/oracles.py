@@ -12,9 +12,9 @@ family. Then come the paper's canonicalization argument, as plain
 functions on grids, and the scalar search references: the loop forms
 of the enumeration (and the library walk's leaves joined into grids, to
 compare with it), the exhaustive search, the breadth phase, the value-swap
-neighbourhood (with the one swap every filling of two or more rows and
-columns has) and the depth phase, and the fixed-point certificate (gap and
-map). A grid as cell tuples and sorted Dirichlet probabilities are shared
+move set and neighbourhood (with the one swap every filling of two or more
+rows and columns has) and the depth phase, and the fixed-point certificate
+(gap and map). A grid as cell tuples and sorted Dirichlet probabilities are shared
 helpers. Then a ``random-dense`` instance as two whole-array expressions,
 and last the state-file writer as one ``json.dumps`` of the whole
 document, and the reader as one ``json.loads`` of it.
@@ -23,6 +23,7 @@ document, and the reader as one ``json.loads`` of it.
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from functools import lru_cache, reduce
 from itertools import permutations
 from pathlib import Path
@@ -43,7 +44,7 @@ from qaeopt import (
 )
 from qaeopt.qstate import _probability_vector
 from qaeopt.statefile import FORMAT_VERSION, StateFile, _float_array, _spectrum
-from qaeopt.tableau import _random_regular_grid, candidate_swaps, regular_grid_walk
+from qaeopt.tableau import _random_regular_grid, regular_grid_walk
 
 _CHUNK = 200_000
 
@@ -534,6 +535,14 @@ def scalar_breadth(probs, dims: BipartiteDims, seed: int, n1: int, n2: int):
 # The value-swap neighbourhood as tuples, checking the four order constraints
 # a swap can break: the reference for the move test of search._depth, which
 # reads which swaps keep a grid regular from the positions of values alone.
+# The move set is defined here on its own; _depth builds its arrays itself.
+
+
+def candidate_swaps(n: int) -> Iterator[tuple[int, int]]:
+    """Move set for the neighbourhood: (i, i+1) for i in 2..n-1, then (i, i+2)
+    for i in 2..n-2, in that order."""
+    yield from ((i, i + 1) for i in range(2, n))
+    yield from ((i, i + 2) for i in range(2, n - 1))
 
 
 def _swap_keeps_regular(

@@ -170,6 +170,22 @@ class TestTheorem1:
         classical = grid_mutual_information(rho.probs[tableau.index_array])
         assert abs(report.mi_middle - classical) < 1e-9
 
+    def test_verify_memory(self):
+        # Above the state and U the caller holds. The encoded state is freed
+        # before the decode and U is read in place, not copied, so the peak
+        # is _relative_entropy's 3 matrices next to sigma_out: 4.01 at 16x16
+        # (4.00 at 32x32, left out: that case takes over 2 s).
+        dims = BipartiteDims(16, 16)
+        rho = generate_instance("random-dense", dims, 16)
+        _, u = encoder_for(rho, dims)
+        tracemalloc.start()
+        try:
+            verify_theorem1(rho, u, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 16 * dims.total**2
+
 
 class TestOptimalOverAllUnitaries:
     """The abstract's claim that the optimum over all unitaries is a

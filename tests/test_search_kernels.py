@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qaeopt.search
 import qaeopt.tableau
@@ -30,6 +30,7 @@ from oracles import (
     _swap_keeps_regular,
     brute_force_best,
     brute_force_regular_set,
+    candidate_swaps,
     cells,
     descending_probs,
     fixed_point_gap,
@@ -70,6 +71,7 @@ from qaeopt.search import (
     _exhaustive,
     _joined,
     _marginals,
+    _move_set,
     _rough32_error,
     _rough_mi,
     _sample_block,
@@ -78,8 +80,8 @@ from qaeopt.search import (
     usable_cpus,
     worker_count,
 )
-from qaeopt.qstate import ENTRY_TOL, _entropy  # the kernel of optimize's h_flat; it checks nothing
-from qaeopt.tableau import _random_regular_grid, candidate_swaps, regular_grid_walk
+from qaeopt.qstate import ENTRY_TOL, MAX_COUNT_CELLS, _entropy  # the kernel of optimize's h_flat; it checks nothing
+from qaeopt.tableau import _random_regular_grid, regular_grid_walk
 
 SAMPLER_DIMS = [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]
 
@@ -739,11 +741,20 @@ def leaf_score_cases(draw):
     else:
         probs = tied_probs(rng.integers(1, 4, n) + 1e-12 * rng.random(n))
     # A small cap splits short grids into prefixes and suffixes too; small
-    # blocks draw on prefixes from several walk pieces.
-    return probs, dims, draw(st.sampled_from([1, 4, 16, 2**16])), draw(st.sampled_from([3, 2048]))
+    # blocks draw on prefixes from several walk pieces. (3, 5) in blocks of 3
+    # takes 0.2-1.3 s an example, any other draw at most 0.1 s, so it is
+    # drawn in blocks of 2048 only, and its blocks of 3 are pinned below.
+    blocks = [3, 2048] if dims.total < 15 else [2048]
+    return probs, dims, draw(st.sampled_from([1, 4, 16, 2**16])), draw(st.sampled_from(blocks))
+
+
+# The draws left out above, one of them pinned: (3, 5) in blocks of 3, on a
+# near-flat spectrum, split into prefixes and suffixes by a SUFFIX_CAP of 1.
+FLAT_15 = np.sort(np.random.default_rng(1).dirichlet(np.full(15, 1e4)))[::-1]
 
 
 @given(leaf_score_cases())
+@example((FLAT_15, BipartiteDims(3, 5), 1, 3))
 @settings(max_examples=150, deadline=None)
 def test_factored_rough_scores_match_exact(case):
     # Marginals joined from a leaf's prefix and suffix, scored in float32,
@@ -925,6 +936,35 @@ def test_move_test_from_positions_matches_neighbour_checks(shape, key):
         h_flat = _entropy(probs)
         _, _, evaluations, _, _ = _depth(probs, dims, _block_mi(probs, grid[None], h_flat), grid[None], config, h_flat)
         assert evaluations == 1 + sum(expected)
+
+
+def test_depth_builds_the_oracle_move_set_at_every_size():
+    # _depth builds its swap arrays itself; the generator in tests/oracles.py
+    # is their reference. Each of the generator's two runs rises by one and
+    # stops at w = n, so its set at n is the first n - 2 swaps of its first
+    # run at MAX_COUNT_CELLS (2**14, the largest grid the boundary accepts),
+    # then the first n - 3 of its second.
+    # That is checked on the generator itself up to n = 300, and _depth's
+    # arrays against it at every n from 4 (two rows and two columns) up.
+    top = MAX_COUNT_CELLS
+    ref = np.array(list(candidate_swaps(top))).T - 1  # 0-based, as _depth's
+    first, second = np.split(ref, [top - 2], axis=1)  # (v, v + 1), then (v, v + 2)
+    small = range(4, 301)
+    direct = np.array([swap for n in small for swap in candidate_swaps(n)]).T - 1
+    assert np.array_equal(np.hstack([part for n in small for part in (first[:, : n - 2], second[:, : n - 3])]), direct)
+
+    def agrees(n):
+        got = np.stack(_move_set(n))
+        return np.array_equal(got[:, : n - 2], first[:, : n - 2]) and np.array_equal(
+            got[:, n - 2 :], second[:, : n - 3]
+        )
+
+    assert [n for n in range(4, top + 1) if not agrees(n)] == []
+
+
+def test_candidate_swaps_is_defined_only_in_the_oracles():
+    sources = sorted(Path(qaeopt.search.__file__).parent.glob("*.py"))
+    assert sources and [f.name for f in sources if "candidate_swaps" in f.read_text()] == []
 
 
 # The depth phase stops a seed once it makes the same swap twice running

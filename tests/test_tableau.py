@@ -10,6 +10,7 @@ import qaeopt.tableau
 from oracles import (
     brute_force_min_mi,
     brute_force_regular_set,
+    candidate_swaps,
     canonicalize,
     grid_mutual_information,
     is_decreasing,
@@ -23,7 +24,7 @@ from oracles import (
 )
 from qaeopt import BipartiteDims, ValidationError, YoungTableau, count_regular, random_regular
 from qaeopt.qstate import MAX_COUNT_CELLS, shannon_entropy
-from qaeopt.tableau import candidate_swaps, regular_grid_walk
+from qaeopt.tableau import regular_grid_walk
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
