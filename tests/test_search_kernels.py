@@ -4,10 +4,12 @@ Every comparison is exact: the array code sums in the scalar order and takes
 its logarithms from the same C library, so results must agree bit for bit.
 """
 
+import importlib
 import itertools
 import json
 import multiprocessing
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -22,7 +24,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qaeopt.search
 import qaeopt.tableau
@@ -126,16 +128,18 @@ def rough_mi_spy():
 
 
 def rough32_blocks(probs, dims, block):
-    """The float32 rough score of every leaf of the walk, one array per
-    block, joined from packed prefix and suffix sums as ``_exhaustive``
-    joins them before its float64 fallback."""
+    """Each block of the walk as its leaf grids, as ``walk_grids`` gives
+    them, and their float32 rough scores, joined from packed prefix and
+    suffix sums as ``_exhaustive`` joins them before its float64 fallback.
+    One walk gives both."""
     p_ext, h_flat = np.concatenate(([0.0], probs)), _entropy(probs)
     store, pieces = regular_grid_walk(dims, block)
     suffix32 = _marginals(p_ext[store]).astype(np.float32)
     for prefixes, blocks in pieces:
         prefix32 = _marginals(p_ext[prefixes]).astype(np.float32)
         for prefix, suffix in blocks:
-            yield _rough_mi(_joined(prefix32, suffix32, prefix, suffix), h_flat)
+            rough = _rough_mi(_joined(prefix32, suffix32, prefix, suffix), h_flat)
+            yield prefixes[prefix] + store[suffix], rough
 
 
 def rough32_bound(dims):
@@ -593,8 +597,7 @@ def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k, monkeypatch):
     spy, scored = rough_mi_spy()
     monkeypatch.setattr(qaeopt.search, "_rough_mi", spy)
     assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
-    grids = np.concatenate(list(walk_grids(dims, LEAF_BLOCK)))
-    rough = np.concatenate(list(rough32_blocks(probs, dims, LEAF_BLOCK)))
+    grids, rough = map(np.concatenate, zip(*rough32_blocks(probs, dims, LEAF_BLOCK)))
     scored32 = scored[np.float32]
     assert scored32 and np.array_equal(np.concatenate(scored32), rough[: sum(map(len, scored32))])
     assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= rough32_bound(dims) / 2
@@ -623,7 +626,7 @@ def test_rough32_error_stays_within_half_its_bound(d_a, d_b, kind):
     if kind == "tiny-tail":
         probs[-3:] = 1e-30
     h_flat = _entropy(probs)
-    for rough, grids in zip(rough32_blocks(probs, dims, LEAF_BLOCK), walk_grids(dims, LEAF_BLOCK)):
+    for grids, rough in rough32_blocks(probs, dims, LEAF_BLOCK):
         assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= rough32_bound(dims) / 2
 
 
@@ -741,20 +744,11 @@ def leaf_score_cases(draw):
     else:
         probs = tied_probs(rng.integers(1, 4, n) + 1e-12 * rng.random(n))
     # A small cap splits short grids into prefixes and suffixes too; small
-    # blocks draw on prefixes from several walk pieces. (3, 5) in blocks of 3
-    # takes 0.2-1.3 s an example, any other draw at most 0.1 s, so it is
-    # drawn in blocks of 2048 only, and its blocks of 3 are pinned below.
-    blocks = [3, 2048] if dims.total < 15 else [2048]
-    return probs, dims, draw(st.sampled_from([1, 4, 16, 2**16])), draw(st.sampled_from(blocks))
-
-
-# The draws left out above, one of them pinned: (3, 5) in blocks of 3, on a
-# near-flat spectrum, split into prefixes and suffixes by a SUFFIX_CAP of 1.
-FLAT_15 = np.sort(np.random.default_rng(1).dirichlet(np.full(15, 1e4)))[::-1]
+    # blocks draw on prefixes from several walk pieces.
+    return probs, dims, draw(st.sampled_from([1, 4, 16, 2**16])), draw(st.sampled_from([3, 2048]))
 
 
 @given(leaf_score_cases())
-@example((FLAT_15, BipartiteDims(3, 5), 1, 3))
 @settings(max_examples=150, deadline=None)
 def test_factored_rough_scores_match_exact(case):
     # Marginals joined from a leaf's prefix and suffix, scored in float32,
@@ -769,18 +763,18 @@ def test_factored_rough_scores_match_exact(case):
         qaeopt.search, "LEAF_BLOCK", block
     ), mock.patch.object(qaeopt.search, "_rough_mi", spy):
         got = exhaustive(probs, dims)
-        blocks = list(walk_grids(dims, block))
-        rough32 = list(rough32_blocks(probs, dims, block))
-    exact = [_block_mi(probs, grids, h_flat) for grids in blocks]
-    assert [len(rough) for rough in rough32] == [len(grids) for grids in blocks]
+        blocks, rough32 = zip(*rough32_blocks(probs, dims, block))
+    lengths = [len(grids) for grids in blocks]
+    exact = np.split(_block_mi(probs, np.concatenate(blocks), h_flat), np.cumsum(lengths)[:-1])
+    assert [len(rough) for rough in rough32] == lengths
     for rough, ex in zip(rough32, exact):
         assert np.abs(rough - ex).max() <= rough32_bound(dims) / 2
     assert all(np.array_equal(a, b) for a, b in zip(scored32, rough32))
     assert len(scored64) in (0, len(blocks) - len(scored32) + 1)
     for rough, ex in zip(scored64, exact[len(blocks) - len(scored64):]):
         assert np.abs(rough - ex).max() <= 1e-12
-    assert sum(map(len, blocks)) == sum(1 for _ in scalar_enumerate(dims, dims.d_a == dims.d_b))
-    assert got == scalar_exhaustive(probs, dims)
+    ref = scalar_exhaustive(probs, dims)  # one leaf per regular filling, as scalar_enumerate walks them
+    assert got == ref and sum(map(len, blocks)) == ref["evaluations"]
 
 
 @pytest.mark.parametrize("d_a,d_b", [(1, 300), (300, 1)])
@@ -938,33 +932,20 @@ def test_move_test_from_positions_matches_neighbour_checks(shape, key):
         assert evaluations == 1 + sum(expected)
 
 
-def test_depth_builds_the_oracle_move_set_at_every_size():
+def test_depth_builds_the_oracle_move_set():
     # _depth builds its swap arrays itself; the generator in tests/oracles.py
-    # is their reference. Each of the generator's two runs rises by one and
-    # stops at w = n, so its set at n is the first n - 2 swaps of its first
-    # run at MAX_COUNT_CELLS (2**14, the largest grid the boundary accepts),
-    # then the first n - 3 of its second.
-    # That is checked on the generator itself up to n = 300, and _depth's
-    # arrays against it at every n from 4 (two rows and two columns) up.
-    top = MAX_COUNT_CELLS
-    ref = np.array(list(candidate_swaps(top))).T - 1  # 0-based, as _depth's
-    first, second = np.split(ref, [top - 2], axis=1)  # (v, v + 1), then (v, v + 2)
-    small = range(4, 301)
-    direct = np.array([swap for n in small for swap in candidate_swaps(n)]).T - 1
-    assert np.array_equal(np.hstack([part for n in small for part in (first[:, : n - 2], second[:, : n - 3])]), direct)
-
-    def agrees(n):
-        got = np.stack(_move_set(n))
-        return np.array_equal(got[:, : n - 2], first[:, : n - 2]) and np.array_equal(
-            got[:, n - 2 :], second[:, : n - 3]
-        )
-
-    assert [n for n in range(4, top + 1) if not agrees(n)] == []
+    # is their reference. Both are closed forms in n, so every n from 4 (two
+    # rows and two columns) to 300 and the largest grid the boundary accepts
+    # cover the arithmetic.
+    for n in [*range(4, 301), MAX_COUNT_CELLS]:
+        assert np.array_equal(np.stack(_move_set(n)), np.array(list(candidate_swaps(n))).T - 1)
 
 
 def test_candidate_swaps_is_defined_only_in_the_oracles():
-    sources = sorted(Path(qaeopt.search.__file__).parent.glob("*.py"))
-    assert sources and [f.name for f in sources if "candidate_swaps" in f.read_text()] == []
+    # No module of the package defines or imports it.
+    names = [m.name for m in pkgutil.iter_modules(qaeopt.__path__, "qaeopt.")]
+    assert "qaeopt.search" in names
+    assert [name for name in names if hasattr(importlib.import_module(name), "candidate_swaps")] == []
 
 
 # The depth phase stops a seed once it makes the same swap twice running
