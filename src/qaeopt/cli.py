@@ -84,8 +84,8 @@ def cmd_optimize(args) -> int:
     result = optimize(sf.probs, sf.dims, args.config)
     compression = None
     if sf.density is not None:
-        u = build_encoder(sf.density, result.best_tableau)
-        compression = _compression_dict(verify_theorem1(sf.density, u, sf.dims), args.bits)
+        report = verify_theorem1(sf.density, build_encoder(sf.density, result.best_tableau), sf.dims)
+        compression = _compression_dict(report, args.bits)
     found = result.to_dict()
     found["best_mi"] = _report_value(found["best_mi"], args.bits)
     found["trajectory"] = [_report_value(x, args.bits) for x in found["trajectory"]]
@@ -110,12 +110,11 @@ def cmd_verify(args) -> int:
     if rho is None:
         raise StateFileError("verify requires a dense-matrix state file (eigenvectors needed)")
     if args.plan == "identity":
-        u, tableau_cells = np.eye(sf.dims.total), None
+        tableau_cells, report = None, verify_theorem1(rho, np.eye(sf.dims.total), sf.dims)
     else:
         tableau = random_regular(sf.dims, args.config.seed)
-        u = build_encoder(rho, tableau)
         tableau_cells = [list(row) for row in tableau.cells]
-    report = verify_theorem1(rho, u, sf.dims)
+        report = verify_theorem1(rho, build_encoder(rho, tableau), sf.dims)
     _emit(
         "verify",
         {

@@ -107,6 +107,7 @@ def compress_reconstruct(
 def verify_theorem1(sigma: DensityMatrix, u: np.ndarray, dims: BipartiteDims) -> CompressionReport:
     """Check S(sigma||sigma_out) = S(A:B) of the encoded state for any unitary."""
     encoded_a, encoded_b, sigma_out = _reconstruct(sigma, u, dims)
+    del u  # the caller's encoder, when unheld, is freed before sigma_out is decomposed
     s_sigma = von_neumann_entropy(sigma)  # also S(AB) of the encoded state
     mi_middle = _mutual_information(encoded_a, encoded_b, s_sigma)
     rel = _relative_entropy(sigma.matrix, s_sigma, sigma_out)

@@ -277,8 +277,8 @@ def _shared_pool(jobs: int) -> ProcessPoolExecutor:
     return pool
 
 
-def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
-    """``map(fn, *iterables)``: in this process when ``jobs`` is 1, else on
+def run_tasks(fn: Callable, jobs: int, tasks) -> Iterator:
+    """``map(fn, tasks)``: in this process when ``jobs`` is 1, else on
     this process's one pool of ``jobs`` workers. Results come in task order
     either way. At most 2 * jobs tasks are submitted at once, so a long or
     endless task list is read only as results are taken.
@@ -295,7 +295,7 @@ def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
     ``BrokenProcessPool``, and the next call starts a new pool.
     """
     if jobs == 1:
-        yield from map(fn, *iterables)
+        yield from map(fn, tasks)
         return
     # Bound before the try, so the except clause always names a class.
     from concurrent.futures.process import BrokenProcessPool
@@ -303,10 +303,10 @@ def run_tasks(fn: Callable, jobs: int, *iterables) -> Iterator:
     pool = _shared_pool(jobs)
     pending = deque()
     try:
-        for args in zip(*iterables):
+        for task in tasks:
             if len(pending) == 2 * jobs:
                 yield pending.popleft().result()
-            pending.append(pool.submit(fn, *args))
+            pending.append(pool.submit(fn, task))
         while pending:
             yield pending.popleft().result()
     except BrokenProcessPool:
@@ -718,11 +718,11 @@ def _depth(
     Each iteration moves to the neighbour with minimal mutual information,
     even when that is worse than the current grid (the move set never
     contains the current grid), and the globally best grid seen across all
-    trajectories is returned. A single row or column has one regular
-    filling, so its seeds return at once. On any other grid every regular
-    filling T has a regular swap, (m-1, m) with m = max(T[0][1], T[1][0]):
-    values 1..m-1 all lie in T's first row or all in its first column, so
-    m-1 >= 2 and m share neither. So every seed moves until its 2-cycle.
+    trajectories is returned. ``optimize`` hands this phase only grids of two
+    or more rows and columns, where every regular filling T has a regular
+    swap, (m-1, m) with m = max(T[0][1], T[1][0]): values 1..m-1 all lie in
+    T's first row or all in its first column, so m-1 >= 2 and m share
+    neither. So every seed moves until its 2-cycle.
 
     A trajectory that makes the same swap twice in a row is back on the grid
     it held two iterations before, and stops being computed there. That is
@@ -746,9 +746,6 @@ def _depth(
     v + 2 exactly when no two of v, v + 1 and v + 2 share a row or column.
     """
     n_seeds, n, d_a = len(grids), dims.total, dims.d_a
-    if d_a == 1 or dims.d_b == 1:
-        best_seed = int(np.argmin(scores))
-        return grids[best_seed].copy(), float(scores[best_seed]), n_seeds, [], best_seed
     u, w = _move_set(n)  # swap k exchanges values u[k] + 1 and w[k] + 1
     # place[s, v] is the (row, column) of value v + 1 in seed s. A swap's four
     # operands, as indices into place[s].ravel(): the rows of u and w, then
@@ -856,6 +853,8 @@ def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> 
     start = np.arange(1, dims.total + 1).reshape(1, dims.d_a, dims.d_b)
     initial_mi = float(_block_mi(p, start, h_flat)[0])
 
+    # A single row or column has one filling, and the threshold is at least 1,
+    # so such grids always take the exhaustive route.
     if count_regular(dims) <= config.exhaustive_threshold:
         method, outcome = "exhaustive", _exhaustive(p, dims, h_flat)
     else:

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -185,6 +187,25 @@ class TestTheorem1:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * 16 * dims.total**2
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="the calling frame holds its call's arguments before 3.11")
+    def test_verify_frees_an_unheld_encoder(self, monkeypatch):
+        # An encoder passed without a name, as the CLI passes it, is freed
+        # before eigh of sigma_out, the peak of a large verify.
+        dims = BipartiteDims(3, 4)
+        rho = generate_instance("random-dense", dims, 5)
+        refs, alive = [], []
+
+        def unheld_encoder():
+            u = encoder_for(rho, dims)[1]
+            refs.append(weakref.ref(u))
+            return u
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: alive.append(refs[0]() is not None) or eigh(a))
+        report = verify_theorem1(rho, unheld_encoder(), dims)
+        assert alive == [False]
+        assert report.residual < 1e-9
 
 
 class TestOptimalOverAllUnitaries:

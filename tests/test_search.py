@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import qaeopt
 from oracles import (
     brute_force_min_mi,
-    cells,
     descending_probs,
     grid_mutual_information,
     is_regular,
@@ -222,14 +221,6 @@ class TestDepthFirst:
         assert abs(best_mi - _exhaustive(probs, DIMS23, h_flat)[1]) < 1e-12
         assert provenance in range(len(seeds))
 
-    def test_single_row_halts_immediately(self):
-        dims = BipartiteDims(1, 4)
-        seed_t = YoungTableau(dims, row_major(dims))
-        cfg = SearchConfig(n1=1, n2=1, n_d=50, seed=0)
-        grid, _, _, trajectory, _ = depth(np.array([0.4, 0.3, 0.2, 0.1]), [seed_t], cfg)
-        assert cells(grid) == seed_t.cells
-        assert trajectory == []
-
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_reference(self, seed):
         dims = BipartiteDims(3, 3)
@@ -251,6 +242,24 @@ class TestOptimize:
     def test_small_dims_use_exhaustive(self):
         res = optimize(descending_probs(4, 1), DIMS22, SearchConfig(seed=0))
         assert res.method == "exhaustive"
+
+    @pytest.mark.parametrize("threshold", [1, SearchConfig().exhaustive_threshold])
+    @pytest.mark.parametrize("single", ["row", "column"])
+    def test_one_filling_grids_route_to_exhaustive(self, single, threshold, monkeypatch):
+        # A single row or column has one regular filling and the threshold is
+        # at least 1, so optimize never hands such a grid to either heuristic
+        # phase: _depth has no case for them.
+        def unreachable(*args):
+            raise AssertionError("a grid with one filling reached the heuristic")
+
+        monkeypatch.setattr(qaeopt.search, "_breadth", unreachable)
+        monkeypatch.setattr(qaeopt.search, "_depth", unreachable)
+        config = SearchConfig(n1=1, n2=1, exhaustive_threshold=threshold)
+        for k in range(1, 41):
+            dims = BipartiteDims(1, k) if single == "row" else BipartiteDims(k, 1)
+            result = optimize(descending_probs(k, k), dims, config)
+            assert result.method == "exhaustive"
+            assert result.best_tableau.cells == row_major(dims)
 
     def test_8x8_routes_to_heuristic(self):
         assert count_regular(BipartiteDims(8, 8)) > 10**7
