@@ -864,6 +864,17 @@ def test_depth_duplicate_seed_first_copy_wins():
         assert assert_depth_matches(probs, dims, batch, 30)["seed_provenance"] == win
 
 
+@pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 2)])
+def test_depth_on_the_smallest_grids_it_is_handed(d_a, d_b):
+    # The grids with the fewest candidate swaps among those optimize hands
+    # _depth, a tall one included, which DEPTH_DIMS has none of: each seed
+    # still has a regular swap, so every seed moves at least once.
+    dims = BipartiteDims(d_a, d_b)
+    seeds = [random_regular(dims, k) for k in range(3)]
+    ref = assert_depth_matches(descending_probs(dims.total, 7), dims, seeds, 5)
+    assert all(ref["choices"])
+
+
 def test_forced_heuristic_2x2_matches_the_scalar_phases():
     dims = BipartiteDims(2, 2)
     probs = descending_probs(4, 6)
