@@ -39,12 +39,12 @@ to module state in the parent (a test's monkeypatch, say) do not reach
 them. Each is pinned to its own CPU of the parent's affinity set: a cpuset
 with ``sched_load_balance`` 0 never moves a running task to another CPU,
 so forked workers left alone can share the parent's CPU for the pool's
-life (see ``_shared_pool``). The depth phase moves all seeds together,
-scoring every candidate swap of every seed per iteration from packed row
-and column sums and a move test on value positions alone, and drops a seed
-once it swaps back and forth between two tableaux, counting the rest of
-its descent (see ``_depth``). Sums run in the same order as the scalar
-loops kept in tests/oracles.py, so results match them bit for bit.
+life (see ``_shared_pool``). Depth holds each seed, a cell sequence from
+breadth, as its values' positions alone, moves all seeds together, scores
+every candidate swap per iteration from row and column sums added value by
+value, and drops a seed once it swaps back and forth between two tableaux,
+counting the rest of its descent (see ``_depth``). Sums run in the order of
+the scalar loops in tests/oracles.py, so results match them bit for bit.
 ``optimize`` computes h_flat, the entropy every score subtracts, once by
 ``qstate._entropy`` of the checked probabilities, and passes it to each phase.
 
@@ -664,9 +664,9 @@ def _breadth_block(
     # exact scores differ by under 1e-14 and duplicate grids score alike, so
     # the rough score of the keep-th distinct grid is within that of the
     # exact one, and only draws within SCORE_SLACK of it can hold the block's
-    # best keep grids; only those get an exact score. Draws are told apart
-    # by their cell sequences, so a task builds grids only inside _by_piece,
-    # one scoring piece at a time, and _breadth builds them for its winners.
+    # best keep grids; only those get an exact score. Draws are told apart,
+    # and handed to depth, by their cell sequences, so grids are built only
+    # inside _by_piece, one scoring piece at a time.
     # No array of a piece is kept past its score: keeping its packed sums
     # to the next piece made 8x8 tasks 2-4% slower in one process and 6-12%
     # slower on two workers, as measured.
@@ -686,7 +686,7 @@ def _breadth(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample n1 random regular grids and keep the n2 distinct ones with the
     smallest mutual information, ascending by (mi, draw index): their exact
-    scores, which ``_depth`` starts from, and their value grids.
+    scores, which ``_depth`` starts from, and their cell sequences.
 
     The draws are cut into ``breadth_tasks`` of at most one block, which
     ``run_tasks`` scores in this process or on a pool (the worker count
@@ -700,7 +700,7 @@ def _breadth(
     for part in run_tasks(score, jobs, breadth_tasks(config.n1, jobs)):
         best = _merge_best([best, part], config.n2)
     mi, _idx, seqs = zip(*best)
-    return np.array(mi), _cell_grids(np.stack(seqs, axis=1), dims.d_a, dims.d_b)
+    return np.array(mi), np.stack(seqs)
 
 
 def _move_set(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -709,11 +709,12 @@ def _move_set(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _depth(
-    p: np.ndarray, dims: BipartiteDims, scores: np.ndarray, grids: np.ndarray, config: SearchConfig,
+    p: np.ndarray, dims: BipartiteDims, scores: np.ndarray, seqs: np.ndarray, config: SearchConfig,
     h_flat: float,
 ) -> Outcome:
-    """Iterated best-neighbour descent from each regular seed value grid of
-    ``grids``, shape (seeds, d_a, d_b), whose exact scores are ``scores``.
+    """Iterated best-neighbour descent from each regular seed, given as its
+    cell sequence (seqs[s, v] is the flat cell of value v + 1 in seed s, as
+    ``_breadth`` returns it) and its exact score in ``scores``.
 
     Each iteration moves to the neighbour with minimal mutual information,
     even when that is worse than the current grid (the move set never
@@ -734,33 +735,34 @@ def _depth(
     every seed measured entered such a 2-cycle, at iteration 36 to 160 of 200.
 
     All seeds descend together, one iteration at a time, each scoring every
-    candidate swap at once from one array of its row and column sums. Each
-    seed keeps its own record of scores and its best grid; the winner is the
-    seed with the smallest best, the first on ties, and the trajectory one
-    running minimum over the records seed after seed, as if each trajectory
-    had run to its end before the next one started. Ties go to the first
-    swap in move order: (v, v + 1) for v = 2..n-1, then (v, v + 2) for
-    v = 2..n-2. A swap keeps a grid regular by where values sit: v and
+    candidate swap at once from one array of its row and column sums. A seed
+    is where its values sit: its grids are regular, so sums by value, from
+    +0.0, add each line in cell order (+0.0 for a line of -0.0: the same
+    x log x). Each seed keeps its own record of scores and its best
+    positions; the winner is the seed with the smallest best, the first on
+    ties, and the trajectory one running minimum over the records seed after
+    seed, as if each had run to its end before the next started. Ties go to
+    the first swap in move order: (v, v + 1) for v = 2..n-1, then (v, v + 2)
+    for v = 2..n-2. A swap keeps a grid regular by where values sit: v and
     v + 1 of a regular grid share a row or column only as neighbours, so
     swapping them is regular exactly when they share neither, and v and
     v + 2 exactly when no two of v, v + 1 and v + 2 share a row or column.
     """
-    n_seeds, n, d_a = len(grids), dims.total, dims.d_a
+    n_seeds, n, d_a, d_b = len(seqs), dims.total, dims.d_a, dims.d_b
     u, w = _move_set(n)  # swap k exchanges values u[k] + 1 and w[k] + 1
-    # place[s, v] is the (row, column) of value v + 1 in seed s. A swap's four
-    # operands, as indices into place[s].ravel(): the rows of u and w, then
-    # their columns. Swap k adds step[k] to the four sums.
+    # place[s, v] is the (row, column) of value v + 1 in seed s; place + origin
+    # are the bins of its row and column sums in marg.ravel(), which bincount
+    # adds value by value. Swap k adds step[k] to the four sums at
+    # bins[s, operands[k]]: the rows of u and w, then their columns.
     operands = np.stack([2 * u, 2 * w, 2 * u + 1, 2 * w + 1], axis=1)
     step = (p[w] - p[u])[:, None] * np.array([1.0, -1.0, 1.0, -1.0])
-    p_ext = np.concatenate(([0.0], p))
-    cells = grids.copy()
-    place = np.stack(np.divmod(np.argsort(grids.reshape(n_seeds, n), axis=1), dims.d_b), axis=-1)
-    # Where seed s's row sums, then its column sums, start in marg.ravel().
-    origin = np.arange(n_seeds)[:, None, None] * (d_a + dims.d_b) + np.array([0, 0, d_a, d_a])
-    active = np.arange(n_seeds)  # seed of each row of cells and place; cycled seeds leave
+    place = np.stack(np.divmod(seqs, d_b), axis=-1)
+    origin = np.arange(n_seeds)[:, None, None] * (d_a + d_b) + np.array([0, d_a])
+    weights = np.tile(np.repeat(p, 2), n_seeds)
+    active = np.arange(n_seeds)  # seed of each row of place; cycled seeds leave
 
     best_mi = np.array(scores)  # per seed, updated on strict improvement
-    best_grid = grids.copy()
+    best_place = place.copy()
     # Per seed, its start's score, then each step's; inf once it has cycled.
     record = np.full((n_seeds, config.n_d + 1), math.inf)
     record[:, 0] = scores
@@ -771,11 +773,9 @@ def _depth(
     for t in range(config.n_d):
         if not active.size:
             break
-        # Fresh sums each iteration keep float drift out of the deltas. An
-        # add.accumulate adds left to right as _sum_left does, but on these small
-        # arrays _sum_left made _depth 11-13% slower (median of 48 paired 8x8 runs).
-        q = p_ext[cells]
-        marg = np.hstack([np.add.accumulate(q, 2)[..., -1], np.add.accumulate(q, 1)[:, -1]])
+        # Fresh sums each iteration keep float drift out of the deltas.
+        bins = (place + origin[: len(active)]).reshape(len(active), 2 * n)
+        marg = np.bincount(bins.ravel(), weights[: bins.size]).reshape(len(active), -1)
         x = _xlogx(marg)
         h_rows, h_cols = (-np.add.accumulate(part, 1)[:, -1] for part in (x[:, :d_a], x[:, d_a:]))
 
@@ -787,7 +787,7 @@ def _depth(
         counts = valid.sum(axis=1)
         evaluations += int(counts.sum())
 
-        at = place.reshape(len(active), 2 * n).take(operands, axis=1) + origin[: len(active)]
+        at = bins.take(operands, axis=1)
         x_at, new = x.take(at), marg.take(at) + step
         base_rows = h_rows[:, None] + x_at[..., 0] + x_at[..., 1]
         base_cols = h_cols[:, None] + x_at[..., 2] + x_at[..., 3]
@@ -810,15 +810,12 @@ def _depth(
         choice = cand.argmin(axis=1)
         chosen = cand[rows, choice]
         uu, ww = u[choice], w[choice]
-        a, b = place[rows, uu], place[rows, ww]
-        cells[rows, a[:, 0], a[:, 1]] = ww + 1
-        cells[rows, b[:, 0], b[:, 1]] = uu + 1
-        place[rows, uu], place[rows, ww] = b, a
+        place[rows, uu], place[rows, ww] = place[rows, ww], place[rows, uu]
         record[active, t + 1] = chosen
 
         better = chosen < best_mi[active]
         best_mi[active[better]] = chosen[better]
-        best_grid[active[better]] = cells[better]
+        best_place[active[better]] = place[better]
 
         # A seed that makes the swap of its last iteration again is back on
         # the grid it left two iterations ago. Its next move is a function of
@@ -830,13 +827,15 @@ def _depth(
         evaluations += int(((left + 1) // 2 * last_count[active[cycled]] + left // 2 * counts[cycled]).sum())
         last_choice[active], last_count[active] = choice, counts
         if cycled.any():
-            cells, place, active = cells[~cycled], place[~cycled], active[~cycled]
+            place, active = place[~cycled], active[~cycled]
 
     # Seed-major, as a strict < would see it seed by seed: no score is -0.0,
     # so ties have equal bits. Start positions leave the trajectory.
     trajectory = np.minimum.accumulate(record.ravel()).reshape(record.shape)[:, 1:].ravel().tolist()
     best_seed = int(best_mi.argmin())
-    return best_grid[best_seed], float(best_mi[best_seed]), evaluations, trajectory, best_seed
+    grid = np.empty((d_a, d_b), dtype=np.int32)
+    grid[tuple(best_place[best_seed].T)] = np.arange(1, n + 1)
+    return grid, float(best_mi[best_seed]), evaluations, trajectory, best_seed
 
 
 def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> OptimizationResult:

@@ -120,6 +120,11 @@ def positions(cells) -> tuple[tuple[int, int], ...]:
     return tuple(zip(rows.tolist(), cols.tolist()))
 
 
+def cell_sequences(grids) -> np.ndarray:
+    """cell_sequences(grids)[s, v - 1] is the flat cell holding value v in grid s."""
+    return np.argsort(np.asarray(grids).reshape(len(grids), -1), axis=1)
+
+
 def _entropy(v: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import qaeopt
 from oracles import (
     brute_force_min_mi,
+    cell_sequences,
     descending_probs,
     grid_mutual_information,
     is_regular,
@@ -30,7 +31,7 @@ from qaeopt import (
 )
 from qaeopt.pipeline import _diagonal_spectrum
 from qaeopt.qstate import MI_ROUNDOFF_TOL, shannon_entropy
-from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS, _block_mi, _breadth, _depth, _exhaustive
+from qaeopt.search import BREADTH_BLOCK, MAX_DRAWS, _block_mi, _breadth, _cell_grids, _depth, _exhaustive
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -137,7 +138,8 @@ class TestNonFiniteProbabilities:
 
 def breadth(probs, dims, config):
     """The breadth phase alone, as [(YoungTableau, mi)] ascending."""
-    scores, grids = _breadth(probs, dims, config, shannon_entropy(probs))
+    scores, seqs = _breadth(probs, dims, config, shannon_entropy(probs))
+    grids = _cell_grids(seqs.T, dims.d_a, dims.d_b)
     return [(YoungTableau(dims, grid.tolist()), mi) for mi, grid in zip(scores, grids)]
 
 
@@ -200,7 +202,7 @@ def depth(probs, seeds, config):
     """The depth phase alone from seed tableaux: (best grid, best mi,
     evaluations, trajectory, seed provenance)."""
     grids, h_flat = np.array([t.cells for t in seeds]), shannon_entropy(probs)
-    return _depth(probs, seeds[0].dims, _block_mi(probs, grids, h_flat), grids, config, h_flat)
+    return _depth(probs, seeds[0].dims, _block_mi(probs, grids, h_flat), cell_sequences(grids), config, h_flat)
 
 
 class TestDepthFirst:
@@ -209,7 +211,8 @@ class TestDepthFirst:
         grid, best_mi, *_ = _exhaustive(probs, DIMS22, shannon_entropy(probs))
         cfg = SearchConfig(n1=1, n2=1, n_d=5, seed=0)
         h_flat = shannon_entropy(probs)
-        _, depth_mi, *_ = _depth(probs, DIMS22, _block_mi(probs, grid[None], h_flat), grid[None], cfg, h_flat)
+        scores = _block_mi(probs, grid[None], h_flat)
+        _, depth_mi, *_ = _depth(probs, DIMS22, scores, cell_sequences(grid[None]), cfg, h_flat)
         assert depth_mi <= best_mi + 1e-12
 
     def test_all_seeds_find_global_minimum_2x3(self):
@@ -217,7 +220,8 @@ class TestDepthFirst:
         seeds = np.concatenate(list(walk_grids(DIMS23, BREADTH_BLOCK)))
         cfg = SearchConfig(n1=5, n2=5, n_d=10, seed=0)
         h_flat = shannon_entropy(probs)
-        _, best_mi, _, _, provenance = _depth(probs, DIMS23, _block_mi(probs, seeds, h_flat), seeds, cfg, h_flat)
+        scores = _block_mi(probs, seeds, h_flat)
+        _, best_mi, _, _, provenance = _depth(probs, DIMS23, scores, cell_sequences(seeds), cfg, h_flat)
         assert abs(best_mi - _exhaustive(probs, DIMS23, h_flat)[1]) < 1e-12
         assert provenance in range(len(seeds))
 

@@ -33,6 +33,7 @@ from oracles import (
     brute_force_best,
     brute_force_regular_set,
     candidate_swaps,
+    cell_sequences,
     cells,
     descending_probs,
     fixed_point_gap,
@@ -82,7 +83,8 @@ from qaeopt.search import (
     usable_cpus,
     worker_count,
 )
-from qaeopt.qstate import ENTRY_TOL, MAX_COUNT_CELLS, _entropy  # the kernel of optimize's h_flat; it checks nothing
+from qaeopt.qstate import ENTRY_TOL, MAX_COUNT_CELLS, _probability_vector
+from qaeopt.qstate import _entropy  # the kernel of optimize's h_flat; it checks nothing
 from qaeopt.tableau import _random_regular_grid, regular_grid_walk
 
 SAMPLER_DIMS = [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]
@@ -97,7 +99,8 @@ def tied_probs(weights):
 
 def breadth(probs, dims, config):
     """The breadth phase as [(cells, mi)], the form scalar_breadth returns."""
-    return [(cells(grid), mi) for mi, grid in zip(*_breadth(probs, dims, config, _entropy(probs)))]
+    scores, seqs = _breadth(probs, dims, config, _entropy(probs))
+    return [(cells(grid), mi) for mi, grid in zip(scores, _cell_grids(seqs.T, dims.d_a, dims.d_b))]
 
 
 @pytest.mark.parametrize("d", [8, 16])
@@ -107,7 +110,8 @@ def test_breadth_scores_are_its_grids_exact_scores(d, jobs):
     dims = BipartiteDims(d, d)
     probs = descending_probs(dims.total, d)
     h_flat = _entropy(probs)
-    scores, grids = _breadth(probs, dims, SearchConfig(n1=500, n2=12, seed=4, parallelism=jobs), h_flat)
+    scores, seqs = _breadth(probs, dims, SearchConfig(n1=500, n2=12, seed=4, parallelism=jobs), h_flat)
+    grids = _cell_grids(seqs.T, d, d)
     assert grids.shape == (12, d, d)
     assert list(map(float.hex, scores.tolist())) == list(map(float.hex, _block_mi(probs, grids, h_flat).tolist()))
 
@@ -798,7 +802,9 @@ def assert_depth_matches(probs, dims, seeds, n_d):
     grids, h_flat = np.array([t.cells for t in seeds]), _entropy(probs)
     config = SearchConfig(n1=len(seeds), n2=len(seeds), n_d=n_d)
     scores = _block_mi(probs, grids, h_flat)
-    grid, best_mi, evaluations, trajectory, provenance = _depth(probs, dims, scores, grids, config, h_flat)
+    grid, best_mi, evaluations, trajectory, provenance = _depth(
+        probs, dims, scores, cell_sequences(grids), config, h_flat
+    )
     ref = scalar_depth(probs, dims, seeds, n_d)
     assert cells(grid) == ref["best_cells"]
     assert best_mi == ref["best_mi"]
@@ -809,23 +815,45 @@ def assert_depth_matches(probs, dims, seeds, n_d):
 
 
 DEPTH_DIMS = [(2, 2), (2, 3), (3, 3), (3, 4), (2, 5)]
+# Tall and wide grids, for spectra whose zeros are -0.0.
+SIGNED_ZERO_DIMS = [(2, 3), (3, 4), (4, 4), (3, 2), (2, 5)]
 
 
 @st.composite
-def depth_cases(draw):
-    d_a, d_b = draw(st.sampled_from(DEPTH_DIMS))
+def depth_cases(draw, shapes=DEPTH_DIMS, signed_zeros=False):
+    """(probs, dims, seeds, n_d) for assert_depth_matches. With
+    ``signed_zeros``, the weights past a drawn count are 0, every zero is
+    written as -0.0, and the vector passes ``_probability_vector``, which
+    keeps -0.0. Fewer nonzero weights than max(d_a, d_b) leave a last row
+    or column of -0.0 alone in every regular grid."""
+    d_a, d_b = draw(st.sampled_from(shapes))
     n = d_a * d_b
     weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    if signed_zeros:
+        m = draw(st.integers(1, n))
+        weights = [max(weights[0], 1)] + weights[1:m] + [0] * (n - m)
     key = draw(st.integers(0, 2**32 - 1))
     n_seeds = draw(st.integers(1, 4))
     dims = BipartiteDims(d_a, d_b)
     seeds = [random_regular(dims, np.random.SeedSequence((key, k))) for k in range(n_seeds)]
-    return tied_probs(weights), dims, seeds, draw(st.integers(1, 12))
+    probs = tied_probs(weights)
+    if signed_zeros:
+        probs = _probability_vector(np.where(probs == 0.0, -0.0, probs), n)
+    return probs, dims, seeds, draw(st.integers(1, 12))
 
 
 @given(depth_cases())
 @settings(max_examples=80, deadline=None)
 def test_depth_matches_scalar_on_ties_and_zeros(case):
+    assert_depth_matches(*case)
+
+
+@given(depth_cases(SIGNED_ZERO_DIMS, signed_zeros=True))
+@settings(max_examples=30, deadline=None)
+def test_depth_matches_scalar_on_signed_zeros(case):
+    # The scalar loops sum a line from 0.0, so a line of -0.0 sums to +0.0.
+    probs = case[0]
+    assert np.signbit(probs[probs == 0.0]).all()
     assert_depth_matches(*case)
 
 
@@ -925,7 +953,8 @@ def test_move_test_from_positions_matches_neighbour_checks(shape, key):
         if min(d_a, d_b) > 1:
             config = SearchConfig(n1=1, n2=1, n_d=1)
             h_flat = _entropy(probs)
-            _, _, evaluations, _, _ = _depth(probs, dims, _block_mi(probs, grid[None], h_flat), grid[None], config, h_flat)
+            scores = _block_mi(probs, grid[None], h_flat)
+            _, _, evaluations, _, _ = _depth(probs, dims, scores, cell_sequences(grid[None]), config, h_flat)
             assert evaluations == 1 + sum(expected)
 
 
