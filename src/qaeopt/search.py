@@ -10,23 +10,26 @@ All three are array code with one marginal format and the package's one
 exact kernel: ``_marginals`` packs each grid's row sums, then its column
 sums, in one row, and ``qstate._exact_mi`` turns such rows into mutual
 information (``_block_mi`` of grids). Breadth first filters with one rough
-score, ``_rough_mi``, of the same packed sums, through numpy's log in
+score, ``_rough_mi``, of the same packed sums: the finish of their row
+totals of x log x, ``_xlogx_totals``, through numpy's log in
 ``_xlogx_rough``, the one use of numpy's log in the package; depth calls
 that for its swap sums. The exhaustive search reads
 ``tableau.regular_grid_walk``: one suffix store, and the pieces of the
 prefix walk, each its prefix array and its leaves in blocks of at most
 LEAF_BLOCK, each leaf a prefix and a suffix. It scores each block at once
-with ``_rough_mi`` from packed marginals in float32, under a derived error
-bound, goes over to float64 sums for the rest of a traversal once a block
-has too many near leaves (flat spectra; see ``_exhaustive``), and builds a
-grid only for the leaves that need an exact score: on one x86-64 core
-about 0.06 µs per leaf at (3,7), and 0.7 s for 2x15, the largest grid the
-default threshold routes to it (9,694,845 leaves). The breadth phase cuts
-the draws into tasks of at most BREADTH_BLOCK (``breadth_tasks``, yielded
-one at a time): a task streams its draws' uniforms one value at a time,
-places each value in all its draws at once, in small-integer arrays of
-cells, scores them LEAF_BLOCK at a time (``_by_piece``) and returns its best
-few draws, merged as they arrive. ``run_tasks`` runs the same tasks in
+from packed marginals in float32, under a derived error bound, and passes
+a block over on its row totals, before they are finished to scores
+(``_rough_below``); it goes over to float64 sums and ``_rough_mi`` for the
+rest of a traversal once a block has too many near leaves (flat spectra;
+see ``_exhaustive``), and builds a grid only for the leaves that need an
+exact score: on one x86-64 core about 0.03 µs per leaf at (3,7), and 0.4 s
+for 2x15, the largest grid the default threshold routes to it (9,694,845
+leaves). The breadth phase cuts the draws into tasks of at most
+BREADTH_BLOCK (``breadth_tasks``, yielded one at a time): a task streams
+its draws' uniforms one value at a time, places each value in all its
+draws at once, in small-integer arrays of cells, scores them LEAF_BLOCK at
+a time (``_by_piece``) and returns its best few draws, merged as they
+arrive. ``run_tasks`` runs the same tasks in
 this process for one job, and on a process pool holding at most two tasks
 per worker for more, so memory is bounded for any n1 either way; a run
 closed early still finishes those. There is one pool per process: it starts
@@ -328,14 +331,30 @@ def _xlogx_rough(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rough_mi(sums: np.ndarray, h_flat: float) -> np.ndarray:
-    """Rough mutual information from packed marginals sums[k, d_a + d_b],
-    row sums then column sums, in their precision: x log x by
-    ``_xlogx_rough``, the terms summed by one matmul, and the result in
-    float64 less h_flat. From float64 sums it is within far less than 1e-12
-    of the exact score, from float32 sums within ``_rough32_error``."""
+def _xlogx_totals(sums: np.ndarray) -> np.ndarray:
+    """Each row's total of x log x over packed marginals sums[k, d_a + d_b],
+    row sums then column sums, in their precision: the terms by
+    ``_xlogx_rough``, summed by one matmul."""
     terms = _xlogx_rough(sums)
-    return -(terms @ np.ones(sums.shape[-1], terms.dtype)).astype(np.float64, copy=False) - h_flat
+    return terms @ np.ones(sums.shape[-1], terms.dtype)
+
+
+def _rough_mi(sums: np.ndarray, h_flat: float) -> np.ndarray:
+    """Rough mutual information from packed marginals: the finish of their
+    ``_xlogx_totals``, negated in float64 less h_flat. From float64 sums it
+    is within far less than 1e-12 of the exact score, from float32 sums
+    within ``_rough32_error``."""
+    return -_xlogx_totals(sums).astype(np.float64, copy=False) - h_flat
+
+
+def _rough_below(sums: np.ndarray, h_flat: float, cut: float) -> np.ndarray | None:
+    """``_rough_mi`` of sums, or None, before the finish, when no score
+    would be at or below ``cut``. Rounding is monotone, so the smallest
+    score is the largest total, negated, less h_flat and rounded once."""
+    totals = _xlogx_totals(sums)
+    if -float(totals.max()) - h_flat > cut:
+        return None
+    return -totals.astype(np.float64, copy=False) - h_flat
 
 
 def _rough32_error(k: int, n: int) -> float:
@@ -578,19 +597,21 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     them. The sums are of ``p_ext[grid]``, where ``p_ext = [0, p...]``, so
     an empty cell adds exactly 0.
 
-    Each block is first scored by ``_rough_mi`` on float32 sums, within
-    delta = ``_rough32_error`` of the exact score. A leaf can set a new
-    exact minimum only if its exact score is below the exact minimum so far
-    and below the exact score of every leaf before it in its block, so only
-    if its rough score is within 2 delta of the minimum of the exact minimum
-    so far and the rough scores before it. A block with no such near leaf is
-    passed over after one reduction. On a flat spectrum most leaves are
-    near, so the first block whose float32 filter passes more than
-    LEAF_BLOCK // 8 leaves is scored again by ``_rough_mi`` on the float64
-    sums, within far less than 1e-12 of the exact score, under the same rule
-    with SCORE_SLACK, and so is every later block. Only the near leaves are
-    built as grids and scored exactly, with the marginals summed in cell
-    order. Memory stays bounded (about 40 MB of process RSS at 2x15).
+    Each block is first scored on float32 sums, within delta =
+    ``_rough32_error`` of the exact score. A leaf can set a new exact
+    minimum only if its exact score is below the exact minimum so far and
+    below the exact score of every leaf before it in its block, so only if
+    its rough score is within 2 delta of the minimum of the exact minimum
+    so far and the rough scores before it. A block with no such near leaf
+    has its lowest rough score more than 2 delta above the exact minimum,
+    and ``_rough_below`` passes it over after one reduction of its row
+    totals, which are not finished to float64 scores. On a flat spectrum
+    most leaves are near, so the first block whose float32 filter passes
+    more than LEAF_BLOCK // 8 leaves is scored again by ``_rough_mi`` on the
+    float64 sums, within far less than 1e-12 of the exact score, under the
+    same rule with SCORE_SLACK, and so is every later block. Only the near
+    leaves are built as grids and scored exactly, with the marginals summed
+    in cell order. Memory stays bounded (about 40 MB of process RSS at 2x15).
     """
     p_ext = np.concatenate(([0.0], p))
     store, pieces = regular_grid_walk(dims, LEAF_BLOCK)
@@ -609,7 +630,9 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
         for prefix, suffix in blocks:
             evaluations += len(prefix)
             if rough32:
-                rough = _rough_mi(_joined(prefix32, suffix32, prefix, suffix), h_flat)
+                rough = _rough_below(_joined(prefix32, suffix32, prefix, suffix), h_flat, best_mi + slack32)
+                if rough is None:
+                    continue
                 near = _near_leaves(rough, best_mi, slack32)
                 rough32 = near.size <= k // 8
             if not rough32:

@@ -83,11 +83,14 @@ def _walk(
                 stack.append((v, lengths[half:], grids[half:]))
                 lengths, grids = lengths[:half], grids[:half]
                 continue
-            child = np.arange(len(parent))
-            lengths, grids = lengths[parent], grids[parent]
-            col = lengths[child, row + 1]
-            lengths[child, row + 1] = col + 1
-            grids[child, row * d_b + col] = v
+            # take along axis 0 copies whole rows, and flat indices into the
+            # contiguous copies it makes update them: both faster than fancy
+            # indexing by pairs of index arrays.
+            lengths, grids = lengths.take(parent, axis=0), grids.take(parent, axis=0)
+            at = np.arange(1, lengths.size, lengths.shape[1]) + row
+            col = lengths.ravel()[at]
+            lengths.ravel()[at] = col + 1
+            grids.ravel()[np.arange(0, grids.size, grids.shape[1]) + row * d_b + col] = v
             v += 1
         yield lengths, grids
 
@@ -98,6 +101,42 @@ def _suffix_codes(store: np.ndarray, top: int, bottom: int, weights: np.ndarray)
     the flattened 0/1 mask with each weight repeated per column."""
     empty = (store[:, top:bottom] == 0).reshape(len(store), -1)
     return empty @ np.repeat(weights, store.shape[2])
+
+
+def _row_lengths(cells: int, rows: int, longest: int, first: int) -> Iterator[tuple[int, ...]]:
+    """Every non-increasing tuple of ``rows`` lengths of at most ``longest``,
+    the first at least ``first``, that sums to ``cells``. Each length is at
+    least the mean of what is left, so every branch ends in a tuple."""
+    if not rows:
+        yield ()
+        return
+    for length in range(min(longest, cells), max(first, -(-cells // rows)) - 1, -1):
+        for rest in _row_lengths(cells - length, rows - 1, length, 0):
+            yield (length, *rest)
+
+
+def _prefix_shapes(d_a: int, d_b: int, t: int, first: int) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """Every shape a prefix can leave when the last t values are kept as
+    suffixes: each Young diagram of n - t cells in the d_a x d_b box whose
+    first row holds at least ``first`` cells, as row lengths after a full
+    sentinel row of d_b (see ``_walk``), sorted by shape code; then the code's
+    rows ``top..bottom-1`` and their weights.
+
+    t cells are left empty, so rows above top are full, rows from bottom on
+    are empty, and each row between has one of the lengths d_b - r + 1..d_b,
+    r = min(d_b, t) + 1. Those lengths in base r number the shapes one to
+    one, below 2**40 while SUFFIX_CAP <= 2**16. Only the rows between are
+    listed: at most t of them, so a single column of 2**14 cells lists none.
+    """
+    top, bottom = max(0, d_a - t), min(d_a, d_a * d_b - t)
+    weights = (min(d_b, t) + 1) ** np.arange(bottom - top, dtype=np.int64)
+    cells = d_a * d_b - t - top * d_b
+    listed = list(_row_lengths(cells, bottom - top, d_b, first if top == 0 else 0))
+    listed = np.array(listed, np.int64).reshape(len(listed), bottom - top)
+    shapes = np.zeros((len(listed), d_a + 1), dtype=np.min_scalar_type(d_b))
+    shapes[:, : 1 + top] = d_b
+    shapes[:, 1 + top : 1 + bottom] = listed
+    return shapes[np.argsort(listed @ weights)], top, bottom, weights
 
 
 # A leaf block (prefix, suffix) and a walk piece (prefixes, blocks): see
@@ -148,12 +187,11 @@ def regular_grid_walk(dims: BipartiteDims, block: int) -> tuple[np.ndarray, Iter
     (3,5) 120 suffixes for 274 prefixes, at (2,12) 924 for 924. A single
     row or column (m == 1) has one filling, kept whole as its one suffix,
     t = every value not pinned: split, it would be walked value by value in
-    the shape walk and the prefix walk as well. This call builds the store:
-    a walk over row lengths alone finds every shape a prefix can leave, and
-    one walk from all of them builds the suffixes. Each prefix finds its
-    shape's run of suffixes by a shape code. Leaves come prefix-major, each
-    prefix's suffixes in depth-first order: the depth-first order of the
-    whole tree.
+    the prefix walk. This call builds the store: every shape a prefix can
+    leave is listed from the box (``_prefix_shapes``), and one walk from
+    all of them builds the suffixes. Each prefix finds its shape's run of
+    suffixes by a shape code. Leaves come prefix-major, each prefix's
+    suffixes in depth-first order: the depth-first order of the whole tree.
 
     The prefix walk runs as the pieces are taken, in pieces (see ``_walk``),
     so a consumer can work out what it needs of each prefix once per piece.
@@ -178,21 +216,7 @@ def regular_grid_walk(dims: BipartiteDims, block: int) -> tuple[np.ndarray, Iter
     while t <= n - v and m ** (t + 1) <= SUFFIX_CAP and (m == 1 or t < n // 2):
         t += 1
     mid = n + 1 - t
-    # Every shape a prefix can leave, from a walk over row lengths alone.
-    shapes = lengths
-    for _ in range(v, mid):
-        parent, row = np.nonzero(shapes[:, :-1] > shapes[:, 1:])
-        shapes = shapes[parent]
-        shapes[np.arange(len(parent)), row + 1] += 1
-        # np.unique over rows as bytes, a fraction of the cost of axis=0.
-        shapes = shapes[np.unique(shapes.view(f"V{shapes[0].nbytes}"), return_index=True)[1]]
-    # A prefix leaves t cells empty, so rows above top are full, rows from
-    # bottom on are empty, and each row between has one of the lengths
-    # d_b - r + 1..d_b, r = min(d_b, t) + 1. Those lengths in base r number
-    # the shapes one to one, below 2**40 while SUFFIX_CAP <= 2**16.
-    top, bottom = max(0, d_a - t), min(d_a, mid - 1)
-    weights = (min(d_b, t) + 1) ** np.arange(bottom - top, dtype=np.int64)
-    shapes = shapes[np.argsort(shapes[:, 1 + top : 1 + bottom] @ weights)]
+    shapes, top, bottom, weights = _prefix_shapes(d_a, d_b, t, 2 if v == 3 else 0)
     # Every partial completion extends to a kept suffix, so no level of this
     # walk holds more than SUFFIX_CAP grids and it never splits: each shape's
     # suffixes come out as one run, in depth-first order and shape code order.

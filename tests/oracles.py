@@ -11,7 +11,8 @@ circuit fitted on the exact gradient, makes the same check for a circuit
 family. Then come the paper's canonicalization argument, as plain
 functions on grids, and the scalar search references: the loop forms
 of the enumeration (and the library walk's leaves joined into grids, to
-compare with it), the exhaustive search, the breadth phase, the value-swap
+compare with it, and the row-length walk its prefix shapes were once
+found by), the exhaustive search, the breadth phase, the value-swap
 move set and neighbourhood (with the one swap every filling of two or more
 rows and columns has) and the depth phase, and the fixed-point certificate
 (gap and map). A grid as cell tuples and sorted Dirichlet probabilities are shared
@@ -490,6 +491,27 @@ def walk_grids(dims: BipartiteDims, block: int):
     for prefixes, blocks in pieces:
         for prefix, suffix in blocks:
             yield prefixes[prefix] + store[suffix]
+
+
+def walk_shapes(dims: BipartiteDims, t: int, pinned: bool) -> np.ndarray:
+    """The prefix shapes ``tableau._prefix_shapes`` lists, found as the
+    library once found them: a level-by-level walk over row lengths alone,
+    from the empty shape or, pinned, from a first row of 2, to n - t cells,
+    each level's duplicates dropped by np.unique over rows as bytes; then
+    sorted by the same shape code."""
+    d_a, d_b, n = dims.d_a, dims.d_b, dims.total
+    shapes = np.zeros((1, d_a + 1), dtype=np.min_scalar_type(d_b))
+    shapes[0, 0] = d_b  # a full sentinel row above row 0
+    if pinned:
+        shapes[0, 1] = 2
+    for _ in range(3 if pinned else 1, n + 1 - t):
+        parent, row = np.nonzero(shapes[:, :-1] > shapes[:, 1:])
+        shapes = shapes[parent]
+        shapes[np.arange(len(parent)), row + 1] += 1
+        shapes = shapes[np.unique(shapes.view(f"V{shapes[0].nbytes}"), return_index=True)[1]]
+    top, bottom = max(0, d_a - t), min(d_a, n - t)
+    weights = (min(d_b, t) + 1) ** np.arange(bottom - top, dtype=np.int64)
+    return shapes[np.argsort(shapes[:, 1 + top : 1 + bottom] @ weights)]
 
 
 def scalar_exhaustive(probs, dims: BipartiteDims) -> dict:

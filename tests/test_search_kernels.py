@@ -17,6 +17,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -76,6 +77,7 @@ from qaeopt.search import (
     _marginals,
     _move_set,
     _rough32_error,
+    _rough_below,
     _rough_mi,
     _sample_block,
     breadth_tasks,
@@ -116,19 +118,30 @@ def test_breadth_scores_are_its_grids_exact_scores(d, jobs):
     assert list(map(float.hex, scores.tolist())) == list(map(float.hex, _block_mi(probs, grids, h_flat).tolist()))
 
 
+@contextmanager
 def rough_mi_spy():
-    """A stand-in for ``search._rough_mi``, and the scores of its calls by
-    the type of their sums: ``scored[np.float32]`` and ``scored[np.float64]``,
-    one array per call. ``_exhaustive`` scores float32 sums once per block
-    until its float64 fallback, and float64 sums once per block from there;
-    breadth scores float64 sums."""
+    """Stand-ins for ``search._rough_mi`` and ``search._rough_below`` while
+    the block runs, and the scores of their calls by the type of their sums,
+    one array per call: ``scored[np.float32]`` from ``_rough_below``, which
+    ``_exhaustive`` calls on float32 sums once per block until its float64
+    fallback, and ``scored[np.float64]`` from ``_rough_mi``, which it calls
+    on float64 sums once per block from there, as breadth does. A block
+    ``_rough_below`` passes over is scored by ``_rough_mi`` of its sums, the
+    finish of the same row totals; the one it does not pass over has the
+    array the search goes on with."""
     scored = {np.float32: [], np.float64: []}
 
-    def spy(sums, h_flat):
+    def rough(sums, h_flat):
         scored[sums.dtype.type].append(_rough_mi(sums, h_flat))
         return scored[sums.dtype.type][-1]
 
-    return spy, scored
+    def below(sums, h_flat, cut):
+        got = _rough_below(sums, h_flat, cut)
+        scored[sums.dtype.type].append(_rough_mi(sums, h_flat) if got is None else got)
+        return got
+
+    with mock.patch.multiple(qaeopt.search, _rough_mi=rough, _rough_below=below):
+        yield scored
 
 
 def rough32_blocks(probs, dims, block):
@@ -550,6 +563,24 @@ def test_rough_xlogx_contract(kind, dtype):
     assert np.abs(got - qaeopt.search._xlogx(x)).max() <= tol
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rough_below_passes_over_exactly_when_every_score_is_above_the_cut(dtype):
+    # The pass-over is told from the row totals before they are finished,
+    # and is exactly "every _rough_mi score is above the cut": at a cut equal
+    # to the lowest score the scores come back, bit for bit, and at the
+    # float just below it they do not.
+    p_ext = np.concatenate(([0.0], descending_probs(15, 3)))
+    sums = _marginals(p_ext[sample_grids(3, 5, 2, 0, 64)]).astype(dtype)
+    h_flat = _entropy(p_ext[1:])
+    rough = _rough_mi(sums, h_flat)
+    for row in range(0, 64, 8):  # blocks of 8 rows, each with its own lowest score
+        block = sums[row : row + 8]
+        low = rough[row : row + 8].min()
+        got = _rough_below(block, h_flat, low)
+        assert got is not None and got.tobytes() == rough[row : row + 8].tobytes()
+        assert _rough_below(block, h_flat, np.nextafter(low, -np.inf)) is None
+
+
 @pytest.mark.parametrize(
     "d_a,d_b,alpha,threshold,kernels",
     [
@@ -589,7 +620,7 @@ def negative_tail(n, seed, k):
 
 
 @pytest.mark.parametrize("d_a,d_b,k", [(1, 8, 5), (3, 4, 6), (3, 5, 7), (4, 4, 8), (2, 10, 10)])
-def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k, monkeypatch):
+def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k):
     # A row or column of tail values sums below 0, where the exact x log x
     # is 0. Float32 rough scores must stay within half their bound of the
     # exact ones there too, and float64 ones (breadth) within 1e-12: x *
@@ -598,18 +629,16 @@ def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k, monkeypatch):
     dims = BipartiteDims(d_a, d_b)
     probs = negative_tail(dims.total, dims.total, k)
     h_flat = _entropy(probs)
-    spy, scored = rough_mi_spy()
-    monkeypatch.setattr(qaeopt.search, "_rough_mi", spy)
-    assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
+    with rough_mi_spy() as scored:
+        assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
     grids, rough = map(np.concatenate, zip(*rough32_blocks(probs, dims, LEAF_BLOCK)))
     scored32 = scored[np.float32]
     assert scored32 and np.array_equal(np.concatenate(scored32), rough[: sum(map(len, scored32))])
     assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= rough32_bound(dims) / 2
     assert _marginals(np.concatenate(([0.0], probs))[grids]).min() < 0.0  # some marginals do sum below 0
 
-    spy, scored = rough_mi_spy()
-    monkeypatch.setattr(qaeopt.search, "_rough_mi", spy)
-    _breadth_block(probs, h_flat, d_a, d_b, 5, (0, 300), 4)
+    with rough_mi_spy() as scored:
+        _breadth_block(probs, h_flat, d_a, d_b, 5, (0, 300), 4)
     exact = _block_mi(probs, sample_grids(d_a, d_b, 5, 0, 300), h_flat)
     assert not scored[np.float32]
     assert np.abs(np.concatenate(scored[np.float64]) - exact).max() <= 1e-12
@@ -635,7 +664,7 @@ def test_rough32_error_stays_within_half_its_bound(d_a, d_b, kind):
 
 
 @pytest.mark.parametrize("d_a,d_b", [(4, 4), (3, 5), (3, 6)])
-def test_float64_fallback_fires_on_flat_spectra_only(d_a, d_b, monkeypatch):
+def test_float64_fallback_fires_on_flat_spectra_only(d_a, d_b):
     # On a flat spectrum most leaves lie within the float32 slack of the
     # minimum, so _exhaustive goes back to the float64 filter; on Dirichlet(1)
     # spectra, the exhaustive-small workload's kind, it never does.
@@ -645,9 +674,8 @@ def test_float64_fallback_fires_on_flat_spectra_only(d_a, d_b, monkeypatch):
         ("uniform", np.full(dims.total, 1.0 / dims.total)),
         ("concentration-1e4", np.sort(rng.dirichlet(np.full(dims.total, 1e4)))[::-1]),
     ] + [("dirichlet", descending_probs(dims.total, seed)) for seed in range(5)]:
-        spy, scored = rough_mi_spy()
-        monkeypatch.setattr(qaeopt.search, "_rough_mi", spy)
-        exhaustive(probs, dims)
+        with rough_mi_spy() as scored:
+            exhaustive(probs, dims)
         assert scored[np.float32], kind
         assert bool(scored[np.float64]) == (kind != "dirichlet"), kind
 
@@ -681,15 +709,12 @@ def test_exhaustive_skips_only_blocks_with_no_near_leaf(d_a, d_b, block, cap, ki
     monkeypatch.setattr(qaeopt.search, "SCORE_SLACK", slack)
     block = qaeopt.search.LEAF_BLOCK
     min_before = qaeopt.search._min_before
-    spy, scored = rough_mi_spy()
-    scored32, scored64 = scored[np.float32], scored[np.float64]
     filtered = []  # every array _min_before saw
 
     def spy_min_before(scores, floor):
         filtered.append(scores)
         return min_before(scores, floor)
 
-    monkeypatch.setattr(qaeopt.search, "_rough_mi", spy)
     monkeypatch.setattr(qaeopt.search, "_min_before", spy_min_before)
     dims = BipartiteDims(d_a, d_b)
     n, rng = dims.total, np.random.default_rng(7 * d_a + d_b)
@@ -697,7 +722,9 @@ def test_exhaustive_skips_only_blocks_with_no_near_leaf(d_a, d_b, block, cap, ki
         probs = tied_probs(rng.integers(1, 4, n) + 1e-12 * rng.random(n))
     else:
         probs = spectrum(kind, n, 7 * d_a + d_b)
-    exhaustive(probs, dims)
+    with rough_mi_spy() as scored:
+        exhaustive(probs, dims)
+    scored32, scored64 = scored[np.float32], scored[np.float64]
     h_flat = _entropy(probs)
     exact = [_block_mi(probs, grids, h_flat) for grids in walk_grids(dims, block)]
     slack32 = 2 * rough32_bound(dims)
@@ -761,13 +788,13 @@ def test_factored_rough_scores_match_exact(case):
     # traversal scores its first blocks in float32 and, from the block that
     # falls back on, the rest in float64, and its outcome is the scalar one.
     probs, dims, cap, block = case
-    h_flat, (spy, scored) = _entropy(probs), rough_mi_spy()
-    scored32, scored64 = scored[np.float32], scored[np.float64]
+    h_flat = _entropy(probs)
     with mock.patch.object(qaeopt.tableau, "SUFFIX_CAP", cap), mock.patch.object(
         qaeopt.search, "LEAF_BLOCK", block
-    ), mock.patch.object(qaeopt.search, "_rough_mi", spy):
+    ), rough_mi_spy() as scored:
         got = exhaustive(probs, dims)
         blocks, rough32 = zip(*rough32_blocks(probs, dims, block))
+    scored32, scored64 = scored[np.float32], scored[np.float64]
     lengths = [len(grids) for grids in blocks]
     exact = np.split(_block_mi(probs, np.concatenate(blocks), h_flat), np.cumsum(lengths)[:-1])
     assert [len(rough) for rough in rough32] == lengths

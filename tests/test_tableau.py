@@ -21,6 +21,7 @@ from oracles import (
     scalar_enumerate,
     sort_along,
     walk_grids,
+    walk_shapes,
 )
 from qaeopt import BipartiteDims, ValidationError, YoungTableau, count_regular, random_regular
 from qaeopt.qstate import MAX_COUNT_CELLS, shannon_entropy
@@ -219,6 +220,32 @@ class TestEnumerate:
                 counts[2] += len(prefix)
         assert counts == [pieces, blocks, leaves] and leaves == count_regular(dims)
         assert len(store) == stored
+
+    @pytest.mark.parametrize(
+        "d_a,d_b", [(d_a, d_b) for d_a in range(1, 37) for d_b in range(1, 36 // d_a + 1)]
+    )
+    def test_listed_shapes_match_the_row_length_walk(self, d_a, d_b):
+        # For every suffix length t, from none to every value not pinned, and
+        # on a square grid with and without the pin: the same shapes, in the
+        # same dtype and shape code order, the codes one to one.
+        dims = BipartiteDims(d_a, d_b)
+        for pinned in {False, d_a == d_b and dims.total > 1}:
+            for t in range(dims.total - 2 * pinned + 1):
+                got, top, bottom, weights = qaeopt.tableau._prefix_shapes(d_a, d_b, t, 2 * pinned)
+                want = walk_shapes(dims, t, pinned)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+                assert (np.diff(got[:, 1 + top : 1 + bottom] @ weights) > 0).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 2**14])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_listed_shapes_of_a_single_line(self, k, transposed):
+        # Every value is kept as a suffix here, and halfway too. A column of
+        # 2**14 cells has 2**14 rows, of which the listing goes over none.
+        dims = BipartiteDims(k, 1) if transposed else BipartiteDims(1, k)
+        for t in {k, k // 2}:
+            got = qaeopt.tableau._prefix_shapes(dims.d_a, dims.d_b, t, 0)[0]
+            want = walk_shapes(dims, t, False)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist() and len(got) == 1
 
     @pytest.mark.parametrize(
         "d_a,d_b",
