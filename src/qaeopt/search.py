@@ -9,19 +9,20 @@ value-swap neighbour and names the winner from each one's best (depth phase).
 All three are array code with one marginal format and the package's one
 exact kernel: ``_marginals`` packs each grid's row sums, then its column
 sums, in one row, and ``qstate._exact_mi`` turns such rows into mutual
-information (``_block_mi`` of grids). Breadth first filters with one rough
-score, ``_rough_mi``, of the same packed sums: the finish of their row
-totals of x log x, ``_xlogx_totals``, through numpy's log in
-``_xlogx_rough``, the one use of numpy's log in the package; depth calls
-that for its swap sums. The exhaustive search reads
+information (``_block_mi`` of grids). Breadth and the exhaustive search
+first filter with one rough score, ``_rough_mi``, of the same packed sums:
+their row totals of x log x, through numpy's log in ``_xlogx_rough``, the
+one use of numpy's log in the package, finished to scores only when one
+can be at or below a cut (breadth's is inf); depth calls ``_xlogx_rough``
+for its swap sums. The exhaustive search reads
 ``tableau.regular_grid_walk``: one suffix store, and the pieces of the
 prefix walk, each its prefix array and its leaves in blocks of at most
 LEAF_BLOCK, each leaf a prefix and a suffix. It scores each block at once
-from packed marginals in float32, under a derived error bound, and passes
-a block over on its row totals, before they are finished to scores
-(``_rough_below``); it goes over to float64 sums and ``_rough_mi`` for the
-rest of a traversal once a block has too many near leaves (flat spectra;
-see ``_exhaustive``), and builds a grid only for the leaves that need an
+from packed marginals in float32, under a derived error bound, and on
+float64 sums for the rest of a traversal once a block has too many near
+leaves (flat spectra). In either precision it passes a block with no near
+leaf over on its row totals, before they are finished (see
+``_exhaustive``), and builds a grid only for the leaves that need an
 exact score: on one x86-64 core about 0.03 µs per leaf at (3,7), and 0.4 s
 for 2x15, the largest grid the default threshold routes to it (9,694,845
 leaves). The breadth phase cuts the draws into tasks of at most
@@ -99,9 +100,10 @@ BREADTH_BLOCK = 8192
 LEAF_BLOCK = 2048
 # Breadth draws, depth swaps and, on the float64 fallback, exhaustive leaves
 # whose rough (_xlogx_rough on float64 sums) score is within this of the cut
-# that matters get an exact score; the rough and exact scores differ by far
+# that matters get an exact score, and a fallback block with no such leaf is
+# passed over by _rough_mi's cut; the rough and exact scores differ by far
 # less than 1e-12. The exhaustive filter on float32 sums uses twice
-# _rough32_error instead.
+# _rough32_error the same way.
 SCORE_SLACK = 1e-9
 # Draw indices run below 2**32, so each is one uint32 word of its stream's seed.
 MAX_DRAWS = 2**32
@@ -331,27 +333,18 @@ def _xlogx_rough(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _xlogx_totals(sums: np.ndarray) -> np.ndarray:
-    """Each row's total of x log x over packed marginals sums[k, d_a + d_b],
-    row sums then column sums, in their precision: the terms by
-    ``_xlogx_rough``, summed by one matmul."""
+def _rough_mi(sums: np.ndarray, h_flat: float, cut: float) -> np.ndarray | None:
+    """Rough mutual information from packed marginals sums[k, d_a + d_b],
+    row sums then column sums: each row's total of x log x in the sums'
+    precision (the terms by ``_xlogx_rough``, summed by one matmul), negated
+    in float64 less h_flat. From float64 sums it is within far less than
+    1e-12 of the exact score, from float32 sums within ``_rough32_error``.
+
+    None, before that finish, when no score would be at or below ``cut``.
+    Rounding is monotone, so the smallest score is the largest total,
+    negated, less h_flat and rounded once."""
     terms = _xlogx_rough(sums)
-    return terms @ np.ones(sums.shape[-1], terms.dtype)
-
-
-def _rough_mi(sums: np.ndarray, h_flat: float) -> np.ndarray:
-    """Rough mutual information from packed marginals: the finish of their
-    ``_xlogx_totals``, negated in float64 less h_flat. From float64 sums it
-    is within far less than 1e-12 of the exact score, from float32 sums
-    within ``_rough32_error``."""
-    return -_xlogx_totals(sums).astype(np.float64, copy=False) - h_flat
-
-
-def _rough_below(sums: np.ndarray, h_flat: float, cut: float) -> np.ndarray | None:
-    """``_rough_mi`` of sums, or None, before the finish, when no score
-    would be at or below ``cut``. Rounding is monotone, so the smallest
-    score is the largest total, negated, less h_flat and rounded once."""
-    totals = _xlogx_totals(sums)
+    totals = terms @ np.ones(sums.shape[-1], terms.dtype)
     if -float(totals.max()) - h_flat > cut:
         return None
     return -totals.astype(np.float64, copy=False) - h_flat
@@ -550,16 +543,11 @@ def _min_before(scores: np.ndarray, floor: float) -> np.ndarray:
     return np.minimum.accumulate(np.concatenate(([floor], scores)))[:-1]
 
 
-_NO_LEAVES = np.empty(0, dtype=np.intp)
-
-
 def _near_leaves(rough: np.ndarray, best: float, slack: float) -> np.ndarray:
     """Indices of the leaves of a block whose rough score is within
     ``slack`` of the minimum of ``best`` and the rough scores before it.
-    Empty, after one reduction, when the block's rough minimum is more than
-    ``slack`` above ``best``: most blocks, once a low minimum is found."""
-    if rough.min() > best + slack:
-        return _NO_LEAVES
+    Never empty when the block's rough minimum is within ``slack`` of
+    ``best``: its first lowest leaf is near."""
     return np.flatnonzero(rough <= _min_before(rough, best) + slack)
 
 
@@ -604,14 +592,16 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
     its rough score is within 2 delta of the minimum of the exact minimum
     so far and the rough scores before it. A block with no such near leaf
     has its lowest rough score more than 2 delta above the exact minimum,
-    and ``_rough_below`` passes it over after one reduction of its row
-    totals, which are not finished to float64 scores. On a flat spectrum
-    most leaves are near, so the first block whose float32 filter passes
-    more than LEAF_BLOCK // 8 leaves is scored again by ``_rough_mi`` on the
-    float64 sums, within far less than 1e-12 of the exact score, under the
-    same rule with SCORE_SLACK, and so is every later block. Only the near
-    leaves are built as grids and scored exactly, with the marginals summed
-    in cell order. Memory stays bounded (about 40 MB of process RSS at 2x15).
+    and ``_rough_mi`` at the cut best_mi + 2 delta passes it over after one
+    reduction of its row totals, which are not finished to float64 scores.
+    Any other block has a near leaf: its first lowest-scored one. On a flat
+    spectrum most leaves are near, so the first block whose float32 filter
+    passes more than LEAF_BLOCK // 8 leaves is scored again by ``_rough_mi``
+    on the float64 sums, within far less than 1e-12 of the exact score,
+    under the same rule and pass-over with SCORE_SLACK, and so is every
+    later block. Only the near leaves are built as grids and scored
+    exactly, with the marginals summed in cell order. Memory stays bounded
+    (about 40 MB of process RSS at 2x15).
     """
     p_ext = np.concatenate(([0.0], p))
     store, pieces = regular_grid_walk(dims, LEAF_BLOCK)
@@ -630,16 +620,17 @@ def _exhaustive(p: np.ndarray, dims: BipartiteDims, h_flat: float) -> Outcome:
         for prefix, suffix in blocks:
             evaluations += len(prefix)
             if rough32:
-                rough = _rough_below(_joined(prefix32, suffix32, prefix, suffix), h_flat, best_mi + slack32)
+                rough = _rough_mi(_joined(prefix32, suffix32, prefix, suffix), h_flat, best_mi + slack32)
                 if rough is None:
                     continue
                 near = _near_leaves(rough, best_mi, slack32)
                 rough32 = near.size <= k // 8
             if not rough32:
-                rough = _rough_mi(_joined(prefix_sums, suffix_sums, prefix, suffix), h_flat)
+                sums = _joined(prefix_sums, suffix_sums, prefix, suffix)
+                rough = _rough_mi(sums, h_flat, best_mi + SCORE_SLACK)
+                if rough is None:
+                    continue
                 near = _near_leaves(rough, best_mi, SCORE_SLACK)
-            if not near.size:
-                continue
             grids = prefixes[prefix[near]] + store[suffix[near]]
             exact = _block_mi(p, grids, h_flat)
             records = np.flatnonzero(exact < _min_before(exact, best_mi))
@@ -694,7 +685,7 @@ def _breadth_block(
     # to the next piece made 8x8 tasks 2-4% slower in one process and 6-12%
     # slower on two workers, as measured.
     p_ext = np.concatenate(([0.0], probs))
-    rough = _by_piece(lambda sums: _rough_mi(sums, h_flat), p_ext, cell, d_a, d_b)
+    rough = _by_piece(lambda sums: _rough_mi(sums, h_flat, math.inf), p_ext, cell, d_a, d_b)
     ranked = ((float(rough[k]), k, cell[:, k]) for k in np.argsort(rough).tolist())
     firsts = _distinct_best(ranked, keep)
     cut = firsts[-1][0] if len(firsts) == keep else math.inf

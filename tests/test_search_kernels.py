@@ -77,7 +77,6 @@ from qaeopt.search import (
     _marginals,
     _move_set,
     _rough32_error,
-    _rough_below,
     _rough_mi,
     _sample_block,
     breadth_tasks,
@@ -120,28 +119,26 @@ def test_breadth_scores_are_its_grids_exact_scores(d, jobs):
 
 @contextmanager
 def rough_mi_spy():
-    """Stand-ins for ``search._rough_mi`` and ``search._rough_below`` while
-    the block runs, and the scores of their calls by the type of their sums,
-    one array per call: ``scored[np.float32]`` from ``_rough_below``, which
-    ``_exhaustive`` calls on float32 sums once per block until its float64
-    fallback, and ``scored[np.float64]`` from ``_rough_mi``, which it calls
-    on float64 sums once per block from there, as breadth does. A block
-    ``_rough_below`` passes over is scored by ``_rough_mi`` of its sums, the
-    finish of the same row totals; the one it does not pass over has the
-    array the search goes on with."""
+    """A stand-in for ``search._rough_mi`` while the block runs, and the
+    scores of its calls by the type of their sums, one array per call:
+    ``scored[np.float32]`` from the float32 sums ``_exhaustive`` scores once
+    per block until its float64 fallback, and ``scored[np.float64]`` from
+    the float64 sums it scores once per block from there, as breadth does.
+    ``passed[dtype]`` holds, call by call, whether the call passed its block
+    over. A block passed over is recorded as ``_rough_mi`` of its sums at an
+    infinite cut, the finish of the same row totals; one kept is recorded as
+    the array the search goes on with."""
     scored = {np.float32: [], np.float64: []}
+    passed = {np.float32: [], np.float64: []}
 
-    def rough(sums, h_flat):
-        scored[sums.dtype.type].append(_rough_mi(sums, h_flat))
-        return scored[sums.dtype.type][-1]
-
-    def below(sums, h_flat, cut):
-        got = _rough_below(sums, h_flat, cut)
-        scored[sums.dtype.type].append(_rough_mi(sums, h_flat) if got is None else got)
+    def rough(sums, h_flat, cut):
+        got = _rough_mi(sums, h_flat, cut)
+        scored[sums.dtype.type].append(_rough_mi(sums, h_flat, np.inf) if got is None else got)
+        passed[sums.dtype.type].append(got is None)
         return got
 
-    with mock.patch.multiple(qaeopt.search, _rough_mi=rough, _rough_below=below):
-        yield scored
+    with mock.patch.object(qaeopt.search, "_rough_mi", rough):
+        yield scored, passed
 
 
 def rough32_blocks(probs, dims, block):
@@ -155,7 +152,7 @@ def rough32_blocks(probs, dims, block):
     for prefixes, blocks in pieces:
         prefix32 = _marginals(p_ext[prefixes]).astype(np.float32)
         for prefix, suffix in blocks:
-            rough = _rough_mi(_joined(prefix32, suffix32, prefix, suffix), h_flat)
+            rough = _rough_mi(_joined(prefix32, suffix32, prefix, suffix), h_flat, np.inf)
             yield prefixes[prefix] + store[suffix], rough
 
 
@@ -564,7 +561,7 @@ def test_rough_xlogx_contract(kind, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_rough_below_passes_over_exactly_when_every_score_is_above_the_cut(dtype):
+def test_rough_mi_passes_over_exactly_when_every_score_is_above_the_cut(dtype):
     # The pass-over is told from the row totals before they are finished,
     # and is exactly "every _rough_mi score is above the cut": at a cut equal
     # to the lowest score the scores come back, bit for bit, and at the
@@ -572,13 +569,13 @@ def test_rough_below_passes_over_exactly_when_every_score_is_above_the_cut(dtype
     p_ext = np.concatenate(([0.0], descending_probs(15, 3)))
     sums = _marginals(p_ext[sample_grids(3, 5, 2, 0, 64)]).astype(dtype)
     h_flat = _entropy(p_ext[1:])
-    rough = _rough_mi(sums, h_flat)
+    rough = _rough_mi(sums, h_flat, np.inf)
     for row in range(0, 64, 8):  # blocks of 8 rows, each with its own lowest score
         block = sums[row : row + 8]
         low = rough[row : row + 8].min()
-        got = _rough_below(block, h_flat, low)
+        got = _rough_mi(block, h_flat, low)
         assert got is not None and got.tobytes() == rough[row : row + 8].tobytes()
-        assert _rough_below(block, h_flat, np.nextafter(low, -np.inf)) is None
+        assert _rough_mi(block, h_flat, np.nextafter(low, -np.inf)) is None
 
 
 @pytest.mark.parametrize(
@@ -629,7 +626,7 @@ def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k):
     dims = BipartiteDims(d_a, d_b)
     probs = negative_tail(dims.total, dims.total, k)
     h_flat = _entropy(probs)
-    with rough_mi_spy() as scored:
+    with rough_mi_spy() as (scored, _):
         assert exhaustive(probs, dims) == scalar_exhaustive(probs, dims)
     grids, rough = map(np.concatenate, zip(*rough32_blocks(probs, dims, LEAF_BLOCK)))
     scored32 = scored[np.float32]
@@ -637,7 +634,7 @@ def test_rough_scores_stay_exact_on_negative_tails(d_a, d_b, k):
     assert np.abs(rough - _block_mi(probs, grids, h_flat)).max() <= rough32_bound(dims) / 2
     assert _marginals(np.concatenate(([0.0], probs))[grids]).min() < 0.0  # some marginals do sum below 0
 
-    with rough_mi_spy() as scored:
+    with rough_mi_spy() as (scored, _):
         _breadth_block(probs, h_flat, d_a, d_b, 5, (0, 300), 4)
     exact = _block_mi(probs, sample_grids(d_a, d_b, 5, 0, 300), h_flat)
     assert not scored[np.float32]
@@ -674,10 +671,14 @@ def test_float64_fallback_fires_on_flat_spectra_only(d_a, d_b):
         ("uniform", np.full(dims.total, 1.0 / dims.total)),
         ("concentration-1e4", np.sort(rng.dirichlet(np.full(dims.total, 1e4)))[::-1]),
     ] + [("dirichlet", descending_probs(dims.total, seed)) for seed in range(5)]:
-        with rough_mi_spy() as scored:
+        with rough_mi_spy() as (scored, passed):
             exhaustive(probs, dims)
         assert scored[np.float32], kind
         assert bool(scored[np.float64]) == (kind != "dirichlet"), kind
+        # The float64 filter passes blocks over too; at (3, 5) all three of
+        # its blocks hold near leaves.
+        if kind == "concentration-1e4" and (d_a, d_b) != (3, 5):
+            assert any(passed[np.float64]), kind
 
 
 # The default blocks, and small caps and blocks that split the walk into many
@@ -722,7 +723,7 @@ def test_exhaustive_skips_only_blocks_with_no_near_leaf(d_a, d_b, block, cap, ki
         probs = tied_probs(rng.integers(1, 4, n) + 1e-12 * rng.random(n))
     else:
         probs = spectrum(kind, n, 7 * d_a + d_b)
-    with rough_mi_spy() as scored:
+    with rough_mi_spy() as (scored, _):
         exhaustive(probs, dims)
     scored32, scored64 = scored[np.float32], scored[np.float64]
     h_flat = _entropy(probs)
@@ -791,7 +792,7 @@ def test_factored_rough_scores_match_exact(case):
     h_flat = _entropy(probs)
     with mock.patch.object(qaeopt.tableau, "SUFFIX_CAP", cap), mock.patch.object(
         qaeopt.search, "LEAF_BLOCK", block
-    ), rough_mi_spy() as scored:
+    ), rough_mi_spy() as (scored, _):
         got = exhaustive(probs, dims)
         blocks, rough32 = zip(*rough32_blocks(probs, dims, block))
     scored32, scored64 = scored[np.float32], scored[np.float64]
