@@ -21,7 +21,9 @@ from . import __version__
 from .exceptions import StateFileError, ValidationError
 from .pipeline import _diagonal_spectrum, build_encoder, verify_theorem1
 from .qstate import MI_ROUNDOFF_TOL, BipartiteDims, nats_to_bits
-from .search import SearchConfig, optimize, run_tasks, worker_count
+from . import search
+from .search import SearchConfig, run_tasks, worker_count
+from .search import _optimize as optimize  # load_statefile checked probs; perfbench/spans.py wraps this name
 from .statefile import load_statefile
 from .tableau import count_regular, random_regular
 
@@ -137,7 +139,7 @@ def _experiment_state(kind: str, dims: BipartiteDims, config: SearchConfig, inde
     master_seed = config.seed
     probs = _diagonal_spectrum(kind, dims, np.random.SeedSequence((master_seed, index, 0)))
     search_seed = int(np.random.SeedSequence((master_seed, index, 1)).generate_state(1)[0])
-    result = optimize(probs, dims, replace(config, seed=search_seed, parallelism=1))
+    result = search.optimize(probs, dims, replace(config, seed=search_seed, parallelism=1))
     return {
         "state": index,
         "mi_initial": result.initial_mi,

@@ -58,10 +58,10 @@ not depend on the block size or on how tasks are split across workers. The
 streams and their uniforms are computed here as uint32/uint64 array code,
 bit for bit those numpy makes, so the search never loads ``numpy.random``.
 
-``optimize`` is the one entry point: it validates the probabilities once,
-routes by ``count_regular``, and builds the one ``OptimizationResult`` from
-what the private phases ``_exhaustive``, ``_breadth`` and ``_depth`` return
-as plain arrays and numbers.
+``optimize`` is the one entry point: it validates the probabilities once and
+hands them to ``_optimize``, which routes by ``count_regular`` and builds the
+one ``OptimizationResult`` from what the private phases ``_exhaustive``,
+``_breadth`` and ``_depth`` return as plain arrays and numbers.
 """
 
 from __future__ import annotations
@@ -859,9 +859,12 @@ def optimize(probs, dims: BipartiteDims, config: SearchConfig | None = None) -> 
     probabilities, which is already a decreasing matrix) always participates
     as a candidate, so the result is never worse than not encoding at all.
     """
-    if config is None:
-        config = SearchConfig()
-    p = _probability_vector(probs, dims.total)
+    config = SearchConfig() if config is None else config
+    return _optimize(_probability_vector(probs, dims.total), dims, config)
+
+
+def _optimize(p: np.ndarray, dims: BipartiteDims, config: SearchConfig) -> OptimizationResult:
+    """``optimize`` on ``p``, a vector ``_probability_vector`` returned (as ``load_statefile``'s are)."""
     h_flat = _entropy(p)
     start = np.arange(1, dims.total + 1).reshape(1, dims.d_a, dims.d_b)
     initial_mi = float(_block_mi(p, start, h_flat)[0])

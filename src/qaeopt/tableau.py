@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from typing import Iterator
 
 import numpy as np
@@ -103,40 +103,33 @@ def _suffix_codes(store: np.ndarray, top: int, bottom: int, weights: np.ndarray)
     return empty @ np.repeat(weights, store.shape[2])
 
 
-def _row_lengths(cells: int, rows: int, longest: int, first: int) -> Iterator[tuple[int, ...]]:
-    """Every non-increasing tuple of ``rows`` lengths of at most ``longest``,
-    the first at least ``first``, that sums to ``cells``. Each length is at
-    least the mean of what is left, so every branch ends in a tuple."""
-    if not rows:
-        yield ()
-        return
-    for length in range(min(longest, cells), max(first, -(-cells // rows)) - 1, -1):
-        for rest in _row_lengths(cells - length, rows - 1, length, 0):
-            yield (length, *rest)
-
-
 def _prefix_shapes(d_a: int, d_b: int, t: int, first: int) -> tuple[np.ndarray, int, int, np.ndarray]:
     """Every shape a prefix can leave when the last t values are kept as
     suffixes: each Young diagram of n - t cells in the d_a x d_b box whose
     first row holds at least ``first`` cells, as row lengths after a full
-    sentinel row of d_b (see ``_walk``), sorted by shape code; then the code's
+    sentinel row of d_b (see ``_walk``), in shape code order; then the code's
     rows ``top..bottom-1`` and their weights.
 
     t cells are left empty, so rows above top are full, rows from bottom on
     are empty, and each row between has one of the lengths d_b - r + 1..d_b,
     r = min(d_b, t) + 1. Those lengths in base r number the shapes one to
-    one, below 2**40 while SUFFIX_CAP <= 2**16. Only the rows between are
-    listed: at most t of them, so a single column of 2**14 cells lists none.
+    one, below 2**40 while SUFFIX_CAP <= 2**16. The rows between are a
+    multiset of that window. ``combinations_with_replacement`` lists each
+    once as a non-decreasing tuple, the rows bottom to top, in lexicographic
+    order, which is code order: the code weighs the last row most. That is
+    at most 924 candidate tuples at the t ``regular_grid_walk`` picks on any
+    grid ((6,6), t = 6); a single column of 2**14 cells lists one, ().
     """
     top, bottom = max(0, d_a - t), min(d_a, d_a * d_b - t)
-    weights = (min(d_b, t) + 1) ** np.arange(bottom - top, dtype=np.int64)
+    r = min(d_b, t) + 1
+    weights = r ** np.arange(bottom - top, dtype=np.int64)
     cells = d_a * d_b - t - top * d_b
-    listed = list(_row_lengths(cells, bottom - top, d_b, first if top == 0 else 0))
-    listed = np.array(listed, np.int64).reshape(len(listed), bottom - top)
+    window = range(d_b - r + 1, d_b + 1)
+    listed = [c[::-1] for c in combinations_with_replacement(window, bottom - top) if sum(c) == cells]
     shapes = np.zeros((len(listed), d_a + 1), dtype=np.min_scalar_type(d_b))
     shapes[:, : 1 + top] = d_b
     shapes[:, 1 + top : 1 + bottom] = listed
-    return shapes[np.argsort(listed @ weights)], top, bottom, weights
+    return shapes[shapes[:, 1] >= first], top, bottom, weights
 
 
 # A leaf block (prefix, suffix) and a walk piece (prefixes, blocks): see
@@ -188,9 +181,9 @@ def regular_grid_walk(dims: BipartiteDims, block: int) -> tuple[np.ndarray, Iter
     row or column (m == 1) has one filling, kept whole as its one suffix,
     t = every value not pinned: split, it would be walked value by value in
     the prefix walk. This call builds the store: every shape a prefix can
-    leave is listed from the box (``_prefix_shapes``), and one walk from
+    leave is listed in code order (``_prefix_shapes``), and one walk from
     all of them builds the suffixes. Each prefix finds its shape's run of
-    suffixes by a shape code. Leaves come prefix-major, each prefix's
+    suffixes by that shape code. Leaves come prefix-major, each prefix's
     suffixes in depth-first order: the depth-first order of the whole tree.
 
     The prefix walk runs as the pieces are taken, in pieces (see ``_walk``),

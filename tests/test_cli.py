@@ -14,6 +14,8 @@ import pytest
 
 import qaeopt.cli
 import qaeopt.qstate
+import qaeopt.search
+import qaeopt.statefile
 from qaeopt import BipartiteDims, DensityMatrix, generate_instance, nats_to_bits, save_statefile
 from qaeopt.cli import main
 from qaeopt.tableau import _random_regular_grid
@@ -175,6 +177,31 @@ class TestOptimize:
         code, lines, _ = run_cli(capsys, "optimize", str(path), "--n1", "10", "--n2", "2")
         assert code == 0
         assert lines[0]["compression"] is None
+
+    @pytest.mark.parametrize("kind", ["spectrum", "dense"])
+    def test_file_probabilities_checked_once(self, capsys, tmp_path, monkeypatch, kind):
+        # load_statefile checks the file's probabilities; the search takes
+        # them as they are, so the check runs once per optimize, whichever
+        # module it is looked up in.
+        if kind == "spectrum":
+            dims = BipartiteDims(3, 5)
+            spectrum = np.diag(generate_instance("diagonal-mixed", dims, 4).matrix).real
+            save_statefile(tmp_path / "state.json", dims, spectrum=spectrum)
+        else:
+            dims = BipartiteDims(2, 3)
+            save_statefile(tmp_path / "state.json", dims, matrix=generate_instance("random-dense", dims, 4).matrix)
+        calls = []
+        check = qaeopt.qstate._probability_vector
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return check(*args, **kwargs)
+
+        for module in (qaeopt.qstate, qaeopt.statefile, qaeopt.search):
+            monkeypatch.setattr(module, "_probability_vector", counted)
+        code, lines, _ = run_cli(capsys, "optimize", str(tmp_path / "state.json"))
+        assert code == 0 and lines[0]["result"]["method"] == "exhaustive"
+        assert calls == [dims.total]
 
     def test_8x8_product_spectrum_routes_to_heuristic(self, capsys, tmp_path):
         dims = BipartiteDims(8, 8)
