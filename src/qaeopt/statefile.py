@@ -12,8 +12,8 @@ otherwise; matrices must satisfy the density-matrix invariants as given.
 ``save_statefile`` writes version 1 exactly as ``json.dumps(doc, indent=1)``
 would, keys in the order ``format_version``, ``d_a``, ``d_b``, ``label``,
 payload, floats as ``repr`` gives them and non-finite ones as ``NaN`` or
-``Infinity``, which the loader rejects. It streams a matrix row by row, so
-its memory does not grow with the matrix.
+``Infinity``, which the loader rejects. After one rank check, one loop
+streams a matrix row by row and a spectrum as one row, in flat memory.
 
 ``load_statefile`` reads a matrix row by row as well: json's scanner parses
 one row's ``[re, im]`` lists at a time, and each row is checked and becomes
@@ -287,8 +287,6 @@ def load_statefile(path) -> StateFile:
 # json.dumps(..., indent=1) layout of one matrix row at depth 2 of the
 # document, each entry an [re, im] pair at depth 3; the tokens are filled in.
 _PAIR = "   [\n    %s,\n    %s\n   ]"
-# json's spelling of the float reprs "nan", "inf" and "-inf".
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def save_statefile(path, dims: BipartiteDims, matrix=None, spectrum=None, label=None) -> None:
@@ -300,39 +298,40 @@ def save_statefile(path, dims: BipartiteDims, matrix=None, spectrum=None, label=
     and the payload, floats written by ``float.__repr__`` and non-finite
     values as ``NaN``/``Infinity``/``-Infinity``, which ``load_statefile``
     rejects. Nothing is checked against ``dims``, so invalid files can be
-    written on purpose. A matrix is written one row at a time, so memory
-    stays flat as it grows. Bad arguments, entries that are not numbers
-    (``qstate._numbers``) among them, are rejected before the file is opened.
+    written on purpose. One loop writes a matrix a row at a time and a
+    spectrum as one row, so memory stays flat as a matrix grows. Entries that
+    are not numbers (``qstate._numbers``), a spectrum that is not 1-D and a
+    matrix that is not 2-D are rejected before the file is opened.
     """
     if (matrix is None) == (spectrum is None):
         raise StateFileError("provide exactly one of matrix or spectrum")
-    kind, dtype = ("spectrum", float) if matrix is None else ("matrix", complex)
+    kind, dtype, ndim = ("spectrum", float, 1) if matrix is None else ("matrix", complex, 2)
     try:
         # Not copied when already numeric: a large matrix is not held twice.
         payload = _numbers(spectrum if matrix is None else matrix, dtype, f"{kind} entries", copy=False)
     except ValidationError as exc:
         raise StateFileError(str(exc)) from exc
+    if payload.ndim != ndim:
+        raise StateFileError(f"{kind} must be {ndim}-D, not of shape {payload.shape}")
     doc: dict = {"format_version": FORMAT_VERSION, "d_a": dims.d_a, "d_b": dims.d_b}
     if label is not None:
         doc["label"] = label
     if matrix is None:
-        doc["spectrum"] = [float(x) for x in payload]
-        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-        return
-    if payload.ndim != 2:
-        raise StateFileError(f"matrix must be 2-D, not of shape {payload.shape}")
-    # Row i of ``values`` is row i of the matrix as re, im, re, im, ...
-    values = np.ascontiguousarray(payload).view(float)
-    row = "  [\n" + ",\n".join([_PAIR] * payload.shape[1]) + "\n  ]" if payload.shape[1] else "  []"
-    # The header ends in "\n}"; the matrix goes in as the last key.
-    head = json.dumps(doc, indent=1)[:-2] + ',\n "matrix": ['
+        rows = [payload] if payload.size else []
+        row = ",\n".join(["  %s"] * payload.size)
+    else:
+        # Row i of ``rows`` is row i of the matrix as re, im, re, im, ...
+        rows = np.ascontiguousarray(payload).view(float)
+        row = "  [\n" + ",\n".join([_PAIR] * payload.shape[1]) + "\n  ]" if payload.shape[1] else "  []"
+    # The header ends in "\n}"; the payload goes in as the last key.
+    head = json.dumps(doc, indent=1)[:-2] + f',\n "{kind}": ['
     with Path(path).open("w") as f:
         f.write(head)
         sep = "\n"
-        for entries in values:
-            tokens = list(map(float.__repr__, entries.tolist()))
-            if not np.isfinite(entries).all():
-                tokens = [_NON_FINITE.get(t, t) for t in tokens]
+        for entries in rows:
+            tokens = map(float.__repr__, entries.tolist())
+            if not np.isfinite(entries).all():  # json spells NaN and the infinities
+                tokens = json.dumps(entries.tolist())[1:-1].split(", ")
             f.write(sep + row % tuple(tokens))
             sep = ",\n"
-        f.write("\n ]\n}\n" if len(values) else "]\n}\n")
+        f.write("\n ]\n}\n" if len(rows) else "]\n}\n")

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -22,6 +23,7 @@ from oracles import (
 )
 from qaeopt import (
     BipartiteDims,
+    OptimizationResult,
     SearchConfig,
     ValidationError,
     YoungTableau,
@@ -75,6 +77,32 @@ class TestSearchConfig:
         assert SearchConfig(n1=MAX_DRAWS, n2=1).n1 == 2**32
         with pytest.raises(ValidationError, match="2\\*\\*32"):
             SearchConfig(n1=MAX_DRAWS + 1, n2=1)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("method", "other", "unknown method 'other'"),
+        ("best_mi", -1e-6, "negative mutual information: -1e-06"),
+        ("trajectory", (0.1, 0.2), "trajectory must be non-increasing"),
+        ("best_mi", -1e-12, None),  # round-off, inside MI_ROUNDOFF_TOL
+    ],
+)
+def test_optimization_result_invariants(field, value, message):
+    fields = {
+        "best_tableau": random_regular(DIMS22, 0),
+        "best_mi": 0.0,
+        "method": "heuristic",
+        "evaluations": 1,
+        "trajectory": (0.2, 0.1),
+        "seed_provenance": None,
+        field: value,
+    }
+    if message is None:
+        assert getattr(OptimizationResult(**fields), field) == value
+    else:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            OptimizationResult(**fields)
 
 
 # Small grids route to exhaustive traversal by default. optimize counts the

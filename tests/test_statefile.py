@@ -78,11 +78,16 @@ def test_save_matches_json_dumps_byte_for_byte(tmp_path, dims, payload, label):
     assert path.read_bytes() == json_statefile_text(dims, label=label, **payload).encode()
 
 
-@pytest.mark.parametrize("matrix", [np.ones(4), np.complex128(1), np.ones((2, 2, 1)), np.ones((2, 2, 0))])
-def test_save_rejects_a_matrix_that_is_not_2d_before_opening_the_file(tmp_path, matrix):
+@pytest.mark.parametrize(
+    "kind,payload,rank",
+    [("matrix", m, "2-D") for m in (np.ones(4), np.complex128(1), np.ones((2, 2, 1)), np.ones((2, 2, 0)))]
+    + [("spectrum", s, "1-D") for s in (np.ones((2, 2)) / 4, np.float64(0.5), [[0.25, 0.25, 0.25, 0.25]])],
+    ids=["matrix-1d", "matrix-0d", "matrix-3d", "matrix-3d-empty", "spectrum-2x2", "spectrum-0d", "spectrum-1x4"],
+)
+def test_save_rejects_a_payload_of_the_wrong_rank_before_opening_the_file(tmp_path, kind, payload, rank):
     path = tmp_path / "state.json"
-    with pytest.raises(StateFileError, match="2-D"):
-        save_statefile(path, DIMS22, matrix=matrix)
+    with pytest.raises(StateFileError, match=f"{kind} must be {rank}"):
+        save_statefile(path, DIMS22, **{kind: payload})
     assert not path.exists()
 
 
