@@ -22,10 +22,9 @@ and the text; after that, the text, the float matrix and one row of lists.
 A version-1 dense file so needs about twice its size to load, and no more
 to be rejected: the text is parsed once, valid or not, and a matrix with
 several faults names a wrong number of rows first, else its first faulty
-row's fault. A fault in the object's own punctuation is worded by
-``json.loads``, with the matrix rows already read standing as one ``0``:
-that parse builds no list tree of them, and its error keeps the whole
-text's words, line and column.
+row's fault. The object and the matrix's outer array go through json's
+own pure-Python parsers, with json's C scanner for each value and each row,
+so every fault is worded, placed and read as ``json.loads`` does.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -78,113 +76,59 @@ def _float_array(raw, name: str, shape: tuple[int, ...], outer: tuple[int, ...] 
         raise StateFileError(f"{name} is not a numeric array: {exc}") from exc
 
 
-# The top-level punctuation of a state file, with the whitespace JSON allows
-# around it; a comma before a matrix's "]" is no row separator.
-_WS = re.compile(r"[ \t\n\r]*")
-_OPEN = re.compile(r"[ \t\n\r]*\{[ \t\n\r]*")
-_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
-_AFTER_MEMBER = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*")
-_AFTER_ROW = re.compile(r"[ \t\n\r]*(\]|,(?![ \t\n\r]*\]))[ \t\n\r]*")
-# json's own scanner for one value: the text before it has parsed, so its
-# errors are the ones json.loads gives there.
-_scan = json.JSONDecoder().raw_decode
+# json's C scanner for one value, and its pure-Python object and array
+# parsers, which take a value scanner as a hook and word every fault as
+# json.loads does, at its place in the whole text.
+_scan = json.JSONDecoder().scan_once
+_WS = json.decoder.WHITESPACE.match
 
 
-class _Punctuation(ValueError):
-    """Not a JSON object document, for a fault outside every scanned value:
-    json's words for it differ between Python versions. ``span`` is the
-    ``(start, end)`` of the matrix text read before the fault, the last
-    matrix value or the rows of one cut short, or None: that text parsed,
-    and json reads it as it reads one ``0``."""
-
-    def __init__(self, span: tuple[int, int] | None = None) -> None:
-        super().__init__()
-        self.span = span
-
-
-def _expect(pattern: re.Pattern, text: str, i: int, span: tuple[int, int] | None = None) -> re.Match:
-    m = pattern.match(text, i)
-    if m is None:
-        raise _Punctuation(span)
-    return m
-
-
-def _matrix_rows(text: str, i: int) -> tuple:
-    """The ``matrix`` value at ``text[i]`` and the index after it. An array
-    comes back as the list of its rows, each a float ``(k, 2)`` array as soon
-    as it is scanned, up to the first that is not a list of ``[number,
-    number]`` pairs. That one stays as scanned, and the rows after it are
-    only counted, as None. Any other value comes back as scanned."""
-    if not text.startswith("[", i):
+def _value(text: str, i: int) -> tuple:
+    """The value at ``text[i]`` and the index after it, as json scans it,
+    but for an array of arrays, which comes back as ``(i, rows)``: the list
+    of its rows, each a float ``(k, 2)`` array as soon as it is scanned, up
+    to the first that is not a list of ``[number, number]`` pairs. That one
+    stays as scanned, and the rows after it are only counted, as None."""
+    if not (text.startswith("[", i) and text.startswith("[", _WS(text, i + 1).end())):
         return _scan(text, i)
-    rows = []
-    i = start = _WS.match(text, i + 1).end()
-    if text.startswith("]", i):
-        return rows, i + 1
-    while True:
-        raw, i = _scan(text, i)
-        if rows and type(rows[-1]) is not np.ndarray:
-            raw = None
-        elif type(raw) is list:
+    faulty = False
+
+    def row(s: str, j: int) -> tuple:
+        nonlocal faulty
+        raw, j = _scan(s, j)
+        if faulty:
+            return None, j
+        if type(raw) is list:
             try:
-                raw = _float_array(raw, "matrix", (len(raw), 2))
+                return _float_array(raw, "matrix", (len(raw), 2)), j
             except StateFileError:
                 pass
-        rows.append(raw)
-        m = _expect(_AFTER_ROW, text, i, (start, i))
-        i = m.end()
-        if m.group(1) == "]":
-            return rows, i
+        faulty = True
+        return raw, j
+
+    rows, end = json.decoder.JSONArray((text, i + 1), row)
+    return (i, rows), end
 
 
-def _members(text: str) -> dict:
-    """The members of the JSON object document ``text``, the last of
-    duplicate keys winning as in ``json.loads``, with ``matrix`` read by
-    ``_matrix_rows``. Raises json's error for a fault inside a value, and
-    ``_Punctuation`` for any other text, and for an empty object."""
-    i = _expect(_OPEN, text, 0).end()
-    members: dict = {}
-    sep = ","
-    span = None  # of the last matrix value read
-    while sep == ",":
-        if not text.startswith('"', i):
-            raise _Punctuation(span)
-        key, i = _scan(text, i)
-        i = _expect(_COLON, text, i, span).end()
-        if key == "matrix":
-            # The rows of an earlier matrix go before these are read.
-            members.pop(key, None)
-            start = i
-            value, i = _matrix_rows(text, i)
-            span = (start, i)
-        else:
-            value, i = _scan(text, i)
-        members[key] = value
-        m = _expect(_AFTER_MEMBER, text, i, span)
-        sep, i = m.group(1), m.end()
+def _members(text: str):
+    """``json.loads(text)``, but with a ``matrix`` that is an array of
+    arrays read by ``_value``, a row at a time. Any other member read that
+    way is scanned again whole."""
+    i = _WS(text, 0).end()
+    if not text.startswith("{", i):
+        return json.loads(text)
+    data, i = json.decoder.JSONObject((text, i + 1), True, _value, None, None, {})
+    i = _WS(text, i).end()
     if i != len(text):
-        raise _Punctuation(span)
-    return members
-
-
-def _whole_document(text: str, span: tuple[int, int] | None):
-    """``json.loads(text)``, for a text ``_members`` found a punctuation
-    fault in. When matrix text was read, json parses the text with it
-    replaced by one ``0``, which builds no list tree of its rows, and its error
-    is raised with its position moved back: json's words, line and column
-    are those of the whole text."""
-    if span is not None:
-        start, end = span
-        try:
-            json.loads(text[:start] + "0" + text[end:])
-        except json.JSONDecodeError as exc:
-            pos = exc.pos if exc.pos <= start else exc.pos + end - start - 1
-            raise json.JSONDecodeError(exc.msg, text, pos) from None
-    return json.loads(text)
+        raise json.JSONDecodeError("Extra data", text, i)
+    for key, value in data.items():
+        if type(value) is tuple:  # no JSON value scans as one
+            data[key] = value[1] if key == "matrix" else _scan(text, value[0])[0]
+    return data
 
 
 def _complex_matrix(rows, n: int) -> np.ndarray:
-    """The ``n x n`` complex matrix of the rows ``_matrix_rows`` read. A
+    """The ``n x n`` complex matrix of the rows ``_value`` read. A
     wrong number of rows is the fault, else the first row that is not n
     ``[number, number]`` pairs."""
     if type(rows) is not list or len(rows) != n:
@@ -235,12 +179,7 @@ def load_statefile(path) -> StateFile:
     # A dense file is megabytes: hold its bytes no longer than needed.
     del raw
     try:
-        try:
-            data = _members(text)
-        except _Punctuation as exc:
-            # json names the fault in its own words, or reads a document
-            # that is no object or an empty one.
-            data = _whole_document(text, exc.span)
+        data = _members(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"state file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -136,6 +136,9 @@ def test_dense_load_memory(tmp_path):
         # Faults in the punctuation around the rows, which json words.
         "brace": (text[: text.rindex("}")] + "\n", "is not valid JSON"),
         "comma": (text[: text.rindex("\n ]")] + "," + text[text.rindex("\n ]") :], "is not valid JSON"),
+        # A third entry in each row's first pair: only the first faulty row
+        # is kept as scanned, and the rows after it are only counted.
+        "every-row": (re.sub(r"(\n  \[\n   \[\n    \S+,\n    \S+)", r"\1,\n    0", text), "of shape"),
     }
     for kind, (faulty_text, words) in faulty.items():
         bad = tmp_path / f"{kind}.json"
@@ -287,13 +290,20 @@ def test_not_json(tmp_path):
         '{"d_a": 1, "d_b": 1, "matrix": [[[1, 0]],\n]}',
         '{"d_a": 1, "d_b": 1, "matrix": [[[1, 0]]]',
         '[{"d_a": 1, "d_b": 1, "spectrum": [1.0]}]',
+        '{"d_a": 1, "d_b": 1, "spectrum": [1.0]} x',
+        '\ufeff{"d_a": 1, "d_b": 1, "spectrum": [1.0]}',
+        '{"d_a": 1, "d_b": 1, "label": [[1, 2]], "spectrum": [1.0]}',
+        '{"d_a": [[2]], "d_b": 1, "spectrum": [1.0]}',
+        '{"d_a": 1, "d_b": 1, "matrix": [[[1, 0]]], "matrix": [[[2, 0]]]}',
     ],
 )
 def test_json_words_faults_outside_every_value(tmp_path, text):
-    # An empty object, the object's own punctuation and a document that is no
-    # object are read again by json.loads, as the oracle reads every file.
+    # An empty object, the object's own punctuation, text after it and a
+    # document that is no object are worded by json, and an array of arrays
+    # that is no matrix, or a matrix a later one replaces, reads as json
+    # reads it: as the oracle reads every file.
     path = tmp_path / "state.json"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     outcome = _outcome(load_statefile, path)
     assert outcome[0] is StateFileError
     assert outcome == _outcome(json_load_statefile, path)
